@@ -23,10 +23,10 @@ from .config import ExperimentConfig
 from .errors import AlphabetTooLarge, ConfigError, CovertDhtError, NoConvergence
 from .probability import LN2, LogBase
 
-SIM_SCHEMA = "covertdht-sim-1"
+SIM_SCHEMA = "covertdht-sim-2"
 SIM_HEADER = [
     "schema", "scheme", "n", "mu", "k", "alpha", "alpha_ci", "beta", "beta_ci",
-    "method", "seed",
+    "method", "seed", "trials", "beta_is_upper_bound", "weight_mean", "a_bar",
 ]
 COV_SCHEMA = "covertdht-cov-1"
 COV_HEADER = ["schema", "n", "delta_n", "d_n_exact", "quad_bound", "type_bound"]
@@ -210,19 +210,12 @@ def cmd_verify_covertness(cfg: ExperimentConfig) -> int:
         else:
             g1 = dmc.z_row(scheme.x_hat)
             rep = cov.scheme_A_covertness(p_u, g0, g1, n, scheme.k(n), scheme.mu)
-        if rep.d_n_exact is not None and rep.d_n_exact > rep.quad_bound * (1 + 1e-9):
+        if rep.d_n_exact > rep.quad_bound * (1 + 1e-9):
             violations += 1
-        rows.append({
-            "n": rep.n,
-            "delta_n": rep.delta_n,
-            "d_n_exact": "" if rep.d_n_exact is None else rep.d_n_exact,
-            "quad_bound": rep.quad_bound,
-            "type_bound": rep.type_bound,
-        })
+        rows.append(rep.as_row())
     out = cfg.output()
     write_csv(out["path"], COV_HEADER, COV_SCHEMA, rows)
-    usable = [(r["n"], r["d_n_exact"]) for r in rows
-              if r["d_n_exact"] not in ("", 0.0) and r["d_n_exact"] > 0]
+    usable = [(r["n"], r["d_n_exact"]) for r in rows if r["d_n_exact"] > 0]
     if len(usable) >= 3:
         ns = np.array([u[0] for u in usable], dtype=float)
         logs = np.array([math.log2(u[1]) for u in usable])

@@ -13,6 +13,12 @@ through its type. Each type contributes
 which is non-negative, so the sum is cancellation-free; the linear term
 sums to zero exactly and is dropped analytically, not numerically.
 
+Every sum here runs over the batched type lattice of ``typesum`` a block at
+a time, and every divergence-threshold and typicality decision goes through
+``probability.kl_rows`` and ``probability.typical``. The exact divergence
+enumerates the same (n, |Z|) lattice as the type-based bound, so it is
+available whenever the bounds are.
+
 All divergences are in nats.
 """
 
@@ -22,17 +28,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlog1py
 
 from .errors import SupportViolation
-from .exponents import PbarSet
-from .probability import Pmf, chi_squared, kl_divergence_vec
+from .exponents import PbarSet, _simplex_grid
+from .probability import Pmf, chi_squared, kl_rows, typical
 from .typesum import (
     NEG_INF,
     check_enumerable,
-    iter_types,
     log_type_class_prob,
     prob_type_event,
+    type_blocks,
 )
 
 _INF = math.inf
@@ -45,12 +51,13 @@ def _check_rows(g0: Pmf, g1: Pmf) -> None:
         raise SupportViolation("codeword row puts mass outside the zero row's support")
 
 
-def _mix_term(t: float) -> float:
-    """(1+t) log1p(t) - t, the per-type divergence kernel; >= 0 for t >= -1."""
-    if abs(t) < 1e-4:
-        # series to avoid cancellation: t^2/2 - t^3/6 + t^4/12
-        return t * t * (0.5 + t * (-1.0 / 6.0 + t / 12.0))
-    return (1.0 + t) * math.log1p(t) - t
+def _mix_term(t: np.ndarray) -> np.ndarray:
+    """(1+t) log1p(t) - t elementwise, the per-type divergence kernel; >= 0
+    for t >= -1."""
+    t = np.asarray(t, dtype=float)
+    # series to avoid cancellation: t^2/2 - t^3/6 + t^4/12
+    series = t * t * (0.5 + t * (-1.0 / 6.0 + t / 12.0))
+    return np.where(np.abs(t) < 1e-4, series, xlog1py(1.0 + t, t) - t)
 
 
 def two_point_divergence_exact(g0: Pmf, g1: Pmf, delta: float, n: int) -> float:
@@ -70,22 +77,17 @@ def two_point_divergence_exact(g0: Pmf, g1: Pmf, delta: float, n: int) -> float:
     log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
     total = 0.0
     log_delta = math.log(delta)
-    for counts in iter_types(n, g0.alphabet.size):
-        lp0 = log_type_class_prob(counts, g0.probs)
-        if lp0 == NEG_INF:
-            continue
-        active = counts > 0
-        ell = float(np.sum(counts[active] * log_ratio[active]))
-        if ell <= 500.0:
-            term = _mix_term(delta * math.expm1(ell))
-            total += math.exp(lp0) * term
-        else:
-            # t is astronomically large: (1+t)log1p(t) - t = log1p(t) + t*(log1p(t)-1)
-            # with p0*t = delta*(p1-p0) evaluated in logs.
+    for counts in type_blocks(n, g0.alphabet.size):
+        lp0 = log_type_class_prob(counts, g0.probs)  # impossible types add p0 = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
+            p0 = np.exp(lp0)
+            # t is astronomically large past ell = 500: (1+t)log1p(t) - t =
+            # log1p(t) + t*(log1p(t)-1) with p0*t = delta*(p1-p0) in logs
             lt = log_delta + ell  # log t up to the negligible -delta term
-            p0 = math.exp(lp0)
-            p1 = math.exp(lp0 + ell)
-            total += p0 * lt + delta * (p1 - p0) * (lt - 1.0)
+            huge = p0 * lt + delta * (np.exp(lp0 + ell) - p0) * (lt - 1.0)
+            terms = np.where(ell <= 500.0, p0 * _mix_term(delta * np.expm1(ell)), huge)
+        total += float(terms.sum())
     return max(total, 0.0)
 
 
@@ -115,25 +117,17 @@ def warden_divergence_bounds(
     quad = delta * delta * chi_squared_product(g0, g1, n)
     check_enumerable(n, g0.alphabet.size, "type-based warden bound")
     best = 0.0
-    for counts in iter_types(n, g0.alphabet.size):
+    for counts in type_blocks(n, g0.alphabet.size):
         t = counts / n
-        try:
-            d0 = kl_divergence_vec(t, g0.probs)
-        except SupportViolation:
-            continue  # zero-probability direction under both laws
-        try:
-            d1 = kl_divergence_vec(t, g1.probs)
-        except SupportViolation:
-            d1 = _INF
-        lead = d1 if literal else d0
-        if d1 == _INF:
-            # (e^{-n(d1-d0)} - 1)^2 -> 1
-            term = math.exp(-n * lead) if lead < _INF else 0.0
-        else:
-            # e^{-n lead} (e^{-n(d1-d0)} - 1)^2, expanded for stability
-            exps = [-n * lead - 2.0 * n * (d1 - d0), -n * lead - n * (d1 - d0), -n * lead]
-            term = math.exp(exps[0]) - 2.0 * math.exp(exps[1]) + math.exp(exps[2])
-        best = max(best, term)
+        d0 = kl_rows(t, g0.probs)
+        t, d0 = t[d0 < _INF], d0[d0 < _INF]  # zero-probability directions under both laws
+        d1 = kl_rows(t, g1.probs)
+        lead = -n * (d1 if literal else d0)
+        # e^{lead} (e^{-n(d1-d0)} - 1)^2, expanded for stability; the first
+        # two exponentials vanish where d1 is infinite
+        terms = (np.exp(lead - 2.0 * n * (d1 - d0)) - 2.0 * np.exp(lead - n * (d1 - d0))
+                 + np.exp(lead))
+        best = max(best, float(terms.max(initial=0.0)))
     type_bound = (n + 1) ** g0.alphabet.size * best
     return quad, type_bound
 
@@ -145,25 +139,16 @@ def delta_scheme_B(p_u: Pmf, pbar: PbarSet, n: int) -> tuple[float, float]:
     type crosses the divergence threshold, and the polynomial-times-
     exponential upper bound (n+1)^|U| max e^{-n D}.
     """
-    tau = pbar.tau_nats
     check_enumerable(n, p_u.alphabet.size, "transmission probability")
     logs = []
     best_exp = NEG_INF
-    for counts in iter_types(n, p_u.alphabet.size):
-        t = counts / n
-        try:
-            d = kl_divergence_vec(t, p_u.probs)
-        except SupportViolation:
-            d = _INF
-        if d < tau:
-            continue
-        if d < _INF:
-            best_exp = max(best_exp, -n * d)
-        lp = log_type_class_prob(counts, p_u.probs)
-        if lp > NEG_INF:
-            logs.append(lp)
-    exact = float(min(math.exp(logsumexp(logs)), 1.0)) if logs else 0.0
-    bound = (n + 1) ** p_u.alphabet.size * math.exp(best_exp) if best_exp > NEG_INF else 0.0
+    for counts in type_blocks(n, p_u.alphabet.size):
+        d = kl_rows(counts / n, p_u.probs)
+        hit = d >= pbar.tau_nats
+        logs.append(logsumexp(log_type_class_prob(counts[hit], p_u.probs)))
+        best_exp = max(best_exp, float((-n * d[hit]).max(initial=NEG_INF)))
+    exact = float(min(math.exp(logsumexp(logs)), 1.0))
+    bound = (n + 1) ** p_u.alphabet.size * math.exp(best_exp)
     return exact, bound
 
 
@@ -188,32 +173,16 @@ def scheme_B_positivity(
     the source part, so the two grids are scanned independently.
     """
     _check_rows(g0, g1)
-    from .exponents import _simplex_grid  # shared simplex lattice
-
-    a1 = a2 = a3 = _INF
-    for pi in _simplex_grid(g0.alphabet.size, grid_step):
-        try:
-            d0 = kl_divergence_vec(pi, g0.probs)
-        except SupportViolation:
-            continue
-        try:
-            d1 = kl_divergence_vec(pi, g1.probs)
-        except SupportViolation:
-            d1 = _INF
-        if d1 == _INF:
-            continue  # all three terms are +inf in this direction
-        a1 = min(a1, 3.0 * d1 - 2.0 * d0)
-        a2 = min(a2, 2.0 * d1 - d0)
-        a3 = min(a3, d1)
-    b = _INF
-    for pi_u in _simplex_grid(p_u.alphabet.size, grid_step):
-        try:
-            du = kl_divergence_vec(pi_u, p_u.probs)
-        except SupportViolation:
-            continue
-        if du >= pbar.tau_nats:
-            b = min(b, du)
-    return (a1 + 2.0 * b, a2 + 2.0 * b, a3 + 2.0 * b)
+    pi = _simplex_grid(g0.alphabet.size, grid_step)
+    d0, d1 = kl_rows(pi, g0.probs), kl_rows(pi, g1.probs)
+    finite = d1 < _INF  # all three terms are +inf in the other directions
+    d0, d1 = d0[finite], d1[finite]
+    a1 = (3.0 * d1 - 2.0 * d0).min(initial=_INF)
+    a2 = (2.0 * d1 - d0).min(initial=_INF)
+    a3 = d1.min(initial=_INF)
+    du = kl_rows(_simplex_grid(p_u.alphabet.size, grid_step), p_u.probs)
+    b = du[du >= pbar.tau_nats].min(initial=_INF)
+    return (float(a1 + 2.0 * b), float(a2 + 2.0 * b), float(a3 + 2.0 * b))
 
 
 def scheme_A_atypicality(p_u: Pmf, n: int, mu: float) -> float:
@@ -223,14 +192,7 @@ def scheme_A_atypicality(p_u: Pmf, n: int, mu: float) -> float:
     which would round to zero once the probability drops below machine
     epsilon.
     """
-    probs = p_u.probs
-
-    def atypical(t: np.ndarray) -> bool:
-        if np.any((probs == 0.0) & (t > 0.0)):
-            return True
-        return bool(np.any(np.abs(t - probs) > mu))
-
-    return prob_type_event(p_u, n, atypical)
+    return prob_type_event(p_u, n, lambda t: ~typical(t, p_u.probs, mu))
 
 
 def scheme_A_divergence(g0: Pmf, g1: Pmf, delta: float, k: int) -> tuple[float, float]:
@@ -253,10 +215,9 @@ class CovertnessReport:
 
     n: int
     delta_n: float
-    d_n_exact: float | None
+    d_n_exact: float
     quad_bound: float
     type_bound: float
-    bound_only: bool = False
 
     def as_row(self) -> dict:
         return {
@@ -265,7 +226,6 @@ class CovertnessReport:
             "d_n_exact": self.d_n_exact,
             "quad_bound": self.quad_bound,
             "type_bound": self.type_bound,
-            "bound_only": self.bound_only,
         }
 
 
@@ -273,10 +233,8 @@ def scheme_B_covertness(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf, n: int) -> Co
     """Exact warden divergence and both bounds for the full-block scheme."""
     delta, _ = delta_scheme_B(p_u, pbar, n)
     quad, type_b = warden_divergence_bounds(g0, g1, delta, n)
-    if g0.alphabet.size <= 3:
-        exact = two_point_divergence_exact(g0, g1, delta, n)
-        return CovertnessReport(n, delta, exact, quad, type_b)
-    return CovertnessReport(n, delta, None, quad, type_b, bound_only=True)
+    exact = two_point_divergence_exact(g0, g1, delta, n)
+    return CovertnessReport(n, delta, exact, quad, type_b)
 
 
 def scheme_A_covertness(
@@ -285,7 +243,5 @@ def scheme_A_covertness(
     """Exact warden divergence and both bounds for the sublinear-burst scheme."""
     delta = scheme_A_atypicality(p_u, n, mu)
     quad, type_b = warden_divergence_bounds(g0, g1, delta, k)
-    if g0.alphabet.size <= 3:
-        exact, _ = scheme_A_divergence(g0, g1, delta, k)
-        return CovertnessReport(n, delta, exact, quad, type_b)
-    return CovertnessReport(n, delta, None, quad, type_b, bound_only=True)
+    exact, _ = scheme_A_divergence(g0, g1, delta, k)
+    return CovertnessReport(n, delta, exact, quad, type_b)

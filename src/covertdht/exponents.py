@@ -32,6 +32,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .channel import Dmc, find_partial_connectivity, validate_covert_conditions
 from .errors import (
+    AlphabetMismatch,
     ConditionalUndefined,
     EmptyFeasibleSet,
     Infeasible,
@@ -47,7 +48,9 @@ from .probability import (
     Pmf,
     kl_divergence,
     kl_divergence_vec,
+    kl_rows,
 )
+from .typesum import type_blocks
 
 _INF = math.inf
 
@@ -94,23 +97,20 @@ def pbar_threshold(dmc: Dmc, x1) -> PbarSet:
     return PbarSet(x1=x1, tau_nats=tau, maximizer=maximizer)
 
 
-def pbar_objective(pi_z: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> float:
-    """D(pi||G0) - 3/2 D(pi||G1) in nats; -inf off the support of G1."""
-    try:
-        d0 = kl_divergence_vec(pi_z, g0)
-        d1 = kl_divergence_vec(pi_z, g1)
-    except SupportViolation:
-        return -_INF
-    return d0 - 1.5 * d1
+def pbar_objective(pi_z: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """D(pi||G0) - 3/2 D(pi||G1) in nats over the last axis of `pi_z` (a
+    scalar for one pmf); -inf where either divergence is infinite (off the
+    support of G1)."""
+    d0, d1 = kl_rows(pi_z, g0), kl_rows(pi_z, g1)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(d0) & np.isfinite(d1), d0 - 1.5 * d1, -_INF)[()]
 
 
 def pbar_contains(pi_u: Pmf, p_u: Pmf, pbar: PbarSet) -> bool:
     """Membership test D(pi_u || p_u) >= tau; infinite divergence counts as in."""
-    try:
-        div = kl_divergence(pi_u, p_u)
-    except SupportViolation:
-        return True
-    return div >= pbar.tau_nats
+    if pi_u.alphabet != p_u.alphabet:
+        raise AlphabetMismatch(f"{pi_u.alphabet.symbols} vs {p_u.alphabet.symbols}")
+    return bool(kl_rows(pi_u.probs, p_u.probs) >= pbar.tau_nats)
 
 
 def _ipf_feasible(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> bool:
@@ -227,11 +227,9 @@ def _simplex_grid(dim: int, step: float) -> np.ndarray:
     # cap total grid size; coarser grids are refined locally afterwards
     while math.comb(k + dim - 1, dim - 1) > 400_000:
         k //= 2
-    pts = []
-    for comp in itertools.combinations_with_replacement(range(dim), k):
-        counts = np.bincount(np.array(comp), minlength=dim)
-        pts.append(counts / k)
-    return np.array(pts)
+    # the k-type lattice, reversed into the first-symbol-descending order the
+    # grid has always had; the minimizers break ties by that order
+    return np.concatenate(list(type_blocks(k, dim)))[::-1] / k
 
 
 def _coupling_objective(q_uv: JointPmf, p_v: Pmf):
@@ -296,12 +294,10 @@ def _constrained_min_grid(g, alphabet: Alphabet, p_u: Pmf, tau: float, upper: bo
                           grid_res: float):
     """Grid-plus-polish minimization of g under the divergence constraint."""
     grid = _simplex_grid(alphabet.size, max(grid_res, 1e-2))
+    d = kl_rows(grid, p_u.probs)
+    feasible = d >= tau if upper else d <= tau
     best_val, best_pt = _INF, None
-    for pt in grid:
-        d = _safe_kl(pt, p_u.probs)
-        ok = d >= tau if upper else d <= tau
-        if not ok:
-            continue
+    for pt in grid[feasible]:
         val = g(pt)
         if val < best_val:
             best_val, best_pt = val, pt
@@ -311,7 +307,7 @@ def _constrained_min_grid(g, alphabet: Alphabet, p_u: Pmf, tau: float, upper: bo
     sign = 1.0 if upper else -1.0
 
     def cons(x):
-        return sign * (_safe_kl(_normalize(x), p_u.probs) - tau)
+        return sign * (kl_rows(_normalize(x), p_u.probs) - tau)
 
     res = minimize(
         lambda x: g(_normalize(x)),
@@ -333,13 +329,6 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
     s = x.sum()
     return x / s if s > 0 else np.full_like(x, 1.0 / len(x))
-
-
-def _safe_kl(p: np.ndarray, q: np.ndarray) -> float:
-    try:
-        return kl_divergence_vec(p, q)
-    except SupportViolation:
-        return _INF
 
 
 def compute_E2(
@@ -386,7 +375,7 @@ def _e3_inner(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float, grid_res: float):
     """min over pi_U in the triggering set of the coupling objective, nats."""
     g = _coupling_objective(q_uv, p_v)
     t_u = compute_T_U(p_v, q_uv)
-    if tau <= 0 or _safe_kl(t_u.probs, p_u.probs) >= tau:
+    if tau <= 0 or kl_rows(t_u.probs, p_u.probs) >= tau:
         # unconstrained minimizer of g is already inside the set
         value, coupling = _coupling_divergence(q_uv, t_u, p_v)
         return value, t_u, coupling

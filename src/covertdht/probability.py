@@ -5,9 +5,15 @@ empirical types, strong typicality and i.i.d. sampling. All divergences are
 computed internally in nats; ``LogBase.BITS`` converts on the way out
 (one multiplication by 1/ln 2, nothing else).
 
+The two type predicates, :func:`typical` and :func:`kl_rows`, are defined
+here once and work on batches of types (the last axis indexes the
+alphabet). Every typicality and divergence-threshold decision of the exact
+sums and the Monte Carlo engine goes through them.
+
 Conventions: 0*log(0/q) = 0 by continuity. A positive p-mass on a q-zero is
-not silently mapped to infinity; ``kl_divergence`` raises
-:class:`SupportViolation` so callers handle the infinite case explicitly.
++inf in the batched ``kl_rows``; the scalar ``kl_divergence`` raises
+:class:`SupportViolation` instead, so its callers handle the infinite case
+explicitly.
 """
 
 from __future__ import annotations
@@ -185,13 +191,22 @@ def kl_divergence(p: Pmf, q: Pmf, base: LogBase = LogBase.NATS) -> float:
 
 def kl_divergence_vec(p: np.ndarray, q: np.ndarray) -> float:
     """Nats-valued KL divergence on raw probability vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
+    val = float(kl_rows(p, q))
+    if val == math.inf:
         raise SupportViolation("p is not absolutely continuous w.r.t. q")
-    val = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    return max(val, 0.0)
+    return val
+
+
+def kl_rows(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(t || q) in nats over the last axis of `t`; +inf off the support of q.
+
+    The one definition of the divergence behind every threshold decision:
+    sum of t log(t/q) over the letters with t > 0, clamped at 0.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = t * np.log(t / q)
+    return np.maximum(np.where(t > 0.0, terms, 0.0).sum(axis=-1), 0.0)
 
 
 def joint_kl_divergence(p: JointPmf, q: JointPmf, base: LogBase = LogBase.NATS) -> float:
@@ -240,27 +255,23 @@ def joint_type(s1: SymbolSequence, s2: SymbolSequence) -> JointPmf:
 
 
 def is_strongly_typical(s: SymbolSequence, p: Pmf, mu: float) -> bool:
-    """Strong typicality: per-letter |type - p| <= mu and exact zeros preserved.
-
-    The closed (<=) per-letter condition is used so boundary cases are
-    deterministic.
-    """
+    """Strong typicality of a sequence; see :func:`typical`."""
     if s.alphabet != p.alphabet:
         raise AlphabetMismatch("sequence and pmf alphabets differ")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    pi = empirical_type(s).probs
-    if np.any((p.probs == 0.0) & (pi > 0.0)):
-        return False
-    return bool(np.all(np.abs(pi - p.probs) <= mu))
+    return bool(typical(empirical_type(s).probs, p.probs, mu))
 
 
-def type_is_typical(type_probs: np.ndarray, p: Pmf, mu: float) -> bool:
-    """Typicality predicate applied directly to a type vector."""
-    type_probs = np.asarray(type_probs, dtype=float)
-    if np.any((p.probs == 0.0) & (type_probs > 0.0)):
-        return False
-    return bool(np.all(np.abs(type_probs - p.probs) <= mu))
+def typical(t: np.ndarray, ref: np.ndarray, mu: float) -> np.ndarray:
+    """Strong mu-typicality of types for `ref` over the last axis of `t`.
+
+    Per-letter |t - ref| <= mu and no mass where ref is zero. The closed
+    (<=) per-letter condition is used so boundary cases are deterministic.
+    """
+    ok = np.abs(t - ref) <= mu
+    ok &= (ref > 0.0) | (t == 0.0)
+    return ok.all(axis=-1)
 
 
 def sample_iid(j: JointPmf, n: int, seed: int) -> tuple[SymbolSequence, SymbolSequence]:

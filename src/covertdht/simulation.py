@@ -18,7 +18,11 @@ zero-input row).
 
 Exact error probabilities sum over joint source types; both encoders depend
 on the block only through the type of U^n and both decisions only through
-the types of V^n and Y^n, so no sequence enumeration is ever needed.
+the types of V^n and Y^n, so no sequence enumeration is ever needed. The
+exact engine (enumerated types, a lattice block at a time) and the Monte
+Carlo engine (sampled type counts, a chunk at a time) make the encoder
+decision with the same ``_active`` and the V and Y decisions with
+``probability.typical``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import logsumexp
 
 from .channel import Dmc
 from .errors import ConfigMismatch, DegenerateInput
@@ -40,12 +44,15 @@ from .probability import (
     SymbolSequence,
     empirical_type,
     is_strongly_typical,
+    kl_rows,
+    typical,
 )
 from .typesum import (
     NEG_INF,
     check_enumerable,
-    iter_types,
+    log_prob_type_event,
     log_type_class_prob,
+    type_blocks,
 )
 
 
@@ -160,34 +167,21 @@ def decide_scheme_B(
     return 0
 
 
-def _typical_mask(t: np.ndarray, ref: np.ndarray, mu: float) -> bool:
-    if np.any((ref == 0.0) & (t > 0.0)):
-        return False
-    return bool(np.all(np.abs(t - ref) <= mu))
-
-
 def _log_prob_y_typical(dmc: Dmc, x_symbol, n: int, mu: float) -> float:
     """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant]."""
-    row = dmc.y_row(x_symbol).probs
     ref = dmc.y_row(dmc.zero_symbol).probs
-    check_enumerable(n, dmc.y_alphabet.size, "output typicality")
-    logs = []
-    for counts in iter_types(n, dmc.y_alphabet.size):
-        t = counts / n
-        if not _typical_mask(t, ref, mu):
-            continue
-        lp = log_type_class_prob(counts, row)
-        if lp > NEG_INF:
-            logs.append(lp)
-    return float(min(logsumexp(logs), 0.0)) if logs else NEG_INF
+    return log_prob_type_event(dmc.y_row(x_symbol), n, lambda t: typical(t, ref, mu))
 
 
-def _pbar_member(t_u: np.ndarray, p_u: np.ndarray, tau: float) -> bool:
-    mask = t_u > 0.0
-    if np.any(mask & (p_u == 0.0)):
-        return True
-    d = float(np.sum(t_u[mask] * np.log(t_u[mask] / p_u[mask])))
-    return d >= tau
+def _active(
+    cfg: SchemeConfig, t_u: np.ndarray, p_u: np.ndarray, pbar: PbarSet | None
+) -> np.ndarray:
+    """Encoder decision on source types (last axis): True where the sensor
+    transmits. Scheme B crosses the divergence threshold; scheme A is
+    atypical."""
+    if cfg.scheme == "B":
+        return kl_rows(t_u, p_u) >= pbar.tau_nats
+    return ~typical(t_u, p_u, cfg.mu)
 
 
 def _log_accept_prob(
@@ -204,47 +198,30 @@ def _log_accept_prob(
     Sums over joint source types; the per-type acceptance factor depends only
     on which constant codeword the encoder emits.
     """
-    cells = p_u.alphabet.size * p_v.alphabet.size
-    check_enumerable(n, cells, "joint source type enumeration")
+    du, dv = p_u.alphabet.size, p_v.alphabet.size
+    check_enumerable(n, du * dv, "joint source type enumeration")
     if cfg.scheme == "B":
         if pbar is None:
             raise ConfigMismatch("scheme B needs the threshold set")
-        log_acc = {
-            "silent": _log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu),
-            "active": _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu),
-        }
+        log_silent = _log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu)
+        log_active = _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu)
     else:
         k = cfg.k(n)
         p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
         p_star1 = dmc.y_row(cfg.x_hat)[cfg.y_star]
-        log_acc = {
-            "silent": math.log1p(-((1.0 - p_star0) ** k)) if p_star0 > 0 else NEG_INF,
-            "active": math.log1p(-((1.0 - p_star1) ** k)) if p_star1 > 0 else NEG_INF,
-        }
+        log_silent = math.log1p(-((1.0 - p_star0) ** k)) if p_star0 > 0 else NEG_INF
+        log_active = math.log1p(-((1.0 - p_star1) ** k)) if p_star1 > 0 else NEG_INF
     logs = []
     logs_active = []
-    du = p_u.alphabet.size
-    dv = p_v.alphabet.size
-    for counts in iter_types(n, cells):
+    for counts in type_blocks(n, du * dv):
         lp = log_type_class_prob(counts, joint.probs.ravel())
-        if lp == NEG_INF:
-            continue
-        mat = (counts / n).reshape(du, dv)
-        t_u = mat.sum(axis=1)
-        t_v = mat.sum(axis=0)
-        if cfg.scheme == "B":
-            active = _pbar_member(t_u, p_u.probs, pbar.tau_nats)
-        else:
-            active = not _typical_mask(t_u, p_u.probs, cfg.mu)
-        if active:
-            logs_active.append(lp)
-        if not _typical_mask(t_v, p_v.probs, cfg.mu):
-            continue
-        la = log_acc["active"] if active else log_acc["silent"]
-        if la > NEG_INF:
-            logs.append(lp + la)
-    log_accept = float(min(logsumexp(logs), 0.0)) if logs else NEG_INF
-    p_active = float(min(math.exp(logsumexp(logs_active)), 1.0)) if logs_active else 0.0
+        mat = (counts / n).reshape(-1, du, dv)
+        active = _active(cfg, mat.sum(axis=2), p_u.probs, pbar)
+        logs_active.append(logsumexp(lp[active]))
+        accept = typical(mat.sum(axis=1), p_v.probs, cfg.mu)
+        logs.append(logsumexp(lp[accept] + np.where(active[accept], log_active, log_silent)))
+    log_accept = float(min(logsumexp(logs), 0.0))
+    p_active = float(min(math.exp(logsumexp(logs_active)), 1.0))
     return log_accept, p_active
 
 
@@ -316,6 +293,10 @@ class SimulationResult:
             "beta_ci": self.beta_ci,
             "method": self.method,
             "seed": self.seed if self.seed is not None else "",
+            "trials": self.trials,
+            "beta_is_upper_bound": self.beta_is_upper_bound,
+            "weight_mean": self.weight_mean,
+            "a_bar": self.a_bar,
         }
 
 
@@ -328,18 +309,6 @@ def _wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054)
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
     # distance from the raw estimate to the further Wilson bound
     return max(abs(center + half - phat), abs(center - half - phat))
-
-
-def _kl_rows_to(p_rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise D(row || q) in nats, +inf where absolute continuity fails."""
-    out = np.sum(xlogy(p_rows, p_rows), axis=1)
-    with np.errstate(divide="ignore"):
-        logq = np.log(q)
-    bad = (p_rows > 0) & (q == 0.0)[None, :]
-    cross = np.where(p_rows > 0, p_rows * logq[None, :], 0.0)
-    out = out - cross.sum(axis=1)
-    out[np.any(bad, axis=1)] = np.inf
-    return out
 
 
 def _sample_counts(rng, pmf_flat: np.ndarray, trials: int, n: int) -> np.ndarray:
@@ -387,18 +356,8 @@ def run_trials(
             joint_counts = _sample_counts(rng, flat, m, n)  # (m, du*dv)
             cu = joint_counts.reshape(m, du, dv).sum(axis=2)
             cv = joint_counts.reshape(m, du, dv).sum(axis=1)
-            tu = cu / n
-            tv = cv / n
-
-            if cfg.scheme == "B":
-                d_u = _kl_rows_to(tu, p_u.probs)
-                active = d_u >= pbar.tau_nats
-            else:
-                zero_ok = ~np.any((p_u.probs == 0.0)[None, :] & (tu > 0), axis=1)
-                active = ~(zero_ok & np.all(np.abs(tu - p_u.probs[None, :]) <= cfg.mu, axis=1))
-
-            v_zero_ok = ~np.any((p_v.probs == 0.0)[None, :] & (tv > 0), axis=1)
-            v_typ = v_zero_ok & np.all(np.abs(tv - p_v.probs[None, :]) <= cfg.mu, axis=1)
+            active = _active(cfg, cu / n, p_u.probs, pbar)
+            accept = typical(cv / n, p_v.probs, cfg.mu)
 
             if cfg.scheme == "B":
                 # sample channel output counts for each trial's constant codeword
@@ -409,10 +368,7 @@ def run_trials(
                     cy[active] = rng.multinomial(n, row_active, size=n_act)
                 if m - n_act:
                     cy[~active] = rng.multinomial(n, ref_y, size=m - n_act)
-                ty = cy / n
-                y_zero_ok = ~np.any((ref_y == 0.0)[None, :] & (ty > 0), axis=1)
-                y_typ = y_zero_ok & np.all(np.abs(ty - ref_y[None, :]) <= cfg.mu, axis=1)
-                accept = v_typ & y_typ
+                accept &= typical(cy / n, ref_y, cfg.mu)
             else:
                 p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
                 p_star1 = dmc.y_row(cfg.x_hat)[cfg.y_star]
@@ -421,7 +377,7 @@ def run_trials(
                     rng.binomial(k, p_star1, size=m),
                     rng.binomial(k, p_star0, size=m),
                 )
-                accept = v_typ & (star_counts > 0)
+                accept &= star_counts > 0
 
             if hyp == 0:
                 errors[0] += int(np.count_nonzero(~accept))

@@ -4,22 +4,30 @@ Exact probabilities of type-level events for i.i.d. sequences are computed by
 summing over all n-types (compositions of n) in the log domain. The number of
 n-types over an alphabet of size d is C(n+d-1, d-1); callers are expected to
 keep d small and are rejected beyond a hard cap rather than silently thrashing.
+
+The lattice of n-types is one array layer: :func:`type_blocks` yields it as
+``(rows, d)`` count arrays in blocks of at most ``BLOCK_ROWS`` rows, so the
+memory of an exact sum stays bounded however many types it visits. Class
+log-probabilities and event predicates are evaluated a block at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterator
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import AlphabetTooLarge
-from .probability import Pmf
+from .probability import Pmf, typical
 
 #: Upper bound on enumerated types per call.
 MAX_TYPES = 5_000_000
+
+#: Upper bound on the rows of one block of the type lattice; keeps the
+#: temporaries of one block to a few hundred KiB.
+BLOCK_ROWS = 1 << 12
 
 NEG_INF = -math.inf
 
@@ -36,46 +44,69 @@ def check_enumerable(n: int, dim: int, what: str = "type enumeration") -> None:
         )
 
 
-def iter_types(n: int, dim: int) -> Iterator[np.ndarray]:
-    """All count vectors of length `dim` summing to n."""
-    if dim == 1:
-        yield np.array([n])
-        return
-    for head in range(n + 1):
-        for tail in iter_types(n - head, dim - 1):
-            yield np.concatenate(([head], tail))
+def _extend(heads: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Append one more count to each partial type in every possible way.
+
+    Row i of ``heads`` has ``rest[i]`` of its mass left; its children follow
+    it in place, new count ascending, so lexicographic order is kept.
+    """
+    reps = rest + 1
+    offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    heads = np.column_stack((np.repeat(heads, reps, axis=0), offsets))
+    return heads, np.repeat(rest, reps) - offsets
 
 
-def log_type_class_prob(counts: np.ndarray, p: np.ndarray) -> float:
-    """log Pr[type(X^n) = counts/n] for X i.i.d. p; -inf on impossible types."""
+def type_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
+    """All count vectors of length `dim` summing to n, first symbol slowest.
+
+    Yields ``(rows, dim)`` int64 arrays of at most ``BLOCK_ROWS`` rows. The
+    leading ``split`` counts are enumerated up front so that the completions
+    of any one prefix fit in a block; consecutive prefixes are then grouped
+    and completed together.
+    """
+    split = 0
+    while num_types(n, dim - split) > BLOCK_ROWS:
+        split += 1
+    heads, rest = np.zeros((1, 0), dtype=np.int64), np.array([n], dtype=np.int64)
+    for _ in range(split):
+        heads, rest = _extend(heads, rest)
+    ends = np.cumsum([num_types(int(r), dim - split) for r in rest])
+    start = 0
+    while start < len(rest):
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + BLOCK_ROWS, side="right"))
+        h, r = heads[start:stop], rest[start:stop]
+        for _ in range(dim - split - 1):
+            h, r = _extend(h, r)
+        yield np.column_stack((h, r))
+        start = stop
+
+
+def log_type_class_prob(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """log Pr[type(X^n) = counts/n] for X i.i.d. p, over the last axis of
+    `counts`; -inf on impossible types."""
     counts = np.asarray(counts)
-    n = int(counts.sum())
-    p = np.asarray(p, dtype=float)
-    if np.any((counts > 0) & (p == 0.0)):
-        return NEG_INF
-    mask = counts > 0
-    log_multinom = gammaln(n + 1) - gammaln(counts + 1).sum()
-    return float(log_multinom + np.sum(counts[mask] * np.log(p[mask])))
+    n = counts.sum(axis=-1)
+    return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1) + xlogy(counts, p).sum(axis=-1)
 
 
-def log_prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], bool]) -> float:
+def log_prob_type_event(
+    p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray]
+) -> float:
     """log Pr[type(X^n) satisfies predicate], X i.i.d. p; -inf when impossible.
 
-    The predicate receives the type as a probability vector counts/n.
+    The predicate maps a ``(rows, d)`` array of types, as probability vectors
+    counts/n, to a boolean mask over its rows.
     """
     check_enumerable(n, p.alphabet.size)
-    logs = []
-    for counts in iter_types(n, p.alphabet.size):
-        if predicate(counts / n):
-            lp = log_type_class_prob(counts, p.probs)
-            if lp > NEG_INF:
-                logs.append(lp)
-    if not logs:
-        return NEG_INF
-    return float(min(logsumexp(logs), 0.0))
+    parts = [
+        logsumexp(log_type_class_prob(counts[predicate(counts / n)], p.probs))
+        for counts in type_blocks(n, p.alphabet.size)
+    ]
+    return float(min(logsumexp(parts), 0.0))
 
 
-def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], bool]) -> float:
+def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exact Pr[type(X^n) satisfies predicate], X i.i.d. p."""
     lp = log_prob_type_event(p, n, predicate)
     return 0.0 if lp == NEG_INF else math.exp(lp)
@@ -83,30 +114,9 @@ def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], bool]) -> 
 
 def prob_typical(p: Pmf, n: int, mu: float) -> float:
     """Exact Pr[X^n strongly mu-typical for p], X i.i.d. p."""
-    probs = p.probs
-
-    def pred(t: np.ndarray) -> bool:
-        if np.any((probs == 0.0) & (t > 0.0)):
-            return False
-        return bool(np.all(np.abs(t - probs) <= mu))
-
-    return prob_type_event(p, n, pred)
+    return prob_typical_for(p, p, n, mu)
 
 
 def prob_typical_for(source: Pmf, reference: Pmf, n: int, mu: float) -> float:
     """Exact Pr[X^n strongly mu-typical for `reference`], X i.i.d. `source`."""
-    ref = reference.probs
-
-    def pred(t: np.ndarray) -> bool:
-        if np.any((ref == 0.0) & (t > 0.0)):
-            return False
-        return bool(np.all(np.abs(t - ref) <= mu))
-
-    return prob_type_event(source, n, pred)
-
-
-def iter_types_with_logprob(p: Pmf, n: int):
-    """Pairs (type vector counts/n, log class probability) over all n-types."""
-    check_enumerable(n, p.alphabet.size)
-    for counts in iter_types(n, p.alphabet.size):
-        yield counts / n, log_type_class_prob(counts, p.probs)
+    return prob_type_event(source, n, lambda t: typical(t, reference.probs, mu))

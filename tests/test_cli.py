@@ -95,6 +95,26 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 0
         assert out_path.read_bytes() == first  # deterministic rerun
 
+    def test_rule_of_three_flag_round_trips(self, tmp_path, capsys):
+        # 2x2 sources at n = 400 exceed the joint-type cap and fall back to
+        # Monte Carlo, where no miss is observed under the alternative
+        out_path = tmp_path / "sim.csv"
+        data = copy.deepcopy(EXAMPLE_CONFIG)
+        data["sources"] = {
+            "u_symbols": ["0", "1"], "v_symbols": ["a", "b"],
+            "p_uv": [[0.55, 0.20], [0.05, 0.20]], "q_uv": [[0.15, 0.20], [0.25, 0.40]],
+        }
+        data["sweep"].update(n_grid=[20, 400], trials=2000, seed=1)
+        data["output"] = {"path": str(out_path), "format": "csv"}
+        assert main(["simulate", write_config(tmp_path, data)]) == 0
+        exact, mc = read_csv(str(out_path), SIM_HEADER, SIM_SCHEMA)
+        assert (exact["method"], exact["trials"], exact["beta_is_upper_bound"]) == (
+            "exact", "0", "False")
+        assert (mc["method"], mc["trials"], mc["beta_is_upper_bound"]) == ("mc", "2000", "True")
+        assert float(mc["beta"]) == pytest.approx(3.0 / 2000)
+        for row in (exact, mc):
+            assert float(row["a_bar"]) == pytest.approx(float(row["weight_mean"]) ** 0.5)
+
     def test_json_output(self, tmp_path):
         out_path = tmp_path / "sim.json"
         data = copy.deepcopy(EXAMPLE_CONFIG)

@@ -6,14 +6,27 @@ import pytest
 
 import covertdht.covertness as cov
 import covertdht.exponents as expo
+import covertdht.typesum as typesum
+import oracles
 from covertdht.errors import SupportViolation
 from covertdht.probability import Alphabet, Pmf, chi_squared, kl_divergence
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
+ABCD = Alphabet(("a", "b", "c", "d"))
 
 G0 = Pmf(AB, np.array([0.6, 0.4]))
 G1 = Pmf(AB, np.array([0.4, 0.6]))
+
+# warden row pairs of 2, 3 and 4 symbols: a codeword row with a zero, a
+# symbol outside both supports, and a likelihood ratio large enough to reach
+# the ell > 500 branch at n = 80
+ROW_PAIRS = [
+    (Pmf(AB, np.array([0.999, 0.001])), Pmf(AB, np.array([0.001, 0.999]))),
+    (Pmf(ABC, np.array([0.5, 0.3, 0.2])), Pmf(ABC, np.array([0.0, 0.3, 0.7]))),
+    (Pmf(ABC, np.array([0.6, 0.4, 0.0])), Pmf(ABC, np.array([0.3, 0.7, 0.0]))),
+    (Pmf(ABCD, np.array([0.4, 0.3, 0.2, 0.1])), Pmf(ABCD, np.array([0.1, 0.2, 0.3, 0.4]))),
+]
 
 
 def brute_force_mixture_divergence(g0, g1, delta, n):
@@ -60,7 +73,7 @@ class TestExactDivergence:
         assert cov.two_point_divergence_exact(G0, G0, 0.5, 10) == 0.0
 
     def test_delta_one_is_product_divergence(self):
-        for n in (1, 3, 17):
+        for n in (1, 3, 17, 400):
             want = n * kl_divergence(G1, G0)
             got = cov.two_point_divergence_exact(G0, G1, 1.0, n)
             assert got == pytest.approx(want, rel=1e-10)
@@ -93,6 +106,44 @@ class TestExactDivergence:
         bad = Pmf(AB, np.array([1.0, 0.0]))
         with pytest.raises(SupportViolation):
             cov.two_point_divergence_exact(bad, G1, 0.5, 4)
+
+
+class TestAgainstLoopOracles:
+    """The batched sums against the per-type loops they replaced."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(typesum, "BLOCK_ROWS", 64)  # several blocks per sum
+
+    @pytest.mark.parametrize("g0, g1", ROW_PAIRS)
+    def test_exact_divergence(self, g0, g1):
+        # at delta = 1 the loop fails once expm1(ell) rounds to -1; the
+        # ell > 500 branch needs the binary pair at n = 80
+        for delta in (0.999, 0.3, 1e-6):
+            for n in (1, 7, 25, 80) if g0.alphabet.size == 2 else (1, 7, 25):
+                got = cov.two_point_divergence_exact(g0, g1, delta, n)
+                want = oracles.two_point_divergence(g0.probs, g1.probs, delta, n)
+                assert math.isclose(got, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("g0, g1", ROW_PAIRS)
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_type_bound(self, g0, g1, literal):
+        for n in (1, 7, 25):
+            _, got = cov.warden_divergence_bounds(g0, g1, 0.1, n, literal=literal)
+            want = oracles.type_bound(g0.probs, g1.probs, n, literal=literal)
+            assert math.isclose(got, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("probs", [[0.8, 0.2], [0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4]])
+    def test_transmission_probability(self, probs):
+        alphabet = Alphabet(tuple(range(len(probs))))
+        p_u = Pmf(alphabet, np.array(probs))
+        for tau in (0.02, 0.3):
+            pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
+            for n in (1, 9, 30):
+                got = cov.delta_scheme_B(p_u, pbar, n)
+                want = oracles.delta_scheme_B(p_u.probs, tau, n)
+                for g, w in zip(got, want):
+                    assert math.isclose(g, w, rel_tol=1e-12)
 
 
 class TestChiSquaredProduct:
@@ -149,16 +200,16 @@ class TestSchemeB:
         rep = cov.scheme_B_covertness(example_p_u, pbar, G0, G1, 80)
         assert rep.n == 80
         assert 0.0 < rep.d_n_exact <= rep.quad_bound
-        assert not rep.bound_only
 
-    def test_bound_only_for_large_output_alphabet(self, example_p_u):
+    def test_exact_for_large_output_alphabet(self, example_p_u):
         z4 = Alphabet(("p", "q", "r", "s"))
         g0 = Pmf(z4, np.array([0.4, 0.3, 0.2, 0.1]))
         g1 = Pmf(z4, np.array([0.1, 0.2, 0.3, 0.4]))
         dmc_pbar = expo.PbarSet(x1="1", tau_nats=0.2, maximizer=g1)
         rep = cov.scheme_B_covertness(example_p_u, dmc_pbar, g0, g1, 30)
-        assert rep.bound_only and rep.d_n_exact is None
-        assert rep.quad_bound > 0.0
+        want = oracles.two_point_divergence(g0.probs, g1.probs, rep.delta_n, 30)
+        assert math.isclose(rep.d_n_exact, want, rel_tol=1e-12)
+        assert 0.0 < rep.d_n_exact <= rep.quad_bound
 
 
 class TestSchemeA:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertdht.exponents as expo
+import oracles
 from covertdht import Dmc
 from covertdht.errors import (
     ConditionalUndefined,
@@ -21,6 +22,7 @@ from covertdht.probability import (
     Pmf,
     kl_divergence,
     kl_divergence_vec,
+    kl_rows,
 )
 
 AB = Alphabet(("a", "b"))
@@ -44,9 +46,7 @@ class TestThreshold:
         g0 = example_dmc.z_row("0").probs
         g1 = example_dmc.z_row("1").probs
         ms = np.linspace(1e-9, 1 - 1e-9, 200_001)
-        vals = [
-            expo.pbar_objective(np.array([1 - m, m]), g0, g1) for m in ms
-        ]
+        vals = expo.pbar_objective(np.column_stack((1 - ms, ms)), g0, g1)
         assert pbar.tau_nats == pytest.approx(max(vals), abs=1e-8)
         assert pbar.maximizer["1"] == pytest.approx(ms[int(np.argmax(vals))], abs=1e-4)
 
@@ -63,7 +63,7 @@ class TestThreshold:
         g0 = dmc.z_row("a").probs
         g1 = dmc.z_row("b").probs
         grid = expo._simplex_grid(3, 1e-3)
-        best = max(expo.pbar_objective(pi, g0, g1) for pi in grid)
+        best = expo.pbar_objective(grid, g0, g1).max()
         assert best <= pbar.tau_nats + 1e-12
         assert pbar.tau_nats - best <= 1e-4
         # stationarity: the closed-form maximizer attains the value exactly
@@ -76,6 +76,21 @@ class TestThreshold:
         dmc = Dmc(AB, AB, Z3, [[0.5, 0.5]] * 2, [g0.probs, g1.probs], "a")
         pbar = expo.pbar_threshold(dmc, "b")
         assert expo.pbar_objective(pi.probs, g0.probs, g1.probs) <= pbar.tau_nats + 1e-9
+
+    def test_batched_objective_matches_single_calls(self):
+        g0 = np.array([0.5, 0.3, 0.2])
+        g1 = np.array([0.2, 0.0, 0.8])  # off its support the objective is -inf
+        grid = expo._simplex_grid(3, 0.1)
+        batch = expo.pbar_objective(grid, g0, g1)
+        single = [expo.pbar_objective(pi, g0, g1) for pi in grid]
+        np.testing.assert_array_equal(batch, single)
+        assert np.isneginf(batch).any() and np.isfinite(batch).any()
+
+    @pytest.mark.parametrize("dim, step", [(2, 0.1), (3, 0.05), (4, 0.05), (8, 0.05)])
+    def test_simplex_grid_matches_loop(self, dim, step):
+        # (8, 0.05) exceeds the 400k cap and is halved to k = 10
+        np.testing.assert_array_equal(expo._simplex_grid(dim, step),
+                                      oracles.simplex_grid(dim, step))
 
     def test_identical_rows_give_zero_tau(self):
         dmc = Dmc(AB, AB, AB, [[0.5, 0.5]] * 2, [[0.4, 0.6], [0.4, 0.6]], "a")
@@ -259,7 +274,7 @@ class TestE2E3:
         rng = np.random.default_rng(4)
         for _ in range(2000):
             pt = rng.dirichlet(np.ones(3))
-            if expo._safe_kl(pt, p_u.probs) <= pbar.tau_nats:
+            if kl_rows(pt, p_u.probs) <= pbar.tau_nats:
                 assert e2.value_nats <= g(pt) + 1e-7
 
 

@@ -1,11 +1,14 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import covertdht.exponents as expo
 import covertdht.simulation as sim
+import covertdht.typesum as typesum
+import oracles
 from covertdht import Dmc
 from covertdht.errors import ConfigMismatch, DegenerateInput
 from covertdht.probability import Alphabet, JointPmf, Pmf, SymbolSequence
@@ -108,6 +111,55 @@ class TestEncoders:
         assert sim.decide_scheme_A(v, y, cfg, p_v, partial_dmc) == 0
 
 
+def _typical_counts(seq, probs, mu, size):
+    """Strong typicality of a sequence in exact rational arithmetic."""
+    n = len(seq)
+    for a in range(size):
+        c, p = Fraction(seq.count(a), n), Fraction(probs[a])
+        if (p == 0 and c > 0) or abs(c - p) > Fraction(mu):
+            return False
+    return True
+
+
+class TestDecideSchemeB:
+    Y3 = Alphabet(("0", "1", "2"))
+    V3 = Alphabet(("a", "b", "c"))
+
+    def _setup(self):
+        # the zero-input row has a zero, so the support rule is exercised; all
+        # probabilities and mu are dyadic, so the closed boundary |t - p| = mu
+        # is reached exactly in floating point
+        dmc = Dmc(X2, self.Y3, X2, [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],
+                  [[0.6, 0.4], [0.4, 0.6]], "0")
+        p_v = Pmf(self.V3, np.array([0.5, 0.25, 0.25]))
+        return dmc, p_v, sim.SchemeConfig(scheme="B", mu=0.25, x1="1")
+
+    def test_matches_brute_force_typicality(self):
+        dmc, p_v, cfg = self._setup()
+        n = 4
+        ref_y = dmc.y_row("0").probs
+        seqs = list(itertools.product(range(3), repeat=n))
+        decisions = {}
+        for v in seqs:
+            v_seq = SymbolSequence(self.V3, np.array(v))
+            v_typ = _typical_counts(v, p_v.probs, cfg.mu, 3)
+            for y in seqs:
+                got = sim.decide_scheme_B(v_seq, SymbolSequence(self.Y3, np.array(y)),
+                                          cfg, p_v, dmc)
+                want = 0 if v_typ and _typical_counts(y, ref_y, cfg.mu, 3) else 1
+                assert got == want, (v, y)
+                decisions[(v_typ, want)] = decisions.get((v_typ, want), 0) + 1
+        # every branch occurs: accept, reject on V, reject on Y alone
+        assert set(decisions) == {(True, 0), (True, 1), (False, 1)}
+
+    def test_length_mismatch(self):
+        dmc, p_v, cfg = self._setup()
+        v = SymbolSequence(self.V3, np.zeros(4, dtype=np.int64))
+        y = SymbolSequence(self.Y3, np.zeros(5, dtype=np.int64))
+        with pytest.raises(ConfigMismatch):
+            sim.decide_scheme_B(v, y, cfg, p_v, dmc)
+
+
 def brute_force_error_probs(cfg, p_uv, q_uv, dmc, n, pbar=None):
     """Exhaustive enumeration of every source and output sequence."""
     p_u = p_uv.row_marginal()
@@ -200,6 +252,58 @@ class TestExactEngine:
         w, a_bar = sim.exact_weight_stats(cfg, p_uv, example_dmc, 60, pbar)
         assert 0.0 < w < 1.0
         assert a_bar == pytest.approx(math.sqrt(w))
+
+
+def _dmc_with_outputs(size):
+    """Fully connected channel with `size` decision-center outputs."""
+    ys = Alphabet(tuple(f"y{i}" for i in range(size)))
+    zero_row = np.arange(1, size + 1, dtype=float)
+    return Dmc(X2, ys, X2, [zero_row / zero_row.sum(), np.full(size, 1.0 / size)],
+               [[0.6, 0.4], [0.4, 0.6]], "0")
+
+
+def _source_pair(du, dv, seed):
+    rng = np.random.default_rng(seed)
+    u = Alphabet(tuple(range(du)))
+    v = Alphabet(tuple(f"v{j}" for j in range(dv)))
+    p = rng.dirichlet(np.ones(du * dv)).reshape(du, dv)
+    q = rng.dirichlet(np.ones(du * dv))
+    q[0] = 0.0  # an impossible cell under the alternative
+    return JointPmf(u, v, p), JointPmf(u, v, (q / q.sum()).reshape(du, dv))
+
+
+class TestExactEngineAgainstLoop:
+    """The batched exact engine against the per-type loop it replaced, at
+    2, 3 and 4 joint source cells and 2, 3 and 4 decision-center outputs."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(typesum, "BLOCK_ROWS", 16)  # several blocks per sum
+
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("y_size", [2, 3, 4])
+    def test_scheme_b(self, du, dv, y_size):
+        dmc = _dmc_with_outputs(y_size)
+        pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=dmc.z_row("1"))
+        cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+        self._compare(cfg, dmc, du, dv, pbar)
+
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    def test_scheme_a(self, partial_dmc, du, dv):
+        cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+        self._compare(cfg, partial_dmc, du, dv, None)
+
+    def _compare(self, cfg, dmc, du, dv, pbar):
+        p_uv, q_uv = _source_pair(du, dv, seed=du * 10 + dv)
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = pbar.tau_nats if pbar is not None else None
+        for n in (1, 5, 11):
+            for law in (p_uv, q_uv):
+                got = sim._log_accept_prob(cfg, law, p_u, p_v, dmc, n, pbar)
+                want = oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs,
+                                               dmc, n, tau)
+                for g, w in zip(got, want):
+                    assert g == w or math.isclose(g, w, rel_tol=1e-12)
 
 
 class TestMonteCarlo:

@@ -5,40 +5,94 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import covertdht.typesum as typesum
+import oracles
 from covertdht.errors import AlphabetTooLarge
-from covertdht.probability import Alphabet, Pmf
+from covertdht.probability import Alphabet, Pmf, kl_rows, typical
 from covertdht.typesum import (
     check_enumerable,
-    iter_types,
+    log_prob_type_event,
     log_type_class_prob,
     num_types,
     prob_type_event,
     prob_typical,
     prob_typical_for,
+    type_blocks,
 )
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
+ABCD = Alphabet(("a", "b", "c", "d"))
+
+LATTICE_CASES = ((0, 1), (6, 1), (0, 3), (5, 2), (7, 3), (4, 4), (9, 5), (30, 4))
+
+
+def _lattice(n, dim):
+    return np.concatenate(list(type_blocks(n, dim)))
 
 
 def test_num_types_matches_enumeration():
     for n, dim in ((5, 2), (7, 3), (4, 4)):
-        types = list(iter_types(n, dim))
+        types = _lattice(n, dim)
         assert len(types) == num_types(n, dim) == math.comb(n + dim - 1, dim - 1)
-        assert all(t.sum() == n for t in types)
+        assert np.all(types.sum(axis=1) == n)
         assert len({tuple(t) for t in types}) == len(types)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, typesum.BLOCK_ROWS])
+def test_lattice_reproduces_recursive_order(monkeypatch, block_rows):
+    monkeypatch.setattr(typesum, "BLOCK_ROWS", block_rows)
+    for n, dim in LATTICE_CASES:
+        blocks = list(type_blocks(n, dim))
+        assert all(b.dtype == np.int64 and 1 <= len(b) <= block_rows for b in blocks)
+        want = np.array(list(oracles.iter_types(n, dim)))
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
 
 
 def test_type_class_probs_sum_to_one():
     p = np.array([0.2, 0.3, 0.5])
-    logs = [log_type_class_prob(c, p) for c in iter_types(9, 3)]
-    assert logsumexp(logs) == pytest.approx(0.0, abs=1e-12)
+    assert logsumexp(log_type_class_prob(_lattice(9, 3), p)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_type_class_probs_match_loop():
+    for p in (np.array([0.3, 0.7]), np.array([0.2, 0.0, 0.8]), np.array([0.1, 0.2, 0.3, 0.4])):
+        counts = _lattice(8, len(p))
+        got = log_type_class_prob(counts, p)
+        want = np.array([oracles.log_type_class_prob(c, p) for c in counts])
+        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
 
 
 def test_impossible_type_has_zero_prob():
     p = np.array([1.0, 0.0])
     assert log_type_class_prob(np.array([3, 1]), p) == -math.inf
     assert log_type_class_prob(np.array([4, 0]), p) == 0.0
+
+
+@pytest.mark.parametrize("alphabet, probs", [
+    (AB, [0.7, 0.3]),
+    (ABC, [0.5, 0.3, 0.2]),
+    (ABC, [0.6, 0.0, 0.4]),
+    (ABCD, [0.1, 0.2, 0.3, 0.4]),
+])
+def test_events_match_loop(monkeypatch, alphabet, probs):
+    monkeypatch.setattr(typesum, "BLOCK_ROWS", 5)  # many blocks even at small n
+    p = Pmf(alphabet, np.array(probs))
+    ref = np.full(alphabet.size, 1.0 / alphabet.size)
+    tau = 0.05
+    for n in (1, 6, 13):
+        for batch, single in (
+            (lambda t: typical(t, p.probs, 0.15), lambda t: oracles.is_typical(t, p.probs, 0.15)),
+            (lambda t: typical(t, ref, 0.2), lambda t: oracles.is_typical(t, ref, 0.2)),
+            (lambda t: kl_rows(t, p.probs) >= tau, lambda t: oracles.kl(t, p.probs) >= tau),
+        ):
+            got = log_prob_type_event(p, n, batch)
+            want = oracles.log_prob_type_event(p.probs, n, single)
+            if want == -math.inf:
+                assert got == -math.inf
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_prob_typical_against_sequence_enumeration():
@@ -64,11 +118,17 @@ def test_prob_type_event_complement():
     p = Pmf(ABC, np.array([0.2, 0.3, 0.5]))
 
     def high_first(t):
-        return t[0] >= 0.5
+        return t[:, 0] >= 0.5
 
     a = prob_type_event(p, 12, high_first)
-    b = prob_type_event(p, 12, lambda t: not high_first(t))
+    b = prob_type_event(p, 12, lambda t: ~high_first(t))
     assert a + b == pytest.approx(1.0, abs=1e-12)
+
+
+def test_empty_event_is_impossible():
+    p = Pmf(ABC, np.array([0.2, 0.3, 0.5]))
+    assert log_prob_type_event(p, 7, lambda t: np.zeros(len(t), dtype=bool)) == -math.inf
+    assert prob_type_event(p, 7, lambda t: t[:, 0] > 1.0) == 0.0
 
 
 def test_enumeration_cap():
