@@ -261,14 +261,7 @@ def cmd_example() -> int:
     qstar = pbar.maximizer["1"]
     tau_bits = pbar.tau_bits
     # boundary of the transmission set on the high side of P_U
-    from scipy.optimize import brentq
-
-    from .probability import kl_divergence_vec
-
-    def dv(m):
-        return kl_divergence_vec(np.array([1 - m, m]), p_u.probs)
-
-    boundary = brentq(lambda m: dv(m) - pbar.tau_nats, p_u["1"], 1.0, xtol=1e-12)
+    boundary = expo.binary_sphere_roots(p_u, pbar.tau_nats)[1]
     e1_bits = report.e1_nats / LN2
     e2_bits = report.e2_by_x1["1"] / LN2
     e3_bits = report.e3_by_x1["1"][2] / LN2

@@ -12,9 +12,13 @@ is a concave free-energy problem with the closed form
 
 The joint-pmf minimizations behind the exponents fix one or both marginals;
 with both marginals fixed they are I-projections computed by iterative
-proportional fitting (IPF), and with only the column marginal fixed the
-partial minimum over couplings is a convex function of the free row marginal,
-optimized by golden-section (binary row alphabet) or a simplex grid plus a
+proportional fitting (IPF). With only the column marginal P_V fixed, the
+partial minimum g(pi_U) over couplings is a convex function of the free row
+marginal whose unconstrained minimum D(P_V || Q_V) is attained at T_U by the
+coupling P_V(v) Q(u|v). E2 minimizes g over the ball D(pi_U || P_U) <= tau
+and E3 over its complement D >= tau, both in `_constrained_min`: the closed
+form when T_U is feasible, otherwise a minimum on the sphere D = tau, found
+from its two brentq roots (binary row alphabet) or by a simplex grid plus a
 constrained polish (larger alphabets).
 
 All values are stored in nats; callers convert via LogBase.
@@ -24,11 +28,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 
 from .channel import Dmc, find_partial_connectivity, validate_covert_conditions
 from .errors import (
@@ -42,7 +47,6 @@ from .errors import (
 )
 from .probability import (
     LN2,
-    Alphabet,
     JointPmf,
     LogBase,
     Pmf,
@@ -53,6 +57,10 @@ from .probability import (
 from .typesum import type_blocks
 
 _INF = math.inf
+# simplex-grid step of the |U| >= 3 search in `_constrained_min_grid`
+_GRID_STEP = 1e-2
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -196,29 +204,37 @@ def compute_E1(p_uv: JointPmf, q_uv: JointPmf) -> ExponentTerm:
     return ExponentTerm(value, coupling)
 
 
-def compute_T_U(p_v: Pmf, q_uv: JointPmf) -> Pmf:
-    """Mixture of the alternative's U|V conditionals under the null V-marginal."""
-    q_v = q_uv.col_marginal()
+def _v_conditional_coupling(p_v: Pmf, q_uv: JointPmf) -> np.ndarray:
+    """P_V(v) Q(u|v) as a |U| x |V| array: the coupling with column marginal
+    P_V closest to Q_UV, at divergence D(P_V || Q_V) by the chain rule."""
+    q_v = q_uv.col_marginal().probs
     needed = p_v.probs > 0.0
-    if np.any(needed & (q_v.probs == 0.0)):
+    if np.any(needed & (q_v == 0.0)):
         raise ConditionalUndefined(
             "Q_V vanishes at a V-value with positive null probability"
         )
-    t = np.zeros(q_uv.row_alphabet.size)
-    for j in np.nonzero(needed)[0]:
-        t += p_v.probs[j] * q_uv.probs[:, j] / q_v.probs[j]
-    return Pmf(q_uv.row_alphabet, t)
+    k = np.zeros_like(q_uv.probs)
+    k[:, needed] = p_v.probs[needed] * q_uv.probs[:, needed] / q_v[needed]
+    return k
 
 
-def _binary_param_pmf(alphabet: Alphabet, m: float) -> Pmf:
-    return Pmf(alphabet, np.array([1.0 - m, m]))
+def compute_T_U(p_v: Pmf, q_uv: JointPmf) -> Pmf:
+    """Mixture of the alternative's U|V conditionals under the null V-marginal."""
+    return Pmf(q_uv.row_alphabet, _v_conditional_coupling(p_v, q_uv).sum(axis=1))
 
 
-def _divergence_to(alphabet: Alphabet, m: float, p: Pmf) -> float:
-    try:
-        return kl_divergence(_binary_param_pmf(alphabet, m), p)
-    except SupportViolation:
-        return _INF
+def binary_sphere_roots(p_u: Pmf, tau: float) -> tuple[float | None, float | None]:
+    """For binary U, the points m below and above P_U(1) where
+    D(Bern(m) || P_U) = tau (nats); None on a side where the divergence
+    stays below tau up to the simplex edge."""
+    p1 = p_u.probs[1]
+
+    def excess(m):
+        return float(kl_rows(np.array([1.0 - m, m]), p_u.probs)) - tau
+
+    low = brentq(excess, 0.0, p1, xtol=1e-14) if excess(0.0) >= 0.0 else None
+    high = brentq(excess, p1, 1.0, xtol=1e-14) if excess(1.0) >= 0.0 else None
+    return low, high
 
 
 def _simplex_grid(dim: int, step: float) -> np.ndarray:
@@ -246,54 +262,17 @@ def _coupling_objective(q_uv: JointPmf, p_v: Pmf):
             return _INF
         try:
             value, _ = _coupling_divergence(q_uv, pmf, p_v)
-        except NoConvergence:
+        except NoConvergence as exc:
+            logger.warning("g(pi_U) set to +inf at pi_U = %s: %s", pmf.probs.tolist(), exc)
             return _INF
         return value
 
     return g
 
 
-def _constrained_min_binary(g, alphabet: Alphabet, p_u: Pmf, tau: float, upper: bool):
-    """Minimize g over {D(Bern(m)||P_U) <= tau} (upper=False) or the boundary
-    candidates of {D >= tau} (upper=True) for binary U. Returns (value, m)."""
-    p1 = p_u[alphabet.symbols[1]]
-
-    def dv(m):
-        return _divergence_to(alphabet, m, p_u)
-
-    # divergence is convex in m with minimum 0 at m = p1
-    lo, hi = 0.0, 1.0
-    if not upper:
-        # feasible interval [m_lo, m_hi] around p1
-        m_lo = lo if dv(lo) <= tau else brentq(lambda m: dv(m) - tau, lo, p1, xtol=1e-14)
-        m_hi = hi if dv(hi) <= tau else brentq(lambda m: dv(m) - tau, p1, hi, xtol=1e-14)
-        res = minimize_scalar(
-            lambda m: g(np.array([1.0 - m, m])),
-            bounds=(m_lo, m_hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        # golden-section can stall a hair off the boundary of a monotone g
-        cands = [(float(res.fun), float(res.x)), (g(np.array([1 - m_lo, m_lo])), m_lo),
-                 (g(np.array([1 - m_hi, m_hi])), m_hi)]
-        return min(cands)
-    # boundary points of the level set D = tau, one per side when present
-    cands = []
-    if dv(lo) >= tau:
-        m = brentq(lambda m: dv(m) - tau, lo, p1, xtol=1e-14)
-        cands.append((g(np.array([1.0 - m, m])), m))
-    if dv(hi) >= tau:
-        m = brentq(lambda m: dv(m) - tau, p1, hi, xtol=1e-14)
-        cands.append((g(np.array([1.0 - m, m])), m))
-    if not cands:
-        return _INF, None
-    return min(cands)
-
-
-def _constrained_min_grid(g, alphabet: Alphabet, p_u: Pmf, tau: float, upper: bool,
-                          grid_res: float):
+def _constrained_min_grid(g, p_u: Pmf, tau: float, upper: bool):
     """Grid-plus-polish minimization of g under the divergence constraint."""
-    grid = _simplex_grid(alphabet.size, max(grid_res, 1e-2))
+    grid = _simplex_grid(p_u.alphabet.size, _GRID_STEP)
     d = kl_rows(grid, p_u.probs)
     feasible = d >= tau if upper else d <= tau
     best_val, best_pt = _INF, None
@@ -313,7 +292,7 @@ def _constrained_min_grid(g, alphabet: Alphabet, p_u: Pmf, tau: float, upper: bo
         lambda x: g(_normalize(x)),
         best_pt,
         method="SLSQP",
-        bounds=[(0.0, 1.0)] * alphabet.size,
+        bounds=[(0.0, 1.0)] * p_u.alphabet.size,
         constraints=[
             {"type": "eq", "fun": lambda x: x.sum() - 1.0},
             {"type": "ineq", "fun": cons},
@@ -331,31 +310,39 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / s if s > 0 else np.full_like(x, 1.0 / len(x))
 
 
-def compute_E2(
-    p_uv: JointPmf,
-    q_uv: JointPmf,
-    p_u: Pmf,
-    pbar: PbarSet,
-    grid_res: float = 1e-3,
-) -> ExponentTerm:
-    """Exponent of the no-transmission branch: V-marginal pinned, U-type kept
-    outside the transmission-triggering set (minimized over its closure)."""
-    tau = pbar.tau_nats
-    if tau <= 0:
-        raise EmptyFeasibleSet("tau <= 0: every type triggers transmission")
-    p_v = p_uv.col_marginal()
+def _constrained_min(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float,
+                     upper: bool) -> ExponentTerm:
+    """min of g over the ball D(pi_U || P_U) <= tau (upper=False) or over its
+    complement D >= tau (upper=True), with the minimizing coupling.
+
+    g is convex with its unconstrained minimum at T_U, so when T_U is not
+    feasible the minimum lies on the sphere D = tau.
+    """
+    k = _v_conditional_coupling(p_v, q_uv)
+    d_t = kl_rows(k.sum(axis=1), p_u.probs)  # D(T_U || P_U)
+    if (d_t >= tau) if upper else (d_t <= tau):
+        coupling = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, k)
+        return ExponentTerm(local_exponent(p_v, q_uv.col_marginal()), coupling)
     g = _coupling_objective(q_uv, p_v)
     if p_u.alphabet.size == 2:
-        value, m = _constrained_min_binary(g, p_u.alphabet, p_u, tau, upper=False)
-        minimizer_u = _binary_param_pmf(p_u.alphabet, m)
+        cands = [(g(np.array([1.0 - m, m])), m)
+                 for m in binary_sphere_roots(p_u, tau) if m is not None]
+        value, m = min(cands, default=(_INF, None))
+        pt = None if m is None else np.array([1.0 - m, m])
     else:
-        value, pt = _constrained_min_grid(g, p_u.alphabet, p_u, tau, upper=False,
-                                          grid_res=grid_res)
-        minimizer_u = Pmf(p_u.alphabet, pt) if pt is not None else None
-    coupling = None
-    if minimizer_u is not None and math.isfinite(value):
-        _, coupling = _coupling_divergence(q_uv, minimizer_u, p_v)
+        value, pt = _constrained_min_grid(g, p_u, tau, upper)
+    if pt is None or not math.isfinite(value):
+        return ExponentTerm(value)
+    _, coupling = _coupling_divergence(q_uv, Pmf(p_u.alphabet, pt), p_v)
     return ExponentTerm(value, coupling)
+
+
+def compute_E2(p_uv: JointPmf, q_uv: JointPmf, p_u: Pmf, pbar: PbarSet) -> ExponentTerm:
+    """Exponent of the no-transmission branch: V-marginal pinned, U-type kept
+    outside the transmission-triggering set (minimized over its closure)."""
+    if pbar.tau_nats <= 0:
+        raise EmptyFeasibleSet("tau <= 0: every type triggers transmission")
+    return _constrained_min(q_uv, p_u, p_uv.col_marginal(), pbar.tau_nats, upper=False)
 
 
 @dataclass(frozen=True)
@@ -371,35 +358,9 @@ class E3Result:
         return base.from_nats(self.value_nats)
 
 
-def _e3_inner(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float, grid_res: float):
-    """min over pi_U in the triggering set of the coupling objective, nats."""
-    g = _coupling_objective(q_uv, p_v)
-    t_u = compute_T_U(p_v, q_uv)
-    if tau <= 0 or kl_rows(t_u.probs, p_u.probs) >= tau:
-        # unconstrained minimizer of g is already inside the set
-        value, coupling = _coupling_divergence(q_uv, t_u, p_v)
-        return value, t_u, coupling
-    if p_u.alphabet.size == 2:
-        value, m = _constrained_min_binary(g, p_u.alphabet, p_u, tau, upper=True)
-        min_u = _binary_param_pmf(p_u.alphabet, m) if m is not None else None
-    else:
-        value, pt = _constrained_min_grid(g, p_u.alphabet, p_u, tau, upper=True,
-                                          grid_res=grid_res)
-        min_u = Pmf(p_u.alphabet, pt) if pt is not None else None
-    coupling = None
-    if min_u is not None and math.isfinite(value):
-        _, coupling = _coupling_divergence(q_uv, min_u, p_v)
-    return value, min_u, coupling
-
-
-def compute_E3(
-    p_uv: JointPmf,
-    q_uv: JointPmf,
-    p_u: Pmf,
-    dmc: Dmc,
-    grid_res: float = 1e-3,
-) -> E3Result:
-    """Exponent of the transmission branch, maximized over non-zero inputs."""
+def compute_E3(p_uv: JointPmf, q_uv: JointPmf, p_u: Pmf, dmc: Dmc) -> E3Result:
+    """Exponent of the transmission branch, maximized over non-zero inputs;
+    the inner term minimizes g over the triggering set D >= tau."""
     p_v = p_uv.col_marginal()
     per_x1 = {}
     best = (-_INF, None, None)
@@ -409,11 +370,11 @@ def compute_E3(
             chan = kl_divergence(dmc.y_row(dmc.zero_symbol), dmc.y_row(x1))
         except SupportViolation:
             chan = _INF
-        inner, _, coupling = _e3_inner(q_uv, p_u, p_v, pbar.tau_nats, grid_res)
-        total = inner + chan
-        per_x1[x1] = (inner, chan, total)
+        inner = _constrained_min(q_uv, p_u, p_v, pbar.tau_nats, upper=True)
+        total = inner.value_nats + chan
+        per_x1[x1] = (inner.value_nats, chan, total)
         if total > best[0]:
-            best = (total, x1, coupling)
+            best = (total, x1, inner.minimizer)
     return E3Result(value_nats=best[0], best_x1=best[1], per_x1=per_x1, minimizer=best[2])
 
 
@@ -497,7 +458,6 @@ def achievable_exponent(
     q_uv: JointPmf,
     dmc: Dmc,
     eps: float = 0.0,
-    grid_res: float = 1e-3,
 ) -> ExponentReport:
     """Main-result exponent with the connectivity case split.
 
@@ -514,12 +474,12 @@ def achievable_exponent(
     q_v = q_uv.col_marginal()
     e1 = compute_E1(p_uv, q_uv)
     local = local_exponent(p_v, q_v)
-    e3 = compute_E3(p_uv, q_uv, p_u, dmc, grid_res)
+    e3 = compute_E3(p_uv, q_uv, p_u, dmc)
     e2_by_x1 = {}
     for x1 in dmc.nonzero_inputs():
         pbar = pbar_threshold(dmc, x1)
         try:
-            e2_by_x1[x1] = compute_E2(p_uv, q_uv, p_u, pbar, grid_res).value_nats
+            e2_by_x1[x1] = compute_E2(p_uv, q_uv, p_u, pbar).value_nats
         except EmptyFeasibleSet:
             e2_by_x1[x1] = _INF
     verdict = improvement_check(p_uv, q_uv, dmc)

@@ -20,6 +20,27 @@ REF_TAU_BITS = 0.306
 REF_E1_BITS = 0.7706
 REF_E3_BITS = 0.1170
 
+# 3x2 sources with a non-degenerate V and a three-input channel (the
+# benchmark's `exponents-3x2` workload). At x1 = "2", D(T_U || P_U) lies
+# below tau, so E2 is the local exponent; at x1 = "1" it lies above.
+TERNARY_CONFIG = {
+    "sources": {
+        "u_symbols": ["a", "b", "c"],
+        "v_symbols": ["x", "y"],
+        "p_uv": [[0.45, 0.05], [0.10, 0.20], [0.05, 0.15]],
+        "q_uv": [[0.10, 0.15], [0.15, 0.20], [0.30, 0.10]],
+    },
+    "channel": {
+        "x_symbols": ["0", "1", "2"],
+        "y_symbols": ["0", "1", "2"],
+        "z_symbols": ["0", "1", "2"],
+        "zero_symbol": "0",
+        "y_given_x": [[0.6, 0.2, 0.2], [0.25, 0.55, 0.2], [0.2, 0.3, 0.5]],
+        "z_given_x": [[0.5, 0.25, 0.25], [0.4, 0.35, 0.25], [0.35, 0.25, 0.4]],
+    },
+    "scheme": {"scheme": "B", "x1": "1", "mu": 0.05},
+}
+
 
 @pytest.fixture(scope="session")
 def u_alphabet():

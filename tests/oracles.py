@@ -1,15 +1,18 @@
-"""Per-type loop implementations of the exact sums, kept as test oracles.
+"""Slow or independent implementations kept as test oracles.
 
-These are the scalar loops the library used before its sums moved onto the
+Most are the scalar loops the library used before its sums moved onto the
 batched type lattice: one recursive generator of count vectors and one
-Python iteration per type. Tests compare the array code against them on
-small n; nothing in the package imports this module.
+Python iteration per type. The rest check the binary-U exponent minimizer:
+its former golden-section/root search, and a closed-form 2x2 coupling
+divergence with a zooming 1-D scan. Tests compare the library against them
+on small inputs; nothing in the package imports this module.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 NEG_INF = -math.inf
@@ -174,3 +177,91 @@ def simplex_grid(dim, step):
     for comp in itertools.combinations_with_replacement(range(dim), k):
         pts.append(np.bincount(np.array(comp), minlength=dim) / k)
     return np.array(pts)
+
+
+def constrained_min_binary(g, t_u, p_u, tau, upper):
+    """The binary-U minimizer E2/E3 used before their closed form at T_U.
+
+    min of g over {D(Bern(m)||P_U) <= tau} by golden-section search plus the
+    interval ends (upper=False), or over {D >= tau}: g(T_U) when T_U is in
+    the set, else the boundary roots (upper=True). Returns (value, m).
+    """
+    p1 = p_u[1]
+
+    def dv(m):
+        return kl(np.array([1.0 - m, m]), p_u)
+
+    if not upper:
+        m_lo = 0.0 if dv(0.0) <= tau else brentq(lambda m: dv(m) - tau, 0.0, p1, xtol=1e-14)
+        m_hi = 1.0 if dv(1.0) <= tau else brentq(lambda m: dv(m) - tau, p1, 1.0, xtol=1e-14)
+        res = minimize_scalar(lambda m: g(np.array([1.0 - m, m])), bounds=(m_lo, m_hi),
+                              method="bounded", options={"xatol": 1e-12})
+        cands = [(float(res.fun), float(res.x)), (g(np.array([1 - m_lo, m_lo])), m_lo),
+                 (g(np.array([1 - m_hi, m_hi])), m_hi)]
+        return min(cands)
+    if kl(t_u, p_u) >= tau:
+        return g(t_u), t_u[1]
+    cands = []
+    if dv(0.0) >= tau:
+        m = brentq(lambda m: dv(m) - tau, 0.0, p1, xtol=1e-14)
+        cands.append((g(np.array([1.0 - m, m])), m))
+    if dv(1.0) >= tau:
+        m = brentq(lambda m: dv(m) - tau, p1, 1.0, xtol=1e-14)
+        cands.append((g(np.array([1.0 - m, m])), m))
+    return min(cands, default=(math.inf, None))
+
+
+def bisect_increasing(f, lo, hi, iters=200):
+    """Root of a nondecreasing f on [lo, hi] (arrays allowed) by bisection."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def binary_sphere_roots(p_u, tau):
+    """Points m below and above p_u[1] with D(Bern(m)||p_u) = tau, by
+    bisection; None on a side where the divergence stays below tau."""
+    def excess(m):
+        return kl(np.array([1.0 - float(m), float(m)]), p_u) - tau
+
+    p1 = p_u[1]
+    low = float(bisect_increasing(lambda m: -excess(m), 0.0, p1)) if excess(0.0) >= 0 else None
+    high = float(bisect_increasing(excess, p1, 1.0)) if excess(1.0) >= 0 else None
+    return low, high
+
+
+def coupling_divergence_2x2(q, r0, c0):
+    """min D(k||q) over 2x2 couplings k with k[0].sum() = r0 (an array) and
+    k[:, 0].sum() = c0, in nats.
+
+    The I-projection keeps the cross ratio of q: with a = k[0, 0],
+    a (s + a) = rho (r0 - a)(c0 - a), s = 1 - r0 - c0, rho = q00 q11 / (q01 q10).
+    The left side minus the right is nondecreasing in a on the feasible
+    interval, so bisection finds a.
+    """
+    q = np.asarray(q, dtype=float)
+    r0 = np.asarray(r0, dtype=float)
+    rho = q[0, 0] * q[1, 1] / (q[0, 1] * q[1, 0])
+    s = 1.0 - r0 - c0
+    a = bisect_increasing(lambda a: a * (s + a) - rho * (r0 - a) * (c0 - a),
+                          np.maximum(0.0, -s), np.minimum(r0, c0))
+    k = np.stack([a, r0 - a, c0 - a, s + a], axis=-1).clip(0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k > 0, k * np.log(k / q.ravel()), 0.0).sum(axis=-1)
+
+
+def scan_min_convex(f, lo, hi, points=2001, stages=5):
+    """min of a convex f (vectorized) on [lo, hi]: a dense scan, then zoomed
+    scans around the best point, always keeping the interval ends."""
+    best = math.inf
+    a, b = lo, hi
+    for _ in range(stages):
+        xs = np.linspace(a, b, points)
+        vals = f(xs)
+        i = int(np.argmin(vals))
+        best = min(best, float(vals[i]))
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]
+    return best

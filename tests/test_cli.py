@@ -15,6 +15,50 @@ from covertdht.cli import (
 )
 from covertdht.errors import ConfigError
 
+from conftest import TERNARY_CONFIG
+
+# `exponents --json` on TERNARY_CONFIG (bits)
+TERNARY_REPORT = {
+    "base": "bits",
+    "e1": 0.2792188853562643,
+    "e2_by_x1": {"1": 0.031028621271801664, "2": 0.007348528673390749},
+    "e3_by_x1": {
+        "1": {
+            "inner": 0.007348528673390749,
+            "channel": 0.46593431977281674,
+            "total": 0.47328284844620744,
+        },
+        "2": {
+            "inner": 0.0076119122150252955,
+            "channel": 0.5695993813109899,
+            "total": 0.5772112935260151,
+        },
+    },
+    "local": 0.007348528673390749,
+    "connectivity": "fully_connected",
+    "theta": 0.031028621271801664,
+    "theta_literal_min": 0.007348528673390749,
+    "eps": 0.0,
+    "improvement": "strict_improvement_full",
+    "T_U": [0.2424242424242424, 0.3414141414141414, 0.4161616161616162],
+}
+
+
+def assert_report_close(got, want, rel):
+    """Same keys and strings everywhere, numbers to relative tolerance `rel`."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_report_close(got[key], want[key], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_report_close(g, w, rel)
+    elif isinstance(want, str):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+
 
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
@@ -43,6 +87,7 @@ class TestExample:
         assert "FAIL" not in out
         assert "0.2095" in out
         assert "consistent" in out
+        assert "transmission-set boundary: pi_U(1) >= 0.4918" in out.splitlines()
 
 
 class TestCheckChannel:
@@ -73,6 +118,11 @@ class TestExponents:
         assert data["theta"] == pytest.approx(0.1170, abs=1e-3)
         assert data["connectivity"] == "fully_connected"
         assert data["improvement"] == "strict_improvement_full"
+
+    def test_ternary_json_report_is_pinned(self, tmp_path, capsys):
+        path = write_config(tmp_path, TERNARY_CONFIG)
+        assert main(["exponents", "--json", path]) == 0
+        assert_report_close(json.loads(capsys.readouterr().out), TERNARY_REPORT, rel=1e-9)
 
     def test_text_report(self, example_cfg_path, capsys):
         assert main(["exponents", example_cfg_path]) == 0

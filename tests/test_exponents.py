@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 import covertdht.exponents as expo
 import oracles
 from covertdht import Dmc
+from covertdht.config import ExperimentConfig
 from covertdht.errors import (
     ConditionalUndefined,
     EmptyFeasibleSet,
     Infeasible,
     InvalidChannel,
+    NoConvergence,
     SupportViolation,
 )
 from covertdht.probability import (
@@ -20,13 +23,28 @@ from covertdht.probability import (
     Alphabet,
     JointPmf,
     Pmf,
+    joint_kl_divergence,
     kl_divergence,
     kl_divergence_vec,
     kl_rows,
 )
 
+from conftest import TERNARY_CONFIG
+
 AB = Alphabet(("a", "b"))
 Z3 = Alphabet(("z0", "z1", "z2"))
+# seeds of `seeded_binary_sources`: T_U(1) lies above P_U(1) for 0, 5, 9 and
+# below it for 1, 2, 8
+BINARY_SEEDS = (0, 1, 2, 5, 8, 9)
+
+
+def seeded_binary_sources(seed):
+    """2x2 source pair (P_UV, Q_UV) from a seeded Dirichlet; V is non-degenerate."""
+    rng = np.random.default_rng(seed)
+    u, v = Alphabet((0, 1)), Alphabet(("x", "y"))
+    p_uv = JointPmf(u, v, rng.dirichlet(np.ones(4)).reshape(2, 2))
+    q_uv = JointPmf(u, v, rng.dirichlet(np.ones(4)).reshape(2, 2))
+    return p_uv, q_uv
 
 
 def positive_pmf(alphabet):
@@ -276,6 +294,99 @@ class TestE2E3:
             pt = rng.dirichlet(np.ones(3))
             if kl_rows(pt, p_u.probs) <= pbar.tau_nats:
                 assert e2.value_nats <= g(pt) + 1e-7
+
+
+    @pytest.mark.parametrize("case", ["ternary", "binary"])
+    def test_e2_is_local_exponent_when_t_u_is_in_the_ball(
+        self, case, example_dmc, monkeypatch
+    ):
+        if case == "ternary":
+            cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
+            (p_uv, q_uv), dmc, x1 = cfg.source_pmfs(), cfg.dmc(), "2"
+        else:
+            (p_uv, q_uv), dmc, x1 = seeded_binary_sources(1), example_dmc, "1"
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        pbar = expo.pbar_threshold(dmc, x1)
+        t_u = expo.compute_T_U(p_v, q_uv)
+        assert kl_divergence(t_u, p_u) < pbar.tau_nats
+
+        def no_ipf(*args, **kwargs):
+            raise AssertionError("the closed form needs no IPF")
+
+        monkeypatch.setattr(expo, "i_projection_coupling", no_ipf)
+        e2 = expo.compute_E2(p_uv, q_uv, p_u, pbar)
+        assert e2.value_nats == expo.local_exponent(p_v, q_uv.col_marginal())
+        np.testing.assert_allclose(e2.minimizer.row_marginal().probs, t_u.probs, rtol=1e-12)
+        np.testing.assert_allclose(e2.minimizer.col_marginal().probs, p_v.probs, rtol=1e-12)
+        assert joint_kl_divergence(e2.minimizer, q_uv) == pytest.approx(
+            e2.value_nats, rel=1e-12
+        )
+
+    def test_solver_failure_is_logged(self, monkeypatch, caplog):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergence("stub")
+
+        monkeypatch.setattr(expo, "i_projection_coupling", no_convergence)
+        p_uv, q_uv = seeded_binary_sources(1)
+        g = expo._coupling_objective(q_uv, p_uv.col_marginal())
+        with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
+            assert g(np.array([0.25, 0.75])) == math.inf
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name == "covertdht.exponents"
+        assert "pi_U = [0.25, 0.75]" in record.getMessage()
+
+
+class TestBinaryConstrainedMin:
+    """Binary-U E2 (upper=False) and E3 inner term (upper=True) against the
+    former golden-section/root minimizer and against a zoomed scan of the
+    closed-form 2x2 coupling divergence over the feasible m. tau is a multiple
+    of D(T_U || P_U), so T_U lies inside the sphere D = tau or outside it."""
+
+    @pytest.mark.parametrize("seed", BINARY_SEEDS)
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("tau_scale", [0.5, 2.0])
+    def test_against_old_minimizer_and_scan(self, seed, upper, tau_scale):
+        p_uv, q_uv = seeded_binary_sources(seed)
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        t_u = expo.compute_T_U(p_v, q_uv)
+        tau = tau_scale * kl_divergence(t_u, p_u)
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
+
+        g = expo._coupling_objective(q_uv, p_v)
+        old, _ = oracles.constrained_min_binary(g, t_u.probs, p_u.probs, tau, upper)
+
+        def g_closed_form(m):
+            return oracles.coupling_divergence_2x2(q_uv.probs, 1.0 - m, p_v.probs[0])
+
+        lo, hi = oracles.binary_sphere_roots(p_u.probs, tau)
+        if upper:
+            pieces = [(0.0, lo)] * (lo is not None) + [(hi, 1.0)] * (hi is not None)
+        else:
+            pieces = [(0.0 if lo is None else lo, 1.0 if hi is None else hi)]
+        scan = min((oracles.scan_min_convex(g_closed_form, a, b) for a, b in pieces),
+                   default=math.inf)
+
+        assert term.value_nats == pytest.approx(old, abs=1e-9)
+        assert term.value_nats == pytest.approx(scan, abs=1e-9)
+        if not pieces:  # D(. || P_U) < tau on the whole simplex: E3 is +inf
+            assert term.value_nats == math.inf and term.minimizer is None
+            return
+        # the coupling's row marginal is the minimizer to IPF's tolerance
+        d = kl_divergence(term.minimizer.row_marginal(), p_u)
+        assert d >= tau - 1e-8 if upper else d <= tau + 1e-8
+        np.testing.assert_allclose(term.minimizer.col_marginal().probs, p_v.probs,
+                                   atol=1e-9)
+
+    def test_sphere_roots_match_bisection(self):
+        p_u = Pmf(AB, np.array([0.8, 0.2]))
+        for tau in (0.01, 0.1, 0.2, 1.0, 2.0):
+            got = expo.binary_sphere_roots(p_u, tau)
+            want = oracles.binary_sphere_roots(p_u.probs, tau)
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestImprovement:
