@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -126,11 +127,7 @@ def _sim_rows(cfg: ExperimentConfig):
     rows = []
     results = []
     for mu in mu_grid:
-        scheme = sim.SchemeConfig(
-            scheme=base_scheme.scheme, mu=mu, x1=base_scheme.x1,
-            x_hat=base_scheme.x_hat, y_star=base_scheme.y_star,
-            k_spec=base_scheme.k_spec,
-        )
+        scheme = dataclasses.replace(base_scheme, mu=mu)
         pbar = None
         if scheme.scheme == "B":
             pbar = expo.pbar_threshold(dmc, scheme.x1)
@@ -261,7 +258,7 @@ def cmd_example() -> int:
     qstar = pbar.maximizer["1"]
     tau_bits = pbar.tau_bits
     # boundary of the transmission set on the high side of P_U
-    boundary = expo.binary_sphere_roots(p_u, pbar.tau_nats)[1]
+    boundary = expo.sphere_point(p_u.probs, [0.0, 1.0], pbar.tau_nats)[1]
     e1_bits = report.e1_nats / LN2
     e2_bits = report.e2_by_x1["1"] / LN2
     e3_bits = report.e3_by_x1["1"][2] / LN2

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import logsumexp, xlog1py
 
 from .errors import SupportViolation
-from .exponents import PbarSet, _simplex_grid
+from .exponents import PbarSet
 from .probability import Pmf, chi_squared, kl_rows, typical
 from .typesum import (
     NEG_INF,
@@ -150,6 +150,15 @@ def delta_scheme_B(p_u: Pmf, pbar: PbarSet, n: int) -> tuple[float, float]:
     exact = float(min(math.exp(logsumexp(logs)), 1.0))
     bound = (n + 1) ** p_u.alphabet.size * math.exp(best_exp)
     return exact, bound
+
+
+def _simplex_grid(dim: int, step: float) -> np.ndarray:
+    """All pmfs on `dim` symbols with entries that are multiples of ~step,
+    first symbol descending; step doubles until at most 400k points remain."""
+    k = max(int(round(1.0 / step)), 1)
+    while math.comb(k + dim - 1, dim - 1) > 400_000:
+        k //= 2
+    return np.concatenate(list(type_blocks(k, dim)))[::-1] / k
 
 
 def scheme_B_positivity(

@@ -17,9 +17,10 @@ partial minimum g(pi_U) over couplings is a convex function of the free row
 marginal whose unconstrained minimum D(P_V || Q_V) is attained at T_U by the
 coupling P_V(v) Q(u|v). E2 minimizes g over the ball D(pi_U || P_U) <= tau
 and E3 over its complement D >= tau, both in `_constrained_min`: the closed
-form when T_U is feasible, otherwise a minimum on the sphere D = tau, found
-from its two brentq roots (binary row alphabet) or by a simplex grid plus a
-constrained polish (larger alphabets).
+form when T_U is feasible, otherwise a minimum on the sphere D = tau. One
+search serves every row alphabet: the brentq crossings of the sphere by the
+rays from P_U to the boundary points of a small type lattice, the best of
+them polished by SLSQP along the sphere (exact already when |U| = 2).
 
 All values are stored in nats; callers convert via LogBase.
 """
@@ -57,8 +58,9 @@ from .probability import (
 from .typesum import type_blocks
 
 _INF = math.inf
-# simplex-grid step of the |U| >= 3 search in `_constrained_min_grid`
-_GRID_STEP = 1e-2
+# denominator of the type lattice whose boundary points aim the rays of the
+# sphere search in `_sphere_min`
+_RAY_LATTICE = 10
 
 logger = logging.getLogger(__name__)
 
@@ -223,29 +225,19 @@ def compute_T_U(p_v: Pmf, q_uv: JointPmf) -> Pmf:
     return Pmf(q_uv.row_alphabet, _v_conditional_coupling(p_v, q_uv).sum(axis=1))
 
 
-def binary_sphere_roots(p_u: Pmf, tau: float) -> tuple[float | None, float | None]:
-    """For binary U, the points m below and above P_U(1) where
-    D(Bern(m) || P_U) = tau (nats); None on a side where the divergence
-    stays below tau up to the simplex edge."""
-    p1 = p_u.probs[1]
+def sphere_point(p_u, b, tau: float) -> np.ndarray | None:
+    """Where the segment from P_U to `b` (on the face supp(P_U)) crosses the
+    sphere D(. || P_U) = tau (nats); None when D(b || P_U) < tau. D is convex
+    along the segment and 0 at P_U, so this is its one brentq root."""
+    p_u, b = np.asarray(p_u, dtype=float), np.asarray(b, dtype=float)
 
-    def excess(m):
-        return float(kl_rows(np.array([1.0 - m, m]), p_u.probs)) - tau
+    def excess(r):
+        return float(kl_rows((1.0 - r) * p_u + r * b, p_u)) - tau
 
-    low = brentq(excess, 0.0, p1, xtol=1e-14) if excess(0.0) >= 0.0 else None
-    high = brentq(excess, p1, 1.0, xtol=1e-14) if excess(1.0) >= 0.0 else None
-    return low, high
-
-
-def _simplex_grid(dim: int, step: float) -> np.ndarray:
-    """All pmfs on `dim` symbols with entries that are multiples of ~step."""
-    k = max(int(round(1.0 / step)), 1)
-    # cap total grid size; coarser grids are refined locally afterwards
-    while math.comb(k + dim - 1, dim - 1) > 400_000:
-        k //= 2
-    # the k-type lattice, reversed into the first-symbol-descending order the
-    # grid has always had; the minimizers break ties by that order
-    return np.concatenate(list(type_blocks(k, dim)))[::-1] / k
+    if excess(1.0) < 0.0:
+        return None
+    r = brentq(excess, 0.0, 1.0, xtol=1e-14)
+    return (1.0 - r) * p_u + r * b
 
 
 def _coupling_objective(q_uv: JointPmf, p_v: Pmf):
@@ -270,44 +262,40 @@ def _coupling_objective(q_uv: JointPmf, p_v: Pmf):
     return g
 
 
-def _constrained_min_grid(g, p_u: Pmf, tau: float, upper: bool):
-    """Grid-plus-polish minimization of g under the divergence constraint."""
-    grid = _simplex_grid(p_u.alphabet.size, _GRID_STEP)
-    d = kl_rows(grid, p_u.probs)
-    feasible = d >= tau if upper else d <= tau
-    best_val, best_pt = _INF, None
-    for pt in grid[feasible]:
-        val = g(pt)
-        if val < best_val:
-            best_val, best_pt = val, pt
-    if best_pt is None:
-        return _INF, None
-    # one local polish pass with the divergence constraint
-    sign = 1.0 if upper else -1.0
+def _sphere_min(g, p_u: np.ndarray, tau: float):
+    """min of g on the sphere D(pi_U || P_U) = tau in the face supp(P_U) and
+    its minimizer (None if no ray reaches the sphere): the best crossing of
+    the rays from P_U to the boundary points of the face's type lattice,
+    then, with three or more face symbols, one SLSQP polish on the sphere."""
+    face = p_u > 0.0
+    lattice = np.concatenate(list(type_blocks(_RAY_LATTICE, int(face.sum()))))
+    ends = np.zeros((len(lattice), len(p_u)))
+    ends[:, face] = lattice / _RAY_LATTICE
+    crossings = (sphere_point(p_u, b, tau) for b in ends[(lattice == 0).any(axis=1)])
+    value, pt = min(((g(pt), pt) for pt in crossings if pt is not None),
+                    key=lambda c: c[0], default=(_INF, None))
+    if face.sum() < 3 or not math.isfinite(value):
+        return value, pt
 
-    def cons(x):
-        return sign * (kl_rows(_normalize(x), p_u.probs) - tau)
+    def on_face(x):
+        full = np.zeros_like(p_u)
+        full[face] = np.clip(x, 0.0, None)
+        return full / full.sum()
 
-    res = minimize(
-        lambda x: g(_normalize(x)),
-        best_pt,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * p_u.alphabet.size,
-        constraints=[
-            {"type": "eq", "fun": lambda x: x.sum() - 1.0},
-            {"type": "ineq", "fun": cons},
-        ],
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    if res.success and np.isfinite(res.fun) and res.fun < best_val and cons(res.x) >= -1e-9:
-        return float(res.fun), _normalize(res.x)
-    return best_val, best_pt
+    def off_sphere(x):
+        return float(kl_rows(on_face(x), p_u)) - tau
 
-
-def _normalize(x: np.ndarray) -> np.ndarray:
-    x = np.clip(np.asarray(x, dtype=float), 0.0, None)
-    s = x.sum()
-    return x / s if s > 0 else np.full_like(x, 1.0 / len(x))
+    res = minimize(lambda x: g(on_face(x)), pt[face], method="SLSQP",
+                   bounds=[(0.0, 1.0)] * int(face.sum()),
+                   constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0},
+                                {"type": "eq", "fun": off_sphere}],
+                   options={"maxiter": 200, "ftol": 1e-12})
+    if not (res.success and np.isfinite(res.fun) and abs(off_sphere(res.x)) <= 1e-9):
+        logger.warning("sphere polish failed (%s, D - tau = %g); keeping the best "
+                       "ray crossing pi_U = %s", res.message, off_sphere(res.x), pt.tolist())
+    elif res.fun < value:
+        value, pt = float(res.fun), on_face(res.x)
+    return value, pt
 
 
 def _constrained_min(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float,
@@ -316,25 +304,29 @@ def _constrained_min(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float,
     complement D >= tau (upper=True), with the minimizing coupling.
 
     g is convex with its unconstrained minimum at T_U, so when T_U is not
-    feasible the minimum lies on the sphere D = tau.
+    feasible the minimum lies on the sphere D = tau. The ball lies in the
+    face supp(P_U), so E2 first conditions Q on that face. E3 need not: T_U
+    off the face is feasible, and T_U on it makes g +inf off the face.
     """
+    face = p_u.probs > 0.0
+    log_mass = 0.0
+    if not upper and not face.all():
+        q = np.where(face[:, None], q_uv.probs, 0.0)
+        if np.any((p_v.probs > 0.0) & (q.sum(axis=0) == 0.0)):
+            return ExponentTerm(_INF)  # no coupling on the face
+        # a coupling on the face has D(. || Q) = D(. || Q / Q(face)) - log Q(face)
+        log_mass = math.log(q.sum())
+        q_uv = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, q / q.sum())
     k = _v_conditional_coupling(p_v, q_uv)
     d_t = kl_rows(k.sum(axis=1), p_u.probs)  # D(T_U || P_U)
     if (d_t >= tau) if upper else (d_t <= tau):
         coupling = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, k)
-        return ExponentTerm(local_exponent(p_v, q_uv.col_marginal()), coupling)
-    g = _coupling_objective(q_uv, p_v)
-    if p_u.alphabet.size == 2:
-        cands = [(g(np.array([1.0 - m, m])), m)
-                 for m in binary_sphere_roots(p_u, tau) if m is not None]
-        value, m = min(cands, default=(_INF, None))
-        pt = None if m is None else np.array([1.0 - m, m])
-    else:
-        value, pt = _constrained_min_grid(g, p_u, tau, upper)
+        return ExponentTerm(local_exponent(p_v, q_uv.col_marginal()) - log_mass, coupling)
+    value, pt = _sphere_min(_coupling_objective(q_uv, p_v), p_u.probs, tau)
     if pt is None or not math.isfinite(value):
         return ExponentTerm(value)
     _, coupling = _coupling_divergence(q_uv, Pmf(p_u.alphabet, pt), p_v)
-    return ExponentTerm(value, coupling)
+    return ExponentTerm(value - log_mass, coupling)
 
 
 def compute_E2(p_uv: JointPmf, q_uv: JointPmf, p_u: Pmf, pbar: PbarSet) -> ExponentTerm:

@@ -2,17 +2,18 @@
 
 Most are the scalar loops the library used before its sums moved onto the
 batched type lattice: one recursive generator of count vectors and one
-Python iteration per type. The rest check the binary-U exponent minimizer:
-its former golden-section/root search, and a closed-form 2x2 coupling
-divergence with a zooming 1-D scan. Tests compare the library against them
-on small inputs; nothing in the package imports this module.
+Python iteration per type. The rest check the exponent minimizers: the
+former binary-U golden-section/root search, the former simplex grid plus
+SLSQP polish for larger U, and a closed-form 2x2 coupling divergence with a
+zooming 1-D scan. Tests compare the library against them on small inputs;
+nothing in the package imports this module.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 NEG_INF = -math.inf
@@ -173,10 +174,55 @@ def simplex_grid(dim, step):
     k = max(int(round(1.0 / step)), 1)
     while math.comb(k + dim - 1, dim - 1) > 400_000:
         k //= 2
-    pts = []
-    for comp in itertools.combinations_with_replacement(range(dim), k):
-        pts.append(np.bincount(np.array(comp), minlength=dim) / k)
-    return np.array(pts)
+    # stars and bars: dim - 1 bars among k + dim - 1 slots, in lexicographic
+    # order of the bar positions (first count ascending), then reversed
+    bars = np.array(list(itertools.combinations(range(k + dim - 1), dim - 1)),
+                    dtype=np.int64)
+    edges = np.column_stack((np.full(len(bars), -1), bars, np.full(len(bars), k + dim - 1)))
+    return (np.diff(edges, axis=1) - 1)[::-1] / k
+
+
+def constrained_min_grid(g, p_u, tau, upper, step=1e-2):
+    """The E2/E3 minimizer used for |U| >= 3 before the sphere search.
+
+    g at every point of `simplex_grid` with D(pi||P_U) <= tau (upper=False)
+    or >= tau (upper=True), then one SLSQP polish of the best point under
+    that constraint. Returns (value, pi_U), or (inf, None) on an empty set.
+    """
+    def normalize(x):
+        x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+        s = x.sum()
+        return x / s if s > 0 else np.full_like(x, 1.0 / len(x))
+
+    grid = simplex_grid(len(p_u), step)
+    d = np.array([kl(pt, p_u) for pt in grid])
+    feasible = d >= tau if upper else d <= tau
+    best_val, best_pt = math.inf, None
+    for pt in grid[feasible]:
+        val = g(pt)
+        if val < best_val:
+            best_val, best_pt = val, pt
+    if best_pt is None:
+        return math.inf, None
+    sign = 1.0 if upper else -1.0
+
+    def cons(x):
+        return sign * (kl(normalize(x), p_u) - tau)
+
+    res = minimize(
+        lambda x: g(normalize(x)),
+        best_pt,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * len(p_u),
+        constraints=[
+            {"type": "eq", "fun": lambda x: x.sum() - 1.0},
+            {"type": "ineq", "fun": cons},
+        ],
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    if res.success and np.isfinite(res.fun) and res.fun < best_val and cons(res.x) >= -1e-9:
+        return float(res.fun), normalize(res.x)
+    return best_val, best_pt
 
 
 def constrained_min_binary(g, t_u, p_u, tau, upper):

@@ -1,11 +1,13 @@
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertdht.covertness as cov
 import covertdht.exponents as expo
 import oracles
 from covertdht import Dmc
@@ -80,7 +82,7 @@ class TestThreshold:
         pbar = expo.pbar_threshold(dmc, "b")
         g0 = dmc.z_row("a").probs
         g1 = dmc.z_row("b").probs
-        grid = expo._simplex_grid(3, 1e-3)
+        grid = oracles.simplex_grid(3, 1e-3)
         best = expo.pbar_objective(grid, g0, g1).max()
         assert best <= pbar.tau_nats + 1e-12
         assert pbar.tau_nats - best <= 1e-4
@@ -98,7 +100,7 @@ class TestThreshold:
     def test_batched_objective_matches_single_calls(self):
         g0 = np.array([0.5, 0.3, 0.2])
         g1 = np.array([0.2, 0.0, 0.8])  # off its support the objective is -inf
-        grid = expo._simplex_grid(3, 0.1)
+        grid = oracles.simplex_grid(3, 0.1)
         batch = expo.pbar_objective(grid, g0, g1)
         single = [expo.pbar_objective(pi, g0, g1) for pi in grid]
         np.testing.assert_array_equal(batch, single)
@@ -107,7 +109,7 @@ class TestThreshold:
     @pytest.mark.parametrize("dim, step", [(2, 0.1), (3, 0.05), (4, 0.05), (8, 0.05)])
     def test_simplex_grid_matches_loop(self, dim, step):
         # (8, 0.05) exceeds the 400k cap and is halved to k = 10
-        np.testing.assert_array_equal(expo._simplex_grid(dim, step),
+        np.testing.assert_array_equal(cov._simplex_grid(dim, step),
                                       oracles.simplex_grid(dim, step))
 
     def test_identical_rows_give_zero_tau(self):
@@ -276,8 +278,9 @@ class TestE2E3:
         assert total == pytest.approx(e3.value_nats)
 
     def test_e2_ternary_upper_bound_property(self):
-        # larger source alphabet exercises the grid-plus-polish path; the
-        # returned value must not exceed the objective at any feasible point
+        # T_U lies outside the ball, so a ternary source alphabet exercises
+        # the sphere search with its SLSQP polish; the returned value must
+        # not exceed the objective at any feasible point
         u = Alphabet((0, 1, 2))
         v = Alphabet(("x", "y"))
         p_uv = JointPmf(u, v, np.array([[0.3, 0.1], [0.2, 0.1], [0.1, 0.2]]))
@@ -379,14 +382,130 @@ class TestBinaryConstrainedMin:
                                    atol=1e-9)
 
     def test_sphere_roots_match_bisection(self):
-        p_u = Pmf(AB, np.array([0.8, 0.2]))
+        p_u = np.array([0.8, 0.2])
         for tau in (0.01, 0.1, 0.2, 1.0, 2.0):
-            got = expo.binary_sphere_roots(p_u, tau)
-            want = oracles.binary_sphere_roots(p_u.probs, tau)
+            # the rays toward the two vertices cross below and above P_U(1)
+            got = [None if pt is None else pt[1]
+                   for pt in (expo.sphere_point(p_u, b, tau) for b in ([1, 0], [0, 1]))]
+            want = oracles.binary_sphere_roots(p_u, tau)
             for a, b in zip(got, want):
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert a == pytest.approx(b, abs=1e-12)
+
+
+def seeded_ternary_sources(seed):
+    """3x2 source pair (P_UV, Q_UV) from a seeded Dirichlet."""
+    rng = np.random.default_rng(seed)
+    u, v = Alphabet((0, 1, 2)), Alphabet(("x", "y"))
+    p_uv = JointPmf(u, v, rng.dirichlet(np.ones(6)).reshape(3, 2))
+    q_uv = JointPmf(u, v, rng.dirichlet(np.ones(6)).reshape(3, 2))
+    return p_uv, q_uv
+
+
+# 4x2 source pair on which the former grid needed 65 s for the E3 inner term
+P_UV_4X2 = [[0.35, 0.05], [0.10, 0.20], [0.05, 0.10], [0.05, 0.10]]
+Q_UV_4X2 = [[0.10, 0.10], [0.15, 0.15], [0.20, 0.05], [0.15, 0.10]]
+# (tau as a multiple of D(T_U || P_U), upper, value in nats from the grid oracle)
+SPHERE_CASES_4X2 = [(0.5, False, 0.015601915240777), (2.0, True, 0.026554539418449)]
+
+
+class TestTernaryConstrainedMin:
+    """E2 (upper=False) and E3 inner term (upper=True) for |U| = 3 and 4
+    against the former simplex grid plus SLSQP polish. tau is a multiple of
+    D(T_U || P_U), so T_U lies inside the sphere D = tau or outside it; on
+    the feasible side the former minimizer returned g(T_U)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("tau_scale", [0.5, 2.0])
+    def test_against_grid_oracle(self, seed, upper, tau_scale, caplog):
+        p_uv, q_uv = seeded_ternary_sources(seed)
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        t_u = expo.compute_T_U(p_v, q_uv)
+        tau = tau_scale * kl_divergence(t_u, p_u)
+        with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
+            term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
+        assert not caplog.records  # the polish succeeded
+        g = expo._coupling_objective(q_uv, p_v)
+        if (tau_scale > 1.0) != upper:  # T_U is feasible
+            want = g(t_u.probs)
+        else:
+            want, _ = oracles.constrained_min_grid(g, p_u.probs, tau, upper)
+            if want < math.inf:
+                d = kl_divergence(term.minimizer.row_marginal(), p_u)
+                assert d == pytest.approx(tau, abs=1e-8)
+        assert term.value_nats == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("tau_scale, upper, want", SPHERE_CASES_4X2)
+    def test_4x2_pinned(self, tau_scale, upper, want, monkeypatch):
+        u, v = Alphabet((0, 1, 2, 3)), Alphabet(("x", "y"))
+        p_uv, q_uv = JointPmf(u, v, np.array(P_UV_4X2)), JointPmf(u, v, np.array(Q_UV_4X2))
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = tau_scale * kl_divergence(expo.compute_T_U(p_v, q_uv), p_u)
+        calls = []
+        ipf = expo.i_projection_coupling
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return ipf(*args, **kwargs)
+
+        monkeypatch.setattr(expo, "i_projection_coupling", counted)
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
+        assert term.value_nats == pytest.approx(want, abs=1e-9)
+        # guard against a dense grid: the former search made 7,516 and
+        # 125,779 IPF calls here
+        assert len(calls) < 2000
+
+    @pytest.mark.parametrize("tau, want", [(0.05, 0.617423358911979),
+                                           (0.3, 0.578693799462149)])
+    def test_e2_on_the_face_of_a_zero_source_symbol(self, tau, want):
+        # P_U(2) = 0, so the ball D(pi_U || P_U) <= tau lies in the face
+        # pi_U(2) = 0; at tau = 0.3 the face's own closed form is feasible
+        u, v = Alphabet((0, 1, 2)), Alphabet(("x", "y"))
+        p_uv = JointPmf(u, v, np.array([[0.5, 0.2], [0.1, 0.2], [0.0, 0.0]]))
+        q_uv = JointPmf(u, v, np.array([[0.10, 0.15], [0.15, 0.20], [0.30, 0.10]]))
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
+        assert term.value_nats == pytest.approx(want, abs=1e-9)
+        assert term.minimizer.row_marginal().probs[2] == 0.0
+        assert kl_divergence(term.minimizer.row_marginal(), p_u) <= tau + 1e-9
+        assert joint_kl_divergence(term.minimizer, q_uv) == pytest.approx(want, abs=1e-9)
+
+    def test_e2_is_infinite_without_a_coupling_on_the_face(self):
+        # Q puts all of V = "y" on the symbol P_U never emits
+        u, v = Alphabet((0, 1, 2)), Alphabet(("x", "y"))
+        p_uv = JointPmf(u, v, np.array([[0.5, 0.2], [0.1, 0.2], [0.0, 0.0]]))
+        q_uv = JointPmf(u, v, np.array([[0.3, 0.0], [0.3, 0.0], [0.2, 0.2]]))
+        term = expo._constrained_min(q_uv, p_uv.row_marginal(), p_uv.col_marginal(),
+                                     0.3, upper=False)
+        assert term.value_nats == math.inf and term.minimizer is None
+
+    @pytest.mark.parametrize("outcome", ["failed", "off_sphere"])
+    def test_failed_polish_is_logged(self, outcome, monkeypatch, caplog):
+        cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
+        (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = expo.pbar_threshold(dmc, "1").tau_nats  # T_U is outside the ball
+        polished = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
+
+        def stub(fun, x0, **kwargs):
+            if outcome == "failed":
+                return SimpleNamespace(success=False, fun=math.inf, x=x0, message="stub")
+            return SimpleNamespace(success=True, fun=0.0, x=np.ones_like(x0) / len(x0),
+                                   message="stub")
+
+        monkeypatch.setattr(expo, "minimize", stub)
+        with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
+            term = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "sphere polish failed (stub" in record.getMessage()
+        # the result is the best ray crossing, on the sphere and above the
+        # polished minimum
+        pi_u = term.minimizer.row_marginal()
+        assert kl_divergence(pi_u, p_u) == pytest.approx(tau, abs=1e-9)
+        assert polished.value_nats < term.value_nats < polished.value_nats + 1e-3
 
 
 class TestImprovement:
