@@ -135,7 +135,7 @@ def _sim_rows(cfg: ExperimentConfig):
             k = scheme.k(n) if scheme.scheme == "A" else None
             try:
                 alpha, beta = sim.exact_error_probs(scheme, p_uv, q_uv, dmc, n, pbar)
-                w_mean, a_bar = sim.exact_weight_stats(scheme, p_uv, dmc, n, pbar)
+                w_mean, a_bar = sim.exact_weight_stats(scheme, p_uv, n, pbar)
                 res = sim.SimulationResult(
                     scheme=scheme.scheme, n=n, mu=mu, k=k, alpha=alpha, beta=beta,
                     method="exact", weight_mean=w_mean, a_bar=a_bar,

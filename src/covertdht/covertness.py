@@ -19,6 +19,9 @@ a time, and every divergence-threshold and typicality decision goes through
 enumerates the same (n, |Z|) lattice as the type-based bound, so it is
 available whenever the bounds are.
 
+The positivity margins are closed forms in Renyi divergences of the warden
+rows, with no sum and no grid; the first is identically 0.
+
 All divergences are in nats.
 """
 
@@ -152,46 +155,35 @@ def delta_scheme_B(p_u: Pmf, pbar: PbarSet, n: int) -> tuple[float, float]:
     return exact, bound
 
 
-def _simplex_grid(dim: int, step: float) -> np.ndarray:
-    """All pmfs on `dim` symbols with entries that are multiples of ~step,
-    first symbol descending; step doubles until at most 400k points remain."""
-    k = max(int(round(1.0 / step)), 1)
-    while math.comb(k + dim - 1, dim - 1) > 400_000:
-        k //= 2
-    return np.concatenate(list(type_blocks(k, dim)))[::-1] / k
-
-
-def scheme_B_positivity(
-    p_u: Pmf,
-    pbar: PbarSet,
-    g0: Pmf,
-    g1: Pmf,
-    grid_step: float = 1e-2,
-) -> tuple[float, float, float]:
-    """Minima of the three covertness decay exponents over a simplex grid.
+def scheme_B_positivity(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf) -> tuple[float, float, float]:
+    """Minima of the three covertness decay exponents, in closed form.
 
     The three expressions, minimized over warden-output pmfs pi and source
-    types pi_U inside the transmission set, are
+    types pi_U inside the transmission set D(pi_U||P_U) >= tau, are
 
         3 D(pi||G1) - 2 D(pi||G0) + 2 D(pi_U||P_U)
         2 D(pi||G1) -   D(pi||G0) + 2 D(pi_U||P_U)
           D(pi||G1)               + 2 D(pi_U||P_U)
 
-    All three must be positive for the warden divergence to vanish
-    exponentially. The joint minimum separates into a channel part plus twice
-    the source part, so the two grids are scanned independently.
+    The joint minimum separates into a channel part plus twice the source
+    part. The channel parts are min_pi [a D(pi||G1) - (a-1) D(pi||G0)] =
+    -(a-1) D_a(G1||G0), the Renyi divergence of order a = 3, 2, 1:
+    -log sum G1^3/G0^2, -log(1 + chi2(G1||G0)) and 0. The source part is tau
+    when some pi_U on supp(P_U) reaches the threshold (tau at most -log of
+    the smallest positive P_U entry) and +inf otherwise, when only types off
+    the support of P_U, of probability zero, transmit.
+
+    ``pbar_threshold`` sets tau = (1/2) log sum G1^3/G0^2 = D_3(G1||G0), so
+    for its rows the first margin is identically 0; the other two are
+    positive unless G1 = G0.
     """
     _check_rows(g0, g1)
-    pi = _simplex_grid(g0.alphabet.size, grid_step)
-    d0, d1 = kl_rows(pi, g0.probs), kl_rows(pi, g1.probs)
-    finite = d1 < _INF  # all three terms are +inf in the other directions
-    d0, d1 = d0[finite], d1[finite]
-    a1 = (3.0 * d1 - 2.0 * d0).min(initial=_INF)
-    a2 = (2.0 * d1 - d0).min(initial=_INF)
-    a3 = d1.min(initial=_INF)
-    du = kl_rows(_simplex_grid(p_u.alphabet.size, grid_step), p_u.probs)
-    b = du[du >= pbar.tau_nats].min(initial=_INF)
-    return (float(a1 + 2.0 * b), float(a2 + 2.0 * b), float(a3 + 2.0 * b))
+    mask = g1.probs > 0.0
+    sum_cubes = float(np.sum(g1.probs[mask] ** 3 / g0.probs[mask] ** 2))
+    tau = pbar.tau_nats
+    reachable = tau <= -math.log(p_u.probs[p_u.probs > 0.0].min())
+    two_b = 2.0 * tau if reachable else _INF
+    return two_b - math.log(sum_cubes), two_b - math.log1p(chi_squared(g1, g0)), two_b
 
 
 def scheme_A_atypicality(p_u: Pmf, n: int, mu: float) -> float:

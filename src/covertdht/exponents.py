@@ -71,8 +71,9 @@ class PbarSet:
 
     A source type belongs to the set iff its divergence to the true source pmf
     is at least ``tau_nats``. ``maximizer`` is the warden-output pmf achieving
-    the threshold value. ``tau_nats`` can be negative when the two warden rows
-    are close; membership is then vacuous (the whole simplex qualifies).
+    the threshold value. ``tau_nats`` is the Renyi divergence D_3(G1||G0) of
+    the two warden rows, so it is >= 0, with equality only when G1 = G0
+    (then every source type qualifies).
     """
 
     x1: object

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .channel import Dmc
+from .covertness import delta_scheme_B, scheme_A_atypicality
 from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
 from .probability import (
@@ -192,11 +193,13 @@ def _log_accept_prob(
     dmc: Dmc,
     n: int,
     pbar: PbarSet | None,
-) -> tuple[float, float]:
-    """log Pr[decide 0] and the codeword-transmission probability under `joint`.
+) -> float:
+    """log Pr[decide 0] under `joint`.
 
     Sums over joint source types; the per-type acceptance factor depends only
-    on which constant codeword the encoder emits.
+    on which constant codeword the encoder emits. The marginal types are
+    integer count sums divided by n, as in ``run_trials``, so the closed
+    typicality boundary falls where the Monte Carlo engine puts it.
     """
     du, dv = p_u.alphabet.size, p_v.alphabet.size
     check_enumerable(n, du * dv, "joint source type enumeration")
@@ -212,17 +215,13 @@ def _log_accept_prob(
         log_silent = math.log1p(-((1.0 - p_star0) ** k)) if p_star0 > 0 else NEG_INF
         log_active = math.log1p(-((1.0 - p_star1) ** k)) if p_star1 > 0 else NEG_INF
     logs = []
-    logs_active = []
     for counts in type_blocks(n, du * dv):
         lp = log_type_class_prob(counts, joint.probs.ravel())
-        mat = (counts / n).reshape(-1, du, dv)
-        active = _active(cfg, mat.sum(axis=2), p_u.probs, pbar)
-        logs_active.append(logsumexp(lp[active]))
-        accept = typical(mat.sum(axis=1), p_v.probs, cfg.mu)
+        mat = counts.reshape(-1, du, dv)
+        active = _active(cfg, mat.sum(axis=2) / n, p_u.probs, pbar)
+        accept = typical(mat.sum(axis=1) / n, p_v.probs, cfg.mu)
         logs.append(logsumexp(lp[accept] + np.where(active[accept], log_active, log_silent)))
-    log_accept = float(min(logsumexp(logs), 0.0))
-    p_active = float(min(math.exp(logsumexp(logs_active)), 1.0))
-    return log_accept, p_active
+    return float(min(logsumexp(logs), 0.0))
 
 
 def exact_error_probs(
@@ -240,8 +239,8 @@ def exact_error_probs(
     """
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    log_acc_h0, _ = _log_accept_prob(cfg, p_uv, p_u, p_v, dmc, n, pbar)
-    log_acc_h1, _ = _log_accept_prob(cfg, q_uv, p_u, p_v, dmc, n, pbar)
+    log_acc_h0 = _log_accept_prob(cfg, p_uv, p_u, p_v, dmc, n, pbar)
+    log_acc_h1 = _log_accept_prob(cfg, q_uv, p_u, p_v, dmc, n, pbar)
     alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
     beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
     return max(alpha, 0.0), beta
@@ -258,8 +257,7 @@ def exact_log_beta(
     """log beta_n, exact; usable far below floating-point underflow of beta."""
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    log_acc_h1, _ = _log_accept_prob(cfg, q_uv, p_u, p_v, dmc, n, pbar)
-    return log_acc_h1
+    return _log_accept_prob(cfg, q_uv, p_u, p_v, dmc, n, pbar)
 
 
 @dataclass(frozen=True)
@@ -459,14 +457,19 @@ def empirical_exponent(ns, betas=None, log_betas=None) -> ExponentFit:
 
 
 def exact_weight_stats(
-    cfg: SchemeConfig, p_uv: JointPmf, dmc: Dmc, n: int, pbar: PbarSet | None = None
+    cfg: SchemeConfig, p_uv: JointPmf, n: int, pbar: PbarSet | None = None
 ) -> tuple[float, float]:
     """Exact (mean weight fraction, a_bar) of the encoder output under the null.
 
     The codeword occupies the whole block (scheme B) or the first k uses
-    (scheme A), so both statistics reduce to the transmission probability.
+    (scheme A), so both statistics reduce to the transmission probability
+    delta_n, a sum over the types of U^n alone.
     """
-    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    _, p_active = _log_accept_prob(cfg, p_uv, p_u, p_v, dmc, n, pbar)
-    block = cfg.k(n) if cfg.scheme == "A" else n
+    p_u = p_uv.row_marginal()
+    if cfg.scheme == "A":
+        p_active, block = scheme_A_atypicality(p_u, n, cfg.mu), cfg.k(n)
+    elif pbar is None:
+        raise ConfigMismatch("scheme B needs the threshold set")
+    else:
+        p_active, block = delta_scheme_B(p_u, pbar, n)[0], n
     return p_active * block / n, math.sqrt(p_active * block / n)

@@ -152,8 +152,8 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
         lp = log_type_class_prob(counts, joint.ravel())
         if lp == NEG_INF:
             continue
-        mat = (counts / n).reshape(du, dv)
-        t_u, t_v = mat.sum(axis=1), mat.sum(axis=0)
+        mat = counts.reshape(du, dv)
+        t_u, t_v = mat.sum(axis=1) / n, mat.sum(axis=0) / n
         if cfg.scheme == "B":
             active = kl(t_u, p_u) >= tau
         else:

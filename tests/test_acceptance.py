@@ -309,5 +309,8 @@ def test_10_positivity_margins(example_dmc, example_p_u):
     pbar = expo.pbar_threshold(example_dmc, "1")
     g0 = example_dmc.z_row("0")
     g1 = example_dmc.z_row("1")
-    margins = cov.scheme_B_positivity(example_p_u, pbar, g0, g1, grid_step=1e-2)
-    assert all(m > 0.0 for m in margins)
+    a1, a2, a3 = cov.scheme_B_positivity(example_p_u, pbar, g0, g1)
+    # tau = D_3(G1||G0), so the first margin is identically zero
+    assert a1 == pytest.approx(0.0, abs=1e-12)
+    assert a2 == pytest.approx(0.269663566949, abs=1e-9) and a2 > 0.0
+    assert a3 == pytest.approx(0.423814246776, abs=1e-9) and a3 > 0.0

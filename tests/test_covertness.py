@@ -9,7 +9,8 @@ import covertdht.exponents as expo
 import covertdht.typesum as typesum
 import oracles
 from covertdht.errors import SupportViolation
-from covertdht.probability import Alphabet, Pmf, chi_squared, kl_divergence
+from covertdht import Dmc
+from covertdht.probability import Alphabet, Pmf, chi_squared, kl_divergence, kl_rows
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -240,10 +241,61 @@ class TestSchemeA:
             cov.scheme_A_divergence(G0, G1, 0.1, 0)
 
 
+def grid_margins(p_u, tau, g0, g1, step):
+    """The three positivity margins as the former library code scanned them:
+    the channel and source minima over `oracles.simplex_grid` separately."""
+    pi = oracles.simplex_grid(len(g0), step)
+    d0, d1 = kl_rows(pi, g0), kl_rows(pi, g1)
+    finite = d1 < math.inf  # all three terms are +inf in the other directions
+    d0, d1 = d0[finite], d1[finite]
+    du = kl_rows(oracles.simplex_grid(len(p_u), step), p_u)
+    b = du[du >= tau].min(initial=math.inf)
+    return [float(c.min()) + 2.0 * b for c in (3.0 * d1 - 2.0 * d0, 2.0 * d1 - d0, d1)]
+
+
 class TestPositivity:
     def test_margins_positive_on_example(self, example_dmc, example_p_u):
+        # tau = D_3(G1||G0): the first margin is identically zero, the other
+        # two are 2 tau - log(1 + chi2(G1||G0)) and 2 tau
         pbar = expo.pbar_threshold(example_dmc, "1")
         a1, a2, a3 = cov.scheme_B_positivity(example_p_u, pbar, G0, G1)
-        assert a1 > 0 and a2 > 0 and a3 > 0
-        # the three expressions differ by D(pi||G1) - D(pi||G0) steps, but the
-        # minima need not be ordered; only positivity is asserted
+        assert a1 == pytest.approx(0.0, abs=1e-12)
+        assert a2 == pytest.approx(0.269663566949, abs=1e-9) and a2 > 0.0
+        assert a3 == pytest.approx(0.423814246776, abs=1e-9) and a3 > 0.0
+
+    @pytest.mark.parametrize("seed, z_size, u_size, g1_zero", [
+        (1, 2, 2, False), (2, 2, 3, False), (3, 3, 2, False), (4, 3, 3, False),
+        (5, 3, 3, True),
+    ])
+    @pytest.mark.parametrize("tau_scale", [1.0, 0.5])
+    def test_closed_forms_bound_the_grid(self, seed, z_size, u_size, g1_zero, tau_scale):
+        rng = np.random.default_rng(seed)
+        # concentrated rows keep tau below -log min P_U
+        g0, g1 = (rng.dirichlet(np.full(z_size, 5.0)) for _ in range(2))
+        if g1_zero:
+            g1[0] = 0.0
+            g1 /= g1.sum()
+        p_u = rng.dirichlet(np.ones(u_size))
+        z = Alphabet(tuple(range(z_size)))
+        dmc = Dmc(AB, AB, z, [[0.5, 0.5]] * 2, [g0, g1], "a")
+        tau = tau_scale * expo.pbar_threshold(dmc, "b").tau_nats
+        assert 0.0 < tau < -math.log(p_u.min())  # the transmission set is non-empty
+        pbar = expo.PbarSet(x1="b", tau_nats=tau, maximizer=dmc.z_row("b"))
+        got = cov.scheme_B_positivity(Pmf(Alphabet(tuple(range(u_size))), p_u), pbar,
+                                      dmc.z_row("a"), dmc.z_row("b"))
+        if tau_scale == 1.0:
+            assert got[0] == pytest.approx(0.0, abs=1e-12)
+        coarse = grid_margins(p_u, tau, g0, g1, 1e-2)
+        fine = grid_margins(p_u, tau, g0, g1, 1e-3)
+        for c, f, a in zip(coarse, fine, got):
+            assert f >= a - 1e-12
+            assert f - a < c - a
+
+    @pytest.mark.parametrize("probs, tau", [([0.8, 0.2], 2.0), ([0.5, 0.5, 0.0], 1.0)])
+    def test_empty_transmission_set(self, probs, tau):
+        # tau exceeds D(pi_U||P_U) on all of supp(P_U); outside it only types
+        # of probability zero transmit, so every margin is +inf
+        p_u = Pmf(Alphabet(tuple(range(len(probs)))), np.array(probs))
+        pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=G1)
+        assert cov.scheme_B_positivity(p_u, pbar, G0, G1) == (math.inf,) * 3
+        assert grid_margins(p_u.probs, tau, G0.probs, G1.probs, 1e-2) == [math.inf] * 3

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covertdht.covertness as cov
 import covertdht.exponents as expo
 import oracles
 from covertdht import Dmc
@@ -105,12 +104,6 @@ class TestThreshold:
         single = [expo.pbar_objective(pi, g0, g1) for pi in grid]
         np.testing.assert_array_equal(batch, single)
         assert np.isneginf(batch).any() and np.isfinite(batch).any()
-
-    @pytest.mark.parametrize("dim, step", [(2, 0.1), (3, 0.05), (4, 0.05), (8, 0.05)])
-    def test_simplex_grid_matches_loop(self, dim, step):
-        # (8, 0.05) exceeds the 400k cap and is halved to k = 10
-        np.testing.assert_array_equal(cov._simplex_grid(dim, step),
-                                      oracles.simplex_grid(dim, step))
 
     def test_identical_rows_give_zero_tau(self):
         dmc = Dmc(AB, AB, AB, [[0.5, 0.5]] * 2, [[0.4, 0.6], [0.4, 0.6]], "a")

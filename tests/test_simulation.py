@@ -229,6 +229,18 @@ class TestExactEngine:
         assert alpha == pytest.approx(want_a, rel=1e-10)
         assert beta == pytest.approx(want_b, rel=1e-10)
 
+    def test_scheme_b_on_the_typicality_boundary(self, example_dmc):
+        # T_V = 3/5 lies exactly mu = 0.1 from P_V = 1/2 at n = 5; summed as
+        # float cell frequencies (0.2 + 0.2 + 0.2) it falls outside
+        p_uv = JointPmf(U2, V2, np.array([[0.3, 0.2], [0.2, 0.3]]))
+        q_uv = JointPmf(U2, V2, np.array([[0.1, 0.4], [0.3, 0.2]]))
+        pbar = expo.pbar_threshold(example_dmc, "1")
+        cfg = sim.SchemeConfig(scheme="B", mu=0.1, x1="1")
+        alpha, beta = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
+        want_a, want_b = brute_force_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
+        assert alpha == pytest.approx(want_a, rel=1e-10)
+        assert beta == pytest.approx(want_b, rel=1e-10)
+
     def test_scheme_a_matches_brute_force(self, partial_dmc):
         cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
         n = 6
@@ -249,9 +261,11 @@ class TestExactEngine:
         p_uv, _ = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        w, a_bar = sim.exact_weight_stats(cfg, p_uv, example_dmc, 60, pbar)
+        w, a_bar = sim.exact_weight_stats(cfg, p_uv, 60, pbar)
         assert 0.0 < w < 1.0
         assert a_bar == pytest.approx(math.sqrt(w))
+        with pytest.raises(ConfigMismatch):
+            sim.exact_weight_stats(cfg, p_uv, 60)
 
 
 def _dmc_with_outputs(size):
@@ -298,12 +312,19 @@ class TestExactEngineAgainstLoop:
         p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
         tau = pbar.tau_nats if pbar is not None else None
         for n in (1, 5, 11):
-            for law in (p_uv, q_uv):
+            (want_h0, p_active), (want_h1, _) = (
+                oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
+                for law in (p_uv, q_uv)
+            )
+            for law, want in ((p_uv, want_h0), (q_uv, want_h1)):
                 got = sim._log_accept_prob(cfg, law, p_u, p_v, dmc, n, pbar)
-                want = oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs,
-                                               dmc, n, tau)
-                for g, w in zip(got, want):
-                    assert g == w or math.isclose(g, w, rel_tol=1e-12)
+                assert got == want or math.isclose(got, want, rel_tol=1e-12)
+            # the weight stats take delta_n from the U-type lattice alone; the
+            # oracle sums the transmission probability over joint types
+            frac = p_active * (cfg.k(n) if cfg.scheme == "A" else n) / n
+            w, a_bar = sim.exact_weight_stats(cfg, p_uv, n, pbar)
+            assert math.isclose(w, frac, rel_tol=1e-12)
+            assert math.isclose(a_bar, math.sqrt(frac), rel_tol=1e-12)
 
 
 class TestMonteCarlo:
