@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .probability import Alphabet, Pmf, SymbolSequence
 
@@ -103,11 +102,39 @@ class ConditionReport:
         return self.mixture_ok and self.warden_support_ok and self.center_support_ok
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method
+    (Lawson & Hanson 1974, "Solving Least Squares Problems", ch. 23)."""
+    k = a.shape[1]
+    tol = 10.0 * max(a.shape) * np.finfo(float).eps
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    for _ in range(3 * k):
+        w = a.T @ (b - a @ x)  # minus the gradient
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            s = np.zeros(k)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(s[passive] > 0.0):
+                break
+            # move toward s until the first passive entry hits zero; drop it
+            neg = passive & (s <= 0.0)
+            gap = x[neg] - s[neg]
+            step = np.min(np.divide(x[neg], gap, out=np.zeros_like(gap), where=gap > 0))
+            x += step * (s - x)
+            passive &= x > tol
+        x = s
+    return x
+
+
 def _mixture_witness(dmc: Dmc) -> np.ndarray | None:
     """Weights psi over non-zero inputs with sum psi(x) Gz(.|x) = Gz(.|0), or None.
 
-    Solved as a linear feasibility problem; point-mass psi are included
-    (they are pmfs over the non-zero inputs).
+    Solved as non-negative least squares on [rows^T; 1] psi = [target; 1];
+    the zero row is a mixture when the residual vanishes. Point-mass psi are
+    included (they are pmfs over the non-zero inputs).
     """
     zi = dmc.zero_index
     others = [i for i in range(dmc.input_alphabet.size) if i != zi]
@@ -118,12 +145,11 @@ def _mixture_witness(dmc: Dmc) -> np.ndarray | None:
         if np.max(np.abs(rows[0] - target)) <= _MIX_TOL:
             return np.array([1.0])
         return None
-    # equality constraints: rows^T psi = target, sum psi = 1, psi >= 0
     a_eq = np.vstack([rows.T, np.ones((1, m))])
     b_eq = np.concatenate([target, [1.0]])
-    res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs")
-    if res.status == 0 and np.max(np.abs(a_eq @ res.x - b_eq)) <= _MIX_TOL:
-        return res.x
+    psi = _nnls(a_eq, b_eq)
+    if np.max(np.abs(a_eq @ psi - b_eq)) <= _MIX_TOL:
+        return psi
     return None
 
 

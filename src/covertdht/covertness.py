@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlog1py
 
 from .errors import SupportViolation
 from .exponents import PbarSet
@@ -40,6 +39,7 @@ from .typesum import (
     NEG_INF,
     check_enumerable,
     log_type_class_prob,
+    logsumexp,
     prob_type_event,
     type_blocks,
 )
@@ -60,7 +60,10 @@ def _mix_term(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     # series to avoid cancellation: t^2/2 - t^3/6 + t^4/12
     series = t * t * (0.5 + t * (-1.0 / 6.0 + t / 12.0))
-    return np.where(np.abs(t) < 1e-4, series, xlog1py(1.0 + t, t) - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (1+t) log1p(t), taken as 0 at t = -1 (delta = 1, a type G1 cannot emit)
+        xlog1py = np.where(t == -1.0, 0.0, (1.0 + t) * np.log1p(t))
+    return np.where(np.abs(t) < 1e-4, series, xlog1py - t)
 
 
 def two_point_divergence_exact(g0: Pmf, g1: Pmf, delta: float, n: int) -> float:

@@ -18,9 +18,13 @@ marginal whose unconstrained minimum D(P_V || Q_V) is attained at T_U by the
 coupling P_V(v) Q(u|v). E2 minimizes g over the ball D(pi_U || P_U) <= tau
 and E3 over its complement D >= tau, both in `_constrained_min`: the closed
 form when T_U is feasible, otherwise a minimum on the sphere D = tau. One
-search serves every row alphabet: the brentq crossings of the sphere by the
-rays from P_U to the boundary points of a small type lattice, the best of
-them polished by SLSQP along the sphere (exact already when |U| = 2).
+search serves every row alphabet: the crossings of the sphere by the rays
+from P_U to the boundary points of a small type lattice, each found by a
+port of Brent's root finder, the best of them polished by a Nelder-Mead
+search over the ray directions, every trial ray retracted onto the sphere
+(exact already when |U| = 2). Where the sphere is cut by the simplex, rays
+that miss it land on its rim, and a minimum on the rim is searched again
+inside that face, where the sphere is again a divergence sphere.
 
 All values are stored in nats; callers convert via LogBase.
 """
@@ -34,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .channel import Dmc, find_partial_connectivity, validate_covert_conditions
 from .errors import (
@@ -61,6 +64,9 @@ _INF = math.inf
 # denominator of the type lattice whose boundary points aim the rays of the
 # sphere search in `_sphere_min`
 _RAY_LATTICE = 10
+# a polished minimizer with a coordinate at most this far above zero lies on
+# the rim of the sphere, and the sphere inside that face is searched as well
+_RIM_TOL = 1e-9
 
 logger = logging.getLogger(__name__)
 
@@ -226,10 +232,55 @@ def compute_T_U(p_v: Pmf, q_uv: JointPmf) -> Pmf:
     return Pmf(q_uv.row_alphabet, _v_conditional_coupling(p_v, q_uv).sum(axis=1))
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method: a line-for-line port of scipy.optimize.brentq with its default
+    rtol and iteration cap (same steps, same stopping rule, so the same root
+    bit for bit)."""
+    rtol, max_iter = 4 * np.finfo(float).eps, 100
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoConvergence(f"Brent's method did not converge in {max_iter} iterations")
+
+
 def sphere_point(p_u, b, tau: float) -> np.ndarray | None:
     """Where the segment from P_U to `b` (on the face supp(P_U)) crosses the
     sphere D(. || P_U) = tau (nats); None when D(b || P_U) < tau. D is convex
-    along the segment and 0 at P_U, so this is its one brentq root."""
+    along the segment and 0 at P_U, so this is its one root."""
     p_u, b = np.asarray(p_u, dtype=float), np.asarray(b, dtype=float)
 
     def excess(r):
@@ -237,7 +288,7 @@ def sphere_point(p_u, b, tau: float) -> np.ndarray | None:
 
     if excess(1.0) < 0.0:
         return None
-    r = brentq(excess, 0.0, 1.0, xtol=1e-14)
+    r = _brentq(excess, 0.0, 1.0, xtol=1e-14)
     return (1.0 - r) * p_u + r * b
 
 
@@ -263,39 +314,133 @@ def _coupling_objective(q_uv: JointPmf, p_v: Pmf):
     return g
 
 
+def _nelder_mead(f, x0: np.ndarray, step: float, xatol: float = 1e-8,
+                 fatol: float = 1e-13, max_iter: int = 400):
+    """Minimize f from x0 by the Nelder-Mead simplex search (Nelder & Mead
+    1965, Comput. J. 7(4)), starting from the simplex x0, x0 + step e_i.
+
+    Returns (x, f(x), converged): converged once the simplex spans at most
+    xatol in every coordinate and its values at most fatol.
+    """
+    sim = np.vstack((x0, x0 + step * np.eye(len(x0))))
+    fs = np.array([f(x) for x in sim])
+    for _ in range(max_iter):
+        order = np.argsort(fs, kind="stable")
+        sim, fs = sim[order], fs[order]
+        with np.errstate(invalid="ignore"):  # inf - inf while the simplex is off the sphere
+            if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fs[1:] - fs[0]).max() <= fatol:
+                return sim[0], float(fs[0]), True
+        centroid = sim[:-1].mean(axis=0)
+        xr = 2.0 * centroid - sim[-1]  # reflect the worst vertex
+        fr = f(xr)
+        if fr < fs[0]:
+            xe = 3.0 * centroid - 2.0 * sim[-1]  # expand
+            fe = f(xe)
+            sim[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fs[-2]:
+            sim[-1], fs[-1] = xr, fr
+        else:  # contract outside (fr < worst) or inside
+            xc = centroid + 0.5 * ((xr if fr < fs[-1] else sim[-1]) - centroid)
+            fc = f(xc)
+            if fc < min(fr, fs[-1]):
+                sim[-1], fs[-1] = xc, fc
+            else:  # shrink toward the best vertex
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fs[1:] = [f(x) for x in sim[1:]]
+    order = np.argsort(fs, kind="stable")
+    return sim[order[0]], float(fs[order[0]]), False
+
+
+def _ray_exit(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where the ray from `p` in direction `d` (summing to zero) leaves the
+    face supp(p): the first face coordinate to reach zero is set to 0."""
+    face = p > 0.0
+    down = np.flatnonzero(face & (d < 0.0))
+    first = down[np.argmin(p[down] / -d[down])]
+    b = np.where(face, np.clip(p + (p[first] / -d[first]) * d, 0.0, None), 0.0)
+    b[first] = 0.0
+    return b / b.sum()
+
+
+def _retract(p_u: np.ndarray, b: np.ndarray, tau: float) -> tuple[np.ndarray | None, float]:
+    """The point of the sphere D(. || P_U) = tau on the ray from P_U through
+    `b`, a point on the boundary of the face supp(P_U) (None if there is
+    none), and by how much the ray fell short of the sphere.
+
+    Where `b` lies inside the ball, the ray is continued inside the facet
+    pi(j) = 0 that holds `b`: on it the sphere is D(. || P') = tau +
+    log(1 - P_U(j)) around P' = P_U conditioned on the facet, and the ray
+    from P' through `b` is retracted the same way. So rays that miss the
+    sphere inside the face land on its rim; the shortfall, the sum of
+    tau - D(b || P_U) over these steps, is 0 exactly for the rays that reach
+    the sphere inside the face.
+    """
+    pt = sphere_point(p_u, b, tau)
+    if pt is not None or (p_u > 0.0).sum() <= 2:
+        return pt, 0.0
+    short = tau - float(kl_rows(b, p_u))
+    j = np.flatnonzero((b == 0.0) & (p_u > 0.0))[0]
+    tau += math.log1p(-p_u[j])
+    p_u = np.where(np.arange(len(p_u)) == j, 0.0, p_u) / (1.0 - p_u[j])
+    pt, rest = _retract(p_u, _ray_exit(p_u, b - p_u), tau)
+    return pt, short + rest
+
+
 def _sphere_min(g, p_u: np.ndarray, tau: float):
     """min of g on the sphere D(pi_U || P_U) = tau in the face supp(P_U) and
-    its minimizer (None if no ray reaches the sphere): the best crossing of
-    the rays from P_U to the boundary points of the face's type lattice,
-    then, with three or more face symbols, one SLSQP polish on the sphere."""
+    its minimizer (None if no ray reaches the sphere): the best point where
+    the rays from P_U to the boundary points of the face's type lattice are
+    retracted onto the sphere, then, with three or more face symbols, one
+    Nelder-Mead polish.
+
+    The polish varies the ray direction d(w) = d0 + B w, d0 toward the best
+    point and the columns of B spanning the face directions normal to d0
+    (scaled by |d0|), and retracts each trial ray with `_retract`, so every
+    iterate lies on D = tau. It minimizes g plus the retraction's shortfall,
+    which keeps it off the flat stretches where many rays land on one rim
+    point. A minimizer on the rim (coordinates of at most _RIM_TOL) is then
+    searched for again on the sphere inside that smaller face.
+    """
     face = p_u > 0.0
     lattice = np.concatenate(list(type_blocks(_RAY_LATTICE, int(face.sum()))))
     ends = np.zeros((len(lattice), len(p_u)))
     ends[:, face] = lattice / _RAY_LATTICE
-    crossings = (sphere_point(p_u, b, tau) for b in ends[(lattice == 0).any(axis=1)])
+    crossings = (_retract(p_u, b, tau)[0] for b in ends[(lattice == 0).any(axis=1)])
     value, pt = min(((g(pt), pt) for pt in crossings if pt is not None),
                     key=lambda c: c[0], default=(_INF, None))
     if face.sum() < 3 or not math.isfinite(value):
         return value, pt
 
-    def on_face(x):
-        full = np.zeros_like(p_u)
-        full[face] = np.clip(x, 0.0, None)
-        return full / full.sum()
+    d0 = pt - p_u
+    # rows 2.. of V^T span the null space of [1; d0] on the face: the
+    # directions that keep the sum and are normal to d0
+    basis = np.zeros((len(p_u), int(face.sum()) - 2))
+    basis[face] = (np.linalg.svd(np.vstack((np.ones(int(face.sum())), d0[face])))[2][2:].T
+                   * np.linalg.norm(d0))
 
-    def off_sphere(x):
-        return float(kl_rows(on_face(x), p_u)) - tau
+    def retract(w):
+        return _retract(p_u, _ray_exit(p_u, d0 + basis @ w), tau)
 
-    res = minimize(lambda x: g(on_face(x)), pt[face], method="SLSQP",
-                   bounds=[(0.0, 1.0)] * int(face.sum()),
-                   constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0},
-                                {"type": "eq", "fun": off_sphere}],
-                   options={"maxiter": 200, "ftol": 1e-12})
-    if not (res.success and np.isfinite(res.fun) and abs(off_sphere(res.x)) <= 1e-9):
-        logger.warning("sphere polish failed (%s, D - tau = %g); keeping the best "
-                       "ray crossing pi_U = %s", res.message, off_sphere(res.x), pt.tolist())
-    elif res.fun < value:
-        value, pt = float(res.fun), on_face(res.x)
+    def penalized(w):
+        x, short = retract(w)
+        return _INF if x is None else g(x) + short
+
+    w, _, converged = _nelder_mead(penalized, np.zeros(basis.shape[1]), step=0.05)
+    x = retract(w)[0]
+    fx = _INF if x is None else g(x)
+    if not converged:
+        logger.warning("sphere polish failed (no convergence, g = %g); keeping the best "
+                       "ray crossing pi_U = %s", fx, pt.tolist())
+    elif fx < value:
+        value, pt = fx, x
+    rim = face & (pt <= _RIM_TOL)
+    mass = p_u[face & ~rim].sum()
+    if rim.any() and face.sum() - rim.sum() >= 2 and tau + math.log(mass) > 0.0:
+        # the minimum is on (or next to) the rim, where the polish stalls:
+        # search the sphere inside that face, D(. || P') = tau + log P_U(face)
+        rim_value, rim_pt = _sphere_min(g, np.where(rim, 0.0, p_u) / mass, tau + math.log(mass))
+        if rim_value < value:
+            value, pt = rim_value, rim_pt
     return value, pt
 
 

@@ -9,15 +9,19 @@ The lattice of n-types is one array layer: :func:`type_blocks` yields it as
 ``(rows, d)`` count arrays in blocks of at most ``BLOCK_ROWS`` rows, so the
 memory of an exact sum stays bounded however many types it visits. Class
 log-probabilities and event predicates are evaluated a block at a time.
+
+The log-domain primitives are numpy only: log-factorials come from a cached
+``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
+off the maximum as ``scipy.special.logsumexp`` does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterator
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import AlphabetTooLarge
 from .probability import Pmf, typical
@@ -82,12 +86,45 @@ def type_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
         start = stop
 
 
+def logsumexp(a) -> float:
+    """log sum exp(a) over a 1-D sequence; -inf when it is empty or all -inf.
+
+    The maxima are split off the sum, log1p(s / m) + log m + max with m the
+    number of maxima, so the result matches scipy.special.logsumexp bit for
+    bit; where that is not finite (a +inf entry), log sum exp(a) directly.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if not a.size:
+        return NEG_INF
+    top = a.max(keepdims=True)
+    tied = a == top
+    m = np.count_nonzero(tied, keepdims=True).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(tied, NEG_INF, a) - top).sum(keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out[0]):
+            out = np.log(np.exp(a).sum(keepdims=True))
+    return float(out[0])
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, from math.lgamma."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def log_type_class_prob(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     """log Pr[type(X^n) = counts/n] for X i.i.d. p, over the last axis of
-    `counts`; -inf on impossible types."""
+    `counts` (non-negative integers); -inf on impossible types."""
     counts = np.asarray(counts)
     n = counts.sum(axis=-1)
-    return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1) + xlogy(counts, p).sum(axis=-1)
+    log_fact = _log_factorials(int(n.max(initial=0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(counts == 0, 0.0, counts * np.log(p))  # 0 log 0 = 0
+    return log_fact[n] - log_fact[counts].sum(axis=-1) + log_p.sum(axis=-1)
 
 
 def log_prob_type_event(
@@ -103,7 +140,7 @@ def log_prob_type_event(
         logsumexp(log_type_class_prob(counts[predicate(counts / n)], p.probs))
         for counts in type_blocks(n, p.alphabet.size)
     ]
-    return float(min(logsumexp(parts), 0.0))
+    return min(logsumexp(parts), 0.0)
 
 
 def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -171,9 +171,14 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
 
 
 def simplex_grid(dim, step):
+    """All pmfs over `dim` symbols with entries in multiples of 1/k, k =
+    round(1/step), first symbol descending; more than 400,000 points raise
+    ValueError rather than scan a coarser grid than the one asked for."""
     k = max(int(round(1.0 / step)), 1)
-    while math.comb(k + dim - 1, dim - 1) > 400_000:
-        k //= 2
+    points = math.comb(k + dim - 1, dim - 1)
+    if points > 400_000:
+        raise ValueError(f"simplex_grid: {points} points over {dim} symbols at k = {k} "
+                         "exceed 400,000")
     # stars and bars: dim - 1 bars among k + dim - 1 slots, in lexicographic
     # order of the bar positions (first count ascending), then reversed
     bars = np.array(list(itertools.combinations(range(k + dim - 1), dim - 1)),

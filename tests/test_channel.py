@@ -120,3 +120,48 @@ def test_sample_channel_frequencies(example_dmc):
 def test_sample_channel_alphabet_check(example_dmc):
     with pytest.raises(ValueError):
         sample_channel(example_dmc, SymbolSequence(X3, np.array([0, 1])), seed=0)
+
+
+def _warden_rows(seed):
+    """Seeded zero row and non-zero rows of a warden channel: (target, rows,
+    kind), kind "random" (any target) or "mixture" (a convex combination of
+    the rows by construction, every third with one weight set to zero)."""
+    rng = np.random.default_rng(seed)
+    m, z = (int(k) for k in rng.integers(2, 6, size=2))
+    rows = rng.dirichlet(np.full(z, rng.choice([0.3, 1.0, 5.0])), size=m)
+    if seed % 2 == 0:
+        return rng.dirichlet(np.ones(z)), rows, "random"
+    w = rng.dirichlet(np.ones(m))
+    if seed % 3 == 0:
+        w[rng.integers(m)] = 0.0
+        w /= w.sum()
+    return w @ rows, rows, "mixture"
+
+
+def _dmc_from_rows(target, rows):
+    x = Alphabet(tuple(str(i) for i in range(len(rows) + 1)))
+    z = Alphabet(tuple(f"z{i}" for i in range(len(target))))
+    return Dmc(x, Y2, z, [[0.5, 0.5]] * x.size, np.vstack([target, rows]), "0")
+
+
+def test_mixture_verdict_matches_linprog():
+    # the linear program the check used to solve is the reference verdict
+    from scipy.optimize import linprog
+
+    verdicts = {"random": set(), "mixture": set()}
+    for seed in range(1200):
+        target, rows, kind = _warden_rows(seed)
+        report = validate_covert_conditions(_dmc_from_rows(target, rows))
+        a_eq = np.vstack([rows.T, np.ones((1, len(rows)))])
+        b_eq = np.concatenate([target, [1.0]])
+        res = linprog(np.zeros(len(rows)), A_eq=a_eq, b_eq=b_eq,
+                      bounds=[(0, None)] * len(rows), method="highs")
+        mixture = res.status == 0 and np.max(np.abs(a_eq @ res.x - b_eq)) <= 1e-9
+        assert report.mixture_ok == (not mixture), seed
+        if mixture:
+            psi = report.mixture_weights
+            assert np.all(psi >= 0.0)
+            assert np.max(np.abs(a_eq @ psi - b_eq)) <= 1e-9
+        verdicts[kind].add(mixture)
+    # both verdicts occur among the random rows; constructed mixtures are all found
+    assert verdicts == {"random": {True, False}, "mixture": {True}}

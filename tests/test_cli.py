@@ -1,8 +1,14 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import covertdht
 
 from covertdht.cli import (
     COV_HEADER,
@@ -248,3 +254,29 @@ class TestCsvSchema:
             writer.writerow({k: "" for k in SIM_HEADER} | {"schema": "other-9"})
         with pytest.raises(ConfigError, match="schema mismatch"):
             read_csv(str(path), SIM_HEADER, SIM_SCHEMA)
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test dependency only; a fresh interpreter runs every command
+    # (the ternary config has a three-input channel, so the mixture check
+    # solves its least-squares problem, and a |U| = 3 sphere search)
+    data = copy.deepcopy(TERNARY_CONFIG)
+    data["sweep"] = {"n_grid": [12, 18], "trials": 0}
+    data["output"] = {"path": str(tmp_path / "out.csv"), "format": "csv"}
+    path = write_config(tmp_path, data)
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from covertdht.cli import main
+        for argv in (["example"], ["check-channel", {path!r}], ["exponents", {path!r}],
+                     ["simulate", {path!r}], ["verify-covertness", {path!r}]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            assert not loaded, (argv, loaded)
+    """)
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

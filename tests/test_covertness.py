@@ -241,14 +241,21 @@ class TestSchemeA:
             cov.scheme_A_divergence(G0, G1, 0.1, 0)
 
 
-def grid_margins(p_u, tau, g0, g1, step):
+# grid steps of `grid_margins` by dimension: coarse, and the finest the
+# oracle scans (k = 1000 for two symbols, k = 500 for three)
+COARSE_STEPS = {2: 1e-2, 3: 1e-2}
+FINE_STEPS = {2: 1e-3, 3: 1 / 500}
+
+
+def grid_margins(p_u, tau, g0, g1, steps):
     """The three positivity margins as the former library code scanned them:
-    the channel and source minima over `oracles.simplex_grid` separately."""
-    pi = oracles.simplex_grid(len(g0), step)
+    the channel and source minima over `oracles.simplex_grid` separately,
+    with the grid step ``steps[dim]`` for each dimension."""
+    pi = oracles.simplex_grid(len(g0), steps[len(g0)])
     d0, d1 = kl_rows(pi, g0), kl_rows(pi, g1)
     finite = d1 < math.inf  # all three terms are +inf in the other directions
     d0, d1 = d0[finite], d1[finite]
-    du = kl_rows(oracles.simplex_grid(len(p_u), step), p_u)
+    du = kl_rows(oracles.simplex_grid(len(p_u), steps[len(p_u)]), p_u)
     b = du[du >= tau].min(initial=math.inf)
     return [float(c.min()) + 2.0 * b for c in (3.0 * d1 - 2.0 * d0, 2.0 * d1 - d0, d1)]
 
@@ -285,8 +292,8 @@ class TestPositivity:
                                       dmc.z_row("a"), dmc.z_row("b"))
         if tau_scale == 1.0:
             assert got[0] == pytest.approx(0.0, abs=1e-12)
-        coarse = grid_margins(p_u, tau, g0, g1, 1e-2)
-        fine = grid_margins(p_u, tau, g0, g1, 1e-3)
+        coarse = grid_margins(p_u, tau, g0, g1, COARSE_STEPS)
+        fine = grid_margins(p_u, tau, g0, g1, FINE_STEPS)
         for c, f, a in zip(coarse, fine, got):
             assert f >= a - 1e-12
             assert f - a < c - a
@@ -298,4 +305,4 @@ class TestPositivity:
         p_u = Pmf(Alphabet(tuple(range(len(probs)))), np.array(probs))
         pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=G1)
         assert cov.scheme_B_positivity(p_u, pbar, G0, G1) == (math.inf,) * 3
-        assert grid_margins(p_u.probs, tau, G0.probs, G1.probs, 1e-2) == [math.inf] * 3
+        assert grid_margins(p_u.probs, tau, G0.probs, G1.probs, COARSE_STEPS) == [math.inf] * 3

@@ -1,6 +1,6 @@
+import itertools
 import logging
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,13 +81,19 @@ class TestThreshold:
         pbar = expo.pbar_threshold(dmc, "b")
         g0 = dmc.z_row("a").probs
         g1 = dmc.z_row("b").probs
-        grid = oracles.simplex_grid(3, 1e-3)
+        grid = oracles.simplex_grid(3, 1 / 500)  # k = 500: 125,751 points
         best = expo.pbar_objective(grid, g0, g1).max()
         assert best <= pbar.tau_nats + 1e-12
         assert pbar.tau_nats - best <= 1e-4
         # stationarity: the closed-form maximizer attains the value exactly
         attained = expo.pbar_objective(pbar.maximizer.probs, g0, g1)
         assert attained == pytest.approx(pbar.tau_nats, abs=1e-12)
+
+    def test_grid_oracle_refuses_oversized_grids(self):
+        # step 1e-3 over three symbols is C(1002, 2) = 501,501 points
+        with pytest.raises(ValueError, match="501501 points"):
+            oracles.simplex_grid(3, 1e-3)
+        assert len(oracles.simplex_grid(3, 1 / 500)) == math.comb(502, 2)
 
     @given(positive_pmf(Z3), positive_pmf(Z3), positive_pmf(Z3))
     @settings(max_examples=100, deadline=None)
@@ -387,6 +393,35 @@ class TestBinaryConstrainedMin:
                     assert a == pytest.approx(b, abs=1e-12)
 
 
+def _brentq_cases():
+    """(f, a, b, xtol) for the Brent comparison: the sphere crossings the
+    library solves, on seeded pmfs, rays and radii, then textbook roots."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        dim = int(rng.integers(2, 6))
+        p_u = rng.dirichlet(np.ones(dim))
+        b = np.zeros(dim)
+        b[rng.permutation(dim)[1:]] = rng.dirichlet(np.ones(dim - 1))
+        d_b = kl_rows(b, p_u)
+        for tau in (0.01 * d_b, 0.5 * d_b, d_b * (1.0 - 1e-9), d_b):
+            def excess(r, p_u=p_u, b=b, tau=tau):
+                return float(kl_rows((1.0 - r) * p_u + r * b, p_u)) - tau
+            yield excess, 0.0, 1.0, 1e-14
+    yield (lambda x: x**3 - 2.0 * x - 5.0), 2.0, 3.0, 2e-12
+    yield (lambda x: math.cos(x) - x), 0.0, 1.0, 2e-12
+    yield (lambda x: -1.0 if x < 0.3 else 1.0), 0.0, 1.0, 2e-12  # a jump
+    yield (lambda x: x - 0.25), 0.25, 1.0, 2e-12  # root at an end
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    from scipy.optimize import brentq
+
+    for f, a, b, xtol in _brentq_cases():
+        assert expo._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+    with pytest.raises(ValueError):
+        expo._brentq(lambda x: x + 1.0, 0.0, 1.0)
+
+
 def seeded_ternary_sources(seed):
     """3x2 source pair (P_UV, Q_UV) from a seeded Dirichlet."""
     rng = np.random.default_rng(seed)
@@ -474,31 +509,79 @@ class TestTernaryConstrainedMin:
                                      0.3, upper=False)
         assert term.value_nats == math.inf and term.minimizer is None
 
-    @pytest.mark.parametrize("outcome", ["failed", "off_sphere"])
-    def test_failed_polish_is_logged(self, outcome, monkeypatch, caplog):
+    def test_failed_polish_is_logged(self, monkeypatch, caplog):
         cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
         (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
         p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
         tau = expo.pbar_threshold(dmc, "1").tau_nats  # T_U is outside the ball
         polished = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
 
-        def stub(fun, x0, **kwargs):
-            if outcome == "failed":
-                return SimpleNamespace(success=False, fun=math.inf, x=x0, message="stub")
-            return SimpleNamespace(success=True, fun=0.0, x=np.ones_like(x0) / len(x0),
-                                   message="stub")
+        def stub(f, x0, step, **kwargs):
+            return x0, math.inf, False  # the search reports no convergence
 
-        monkeypatch.setattr(expo, "minimize", stub)
+        monkeypatch.setattr(expo, "_nelder_mead", stub)
         with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
             term = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
         [record] = caplog.records
         assert record.levelno == logging.WARNING
-        assert "sphere polish failed (stub" in record.getMessage()
+        assert "sphere polish failed (no convergence" in record.getMessage()
         # the result is the best ray crossing, on the sphere and above the
         # polished minimum
         pi_u = term.minimizer.row_marginal()
         assert kl_divergence(pi_u, p_u) == pytest.approx(tau, abs=1e-9)
         assert polished.value_nats < term.value_nats < polished.value_nats + 1e-3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_polished_minimizer_is_on_the_sphere(self, seed, upper, monkeypatch):
+        # every trial direction of the polish is retracted onto the sphere,
+        # so the polished point, not only the ray crossings, has D = tau
+        p_uv, q_uv = seeded_ternary_sources(seed)
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = (2.0 if upper else 0.5) * kl_divergence(expo.compute_T_U(p_v, q_uv), p_u)
+        polished = []
+        search = expo._nelder_mead
+
+        def recorded(*args, **kwargs):
+            polished.append(search(*args, **kwargs))
+            return polished[-1]
+
+        monkeypatch.setattr(expo, "_nelder_mead", recorded)
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
+        [(_, value, converged)] = polished
+        assert converged and term.value_nats == value
+        assert kl_divergence(term.minimizer.row_marginal(), p_u) == pytest.approx(tau, abs=1e-9)
+
+    def test_e3_minimum_on_an_edge(self, caplog):
+        # 4x2 pair whose E3 inner minimum lies on the edge pi(0) = pi(3) = 0,
+        # where the sphere meets the boundary of the simplex; the rays toward
+        # that edge end inside the ball, and the former search (ray
+        # crossings, SLSQP polish) stopped at 1.1739929164 on another edge
+        rng = np.random.default_rng(9)
+        u, v = Alphabet((0, 1, 2, 3)), Alphabet(("x", "y"))
+        p_uv = JointPmf(u, v, rng.dirichlet(np.ones(8)).reshape(4, 2))
+        q_uv = JointPmf(u, v, rng.dirichlet(np.ones(8)).reshape(4, 2))
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = 2.0 * kl_divergence(expo.compute_T_U(p_v, q_uv), p_u)
+        with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
+            term = expo._constrained_min(q_uv, p_u, p_v, tau, upper=True)
+        assert not caplog.records
+        pi_u = term.minimizer.row_marginal().probs
+        assert pi_u[0] == pi_u[3] == 0.0
+        assert kl_rows(pi_u, p_u.probs) == pytest.approx(tau, abs=1e-9)
+        # the sphere point on that edge, by bisection on the conditioned pmf
+        cond = p_u.probs[1:3] / p_u.probs[1:3].sum()
+        lo, hi = oracles.binary_sphere_roots(cond, tau + math.log(p_u.probs[1:3].sum()))
+        g = expo._coupling_objective(q_uv, p_v)
+        want = min(g(np.array([0.0, 1.0 - m, m, 0.0])) for m in (lo, hi) if m is not None)
+        assert term.value_nats == pytest.approx(want, abs=1e-9)
+        # no feasible point of any edge does better
+        for i, j in itertools.combinations(range(4), 2):
+            for m in np.linspace(0.0, 1.0, 201):
+                x = np.zeros(4)
+                x[i], x[j] = m, 1.0 - m
+                if kl_rows(x, p_u.probs) >= tau:
+                    assert g(x) >= term.value_nats - 1e-12
 
 
 class TestImprovement:

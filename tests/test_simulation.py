@@ -10,7 +10,7 @@ import covertdht.simulation as sim
 import covertdht.typesum as typesum
 import oracles
 from covertdht import Dmc
-from covertdht.errors import ConfigMismatch, DegenerateInput
+from covertdht.errors import AlphabetTooLarge, ConfigMismatch, DegenerateInput
 from covertdht.probability import Alphabet, JointPmf, Pmf, SymbolSequence
 
 X2 = Alphabet(("0", "1"))
@@ -241,6 +241,27 @@ class TestExactEngine:
         assert alpha == pytest.approx(want_a, rel=1e-10)
         assert beta == pytest.approx(want_b, rel=1e-10)
 
+    def test_output_typicality_once_per_cell(self, example_dmc, monkeypatch):
+        # Pr[Y^n typical] per codeword depends on neither hypothesis: one
+        # enumeration per codeword serves alpha and beta, and a cell the
+        # joint lattice cap refuses enumerates none
+        calls = []
+        y_typical = sim._log_prob_y_typical
+
+        def counted(dmc, x_symbol, n, mu):
+            calls.append(x_symbol)
+            return y_typical(dmc, x_symbol, n, mu)
+
+        monkeypatch.setattr(sim, "_log_prob_y_typical", counted)
+        pbar = expo.pbar_threshold(example_dmc, "1")
+        cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+        sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, 6, pbar)
+        assert sorted(calls) == ["0", "1"]
+        calls.clear()
+        with pytest.raises(AlphabetTooLarge):
+            sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, 2000, pbar)
+        assert calls == []
+
     def test_scheme_a_matches_brute_force(self, partial_dmc):
         cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
         n = 6
@@ -316,8 +337,9 @@ class TestExactEngineAgainstLoop:
                 oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
                 for law in (p_uv, q_uv)
             )
+            factors = sim._log_accept_factors(cfg, dmc, n, pbar)
             for law, want in ((p_uv, want_h0), (q_uv, want_h1)):
-                got = sim._log_accept_prob(cfg, law, p_u, p_v, dmc, n, pbar)
+                got = sim._log_accept_prob(cfg, law, p_u, p_v, n, pbar, lambda: factors)
                 assert got == want or math.isclose(got, want, rel_tol=1e-12)
             # the weight stats take delta_n from the U-type lattice alone; the
             # oracle sums the transmission probability over joint types

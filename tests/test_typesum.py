@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 import covertdht.typesum as typesum
 import oracles
@@ -62,6 +62,36 @@ def test_type_class_probs_match_loop():
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
+
+
+def _logsumexp_cases():
+    """Seeded arrays for the logsumexp comparison, edge cases first: empty,
+    all -inf, +inf, tied maxima, overflowing and underflowing values."""
+    inf = math.inf
+    yield from ([], [-inf], [-inf, -inf], [inf], [inf, 1.0], [inf, inf], [-inf, 2.0],
+                [0.0], [1.0, 1.0, 1.0], [3.0, 3.0, -inf, 1.0], [710.0, 709.0],
+                [-1000.0, -1000.0], [-745.5, -746.0], [1e308, 1e308])
+    rng = np.random.default_rng(20)
+    for _ in range(5000):
+        a = rng.normal(0.0, 10.0 ** rng.integers(-2, 4), size=rng.integers(1, 40))
+        if rng.random() < 0.3:
+            a[rng.random(a.size) < 0.3] = -inf
+        if rng.random() < 0.2:
+            a[rng.integers(a.size, size=2)] = a.max()  # ties at the maximum
+        yield a.tolist()
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    for a in _logsumexp_cases():
+        got, want = typesum.logsumexp(a), float(logsumexp(np.array(a, dtype=float)))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+
+
+def test_log_factorials_match_gammaln():
+    k = np.arange(5001)
+    got, want = typesum._log_factorials(5000), gammaln(k + 1.0)
+    assert got[0] == got[1] == want[0] == want[1] == 0.0
+    np.testing.assert_allclose(got[2:], want[2:], rtol=1e-15, atol=0.0)
 
 
 def test_impossible_type_has_zero_prob():
