@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NoConvergence
 from .probability import Alphabet, Pmf, SymbolSequence
 
 #: Absolute tolerance for "row equals mixture" feasibility. Exact zeros in
@@ -102,16 +103,23 @@ class ConditionReport:
         return self.mixture_ok and self.warden_support_ok and self.center_support_ok
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
     """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method
-    (Lawson & Hanson 1974, "Solving Least Squares Problems", ch. 23)."""
+    (Lawson & Hanson 1974, "Solving Least Squares Problems", ch. 23).
+
+    Raises NoConvergence when the optimality test still fails after max_iter
+    (default 3k) outer steps, rather than return an iterate that may not be
+    optimal."""
     k = a.shape[1]
+    max_iter = 3 * k if max_iter is None else max_iter
     tol = 10.0 * max(a.shape) * np.finfo(float).eps
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
-    for _ in range(3 * k):
+    for outer in range(max_iter + 1):
         w = a.T @ (b - a @ x)  # minus the gradient
         if passive.all() or w[~passive].max() <= tol:
+            return x
+        if outer == max_iter:
             break
         passive[np.argmax(np.where(passive, -np.inf, w))] = True
         while True:
@@ -126,7 +134,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             x += step * (s - x)
             passive &= x > tol
         x = s
-    return x
+    raise NoConvergence(f"NNLS did not reach its optimality test in {max_iter} steps")
 
 
 def _mixture_witness(dmc: Dmc) -> np.ndarray | None:

@@ -373,7 +373,8 @@ def _retract(p_u: np.ndarray, b: np.ndarray, tau: float) -> tuple[np.ndarray | N
     from P' through `b` is retracted the same way. So rays that miss the
     sphere inside the face land on its rim; the shortfall, the sum of
     tau - D(b || P_U) over these steps, is 0 exactly for the rays that reach
-    the sphere inside the face.
+    the sphere inside the face. Where `b` is P' itself there is no ray from
+    P', and the result is None.
     """
     pt = sphere_point(p_u, b, tau)
     if pt is not None or (p_u > 0.0).sum() <= 2:
@@ -382,6 +383,8 @@ def _retract(p_u: np.ndarray, b: np.ndarray, tau: float) -> tuple[np.ndarray | N
     j = np.flatnonzero((b == 0.0) & (p_u > 0.0))[0]
     tau += math.log1p(-p_u[j])
     p_u = np.where(np.arange(len(p_u)) == j, 0.0, p_u) / (1.0 - p_u[j])
+    if not (b - p_u).any():  # b is P' itself: no ray to continue
+        return None, 0.0
     pt, rest = _retract(p_u, _ray_exit(p_u, b - p_u), tau)
     return pt, short + rest
 

@@ -27,7 +27,6 @@ decision with the same ``_active`` and the V and Y decisions with
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -186,51 +185,47 @@ def _active(
     return ~typical(t_u, p_u, cfg.mu)
 
 
-def _log_accept_factors(cfg: SchemeConfig, dmc: Dmc, n: int,
-                        pbar: PbarSet | None) -> tuple[float, float]:
-    """log Pr[the channel outputs pass the decision] when the encoder is
-    silent and when it transmits. They depend on neither the source law nor
-    the source type, so one pair serves both hypotheses."""
-    if cfg.scheme == "B":
-        if pbar is None:
-            raise ConfigMismatch("scheme B needs the threshold set")
-        return (_log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu),
-                _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu))
-    k = cfg.k(n)
-    p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-    p_star1 = dmc.y_row(cfg.x_hat)[cfg.y_star]
-    return (math.log1p(-((1.0 - p_star0) ** k)) if p_star0 > 0 else NEG_INF,
-            math.log1p(-((1.0 - p_star1) ** k)) if p_star1 > 0 else NEG_INF)
-
-
-def _log_accept_prob(
+def _log_accept_probs(
     cfg: SchemeConfig,
-    joint: JointPmf,
+    joints: tuple[JointPmf, ...],
     p_u: Pmf,
     p_v: Pmf,
+    dmc: Dmc,
     n: int,
     pbar: PbarSet | None,
-    log_factors: Callable[[], tuple[float, float]],
-) -> float:
-    """log Pr[decide 0] under `joint`; `log_factors` returns the pair of
-    `_log_accept_factors`, asked for only once the lattice passes its cap.
+) -> list[float]:
+    """log Pr[decide 0] under each law of `joints`, in one pass over the
+    joint source types.
 
-    Sums over joint source types; the per-type acceptance factor depends only
-    on which constant codeword the encoder emits. The marginal types are
-    integer count sums divided by n, as in ``run_trials``, so the closed
-    typicality boundary falls where the Monte Carlo engine puts it.
+    The per-type acceptance factor depends only on which constant codeword
+    the encoder emits, not on the source law, so the two factors and each
+    type's decisions serve every law. The marginal types are integer count
+    sums divided by n, as in ``run_trials``, so the closed typicality
+    boundary falls where the Monte Carlo engine puts it.
     """
     du, dv = p_u.alphabet.size, p_v.alphabet.size
     check_enumerable(n, du * dv, "joint source type enumeration")
-    log_silent, log_active = log_factors()
-    logs = []
+    if cfg.scheme == "B":
+        if pbar is None:
+            raise ConfigMismatch("scheme B needs the threshold set")
+        log_silent = _log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu)
+        log_active = _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu)
+    else:
+        k = cfg.k(n)
+        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
+        p_star1 = dmc.y_row(cfg.x_hat)[cfg.y_star]
+        log_silent = math.log1p(-((1.0 - p_star0) ** k)) if p_star0 > 0 else NEG_INF
+        log_active = math.log1p(-((1.0 - p_star1) ** k)) if p_star1 > 0 else NEG_INF
+    logs = [[] for _ in joints]
     for counts in type_blocks(n, du * dv):
-        lp = log_type_class_prob(counts, joint.probs.ravel())
         mat = counts.reshape(-1, du, dv)
         active = _active(cfg, mat.sum(axis=2) / n, p_u.probs, pbar)
         accept = typical(mat.sum(axis=1) / n, p_v.probs, cfg.mu)
-        logs.append(logsumexp(lp[accept] + np.where(active[accept], log_active, log_silent)))
-    return min(logsumexp(logs), 0.0)
+        factor = np.where(active[accept], log_active, log_silent)
+        for out, joint in zip(logs, joints):
+            lp = log_type_class_prob(counts, joint.probs.ravel())
+            out.append(logsumexp(lp[accept] + factor))
+    return [min(logsumexp(out), 0.0) for out in logs]
 
 
 def exact_error_probs(
@@ -248,9 +243,7 @@ def exact_error_probs(
     """
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    factors = functools.cache(lambda: _log_accept_factors(cfg, dmc, n, pbar))
-    log_acc_h0 = _log_accept_prob(cfg, p_uv, p_u, p_v, n, pbar, factors)
-    log_acc_h1 = _log_accept_prob(cfg, q_uv, p_u, p_v, n, pbar, factors)
+    log_acc_h0, log_acc_h1 = _log_accept_probs(cfg, (p_uv, q_uv), p_u, p_v, dmc, n, pbar)
     alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
     beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
     return max(alpha, 0.0), beta
@@ -267,8 +260,8 @@ def exact_log_beta(
     """log beta_n, exact; usable far below floating-point underflow of beta."""
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    return _log_accept_prob(cfg, q_uv, p_u, p_v, n, pbar,
-                            lambda: _log_accept_factors(cfg, dmc, n, pbar))
+    [log_beta] = _log_accept_probs(cfg, (q_uv,), p_u, p_v, dmc, n, pbar)
+    return log_beta
 
 
 @dataclass(frozen=True)

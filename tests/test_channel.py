@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from covertdht import Dmc, find_partial_connectivity, sample_channel, validate_covert_conditions
+from covertdht.channel import _nnls
+from covertdht.errors import NoConvergence
 from covertdht.probability import Alphabet, SymbolSequence
 
 X2 = Alphabet(("0", "1"))
@@ -165,3 +167,13 @@ def test_mixture_verdict_matches_linprog():
         verdicts[kind].add(mixture)
     # both verdicts occur among the random rows; constructed mixtures are all found
     assert verdicts == {"random": {True, False}, "mixture": {True}}
+
+
+def test_nnls_raises_at_its_step_cap():
+    # both coordinates must enter the passive set, one per outer step; a cap
+    # that cuts the search short raises instead of returning the iterate
+    a, b = np.eye(2), np.ones(2)
+    assert np.array_equal(_nnls(a, b), np.ones(2))
+    assert np.array_equal(_nnls(a, b, max_iter=2), np.ones(2))
+    with pytest.raises(NoConvergence):
+        _nnls(a, b, max_iter=1)

@@ -500,6 +500,31 @@ class TestTernaryConstrainedMin:
         assert kl_divergence(term.minimizer.row_marginal(), p_u) <= tau + 1e-9
         assert joint_kl_divergence(term.minimizer, q_uv) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("q, tau, upper", [
+        ([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]], 0.8, True),
+        ([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]], 1.0, True),
+        ([[0.02, 0.01], [0.45, 0.47], [0.01, 0.04]], 0.75, False),
+    ])
+    def test_ray_ending_at_the_conditioned_center(self, q, tau, upper):
+        # P_U = (1/2, 1/4, 1/4) has exact row sums, so the lattice end
+        # (0, 1/2, 1/2) is P_U conditioned on pi(0) = 0 bit for bit; with
+        # tau > log 2 it lies inside the ball and has no ray to continue
+        u, v = Alphabet((0, 1, 2)), Alphabet(("x", "y"))
+        p_uv = JointPmf(u, v, np.array([[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]]))
+        q_uv = JointPmf(u, v, np.array(q))
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        end = np.array([0.0, 0.5, 0.5])
+        assert kl_rows(end, p_u.probs) == pytest.approx(math.log(2.0))
+        assert math.log(2.0) < tau
+        assert expo._retract(p_u.probs, end, tau) == (None, 0.0)
+        t_u = expo.compute_T_U(p_v, q_uv)
+        assert (kl_divergence(t_u, p_u) < tau) == upper  # T_U is infeasible
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
+        want, _ = oracles.constrained_min_grid(expo._coupling_objective(q_uv, p_v),
+                                               p_u.probs, tau, upper)
+        assert term.value_nats == pytest.approx(want, abs=1e-9)
+        assert kl_divergence(term.minimizer.row_marginal(), p_u) == pytest.approx(tau, abs=1e-8)
+
     def test_e2_is_infinite_without_a_coupling_on_the_face(self):
         # Q puts all of V = "y" on the symbol P_U never emits
         u, v = Alphabet((0, 1, 2)), Alphabet(("x", "y"))

@@ -337,9 +337,8 @@ class TestExactEngineAgainstLoop:
                 oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
                 for law in (p_uv, q_uv)
             )
-            factors = sim._log_accept_factors(cfg, dmc, n, pbar)
-            for law, want in ((p_uv, want_h0), (q_uv, want_h1)):
-                got = sim._log_accept_prob(cfg, law, p_u, p_v, n, pbar, lambda: factors)
+            got = sim._log_accept_probs(cfg, (p_uv, q_uv), p_u, p_v, dmc, n, pbar)
+            for got, want in zip(got, (want_h0, want_h1)):
                 assert got == want or math.isclose(got, want, rel_tol=1e-12)
             # the weight stats take delta_n from the U-type lattice alone; the
             # oracle sums the transmission probability over joint types
