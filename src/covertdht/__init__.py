@@ -5,14 +5,13 @@ warden's divergence covertness constraint, verifies the warden-side bounds
 exactly, and simulates the two coding-and-testing schemes that achieve them.
 """
 
-from .channel import ConditionReport, Dmc, find_partial_connectivity, sample_channel, validate_covert_conditions
+from .channel import ConditionReport, Dmc, find_partial_connectivity, validate_covert_conditions
 from .covertness import (
     CovertnessReport,
     chi_squared_product,
     delta_scheme_B,
     warden_divergence_bounds,
     scheme_A_covertness,
-    scheme_A_divergence,
     scheme_B_covertness,
     scheme_B_positivity,
     two_point_divergence_exact,
@@ -40,24 +39,15 @@ from .probability import (
     JointPmf,
     LogBase,
     Pmf,
-    SymbolSequence,
     chi_squared,
-    empirical_type,
     entropy,
-    is_strongly_typical,
-    joint_type,
     kl_divergence,
-    sample_iid,
 )
 from .simulation import (
     ExponentFit,
     SchemeConfig,
     SimulationResult,
-    decide_scheme_A,
-    decide_scheme_B,
     empirical_exponent,
-    encode_scheme_A,
-    encode_scheme_B,
     exact_error_probs,
     run_trials,
 )

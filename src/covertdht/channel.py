@@ -3,8 +3,7 @@
 A channel is stored through its two conditional marginals Y|X and Z|X only.
 Every quantity computed in this library (warden divergence, error
 probabilities, all exponents) depends on the joint law Y,Z|X exclusively
-through these marginals, so Y and Z are sampled conditionally independently
-given X.
+through these marginals.
 
 Admissibility, in the covert-communication convention, requires that
 (a) the zero-input warden row is not a mixture of the non-zero-input rows,
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .probability import Alphabet, Pmf, SymbolSequence
+from .probability import Alphabet, Pmf
 
 #: Absolute tolerance for "row equals mixture" feasibility. Exact zeros in
 #: channel matrices are compared exactly: matrices are model inputs, not
@@ -212,31 +211,3 @@ def validate_covert_conditions(dmc: Dmc) -> ConditionReport:
         partially_connected=find_partial_connectivity(dmc),
     )
 
-
-def sample_channel(
-    dmc: Dmc, x: SymbolSequence, seed: int
-) -> tuple[SymbolSequence, SymbolSequence]:
-    """Sample (Y^n, Z^n) given the input sequence, memorylessly.
-
-    Y_i and Z_i are drawn conditionally independently given X_i; deterministic
-    for a fixed seed.
-    """
-    if x.alphabet != dmc.input_alphabet:
-        raise ValueError("input sequence is over a different alphabet than the channel")
-    rng = np.random.default_rng(seed)
-    n = len(x)
-    uy = rng.random(n)
-    uz = rng.random(n)
-    cum_y = np.cumsum(dmc.y_given_x, axis=1)
-    cum_z = np.cumsum(dmc.z_given_x, axis=1)
-    y = np.empty(n, dtype=np.int64)
-    z = np.empty(n, dtype=np.int64)
-    for i in range(dmc.input_alphabet.size):
-        mask = x.data == i
-        if not np.any(mask):
-            continue
-        y[mask] = np.searchsorted(cum_y[i], uy[mask], side="right")
-        z[mask] = np.searchsorted(cum_z[i], uz[mask], side="right")
-    np.clip(y, 0, dmc.y_alphabet.size - 1, out=y)
-    np.clip(z, 0, dmc.z_alphabet.size - 1, out=z)
-    return SymbolSequence(dmc.y_alphabet, y), SymbolSequence(dmc.z_alphabet, z)

@@ -170,10 +170,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     for res in results:
         by_mu.setdefault(res.mu, []).append(res)
     for mu, group in by_mu.items():
-        group = [g for g in group if not g.beta_is_upper_bound]
-        if len(group) >= 3:
+        # rule-of-three betas are bounds, not estimates: left out of the fit only
+        fitted = [g for g in group if not g.beta_is_upper_bound]
+        if len(fitted) >= 3:
             fit = sim.empirical_exponent(
-                [g.n for g in group], betas=[g.beta for g in group]
+                [g.n for g in fitted], betas=[g.beta for g in fitted]
             )
             print(
                 f"mu={mu}: exponent trend slope {fit.slope_bits:.4f} bits/use, "
@@ -183,7 +184,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             if not fit.monotone_increasing:
                 print(f"mu={mu}: per-n exponent sequence is not monotone",
                       file=sys.stderr)
-        mean_w = float(np.mean([g.weight_mean for g in group])) if group else 0.0
+        mean_w = float(np.mean([g.weight_mean for g in group]))
         print(f"mu={mu}: mean input weight fraction under the null {mean_w:.3e}",
               file=sys.stderr)
     return 0

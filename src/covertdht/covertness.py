@@ -199,20 +199,6 @@ def scheme_A_atypicality(p_u: Pmf, n: int, mu: float) -> float:
     return prob_type_event(p_u, n, lambda t: ~typical(t, p_u.probs, mu))
 
 
-def scheme_A_divergence(g0: Pmf, g1: Pmf, delta: float, k: int) -> tuple[float, float]:
-    """Warden divergence of the sublinear-burst scheme, exact and quad bound.
-
-    Only the first k channel uses carry the two-point input law; the padded
-    zero tail contributes nothing, so the exact value is the mixture
-    divergence at blocklength k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    exact = two_point_divergence_exact(g0, g1, delta, k)
-    quad = delta * delta * chi_squared_product(g0, g1, k)
-    return exact, quad
-
-
 @dataclass(frozen=True)
 class CovertnessReport:
     """One row of a covertness sweep (divergences in nats)."""
@@ -244,8 +230,15 @@ def scheme_B_covertness(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf, n: int) -> Co
 def scheme_A_covertness(
     p_u: Pmf, g0: Pmf, g1: Pmf, n: int, k: int, mu: float
 ) -> CovertnessReport:
-    """Exact warden divergence and both bounds for the sublinear-burst scheme."""
+    """Exact warden divergence and both bounds for the sublinear-burst scheme.
+
+    Only the first k channel uses carry the two-point input law; the padded
+    zero tail contributes nothing, so the divergence and its bounds are
+    those of the mixture at blocklength k.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     delta = scheme_A_atypicality(p_u, n, mu)
     quad, type_b = warden_divergence_bounds(g0, g1, delta, k)
-    exact, _ = scheme_A_divergence(g0, g1, delta, k)
+    exact = two_point_divergence_exact(g0, g1, delta, k)
     return CovertnessReport(n, delta, exact, quad, type_b)

@@ -19,14 +19,6 @@ class DivisionBySupportZero(CovertDhtError):
     """Chi-squared denominator vanishes on a point where the numerator does not."""
 
 
-class LengthMismatch(CovertDhtError):
-    """Sequences of unequal length where equal length is required."""
-
-
-class EmptySequence(CovertDhtError):
-    """An operation received a zero-length sequence."""
-
-
 class Infeasible(CovertDhtError):
     """The constraint set of an optimization is empty."""
 

@@ -571,7 +571,6 @@ class ExponentReport:
     connectivity: ConnectivityCase
     theta_nats: float
     theta_literal_nats: float
-    eps: float
     improvement: Improvement
     minimizers: dict = field(default_factory=dict)
 
@@ -589,7 +588,7 @@ class ExponentReport:
             "connectivity": self.connectivity.value,
             "theta": conv(self.theta_nats),
             "theta_literal_min": conv(self.theta_literal_nats),
-            "eps": self.eps,
+            "eps": 0.0,
             "improvement": self.improvement.value,
         }
 
@@ -598,15 +597,12 @@ def achievable_exponent(
     p_uv: JointPmf,
     q_uv: JointPmf,
     dmc: Dmc,
-    eps: float = 0.0,
 ) -> ExponentReport:
     """Main-result exponent with the connectivity case split.
 
-    ``eps`` (the Type-I ceiling) is recorded but has no numerical effect: the
-    exponents do not depend on it.
+    The exponents are the same for every Type-I ceiling in [0, 1), so none is
+    taken; the JSON report still carries ``"eps": 0.0`` for its readers.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
     report = validate_covert_conditions(dmc)
     if not report.all_pass:
         raise InvalidChannel("channel fails the covert admissibility conditions")
@@ -642,7 +638,6 @@ def achievable_exponent(
         connectivity=case,
         theta_nats=theta,
         theta_literal_nats=theta_literal,
-        eps=eps,
         improvement=verdict,
         minimizers={"e1": e1.minimizer, "e3": e3.minimizer},
     )

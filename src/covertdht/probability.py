@@ -1,14 +1,16 @@
 """Finite-alphabet probability primitives.
 
-Pmfs, joint pmfs, symbol sequences, KL and chi-squared divergences,
-empirical types, strong typicality and i.i.d. sampling. All divergences are
-computed internally in nats; ``LogBase.BITS`` converts on the way out
-(one multiplication by 1/ln 2, nothing else).
+Pmfs, joint pmfs, entropy, KL and chi-squared divergences, and strong
+typicality of types. All divergences are computed internally in nats;
+``LogBase.BITS`` converts on the way out (one multiplication by 1/ln 2,
+nothing else).
 
 The two type predicates, :func:`typical` and :func:`kl_rows`, are defined
 here once and work on batches of types (the last axis indexes the
 alphabet). Every typicality and divergence-threshold decision of the exact
-sums and the Monte Carlo engine goes through them.
+sums and the Monte Carlo engine goes through them. There is no
+sequence-level layer: every quantity the library computes depends on a
+block only through its type.
 
 Conventions: 0*log(0/q) = 0 by continuity. A positive p-mass on a q-zero is
 +inf in the batched ``kl_rows``; the scalar ``kl_divergence`` raises
@@ -24,13 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AlphabetMismatch,
-    DivisionBySupportZero,
-    EmptySequence,
-    LengthMismatch,
-    SupportViolation,
-)
+from .errors import AlphabetMismatch, DivisionBySupportZero, SupportViolation
 
 LN2 = math.log(2.0)
 
@@ -151,30 +147,6 @@ class JointPmf:
         return JointPmf(p_row.alphabet, p_col.alphabet, np.outer(p_row.probs, p_col.probs))
 
 
-@dataclass(frozen=True)
-class SymbolSequence:
-    """Length-n sequence of alphabet indices (not labels)."""
-
-    alphabet: Alphabet
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("sequence data must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
-            raise ValueError("sequence contains indices outside the alphabet")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    def __len__(self) -> int:
-        return int(self.data.size)
-
-    def hamming_weight(self, zero_index: int = 0) -> int:
-        """Number of positions different from the given index."""
-        return int(np.count_nonzero(self.data != zero_index))
-
-
 def _check_same_alphabet(p: Pmf, q: Pmf) -> None:
     if p.alphabet != q.alphabet:
         raise AlphabetMismatch(f"{p.alphabet.symbols} vs {q.alphabet.symbols}")
@@ -234,35 +206,6 @@ def entropy(p: Pmf, base: LogBase = LogBase.NATS) -> float:
     return base.from_nats(max(val, 0.0))
 
 
-def empirical_type(s: SymbolSequence) -> Pmf:
-    """Empirical distribution (type) of a sequence."""
-    if len(s) == 0:
-        raise EmptySequence("cannot take the type of an empty sequence")
-    counts = np.bincount(s.data, minlength=s.alphabet.size)
-    return Pmf(s.alphabet, counts / len(s))
-
-
-def joint_type(s1: SymbolSequence, s2: SymbolSequence) -> JointPmf:
-    """Joint empirical distribution of two equal-length sequences."""
-    if len(s1) == 0 or len(s2) == 0:
-        raise EmptySequence("cannot take the joint type of empty sequences")
-    if len(s1) != len(s2):
-        raise LengthMismatch(f"{len(s1)} vs {len(s2)}")
-    flat = s1.data * s2.alphabet.size + s2.data
-    counts = np.bincount(flat, minlength=s1.alphabet.size * s2.alphabet.size)
-    mat = counts.reshape(s1.alphabet.size, s2.alphabet.size) / len(s1)
-    return JointPmf(s1.alphabet, s2.alphabet, mat)
-
-
-def is_strongly_typical(s: SymbolSequence, p: Pmf, mu: float) -> bool:
-    """Strong typicality of a sequence; see :func:`typical`."""
-    if s.alphabet != p.alphabet:
-        raise AlphabetMismatch("sequence and pmf alphabets differ")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return bool(typical(empirical_type(s).probs, p.probs, mu))
-
-
 def typical(t: np.ndarray, ref: np.ndarray, mu: float) -> np.ndarray:
     """Strong mu-typicality of types for `ref` over the last axis of `t`.
 
@@ -272,14 +215,3 @@ def typical(t: np.ndarray, ref: np.ndarray, mu: float) -> np.ndarray:
     ok = np.abs(t - ref) <= mu
     ok &= (ref > 0.0) | (t == 0.0)
     return ok.all(axis=-1)
-
-
-def sample_iid(j: JointPmf, n: int, seed: int) -> tuple[SymbolSequence, SymbolSequence]:
-    """Draw n i.i.d. pairs from a joint pmf; deterministic given the seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(j.probs.size, size=n, p=j.probs.ravel())
-    rows = flat // j.col_alphabet.size
-    cols = flat % j.col_alphabet.size
-    return SymbolSequence(j.row_alphabet, rows), SymbolSequence(j.col_alphabet, cols)

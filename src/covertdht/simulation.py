@@ -1,5 +1,5 @@
-"""Encoders, decision rules, exact error probabilities and Monte-Carlo
-estimation for the two covert testing schemes.
+"""Exact error probabilities and Monte-Carlo estimation for the two covert
+testing schemes.
 
 Scheme A (sublinear burst): the sensor checks whether its source block is
 strongly typical; if so it stays silent (all zeros), otherwise it sends the
@@ -16,13 +16,13 @@ decision center declares the null hypothesis iff its observations and the
 channel outputs are both strongly typical (outputs tested against the
 zero-input row).
 
-Exact error probabilities sum over joint source types; both encoders depend
-on the block only through the type of U^n and both decisions only through
-the types of V^n and Y^n, so no sequence enumeration is ever needed. The
-exact engine (enumerated types, a lattice block at a time) and the Monte
-Carlo engine (sampled type counts, a chunk at a time) make the encoder
-decision with the same ``_active`` and the V and Y decisions with
-``probability.typical``.
+Both encoders depend on the block only through the type of U^n and both
+decisions only through the types of V^n and Y^n, so the library works on
+types alone and never on symbol sequences. One kernel, ``_decide``, makes
+the encoder decision and the V test on a block of joint source counts:
+enumerated types in the exact engine (a lattice block at a time), sampled
+counts in the Monte Carlo engine (a chunk at a time). The Y test goes
+through ``probability.typical`` in both.
 """
 
 from __future__ import annotations
@@ -37,16 +37,7 @@ from .channel import Dmc
 from .covertness import delta_scheme_B, scheme_A_atypicality
 from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
-from .probability import (
-    LN2,
-    JointPmf,
-    Pmf,
-    SymbolSequence,
-    empirical_type,
-    is_strongly_typical,
-    kl_rows,
-    typical,
-)
+from .probability import LN2, JointPmf, Pmf, kl_rows, typical
 from .typesum import (
     NEG_INF,
     check_enumerable,
@@ -115,74 +106,36 @@ class SchemeConfig:
                 raise ConfigMismatch("x1 must differ from the zero symbol")
 
 
-def encode_scheme_A(u: SymbolSequence, cfg: SchemeConfig, p_u: Pmf, dmc: Dmc) -> SymbolSequence:
-    """Burst encoder: zeros if the source block is typical, else x_hat^k, then zeros."""
-    n = len(u)
-    k = cfg.k(n)
-    x = np.full(n, dmc.zero_index, dtype=np.int64)
-    if not is_strongly_typical(u, p_u, cfg.mu):
-        x[:k] = dmc.input_alphabet.index(cfg.x_hat)
-    return SymbolSequence(dmc.input_alphabet, x)
-
-
-def decide_scheme_A(
-    v: SymbolSequence, y: SymbolSequence, cfg: SchemeConfig, p_v: Pmf, dmc: Dmc
-) -> int:
-    """Declare 0 iff the marker appears in the burst window and V^n is typical."""
-    n = len(y)
-    if len(v) != n:
-        raise ConfigMismatch("v and y lengths differ")
-    k = cfg.k(n)
-    marker = dmc.y_alphabet.index(cfg.y_star)
-    if not np.any(y.data[:k] == marker):
-        return 1
-    if not is_strongly_typical(v, p_v, cfg.mu):
-        return 1
-    return 0
-
-
-def encode_scheme_B(
-    u: SymbolSequence, cfg: SchemeConfig, p_u: Pmf, pbar: PbarSet, dmc: Dmc
-) -> SymbolSequence:
-    """Full-block encoder: x1^n iff the source type crosses the threshold."""
-    from .exponents import pbar_contains
-
-    n = len(u)
-    if pbar_contains(empirical_type(u), p_u, pbar):
-        return SymbolSequence(
-            dmc.input_alphabet, np.full(n, dmc.input_alphabet.index(cfg.x1), dtype=np.int64)
-        )
-    return SymbolSequence(dmc.input_alphabet, np.full(n, dmc.zero_index, dtype=np.int64))
-
-
-def decide_scheme_B(
-    v: SymbolSequence, y: SymbolSequence, cfg: SchemeConfig, p_v: Pmf, dmc: Dmc
-) -> int:
-    """Declare 0 iff V^n and Y^n are both typical (Y against the zero-input row)."""
-    if len(v) != len(y):
-        raise ConfigMismatch("v and y lengths differ")
-    if not is_strongly_typical(v, p_v, cfg.mu):
-        return 1
-    if not is_strongly_typical(y, dmc.y_row(dmc.zero_symbol), cfg.mu):
-        return 1
-    return 0
-
-
 def _log_prob_y_typical(dmc: Dmc, x_symbol, n: int, mu: float) -> float:
     """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant]."""
     ref = dmc.y_row(dmc.zero_symbol).probs
     return log_prob_type_event(dmc.y_row(x_symbol), n, lambda t: typical(t, ref, mu))
 
 
-def _active(
-    cfg: SchemeConfig, t_u: np.ndarray, p_u: np.ndarray, pbar: PbarSet | None
-) -> np.ndarray:
-    """Encoder decision on source types (last axis): True where the sensor
-    transmits. Scheme B crosses the divergence threshold; scheme A is
-    atypical."""
+def _decide(
+    cfg: SchemeConfig,
+    counts: np.ndarray,
+    p_u: Pmf,
+    p_v: Pmf,
+    pbar: PbarSet | None,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder decision and V test on a ``(rows, |U||V|)`` block of joint
+    source counts: (active, accept_v), True where the sensor transmits and
+    where V^n is typical.
+
+    Scheme B transmits when the source type crosses the divergence
+    threshold, scheme A when it is atypical. The marginal types are integer
+    count sums divided by n, so enumerated and sampled counts meet the
+    closed typicality boundary at the same place.
+    """
+    mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
+    t_u = mat.sum(axis=2) / n
     if cfg.scheme == "B":
-        return kl_rows(t_u, p_u) >= pbar.tau_nats
-    return ~typical(t_u, p_u, cfg.mu)
+        active = kl_rows(t_u, p_u.probs) >= pbar.tau_nats
+    else:
+        active = ~typical(t_u, p_u.probs, cfg.mu)
+    return active, typical(mat.sum(axis=1) / n, p_v.probs, cfg.mu)
 
 
 def _log_accept_probs(
@@ -199,28 +152,23 @@ def _log_accept_probs(
 
     The per-type acceptance factor depends only on which constant codeword
     the encoder emits, not on the source law, so the two factors and each
-    type's decisions serve every law. The marginal types are integer count
-    sums divided by n, as in ``run_trials``, so the closed typicality
-    boundary falls where the Monte Carlo engine puts it.
+    type's decisions serve every law. Scheme A's burst symbol never emits
+    the marker (``validate_against``), so an active type is never accepted.
     """
-    du, dv = p_u.alphabet.size, p_v.alphabet.size
-    check_enumerable(n, du * dv, "joint source type enumeration")
+    cells = p_u.alphabet.size * p_v.alphabet.size
+    check_enumerable(n, cells, "joint source type enumeration")
     if cfg.scheme == "B":
         if pbar is None:
             raise ConfigMismatch("scheme B needs the threshold set")
         log_silent = _log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu)
         log_active = _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu)
     else:
-        k = cfg.k(n)
         p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-        p_star1 = dmc.y_row(cfg.x_hat)[cfg.y_star]
-        log_silent = math.log1p(-((1.0 - p_star0) ** k)) if p_star0 > 0 else NEG_INF
-        log_active = math.log1p(-((1.0 - p_star1) ** k)) if p_star1 > 0 else NEG_INF
+        log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
+        log_active = NEG_INF
     logs = [[] for _ in joints]
-    for counts in type_blocks(n, du * dv):
-        mat = counts.reshape(-1, du, dv)
-        active = _active(cfg, mat.sum(axis=2) / n, p_u.probs, pbar)
-        accept = typical(mat.sum(axis=1) / n, p_v.probs, cfg.mu)
+    for counts in type_blocks(n, cells):
+        active, accept = _decide(cfg, counts, p_u, p_v, pbar, n)
         factor = np.where(active[accept], log_active, log_silent)
         for out, joint in zip(logs, joints):
             lp = log_type_class_prob(counts, joint.probs.ravel())
@@ -313,11 +261,6 @@ def _wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054)
     return max(abs(center + half - phat), abs(center - half - phat))
 
 
-def _sample_counts(rng, pmf_flat: np.ndarray, trials: int, n: int) -> np.ndarray:
-    """Per-trial symbol counts of i.i.d. draws: multinomial, vectorized."""
-    return rng.multinomial(n, pmf_flat, size=trials)
-
-
 def run_trials(
     cfg: SchemeConfig,
     p_uv: JointPmf,
@@ -334,8 +277,8 @@ def run_trials(
     Per-chunk randomness is derived from (seed, hypothesis, chunk index), so
     results are reproducible and independent of scheduling. Both encoders and
     decisions are functions of the source/output types only, so per-trial
-    type counts are sampled directly (multinomially) instead of materializing
-    every sequence; the distribution of every decision is identical.
+    type counts are sampled directly (multinomially) and decided by the same
+    kernel as the exact engine.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -344,7 +287,6 @@ def run_trials(
     ref_y = dmc.y_row(dmc.zero_symbol).probs
     k = cfg.k(n) if cfg.scheme == "A" else None
 
-    du, dv = p_u.alphabet.size, p_v.alphabet.size
     errors = {0: 0, 1: 0}  # H0: count Hhat=1; H1: count Hhat=0
     active_total = 0
 
@@ -355,11 +297,9 @@ def run_trials(
         while done < trials:
             m = min(chunk, trials - done)
             rng = np.random.default_rng([seed, hyp, chunk_idx])
-            joint_counts = _sample_counts(rng, flat, m, n)  # (m, du*dv)
-            cu = joint_counts.reshape(m, du, dv).sum(axis=2)
-            cv = joint_counts.reshape(m, du, dv).sum(axis=1)
-            active = _active(cfg, cu / n, p_u.probs, pbar)
-            accept = typical(cv / n, p_v.probs, cfg.mu)
+            active, accept = _decide(
+                cfg, rng.multinomial(n, flat, size=m), p_u, p_v, pbar, n
+            )
 
             if cfg.scheme == "B":
                 # sample channel output counts for each trial's constant codeword
@@ -372,14 +312,9 @@ def run_trials(
                     cy[~active] = rng.multinomial(n, ref_y, size=m - n_act)
                 accept &= typical(cy / n, ref_y, cfg.mu)
             else:
+                # only the zero input emits the marker (validate_against)
                 p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-                p_star1 = dmc.y_row(cfg.x_hat)[cfg.y_star]
-                star_counts = np.where(
-                    active,
-                    rng.binomial(k, p_star1, size=m),
-                    rng.binomial(k, p_star0, size=m),
-                )
-                accept &= star_counts > 0
+                accept &= ~active & (rng.binomial(k, p_star0, size=m) > 0)
 
             if hyp == 0:
                 errors[0] += int(np.count_nonzero(~accept))

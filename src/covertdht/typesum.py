@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from .errors import AlphabetTooLarge
-from .probability import Pmf, typical
+from .probability import Pmf
 
 #: Upper bound on enumerated types per call.
 MAX_TYPES = 5_000_000
@@ -148,12 +148,3 @@ def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray
     lp = log_prob_type_event(p, n, predicate)
     return 0.0 if lp == NEG_INF else math.exp(lp)
 
-
-def prob_typical(p: Pmf, n: int, mu: float) -> float:
-    """Exact Pr[X^n strongly mu-typical for p], X i.i.d. p."""
-    return prob_typical_for(p, p, n, mu)
-
-
-def prob_typical_for(source: Pmf, reference: Pmf, n: int, mu: float) -> float:
-    """Exact Pr[X^n strongly mu-typical for `reference`], X i.i.d. `source`."""
-    return prob_type_event(source, n, lambda t: typical(t, reference.probs, mu))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from covertdht import Dmc, find_partial_connectivity, sample_channel, validate_covert_conditions
+from covertdht import Dmc, find_partial_connectivity, validate_covert_conditions
 from covertdht.channel import _nnls
 from covertdht.errors import NoConvergence
-from covertdht.probability import Alphabet, SymbolSequence
+from covertdht.probability import Alphabet
 
 X2 = Alphabet(("0", "1"))
 X3 = Alphabet(("0", "1", "2"))
@@ -98,30 +98,6 @@ def test_support_inclusion_witnesses():
     report = validate_covert_conditions(dmc)
     assert not report.warden_support_ok and report.warden_support_witness == ("1", "1")
     assert not report.center_support_ok and report.center_support_witness == ("1", "y2")
-
-
-def test_sample_channel_deterministic(example_dmc):
-    x = SymbolSequence(X2, np.zeros(100, dtype=np.int64))
-    y1, z1 = sample_channel(example_dmc, x, seed=9)
-    y2, z2 = sample_channel(example_dmc, x, seed=9)
-    assert np.array_equal(y1.data, y2.data)
-    assert np.array_equal(z1.data, z2.data)
-
-
-def test_sample_channel_frequencies(example_dmc):
-    n = 200_000
-    x = SymbolSequence(X2, np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)]))
-    y, z = sample_channel(example_dmc, x, seed=1)
-    for data, row in ((y.data[:n], [0.6, 0.4]), (y.data[n:], [0.4, 0.6])):
-        freq = np.bincount(data, minlength=2) / n
-        assert np.max(np.abs(freq - row)) < 5e-3
-    freq_z = np.bincount(z.data[n:], minlength=2) / n
-    assert np.max(np.abs(freq_z - [0.4, 0.6])) < 5e-3
-
-
-def test_sample_channel_alphabet_check(example_dmc):
-    with pytest.raises(ValueError):
-        sample_channel(example_dmc, SymbolSequence(X3, np.array([0, 1])), seed=0)
 
 
 def _warden_rows(seed):

@@ -151,7 +151,8 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 0
         assert out_path.read_bytes() == first  # deterministic rerun
 
-    def test_rule_of_three_flag_round_trips(self, tmp_path, capsys):
+    @staticmethod
+    def _exact_and_rule_of_three_rows(tmp_path):
         # 2x2 sources at n = 400 exceed the joint-type cap and fall back to
         # Monte Carlo, where no miss is observed under the alternative
         out_path = tmp_path / "sim.csv"
@@ -163,13 +164,26 @@ class TestSimulate:
         data["sweep"].update(n_grid=[20, 400], trials=2000, seed=1)
         data["output"] = {"path": str(out_path), "format": "csv"}
         assert main(["simulate", write_config(tmp_path, data)]) == 0
-        exact, mc = read_csv(str(out_path), SIM_HEADER, SIM_SCHEMA)
+        return read_csv(str(out_path), SIM_HEADER, SIM_SCHEMA)
+
+    def test_rule_of_three_flag_round_trips(self, tmp_path, capsys):
+        exact, mc = self._exact_and_rule_of_three_rows(tmp_path)
         assert (exact["method"], exact["trials"], exact["beta_is_upper_bound"]) == (
             "exact", "0", "False")
         assert (mc["method"], mc["trials"], mc["beta_is_upper_bound"]) == ("mc", "2000", "True")
         assert float(mc["beta"]) == pytest.approx(3.0 / 2000)
         for row in (exact, mc):
             assert float(row["a_bar"]) == pytest.approx(float(row["weight_mean"]) ** 0.5)
+
+    def test_weight_line_averages_every_cell(self, tmp_path, capsys):
+        # a rule-of-three cell is left out of the exponent fit, not out of
+        # the mean input weight
+        rows = self._exact_and_rule_of_three_rows(tmp_path)
+        weights = [float(r["weight_mean"]) for r in rows]
+        assert weights[0] != weights[1]
+        mean_w = sum(weights) / len(weights)
+        line = f"mu=0.02: mean input weight fraction under the null {mean_w:.3e}"
+        assert line in capsys.readouterr().err.splitlines()
 
     def test_json_output(self, tmp_path):
         out_path = tmp_path / "sim.json"

@@ -229,16 +229,19 @@ class TestSchemeA:
         val = cov.scheme_A_atypicality(example_p_u, 10_000, 0.05)
         assert 0.0 < val < 1e-30
 
-    def test_divergence_depends_only_on_burst(self):
-        exact, quad = cov.scheme_A_divergence(G0, G1, 0.01, 25)
-        assert exact == pytest.approx(
-            cov.two_point_divergence_exact(G0, G1, 0.01, 25), rel=1e-15
-        )
-        assert exact <= quad
+    def test_divergence_depends_only_on_burst(self, example_p_u):
+        # the report at blocklength n is the mixture's at the burst length k
+        n, k, mu = 400, 25, 0.05
+        rep = cov.scheme_A_covertness(example_p_u, G0, G1, n, k, mu)
+        delta = cov.scheme_A_atypicality(example_p_u, n, mu)
+        assert rep.delta_n == delta
+        assert rep.d_n_exact == cov.two_point_divergence_exact(G0, G1, delta, k)
+        assert (rep.quad_bound, rep.type_bound) == cov.warden_divergence_bounds(G0, G1, delta, k)
+        assert rep.d_n_exact <= rep.quad_bound
 
-    def test_k_validation(self):
+    def test_k_validation(self, example_p_u):
         with pytest.raises(ValueError):
-            cov.scheme_A_divergence(G0, G1, 0.1, 0)
+            cov.scheme_A_covertness(example_p_u, G0, G1, 100, 0, 0.05)
 
 
 # grid steps of `grid_margins` by dimension: coarse, and the finest the

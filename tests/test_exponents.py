@@ -636,11 +636,6 @@ class TestAchievableExponent:
         with pytest.raises(InvalidChannel):
             expo.achievable_exponent(p_uv, q_uv, dmc)
 
-    def test_eps_validation(self, example_sources, example_dmc):
-        p_uv, q_uv = example_sources
-        with pytest.raises(ValueError):
-            expo.achievable_exponent(p_uv, q_uv, example_dmc, eps=1.0)
-
     def test_partially_connected_theta_is_e1(self, example_sources, partial_dmc):
         p_uv, q_uv = example_sources
         rep = expo.achievable_exponent(p_uv, q_uv, partial_dmc)

@@ -5,28 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertdht.errors import (
-    AlphabetMismatch,
-    DivisionBySupportZero,
-    EmptySequence,
-    LengthMismatch,
-    SupportViolation,
-)
+from covertdht.errors import AlphabetMismatch, DivisionBySupportZero, SupportViolation
 from covertdht.probability import (
     LN2,
     Alphabet,
     JointPmf,
     LogBase,
     Pmf,
-    SymbolSequence,
     chi_squared,
-    empirical_type,
     entropy,
-    is_strongly_typical,
     joint_kl_divergence,
-    joint_type,
     kl_divergence,
-    sample_iid,
+    typical,
 )
 
 AB = Alphabet(("a", "b"))
@@ -178,67 +168,16 @@ class TestEntropy:
         assert entropy(Pmf(AB, np.array([1.0, 0.0]))) == 0.0
 
 
-class TestTypes:
-    def test_empirical_type(self):
-        s = SymbolSequence(ABC, np.array([0, 1, 1, 2, 1]))
-        assert empirical_type(s).probs == pytest.approx([0.2, 0.6, 0.2])
-
-    def test_empty_sequence(self):
-        with pytest.raises(EmptySequence):
-            empirical_type(SymbolSequence(AB, np.array([], dtype=np.int64)))
-
-    def test_joint_type_marginals(self):
-        s1 = SymbolSequence(AB, np.array([0, 0, 1, 1, 0]))
-        s2 = SymbolSequence(ABC, np.array([2, 1, 0, 2, 2]))
-        j = joint_type(s1, s2)
-        assert j.row_marginal().probs == pytest.approx(empirical_type(s1).probs)
-        assert j.col_marginal().probs == pytest.approx(empirical_type(s2).probs)
-
-    def test_joint_type_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            joint_type(
-                SymbolSequence(AB, np.array([0])), SymbolSequence(AB, np.array([0, 1]))
-            )
-
-    def test_hamming_weight(self):
-        s = SymbolSequence(AB, np.array([0, 1, 1, 0]))
-        assert s.hamming_weight() == 2
-
-    def test_index_range_check(self):
-        with pytest.raises(ValueError):
-            SymbolSequence(AB, np.array([0, 2]))
-
-
 class TestTypicality:
     def test_boundary_is_typical(self):
         # |type - p| equal to mu exactly: the closed condition accepts it
-        p = Pmf(AB, np.array([0.5, 0.5]))
-        s = SymbolSequence(AB, np.array([0, 0, 0, 1]))  # type (0.75, 0.25)
-        assert is_strongly_typical(s, p, 0.25)
-        assert not is_strongly_typical(s, p, 0.24)
+        p = np.array([0.5, 0.5])
+        t = np.array([3, 1]) / 4  # type (0.75, 0.25)
+        assert typical(t, p, 0.25)
+        assert not typical(t, p, 0.24)
 
     def test_zero_preservation(self):
-        p = Pmf(AB, np.array([1.0, 0.0]))
-        s = SymbolSequence(AB, np.array([0, 0, 0, 1]))
-        assert not is_strongly_typical(s, p, 0.5)
-
-    def test_mu_positive_required(self):
-        p = Pmf(AB, np.array([0.5, 0.5]))
-        s = SymbolSequence(AB, np.array([0, 1]))
-        with pytest.raises(ValueError):
-            is_strongly_typical(s, p, 0.0)
-
-
-class TestSampling:
-    def test_deterministic(self):
-        j = JointPmf(AB, ABC, np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.1]]))
-        a1, b1 = sample_iid(j, 500, seed=42)
-        a2, b2 = sample_iid(j, 500, seed=42)
-        assert np.array_equal(a1.data, a2.data)
-        assert np.array_equal(b1.data, b2.data)
-
-    def test_frequencies_match(self):
-        j = JointPmf(AB, ABC, np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.1]]))
-        a, b = sample_iid(j, 200_000, seed=5)
-        jt = joint_type(a, b)
-        assert np.max(np.abs(jt.probs - j.probs)) < 5e-3
+        # mass where the reference is zero is atypical however wide mu is
+        p = np.array([1.0, 0.0])
+        assert not typical(np.array([3, 1]) / 4, p, 0.5)
+        assert typical(np.array([1.0, 0.0]), p, 0.5)

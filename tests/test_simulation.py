@@ -11,7 +11,7 @@ import covertdht.typesum as typesum
 import oracles
 from covertdht import Dmc
 from covertdht.errors import AlphabetTooLarge, ConfigMismatch, DegenerateInput
-from covertdht.probability import Alphabet, JointPmf, Pmf, SymbolSequence
+from covertdht.probability import Alphabet, JointPmf, Pmf
 
 X2 = Alphabet(("0", "1"))
 
@@ -70,94 +70,83 @@ class TestSchemeConfig:
 
 
 class TestEncoders:
-    def test_scheme_a_silent_when_typical(self, partial_dmc):
+    """The encoder decision of ``_decide`` on the joint counts of one block
+    (V degenerate, so the joint counts are the U counts)."""
+
+    V1 = Pmf(Alphabet(("c",)), np.array([1.0]))
+
+    def test_scheme_a_silent_when_typical(self, example_p_u):
         cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
-        p_u = Pmf(U2, np.array([0.8, 0.2]))
-        u_alpha = Alphabet((0, 1))
-        typical = SymbolSequence(u_alpha, np.array([1, 0, 0, 0, 0] * 20))
-        # the encoder's input alphabet must match the source alphabet used
-        x = sim.encode_scheme_A(typical, cfg, Pmf(u_alpha, np.array([0.8, 0.2])), partial_dmc)
-        assert x.hamming_weight(partial_dmc.zero_index) == 0
-        atypical = SymbolSequence(u_alpha, np.array([1, 1, 0, 0, 0] * 20))
-        x = sim.encode_scheme_A(atypical, cfg, Pmf(u_alpha, np.array([0.8, 0.2])), partial_dmc)
-        k = cfg.k(100)
-        assert x.hamming_weight(partial_dmc.zero_index) == k
-        assert np.all(x.data[:k] == partial_dmc.input_alphabet.index("1"))
-        assert np.all(x.data[k:] == partial_dmc.zero_index)
+        # U counts (80, 20) match P_U = (0.8, 0.2); (60, 40) is 0.2 off
+        active, _ = sim._decide(cfg, np.array([[80, 20], [60, 40]]),
+                                example_p_u, self.V1, None, 100)
+        assert active.tolist() == [False, True]
 
     def test_scheme_b_codeword_when_threshold_crossed(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.05, x1="1")
-        u_alpha = example_p_u.alphabet
-        near_null = SymbolSequence(u_alpha, np.array([1, 0, 0, 0, 0] * 8))
-        x = sim.encode_scheme_B(near_null, cfg, example_p_u, pbar, example_dmc)
-        assert x.hamming_weight(example_dmc.zero_index) == 0
-        far = SymbolSequence(u_alpha, np.array([1, 1, 1, 0, 0] * 8))
-        x = sim.encode_scheme_B(far, cfg, example_p_u, pbar, example_dmc)
-        assert x.hamming_weight(example_dmc.zero_index) == len(far)
+        active, _ = sim._decide(cfg, np.array([[32, 8], [16, 24]]),
+                                example_p_u, self.V1, pbar, 40)
+        assert active.tolist() == [False, True]
 
-    def test_scheme_a_decision_scans_burst_only(self, partial_dmc):
-        cfg = sim.SchemeConfig(scheme="A", mu=0.4, x_hat="1", y_star="1")
-        v = SymbolSequence(Alphabet(("c",)), np.zeros(100, dtype=np.int64))
-        p_v = Pmf(Alphabet(("c",)), np.array([1.0]))
-        k = cfg.k(100)
-        marker_late = np.zeros(100, dtype=np.int64)
-        marker_late[k] = 1  # just outside the scan window
-        y = SymbolSequence(partial_dmc.y_alphabet, marker_late)
-        assert sim.decide_scheme_A(v, y, cfg, p_v, partial_dmc) == 1
-        marker_in = np.zeros(100, dtype=np.int64)
-        marker_in[k - 1] = 1
-        y = SymbolSequence(partial_dmc.y_alphabet, marker_in)
-        assert sim.decide_scheme_A(v, y, cfg, p_v, partial_dmc) == 0
+    def test_scheme_a_decision_scans_burst_only(self, example_sources, partial_dmc):
+        # mu = 1 makes every source block typical, so the sensor never
+        # transmits and a Type-I error is a burst of k zero-input outputs
+        # without the marker (probability 1/2 each): (1/2)^k, not (1/2)^n
+        p_uv, q_uv = example_sources
+        cfg = sim.SchemeConfig(scheme="A", mu=1.0, x_hat="1", y_star="1")
+        n, k = 100, cfg.k(100)
+        alpha, _ = sim.exact_error_probs(cfg, p_uv, q_uv, partial_dmc, n)
+        assert alpha == pytest.approx(0.5**k, rel=1e-12)
+        res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, n, 20_000, seed=2)
+        assert abs(res.alpha - 0.5**k) <= res.alpha_ci
 
 
-def _typical_counts(seq, probs, mu, size):
-    """Strong typicality of a sequence in exact rational arithmetic."""
-    n = len(seq)
-    for a in range(size):
-        c, p = Fraction(seq.count(a), n), Fraction(probs[a])
-        if (p == 0 and c > 0) or abs(c - p) > Fraction(mu):
+def _typical_exact(counts, probs, mu):
+    """Strong typicality of a count vector in exact rational arithmetic."""
+    n = sum(counts)
+    for c, p in zip(counts, probs):
+        t, p = Fraction(int(c), n), Fraction(p)
+        if (p == 0 and t > 0) or abs(t - p) > Fraction(mu):
             return False
     return True
 
 
 class TestDecideSchemeB:
-    Y3 = Alphabet(("0", "1", "2"))
-    V3 = Alphabet(("a", "b", "c"))
+    """``_decide`` against exact rational typicality on every joint count
+    vector of a 3x3 source at n = 4."""
 
-    def _setup(self):
-        # the zero-input row has a zero, so the support rule is exercised; all
-        # probabilities and mu are dyadic, so the closed boundary |t - p| = mu
-        # is reached exactly in floating point
-        dmc = Dmc(X2, self.Y3, X2, [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],
-                  [[0.6, 0.4], [0.4, 0.6]], "0")
-        p_v = Pmf(self.V3, np.array([0.5, 0.25, 0.25]))
-        return dmc, p_v, sim.SchemeConfig(scheme="B", mu=0.25, x1="1")
+    U3 = Alphabet(("a", "b", "c"))
+    V3 = Alphabet(("x", "y", "z"))
 
     def test_matches_brute_force_typicality(self):
-        dmc, p_v, cfg = self._setup()
-        n = 4
-        ref_y = dmc.y_row("0").probs
-        seqs = list(itertools.product(range(3), repeat=n))
-        decisions = {}
-        for v in seqs:
-            v_seq = SymbolSequence(self.V3, np.array(v))
-            v_typ = _typical_counts(v, p_v.probs, cfg.mu, 3)
-            for y in seqs:
-                got = sim.decide_scheme_B(v_seq, SymbolSequence(self.Y3, np.array(y)),
-                                          cfg, p_v, dmc)
-                want = 0 if v_typ and _typical_counts(y, ref_y, cfg.mu, 3) else 1
-                assert got == want, (v, y)
-                decisions[(v_typ, want)] = decisions.get((v_typ, want), 0) + 1
-        # every branch occurs: accept, reject on V, reject on Y alone
-        assert set(decisions) == {(True, 0), (True, 1), (False, 1)}
-
-    def test_length_mismatch(self):
-        dmc, p_v, cfg = self._setup()
-        v = SymbolSequence(self.V3, np.zeros(4, dtype=np.int64))
-        y = SymbolSequence(self.Y3, np.zeros(5, dtype=np.int64))
-        with pytest.raises(ConfigMismatch):
-            sim.decide_scheme_B(v, y, cfg, p_v, dmc)
+        # P_V has a zero, so the support rule is exercised; all probabilities
+        # and mu are dyadic, so the closed boundary |t - p| = mu is reached
+        # exactly in floating point
+        p_u = Pmf(self.U3, np.array([0.5, 0.25, 0.25]))
+        p_v = Pmf(self.V3, np.array([0.5, 0.5, 0.0]))
+        mu, tau, n = 0.25, 0.3, 4
+        pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
+        counts = np.array(list(oracles.iter_types(n, 9)))
+        mats = counts.reshape(-1, 3, 3)
+        cu, cv = mats.sum(axis=2), mats.sum(axis=1)
+        # no U type lies near the threshold, so the float divergence decides
+        assert min(abs(oracles.kl(c / n, p_u.probs) - tau) for c in cu) > 1e-3
+        want_b = [oracles.kl(c / n, p_u.probs) >= tau for c in cu]
+        want_a = [not _typical_exact(c, p_u.probs, mu) for c in cu]
+        want_v = [_typical_exact(c, p_v.probs, mu) for c in cv]
+        for cfg, want_active in (
+            (sim.SchemeConfig(scheme="B", mu=mu, x1="1"), want_b),
+            (sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1"), want_a),
+        ):
+            active, accept_v = sim._decide(cfg, counts, p_u, p_v, pbar, n)
+            assert active.tolist() == want_active
+            assert accept_v.tolist() == want_v
+            assert set(want_active) == {True, False}
+        assert set(want_v) == {True, False}
+        # a V type within mu of P_V letter by letter is still rejected for
+        # its mass on the zero of P_V
+        assert any(c[2] > 0 and np.all(np.abs(c / n - p_v.probs) <= mu) for c in cv)
 
 
 def brute_force_error_probs(cfg, p_uv, q_uv, dmc, n, pbar=None):
@@ -377,6 +366,28 @@ class TestMonteCarlo:
         res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, 100, 10_000, seed=0)
         assert res.beta_is_upper_bound
         assert res.beta == pytest.approx(3.0 / 10_000)
+
+    @pytest.mark.parametrize("scheme, want", [
+        ("B", sim.SimulationResult(
+            scheme="B", n=30, mu=0.2, k=None, alpha=0.04055, beta=0.13845, method="mc",
+            alpha_ci=0.0028230218924023415, beta_ci=0.00485599392961647, trials=20000,
+            seed=11, weight_mean=0.00035, a_bar=0.01870828693386971)),
+        ("A", sim.SimulationResult(
+            scheme="A", n=30, mu=0.2, k=6, alpha=0.0526, beta=0.02205, method="mc",
+            alpha_ci=0.0031806157200158294, beta_ci=0.002128803726639282, trials=20000,
+            seed=11, weight_mean=0.004850000000000001, a_bar=0.0696419413859206)),
+    ], ids=["B", "A"])
+    def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, scheme, want):
+        # values recorded from an earlier version of the engine: a change to
+        # the sampling order or to any decision shows up here bit for bit
+        if scheme == "B":
+            cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+            dmc, pbar = example_dmc, expo.pbar_threshold(example_dmc, "1")
+        else:
+            cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+            dmc, pbar = partial_dmc, None
+        got = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_000, seed=11, pbar=pbar, chunk=7_000)
+        assert got == want
 
     def test_trials_validation(self, example_sources, example_dmc):
         p_uv, q_uv = example_sources

@@ -15,8 +15,6 @@ from covertdht.typesum import (
     log_type_class_prob,
     num_types,
     prob_type_event,
-    prob_typical,
-    prob_typical_for,
     type_blocks,
 )
 
@@ -133,15 +131,16 @@ def test_prob_typical_against_sequence_enumeration():
         t = np.bincount(seq, minlength=2) / n
         if np.all(np.abs(t - p.probs) <= mu):
             total += math.prod(p.probs[i] for i in seq)
-    assert prob_typical(p, n, mu) == pytest.approx(total, rel=1e-12)
+    got = prob_type_event(p, n, lambda t: typical(t, p.probs, mu))
+    assert got == pytest.approx(total, rel=1e-12)
 
 
 def test_prob_typical_for_other_reference():
     source = Pmf(AB, np.array([0.5, 0.5]))
-    ref = Pmf(AB, np.array([0.9, 0.1]))
+    ref = np.array([0.9, 0.1])
     # typicality window for ref is far from the source mean: small probability
-    val = prob_typical_for(source, ref, 40, 0.05)
-    assert 0.0 < val < prob_typical(source, 40, 0.05)
+    val = prob_type_event(source, 40, lambda t: typical(t, ref, 0.05))
+    assert 0.0 < val < prob_type_event(source, 40, lambda t: typical(t, source.probs, 0.05))
 
 
 def test_prob_type_event_complement():
