@@ -9,12 +9,8 @@ from .channel import ConditionReport, Dmc, find_partial_connectivity, validate_c
 from .covertness import (
     CovertnessReport,
     chi_squared_product,
-    delta_scheme_B,
-    warden_divergence_bounds,
-    scheme_A_covertness,
-    scheme_B_covertness,
     scheme_B_positivity,
-    two_point_divergence_exact,
+    warden_divergence,
 )
 from .exponents import (
     E3Result,
@@ -50,6 +46,7 @@ from .simulation import (
     empirical_exponent,
     exact_error_probs,
     run_trials,
+    transmit_probability,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Warden-side metrics: exact mixture divergence, quadratic and type-based
-bounds, transmission probabilities, and the positivity margins behind the
-exponential covertness decay.
+"""Warden-side metrics: exact mixture divergence, its quadratic and
+type-based bounds, and the positivity margins behind the exponential
+covertness decay.
 
 The warden sees either the all-zero product law G0^n or, with probability
 delta, the constant-codeword product law G1^n. The exact divergence of the
@@ -13,11 +13,12 @@ through its type. Each type contributes
 which is non-negative, so the sum is cancellation-free; the linear term
 sums to zero exactly and is dropped analytically, not numerically.
 
-Every sum here runs over the batched type lattice of ``typesum`` a block at
-a time, and every divergence-threshold and typicality decision goes through
-``probability.kl_rows`` and ``probability.typical``. The exact divergence
-enumerates the same (n, |Z|) lattice as the type-based bound, so it is
-available whenever the bounds are.
+``warden_divergence`` walks the (n, |Z|) type lattice of ``typesum`` once, a
+block at a time, and takes the exact divergence and the type-based bound
+from the same blocks, so the divergence is available whenever the bounds
+are. delta itself, the probability that the encoder fires under the null,
+is ``simulation.transmit_probability``: the encoder rule lives with the
+decision kernel, not here.
 
 The positivity margins are closed forms in Renyi divergences of the warden
 rows, with no sum and no grid; the first is identically 0.
@@ -34,15 +35,8 @@ import numpy as np
 
 from .errors import SupportViolation
 from .exponents import PbarSet
-from .probability import Pmf, chi_squared, kl_rows, typical
-from .typesum import (
-    NEG_INF,
-    check_enumerable,
-    log_type_class_prob,
-    logsumexp,
-    prob_type_event,
-    type_blocks,
-)
+from .probability import Pmf, chi_squared, kl_rows
+from .typesum import NEG_INF, check_enumerable, log_type_class_prob, type_blocks
 
 _INF = math.inf
 
@@ -66,37 +60,6 @@ def _mix_term(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t) < 1e-4, series, xlog1py - t)
 
 
-def two_point_divergence_exact(g0: Pmf, g1: Pmf, delta: float, n: int) -> float:
-    """Exact D( (1-delta) G0^n + delta G1^n  ||  G0^n ) in nats.
-
-    Sums over n-types of the output alphabet; O(n^(|Z|-1)) terms, all
-    non-negative.
-    """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    _check_rows(g0, g1)
-    if delta == 0.0 or np.array_equal(g0.probs, g1.probs):
-        return 0.0
-    check_enumerable(n, g0.alphabet.size, "exact warden divergence")
-    log_ratio = np.full(g0.alphabet.size, NEG_INF)
-    mask = g1.probs > 0.0
-    log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
-    total = 0.0
-    log_delta = math.log(delta)
-    for counts in type_blocks(n, g0.alphabet.size):
-        lp0 = log_type_class_prob(counts, g0.probs)  # impossible types add p0 = 0
-        with np.errstate(invalid="ignore", over="ignore"):
-            ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
-            p0 = np.exp(lp0)
-            # t is astronomically large past ell = 500: (1+t)log1p(t) - t =
-            # log1p(t) + t*(log1p(t)-1) with p0*t = delta*(p1-p0) in logs
-            lt = log_delta + ell  # log t up to the negligible -delta term
-            huge = p0 * lt + delta * (np.exp(lp0 + ell) - p0) * (lt - 1.0)
-            terms = np.where(ell <= 500.0, p0 * _mix_term(delta * np.expm1(ell)), huge)
-        total += float(terms.sum())
-    return max(total, 0.0)
-
-
 def chi_squared_product(g0: Pmf, g1: Pmf, n: int) -> float:
     """Chi-squared distance between the product laws G1^n and G0^n.
 
@@ -107,55 +70,54 @@ def chi_squared_product(g0: Pmf, g1: Pmf, n: int) -> float:
     return float(math.expm1(n * math.log1p(c)))
 
 
-def warden_divergence_bounds(
-    g0: Pmf, g1: Pmf, delta: float, n: int, literal: bool = False
-) -> tuple[float, float]:
-    """Quadratic and type-based upper bounds on the warden divergence.
+def warden_divergence(g0: Pmf, g1: Pmf, delta: float, n: int) -> tuple[float, float, float]:
+    """Exact D( (1-delta) G0^n + delta G1^n  ||  G0^n ) and its quadratic and
+    type-based upper bounds, in nats, from one pass over the n-types of the
+    output alphabet.
 
+    The exact divergence is a sum of O(n^(|Z|-1)) non-negative terms.
     quad_bound = delta^2 * chi2(G1^n || G0^n).
     type_bound = (n+1)^|Z| * max over n-types pi of
-        exp(-n D(pi||G0)) * (exp(-n (D(pi||G1) - D(pi||G0))) - 1)^2.
-    The derivation produces the G0 exponent in the leading factor (the type
-    probability is taken under G0); ``literal=True`` evaluates the G1 variant
-    instead, for comparison.
+        exp(-n D(pi||G0)) * (exp(-n (D(pi||G1) - D(pi||G0))) - 1)^2,
+    with the type probability taken under G0. It does not depend on delta,
+    so it is computed even where the divergence is 0 (delta = 0 or G1 = G0).
     """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must lie in [0, 1]")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_rows(g0, g1)
     quad = delta * delta * chi_squared_product(g0, g1, n)
-    check_enumerable(n, g0.alphabet.size, "type-based warden bound")
-    best = 0.0
+    check_enumerable(n, g0.alphabet.size, "warden divergence")
+    mixed = delta > 0.0 and not np.array_equal(g0.probs, g1.probs)
+    log_ratio = np.full(g0.alphabet.size, NEG_INF)
+    mask = g1.probs > 0.0
+    log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
+    log_delta = math.log(delta) if mixed else NEG_INF
+    total, best = 0.0, 0.0
     for counts in type_blocks(n, g0.alphabet.size):
+        if mixed:
+            lp0 = log_type_class_prob(counts, g0.probs)  # impossible types add p0 = 0
+            with np.errstate(invalid="ignore", over="ignore"):
+                ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
+                p0 = np.exp(lp0)
+                # t is astronomically large past ell = 500: (1+t)log1p(t) - t =
+                # log1p(t) + t*(log1p(t)-1) with p0*t = delta*(p1-p0) in logs
+                lt = log_delta + ell  # log t up to the negligible -delta term
+                huge = p0 * lt + delta * (np.exp(lp0 + ell) - p0) * (lt - 1.0)
+                terms = np.where(ell <= 500.0, p0 * _mix_term(delta * np.expm1(ell)), huge)
+            total += float(terms.sum())
         t = counts / n
         d0 = kl_rows(t, g0.probs)
         t, d0 = t[d0 < _INF], d0[d0 < _INF]  # zero-probability directions under both laws
         d1 = kl_rows(t, g1.probs)
-        lead = -n * (d1 if literal else d0)
-        # e^{lead} (e^{-n(d1-d0)} - 1)^2, expanded for stability; the first
+        # e^{-n d0} (e^{-n(d1-d0)} - 1)^2, expanded for stability; the first
         # two exponentials vanish where d1 is infinite
+        lead = -n * d0
         terms = (np.exp(lead - 2.0 * n * (d1 - d0)) - 2.0 * np.exp(lead - n * (d1 - d0))
                  + np.exp(lead))
         best = max(best, float(terms.max(initial=0.0)))
-    type_bound = (n + 1) ** g0.alphabet.size * best
-    return quad, type_bound
-
-
-def delta_scheme_B(p_u: Pmf, pbar: PbarSet, n: int) -> tuple[float, float]:
-    """Probability that the full-block scheme transmits the codeword.
-
-    Returns (exact, bound): the exact probability that the observed source
-    type crosses the divergence threshold, and the polynomial-times-
-    exponential upper bound (n+1)^|U| max e^{-n D}.
-    """
-    check_enumerable(n, p_u.alphabet.size, "transmission probability")
-    logs = []
-    best_exp = NEG_INF
-    for counts in type_blocks(n, p_u.alphabet.size):
-        d = kl_rows(counts / n, p_u.probs)
-        hit = d >= pbar.tau_nats
-        logs.append(logsumexp(log_type_class_prob(counts[hit], p_u.probs)))
-        best_exp = max(best_exp, float((-n * d[hit]).max(initial=NEG_INF)))
-    exact = float(min(math.exp(logsumexp(logs)), 1.0))
-    bound = (n + 1) ** p_u.alphabet.size * math.exp(best_exp)
-    return exact, bound
+    return max(total, 0.0), quad, (n + 1) ** g0.alphabet.size * best
 
 
 def scheme_B_positivity(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf) -> tuple[float, float, float]:
@@ -189,16 +151,6 @@ def scheme_B_positivity(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf) -> tuple[floa
     return two_b - math.log(sum_cubes), two_b - math.log1p(chi_squared(g1, g0)), two_b
 
 
-def scheme_A_atypicality(p_u: Pmf, n: int, mu: float) -> float:
-    """Exact probability that the sensor's source block is mu-atypical.
-
-    Summed directly over the atypical types rather than as 1 - Pr[typical],
-    which would round to zero once the probability drops below machine
-    epsilon.
-    """
-    return prob_type_event(p_u, n, lambda t: ~typical(t, p_u.probs, mu))
-
-
 @dataclass(frozen=True)
 class CovertnessReport:
     """One row of a covertness sweep (divergences in nats)."""
@@ -217,28 +169,3 @@ class CovertnessReport:
             "quad_bound": self.quad_bound,
             "type_bound": self.type_bound,
         }
-
-
-def scheme_B_covertness(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf, n: int) -> CovertnessReport:
-    """Exact warden divergence and both bounds for the full-block scheme."""
-    delta, _ = delta_scheme_B(p_u, pbar, n)
-    quad, type_b = warden_divergence_bounds(g0, g1, delta, n)
-    exact = two_point_divergence_exact(g0, g1, delta, n)
-    return CovertnessReport(n, delta, exact, quad, type_b)
-
-
-def scheme_A_covertness(
-    p_u: Pmf, g0: Pmf, g1: Pmf, n: int, k: int, mu: float
-) -> CovertnessReport:
-    """Exact warden divergence and both bounds for the sublinear-burst scheme.
-
-    Only the first k channel uses carry the two-point input law; the padded
-    zero tail contributes nothing, so the divergence and its bounds are
-    those of the mixture at blocklength k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    delta = scheme_A_atypicality(p_u, n, mu)
-    quad, type_b = warden_divergence_bounds(g0, g1, delta, k)
-    exact = two_point_divergence_exact(g0, g1, delta, k)
-    return CovertnessReport(n, delta, exact, quad, type_b)

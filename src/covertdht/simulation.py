@@ -18,11 +18,12 @@ zero-input row).
 
 Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
-types alone and never on symbol sequences. One kernel, ``_decide``, makes
-the encoder decision and the V test on a block of joint source counts:
-enumerated types in the exact engine (a lattice block at a time), sampled
-counts in the Monte Carlo engine (a chunk at a time). The Y test goes
-through ``probability.typical`` in both.
+types alone and never on symbol sequences. The encoder rule is written once,
+in ``_transmits``. One kernel, ``_decide``, applies it and the V test to a
+block of joint source counts: enumerated types in the exact engine (a lattice
+block at a time), sampled counts in the Monte Carlo engine (a chunk at a
+time). The Y test goes through ``probability.typical`` in both.
+``transmit_probability`` sums the same rule over the U types alone: delta_n.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .channel import Dmc
-from .covertness import delta_scheme_B, scheme_A_atypicality
 from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
 from .probability import LN2, JointPmf, Pmf, kl_rows, typical
@@ -44,6 +44,7 @@ from .typesum import (
     log_prob_type_event,
     log_type_class_prob,
     logsumexp,
+    prob_type_event,
     type_blocks,
 )
 
@@ -112,6 +113,17 @@ def _log_prob_y_typical(dmc: Dmc, x_symbol, n: int, mu: float) -> float:
     return log_prob_type_event(dmc.y_row(x_symbol), n, lambda t: typical(t, ref, mu))
 
 
+def _transmits(cfg: SchemeConfig, t_u: np.ndarray, p_u: Pmf, pbar: PbarSet | None) -> np.ndarray:
+    """The encoder rule on a ``(rows, |U|)`` array of source types: True
+    where the sensor transmits. Scheme B transmits when the type crosses
+    the divergence threshold, scheme A when it is atypical."""
+    if cfg.scheme == "A":
+        return ~typical(t_u, p_u.probs, cfg.mu)
+    if pbar is None:
+        raise ConfigMismatch("scheme B needs the threshold set")
+    return kl_rows(t_u, p_u.probs) >= pbar.tau_nats
+
+
 def _decide(
     cfg: SchemeConfig,
     counts: np.ndarray,
@@ -124,18 +136,21 @@ def _decide(
     source counts: (active, accept_v), True where the sensor transmits and
     where V^n is typical.
 
-    Scheme B transmits when the source type crosses the divergence
-    threshold, scheme A when it is atypical. The marginal types are integer
-    count sums divided by n, so enumerated and sampled counts meet the
-    closed typicality boundary at the same place.
+    The marginal types are integer count sums divided by n, so enumerated
+    and sampled counts meet the closed typicality boundary at the same place.
     """
     mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
-    t_u = mat.sum(axis=2) / n
-    if cfg.scheme == "B":
-        active = kl_rows(t_u, p_u.probs) >= pbar.tau_nats
-    else:
-        active = ~typical(t_u, p_u.probs, cfg.mu)
+    active = _transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
     return active, typical(mat.sum(axis=1) / n, p_v.probs, cfg.mu)
+
+
+def transmit_probability(
+    cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
+) -> float:
+    """delta_n, the exact probability that the encoder fires under the null,
+    summed over the transmitting types of U^n (not as 1 - Pr[silent], which
+    rounds to zero once delta_n drops below machine epsilon)."""
+    return prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar))
 
 
 def _log_accept_probs(
@@ -158,8 +173,6 @@ def _log_accept_probs(
     cells = p_u.alphabet.size * p_v.alphabet.size
     check_enumerable(n, cells, "joint source type enumeration")
     if cfg.scheme == "B":
-        if pbar is None:
-            raise ConfigMismatch("scheme B needs the threshold set")
         log_silent = _log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu)
         log_active = _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu)
     else:
@@ -401,14 +414,8 @@ def exact_weight_stats(
     """Exact (mean weight fraction, a_bar) of the encoder output under the null.
 
     The codeword occupies the whole block (scheme B) or the first k uses
-    (scheme A), so both statistics reduce to the transmission probability
-    delta_n, a sum over the types of U^n alone.
+    (scheme A), so both statistics reduce to ``transmit_probability``.
     """
-    p_u = p_uv.row_marginal()
-    if cfg.scheme == "A":
-        p_active, block = scheme_A_atypicality(p_u, n, cfg.mu), cfg.k(n)
-    elif pbar is None:
-        raise ConfigMismatch("scheme B needs the threshold set")
-    else:
-        p_active, block = delta_scheme_B(p_u, pbar, n)[0], n
-    return p_active * block / n, math.sqrt(p_active * block / n)
+    block = cfg.k(n) if cfg.scheme == "A" else n
+    frac = transmit_probability(cfg, p_uv.row_marginal(), n, pbar) * block / n
+    return frac, math.sqrt(frac)

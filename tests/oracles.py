@@ -95,18 +95,17 @@ def two_point_divergence(g0, g1, delta, n):
     return max(total, 0.0)
 
 
-def type_bound(g0, g1, n, literal=False):
+def type_bound(g0, g1, n):
     best = 0.0
     for counts in iter_types(n, len(g0)):
         t = counts / n
         d0, d1 = kl(t, g0), kl(t, g1)
         if d0 == math.inf:
             continue
-        lead = d1 if literal else d0
         if d1 == math.inf:
-            term = math.exp(-n * lead) if lead < math.inf else 0.0
+            term = math.exp(-n * d0)
         else:
-            exps = [-n * lead - 2.0 * n * (d1 - d0), -n * lead - n * (d1 - d0), -n * lead]
+            exps = [-n * d0 - 2.0 * n * (d1 - d0), -n * d0 - n * (d1 - d0), -n * d0]
             term = math.exp(exps[0]) - 2.0 * math.exp(exps[1]) + math.exp(exps[2])
         best = max(best, term)
     return (n + 1) ** len(g0) * best
@@ -114,19 +113,13 @@ def type_bound(g0, g1, n, literal=False):
 
 def delta_scheme_B(p_u, tau, n):
     logs = []
-    best_exp = NEG_INF
     for counts in iter_types(n, len(p_u)):
-        d = kl(counts / n, p_u)
-        if d < tau:
+        if kl(counts / n, p_u) < tau:
             continue
-        if d < math.inf:
-            best_exp = max(best_exp, -n * d)
         lp = log_type_class_prob(counts, p_u)
         if lp > NEG_INF:
             logs.append(lp)
-    exact = float(min(math.exp(logsumexp(logs)), 1.0)) if logs else 0.0
-    bound = (n + 1) ** len(p_u) * math.exp(best_exp) if best_exp > NEG_INF else 0.0
-    return exact, bound
+    return float(min(math.exp(logsumexp(logs)), 1.0)) if logs else 0.0
 
 
 def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):

@@ -189,7 +189,7 @@ def test_05_quadratic_bound_sweep():
             g1 = Pmf(alphabet, np.clip(rng.dirichlet(np.ones(alpha_dim)), 1e-3, None))
             for delta in (0.9, 0.5, 0.1, 1e-3, 1e-8):
                 for n in (1, 5, 10, 25, 50):
-                    exact = cov.two_point_divergence_exact(g0, g1, delta, n)
+                    exact, _, _ = cov.warden_divergence(g0, g1, delta, n)
                     quad = delta * delta * cov.chi_squared_product(g0, g1, n)
                     assert exact <= quad * (1 + 1e-12) + 1e-300
                     combos += 1
@@ -212,19 +212,23 @@ def test_06_covertness_decay(example_dmc, example_p_u):
     g1 = example_dmc.z_row("1")
     pbar = expo.pbar_threshold(example_dmc, "1")
     # full-block scheme: exact warden divergence decays exponentially
+    scheme_b = sim.SchemeConfig(scheme="B", x1="1")
     ns = list(range(20, 201, 20))
     d_exact = []
     for n in ns:
-        rep = cov.scheme_B_covertness(example_p_u, pbar, g0, g1, n)
+        delta = sim.transmit_probability(scheme_b, example_p_u, n, pbar)
+        rep = cov.CovertnessReport(n, delta, *cov.warden_divergence(g0, g1, delta, n))
         assert rep.d_n_exact is not None and rep.d_n_exact > 0.0
         d_exact.append(rep.d_n_exact)
     slope = float(np.polyfit(ns, np.log2(d_exact), 1)[0])
     assert slope < -0.01
     # burst scheme with k = ceil(sqrt(n)): decreasing, tiny by n = 10^4
+    scheme_a = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
     prev = math.inf
     for n in (100, 400, 900, 2500, 10_000):
         k = math.isqrt(n - 1) + 1
-        rep = cov.scheme_A_covertness(example_p_u, g0, g1, n, k, mu=0.05)
+        delta = sim.transmit_probability(scheme_a, example_p_u, n)
+        rep = cov.CovertnessReport(n, delta, *cov.warden_divergence(g0, g1, delta, k))
         assert rep.d_n_exact is not None
         assert rep.d_n_exact < prev
         prev = rep.d_n_exact

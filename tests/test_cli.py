@@ -9,6 +9,8 @@ import textwrap
 import pytest
 
 import covertdht
+import covertdht.covertness as cov
+import covertdht.typesum as typesum
 
 from covertdht.cli import (
     COV_HEADER,
@@ -248,6 +250,35 @@ class TestVerifyCovertness:
         rows = read_csv(str(out_path), COV_HEADER, COV_SCHEMA)
         assert all(float(r["delta_n"]) == 0.0 for r in rows)
         assert all(float(r["d_n_exact"]) == 0.0 for r in rows)
+
+
+    def test_one_warden_lattice_walk_per_cell(self, tmp_path, monkeypatch):
+        # the benchmark's covert-sweep-b config: |U| = |Z| = 3, three cells;
+        # each cell walks the U lattice once for delta_n and the Z lattice
+        # once for d_n and both bounds
+        walks = {"covertness": 0, "typesum": 0}
+
+        def counting(module, blocks):
+            def wrapped(n, dim):
+                walks[module] += 1
+                return blocks(n, dim)
+            return wrapped
+
+        monkeypatch.setattr(cov, "type_blocks", counting("covertness", cov.type_blocks))
+        monkeypatch.setattr(typesum, "type_blocks", counting("typesum", typesum.type_blocks))
+        data = copy.deepcopy(TERNARY_CONFIG)
+        data["sweep"] = {"n_grid": [80, 160, 240]}
+        data["output"] = {"path": str(tmp_path / "cov.csv"), "format": "csv"}
+        assert main(["verify-covertness", write_config(tmp_path, data)]) == 0
+        assert walks == {"covertness": 3, "typesum": 3}
+
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # (1 + chi2)^n - 1 overflows a double at n = 6000 on the example
+        data = example_variant(sweep__n_grid=[6000])
+        assert main(["verify-covertness", write_config(tmp_path, data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
 
 
 class TestCsvSchema:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 
 import covertdht.covertness as cov
 import covertdht.exponents as expo
+import covertdht.simulation as sim
 import covertdht.typesum as typesum
 import oracles
+from covertdht.cli import COV_HEADER, COV_SCHEMA, EXAMPLE_CONFIG, main, read_csv
 from covertdht.errors import SupportViolation
 from covertdht import Dmc
 from covertdht.probability import Alphabet, Pmf, chi_squared, kl_divergence, kl_rows
@@ -18,6 +22,13 @@ ABCD = Alphabet(("a", "b", "c", "d"))
 
 G0 = Pmf(AB, np.array([0.6, 0.4]))
 G1 = Pmf(AB, np.array([0.4, 0.6]))
+
+# the encoders behind delta_n (the codeword symbols are never read by it)
+SCHEME_B = sim.SchemeConfig(scheme="B", x1="1")
+
+
+def scheme_A(mu, k_spec="sqrt"):
+    return sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1", k_spec=k_spec)
 
 # warden row pairs of 2, 3 and 4 symbols: a codeword row with a zero, a
 # symbol outside both supports, and a likelihood ratio large enough to reach
@@ -30,20 +41,22 @@ ROW_PAIRS = [
 ]
 
 
-def brute_force_mixture_divergence(g0, g1, delta, n):
+def brute_force_mixture_divergence(g0, g1, delta, n, k=None):
     """Direct sum over all output sequences, in 50-digit arithmetic (the
-    naive double-precision sum cancels catastrophically for small delta)."""
+    naive double-precision sum cancels catastrophically for small delta).
+    With `k`, the codeword law is G1 on the first k uses and G0 after."""
     import mpmath
 
+    k = n if k is None else k
     with mpmath.workdps(50):
         d = mpmath.mpf(delta)
         total = mpmath.mpf(0)
         for seq in itertools.product(range(len(g0)), repeat=n):
             p0 = mpmath.mpf(1)
             p1 = mpmath.mpf(1)
-            for i in seq:
+            for pos, i in enumerate(seq):
                 p0 *= mpmath.mpf(g0[i])
-                p1 *= mpmath.mpf(g1[i])
+                p1 *= mpmath.mpf(g1[i] if pos < k else g0[i])
             mix = (1 - d) * p0 + d * p1
             if mix > 0:
                 total += mix * mpmath.log(mix / p0)
@@ -68,15 +81,30 @@ class TestMixTerm:
             assert cov._mix_term(t) >= 0.0
 
 
+def exact_divergence(g0, g1, delta, n):
+    return cov.warden_divergence(g0, g1, delta, n)[0]
+
+
 class TestExactDivergence:
     def test_zero_cases(self):
-        assert cov.two_point_divergence_exact(G0, G1, 0.0, 10) == 0.0
-        assert cov.two_point_divergence_exact(G0, G0, 0.5, 10) == 0.0
+        assert exact_divergence(G0, G1, 0.0, 10) == 0.0
+        assert exact_divergence(G0, G0, 0.5, 10) == 0.0
+
+    def test_type_bound_kept_without_mixture(self):
+        # the type bound does not depend on delta: only the mixture sum is
+        # skipped at delta = 0 or G1 = G0
+        for n in (1, 10, 40):
+            _, _, type_b = cov.warden_divergence(G0, G1, 0.3, n)
+            assert type_b > 0.0
+            assert cov.warden_divergence(G0, G1, 0.0, n) == (0.0, 0.0, type_b)
+            _, _, same_rows = cov.warden_divergence(G0, G0, 0.0, n)
+            assert cov.warden_divergence(G0, G0, 0.3, n) == (0.0, 0.0, same_rows)
+            assert same_rows == oracles.type_bound(G0.probs, G0.probs, n)
 
     def test_delta_one_is_product_divergence(self):
         for n in (1, 3, 17, 400):
             want = n * kl_divergence(G1, G0)
-            got = cov.two_point_divergence_exact(G0, G1, 1.0, n)
+            got = exact_divergence(G0, G1, 1.0, n)
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_matches_sequence_enumeration(self):
@@ -85,28 +113,28 @@ class TestExactDivergence:
         for delta in (0.7, 0.05, 1e-4):
             for n in (1, 2, 4, 6):
                 brute = brute_force_mixture_divergence(g0.probs, g1.probs, delta, n)
-                got = cov.two_point_divergence_exact(g0, g1, delta, n)
+                got = exact_divergence(g0, g1, delta, n)
                 assert got == pytest.approx(brute, rel=1e-9, abs=1e-18)
 
     def test_monotone_in_delta(self):
-        vals = [cov.two_point_divergence_exact(G0, G1, d, 12) for d in (0.1, 0.3, 0.6, 0.9)]
+        vals = [exact_divergence(G0, G1, d, 12) for d in (0.1, 0.3, 0.6, 0.9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_tiny_delta_no_cancellation(self):
         # quadratic regime: d ~ delta^2 chi2, far below float epsilon of 1
-        d = cov.two_point_divergence_exact(G0, G1, 1e-14, 8)
+        d = exact_divergence(G0, G1, 1e-14, 8)
         quad = 1e-28 * cov.chi_squared_product(G0, G1, 8)
         assert 0.0 < d < quad
         assert d == pytest.approx(quad / 2, rel=0.1)
 
     def test_delta_range_check(self):
         with pytest.raises(ValueError):
-            cov.two_point_divergence_exact(G0, G1, 1.5, 4)
+            exact_divergence(G0, G1, 1.5, 4)
 
     def test_support_check(self):
         bad = Pmf(AB, np.array([1.0, 0.0]))
         with pytest.raises(SupportViolation):
-            cov.two_point_divergence_exact(bad, G1, 0.5, 4)
+            exact_divergence(bad, G1, 0.5, 4)
 
 
 class TestAgainstLoopOracles:
@@ -122,16 +150,15 @@ class TestAgainstLoopOracles:
         # ell > 500 branch needs the binary pair at n = 80
         for delta in (0.999, 0.3, 1e-6):
             for n in (1, 7, 25, 80) if g0.alphabet.size == 2 else (1, 7, 25):
-                got = cov.two_point_divergence_exact(g0, g1, delta, n)
+                got = exact_divergence(g0, g1, delta, n)
                 want = oracles.two_point_divergence(g0.probs, g1.probs, delta, n)
                 assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("g0, g1", ROW_PAIRS)
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_type_bound(self, g0, g1, literal):
+    def test_type_bound(self, g0, g1):
         for n in (1, 7, 25):
-            _, got = cov.warden_divergence_bounds(g0, g1, 0.1, n, literal=literal)
-            want = oracles.type_bound(g0.probs, g1.probs, n, literal=literal)
+            _, _, got = cov.warden_divergence(g0, g1, 0.1, n)
+            want = oracles.type_bound(g0.probs, g1.probs, n)
             assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("probs", [[0.8, 0.2], [0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4]])
@@ -141,10 +168,9 @@ class TestAgainstLoopOracles:
         for tau in (0.02, 0.3):
             pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
             for n in (1, 9, 30):
-                got = cov.delta_scheme_B(p_u, pbar, n)
+                got = sim.transmit_probability(SCHEME_B, p_u, n, pbar)
                 want = oracles.delta_scheme_B(p_u.probs, tau, n)
-                for g, w in zip(got, want):
-                    assert math.isclose(g, w, rel_tol=1e-12)
+                assert math.isclose(got, want, rel_tol=1e-12)
 
 
 class TestChiSquaredProduct:
@@ -162,15 +188,14 @@ class TestWardenDivergenceBounds:
     def test_quadratic_bound_dominates_exact(self):
         for delta in (0.8, 0.2, 1e-3):
             for n in (2, 10, 40):
-                exact = cov.two_point_divergence_exact(G0, G1, delta, n)
-                quad, type_b = cov.warden_divergence_bounds(G0, G1, delta, n)
+                exact, quad, type_b = cov.warden_divergence(G0, G1, delta, n)
                 assert exact <= quad * (1 + 1e-12)
                 assert type_b > 0.0
 
-    def test_literal_variant_differs(self):
-        quad, t_default = cov.warden_divergence_bounds(G0, G1, 0.3, 20)
-        _, t_literal = cov.warden_divergence_bounds(G0, G1, 0.3, 20, literal=True)
-        assert t_default != t_literal
+
+def scheme_B_report(p_u, pbar, g0, g1, n):
+    delta = sim.transmit_probability(SCHEME_B, p_u, n, pbar)
+    return cov.CovertnessReport(n, delta, *cov.warden_divergence(g0, g1, delta, n))
 
 
 class TestSchemeB:
@@ -187,18 +212,18 @@ class TestSchemeB:
                 d = float(np.sum(t[mask] * np.log(t[mask] / example_p_u.probs[mask])))
             if d >= pbar.tau_nats:
                 total += math.prod(example_p_u.probs[i] for i in seq)
-        exact, bound = cov.delta_scheme_B(example_p_u, pbar, n)
+        exact = sim.transmit_probability(SCHEME_B, example_p_u, n, pbar)
         assert exact == pytest.approx(total, rel=1e-12)
-        assert exact <= bound
 
     def test_delta_decays(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
-        deltas = [cov.delta_scheme_B(example_p_u, pbar, n)[0] for n in (20, 60, 120, 200)]
+        deltas = [sim.transmit_probability(SCHEME_B, example_p_u, n, pbar)
+                  for n in (20, 60, 120, 200)]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
     def test_covertness_report(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
-        rep = cov.scheme_B_covertness(example_p_u, pbar, G0, G1, 80)
+        rep = scheme_B_report(example_p_u, pbar, G0, G1, 80)
         assert rep.n == 80
         assert 0.0 < rep.d_n_exact <= rep.quad_bound
 
@@ -207,7 +232,7 @@ class TestSchemeB:
         g0 = Pmf(z4, np.array([0.4, 0.3, 0.2, 0.1]))
         g1 = Pmf(z4, np.array([0.1, 0.2, 0.3, 0.4]))
         dmc_pbar = expo.PbarSet(x1="1", tau_nats=0.2, maximizer=g1)
-        rep = cov.scheme_B_covertness(example_p_u, dmc_pbar, g0, g1, 30)
+        rep = scheme_B_report(example_p_u, dmc_pbar, g0, g1, 30)
         want = oracles.two_point_divergence(g0.probs, g1.probs, rep.delta_n, 30)
         assert math.isclose(rep.d_n_exact, want, rel_tol=1e-12)
         assert 0.0 < rep.d_n_exact <= rep.quad_bound
@@ -221,27 +246,53 @@ class TestSchemeA:
             t = np.bincount(seq, minlength=2) / n
             if np.any(np.abs(t - example_p_u.probs) > mu):
                 total += math.prod(example_p_u.probs[i] for i in seq)
-        assert cov.scheme_A_atypicality(example_p_u, n, mu) == pytest.approx(total, rel=1e-12)
+        got = sim.transmit_probability(scheme_A(mu), example_p_u, n)
+        assert got == pytest.approx(total, rel=1e-12)
 
     def test_atypicality_survives_underflow_of_complement(self, example_p_u):
         # at this blocklength 1 - Pr[typical] rounds to zero in doubles,
         # but the direct sum keeps the true magnitude
-        val = cov.scheme_A_atypicality(example_p_u, 10_000, 0.05)
+        val = sim.transmit_probability(scheme_A(0.05), example_p_u, 10_000)
         assert 0.0 < val < 1e-30
 
-    def test_divergence_depends_only_on_burst(self, example_p_u):
-        # the report at blocklength n is the mixture's at the burst length k
+    def test_divergence_depends_only_on_burst(self, tmp_path, example_p_u):
+        # the verify-covertness row at blocklength n is the mixture's at the
+        # burst length k (pow:0.537 gives k(400) = 25); EXAMPLE_CONFIG has
+        # P_U = example_p_u and warden rows G0, G1, and its decision-center
+        # channel is made partially connected for the marker
         n, k, mu = 400, 25, 0.05
-        rep = cov.scheme_A_covertness(example_p_u, G0, G1, n, k, mu)
-        delta = cov.scheme_A_atypicality(example_p_u, n, mu)
-        assert rep.delta_n == delta
-        assert rep.d_n_exact == cov.two_point_divergence_exact(G0, G1, delta, k)
-        assert (rep.quad_bound, rep.type_bound) == cov.warden_divergence_bounds(G0, G1, delta, k)
-        assert rep.d_n_exact <= rep.quad_bound
+        data = copy.deepcopy(EXAMPLE_CONFIG)
+        data["channel"]["y_given_x"] = [[0.5, 0.5], [1.0, 0.0]]
+        data["scheme"] = {"scheme": "A", "mu": mu, "x_hat": "1", "y_star": "1",
+                          "k_rule": "pow:0.537"}
+        data["sweep"]["n_grid"] = [n]
+        data["output"] = {"path": str(tmp_path / "cov.csv"), "format": "csv"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-covertness", str(path)]) == 0
+        [row] = read_csv(data["output"]["path"], COV_HEADER, COV_SCHEMA)
+        cfg = scheme_A(mu, "pow:0.537")
+        assert cfg.k(n) == k
+        delta = sim.transmit_probability(cfg, example_p_u, n)
+        exact, quad, type_b = cov.warden_divergence(G0, G1, delta, k)
+        assert float(row["delta_n"]) == delta
+        assert float(row["d_n_exact"]) == exact
+        assert (float(row["quad_bound"]), float(row["type_bound"])) == (quad, type_b)
+        assert exact <= quad
 
-    def test_k_validation(self, example_p_u):
+    def test_padded_tail_adds_nothing(self):
+        # a codeword on the first k uses and zeros after: the divergence at
+        # blocklength n is the two-point mixture's at blocklength k
+        g0 = Pmf(ABC, np.array([0.5, 0.3, 0.2]))
+        g1 = Pmf(ABC, np.array([0.2, 0.3, 0.5]))
+        for n, k in ((4, 1), (5, 2), (6, 3)):
+            brute = brute_force_mixture_divergence(g0.probs, g1.probs, 0.3, n, k)
+            assert exact_divergence(g0, g1, 0.3, k) == pytest.approx(brute, rel=1e-9)
+
+    def test_k_validation(self):
+        # a zero-length burst (or block) has no warden divergence
         with pytest.raises(ValueError):
-            cov.scheme_A_covertness(example_p_u, G0, G1, 100, 0, 0.05)
+            cov.warden_divergence(G0, G1, 0.05, 0)
 
 
 # grid steps of `grid_margins` by dimension: coarse, and the finest the

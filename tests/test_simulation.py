@@ -102,6 +102,29 @@ class TestEncoders:
         assert abs(res.alpha - 0.5**k) <= res.alpha_ci
 
 
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_transmit_probability_is_the_kernel_rule(self, scheme):
+        # delta_n, summed over the U types alone, is the mass of the joint
+        # types that _decide marks active on the whole joint lattice
+        p_uv, _ = _source_pair(3, 2, seed=32)
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
+        cfg = (sim.SchemeConfig(scheme="B", mu=0.2, x1="1") if scheme == "B"
+               else sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1"))
+        deltas = []
+        for n in (1, 5, 11):
+            parts = []
+            for counts in typesum.type_blocks(n, 6):
+                active, _ = sim._decide(cfg, counts, p_u, p_v, pbar, n)
+                lp = typesum.log_type_class_prob(counts[active], p_uv.probs.ravel())
+                parts.append(typesum.logsumexp(lp))
+            want = math.exp(typesum.logsumexp(parts))
+            got = sim.transmit_probability(cfg, p_u, n, pbar)
+            assert math.isclose(got, want, rel_tol=1e-12)
+            deltas.append(got)
+        assert 0.0 < min(deltas) and max(deltas[1:]) < 1.0  # both decisions occur
+
+
 def _typical_exact(counts, probs, mu):
     """Strong typicality of a count vector in exact rational arithmetic."""
     n = sum(counts)
@@ -338,6 +361,12 @@ class TestExactEngineAgainstLoop:
 
 
 class TestMonteCarlo:
+    def test_scheme_b_needs_threshold_set(self, example_sources, example_dmc):
+        p_uv, q_uv = example_sources
+        cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
+        with pytest.raises(ConfigMismatch, match="threshold set"):
+            sim.run_trials(cfg, p_uv, q_uv, example_dmc, 20, 100, seed=1)
+
     def test_deterministic_given_seed(self, example_sources, example_dmc):
         p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
