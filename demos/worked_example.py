@@ -14,7 +14,7 @@ import numpy as np
 
 import covertdht.exponents as expo
 from covertdht import Dmc, validate_covert_conditions
-from covertdht.probability import Alphabet, JointPmf, LogBase
+from covertdht.probability import Alphabet, JointPmf
 
 u = Alphabet(("0", "1"))
 v = Alphabet(("c",))
@@ -39,7 +39,7 @@ print(f"is at least tau; the boundary sits near pi_U(1) = 0.49.")
 
 print("\n== exponents ==")
 rep = expo.achievable_exponent(p_uv, q_uv, dmc)
-d = rep.as_dict(LogBase.BITS)
+d = rep.as_dict()
 print(f"E1 (both marginals pinned)      = {d['e1']:.4f} bits")
 print(f"E2 (silent branch)              = {d['e2_by_x1']['1']:.4f} bits")
 e3 = d["e3_by_x1"]["1"]

@@ -13,7 +13,6 @@ from .covertness import (
     warden_divergence,
 )
 from .exponents import (
-    E3Result,
     ExponentReport,
     ExponentTerm,
     Improvement,
@@ -24,19 +23,15 @@ from .exponents import (
     compute_E3,
     compute_T_U,
     i_projection_coupling,
-    improvement_check,
     local_exponent,
-    pbar_contains,
     pbar_threshold,
     achievable_exponent,
 )
 from .probability import (
     Alphabet,
     JointPmf,
-    LogBase,
     Pmf,
     chi_squared,
-    entropy,
     kl_divergence,
 )
 from .simulation import (

@@ -22,7 +22,7 @@ from . import simulation as sim
 from .channel import validate_covert_conditions
 from .config import ExperimentConfig
 from .errors import AlphabetTooLarge, ConfigError, CovertDhtError, NoConvergence
-from .probability import LN2, LogBase
+from .probability import LN2
 
 SIM_SCHEMA = "covertdht-sim-2"
 SIM_HEADER = [
@@ -87,9 +87,7 @@ def cmd_exponents(cfg: ExperimentConfig, as_json: bool = False) -> int:
     p_uv, q_uv = cfg.source_pmfs()
     dmc = cfg.dmc()
     report = expo.achievable_exponent(p_uv, q_uv, dmc)
-    data = report.as_dict(LogBase.BITS)
-    t_u = expo.compute_T_U(p_uv.col_marginal(), q_uv)
-    data["T_U"] = [float(x) for x in t_u.probs]
+    data = report.as_dict()
     if as_json:
         json.dump(data, sys.stdout, indent=2)
         print()
@@ -195,6 +193,7 @@ def cmd_verify_covertness(cfg: ExperimentConfig) -> int:
     dmc = cfg.dmc()
     _require_admissible(dmc)
     scheme = cfg.scheme()
+    scheme.validate_against(dmc)
     sweep = cfg.sweep()
     p_u = p_uv.row_marginal()
     g0 = dmc.z_row(dmc.zero_symbol)

@@ -1,6 +1,11 @@
 """Stein-exponent machinery: transmission-triggering type sets, the three
 error exponents, the local exponent, and the improvement classification.
 
+Every per-input quantity is computed in one pass over the non-zero inputs
+x1 (`achievable_exponent`): the threshold tau(x1), the silent-branch
+exponent E2, the transmit-branch exponent E3 and the test of T_U against
+the threshold.
+
 The inner maximization defining the transmission threshold tau(x1),
 
     max_pi [ D(pi || G0) - 3/2 D(pi || G1) ],    G0 = Z-row of input 0,
@@ -26,7 +31,7 @@ search over the ray directions, every trial ray retracted onto the sphere
 that miss it land on its rim, and a minimum on the rim is searched again
 inside that face, where the sphere is again a divergence sphere.
 
-All values are stored in nats; callers convert via LogBase.
+All values are stored in nats; `ExponentReport.as_dict` reports bits.
 """
 
 from __future__ import annotations
@@ -35,13 +40,12 @@ import enum
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Dmc, find_partial_connectivity, validate_covert_conditions
+from .channel import Dmc, validate_covert_conditions
 from .errors import (
-    AlphabetMismatch,
     ConditionalUndefined,
     EmptyFeasibleSet,
     Infeasible,
@@ -52,7 +56,6 @@ from .errors import (
 from .probability import (
     LN2,
     JointPmf,
-    LogBase,
     Pmf,
     kl_divergence,
     kl_divergence_vec,
@@ -67,6 +70,12 @@ _RAY_LATTICE = 10
 # a polished minimizer with a coordinate at most this far above zero lies on
 # the rim of the sphere, and the sphere inside that face is searched as well
 _RIM_TOL = 1e-9
+# IPF stops once both marginals match their targets to this in L-infinity,
+# and gives up after this many row-and-column sweeps
+_IPF_TOL = 1e-10
+_IPF_MAX_ITER = 100_000
+# T_U within this of P_U in every coordinate: communication cannot help
+_T_U_ATOL = 1e-9
 
 logger = logging.getLogger(__name__)
 
@@ -76,10 +85,11 @@ class PbarSet:
     """Divergence-threshold description of the transmission-triggering set.
 
     A source type belongs to the set iff its divergence to the true source pmf
-    is at least ``tau_nats``. ``maximizer`` is the warden-output pmf achieving
-    the threshold value. ``tau_nats`` is the Renyi divergence D_3(G1||G0) of
-    the two warden rows, so it is >= 0, with equality only when G1 = G0
-    (then every source type qualifies).
+    is at least ``tau_nats``; `triggers` is the one definition of that test.
+    ``maximizer`` is the warden-output pmf achieving the threshold value.
+    ``tau_nats`` is the Renyi divergence D_3(G1||G0) of the two warden rows,
+    so it is >= 0, with equality only when G1 = G0 (then every source type
+    qualifies).
     """
 
     x1: object
@@ -90,8 +100,11 @@ class PbarSet:
     def tau_bits(self) -> float:
         return self.tau_nats / LN2
 
-    def tau(self, base: LogBase = LogBase.NATS) -> float:
-        return base.from_nats(self.tau_nats)
+    def triggers(self, types: np.ndarray, p_u: Pmf) -> np.ndarray:
+        """The threshold predicate D(t || P_U) >= tau over the last axis of
+        `types`: True where a type triggers transmission. Infinite divergence
+        (mass off the support of P_U) triggers."""
+        return kl_rows(types, p_u.probs) >= self.tau_nats
 
 
 def pbar_threshold(dmc: Dmc, x1) -> PbarSet:
@@ -114,22 +127,6 @@ def pbar_threshold(dmc: Dmc, x1) -> PbarSet:
     return PbarSet(x1=x1, tau_nats=tau, maximizer=maximizer)
 
 
-def pbar_objective(pi_z: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """D(pi||G0) - 3/2 D(pi||G1) in nats over the last axis of `pi_z` (a
-    scalar for one pmf); -inf where either divergence is infinite (off the
-    support of G1)."""
-    d0, d1 = kl_rows(pi_z, g0), kl_rows(pi_z, g1)
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isfinite(d0) & np.isfinite(d1), d0 - 1.5 * d1, -_INF)[()]
-
-
-def pbar_contains(pi_u: Pmf, p_u: Pmf, pbar: PbarSet) -> bool:
-    """Membership test D(pi_u || p_u) >= tau; infinite divergence counts as in."""
-    if pi_u.alphabet != p_u.alphabet:
-        raise AlphabetMismatch(f"{pi_u.alphabet.symbols} vs {p_u.alphabet.symbols}")
-    return bool(kl_rows(pi_u.probs, p_u.probs) >= pbar.tau_nats)
-
-
 def _ipf_feasible(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> bool:
     """Existence of a coupling with the given marginals on a restricted support.
 
@@ -146,17 +143,11 @@ def _ipf_feasible(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> 
     return True
 
 
-def i_projection_coupling(
-    q: JointPmf,
-    target_row: Pmf,
-    target_col: Pmf,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> JointPmf:
+def i_projection_coupling(q: JointPmf, target_row: Pmf, target_col: Pmf) -> JointPmf:
     """I-projection of q onto couplings with the given marginals, via IPF.
 
     Alternately rescales rows then columns of q (on its support) until both
-    marginals match the targets to within ``tol`` in L-infinity.
+    marginals match the targets to within ``_IPF_TOL`` in L-infinity.
     """
     if target_row.alphabet != q.row_alphabet or target_col.alphabet != q.col_alphabet:
         raise Infeasible("target marginal alphabets do not match the reference joint pmf")
@@ -169,7 +160,7 @@ def i_projection_coupling(
     # rows/columns with zero target mass are fixed at zero up front
     k[r == 0.0, :] = 0.0
     k[:, c == 0.0] = 0.0
-    for _ in range(max_iter):
+    for _ in range(_IPF_MAX_ITER):
         row_sums = k.sum(axis=1)
         scale = np.divide(r, row_sums, out=np.zeros_like(r), where=row_sums > 0)
         k = k * scale[:, None]
@@ -180,9 +171,10 @@ def i_projection_coupling(
             float(np.max(np.abs(k.sum(axis=1) - r))),
             float(np.max(np.abs(k.sum(axis=0) - c))),
         )
-        if err <= tol:
+        if err <= _IPF_TOL:
             return JointPmf(q.row_alphabet, q.col_alphabet, k)
-    raise NoConvergence(f"IPF did not reach marginal error {tol} in {max_iter} iterations")
+    raise NoConvergence(
+        f"IPF did not reach marginal error {_IPF_TOL} in {_IPF_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -191,9 +183,6 @@ class ExponentTerm:
 
     value_nats: float
     minimizer: JointPmf | None = None
-
-    def value(self, base: LogBase = LogBase.NATS) -> float:
-        return base.from_nats(self.value_nats)
 
 
 def _coupling_divergence(q: JointPmf, row_t: Pmf, col_t: Pmf) -> tuple[float, JointPmf | None]:
@@ -486,37 +475,18 @@ def compute_E2(p_uv: JointPmf, q_uv: JointPmf, p_u: Pmf, pbar: PbarSet) -> Expon
     return _constrained_min(q_uv, p_u, p_uv.col_marginal(), pbar.tau_nats, upper=False)
 
 
-@dataclass(frozen=True)
-class E3Result:
-    """Max over non-zero inputs of (inner source exponent + channel divergence)."""
-
-    value_nats: float
-    best_x1: object
-    per_x1: dict = field(default_factory=dict)  # symbol -> (inner, channel, total), nats
-    minimizer: JointPmf | None = None
-
-    def value(self, base: LogBase = LogBase.NATS) -> float:
-        return base.from_nats(self.value_nats)
-
-
-def compute_E3(p_uv: JointPmf, q_uv: JointPmf, p_u: Pmf, dmc: Dmc) -> E3Result:
-    """Exponent of the transmission branch, maximized over non-zero inputs;
-    the inner term minimizes g over the triggering set D >= tau."""
-    p_v = p_uv.col_marginal()
-    per_x1 = {}
-    best = (-_INF, None, None)
-    for x1 in dmc.nonzero_inputs():
-        pbar = pbar_threshold(dmc, x1)
-        try:
-            chan = kl_divergence(dmc.y_row(dmc.zero_symbol), dmc.y_row(x1))
-        except SupportViolation:
-            chan = _INF
-        inner = _constrained_min(q_uv, p_u, p_v, pbar.tau_nats, upper=True)
-        total = inner.value_nats + chan
-        per_x1[x1] = (inner.value_nats, chan, total)
-        if total > best[0]:
-            best = (total, x1, inner.minimizer)
-    return E3Result(value_nats=best[0], best_x1=best[1], per_x1=per_x1, minimizer=best[2])
+def compute_E3(p_uv: JointPmf, q_uv: JointPmf, p_u: Pmf, dmc: Dmc,
+               pbar: PbarSet) -> tuple[float, float, float]:
+    """Exponent of the transmission branch for the input pbar.x1, in nats:
+    (inner, channel, total). The inner term minimizes g over the triggering
+    set D >= tau; the channel term is D(W_Y(.|0) || W_Y(.|x1)), +inf off its
+    support."""
+    try:
+        chan = kl_divergence(dmc.y_row(dmc.zero_symbol), dmc.y_row(pbar.x1))
+    except SupportViolation:
+        chan = _INF
+    inner = _constrained_min(q_uv, p_u, p_uv.col_marginal(), pbar.tau_nats, upper=True)
+    return inner.value_nats, chan, inner.value_nats + chan
 
 
 def local_exponent(p_v: Pmf, q_v: Pmf) -> float:
@@ -528,23 +498,6 @@ class Improvement(enum.Enum):
     NO_IMPROVEMENT = "no_improvement"
     STRICT_IMPROVEMENT_PARTIAL = "strict_improvement_partial"
     STRICT_IMPROVEMENT_FULL = "strict_improvement_full"
-
-
-def improvement_check(p_uv: JointPmf, q_uv: JointPmf, dmc: Dmc,
-                      atol: float = 1e-9) -> Improvement:
-    """Does sensor communication beat the local test at the decision center?"""
-    p_u = p_uv.row_marginal()
-    p_v = p_uv.col_marginal()
-    t_u = compute_T_U(p_v, q_uv)
-    if np.max(np.abs(t_u.probs - p_u.probs)) <= atol:
-        return Improvement.NO_IMPROVEMENT
-    if find_partial_connectivity(dmc) is not None:
-        return Improvement.STRICT_IMPROVEMENT_PARTIAL
-    for x1 in dmc.nonzero_inputs():
-        pbar = pbar_threshold(dmc, x1)
-        if pbar_contains(t_u, p_u, pbar):
-            return Improvement.STRICT_IMPROVEMENT_FULL
-    return Improvement.NO_IMPROVEMENT
 
 
 class ConnectivityCase(enum.Enum):
@@ -562,6 +515,7 @@ class ExponentReport:
     actually delivers); ``theta_literal_nats`` takes the literal min of the
     globally-computed pair. They coincide for a single non-zero input. In the
     partially-connected case both equal the exact characterization e1.
+    ``t_u`` is T_U, against which the ``improvement`` verdict is decided.
     """
 
     e1_nats: float
@@ -572,24 +526,29 @@ class ExponentReport:
     theta_nats: float
     theta_literal_nats: float
     improvement: Improvement
-    minimizers: dict = field(default_factory=dict)
+    t_u: Pmf
 
-    def as_dict(self, base: LogBase = LogBase.BITS) -> dict:
-        conv = base.from_nats
+    def as_dict(self) -> dict:
+        """The report in bits, as ``covertdht exponents --json`` writes it."""
+
+        def bits(nats: float) -> float:
+            return nats / LN2
+
         return {
-            "base": base.value,
-            "e1": conv(self.e1_nats),
-            "e2_by_x1": {str(k): conv(v) for k, v in self.e2_by_x1.items()},
+            "base": "bits",
+            "e1": bits(self.e1_nats),
+            "e2_by_x1": {str(k): bits(v) for k, v in self.e2_by_x1.items()},
             "e3_by_x1": {
-                str(k): {"inner": conv(v[0]), "channel": conv(v[1]), "total": conv(v[2])}
+                str(k): {"inner": bits(v[0]), "channel": bits(v[1]), "total": bits(v[2])}
                 for k, v in self.e3_by_x1.items()
             },
-            "local": conv(self.local_nats),
+            "local": bits(self.local_nats),
             "connectivity": self.connectivity.value,
-            "theta": conv(self.theta_nats),
-            "theta_literal_min": conv(self.theta_literal_nats),
+            "theta": bits(self.theta_nats),
+            "theta_literal_min": bits(self.theta_literal_nats),
             "eps": 0.0,
             "improvement": self.improvement.value,
+            "T_U": [float(x) for x in self.t_u.probs],
         }
 
 
@@ -598,46 +557,54 @@ def achievable_exponent(
     q_uv: JointPmf,
     dmc: Dmc,
 ) -> ExponentReport:
-    """Main-result exponent with the connectivity case split.
+    """Main-result exponent with the connectivity case split, from one pass
+    over the non-zero inputs.
+
+    Communication improves on the local test unless T_U is P_U; it does so
+    strictly on a partially connected channel, and on a fully connected one
+    when T_U triggers some input's transmission.
 
     The exponents are the same for every Type-I ceiling in [0, 1), so none is
     taken; the JSON report still carries ``"eps": 0.0`` for its readers.
     """
-    report = validate_covert_conditions(dmc)
-    if not report.all_pass:
+    conditions = validate_covert_conditions(dmc)
+    if not conditions.all_pass:
         raise InvalidChannel("channel fails the covert admissibility conditions")
     p_u = p_uv.row_marginal()
     p_v = p_uv.col_marginal()
-    q_v = q_uv.col_marginal()
-    e1 = compute_E1(p_uv, q_uv)
-    local = local_exponent(p_v, q_v)
-    e3 = compute_E3(p_uv, q_uv, p_u, dmc)
-    e2_by_x1 = {}
+    e1 = compute_E1(p_uv, q_uv).value_nats
+    local = local_exponent(p_v, q_uv.col_marginal())
+    t_u = compute_T_U(p_v, q_uv)
+    e2_by_x1, e3_by_x1, triggered = {}, {}, False
     for x1 in dmc.nonzero_inputs():
+        # admissibility rules out G1 = G0, so tau > 0 and E2 is defined
         pbar = pbar_threshold(dmc, x1)
-        try:
-            e2_by_x1[x1] = compute_E2(p_uv, q_uv, p_u, pbar).value_nats
-        except EmptyFeasibleSet:
-            e2_by_x1[x1] = _INF
-    verdict = improvement_check(p_uv, q_uv, dmc)
-    connectivity = find_partial_connectivity(dmc)
-    if connectivity is not None:
+        e2_by_x1[x1] = compute_E2(p_uv, q_uv, p_u, pbar).value_nats
+        e3_by_x1[x1] = compute_E3(p_uv, q_uv, p_u, dmc, pbar)
+        triggered |= bool(pbar.triggers(t_u.probs, p_u))
+    partial = conditions.partially_connected is not None
+    if np.max(np.abs(t_u.probs - p_u.probs)) <= _T_U_ATOL or not (partial or triggered):
+        verdict = Improvement.NO_IMPROVEMENT
+    elif partial:
+        verdict = Improvement.STRICT_IMPROVEMENT_PARTIAL
+    else:
+        verdict = Improvement.STRICT_IMPROVEMENT_FULL
+    if partial:
         case = ConnectivityCase.PARTIALLY_CONNECTED
-        theta = theta_literal = e1.value_nats
+        theta = theta_literal = e1
     else:
         case = ConnectivityCase.FULLY_CONNECTED
-        theta = max(
-            min(e2_by_x1[x1], e3.per_x1[x1][2]) for x1 in dmc.nonzero_inputs()
-        )
-        theta_literal = min(e2_by_x1[e3.best_x1], e3.value_nats)
+        theta = max(min(e2_by_x1[x1], e3[2]) for x1, e3 in e3_by_x1.items())
+        best = max(e3_by_x1, key=lambda x1: e3_by_x1[x1][2])  # first of the maxima
+        theta_literal = min(e2_by_x1[best], e3_by_x1[best][2])
     return ExponentReport(
-        e1_nats=e1.value_nats,
+        e1_nats=e1,
         e2_by_x1=e2_by_x1,
-        e3_by_x1=e3.per_x1,
+        e3_by_x1=e3_by_x1,
         local_nats=local,
         connectivity=case,
         theta_nats=theta,
         theta_literal_nats=theta_literal,
         improvement=verdict,
-        minimizers={"e1": e1.minimizer, "e3": e3.minimizer},
+        t_u=t_u,
     )

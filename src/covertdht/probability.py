@@ -1,9 +1,7 @@
 """Finite-alphabet probability primitives.
 
-Pmfs, joint pmfs, entropy, KL and chi-squared divergences, and strong
-typicality of types. All divergences are computed internally in nats;
-``LogBase.BITS`` converts on the way out (one multiplication by 1/ln 2,
-nothing else).
+Pmfs, joint pmfs, KL and chi-squared divergences, and strong typicality of
+types. All divergences are in nats.
 
 The two type predicates, :func:`typical` and :func:`kl_rows`, are defined
 here once and work on batches of types (the last axis indexes the
@@ -20,7 +18,6 @@ explicitly.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -32,18 +29,6 @@ LN2 = math.log(2.0)
 
 #: Mass deviations up to this are renormalized; larger ones are rejected.
 _MASS_SLACK = 1e-9
-
-
-class LogBase(enum.Enum):
-    """Logarithm base for reported information quantities."""
-
-    NATS = "nats"
-    BITS = "bits"
-
-    def from_nats(self, value: float) -> float:
-        if self is LogBase.NATS:
-            return value
-        return value / LN2
 
 
 @dataclass(frozen=True)
@@ -107,10 +92,6 @@ class Pmf:
     def __getitem__(self, symbol) -> float:
         return float(self.probs[self.alphabet.index(symbol)])
 
-    def support(self) -> np.ndarray:
-        """Boolean mask of symbols with positive probability."""
-        return self.probs > 0.0
-
     @staticmethod
     def bernoulli(p: float, alphabet: Alphabet | None = None) -> "Pmf":
         """Bern(p) on {0, 1}: probability p on symbol 1."""
@@ -152,13 +133,13 @@ def _check_same_alphabet(p: Pmf, q: Pmf) -> None:
         raise AlphabetMismatch(f"{p.alphabet.symbols} vs {q.alphabet.symbols}")
 
 
-def kl_divergence(p: Pmf, q: Pmf, base: LogBase = LogBase.NATS) -> float:
+def kl_divergence(p: Pmf, q: Pmf) -> float:
     """D(p || q) = sum_a p(a) log(p(a)/q(a)), with 0 log(0/.) = 0.
 
     Raises SupportViolation when p puts mass where q does not (the +inf case).
     """
     _check_same_alphabet(p, q)
-    return base.from_nats(kl_divergence_vec(p.probs, q.probs))
+    return kl_divergence_vec(p.probs, q.probs)
 
 
 def kl_divergence_vec(p: np.ndarray, q: np.ndarray) -> float:
@@ -181,13 +162,6 @@ def kl_rows(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(np.where(t > 0.0, terms, 0.0).sum(axis=-1), 0.0)
 
 
-def joint_kl_divergence(p: JointPmf, q: JointPmf, base: LogBase = LogBase.NATS) -> float:
-    """KL divergence between joint pmfs on the same product alphabet."""
-    if p.row_alphabet != q.row_alphabet or p.col_alphabet != q.col_alphabet:
-        raise AlphabetMismatch("joint pmfs over different product alphabets")
-    return base.from_nats(kl_divergence_vec(p.probs.ravel(), q.probs.ravel()))
-
-
 def chi_squared(p: Pmf, q: Pmf) -> float:
     """Chi-squared distance sum_a (p(a)-q(a))^2 / q(a)."""
     _check_same_alphabet(p, q)
@@ -197,13 +171,6 @@ def chi_squared(p: Pmf, q: Pmf) -> float:
         raise DivisionBySupportZero("p differs from q on a q-zero symbol")
     mask = q.probs > 0.0
     return float(np.sum(diff[mask] ** 2 / q.probs[mask]))
-
-
-def entropy(p: Pmf, base: LogBase = LogBase.NATS) -> float:
-    """Shannon entropy -sum p log p."""
-    mask = p.probs > 0.0
-    val = -float(np.sum(p.probs[mask] * np.log(p.probs[mask])))
-    return base.from_nats(max(val, 0.0))
 
 
 def typical(t: np.ndarray, ref: np.ndarray, mu: float) -> np.ndarray:

@@ -19,10 +19,11 @@ zero-input row).
 Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
 types alone and never on symbol sequences. The encoder rule is written once,
-in ``_transmits``. One kernel, ``_decide``, applies it and the V test to a
-block of joint source counts: enumerated types in the exact engine (a lattice
-block at a time), sampled counts in the Monte Carlo engine (a chunk at a
-time). The Y test goes through ``probability.typical`` in both.
+in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``). One
+kernel, ``_decide``, applies it and the V test to a block of joint source
+counts: enumerated types in the exact engine (a lattice block at a time),
+sampled counts in the Monte Carlo engine (a chunk at a time). The Y test
+goes through ``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 from .channel import Dmc
 from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
-from .probability import LN2, JointPmf, Pmf, kl_rows, typical
+from .probability import LN2, JointPmf, Pmf, typical
 from .typesum import (
     NEG_INF,
     check_enumerable,
@@ -121,7 +122,7 @@ def _transmits(cfg: SchemeConfig, t_u: np.ndarray, p_u: Pmf, pbar: PbarSet | Non
         return ~typical(t_u, p_u.probs, cfg.mu)
     if pbar is None:
         raise ConfigMismatch("scheme B needs the threshold set")
-    return kl_rows(t_u, p_u.probs) >= pbar.tau_nats
+    return pbar.triggers(t_u, p_u)
 
 
 def _decide(

@@ -4,8 +4,9 @@ Most are the scalar loops the library used before its sums moved onto the
 batched type lattice: one recursive generator of count vectors and one
 Python iteration per type. The rest check the exponent minimizers: the
 former binary-U golden-section/root search, the former simplex grid plus
-SLSQP polish for larger U, and a closed-form 2x2 coupling divergence with a
-zooming 1-D scan. Tests compare the library against them on small inputs;
+SLSQP polish for larger U, a closed-form 2x2 coupling divergence with a
+zooming 1-D scan, and the objective whose maximum is the closed-form
+threshold tau. Tests compare the library against them on small inputs;
 nothing in the package imports this module.
 """
 
@@ -15,6 +16,8 @@ import math
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln, logsumexp
+
+from covertdht.probability import kl_rows
 
 NEG_INF = -math.inf
 
@@ -46,6 +49,15 @@ def kl(t, q):
     if np.any(q[mask] <= 0.0):
         return math.inf
     return max(float(np.sum(t[mask] * np.log(t[mask] / q[mask]))), 0.0)
+
+
+def pbar_objective(pi_z, g0, g1):
+    """D(pi||G0) - 3/2 D(pi||G1) in nats over the last axis of `pi_z` (a
+    scalar for one pmf); -inf where either divergence is infinite (off the
+    support of G1). Its maximum over pi is the threshold tau."""
+    d0, d1 = kl_rows(pi_z, g0), kl_rows(pi_z, g1)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(d0) & np.isfinite(d1), d0 - 1.5 * d1, -math.inf)[()]
 
 
 def is_typical(t, ref, mu):

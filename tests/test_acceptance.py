@@ -44,8 +44,9 @@ def test_02_e1_e3_reproduction(example_sources, example_dmc, example_p_u):
     p_uv, q_uv = example_sources
     e1 = expo.compute_E1(p_uv, q_uv)
     assert abs(e1.value_nats / LN2 - REF_E1_BITS) <= 1e-3
-    e3 = expo.compute_E3(p_uv, q_uv, example_p_u, example_dmc)
-    assert abs(e3.value_nats / LN2 - REF_E3_BITS) <= 1e-3
+    pbar = expo.pbar_threshold(example_dmc, "1")  # the only non-zero input
+    _, _, e3 = expo.compute_E3(p_uv, q_uv, example_p_u, example_dmc, pbar)
+    assert abs(e3 / LN2 - REF_E3_BITS) <= 1e-3
 
 
 def _e2_grid_oracle(p_u, q_u, tau_nats, step=1e-4):
@@ -255,7 +256,7 @@ def test_08_exponent_convergence(example_sources, example_dmc, example_p_u, part
     p_uv, q_uv = example_sources
     pbar = expo.pbar_threshold(example_dmc, "1")
     e2 = expo.compute_E2(p_uv, q_uv, example_p_u, pbar).value_nats / LN2
-    e3 = expo.compute_E3(p_uv, q_uv, example_p_u, example_dmc).value_nats / LN2
+    e3 = expo.compute_E3(p_uv, q_uv, example_p_u, example_dmc, pbar)[2] / LN2
     target = min(e2, e3)
     cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
     exps = []

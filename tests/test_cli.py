@@ -51,6 +51,36 @@ TERNARY_REPORT = {
     "T_U": [0.2424242424242424, 0.3414141414141414, 0.4161616161616162],
 }
 
+# full stdout of `covertdht example`
+EXAMPLE_STDOUT = """\
+q*: 0.8836 (reference 0.884 +- 0.001) PASS
+tau (bits): 0.3057 (reference 0.306 +- 0.002) PASS
+E1 (bits): 0.7706 (reference 0.7706 +- 0.001) PASS
+E3 (bits): 0.1170 (reference 0.117 +- 0.001) PASS
+transmission-set boundary: pi_U(1) >= 0.4918
+E2 (bits, self-consistent): 0.1360
+E2 (bits, reference figure, for comparison only): 0.2095
+  note: the reference no-transmission exponent and set boundary are not
+  consistent with the reference threshold under any single log base;
+  the self-consistent value is reported and the reference one shown.
+theta (bits): 0.1170
+"""
+
+# full stdout of `covertdht exponents` (text mode) on TERNARY_CONFIG
+TERNARY_TEXT_REPORT = """\
+case:        fully_connected
+E1:          0.2792 bits
+E2(x1=1):   0.0310 bits
+E2(x1=2):   0.0073 bits
+E3(x1=1):   0.4733 bits (source 0.0073 + channel 0.4659)
+E3(x1=2):   0.5772 bits (source 0.0076 + channel 0.5696)
+local:       0.0073 bits
+T_U:         [0.2424242424242424, 0.3414141414141414, 0.4161616161616162]
+improvement: strict_improvement_full
+theta:       0.0310 bits
+theta (literal min of E2, E3): 0.0073 bits
+"""
+
 
 def assert_report_close(got, want, rel):
     """Same keys and strings everywhere, numbers to relative tolerance `rel`."""
@@ -97,6 +127,10 @@ class TestExample:
         assert "consistent" in out
         assert "transmission-set boundary: pi_U(1) >= 0.4918" in out.splitlines()
 
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["example"]) == 0
+        assert capsys.readouterr().out == EXAMPLE_STDOUT
+
 
 class TestCheckChannel:
     def test_example_passes(self, example_cfg_path, capsys):
@@ -131,6 +165,10 @@ class TestExponents:
         path = write_config(tmp_path, TERNARY_CONFIG)
         assert main(["exponents", "--json", path]) == 0
         assert_report_close(json.loads(capsys.readouterr().out), TERNARY_REPORT, rel=1e-9)
+
+    def test_ternary_text_report_is_pinned(self, tmp_path, capsys):
+        assert main(["exponents", write_config(tmp_path, TERNARY_CONFIG)]) == 0
+        assert capsys.readouterr().out == TERNARY_TEXT_REPORT
 
     def test_text_report(self, example_cfg_path, capsys):
         assert main(["exponents", example_cfg_path]) == 0
@@ -235,6 +273,17 @@ class TestVerifyCovertness:
         d = [float(r["d_n_exact"]) for r in rows]
         assert all(b < a for a, b in zip(d, d[1:]))
         assert all(float(r["d_n_exact"]) <= float(r["quad_bound"]) for r in rows)
+
+    def test_ambiguous_marker_is_rejected(self, tmp_path, capsys):
+        # y_star = 1 is reachable from x_hat = 1 on the example's BSC, as
+        # `simulate` reports; no covertness row is written
+        out_path = tmp_path / "cov.csv"
+        data = example_variant(output__path=str(out_path))
+        data["scheme"] = {"scheme": "A", "x_hat": "1", "y_star": "1"}
+        assert main(["verify-covertness", write_config(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: y_star is reachable from x_hat; marker is ambiguous\n"
+        assert not out_path.exists()
 
     def test_silent_source_gives_zero_divergence(self, tmp_path):
         # a degenerate null source never triggers the burst, so the warden

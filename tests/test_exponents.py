@@ -24,7 +24,6 @@ from covertdht.probability import (
     Alphabet,
     JointPmf,
     Pmf,
-    joint_kl_divergence,
     kl_divergence,
     kl_divergence_vec,
     kl_rows,
@@ -65,7 +64,7 @@ class TestThreshold:
         g0 = example_dmc.z_row("0").probs
         g1 = example_dmc.z_row("1").probs
         ms = np.linspace(1e-9, 1 - 1e-9, 200_001)
-        vals = expo.pbar_objective(np.column_stack((1 - ms, ms)), g0, g1)
+        vals = oracles.pbar_objective(np.column_stack((1 - ms, ms)), g0, g1)
         assert pbar.tau_nats == pytest.approx(max(vals), abs=1e-8)
         assert pbar.maximizer["1"] == pytest.approx(ms[int(np.argmax(vals))], abs=1e-4)
 
@@ -82,11 +81,11 @@ class TestThreshold:
         g0 = dmc.z_row("a").probs
         g1 = dmc.z_row("b").probs
         grid = oracles.simplex_grid(3, 1 / 500)  # k = 500: 125,751 points
-        best = expo.pbar_objective(grid, g0, g1).max()
+        best = oracles.pbar_objective(grid, g0, g1).max()
         assert best <= pbar.tau_nats + 1e-12
         assert pbar.tau_nats - best <= 1e-4
         # stationarity: the closed-form maximizer attains the value exactly
-        attained = expo.pbar_objective(pbar.maximizer.probs, g0, g1)
+        attained = oracles.pbar_objective(pbar.maximizer.probs, g0, g1)
         assert attained == pytest.approx(pbar.tau_nats, abs=1e-12)
 
     def test_grid_oracle_refuses_oversized_grids(self):
@@ -100,14 +99,14 @@ class TestThreshold:
     def test_tau_is_an_upper_bound(self, g0, g1, pi):
         dmc = Dmc(AB, AB, Z3, [[0.5, 0.5]] * 2, [g0.probs, g1.probs], "a")
         pbar = expo.pbar_threshold(dmc, "b")
-        assert expo.pbar_objective(pi.probs, g0.probs, g1.probs) <= pbar.tau_nats + 1e-9
+        assert oracles.pbar_objective(pi.probs, g0.probs, g1.probs) <= pbar.tau_nats + 1e-9
 
     def test_batched_objective_matches_single_calls(self):
         g0 = np.array([0.5, 0.3, 0.2])
         g1 = np.array([0.2, 0.0, 0.8])  # off its support the objective is -inf
         grid = oracles.simplex_grid(3, 0.1)
-        batch = expo.pbar_objective(grid, g0, g1)
-        single = [expo.pbar_objective(pi, g0, g1) for pi in grid]
+        batch = oracles.pbar_objective(grid, g0, g1)
+        single = [oracles.pbar_objective(pi, g0, g1) for pi in grid]
         np.testing.assert_array_equal(batch, single)
         assert np.isneginf(batch).any() and np.isfinite(batch).any()
 
@@ -126,13 +125,15 @@ class TestThreshold:
 
     def test_membership(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
-        inside = Pmf(example_p_u.alphabet, np.array([0.2, 0.8]))
-        near = Pmf(example_p_u.alphabet, np.array([0.79, 0.21]))
-        assert expo.pbar_contains(inside, example_p_u, pbar)
-        assert not expo.pbar_contains(near, example_p_u, pbar)
+        inside, near = np.array([0.2, 0.8]), np.array([0.79, 0.21])
+        assert pbar.triggers(inside, example_p_u)
+        assert not pbar.triggers(near, example_p_u)
+        # a batch of types gives one decision per row
+        np.testing.assert_array_equal(pbar.triggers(np.stack((inside, near)), example_p_u),
+                                      [True, False])
         # infinite divergence counts as membership
         degenerate_ref = Pmf(example_p_u.alphabet, np.array([1.0, 0.0]))
-        assert expo.pbar_contains(inside, degenerate_ref, pbar)
+        assert pbar.triggers(inside, degenerate_ref)
 
 
 class TestIProjection:
@@ -266,15 +267,14 @@ class TestE2E3:
 
     def test_e3_example_decomposition(self, example_sources, example_dmc, example_p_u):
         p_uv, q_uv = example_sources
-        e3 = expo.compute_E3(p_uv, q_uv, example_p_u, example_dmc)
-        assert e3.best_x1 == "1"
-        inner, channel, total = e3.per_x1["1"]
+        pbar = expo.pbar_threshold(example_dmc, "1")
+        inner, channel, total = expo.compute_E3(p_uv, q_uv, example_p_u, example_dmc, pbar)
         # the alternative's U-marginal already triggers transmission, so the
         # source part vanishes and only the channel divergence remains
         assert inner == pytest.approx(0.0, abs=1e-12)
         want = kl_divergence(example_dmc.y_row("0"), example_dmc.y_row("1"))
         assert channel == pytest.approx(want, rel=1e-12)
-        assert total == pytest.approx(e3.value_nats)
+        assert total == inner + channel
 
     def test_e2_ternary_upper_bound_property(self):
         # T_U lies outside the ball, so a ternary source alphabet exercises
@@ -320,9 +320,9 @@ class TestE2E3:
         assert e2.value_nats == expo.local_exponent(p_v, q_uv.col_marginal())
         np.testing.assert_allclose(e2.minimizer.row_marginal().probs, t_u.probs, rtol=1e-12)
         np.testing.assert_allclose(e2.minimizer.col_marginal().probs, p_v.probs, rtol=1e-12)
-        assert joint_kl_divergence(e2.minimizer, q_uv) == pytest.approx(
-            e2.value_nats, rel=1e-12
-        )
+        assert kl_divergence_vec(
+            e2.minimizer.probs.ravel(), q_uv.probs.ravel()
+        ) == pytest.approx(e2.value_nats, rel=1e-12)
 
     def test_solver_failure_is_logged(self, monkeypatch, caplog):
         def no_convergence(*args, **kwargs):
@@ -498,7 +498,8 @@ class TestTernaryConstrainedMin:
         assert term.value_nats == pytest.approx(want, abs=1e-9)
         assert term.minimizer.row_marginal().probs[2] == 0.0
         assert kl_divergence(term.minimizer.row_marginal(), p_u) <= tau + 1e-9
-        assert joint_kl_divergence(term.minimizer, q_uv) == pytest.approx(want, abs=1e-9)
+        assert kl_divergence_vec(term.minimizer.probs.ravel(),
+                                 q_uv.probs.ravel()) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("q, tau, upper", [
         ([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]], 0.8, True),
@@ -612,12 +613,12 @@ class TestTernaryConstrainedMin:
 class TestImprovement:
     def test_full_improvement_on_example(self, example_sources, example_dmc):
         p_uv, q_uv = example_sources
-        verdict = expo.improvement_check(p_uv, q_uv, example_dmc)
+        verdict = expo.achievable_exponent(p_uv, q_uv, example_dmc).improvement
         assert verdict is expo.Improvement.STRICT_IMPROVEMENT_FULL
 
     def test_partial_improvement(self, example_sources, partial_dmc):
         p_uv, q_uv = example_sources
-        verdict = expo.improvement_check(p_uv, q_uv, partial_dmc)
+        verdict = expo.achievable_exponent(p_uv, q_uv, partial_dmc).improvement
         assert verdict is expo.Improvement.STRICT_IMPROVEMENT_PARTIAL
 
     def test_no_improvement_when_mixture_matches(self, example_dmc):
@@ -625,8 +626,18 @@ class TestImprovement:
         v = Alphabet(("x", "y"))
         p_uv = JointPmf.product(Pmf(u, np.array([0.8, 0.2])), Pmf(v, np.array([0.5, 0.5])))
         q_uv = JointPmf.product(Pmf(u, np.array([0.8, 0.2])), Pmf(v, np.array([0.9, 0.1])))
-        verdict = expo.improvement_check(p_uv, q_uv, example_dmc)
+        verdict = expo.achievable_exponent(p_uv, q_uv, example_dmc).improvement
         assert verdict is expo.Improvement.NO_IMPROVEMENT
+
+    def test_no_improvement_when_t_u_triggers_no_input(self, example_dmc):
+        # T_U differs from P_U but lies inside the ball D < tau of the only
+        # non-zero input, so the fully connected channel never carries it
+        p_uv, q_uv = seeded_binary_sources(1)
+        rep = expo.achievable_exponent(p_uv, q_uv, example_dmc)
+        assert np.abs(rep.t_u.probs - p_uv.row_marginal().probs).max() > 1e-3
+        assert not expo.pbar_threshold(example_dmc, "1").triggers(rep.t_u.probs,
+                                                                  p_uv.row_marginal())
+        assert rep.improvement is expo.Improvement.NO_IMPROVEMENT
 
 
 class TestAchievableExponent:
@@ -657,6 +668,33 @@ class TestAchievableExponent:
         assert d["base"] == "bits"
         assert d["e1"] == pytest.approx(rep.e1_nats / LN2)
         assert d["improvement"] == "strict_improvement_full"
+
+    def test_one_pass_over_the_non_zero_inputs(self, monkeypatch):
+        # TERNARY_CONFIG has two non-zero inputs: one threshold, one E2 and
+        # one E3 term each, and one admissibility check in all
+        cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
+        (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
+        calls = {}
+
+        def counting(name):
+            fn = getattr(expo, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("validate_covert_conditions", "pbar_threshold", "compute_E2",
+                     "compute_E3"):
+            monkeypatch.setattr(expo, name, counting(name))
+        rep = expo.achievable_exponent(p_uv, q_uv, dmc)
+        assert calls == {"validate_covert_conditions": 1, "pbar_threshold": 2,
+                         "compute_E2": 2, "compute_E3": 2}
+        assert list(rep.e2_by_x1) == list(rep.e3_by_x1) == ["1", "2"]
+        # T_U is reported last, as `exponents --json` has always written it
+        d = rep.as_dict()
+        assert list(d)[-1] == "T_U"
+        assert d["T_U"] == expo.compute_T_U(p_uv.col_marginal(), q_uv).probs.tolist()
 
     def test_source_relabelling_invariance(self, example_sources, example_dmc):
         """Swapping the order of the U symbols changes nothing numerical."""
