@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import math
 import sys
 
@@ -23,6 +24,9 @@ from .channel import validate_covert_conditions
 from .config import ExperimentConfig
 from .errors import AlphabetTooLarge, ConfigError, CovertDhtError, NoConvergence
 from .probability import LN2
+
+# named, not __name__, so that `python -m covertdht.cli` logs under covertdht too
+logger = logging.getLogger("covertdht.cli")
 
 SIM_SCHEMA = "covertdht-sim-2"
 SIM_HEADER = [
@@ -141,10 +145,10 @@ def _sim_rows(cfg: ExperimentConfig):
             except AlphabetTooLarge:
                 if sweep["trials"] < 1:
                     raise
-                print(
-                    f"warning: exact engine infeasible at n={n}; "
-                    f"falling back to Monte Carlo",
-                    file=sys.stderr,
+                # with no handler configured, logging's last-resort handler
+                # writes the bare message to stderr
+                logger.warning(
+                    "warning: exact engine infeasible at n=%d; falling back to Monte Carlo", n
                 )
                 res = sim.run_trials(
                     scheme, p_uv, q_uv, dmc, n, sweep["trials"], sweep["seed"], pbar

@@ -25,11 +25,21 @@ counts: enumerated types in the exact engine (a lattice block at a time),
 sampled counts in the Monte Carlo engine (a chunk at a time). The Y test
 goes through ``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
+
+The Monte Carlo engine, ``run_trials``, splits each hypothesis's trials into
+chunks with one seeded generator each and runs the chunks on threads, one per
+core the process may run on (numpy's samplers release the interpreter lock).
+A chunk draws and decides at most ``BLOCK_TRIALS`` trials at a time, in the
+order of one draw of the whole chunk, and returns integer counts, so seeded
+results do not depend on the core count or the block size.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +58,11 @@ from .typesum import (
     prob_type_event,
     type_blocks,
 )
+
+logger = logging.getLogger(__name__)
+
+# Monte Carlo trials drawn and decided at a time (bounds a task's memory)
+BLOCK_TRIALS = 1 << 14
 
 
 def make_k_rule(spec: str) -> Callable[[int], int]:
@@ -275,6 +290,84 @@ def _wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054)
     return max(abs(center + half - phat), abs(center - half - phat))
 
 
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(m: int):
+    """Slices covering range(m) in blocks of at most ``BLOCK_TRIALS``."""
+    for lo in range(0, m, BLOCK_TRIALS):
+        yield slice(lo, min(lo + BLOCK_TRIALS, m))
+
+
+def _trial_chunk(
+    cfg: SchemeConfig,
+    law: JointPmf,
+    p_u: Pmf,
+    p_v: Pmf,
+    dmc: Dmc,
+    n: int,
+    pbar: PbarSet | None,
+    m: int,
+    rng: np.random.Generator,
+) -> tuple[int, int]:
+    """Draw and decide ``m`` trials under ``law``: (accepted, active) counts.
+
+    Draws come from ``rng`` a block at a time, in the order of one draw of
+    all ``m`` trials: every source block, then scheme B's output rows for the
+    active trials and then for the silent ones, or scheme A's burst scans.
+    Only the boolean decisions of the chunk are kept, never its counts.
+    """
+    flat = law.probs.ravel()
+    active = np.empty(m, dtype=bool)
+    accept = np.empty(m, dtype=bool)
+    for blk in _blocks(m):
+        counts = rng.multinomial(n, flat, size=blk.stop - blk.start)
+        active[blk], accept[blk] = _decide(cfg, counts, p_u, p_v, pbar, n)
+
+    if cfg.scheme == "B":
+        # channel output counts for each trial's constant codeword
+        ref_y = dmc.y_row(dmc.zero_symbol).probs
+        for rows, y_row in ((active, dmc.y_row(cfg.x1).probs), (~active, ref_y)):
+            idx = np.flatnonzero(rows)
+            for blk in _blocks(len(idx)):
+                cy = rng.multinomial(n, y_row, size=blk.stop - blk.start)
+                accept[idx[blk]] &= typical(cy / n, ref_y, cfg.mu)
+    else:
+        # only the zero input emits the marker (validate_against)
+        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
+        k = cfg.k(n)
+        for blk in _blocks(m):
+            hit = rng.binomial(k, p_star0, size=blk.stop - blk.start) > 0
+            accept[blk] &= ~active[blk] & hit
+    return int(np.count_nonzero(accept)), int(np.count_nonzero(active))
+
+
+def _map_on_threads(fn: Callable, items: list, threads: int) -> list:
+    """``[fn(x) for x in items]`` (in some order) on ``threads`` threads.
+
+    The calling thread runs the first share itself; one thread runs no pool.
+    """
+
+    def run(share):
+        return [fn(x) for x in share]
+
+    if threads == 1:
+        return run(items)
+    from concurrent.futures import ThreadPoolExecutor
+
+    shares = [items[i::threads] for i in range(threads)]
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(run, share) for share in shares[1:]]
+        out = run(shares[0])
+        for fut in futures:
+            out += fut.result()
+    return out
+
+
 def run_trials(
     cfg: SchemeConfig,
     p_uv: JointPmf,
@@ -288,55 +381,47 @@ def run_trials(
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
-    Per-chunk randomness is derived from (seed, hypothesis, chunk index), so
-    results are reproducible and independent of scheduling. Both encoders and
-    decisions are functions of the source/output types only, so per-trial
-    type counts are sampled directly (multinomially) and decided by the same
-    kernel as the exact engine.
+    Both encoders and decisions are functions of the source/output types
+    only, so per-trial type counts are sampled directly (multinomially) and
+    decided by the same kernel as the exact engine.
+
+    Each hypothesis's trials split into chunks of ``chunk``; chunk i under
+    hypothesis h draws from its own generator, seeded by (seed, h, i). The
+    chunks run concurrently on every core the process may run on, each
+    drawing at most ``BLOCK_TRIALS`` trials at a time, and return integer
+    counts, so a seeded result is the same bit for bit on any core count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    t0 = time.perf_counter()
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    ref_y = dmc.y_row(dmc.zero_symbol).probs
     k = cfg.k(n) if cfg.scheme == "A" else None
 
+    tasks = [
+        (hyp, law, idx, min(chunk, trials - start))
+        for hyp, law in ((0, p_uv), (1, q_uv))
+        for idx, start in enumerate(range(0, trials, chunk))
+    ]
+
+    def work(task):
+        hyp, law, idx, m = task
+        rng = np.random.default_rng([seed, hyp, idx])
+        return hyp, m, _trial_chunk(cfg, law, p_u, p_v, dmc, n, pbar, m, rng)
+
+    threads = min(len(tasks), _usable_cores())
     errors = {0: 0, 1: 0}  # H0: count Hhat=1; H1: count Hhat=0
     active_total = 0
-
-    for hyp, law in ((0, p_uv), (1, q_uv)):
-        flat = law.probs.ravel()
-        done = 0
-        chunk_idx = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            rng = np.random.default_rng([seed, hyp, chunk_idx])
-            active, accept = _decide(
-                cfg, rng.multinomial(n, flat, size=m), p_u, p_v, pbar, n
-            )
-
-            if cfg.scheme == "B":
-                # sample channel output counts for each trial's constant codeword
-                row_active = dmc.y_row(cfg.x1).probs
-                cy = np.empty((m, dmc.y_alphabet.size), dtype=np.int64)
-                n_act = int(active.sum())
-                if n_act:
-                    cy[active] = rng.multinomial(n, row_active, size=n_act)
-                if m - n_act:
-                    cy[~active] = rng.multinomial(n, ref_y, size=m - n_act)
-                accept &= typical(cy / n, ref_y, cfg.mu)
-            else:
-                # only the zero input emits the marker (validate_against)
-                p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-                accept &= ~active & (rng.binomial(k, p_star0, size=m) > 0)
-
-            if hyp == 0:
-                errors[0] += int(np.count_nonzero(~accept))
-                active_total += int(active.sum())
-            else:
-                errors[1] += int(np.count_nonzero(accept))
-            done += m
-            chunk_idx += 1
+    for hyp, m, (accepted, active) in _map_on_threads(work, tasks, threads):
+        if hyp == 0:
+            errors[0] += m - accepted
+            active_total += active
+        else:
+            errors[1] += accepted
+    logger.debug("Monte Carlo cell n=%d: %d trials, %d tasks, %d threads, %.3f s",
+                 n, trials, len(tasks), threads, time.perf_counter() - t0)
 
     alpha = errors[0] / trials
     beta = errors[1] / trials

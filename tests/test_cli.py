@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -191,8 +192,10 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 0
         assert out_path.read_bytes() == first  # deterministic rerun
 
+    FALLBACK_LINE = "warning: exact engine infeasible at n=400; falling back to Monte Carlo"
+
     @staticmethod
-    def _exact_and_rule_of_three_rows(tmp_path):
+    def _fallback_config(tmp_path):
         # 2x2 sources at n = 400 exceed the joint-type cap and fall back to
         # Monte Carlo, where no miss is observed under the alternative
         out_path = tmp_path / "sim.csv"
@@ -203,8 +206,31 @@ class TestSimulate:
         }
         data["sweep"].update(n_grid=[20, 400], trials=2000, seed=1)
         data["output"] = {"path": str(out_path), "format": "csv"}
-        assert main(["simulate", write_config(tmp_path, data)]) == 0
+        return write_config(tmp_path, data), out_path
+
+    @classmethod
+    def _exact_and_rule_of_three_rows(cls, tmp_path):
+        cfg, out_path = cls._fallback_config(tmp_path)
+        assert main(["simulate", cfg]) == 0
         return read_csv(str(out_path), SIM_HEADER, SIM_SCHEMA)
+
+    def test_fallback_is_a_logged_warning(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="covertdht.cli"):
+            self._exact_and_rule_of_three_rows(tmp_path)
+        [record] = [r for r in caplog.records if r.name == "covertdht.cli"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == self.FALLBACK_LINE
+
+    def test_fallback_warning_text_on_stderr(self, tmp_path):
+        # with no logging configured, logging's last-resort handler writes
+        # the bare message, as the print it replaced did
+        cfg, _ = self._fallback_config(tmp_path)
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "covertdht.cli", "simulate", cfg],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[0] == self.FALLBACK_LINE
 
     def test_rule_of_three_flag_round_trips(self, tmp_path, capsys):
         exact, mc = self._exact_and_rule_of_three_rows(tmp_path)

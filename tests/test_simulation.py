@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 from fractions import Fraction
 
@@ -423,6 +424,108 @@ class TestMonteCarlo:
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
         with pytest.raises(ValueError):
             sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 0, seed=1)
+
+    def test_chunk_validation(self, example_sources, example_dmc):
+        # a chunk below 1 trial would never advance through the trials
+        p_uv, q_uv = example_sources
+        cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
+        pbar = expo.pbar_threshold(example_dmc, "1")
+        for chunk in (0, -1):
+            with pytest.raises(ValueError, match="chunk"):
+                sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 100, seed=1, pbar=pbar,
+                               chunk=chunk)
+
+    @staticmethod
+    def _case(scheme, example_dmc, partial_dmc):
+        if scheme == "B":
+            cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+            return cfg, example_dmc, expo.pbar_threshold(example_dmc, "1")
+        return sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1"), partial_dmc, None
+
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_core_count_and_block_size_do_not_change_results(
+        self, example_dmc, partial_dmc, monkeypatch, scheme
+    ):
+        # 20,001 trials in chunks of 7,000: three chunks per hypothesis, so
+        # six tasks, more than one per thread at every core count tried; the
+        # smallest block splits every draw of a chunk
+        cfg, dmc, pbar = self._case(scheme, example_dmc, partial_dmc)
+        got = []
+        for cores, block in ((1, sim.BLOCK_TRIALS), (3, sim.BLOCK_TRIALS), (3, 999)):
+            monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
+            monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
+            got.append(sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar,
+                                      chunk=7_000))
+        assert got[0] == got[1] == got[2]
+
+    def test_worker_error_reaches_the_caller(self, example_dmc, partial_dmc, monkeypatch):
+        # two tasks on two threads: the alternative's chunk runs on the worker
+        cfg, dmc, pbar = self._case("A", example_dmc, partial_dmc)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        real = sim._trial_chunk
+
+        def fail_under_h1(cfg, law, *args):
+            if law is Q_UV:
+                raise DegenerateInput("worker failure")
+            return real(cfg, law, *args)
+
+        monkeypatch.setattr(sim, "_trial_chunk", fail_under_h1)
+        with pytest.raises(DegenerateInput, match="worker failure"):
+            sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 1_000, seed=11, pbar=pbar)
+
+    def test_cell_is_logged_at_debug(self, example_dmc, partial_dmc, monkeypatch, caplog):
+        cfg, dmc, pbar = self._case("B", example_dmc, partial_dmc)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 3)
+        with caplog.at_level(logging.DEBUG, logger="covertdht.simulation"):
+            sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar, chunk=7_000)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "n=30: 20001 trials, 6 tasks, 3 threads" in record.getMessage()
+
+
+class TestBlockedDraws:
+    """The numpy property the Monte Carlo engine relies on: rows drawn a
+    block at a time from one Generator equal one draw of all the rows. If a
+    numpy release breaks it, seeded results start to depend on BLOCK_TRIALS."""
+
+    P16 = np.arange(1, 17) / np.arange(1, 17).sum()
+
+    @staticmethod
+    def _blocked(draw, m, block=999):
+        return np.concatenate([draw(min(block, m - lo)) for lo in range(0, m, block)])
+
+    def test_multinomial(self):
+        whole = np.random.default_rng([7, 0, 1]).multinomial(100, self.P16, size=10_000)
+        rng = np.random.default_rng([7, 0, 1])
+        blocked = self._blocked(lambda size: rng.multinomial(100, self.P16, size=size), 10_000)
+        assert np.array_equal(whole, blocked)
+
+    # numpy draws by inversion for n p <= 30 and by BTPE above
+    @pytest.mark.parametrize("k, p", [(20, 0.2), (400, 0.3)])
+    def test_binomial(self, k, p):
+        whole = np.random.default_rng([7, 1, 0]).binomial(k, p, size=10_000)
+        rng = np.random.default_rng([7, 1, 0])
+        blocked = self._blocked(lambda size: rng.binomial(k, p, size=size), 10_000)
+        assert np.array_equal(whole, blocked)
+
+    def test_scheme_b_order(self):
+        # sources, then the active trials' output rows, then the silent ones
+        row_active, row_silent = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])
+
+        def draw(rng, block):
+            sources = self._blocked(lambda size: rng.multinomial(60, self.P16, size=size),
+                                    5_000, block)
+            n_act = int(np.count_nonzero(sources[:, 15] > 8))
+            return sources, *(
+                self._blocked(lambda size: rng.multinomial(60, row, size=size), m, block)
+                for row, m in ((row_active, n_act), (row_silent, 5_000 - n_act))
+            )
+
+        whole = draw(np.random.default_rng([7, 0, 0]), 5_000)
+        blocked = draw(np.random.default_rng([7, 0, 0]), 999)
+        assert 999 < len(whole[1]) < 4_001  # each output draw spans several blocks
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
 
 
 class TestEmpiricalExponent:
