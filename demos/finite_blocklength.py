@@ -31,9 +31,9 @@ cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
 print("== exact vs Monte Carlo (10^5 trials, seed 7) ==")
 print(f"{'n':>5} {'alpha exact':>12} {'alpha mc':>12} {'beta exact':>12} {'beta mc':>12}")
 for n in (40, 60):
-    alpha, beta = sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar)
+    exact = sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar)
     mc = sim.run_trials(cfg, p_uv, q_uv, dmc, n, trials=100_000, seed=7, pbar=pbar)
-    print(f"{n:>5} {alpha:>12.5f} {mc.alpha:>12.5f} {beta:>12.6f} {mc.beta:>12.6f}")
+    print(f"{n:>5} {exact.alpha:>12.5f} {mc.alpha:>12.5f} {exact.beta:>12.6f} {mc.beta:>12.6f}")
 
 print("\n== per-n Type-II exponent (bits) ==")
 rep = expo.achievable_exponent(p_uv, q_uv, dmc)

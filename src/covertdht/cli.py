@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import sys
 
 import numpy as np
@@ -37,21 +36,19 @@ COV_SCHEMA = "covertdht-cov-1"
 COV_HEADER = ["schema", "n", "delta_n", "d_n_exact", "quad_bound", "type_bound"]
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def write_csv(path: str, header: list[str], schema: str, rows: list[dict]) -> None:
-    fh, close = _open_out(path)
+def write_rows(out: dict, header: list[str], schema: str, rows: list[dict]) -> None:
+    """Write sweep rows to ``out["path"]`` ("-" is stdout) in ``out["format"]``:
+    CSV with the schema tag in every row, or JSON {"schema": ..., "rows": [...]}."""
+    fh = sys.stdout if out["path"] == "-" else open(out["path"], "w", newline="")
     try:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({**row, "schema": schema})
+        if out["format"] == "json":
+            json.dump({"schema": schema, "rows": rows}, fh, indent=2)
+        else:
+            writer = csv.DictWriter(fh, fieldnames=header)
+            writer.writeheader()
+            writer.writerows({**row, "schema": schema} for row in rows)
     finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
 
 
@@ -119,29 +116,20 @@ def _require_admissible(dmc) -> None:
                              "run check-channel for details")
 
 
-def _sim_rows(cfg: ExperimentConfig):
+def _sim_results(cfg: ExperimentConfig) -> list[sim.SimulationResult]:
+    """One record per (mu, n) cell: exact, else Monte Carlo with a warning."""
     p_uv, q_uv = cfg.source_pmfs()
     dmc = cfg.dmc()
     _require_admissible(dmc)
     base_scheme = cfg.scheme()
     sweep = cfg.sweep()
-    mu_grid = sweep["mu_grid"] or [base_scheme.mu]
-    rows = []
+    pbar = expo.pbar_threshold(dmc, base_scheme.x1) if base_scheme.scheme == "B" else None
     results = []
-    for mu in mu_grid:
+    for mu in sweep["mu_grid"] or [base_scheme.mu]:
         scheme = dataclasses.replace(base_scheme, mu=mu)
-        pbar = None
-        if scheme.scheme == "B":
-            pbar = expo.pbar_threshold(dmc, scheme.x1)
         for n in sweep["n_grid"]:
-            k = scheme.k(n) if scheme.scheme == "A" else None
             try:
-                alpha, beta = sim.exact_error_probs(scheme, p_uv, q_uv, dmc, n, pbar)
-                w_mean, a_bar = sim.exact_weight_stats(scheme, p_uv, n, pbar)
-                res = sim.SimulationResult(
-                    scheme=scheme.scheme, n=n, mu=mu, k=k, alpha=alpha, beta=beta,
-                    method="exact", weight_mean=w_mean, a_bar=a_bar,
-                )
+                res = sim.exact_error_probs(scheme, p_uv, q_uv, dmc, n, pbar)
             except AlphabetTooLarge:
                 if sweep["trials"] < 1:
                     raise
@@ -154,20 +142,12 @@ def _sim_rows(cfg: ExperimentConfig):
                     scheme, p_uv, q_uv, dmc, n, sweep["trials"], sweep["seed"], pbar
                 )
             results.append(res)
-            rows.append(res.as_row())
-    return rows, results
+    return results
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = cfg.output()
-    rows, results = _sim_rows(cfg)
-    if out["format"] == "json":
-        fh, close = _open_out(out["path"])
-        json.dump({"schema": SIM_SCHEMA, "rows": rows}, fh, indent=2)
-        if close:
-            fh.close()
-    else:
-        write_csv(out["path"], SIM_HEADER, SIM_SCHEMA, rows)
+    results = _sim_results(cfg)
+    write_rows(cfg.output(), SIM_HEADER, SIM_SCHEMA, [res.as_row() for res in results])
     by_mu = {}
     for res in results:
         by_mu.setdefault(res.mu, []).append(res)
@@ -215,14 +195,16 @@ def cmd_verify_covertness(cfg: ExperimentConfig) -> int:
         if rep.d_n_exact > rep.quad_bound * (1 + 1e-9):
             violations += 1
         rows.append(rep.as_row())
-    out = cfg.output()
-    write_csv(out["path"], COV_HEADER, COV_SCHEMA, rows)
-    usable = [(r["n"], r["d_n_exact"]) for r in rows if r["d_n_exact"] > 0]
-    if len(usable) >= 3:
-        ns = np.array([u[0] for u in usable], dtype=float)
-        logs = np.array([math.log2(u[1]) for u in usable])
-        slope = float(np.polyfit(ns, logs, 1)[0])
-        print(f"log2 d_n decay slope: {slope:.4f} per channel use", file=sys.stderr)
+    write_rows(cfg.output(), COV_HEADER, COV_SCHEMA, rows)
+    ns = [row["n"] for row in rows]
+    d_n = [row["d_n_exact"] for row in rows]
+    zeros = [n for n, d in zip(ns, d_n) if d == 0.0]
+    if len(ns) - len(zeros) >= 3:
+        fit = sim.empirical_exponent(ns, betas=d_n)
+        print(f"log2 d_n decay slope: {-fit.slope_bits:.4f} per channel use", file=sys.stderr)
+    if zeros:
+        print(f"d_n is 0.0 (underflow, or delta_n = 0) at n = {zeros}: "
+              "left out of the decay slope and the bound check", file=sys.stderr)
     print(f"bound violations: {violations}", file=sys.stderr)
     return 0 if violations == 0 else 1
 
@@ -302,10 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("config", help="path to the JSON experiment config")
         if name == "exponents":
             sp.add_argument("--json", action="store_true", help="emit JSON")
-        if name in ("simulate", "verify-covertness"):
+        if name == "simulate":
             sp.add_argument("--trials", type=int, default=None)
             sp.add_argument("--seed", type=int, default=None)
-            sp.add_argument("--mu", type=float, default=None)
+        if name in ("simulate", "verify-covertness"):
+            sp.add_argument("--mu", type=float, default=None,
+                            help="override scheme.mu; replaces sweep.mu_grid")
             sp.add_argument("--n", type=int, action="append", default=None,
                             help="override the blocklength grid (repeatable)")
     sub.add_parser("example", help="reproduce the built-in worked example")
@@ -320,6 +304,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         data.setdefault("sweep", {})["seed"] = args.seed
     if getattr(args, "mu", None) is not None:
         data.setdefault("scheme", {})["mu"] = args.mu
+        data.get("sweep", {}).pop("mu_grid", None)
     if getattr(args, "n", None):
         data.setdefault("sweep", {})["n_grid"] = args.n
     return ExperimentConfig.from_dict(data)

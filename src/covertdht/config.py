@@ -13,6 +13,12 @@ The schema (all probabilities row-major):
       "output":  {"path": str, "format": "csv"|"json"}
     }
 
+``simulate`` sweeps every (mu, n) of ``mu_grid`` (``[scheme.mu]`` when
+empty) by ``n_grid``; both engines return a ``SimulationResult`` per cell,
+exact where the types can be enumerated and else Monte Carlo with ``trials``
+and ``seed``. ``verify-covertness`` sweeps ``n_grid`` at ``scheme.mu``.
+``output`` serves both commands.
+
 Parsing and serialization round-trip exactly; validation failures raise
 ConfigError naming the offending field.
 """
@@ -97,15 +103,13 @@ class ExperimentConfig:
     def scheme(self) -> SchemeConfig:
         sc = _require(self.raw, "scheme", "config")
         kind = _require(sc, "scheme", "scheme")
+        # keys the config leaves out take SchemeConfig's defaults
+        fields = {"x1": "x1", "x_hat": "x_hat", "y_star": "y_star", "k_rule": "k_spec"}
+        given = {field: sc[key] for key, field in fields.items() if key in sc}
         try:
-            return SchemeConfig(
-                scheme=kind,
-                mu=float(sc.get("mu", 0.05)),
-                x1=sc.get("x1"),
-                x_hat=sc.get("x_hat"),
-                y_star=sc.get("y_star"),
-                k_spec=sc.get("k_rule", "sqrt"),
-            )
+            if "mu" in sc:
+                given["mu"] = float(sc["mu"])
+            return SchemeConfig(scheme=kind, **given)
         except ValueError as exc:
             raise ConfigError(f"scheme: {exc}") from exc
 

@@ -79,8 +79,10 @@ def warden_divergence(g0: Pmf, g1: Pmf, delta: float, n: int) -> tuple[float, fl
     quad_bound = delta^2 * chi2(G1^n || G0^n).
     type_bound = (n+1)^|Z| * max over n-types pi of
         exp(-n D(pi||G0)) * (exp(-n (D(pi||G1) - D(pi||G0))) - 1)^2,
-    with the type probability taken under G0. It does not depend on delta,
-    so it is computed even where the divergence is 0 (delta = 0 or G1 = G0).
+    with the type probability taken under G0. The exponent in the second
+    factor is the type's log-likelihood ratio that the mixture sum uses, and
+    the maximum is taken in logs. It does not depend on delta, so it is
+    computed even where the divergence is 0 (delta = 0 or G1 = G0).
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -94,30 +96,27 @@ def warden_divergence(g0: Pmf, g1: Pmf, delta: float, n: int) -> tuple[float, fl
     mask = g1.probs > 0.0
     log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
     log_delta = math.log(delta) if mixed else NEG_INF
-    total, best = 0.0, 0.0
+    total, best = 0.0, NEG_INF
     for counts in type_blocks(n, g0.alphabet.size):
-        if mixed:
-            lp0 = log_type_class_prob(counts, g0.probs)  # impossible types add p0 = 0
-            with np.errstate(invalid="ignore", over="ignore"):
-                ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the per-type log-likelihood ratio log(p1/p0); -inf off supp G1
+            ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
+            if mixed:
+                lp0 = log_type_class_prob(counts, g0.probs)  # impossible types add p0 = 0
                 p0 = np.exp(lp0)
                 # t is astronomically large past ell = 500: (1+t)log1p(t) - t =
                 # log1p(t) + t*(log1p(t)-1) with p0*t = delta*(p1-p0) in logs
                 lt = log_delta + ell  # log t up to the negligible -delta term
                 huge = p0 * lt + delta * (np.exp(lp0 + ell) - p0) * (lt - 1.0)
                 terms = np.where(ell <= 500.0, p0 * _mix_term(delta * np.expm1(ell)), huge)
-            total += float(terms.sum())
-        t = counts / n
-        d0 = kl_rows(t, g0.probs)
-        t, d0 = t[d0 < _INF], d0[d0 < _INF]  # zero-probability directions under both laws
-        d1 = kl_rows(t, g1.probs)
-        # e^{-n d0} (e^{-n(d1-d0)} - 1)^2, expanded for stability; the first
-        # two exponentials vanish where d1 is infinite
-        lead = -n * d0
-        terms = (np.exp(lead - 2.0 * n * (d1 - d0)) - 2.0 * np.exp(lead - n * (d1 - d0))
-                 + np.exp(lead))
-        best = max(best, float(terms.max(initial=0.0)))
-    return max(total, 0.0), quad, (n + 1) ** g0.alphabet.size * best
+                total += float(terms.sum())
+            # log of e^{-n D(pi||G0)} expm1(ell)^2, with
+            # log|expm1 ell| = max(ell, 0) + log(-expm1(-|ell|)); -inf where
+            # ell = 0 or pi leaves supp G0
+            log_terms = -n * kl_rows(counts / n, g0.probs) + 2.0 * (
+                np.maximum(ell, 0.0) + np.log(-np.expm1(-np.abs(ell))))
+        best = max(best, float(log_terms.max()))
+    return max(total, 0.0), quad, (n + 1) ** g0.alphabet.size * math.exp(best)
 
 
 def scheme_B_positivity(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf) -> tuple[float, float, float]:

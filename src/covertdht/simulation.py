@@ -25,6 +25,9 @@ counts: enumerated types in the exact engine (a lattice block at a time),
 sampled counts in the Monte Carlo engine (a chunk at a time). The Y test
 goes through ``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
+Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
+``SimulationResult``, built by one helper that also derives the weight
+statistics from the firing probability (delta_n, or its sampled frequency).
 
 The Monte Carlo engine, ``run_trials``, splits each hypothesis's trials into
 chunks with one seeded generator each and runs the chunks on threads, one per
@@ -212,8 +215,9 @@ def exact_error_probs(
     dmc: Dmc,
     n: int,
     pbar: PbarSet | None = None,
-) -> tuple[float, float]:
-    """Exact (alpha_n, beta_n) by joint-type enumeration.
+) -> SimulationResult:
+    """Exact alpha_n and beta_n by joint-type enumeration, with the weight
+    statistics of delta_n, as the record of the cell.
 
     Feasible for small alphabets only; raises AlphabetTooLarge otherwise,
     directing the caller to Monte Carlo.
@@ -223,7 +227,8 @@ def exact_error_probs(
     log_acc_h0, log_acc_h1 = _log_accept_probs(cfg, (p_uv, q_uv), p_u, p_v, dmc, n, pbar)
     alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
     beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
-    return max(alpha, 0.0), beta
+    return _result(cfg, n, transmit_probability(cfg, p_u, n, pbar),
+                   alpha=max(alpha, 0.0), beta=beta, method="exact")
 
 
 def exact_log_beta(
@@ -277,6 +282,16 @@ class SimulationResult:
             "weight_mean": self.weight_mean,
             "a_bar": self.a_bar,
         }
+
+
+def _result(cfg: SchemeConfig, n: int, p_fire: float, **estimates) -> SimulationResult:
+    """The record of one cell: the fields both engines share, and the weight
+    statistics of a codeword on k(n) uses (scheme A) or all n (scheme B)
+    that fires with probability ``p_fire`` under the null."""
+    k = cfg.k(n) if cfg.scheme == "A" else None
+    weight_mean = p_fire * (n if k is None else k) / n
+    return SimulationResult(scheme=cfg.scheme, n=n, mu=cfg.mu, k=k, weight_mean=weight_mean,
+                            a_bar=math.sqrt(weight_mean), **estimates)
 
 
 def _wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054) -> float:
@@ -398,7 +413,6 @@ def run_trials(
     t0 = time.perf_counter()
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    k = cfg.k(n) if cfg.scheme == "A" else None
 
     tasks = [
         (hyp, law, idx, min(chunk, trials - start))
@@ -429,25 +443,11 @@ def run_trials(
     if errors[1] == 0:
         beta = 3.0 / trials  # rule of three: no misses observed
         beta_is_ub = True
-    frac_active = active_total / trials
-    block = k if cfg.scheme == "A" else n
-    weight_mean = frac_active * block / n
-    a_bar = math.sqrt(frac_active * block / n)
-    return SimulationResult(
-        scheme=cfg.scheme,
-        n=n,
-        mu=cfg.mu,
-        k=k,
-        alpha=alpha,
-        beta=beta,
-        method="mc",
+    return _result(
+        cfg, n, active_total / trials, alpha=alpha, beta=beta, method="mc",
         alpha_ci=_wilson_halfwidth(errors[0], trials),
         beta_ci=_wilson_halfwidth(errors[1], trials),
-        trials=trials,
-        seed=seed,
-        beta_is_upper_bound=beta_is_ub,
-        weight_mean=weight_mean,
-        a_bar=a_bar,
+        trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub,
     )
 
 
@@ -492,16 +492,3 @@ def empirical_exponent(ns, betas=None, log_betas=None) -> ExponentFit:
         monotone_increasing=mono,
         excluded_ns=excluded,
     )
-
-
-def exact_weight_stats(
-    cfg: SchemeConfig, p_uv: JointPmf, n: int, pbar: PbarSet | None = None
-) -> tuple[float, float]:
-    """Exact (mean weight fraction, a_bar) of the encoder output under the null.
-
-    The codeword occupies the whole block (scheme B) or the first k uses
-    (scheme A), so both statistics reduce to ``transmit_probability``.
-    """
-    block = cfg.k(n) if cfg.scheme == "A" else n
-    frac = transmit_probability(cfg, p_uv.row_marginal(), n, pbar) * block / n
-    return frac, math.sqrt(frac)

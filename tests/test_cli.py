@@ -271,6 +271,15 @@ class TestSimulate:
         assert [r["n"] for r in rows] == ["24", "36"]
         assert all(r["mu"] == "0.05" for r in rows)
 
+    def test_mu_override_replaces_mu_grid(self, tmp_path):
+        out_path = tmp_path / "sim.csv"
+        data = copy.deepcopy(EXAMPLE_CONFIG)
+        data["sweep"].update(n_grid=[20, 30], mu_grid=[0.08, 0.12])
+        data["output"] = {"path": str(out_path), "format": "csv"}
+        assert main(["simulate", write_config(tmp_path, data), "--mu", "0.3"]) == 0
+        rows = read_csv(str(out_path), SIM_HEADER, SIM_SCHEMA)
+        assert [(r["n"], r["mu"]) for r in rows] == [("20", "0.3"), ("30", "0.3")]
+
     def test_inadmissible_channel_blocks_simulation(self, tmp_path, capsys):
         data = example_variant(channel__z_given_x=[[0.6, 0.4], [0.6, 0.4]])
         assert main(["simulate", write_config(tmp_path, data)]) == 1
@@ -299,6 +308,37 @@ class TestVerifyCovertness:
         d = [float(r["d_n_exact"]) for r in rows]
         assert all(b < a for a, b in zip(d, d[1:]))
         assert all(float(r["d_n_exact"]) <= float(r["quad_bound"]) for r in rows)
+
+    def test_json_rows_equal_csv_rows(self, tmp_path):
+        data = copy.deepcopy(EXAMPLE_CONFIG)
+        data["sweep"]["n_grid"] = [20, 60, 120]
+        for fmt in ("csv", "json"):
+            data["output"] = {"path": str(tmp_path / f"cov.{fmt}"), "format": fmt}
+            assert main(["verify-covertness", write_config(tmp_path, data, f"{fmt}.cfg")]) == 0
+        payload = json.loads((tmp_path / "cov.json").read_text())
+        assert payload["schema"] == COV_SCHEMA
+        as_csv = [{"schema": COV_SCHEMA, **{key: str(value) for key, value in row.items()}}
+                  for row in payload["rows"]]
+        assert as_csv == read_csv(str(tmp_path / "cov.csv"), COV_HEADER, COV_SCHEMA)
+
+    @pytest.mark.parametrize("option", ["--seed", "--trials"])
+    def test_monte_carlo_options_are_rejected(self, example_cfg_path, option, capsys):
+        # the covertness sweep is exact, so it has no trial count or seed
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-covertness", example_cfg_path, option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+    def test_underflowed_rows_are_named(self, tmp_path, capsys):
+        # d_n underflows a double from n = 2400 on the example, and delta_n
+        # too at n = 4000: only two rows are left for the slope
+        data = example_variant(sweep__n_grid=[400, 1600, 2400, 3200, 4000])
+        assert main(["verify-covertness", write_config(tmp_path, data)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "d_n is 0.0 (underflow, or delta_n = 0) at n = [2400, 3200, 4000]: "
+            "left out of the decay slope and the bound check",
+            "bound violations: 0",
+        ]
 
     def test_ambiguous_marker_is_rejected(self, tmp_path, capsys):
         # y_star = 1 is reachable from x_hat = 1 on the example's BSC, as

@@ -5,6 +5,7 @@ import pytest
 from covertdht.cli import EXAMPLE_CONFIG
 from covertdht.config import ExperimentConfig
 from covertdht.errors import ConfigError
+from covertdht.simulation import SchemeConfig
 
 
 def variant(**paths):
@@ -103,3 +104,12 @@ def test_parsed_objects(example_dmc):
     assert dmc.y_row("1").probs == pytest.approx(example_dmc.y_row("1").probs)
     scheme = cfg.scheme()
     assert scheme.scheme == "B" and scheme.x1 == "1" and scheme.mu == 0.02
+
+
+def test_scheme_defaults():
+    # keys the config leaves out take SchemeConfig's own defaults; mu is
+    # parsed as a float
+    scheme = ExperimentConfig.from_dict(variant(scheme__mu=..., scheme__k_rule=...)).scheme()
+    assert scheme == SchemeConfig(scheme="B", x1="1")
+    scheme = ExperimentConfig.from_dict(variant(scheme__mu=1)).scheme()
+    assert scheme.mu == 1.0 and isinstance(scheme.mu, float)

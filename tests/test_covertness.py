@@ -161,6 +161,19 @@ class TestAgainstLoopOracles:
             want = oracles.type_bound(g0.probs, g1.probs, n)
             assert math.isclose(got, want, rel_tol=1e-12)
 
+    def test_type_bound_past_expm1_overflow(self):
+        # at the all-"a" type ell = 70 log(0.05 / 1e-6) = 757, where expm1
+        # overflows a double; every term of the oracle's expansion stays
+        # below e^{n log(1 + chi2(G1||G0))} = e^{548}
+        g0 = Pmf(AB, np.array([1e-6, 1.0 - 1e-6]))
+        g1 = Pmf(AB, np.array([0.05, 0.95]))
+        n = 70
+        assert n * math.log(g1.probs[0] / g0.probs[0]) > 709.0
+        for delta in (0.0, 0.1):
+            _, _, got = cov.warden_divergence(g0, g1, delta, n)
+            want = oracles.type_bound(g0.probs, g1.probs, n)
+            assert math.isclose(got, want, rel_tol=1e-12)
+
     @pytest.mark.parametrize("probs", [[0.8, 0.2], [0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4]])
     def test_transmission_probability(self, probs):
         alphabet = Alphabet(tuple(range(len(probs))))

@@ -97,7 +97,7 @@ class TestEncoders:
         p_uv, q_uv = example_sources
         cfg = sim.SchemeConfig(scheme="A", mu=1.0, x_hat="1", y_star="1")
         n, k = 100, cfg.k(100)
-        alpha, _ = sim.exact_error_probs(cfg, p_uv, q_uv, partial_dmc, n)
+        alpha = sim.exact_error_probs(cfg, p_uv, q_uv, partial_dmc, n).alpha
         assert alpha == pytest.approx(0.5**k, rel=1e-12)
         res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, n, 20_000, seed=2)
         assert abs(res.alpha - 0.5**k) <= res.alpha_ci
@@ -237,7 +237,8 @@ class TestExactEngine:
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
         n = 6
-        alpha, beta = sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, n, pbar)
+        exact = sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, n, pbar)
+        alpha, beta = exact.alpha, exact.beta
         want_a, want_b = brute_force_error_probs(cfg, P_UV, Q_UV, example_dmc, n, pbar)
         assert alpha == pytest.approx(want_a, rel=1e-10)
         assert beta == pytest.approx(want_b, rel=1e-10)
@@ -249,7 +250,8 @@ class TestExactEngine:
         q_uv = JointPmf(U2, V2, np.array([[0.1, 0.4], [0.3, 0.2]]))
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.1, x1="1")
-        alpha, beta = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
+        exact = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
+        alpha, beta = exact.alpha, exact.beta
         want_a, want_b = brute_force_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
         assert alpha == pytest.approx(want_a, rel=1e-10)
         assert beta == pytest.approx(want_b, rel=1e-10)
@@ -278,7 +280,8 @@ class TestExactEngine:
     def test_scheme_a_matches_brute_force(self, partial_dmc):
         cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
         n = 6
-        alpha, beta = sim.exact_error_probs(cfg, P_UV, Q_UV, partial_dmc, n)
+        exact = sim.exact_error_probs(cfg, P_UV, Q_UV, partial_dmc, n)
+        alpha, beta = exact.alpha, exact.beta
         want_a, want_b = brute_force_error_probs(cfg, P_UV, Q_UV, partial_dmc, n)
         assert alpha == pytest.approx(want_a, rel=1e-10)
         assert beta == pytest.approx(want_b, rel=1e-10)
@@ -287,19 +290,20 @@ class TestExactEngine:
         p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        _, beta = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 50, pbar)
+        beta = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 50, pbar).beta
         lb = sim.exact_log_beta(cfg, p_uv, q_uv, example_dmc, 50, pbar)
         assert lb == pytest.approx(math.log(beta), rel=1e-12)
 
     def test_weight_stats_reflect_transmission_prob(self, example_sources, example_dmc):
-        p_uv, _ = example_sources
+        p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        w, a_bar = sim.exact_weight_stats(cfg, p_uv, 60, pbar)
+        res = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 60, pbar)
+        w, a_bar = res.weight_mean, res.a_bar
         assert 0.0 < w < 1.0
         assert a_bar == pytest.approx(math.sqrt(w))
         with pytest.raises(ConfigMismatch):
-            sim.exact_weight_stats(cfg, p_uv, 60)
+            sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 60)
 
 
 def _dmc_with_outputs(size):
@@ -356,7 +360,8 @@ class TestExactEngineAgainstLoop:
             # the weight stats take delta_n from the U-type lattice alone; the
             # oracle sums the transmission probability over joint types
             frac = p_active * (cfg.k(n) if cfg.scheme == "A" else n) / n
-            w, a_bar = sim.exact_weight_stats(cfg, p_uv, n, pbar)
+            res = sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar)
+            w, a_bar = res.weight_mean, res.a_bar
             assert math.isclose(w, frac, rel_tol=1e-12)
             assert math.isclose(a_bar, math.sqrt(frac), rel_tol=1e-12)
 
