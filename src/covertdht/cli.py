@@ -152,11 +152,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     for res in results:
         by_mu.setdefault(res.mu, []).append(res)
     for mu, group in by_mu.items():
-        # rule-of-three betas are bounds, not estimates: left out of the fit only
-        fitted = [g for g in group if not g.beta_is_upper_bound]
+        # rule-of-three betas are bounds, not estimates, and a beta of exactly
+        # 0 has no exponent: left out of the fit only; exact cells give log
+        # beta, which does not underflow with beta
+        fitted = [g for g in group if not g.beta_is_upper_bound and g.log_beta > -np.inf]
         if len(fitted) >= 3:
             fit = sim.empirical_exponent(
-                [g.n for g in fitted], betas=[g.beta for g in fitted]
+                [g.n for g in fitted], log_betas=[g.log_beta for g in fitted]
             )
             print(
                 f"mu={mu}: exponent trend slope {fit.slope_bits:.4f} bits/use, "

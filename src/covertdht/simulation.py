@@ -19,22 +19,29 @@ zero-input row).
 Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
 types alone and never on symbol sequences. The encoder rule is written once,
-in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``). One
-kernel, ``_decide``, applies it and the V test to a block of joint source
-counts: enumerated types in the exact engine (a lattice block at a time),
-sampled counts in the Monte Carlo engine (a chunk at a time). The Y test
-goes through ``probability.typical`` in both.
+in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``), and so
+is the V test, in ``_v_typical``. The exact engine applies both to blocks of
+enumerated joint types through the kernel ``_decide``; the Monte Carlo
+engine applies them to sampled U and V counts. The Y test goes through
+``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
 Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
 ``SimulationResult``, built by one helper that also derives the weight
 statistics from the firing probability (delta_n, or its sampled frequency).
 
-The Monte Carlo engine, ``run_trials``, splits each hypothesis's trials into
-chunks with one seeded generator each and runs the chunks on threads, one per
-core the process may run on (numpy's samplers release the interpreter lock).
-A chunk draws and decides at most ``BLOCK_TRIALS`` trials at a time, in the
-order of one draw of the whole chunk, and returns integer counts, so seeded
-results do not depend on the core count or the block size.
+The Monte Carlo engine, ``run_trials``, draws the pair (T_U, T_V), not the
+joint type: T_V given T_U is the sum over u of Mult(c_u[u], P_{V|U=u}). A
+block of trials is drawn in three stages, each from its own generator: the U
+counts (which fix the encoder decision), then the branch that decides with
+them (scheme A's marker scan, scheme B's output counts), then the V counts of
+the trials still undecided, so no trial's source counts take more binomials
+than a joint draw (|U||V| - 1), and a decided trial takes only |U| - 1.
+Each hypothesis's trials split into chunks, seeded by (seed, hypothesis,
+chunk, stage), that run on threads, one per core the process may run on
+(numpy's samplers release the interpreter lock). A chunk draws at most
+``BLOCK_TRIALS`` trials at a time, every stage in trial order, and returns
+integer counts, so seeded results do not depend on the core count or the
+block size.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from .typesum import (
 logger = logging.getLogger(__name__)
 
 # Monte Carlo trials drawn and decided at a time (bounds a task's memory)
-BLOCK_TRIALS = 1 << 14
+BLOCK_TRIALS = 1 << 13
 
 
 def make_k_rule(spec: str) -> Callable[[int], int]:
@@ -143,6 +150,12 @@ def _transmits(cfg: SchemeConfig, t_u: np.ndarray, p_u: Pmf, pbar: PbarSet | Non
     return pbar.triggers(t_u, p_u)
 
 
+def _v_typical(cfg: SchemeConfig, c_v: np.ndarray, p_v: Pmf, n: int) -> np.ndarray:
+    """The V test on a ``(rows, |V|)`` array of V counts: True where V^n is
+    typical."""
+    return typical(c_v / n, p_v.probs, cfg.mu)
+
+
 def _decide(
     cfg: SchemeConfig,
     counts: np.ndarray,
@@ -159,8 +172,8 @@ def _decide(
     and sampled counts meet the closed typicality boundary at the same place.
     """
     mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
-    active = _transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
-    return active, typical(mat.sum(axis=1) / n, p_v.probs, cfg.mu)
+    return (_transmits(cfg, mat.sum(axis=2) / n, p_u, pbar),
+            _v_typical(cfg, mat.sum(axis=1), p_v, n))
 
 
 def transmit_probability(
@@ -228,7 +241,7 @@ def exact_error_probs(
     alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
     beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
     return _result(cfg, n, transmit_probability(cfg, p_u, n, pbar),
-                   alpha=max(alpha, 0.0), beta=beta, method="exact")
+                   alpha=max(alpha, 0.0), beta=beta, log_beta=log_acc_h1, method="exact")
 
 
 def exact_log_beta(
@@ -256,6 +269,7 @@ class SimulationResult:
     k: int | None
     alpha: float
     beta: float
+    log_beta: float  # natural log of beta, exact also where beta underflows to 0
     method: str  # "exact" or "mc"
     alpha_ci: float = 0.0  # 95% Wilson half-width (mc only)
     beta_ci: float = 0.0
@@ -312,12 +326,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(m: int):
-    """Slices covering range(m) in blocks of at most ``BLOCK_TRIALS``."""
-    for lo in range(0, m, BLOCK_TRIALS):
-        yield slice(lo, min(lo + BLOCK_TRIALS, m))
-
-
 def _trial_chunk(
     cfg: SchemeConfig,
     law: JointPmf,
@@ -327,38 +335,48 @@ def _trial_chunk(
     n: int,
     pbar: PbarSet | None,
     m: int,
-    rng: np.random.Generator,
+    key: tuple[int, int, int],
 ) -> tuple[int, int]:
     """Draw and decide ``m`` trials under ``law``: (accepted, active) counts.
 
-    Draws come from ``rng`` a block at a time, in the order of one draw of
-    all ``m`` trials: every source block, then scheme B's output rows for the
-    active trials and then for the silent ones, or scheme A's burst scans.
-    Only the boolean decisions of the chunk are kept, never its counts.
-    """
-    flat = law.probs.ravel()
-    active = np.empty(m, dtype=bool)
-    accept = np.empty(m, dtype=bool)
-    for blk in _blocks(m):
-        counts = rng.multinomial(n, flat, size=blk.stop - blk.start)
-        active[blk], accept[blk] = _decide(cfg, counts, p_u, p_v, pbar, n)
+    A block of at most ``BLOCK_TRIALS`` trials is drawn in three stages, each
+    from its own generator, seeded by ``key`` (seed, hypothesis, chunk) and
+    the stage number:
 
+    0. the U counts, which fix the encoder decision;
+    1. the branch that decides with them: scheme A's marker scan of the k(n)
+       burst outputs, or scheme B's output counts for each trial's codeword;
+    2. the V counts, only for the trials still undecided, as the sum over u
+       of Mult(c_u[u], P_{V|U=u}), which is exactly T_V given T_U.
+
+    Each stage draws in trial order, so blocked draws equal one draw of all
+    ``m`` trials. Only the decisions' counts are kept.
+    """
+    rng_u, rng_branch, rng_v = (np.random.default_rng([*key, stage]) for stage in range(3))
+    law_u = law.probs.sum(axis=1)
+    # a U symbol of zero mass is only ever drawn with 0 trials: any pmf does
+    cond = np.divide(law.probs, law_u[:, None], out=np.ones_like(law.probs) / p_v.alphabet.size,
+                     where=law_u[:, None] > 0)
+    zero_row = dmc.y_row(dmc.zero_symbol)
     if cfg.scheme == "B":
-        # channel output counts for each trial's constant codeword
-        ref_y = dmc.y_row(dmc.zero_symbol).probs
-        for rows, y_row in ((active, dmc.y_row(cfg.x1).probs), (~active, ref_y)):
-            idx = np.flatnonzero(rows)
-            for blk in _blocks(len(idx)):
-                cy = rng.multinomial(n, y_row, size=blk.stop - blk.start)
-                accept[idx[blk]] &= typical(cy / n, ref_y, cfg.mu)
+        y_rows = np.stack([zero_row.probs, dmc.y_row(cfg.x1).probs])  # silent, active
     else:
         # only the zero input emits the marker (validate_against)
-        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-        k = cfg.k(n)
-        for blk in _blocks(m):
-            hit = rng.binomial(k, p_star0, size=blk.stop - blk.start) > 0
-            accept[blk] &= ~active[blk] & hit
-    return int(np.count_nonzero(accept)), int(np.count_nonzero(active))
+        p_star0, k = zero_row[cfg.y_star], cfg.k(n)
+    accepted = active_total = 0
+    for lo in range(0, m, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, m - lo)
+        c_u = rng_u.multinomial(n, law_u, size=size)
+        active = _transmits(cfg, c_u / n, p_u, pbar)
+        if cfg.scheme == "B":
+            c_y = rng_branch.multinomial(n, y_rows[active.astype(np.intp)])
+            live = typical(c_y / n, zero_row.probs, cfg.mu)
+        else:
+            live = ~active & (rng_branch.binomial(k, p_star0, size=size) > 0)
+        c_v = rng_v.multinomial(c_u[live], cond).sum(axis=1)
+        accepted += int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n)))
+        active_total += int(np.count_nonzero(active))
+    return accepted, active_total
 
 
 def _map_on_threads(fn: Callable, items: list, threads: int) -> list:
@@ -392,19 +410,20 @@ def run_trials(
     trials: int,
     seed: int,
     pbar: PbarSet | None = None,
-    chunk: int = 200_000,
+    chunk: int = 50_000,
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
     Both encoders and decisions are functions of the source/output types
     only, so per-trial type counts are sampled directly (multinomially) and
-    decided by the same kernel as the exact engine.
+    decided by the same predicates as in the exact engine.
 
     Each hypothesis's trials split into chunks of ``chunk``; chunk i under
-    hypothesis h draws from its own generator, seeded by (seed, h, i). The
-    chunks run concurrently on every core the process may run on, each
-    drawing at most ``BLOCK_TRIALS`` trials at a time, and return integer
-    counts, so a seeded result is the same bit for bit on any core count.
+    hypothesis h draws its stage j from its own generator, seeded by
+    (seed, h, i, j). The chunks run concurrently on every core the process
+    may run on, each drawing at most ``BLOCK_TRIALS`` trials at a time, and
+    return integer counts, so a seeded result is the same bit for bit on any
+    core count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -422,8 +441,7 @@ def run_trials(
 
     def work(task):
         hyp, law, idx, m = task
-        rng = np.random.default_rng([seed, hyp, idx])
-        return hyp, m, _trial_chunk(cfg, law, p_u, p_v, dmc, n, pbar, m, rng)
+        return hyp, m, _trial_chunk(cfg, law, p_u, p_v, dmc, n, pbar, m, (seed, hyp, idx))
 
     threads = min(len(tasks), _usable_cores())
     errors = {0: 0, 1: 0}  # H0: count Hhat=1; H1: count Hhat=0
@@ -444,7 +462,8 @@ def run_trials(
         beta = 3.0 / trials  # rule of three: no misses observed
         beta_is_ub = True
     return _result(
-        cfg, n, active_total / trials, alpha=alpha, beta=beta, method="mc",
+        cfg, n, active_total / trials, alpha=alpha, beta=beta, log_beta=math.log(beta),
+        method="mc",
         alpha_ci=_wilson_halfwidth(errors[0], trials),
         beta_ci=_wilson_halfwidth(errors[1], trials),
         trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub,

@@ -11,6 +11,8 @@ import pytest
 
 import covertdht
 import covertdht.covertness as cov
+import covertdht.exponents as expo
+import covertdht.simulation as sim
 import covertdht.typesum as typesum
 
 from covertdht.cli import (
@@ -22,6 +24,7 @@ from covertdht.cli import (
     main,
     read_csv,
 )
+from covertdht.config import ExperimentConfig
 from covertdht.errors import ConfigError
 
 from conftest import TERNARY_CONFIG
@@ -250,6 +253,28 @@ class TestSimulate:
         mean_w = sum(weights) / len(weights)
         line = f"mu=0.02: mean input weight fraction under the null {mean_w:.3e}"
         assert line in capsys.readouterr().err.splitlines()
+
+    def test_underflowed_beta_is_fitted_from_its_log(self, tmp_path, capsys):
+        # exact beta_n underflows to 0.0 at these n; the exponent fit takes
+        # the cell's exact log beta, so the sweep ends with its trend line
+        out_path = tmp_path / "sim.csv"
+        data = copy.deepcopy(EXAMPLE_CONFIG)
+        data["sweep"]["n_grid"] = ns = [12000, 14000, 16000]
+        data["output"] = {"path": str(out_path), "format": "csv"}
+        assert main(["simulate", write_config(tmp_path, data)]) == 0
+        rows = read_csv(str(out_path), SIM_HEADER, SIM_SCHEMA)
+        assert [float(r["beta"]) for r in rows] == [0.0, 0.0, 0.0]
+        cfg = ExperimentConfig.from_dict(data)
+        p_uv, q_uv = cfg.source_pmfs()
+        dmc = cfg.dmc()
+        pbar = expo.pbar_threshold(dmc, "1")
+        fit = sim.empirical_exponent(
+            ns, log_betas=[sim.exact_log_beta(cfg.scheme(), p_uv, q_uv, dmc, n, pbar) for n in ns]
+        )
+        line = (f"mu=0.02: exponent trend slope {fit.slope_bits:.4f} bits/use, "
+                f"per-n exponents {[round(e, 4) for e in fit.exponents_bits]}")
+        assert line in capsys.readouterr().err.splitlines()
+        assert 0.09 < fit.slope_bits < 0.1
 
     def test_json_output(self, tmp_path):
         out_path = tmp_path / "sim.json"

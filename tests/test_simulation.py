@@ -404,13 +404,15 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("scheme, want", [
         ("B", sim.SimulationResult(
-            scheme="B", n=30, mu=0.2, k=None, alpha=0.04055, beta=0.13845, method="mc",
-            alpha_ci=0.0028230218924023415, beta_ci=0.00485599392961647, trials=20000,
-            seed=11, weight_mean=0.00035, a_bar=0.01870828693386971)),
+            scheme="B", n=30, mu=0.2, k=None, alpha=0.04275, beta=0.13955,
+            log_beta=-1.9693323189998058, method="mc", alpha_ci=0.0028924998839409827,
+            beta_ci=0.004871684795606818, trials=20000, seed=11, weight_mean=0.0005,
+            a_bar=0.022360679774997897)),
         ("A", sim.SimulationResult(
-            scheme="A", n=30, mu=0.2, k=6, alpha=0.0526, beta=0.02205, method="mc",
-            alpha_ci=0.0031806157200158294, beta_ci=0.002128803726639282, trials=20000,
-            seed=11, weight_mean=0.004850000000000001, a_bar=0.0696419413859206)),
+            scheme="A", n=30, mu=0.2, k=6, alpha=0.0554, beta=0.0223,
+            log_beta=-3.803168600516064, method="mc", alpha_ci=0.0032566089193636558,
+            beta_ci=0.0021399841112467455, trials=20000, seed=11,
+            weight_mean=0.0049299999999999995, a_bar=0.07021395872616783)),
     ], ids=["B", "A"])
     def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, scheme, want):
         # values recorded from an earlier version of the engine: a change to
@@ -488,16 +490,95 @@ class TestMonteCarlo:
         assert "n=30: 20001 trials, 6 tasks, 3 threads" in record.getMessage()
 
 
-class TestBlockedDraws:
-    """The numpy property the Monte Carlo engine relies on: rows drawn a
-    block at a time from one Generator equal one draw of all the rows. If a
-    numpy release breaks it, seeded results start to depend on BLOCK_TRIALS."""
+class TestMarginalPairLaw:
+    """The Monte Carlo engine draws the pair (T_U, T_V) as T_U, then T_V
+    given T_U as a sum of one multinomial per U symbol. The pair's sampled
+    frequencies are compared with its exact law, summed from the joint-type
+    lattice into marginal pairs.
 
-    P16 = np.arange(1, 17) / np.arange(1, 17).sum()
+    Total variation is the statistic. For M trials over cells of mass p_i,
+    E|f_i - p_i| <= sqrt(p_i (1 - p_i) / M), so E[TV] <= sum_i sqrt(p_i
+    (1 - p_i) / M) / 2; and one trial moves TV by at most 1/M, so by
+    McDiarmid's inequality TV exceeds that mean bound by t with probability
+    at most exp(-2 M t^2). The tolerance takes t for a false failure
+    probability of 1e-9, so no seed is picked to pass."""
+
+    M = 400_000
 
     @staticmethod
-    def _blocked(draw, m, block=999):
-        return np.concatenate([draw(min(block, m - lo)) for lo in range(0, m, block)])
+    def _exact_pairs(law, n):
+        pmf = {}
+        for counts in typesum.type_blocks(n, law.probs.size):
+            mat = counts.reshape(len(counts), *law.probs.shape)
+            probs = np.exp(typesum.log_type_class_prob(counts, law.probs.ravel()))
+            for c_u, c_v, prob in zip(mat.sum(axis=2), mat.sum(axis=1), probs):
+                key = (*c_u, *c_v)
+                pmf[key] = pmf.get(key, 0.0) + prob
+        return pmf
+
+    def _sampled_pairs(self, law, n, example_dmc, monkeypatch):
+        # a silent encoder and mu = 1 (every output type typical) send every
+        # trial on to the V draw; the two predicates record the engine's counts
+        c_u, c_v = [], []
+        real_v_typical = sim._v_typical
+
+        def silent(cfg, t_u, p_u, pbar):
+            c_u.append(np.rint(t_u * n).astype(int))
+            return np.zeros(len(t_u), dtype=bool)
+
+        def v_typical(cfg, counts, p_v, n):
+            c_v.append(counts)
+            return real_v_typical(cfg, counts, p_v, n)
+
+        monkeypatch.setattr(sim, "_transmits", silent)
+        monkeypatch.setattr(sim, "_v_typical", v_typical)
+        cfg = sim.SchemeConfig(scheme="B", mu=1.0, x1="1")
+        p_u, p_v = law.row_marginal(), law.col_marginal()
+        sim._trial_chunk(cfg, law, p_u, p_v, example_dmc, n, None, self.M, (0, 0, 0))
+        pairs = np.concatenate([np.concatenate(c_u), np.concatenate(c_v)], axis=1)
+        keys, freq = np.unique(pairs, axis=0, return_counts=True)
+        return {tuple(int(c) for c in key): f / self.M for key, f in zip(keys, freq)}
+
+    @pytest.mark.parametrize("probs", [
+        [[0.30, 0.10], [0.05, 0.25], [0.20, 0.10]],
+        [[0.35], [0.65]],
+        # a U symbol of zero mass: its V|U row is 0/0
+        [[0.30, 0.10], [0.0, 0.0], [0.15, 0.45]],
+    ], ids=["3x2", "2x1", "zero-row"])
+    def test_pair_frequencies_match_the_exact_law(self, probs, example_dmc, monkeypatch):
+        n = 5
+        probs = np.array(probs)
+        law = JointPmf(Alphabet(tuple(range(probs.shape[0]))),
+                       Alphabet(tuple("vwxyz"[:probs.shape[1]])), probs)
+        exact = self._exact_pairs(law, n)
+        sampled = self._sampled_pairs(law, n, example_dmc, monkeypatch)
+        assert set(sampled) <= {key for key, prob in exact.items() if prob > 0}
+        p = np.array(list(exact.values()))
+        assert math.isclose(p.sum(), 1.0, rel_tol=1e-12)
+        tv = 0.5 * sum(abs(sampled.get(key, 0.0) - prob) for key, prob in exact.items())
+        tol = 0.5 * np.sqrt(p * (1 - p) / self.M).sum() + math.sqrt(math.log(1e9) / (2 * self.M))
+        assert tv <= tol
+
+
+class TestBlockedDraws:
+    """The numpy properties the Monte Carlo engine relies on: rows drawn a
+    block at a time from one Generator equal one draw of all the rows, for
+    each kind of draw the engine makes (a fixed pmf, in multinomial and
+    binomial draws; an array of counts with one pmf per count, the V draw;
+    one pmf row per trial, scheme B's outputs). If a numpy release breaks
+    one, seeded results start to depend on BLOCK_TRIALS."""
+
+    P16 = np.arange(1, 17) / np.arange(1, 17).sum()
+    COND = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.7, 0.0, 0.2, 0.1]])
+    Y_ROWS = np.array([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+
+    @staticmethod
+    def _sliced(draw, m, block=999):
+        return np.concatenate([draw(slice(lo, min(lo + block, m))) for lo in range(0, m, block)])
+
+    @classmethod
+    def _blocked(cls, draw, m, block=999):
+        return cls._sliced(lambda blk: draw(blk.stop - blk.start), m, block)
 
     def test_multinomial(self):
         whole = np.random.default_rng([7, 0, 1]).multinomial(100, self.P16, size=10_000)
@@ -513,22 +594,41 @@ class TestBlockedDraws:
         blocked = self._blocked(lambda size: rng.binomial(k, p, size=size), 10_000)
         assert np.array_equal(whole, blocked)
 
+    def test_multinomial_with_an_array_of_counts(self):
+        # the V draw: row i of COND for count i of each trial's U counts
+        c_u = np.random.default_rng(5).multinomial(300, [0.5, 0.3, 0.2], size=10_000)
+        whole = np.random.default_rng([7, 0, 1, 2]).multinomial(c_u, self.COND)
+        rng = np.random.default_rng([7, 0, 1, 2])
+        blocked = self._sliced(lambda blk: rng.multinomial(c_u[blk], self.COND), 10_000)
+        assert whole.shape == (10_000, 3, 4)
+        assert np.array_equal(whole, blocked)
+
+    def test_multinomial_with_a_pmf_row_per_trial(self):
+        # scheme B's outputs: the silent or the active row for each trial
+        rows = self.Y_ROWS[(np.arange(10_000) % 3 == 0).astype(np.intp)]
+        whole = np.random.default_rng([7, 0, 1, 1]).multinomial(60, rows)
+        rng = np.random.default_rng([7, 0, 1, 1])
+        blocked = self._sliced(lambda blk: rng.multinomial(60, rows[blk]), 10_000)
+        assert np.array_equal(whole, blocked)
+
     def test_scheme_b_order(self):
-        # sources, then the active trials' output rows, then the silent ones
-        row_active, row_silent = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])
+        # the three stages on their own generators: sources; an output row
+        # per trial, by its encoder decision; V counts for the trials whose
+        # outputs are typical
+        def draw(block):
+            rng_u, rng_y, rng_v = (np.random.default_rng([7, 0, 0, stage]) for stage in range(3))
+            sources, outputs, v_counts = [], [], []
+            for lo in range(0, 5_000, block):
+                c_u = rng_u.multinomial(60, [0.5, 0.3, 0.2], size=min(block, 5_000 - lo))
+                c_y = rng_y.multinomial(60, self.Y_ROWS[(c_u[:, 2] > 12).astype(np.intp)])
+                live = c_y[:, 0] > 20
+                sources.append(c_u)
+                outputs.append(c_y)
+                v_counts.append(rng_v.multinomial(c_u[live], self.COND))
+            return [np.concatenate(parts) for parts in (sources, outputs, v_counts)]
 
-        def draw(rng, block):
-            sources = self._blocked(lambda size: rng.multinomial(60, self.P16, size=size),
-                                    5_000, block)
-            n_act = int(np.count_nonzero(sources[:, 15] > 8))
-            return sources, *(
-                self._blocked(lambda size: rng.multinomial(60, row, size=size), m, block)
-                for row, m in ((row_active, n_act), (row_silent, 5_000 - n_act))
-            )
-
-        whole = draw(np.random.default_rng([7, 0, 0]), 5_000)
-        blocked = draw(np.random.default_rng([7, 0, 0]), 999)
-        assert 999 < len(whole[1]) < 4_001  # each output draw spans several blocks
+        whole, blocked = draw(5_000), draw(999)
+        assert 999 < len(whole[2]) < 4_001  # the V draw spans several blocks
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
 
