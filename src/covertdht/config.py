@@ -42,6 +42,11 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """isinstance(value, kinds), bools excluded: JSON true and false load as bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict = field(repr=False)
@@ -148,8 +153,15 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"scheme.k_rule: {exc}") from exc
         sw = self.sweep()
-        if not all(isinstance(n, int) and n >= 1 for n in sw["n_grid"]):
+        if not (isinstance(sw["n_grid"], list)
+                and all(_is_number(n, int) and n >= 1 for n in sw["n_grid"])):
             raise ConfigError("sweep.n_grid: blocklengths must be positive integers")
+        if not (isinstance(sw["mu_grid"], list)
+                and all(_is_number(mu) and mu > 0 for mu in sw["mu_grid"])):
+            raise ConfigError("sweep.mu_grid: entries must be positive numbers")
+        for key in ("trials", "seed"):
+            if not (_is_number(sw[key], int) and sw[key] >= 0):
+                raise ConfigError(f"sweep.{key}: must be a non-negative integer")
         if np.any((p.probs > 0) & (q.probs == 0)):
             raise ConfigError("sources: p_uv must vanish wherever q_uv vanishes")
         self.output()

@@ -132,8 +132,12 @@ def _ipf_feasible(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> 
 
     Hall-type condition on the bipartite support graph: for every subset S of
     rows, the row mass of S must not exceed the column mass of its
-    neighborhood. Row counts in scope are small, so subsets are enumerated.
+    neighborhood. Row counts in scope are small, so subsets are enumerated,
+    unless the support fills the positive-target block: then row_t col_t^T is
+    a coupling.
     """
+    if support[row_t > 0.0][:, col_t > 0.0].all():
+        return True
     rows = np.nonzero(row_t > 0)[0]
     for r in range(1, len(rows) + 1):
         for sub in itertools.combinations(rows, r):
@@ -147,7 +151,8 @@ def i_projection_coupling(q: JointPmf, target_row: Pmf, target_col: Pmf) -> Join
     """I-projection of q onto couplings with the given marginals, via IPF.
 
     Alternately rescales rows then columns of q (on its support) until both
-    marginals match the targets to within ``_IPF_TOL`` in L-infinity.
+    marginals match the targets to within ``_IPF_TOL`` in L-infinity. Rows and
+    columns of zero target stay zero, so only the positive-target block is swept.
     """
     if target_row.alphabet != q.row_alphabet or target_col.alphabet != q.col_alphabet:
         raise Infeasible("target marginal alphabets do not match the reference joint pmf")
@@ -156,23 +161,20 @@ def i_projection_coupling(q: JointPmf, target_row: Pmf, target_col: Pmf) -> Join
     c = np.asarray(target_col.probs, dtype=float)
     if not _ipf_feasible(support, r, c):
         raise Infeasible("no coupling with these marginals exists on the support of q")
-    k = q.probs.copy()
-    # rows/columns with zero target mass are fixed at zero up front
-    k[r == 0.0, :] = 0.0
-    k[:, c == 0.0] = 0.0
+    # a line of the block with no support (Hall's 1e-12 slack lets its target
+    # through) stays zero as well: a miss that small never decides the stop
+    live = support & (r > 0.0)[:, None] & (c > 0.0)
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    k, r, c = q.probs[np.ix_(rows, cols)], r[rows], c[cols]
+    row_sums = k.sum(axis=1)
     for _ in range(_IPF_MAX_ITER):
+        k *= (r / row_sums)[:, None]
+        k *= c / k.sum(axis=0)
         row_sums = k.sum(axis=1)
-        scale = np.divide(r, row_sums, out=np.zeros_like(r), where=row_sums > 0)
-        k = k * scale[:, None]
-        col_sums = k.sum(axis=0)
-        scale = np.divide(c, col_sums, out=np.zeros_like(c), where=col_sums > 0)
-        k = k * scale[None, :]
-        err = max(
-            float(np.max(np.abs(k.sum(axis=1) - r))),
-            float(np.max(np.abs(k.sum(axis=0) - c))),
-        )
-        if err <= _IPF_TOL:
-            return JointPmf(q.row_alphabet, q.col_alphabet, k)
+        if max(np.abs(row_sums - r).max(), np.abs(k.sum(axis=0) - c).max()) <= _IPF_TOL:
+            out = np.zeros_like(q.probs)
+            out[np.ix_(rows, cols)] = k
+            return JointPmf(q.row_alphabet, q.col_alphabet, out)
     raise NoConvergence(
         f"IPF did not reach marginal error {_IPF_TOL} in {_IPF_MAX_ITER} iterations")
 
@@ -271,12 +273,19 @@ def sphere_point(p_u, b, tau: float) -> np.ndarray | None:
     sphere D(. || P_U) = tau (nats); None when D(b || P_U) < tau. D is convex
     along the segment and 0 at P_U, so this is its one root."""
     p_u, b = np.asarray(p_u, dtype=float), np.asarray(b, dtype=float)
+    end = float(kl_rows(b, p_u)) - tau
+    if end < 0.0:
+        return None
+    face = p_u > 0.0
+    p, d = p_u[face], b[face]
 
     def excess(r):
-        return float(kl_rows((1.0 - r) * p_u + r * b, p_u)) - tau
+        # short of the end every face letter keeps mass, so D needs no guard
+        if r == 1.0:
+            return end
+        x = (1.0 - r) * p + r * d
+        return max(float((x * np.log(x / p)).sum()), 0.0) - tau
 
-    if excess(1.0) < 0.0:
-        return None
     r = _brentq(excess, 0.0, 1.0, xtol=1e-14)
     return (1.0 - r) * p_u + r * b
 

@@ -108,7 +108,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("A", "B"):
             raise ValueError("scheme must be 'A' or 'B'")
-        if self.mu <= 0:
+        if not self.mu > 0:  # NaN as well
             raise ValueError("mu must be positive")
         if self.scheme == "A" and (self.x_hat is None or self.y_star is None):
             raise ValueError("scheme A requires x_hat and y_star")

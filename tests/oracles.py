@@ -5,9 +5,11 @@ batched type lattice: one recursive generator of count vectors and one
 Python iteration per type. The rest check the exponent minimizers: the
 former binary-U golden-section/root search, the former simplex grid plus
 SLSQP polish for larger U, a closed-form 2x2 coupling divergence with a
-zooming 1-D scan, and the objective whose maximum is the closed-form
-threshold tau. Tests compare the library against them on small inputs;
-nothing in the package imports this module.
+zooming 1-D scan, the objective whose maximum is the closed-form threshold
+tau, the former full-matrix IPF with its Hall enumeration, and the former
+sphere crossing that evaluates `kl_rows` along the whole segment. Tests
+compare the library against them on small inputs; nothing in the package
+imports this module.
 """
 
 import itertools
@@ -17,7 +19,9 @@ import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
-from covertdht.probability import kl_rows
+from covertdht.errors import Infeasible, NoConvergence
+from covertdht.exponents import _IPF_MAX_ITER, _IPF_TOL, _brentq
+from covertdht.probability import JointPmf, kl_rows
 
 NEG_INF = -math.inf
 
@@ -321,3 +325,60 @@ def scan_min_convex(f, lo, hi, points=2001, stages=5):
         best = min(best, float(vals[i]))
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]
     return best
+
+
+def ipf_feasible(support, row_t, col_t):
+    """Hall's condition by enumeration alone: for every subset S of the rows
+    of positive target, the row mass of S is at most the column mass of its
+    neighborhood on the support (to 1e-12)."""
+    rows = np.nonzero(row_t > 0)[0]
+    for r in range(1, len(rows) + 1):
+        for sub in itertools.combinations(rows, r):
+            cols = np.any(support[list(sub)], axis=0)
+            if row_t[list(sub)].sum() > col_t[cols].sum() + 1e-12:
+                return False
+    return True
+
+
+def i_projection_coupling(q, target_row, target_col):
+    """IPF on the full |U| x |V| matrix: rows and columns of zero target
+    zeroed up front, every division guarded (scale 0 on a zero sum), the
+    row sums taken again for the stopping test. Same tolerance and cap as
+    the library; raises Infeasible or NoConvergence as it does."""
+    support = q.probs > 0.0
+    r = np.asarray(target_row.probs, dtype=float)
+    c = np.asarray(target_col.probs, dtype=float)
+    if not ipf_feasible(support, r, c):
+        raise Infeasible("no coupling with these marginals exists on the support of q")
+    k = q.probs.copy()
+    k[r == 0.0, :] = 0.0
+    k[:, c == 0.0] = 0.0
+    for _ in range(_IPF_MAX_ITER):
+        row_sums = k.sum(axis=1)
+        scale = np.divide(r, row_sums, out=np.zeros_like(r), where=row_sums > 0)
+        k = k * scale[:, None]
+        col_sums = k.sum(axis=0)
+        scale = np.divide(c, col_sums, out=np.zeros_like(c), where=col_sums > 0)
+        k = k * scale[None, :]
+        err = max(
+            float(np.max(np.abs(k.sum(axis=1) - r))),
+            float(np.max(np.abs(k.sum(axis=0) - c))),
+        )
+        if err <= _IPF_TOL:
+            return JointPmf(q.row_alphabet, q.col_alphabet, k)
+    raise NoConvergence(f"IPF did not converge in {_IPF_MAX_ITER} iterations")
+
+
+def sphere_point(p_u, b, tau):
+    """The crossing of the segment from P_U to `b` with D(. || P_U) = tau by
+    the library's Brent port on `kl_rows` over the whole alphabet at every
+    step; None when D(b || P_U) < tau."""
+    p_u, b = np.asarray(p_u, dtype=float), np.asarray(b, dtype=float)
+
+    def excess(r):
+        return float(kl_rows((1.0 - r) * p_u + r * b, p_u)) - tau
+
+    if excess(1.0) < 0.0:
+        return None
+    r = _brentq(excess, 0.0, 1.0, xtol=1e-14)
+    return (1.0 - r) * p_u + r * b

@@ -318,6 +318,17 @@ class TestSimulate:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("sweep, field", [
+        ({"mu_grid": [0.08, -0.1]}, "sweep.mu_grid"),
+        ({"trials": "many", "n_grid": [400]}, "sweep.trials"),
+        ({"seed": -3, "trials": 100}, "sweep.seed"),
+    ])
+    def test_bad_sweep_field_exit_code(self, tmp_path, capsys, sweep, field):
+        data = copy.deepcopy(EXAMPLE_CONFIG)
+        data["sweep"].update(sweep)
+        assert main(["simulate", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
 
 class TestVerifyCovertness:
     def test_scheme_b_sweep(self, tmp_path, capsys):

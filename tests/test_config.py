@@ -71,6 +71,38 @@ def test_bad_n_grid():
         ExperimentConfig.from_dict(variant(sweep__n_grid=[40, 0]))
     with pytest.raises(ConfigError, match="n_grid"):
         ExperimentConfig.from_dict(variant(sweep__n_grid=[40.5]))
+    with pytest.raises(ConfigError, match="n_grid"):
+        ExperimentConfig.from_dict(variant(sweep__n_grid=[40, True]))
+
+
+@pytest.mark.parametrize("grid", [[0.08, -0.1], [0.0], ["0.1"], [True], 0.1])
+def test_bad_mu_grid(grid):
+    with pytest.raises(ConfigError, match="sweep.mu_grid"):
+        ExperimentConfig.from_dict(variant(sweep__mu_grid=grid))
+
+
+@pytest.mark.parametrize("trials", ["many", -1, 2.5, True])
+def test_bad_trials(trials):
+    with pytest.raises(ConfigError, match="sweep.trials"):
+        ExperimentConfig.from_dict(variant(sweep__trials=trials))
+
+
+@pytest.mark.parametrize("seed", [-3, "7", 1.0, False])
+def test_bad_seed(seed):
+    with pytest.raises(ConfigError, match="sweep.seed"):
+        ExperimentConfig.from_dict(variant(sweep__seed=seed))
+
+
+def test_nan_mu_is_rejected():
+    # float("nan") parses, and NaN compares false with 0
+    with pytest.raises(ConfigError, match="scheme: mu must be positive"):
+        ExperimentConfig.from_dict(variant(scheme__mu="nan"))
+
+
+def test_sweep_numbers_in_range_pass():
+    sweep = ExperimentConfig.from_dict(
+        variant(sweep__mu_grid=[1, 0.05], sweep__trials=0, sweep__seed=0)).sweep()
+    assert (sweep["mu_grid"], sweep["trials"], sweep["seed"]) == ([1, 0.05], 0, 0)
 
 
 def test_absolute_continuity_required():

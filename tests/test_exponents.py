@@ -136,7 +136,76 @@ class TestThreshold:
         assert pbar.triggers(inside, degenerate_ref)
 
 
+def ipf_case(seed, nu, nv, hole_p, zero_p):
+    """q over nu x nv with each cell a hole with probability hole_p, and row
+    and column targets with each entry zero with probability zero_p (at
+    least one cell and one entry of each kept), from a seeded Dirichlet."""
+    rng = np.random.default_rng(seed)
+    rows, cols = Alphabet(tuple(range(nu))), Alphabet(tuple(f"v{j}" for j in range(nv)))
+
+    def masked(shape, p):
+        keep = rng.random(shape) >= p
+        keep.flat[rng.integers(keep.size)] = True
+        w = rng.dirichlet(np.ones(keep.size)).reshape(shape) * keep
+        return w / w.sum()
+
+    return (JointPmf(rows, cols, masked((nu, nv), hole_p)),
+            Pmf(rows, masked(nu, zero_p)), Pmf(cols, masked(nv, zero_p)))
+
+
 class TestIProjection:
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]),
+           st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([0.0, 0.3]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_block_ipf_equals_full_matrix_oracle(self, nu, nv, hole_p, zero_p, seed):
+        # the sweeps on the positive-target block give the former full-matrix
+        # coupling bit for bit, and Hall's fast path agrees with enumeration
+        q, r, c = ipf_case(seed, nu, nv, hole_p, zero_p)
+        support = q.probs > 0.0
+        assert expo._ipf_feasible(support, r.probs, c.probs) == \
+            oracles.ipf_feasible(support, r.probs, c.probs)
+        try:
+            want = oracles.i_projection_coupling(q, r, c)
+        except (Infeasible, NoConvergence) as exc:
+            with pytest.raises(type(exc)):
+                expo.i_projection_coupling(q, r, c)
+            return
+        with np.errstate(divide="raise", invalid="raise"):
+            got = expo.i_projection_coupling(q, r, c)
+        np.testing.assert_array_equal(got.probs, want.probs)
+
+    @pytest.mark.parametrize("q, r, c", [
+        # no hole: fast path, and enumeration agrees
+        ([[0.2, 0.3], [0.1, 0.4]], [0.5, 0.5], [0.3, 0.7]),
+        # holes only in a zero-target row and column: fast path
+        ([[0.2, 0.3, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.0]], [0.5, 0.5, 0.0], [0.3, 0.7, 0.0]),
+        # a hole in the block: enumeration, feasible
+        ([[0.2, 0.0], [0.3, 0.5]], [0.4, 0.6], [0.7, 0.3]),
+        # a hole in the block: enumeration, infeasible
+        ([[0.2, 0.0], [0.3, 0.5]], [0.8, 0.2], [0.3, 0.7]),
+    ], ids=["full", "holes-off-block", "hole-feasible", "hole-infeasible"])
+    def test_feasibility_fast_path_agrees_with_enumeration(self, q, r, c):
+        support, r, c = np.array(q) > 0.0, np.array(r), np.array(c)
+        assert expo._ipf_feasible(support, r, c) == oracles.ipf_feasible(support, r, c)
+
+    @pytest.mark.parametrize("q, r, c, empty", [
+        # column 2 has target 1e-13 and no supported row: Hall passes by its
+        # 1e-12 slack, and the column stays empty
+        ([[0.3, 0.2, 0.0], [0.1, 0.4, 0.0]], [0.5, 0.5], [0.4, 0.6 - 1e-13, 1e-13],
+         np.s_[:, 2]),
+        # the same for row 2, whose only support is a zero-target column
+        ([[0.15, 0.1, 0.0], [0.05, 0.2, 0.0], [0.0, 0.0, 0.5]],
+         [0.5, 0.5 - 1e-13, 1e-13], [0.4, 0.6, 0.0], np.s_[2]),
+    ], ids=["column", "row"])
+    def test_hall_slack_leaves_an_empty_line(self, q, r, c, empty):
+        rows, cols = Alphabet(tuple(range(len(r)))), Alphabet(tuple(range(len(c))))
+        q, r, c = JointPmf(rows, cols, np.array(q)), Pmf(rows, np.array(r)), Pmf(cols, np.array(c))
+        with np.errstate(divide="raise", invalid="raise"):
+            got = expo.i_projection_coupling(q, r, c)
+        np.testing.assert_array_equal(got.probs, oracles.i_projection_coupling(q, r, c).probs)
+        assert not got.probs[empty].any()
+
     def test_marginals_and_product_form(self):
         rng = np.random.default_rng(0)
         rows = Alphabet((0, 1, 2))
@@ -422,6 +491,28 @@ def test_brentq_matches_scipy_bit_for_bit():
         expo._brentq(lambda x: x + 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("face_size", [2, 3, 4])
+def test_sphere_point_matches_kl_rows_oracle(face_size):
+    # seeded segments from P_U, positive on `face_size` of 2-4 letters, to
+    # ends b with one or more zeros on that face; the radii put b outside the
+    # ball, on the sphere and inside it (None)
+    rng = np.random.default_rng(face_size)
+    for _ in range(100):
+        dim = int(rng.integers(face_size, 5))
+        face = rng.permutation(dim)[:face_size]
+        p_u, b = np.zeros(dim), np.zeros(dim)
+        p_u[face] = rng.dirichlet(np.ones(face_size))
+        kept = face[int(rng.integers(1, face_size)):]
+        b[kept] = rng.dirichlet(np.ones(len(kept)))
+        d_b = float(kl_rows(b, p_u))
+        for tau in (0.01 * d_b, 0.5 * d_b, d_b, 1.5 * d_b):
+            got, want = expo.sphere_point(p_u, b, tau), oracles.sphere_point(p_u, b, tau)
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
 def seeded_ternary_sources(seed):
     """3x2 source pair (P_UV, Q_UV) from a seeded Dirichlet."""
     rng = np.random.default_rng(seed)
@@ -483,7 +574,7 @@ class TestTernaryConstrainedMin:
         assert term.value_nats == pytest.approx(want, abs=1e-9)
         # guard against a dense grid: the former search made 7,516 and
         # 125,779 IPF calls here
-        assert len(calls) < 2000
+        assert 0 < len(calls) < 2000
 
     @pytest.mark.parametrize("tau, want", [(0.05, 0.617423358911979),
                                            (0.3, 0.578693799462149)])

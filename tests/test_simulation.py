@@ -57,6 +57,8 @@ class TestSchemeConfig:
     def test_mu_positive(self):
         with pytest.raises(ValueError):
             sim.SchemeConfig(scheme="B", mu=0.0, x1="1")
+        with pytest.raises(ValueError):
+            sim.SchemeConfig(scheme="B", mu=math.nan, x1="1")
 
     def test_validate_against_checks_dead_edge(self, example_dmc, partial_dmc):
         cfg = sim.SchemeConfig(scheme="A", x_hat="1", y_star="1")
