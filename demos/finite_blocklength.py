@@ -39,7 +39,7 @@ print("\n== per-n Type-II exponent (bits) ==")
 rep = expo.achievable_exponent(p_uv, q_uv, dmc)
 target = rep.theta_nats / LN2
 ns = list(range(40, 201, 20))
-log_betas = [sim.exact_log_beta(cfg, p_uv, q_uv, dmc, n, pbar) for n in ns]
+log_betas = [sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar).log_beta for n in ns]
 fit = sim.empirical_exponent(ns, log_betas=log_betas)
 for n, e in zip(fit.ns, fit.exponents_bits):
     bar = "#" * int(round(e * 200))

@@ -111,9 +111,11 @@ class ExperimentConfig:
         # keys the config leaves out take SchemeConfig's defaults
         fields = {"x1": "x1", "x_hat": "x_hat", "y_star": "y_star", "k_rule": "k_spec"}
         given = {field: sc[key] for key, field in fields.items() if key in sc}
+        if "mu" in sc:
+            if not _is_number(sc["mu"]):
+                raise ConfigError("scheme.mu: must be a positive number")
+            given["mu"] = float(sc["mu"])
         try:
-            if "mu" in sc:
-                given["mu"] = float(sc["mu"])
             return SchemeConfig(scheme=kind, **given)
         except ValueError as exc:
             raise ConfigError(f"scheme: {exc}") from exc

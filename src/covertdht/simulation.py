@@ -20,14 +20,15 @@ Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
 types alone and never on symbol sequences. The encoder rule is written once,
 in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``), and so
-is the V test, in ``_v_typical``. The exact engine applies both to blocks of
-enumerated joint types through the kernel ``_decide``; the Monte Carlo
-engine applies them to sampled U and V counts. The Y test goes through
+is the V test, in ``_v_typical``. The exact engine calls both on the marginal
+counts of each block of enumerated joint types; the Monte Carlo engine calls
+them on sampled U and V counts. The Y test goes through
 ``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
 Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
-``SimulationResult``, built by one helper that also derives the weight
-statistics from the firing probability (delta_n, or its sampled frequency).
+``SimulationResult`` (``log_beta`` included, exact also where beta
+underflows), built by one helper that also derives the weight statistics
+from the firing probability (delta_n, or its sampled frequency).
 
 The Monte Carlo engine, ``run_trials``, draws the pair (T_U, T_V), not the
 joint type: T_V given T_U is the sum over u of Mult(c_u[u], P_{V|U=u}). A
@@ -73,6 +74,8 @@ logger = logging.getLogger(__name__)
 
 # Monte Carlo trials drawn and decided at a time (bounds a task's memory)
 BLOCK_TRIALS = 1 << 13
+# Monte Carlo trials per task; a task's generators are seeded by its index
+CHUNK_TRIALS = 50_000
 
 
 def make_k_rule(spec: str) -> Callable[[int], int]:
@@ -156,26 +159,6 @@ def _v_typical(cfg: SchemeConfig, c_v: np.ndarray, p_v: Pmf, n: int) -> np.ndarr
     return typical(c_v / n, p_v.probs, cfg.mu)
 
 
-def _decide(
-    cfg: SchemeConfig,
-    counts: np.ndarray,
-    p_u: Pmf,
-    p_v: Pmf,
-    pbar: PbarSet | None,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encoder decision and V test on a ``(rows, |U||V|)`` block of joint
-    source counts: (active, accept_v), True where the sensor transmits and
-    where V^n is typical.
-
-    The marginal types are integer count sums divided by n, so enumerated
-    and sampled counts meet the closed typicality boundary at the same place.
-    """
-    mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
-    return (_transmits(cfg, mat.sum(axis=2) / n, p_u, pbar),
-            _v_typical(cfg, mat.sum(axis=1), p_v, n))
-
-
 def transmit_probability(
     cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
 ) -> float:
@@ -187,21 +170,23 @@ def transmit_probability(
 
 def _log_accept_probs(
     cfg: SchemeConfig,
-    joints: tuple[JointPmf, ...],
-    p_u: Pmf,
-    p_v: Pmf,
+    p_uv: JointPmf,
+    q_uv: JointPmf,
     dmc: Dmc,
     n: int,
     pbar: PbarSet | None,
-) -> list[float]:
-    """log Pr[decide 0] under each law of `joints`, in one pass over the
-    joint source types.
+) -> tuple[float, float]:
+    """log Pr[decide 0] under the null and under the alternative, in one
+    pass over the joint source types.
 
     The per-type acceptance factor depends only on which constant codeword
     the encoder emits, not on the source law, so the two factors and each
-    type's decisions serve every law. Scheme A's burst symbol never emits
+    type's decisions serve both laws. Scheme A's burst symbol never emits
     the marker (``validate_against``), so an active type is never accepted.
+    The marginal types are integer count sums divided by n, so enumerated
+    and sampled counts meet the closed typicality boundary at the same place.
     """
+    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     cells = p_u.alphabet.size * p_v.alphabet.size
     check_enumerable(n, cells, "joint source type enumeration")
     if cfg.scheme == "B":
@@ -211,14 +196,16 @@ def _log_accept_probs(
         p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
         log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
         log_active = NEG_INF
-    logs = [[] for _ in joints]
+    logs = ([], [])
     for counts in type_blocks(n, cells):
-        active, accept = _decide(cfg, counts, p_u, p_v, pbar, n)
+        mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
+        active = _transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
+        accept = _v_typical(cfg, mat.sum(axis=1), p_v, n)
         factor = np.where(active[accept], log_active, log_silent)
-        for out, joint in zip(logs, joints):
+        for out, joint in zip(logs, (p_uv, q_uv)):
             lp = log_type_class_prob(counts, joint.probs.ravel())
             out.append(logsumexp(lp[accept] + factor))
-    return [min(logsumexp(out), 0.0) for out in logs]
+    return min(logsumexp(logs[0]), 0.0), min(logsumexp(logs[1]), 0.0)
 
 
 def exact_error_probs(
@@ -229,34 +216,19 @@ def exact_error_probs(
     n: int,
     pbar: PbarSet | None = None,
 ) -> SimulationResult:
-    """Exact alpha_n and beta_n by joint-type enumeration, with the weight
-    statistics of delta_n, as the record of the cell.
+    """Exact alpha_n, beta_n and log beta_n by joint-type enumeration, with
+    the weight statistics of delta_n, as the record of the cell.
 
     Feasible for small alphabets only; raises AlphabetTooLarge otherwise,
     directing the caller to Monte Carlo.
     """
     cfg.validate_against(dmc)
-    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    log_acc_h0, log_acc_h1 = _log_accept_probs(cfg, (p_uv, q_uv), p_u, p_v, dmc, n, pbar)
+    log_acc_h0, log_acc_h1 = _log_accept_probs(cfg, p_uv, q_uv, dmc, n, pbar)
     alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
     beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
-    return _result(cfg, n, transmit_probability(cfg, p_u, n, pbar),
-                   alpha=max(alpha, 0.0), beta=beta, log_beta=log_acc_h1, method="exact")
-
-
-def exact_log_beta(
-    cfg: SchemeConfig,
-    p_uv: JointPmf,
-    q_uv: JointPmf,
-    dmc: Dmc,
-    n: int,
-    pbar: PbarSet | None = None,
-) -> float:
-    """log beta_n, exact; usable far below floating-point underflow of beta."""
-    cfg.validate_against(dmc)
-    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    [log_beta] = _log_accept_probs(cfg, (q_uv,), p_u, p_v, dmc, n, pbar)
-    return log_beta
+    # -expm1(0.0) is -0.0, and max keeps its first argument on a tie
+    return _result(cfg, n, transmit_probability(cfg, p_uv.row_marginal(), n, pbar),
+                   alpha=max(0.0, alpha), beta=beta, log_beta=log_acc_h1, method="exact")
 
 
 @dataclass(frozen=True)
@@ -410,7 +382,6 @@ def run_trials(
     trials: int,
     seed: int,
     pbar: PbarSet | None = None,
-    chunk: int = 50_000,
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
@@ -418,8 +389,8 @@ def run_trials(
     only, so per-trial type counts are sampled directly (multinomially) and
     decided by the same predicates as in the exact engine.
 
-    Each hypothesis's trials split into chunks of ``chunk``; chunk i under
-    hypothesis h draws its stage j from its own generator, seeded by
+    Each hypothesis's trials split into chunks of ``CHUNK_TRIALS``; chunk i
+    under hypothesis h draws its stage j from its own generator, seeded by
     (seed, h, i, j). The chunks run concurrently on every core the process
     may run on, each drawing at most ``BLOCK_TRIALS`` trials at a time, and
     return integer counts, so a seeded result is the same bit for bit on any
@@ -427,16 +398,14 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     t0 = time.perf_counter()
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
 
     tasks = [
-        (hyp, law, idx, min(chunk, trials - start))
+        (hyp, law, idx, min(CHUNK_TRIALS, trials - start))
         for hyp, law in ((0, p_uv), (1, q_uv))
-        for idx, start in enumerate(range(0, trials, chunk))
+        for idx, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
 
     def work(task):

@@ -262,7 +262,7 @@ def test_08_exponent_convergence(example_sources, example_dmc, example_p_u, part
     cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
     exps = []
     for n in range(160, 201, 10):
-        lb = sim.exact_log_beta(cfg, p_uv, q_uv, example_dmc, n, pbar)
+        lb = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, n, pbar).log_beta
         exps.append(-lb / LN2 / n)
     # the exact per-n exponent climbs toward the asymptotic target on this
     # tail grid and lands within 25% of it at n = 200

@@ -195,6 +195,18 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 0
         assert out_path.read_bytes() == first  # deterministic rerun
 
+    def test_sure_acceptance_writes_alpha_as_zero(self, tmp_path):
+        # mu = 1 makes every block typical, so Pr[accept | H0] is 1 and
+        # alpha = -expm1(0.0) is -0.0 until it is clamped
+        out_path = tmp_path / "sim.csv"
+        data = example_variant(scheme__mu=1.0)
+        data["sweep"].update(n_grid=[24], mu_grid=[])
+        data["output"] = {"path": str(out_path), "format": "csv"}
+        assert main(["simulate", write_config(tmp_path, data)]) == 0
+        with out_path.open(newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert row["alpha"] == "0.0"
+
     FALLBACK_LINE = "warning: exact engine infeasible at n=400; falling back to Monte Carlo"
 
     @staticmethod
@@ -268,9 +280,9 @@ class TestSimulate:
         p_uv, q_uv = cfg.source_pmfs()
         dmc = cfg.dmc()
         pbar = expo.pbar_threshold(dmc, "1")
-        fit = sim.empirical_exponent(
-            ns, log_betas=[sim.exact_log_beta(cfg.scheme(), p_uv, q_uv, dmc, n, pbar) for n in ns]
-        )
+        fit = sim.empirical_exponent(ns, log_betas=[
+            sim.exact_error_probs(cfg.scheme(), p_uv, q_uv, dmc, n, pbar).log_beta for n in ns
+        ])
         line = (f"mu=0.02: exponent trend slope {fit.slope_bits:.4f} bits/use, "
                 f"per-n exponents {[round(e, 4) for e in fit.exponents_bits]}")
         assert line in capsys.readouterr().err.splitlines()
@@ -328,6 +340,13 @@ class TestSimulate:
         data["sweep"].update(sweep)
         assert main(["simulate", write_config(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("mu", [True, "0.1"])
+    def test_bad_scheme_mu_exit_code(self, tmp_path, capsys, mu):
+        # scheme.mu follows the number rule of sweep.mu_grid
+        data = example_variant(scheme__mu=mu)
+        assert main(["simulate", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith("error: scheme.mu:")
 
 
 class TestVerifyCovertness:

@@ -94,9 +94,17 @@ def test_bad_seed(seed):
 
 
 def test_nan_mu_is_rejected():
-    # float("nan") parses, and NaN compares false with 0
+    # NaN is a float (JSON NaN loads as one), and NaN compares false with 0
     with pytest.raises(ConfigError, match="scheme: mu must be positive"):
-        ExperimentConfig.from_dict(variant(scheme__mu="nan"))
+        ExperimentConfig.from_dict(variant(scheme__mu=float("nan")))
+
+
+@pytest.mark.parametrize("mu", [True, "0.1"])
+def test_bad_scheme_mu(mu):
+    # the number rule of sweep.mu_grid: JSON true would run as 1.0, a string
+    # as the number it spells
+    with pytest.raises(ConfigError, match="scheme.mu"):
+        ExperimentConfig.from_dict(variant(scheme__mu=mu))
 
 
 def test_sweep_numbers_in_range_pass():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import covertdht.exponents as expo
 import oracles
 from covertdht import Dmc
+from covertdht.cli import main
 from covertdht.config import ExperimentConfig
 from covertdht.errors import (
     ConditionalUndefined,
@@ -529,6 +531,20 @@ Q_UV_4X2 = [[0.10, 0.10], [0.15, 0.15], [0.20, 0.05], [0.15, 0.10]]
 SPHERE_CASES_4X2 = [(0.5, False, 0.015601915240777), (2.0, True, 0.026554539418449)]
 
 
+# scheme B with tau = 0.585 nats: E3's sphere search conditions P_U =
+# (0.2, 0.32, 0.48) on pi(a) = 0, and the lattice end (0, 0.4, 0.6) is that
+# conditioned center only up to rounding
+TIE_CONFIG = {
+    "sources": {"u_symbols": ["a", "b", "c"], "v_symbols": ["x", "y"],
+                "p_uv": [[0.2, 0.0], [0.18, 0.14], [0.22, 0.26]],
+                "q_uv": [[0.08, 0.0], [0.36, 0.05], [0.31, 0.2]]},
+    "channel": {"x_symbols": ["0", "1"], "y_symbols": ["0", "1"], "z_symbols": ["0", "1"],
+                "zero_symbol": "0", "y_given_x": [[0.6, 0.4], [0.4, 0.6]],
+                "z_given_x": [[0.6, 0.4], [0.2, 0.8]]},
+    "scheme": {"scheme": "B", "x1": "1", "mu": 0.05},
+}
+
+
 class TestTernaryConstrainedMin:
     """E2 (upper=False) and E3 inner term (upper=True) for |U| = 3 and 4
     against the former simplex grid plus SLSQP polish. tau is a multiple of
@@ -617,6 +633,26 @@ class TestTernaryConstrainedMin:
         assert term.value_nats == pytest.approx(want, abs=1e-9)
         assert kl_divergence(term.minimizer.row_marginal(), p_u) == pytest.approx(tau, abs=1e-8)
 
+    def test_ray_ending_at_the_conditioned_center_up_to_rounding(self, tmp_path):
+        # the end (0, 0.4, 0.6) differs from P_U conditioned on pi(a) = 0 by
+        # (0, 5.6e-17, 0): no face coordinate decreases, so it is the center
+        # and has no ray to continue, as in the exact case above
+        cfg = ExperimentConfig.from_dict(TIE_CONFIG)
+        (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = expo.pbar_threshold(dmc, "1").tau_nats
+        center = np.array([0.0, *p_u.probs[1:]]) / (1.0 - p_u.probs[0])
+        end = np.array([0.0, 0.4, 0.6])
+        assert (end - center).any() and not (end - center < 0.0).any()
+        assert expo._retract(p_u.probs, end, tau) == (None, 0.0)
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper=True)
+        assert kl_divergence(term.minimizer.row_marginal(), p_u) == pytest.approx(tau, abs=1e-9)
+        # oracles.constrained_min_grid takes 12 s here; it gives 0.5296487
+        assert term.value_nats <= 0.52965
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps(TIE_CONFIG))
+        assert main(["exponents", str(path), "--json"]) == 0
+
     def test_e2_is_infinite_without_a_coupling_on_the_face(self):
         # Q puts all of V = "y" on the symbol P_U never emits
         u, v = Alphabet((0, 1, 2)), Alphabet(("x", "y"))
@@ -699,6 +735,48 @@ class TestTernaryConstrainedMin:
                 x[i], x[j] = m, 1.0 - m
                 if kl_rows(x, p_u.probs) >= tau:
                     assert g(x) >= term.value_nats - 1e-12
+
+
+class TestSphereSearchDefects:
+    """Inputs with zeros in Q_UV on which the E2/E3 sphere search is known
+    to overestimate; every reference value comes from public functions and
+    the test oracles."""
+
+    U3, V2 = Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("tau", [0.031, 0.078])
+    def test_e2_at_most_e1(self, tau):
+        # the ball D(pi_U || P_U) <= tau holds P_U, so E2 <= E1; supp(Q)
+        # forces pi_U(b) = P_V(x), a line that no lattice ray hits
+        p_uv = JointPmf(self.U3, self.V2, np.array([[0, 0.07], [0.41, 0], [0, 0.52]]))
+        q_uv = JointPmf(self.U3, self.V2, np.array([[0, 0.37], [0.09, 0], [0, 0.54]]))
+        p_u = p_uv.row_marginal()
+        pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
+        e1 = expo.compute_E1(p_uv, q_uv).value_nats
+        assert e1 == pytest.approx(0.4855, abs=1e-4)
+        assert expo.compute_E2(p_uv, q_uv, p_u, pbar).value_nats <= e1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("p, q, tau", [
+        ([[0.26, 0], [0.18, 0.3], [0, 0.26]], [[0.32, 0], [0.22, 0.2], [0, 0.26]], 0.5),
+        ([[0.36, 0], [0.02, 0.33], [0, 0.29]], [[0.4, 0], [0.1, 0.07], [0, 0.43]], 0.446),
+        ([[0.02, 0], [0.21, 0.42], [0, 0.35]], [[0.26, 0], [0.04, 0.41], [0, 0.29]], 1.0),
+    ])
+    def test_e3_inner_at_most_g_on_the_sphere(self, example_dmc, p, q, tau):
+        # the segment from P_U to (P_V(x), 0, P_V(y)) crosses the sphere
+        # D = tau at a point of the triggering set, so the inner minimum is
+        # at most g there
+        p_uv = JointPmf(self.U3, self.V2, np.array(p))
+        q_uv = JointPmf(self.U3, self.V2, np.array(q))
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        pt = oracles.sphere_point(p_u.probs, (p_v.probs[0], 0.0, p_v.probs[1]), tau)
+        assert kl_divergence(Pmf(self.U3, pt), p_u) == pytest.approx(tau, abs=1e-12)
+        coupling = oracles.i_projection_coupling(q_uv, Pmf(self.U3, pt), p_v)
+        g = oracles.kl(coupling.probs.ravel(), q_uv.probs.ravel())
+        pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
+        inner, _, _ = expo.compute_E3(p_uv, q_uv, p_u, example_dmc, pbar)
+        assert inner <= g + 1e-9
 
 
 class TestImprovement:

@@ -73,23 +73,18 @@ class TestSchemeConfig:
 
 
 class TestEncoders:
-    """The encoder decision of ``_decide`` on the joint counts of one block
-    (V degenerate, so the joint counts are the U counts)."""
-
-    V1 = Pmf(Alphabet(("c",)), np.array([1.0]))
+    """The encoder rule ``_transmits`` on the U counts of one block over n."""
 
     def test_scheme_a_silent_when_typical(self, example_p_u):
         cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
         # U counts (80, 20) match P_U = (0.8, 0.2); (60, 40) is 0.2 off
-        active, _ = sim._decide(cfg, np.array([[80, 20], [60, 40]]),
-                                example_p_u, self.V1, None, 100)
+        active = sim._transmits(cfg, np.array([[80, 20], [60, 40]]) / 100, example_p_u, None)
         assert active.tolist() == [False, True]
 
     def test_scheme_b_codeword_when_threshold_crossed(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.05, x1="1")
-        active, _ = sim._decide(cfg, np.array([[32, 8], [16, 24]]),
-                                example_p_u, self.V1, pbar, 40)
+        active = sim._transmits(cfg, np.array([[32, 8], [16, 24]]) / 40, example_p_u, pbar)
         assert active.tolist() == [False, True]
 
     def test_scheme_a_decision_scans_burst_only(self, example_sources, partial_dmc):
@@ -108,9 +103,9 @@ class TestEncoders:
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_transmit_probability_is_the_kernel_rule(self, scheme):
         # delta_n, summed over the U types alone, is the mass of the joint
-        # types that _decide marks active on the whole joint lattice
+        # types whose U counts _transmits marks active on the whole lattice
         p_uv, _ = _source_pair(3, 2, seed=32)
-        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        p_u = p_uv.row_marginal()
         pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
         cfg = (sim.SchemeConfig(scheme="B", mu=0.2, x1="1") if scheme == "B"
                else sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1"))
@@ -118,7 +113,8 @@ class TestEncoders:
         for n in (1, 5, 11):
             parts = []
             for counts in typesum.type_blocks(n, 6):
-                active, _ = sim._decide(cfg, counts, p_u, p_v, pbar, n)
+                c_u = counts.reshape(len(counts), 3, 2).sum(axis=2)
+                active = sim._transmits(cfg, c_u / n, p_u, pbar)
                 lp = typesum.log_type_class_prob(counts[active], p_uv.probs.ravel())
                 parts.append(typesum.logsumexp(lp))
             want = math.exp(typesum.logsumexp(parts))
@@ -139,8 +135,9 @@ def _typical_exact(counts, probs, mu):
 
 
 class TestDecideSchemeB:
-    """``_decide`` against exact rational typicality on every joint count
-    vector of a 3x3 source at n = 4."""
+    """``_transmits`` and ``_v_typical`` on the marginal counts of every
+    joint count vector of a 3x3 source at n = 4, against exact rational
+    typicality."""
 
     U3 = Alphabet(("a", "b", "c"))
     V3 = Alphabet(("x", "y", "z"))
@@ -165,7 +162,8 @@ class TestDecideSchemeB:
             (sim.SchemeConfig(scheme="B", mu=mu, x1="1"), want_b),
             (sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1"), want_a),
         ):
-            active, accept_v = sim._decide(cfg, counts, p_u, p_v, pbar, n)
+            active = sim._transmits(cfg, cu / n, p_u, pbar)
+            accept_v = sim._v_typical(cfg, cv, p_v, n)
             assert active.tolist() == want_active
             assert accept_v.tolist() == want_v
             assert set(want_active) == {True, False}
@@ -292,8 +290,8 @@ class TestExactEngine:
         p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        beta = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 50, pbar).beta
-        lb = sim.exact_log_beta(cfg, p_uv, q_uv, example_dmc, 50, pbar)
+        res = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 50, pbar)
+        beta, lb = res.beta, res.log_beta
         assert lb == pytest.approx(math.log(beta), rel=1e-12)
 
     def test_weight_stats_reflect_transmission_prob(self, example_sources, example_dmc):
@@ -356,7 +354,7 @@ class TestExactEngineAgainstLoop:
                 oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
                 for law in (p_uv, q_uv)
             )
-            got = sim._log_accept_probs(cfg, (p_uv, q_uv), p_u, p_v, dmc, n, pbar)
+            got = sim._log_accept_probs(cfg, p_uv, q_uv, dmc, n, pbar)
             for got, want in zip(got, (want_h0, want_h1)):
                 assert got == want or math.isclose(got, want, rel_tol=1e-12)
             # the weight stats take delta_n from the U-type lattice alone; the
@@ -385,14 +383,13 @@ class TestMonteCarlo:
         r3 = sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 50_000, seed=4, pbar=pbar)
         assert (r3.alpha, r3.beta) != (r1.alpha, r1.beta)
 
-    def test_chunking_does_not_change_results(self, example_sources, example_dmc):
+    def test_chunking_does_not_change_results(self, example_sources, example_dmc, monkeypatch):
         p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
         whole = sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 60_000, seed=3, pbar=pbar)
-        split = sim.run_trials(
-            cfg, p_uv, q_uv, example_dmc, 40, 60_000, seed=3, pbar=pbar, chunk=7_000
-        )
+        monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
+        split = sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 60_000, seed=3, pbar=pbar)
         # chunking changes the RNG stream, not the statistics
         assert abs(whole.alpha - split.alpha) <= whole.alpha_ci + split.alpha_ci
 
@@ -416,7 +413,7 @@ class TestMonteCarlo:
             beta_ci=0.0021399841112467455, trials=20000, seed=11,
             weight_mean=0.0049299999999999995, a_bar=0.07021395872616783)),
     ], ids=["B", "A"])
-    def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, scheme, want):
+    def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, monkeypatch, scheme, want):
         # values recorded from an earlier version of the engine: a change to
         # the sampling order or to any decision shows up here bit for bit
         if scheme == "B":
@@ -425,7 +422,8 @@ class TestMonteCarlo:
         else:
             cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
             dmc, pbar = partial_dmc, None
-        got = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_000, seed=11, pbar=pbar, chunk=7_000)
+        monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
+        got = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_000, seed=11, pbar=pbar)
         assert got == want
 
     def test_trials_validation(self, example_sources, example_dmc):
@@ -433,16 +431,6 @@ class TestMonteCarlo:
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
         with pytest.raises(ValueError):
             sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 0, seed=1)
-
-    def test_chunk_validation(self, example_sources, example_dmc):
-        # a chunk below 1 trial would never advance through the trials
-        p_uv, q_uv = example_sources
-        cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        pbar = expo.pbar_threshold(example_dmc, "1")
-        for chunk in (0, -1):
-            with pytest.raises(ValueError, match="chunk"):
-                sim.run_trials(cfg, p_uv, q_uv, example_dmc, 40, 100, seed=1, pbar=pbar,
-                               chunk=chunk)
 
     @staticmethod
     def _case(scheme, example_dmc, partial_dmc):
@@ -459,12 +447,12 @@ class TestMonteCarlo:
         # six tasks, more than one per thread at every core count tried; the
         # smallest block splits every draw of a chunk
         cfg, dmc, pbar = self._case(scheme, example_dmc, partial_dmc)
+        monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
         got = []
         for cores, block in ((1, sim.BLOCK_TRIALS), (3, sim.BLOCK_TRIALS), (3, 999)):
             monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
             monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
-            got.append(sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar,
-                                      chunk=7_000))
+            got.append(sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar))
         assert got[0] == got[1] == got[2]
 
     def test_worker_error_reaches_the_caller(self, example_dmc, partial_dmc, monkeypatch):
@@ -485,8 +473,9 @@ class TestMonteCarlo:
     def test_cell_is_logged_at_debug(self, example_dmc, partial_dmc, monkeypatch, caplog):
         cfg, dmc, pbar = self._case("B", example_dmc, partial_dmc)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
         with caplog.at_level(logging.DEBUG, logger="covertdht.simulation"):
-            sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar, chunk=7_000)
+            sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar)
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
         assert "n=30: 20001 trials, 6 tasks, 3 threads" in record.getMessage()
