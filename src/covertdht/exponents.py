@@ -16,20 +16,30 @@ is a concave free-energy problem with the closed form
     tau = 1/2 log sum_z G1(z)^3 / G0(z)^2,   pi*(z) proportional to G1^3/G0^2.
 
 The joint-pmf minimizations behind the exponents fix one or both marginals;
-with both marginals fixed they are I-projections computed by iterative
+with both marginals fixed (E1) they are I-projections computed by iterative
 proportional fitting (IPF). With only the column marginal P_V fixed, the
 partial minimum g(pi_U) over couplings is a convex function of the free row
 marginal whose unconstrained minimum D(P_V || Q_V) is attained at T_U by the
 coupling P_V(v) Q(u|v). E2 minimizes g over the ball D(pi_U || P_U) <= tau
 and E3 over its complement D >= tau, both in `_constrained_min`: the closed
-form when T_U is feasible, otherwise a minimum on the sphere D = tau. One
-search serves every row alphabet: the crossings of the sphere by the rays
-from P_U to the boundary points of a small type lattice, each found by a
-port of Brent's root finder, the best of them polished by a Nelder-Mead
-search over the ray directions, every trial ray retracted onto the sphere
-(exact already when |U| = 2). Where the sphere is cut by the simplex, rays
-that miss it land on its rim, and a minimum on the rim is searched again
-inside that face, where the sphere is again a divergence sphere.
+form when T_U is feasible, otherwise a minimum on the sphere D = tau.
+
+There the minimizers of D(pi || Q) + lambda D(pi_U || P_U) over couplings
+with column marginal P_V form a one-parameter family (Csiszar 1975, Ann.
+Probab. 3(1)), pi(u, v) = Q(u, v) e^beta_v w_u with log pi_U =
+(1 - kappa) log sum_v Q(u, v) e^beta_v + kappa log P_U, kappa =
+lambda / (1 + lambda): kappa = 0 is the closed form, kappa = 1 E1's
+I-projection. For each kappa, Newton's method on the |V| potentials beta
+meets P_V; Brent's root finder (a port) puts D(pi_U || P_U) on tau. E2 is
+its crossing for kappa in [0, 1]. E3's is on the branch kappa < 0
+(lambda = -nu, 0 < nu < 1), where D(pi || Q) - nu D(pi_U || P_U) is
+jointly convex, so a crossing there is the global minimum, certified by
+the Lagrangian bound. Where that branch does not cross, E3 falls back to a
+search of the sphere: the crossings of the rays from P_U to the boundary
+points of a small type lattice, the best polished by a Nelder-Mead search
+over the ray directions, every trial ray retracted onto the sphere; rays
+that miss it inside the face land on its rim, and a minimum on the rim is
+searched again inside that face.
 
 All values are stored in nats; `ExponentReport.as_dict` reports bits.
 """
@@ -76,6 +86,18 @@ _IPF_TOL = 1e-10
 _IPF_MAX_ITER = 100_000
 # T_U within this of P_U in every coordinate: communication cannot help
 _T_U_ATOL = 1e-9
+# Newton's method on the column potentials of the Lagrangian family stops
+# once the column sums match P_V to this, times 1 + |kappa|, and gives up
+# after this many steps
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 100
+# E3 looks for the crossing of its certified branch at kappa = 1 - 2^k for
+# k up to this (lambda = -nu, nu up to 1 - 2^-16), then falls back to the
+# sphere search
+_KAPPA_SCAN = 16
+# the DEBUG record of each constrained minimum
+_MIN_RECORD = ("%s minimum at tau = %.6g nats: %s, kappa = %.17g, %d Newton steps, "
+               "value - L(lambda) = %.3g nats")
 
 logger = logging.getLogger(__name__)
 
@@ -446,34 +468,160 @@ def _sphere_min(g, p_u: np.ndarray, tau: float):
     return value, pt
 
 
+def _lagrangian_point(log_q: np.ndarray, log_p_u: np.ndarray, p_v: np.ndarray,
+                      kappa: float, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The coupling of the Lagrangian family at `kappa`, its column
+    potentials beta and the Newton steps taken from the start `beta`.
+
+    On the block of rows and columns it is pi(u, v) = Q(u, v) e^beta_v
+    (P_U(u) / A_u)^kappa with A_u = sum_v Q(u, v) e^beta_v, so that
+    log pi_U = (1 - kappa) log A + kappa log P_U; Newton's method solves the
+    column condition pi_V = P_V for beta. It is the gradient of the convex
+    sum_u P_U^kappa A_u^(1 - kappa) / (1 - kappa) - P_V . beta (kappa < 1),
+    so the Jacobian diag(pi_V) - kappa sum_u pi(u, .) pi(u, .)^T / pi_U(u) is
+    symmetric, and each step is halved until the residual shrinks; at
+    kappa = 1 it is singular along shifts of beta, which a least-squares step
+    leaves alone.
+    """
+
+    def point(beta):
+        x = log_q + beta
+        top = x.max(axis=1, keepdims=True)
+        log_a = top + np.log(np.exp(x - top).sum(axis=1, keepdims=True))
+        # pi and pi(v | u) = Q e^beta / A, so no row of pi_U is divided by
+        return np.exp(x + kappa * (log_p_u - log_a)), np.exp(x - log_a)
+
+    tol = _NEWTON_TOL * (1.0 + abs(kappa))  # rounding grows with the exponents
+    pi, cond = point(beta)
+    resid = pi.sum(axis=0) - p_v
+    for step in range(_NEWTON_MAX_ITER):
+        if np.abs(resid).max() <= tol:
+            return pi, beta, step
+        jac = np.diag(pi.sum(axis=0)) - kappa * (pi.T @ cond)
+        delta = np.linalg.lstsq(jac, -resid, rcond=None)[0]
+        norm, t = np.linalg.norm(resid), 1.0
+        for _ in range(60):
+            with np.errstate(over="ignore", invalid="ignore"):  # a step too long
+                new_pi, new_cond = point(beta + t * delta)
+                new_resid = new_pi.sum(axis=0) - p_v
+                shrinks = np.linalg.norm(new_resid) <= (1.0 - 1e-4 * t) * norm
+            if shrinks:
+                break
+            t /= 2.0
+        else:
+            break
+        beta, pi, cond, resid = beta + t * delta, new_pi, new_cond, new_resid
+    raise NoConvergence(f"Newton's method left the column sums {np.abs(resid).max():.3g} "
+                        f"from P_V at kappa = {kappa}")
+
+
+def _lagrangian_min(q: np.ndarray, p_u: np.ndarray, p_v: np.ndarray, tau: float,
+                    upper: bool, coupling: np.ndarray, d_t: float):
+    """The point of the Lagrangian family on the sphere D(pi_U || P_U) = tau,
+    on its feasible side: (pi, kappa, Newton steps, value - L(lambda)), with
+    pi None (and the last kappa tried) where the E3 branch kappa < 0 has no
+    crossing. kappa = 0 is `coupling`, the closed form with D(T_U || P_U) =
+    d_t; for E2 kappa = 1 is E1's I-projection, at D = 0. E3 scans
+    kappa = 1 - 2^k, k = 1 .. _KAPPA_SCAN, for a bracket.
+
+    pi minimizes D(. || Q) + lambda (D(._U || P_U) - tau), lambda =
+    kappa / (1 - kappa) > -1, over the couplings with column marginal P_V,
+    a jointly convex function also on E3's branch (kappa < 0, lambda = -nu,
+    nu < 1). So its minimum L(lambda) bounds the constrained minimum from
+    below, and the gap value - L(lambda) = -lambda (D - tau) >= 0 certifies
+    it; at kappa = 1, lambda is infinite and certifies nothing.
+    """
+    cols = p_v > 0.0
+    rows = (p_u > 0.0) & (q[:, cols] > 0.0).any(axis=1)
+    block = np.ix_(rows, cols)
+    with np.errstate(divide="ignore"):
+        log_q, log_p_u = np.log(q[block]), np.log(p_u[rows])[:, None]
+    p_v = p_v[cols]
+    beta = np.log(p_v / q[block].sum(axis=0))  # kappa = 0: P_V(v) Q(u | v)
+    # kappa -> (D(pi_U || P_U) - tau, pi, beta)
+    points = {0.0: (d_t - tau, coupling, beta)}
+    steps = 0
+
+    def solve(kappa):
+        nonlocal steps
+        if kappa not in points:
+            start = points[min(points, key=lambda k: abs(k - kappa))][2]
+            pi, beta, n = _lagrangian_point(log_q, log_p_u, p_v, kappa, start)
+            steps += n
+            full = np.zeros_like(q)
+            full[block] = pi
+            points[kappa] = (float(kl_rows(full.sum(axis=1), p_u)) - tau, full, beta)
+        return points[kappa][0]
+
+    if upper:
+        inside = 0.0
+        for k in range(1, _KAPPA_SCAN + 1):
+            if solve(1.0 - 2.0**k) >= 0.0:
+                break
+            inside = 1.0 - 2.0**k
+        else:
+            return None, inside, steps, math.nan
+        _brentq(solve, 1.0 - 2.0**k, inside, xtol=1e-14)
+    else:
+        _brentq(lambda kappa: -tau if kappa == 1.0 else solve(kappa), 0.0, 1.0, xtol=1e-14)
+    # of the points solved, the one nearest the sphere on its feasible side;
+    # none when the sphere is within xtol of E2's end kappa = 1, then that end
+    feasible = [k for k, p in points.items() if (p[0] >= 0.0 if upper else p[0] <= 0.0)]
+    kappa = min(feasible, key=lambda k: abs(points[k][0])) if feasible else 1.0
+    excess = solve(kappa)
+    gap = _INF if kappa == 1.0 else kappa / (kappa - 1.0) * excess
+    return points[kappa][1], kappa, steps, gap
+
+
 def _constrained_min(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float,
                      upper: bool) -> ExponentTerm:
     """min of g over the ball D(pi_U || P_U) <= tau (upper=False) or over its
     complement D >= tau (upper=True), with the minimizing coupling.
 
     g is convex with its unconstrained minimum at T_U, so when T_U is not
-    feasible the minimum lies on the sphere D = tau. The ball lies in the
-    face supp(P_U), so E2 first conditions Q on that face. E3 need not: T_U
-    off the face is feasible, and T_U on it makes g +inf off the face.
+    feasible the minimum lies on the sphere D = tau, where the Lagrangian
+    family of `_lagrangian_min` crosses it: for E2 at some kappa in [0, 1]
+    (whenever a coupling of P_U and P_V exists on supp Q; else the sphere
+    search), for E3 on the branch kappa < 0 if it crosses, and there the
+    crossing is certified. Elsewhere E3 is the sphere search's minimum. The
+    ball lies in the face supp(P_U), so E2 first conditions Q on that face.
+    E3 need not: T_U off the face is feasible, and T_U on it makes g +inf
+    off the face. One DEBUG record names the branch taken (closed form,
+    Lagrangian, sphere fallback, or no coupling on the face), kappa, the
+    Newton steps and the gap value - L(lambda), lambda = kappa / (1 - kappa).
     """
     face = p_u.probs > 0.0
     log_mass = 0.0
+    what = "E3 inner" if upper else "E2"
     if not upper and not face.all():
         q = np.where(face[:, None], q_uv.probs, 0.0)
         if np.any((p_v.probs > 0.0) & (q.sum(axis=0) == 0.0)):
-            return ExponentTerm(_INF)  # no coupling on the face
+            logger.debug(_MIN_RECORD, what, tau, "no coupling on the face", math.nan, 0,
+                         math.nan)
+            return ExponentTerm(_INF)
         # a coupling on the face has D(. || Q) = D(. || Q / Q(face)) - log Q(face)
         log_mass = math.log(q.sum())
         q_uv = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, q / q.sum())
     k = _v_conditional_coupling(p_v, q_uv)
-    d_t = kl_rows(k.sum(axis=1), p_u.probs)  # D(T_U || P_U)
+    d_t = float(kl_rows(k.sum(axis=1), p_u.probs))  # D(T_U || P_U)
     if (d_t >= tau) if upper else (d_t <= tau):
+        logger.debug(_MIN_RECORD, what, tau, "closed form", 0.0, 0, 0.0)
         coupling = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, k)
         return ExponentTerm(local_exponent(p_v, q_uv.col_marginal()) - log_mass, coupling)
-    value, pt = _sphere_min(_coupling_objective(q_uv, p_v), p_u.probs, tau)
-    if pt is None or not math.isfinite(value):
-        return ExponentTerm(value)
-    _, coupling = _coupling_divergence(q_uv, Pmf(p_u.alphabet, pt), p_v)
+    pi, kappa, steps, gap = None, math.nan, 0, math.nan
+    if upper or _ipf_feasible(q_uv.probs > 0.0, p_u.probs, p_v.probs):
+        pi, kappa, steps, gap = _lagrangian_min(q_uv.probs, p_u.probs, p_v.probs, tau,
+                                                upper, k, d_t)
+    if pi is None:
+        value, pt = _sphere_min(_coupling_objective(q_uv, p_v), p_u.probs, tau)
+        logger.debug(_MIN_RECORD, what, tau, "sphere fallback", kappa, steps, gap)
+        if pt is None or not math.isfinite(value):
+            return ExponentTerm(value)
+        _, coupling = _coupling_divergence(q_uv, Pmf(p_u.alphabet, pt), p_v)
+        return ExponentTerm(value - log_mass, coupling)
+    coupling = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, pi)
+    value = kl_divergence_vec(coupling.probs.ravel(), q_uv.probs.ravel())
+    logger.debug(_MIN_RECORD, what, tau, "Lagrangian", kappa, steps, gap)
     return ExponentTerm(value - log_mass, coupling)
 
 

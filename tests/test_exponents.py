@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import covertdht.exponents as expo
@@ -586,11 +586,19 @@ class TestTernaryConstrainedMin:
             return ipf(*args, **kwargs)
 
         monkeypatch.setattr(expo, "i_projection_coupling", counted)
+        solve = expo._lagrangian_point
+
+        def counted_solve(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(expo, "_lagrangian_point", counted_solve)
         term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
         assert term.value_nats == pytest.approx(want, abs=1e-9)
-        # guard against a dense grid: the former search made 7,516 and
-        # 125,779 IPF calls here
-        assert 0 < len(calls) < 2000
+        # guard against a dense grid on the solver's work, Newton solves plus
+        # IPF calls: a grid made 7,516 and 125,779 IPF calls here, the sphere
+        # search hundreds
+        assert 0 < len(calls) < 100
 
     @pytest.mark.parametrize("tau, want", [(0.05, 0.617423358911979),
                                            (0.3, 0.578693799462149)])
@@ -663,26 +671,27 @@ class TestTernaryConstrainedMin:
         assert term.value_nats == math.inf and term.minimizer is None
 
     def test_failed_polish_is_logged(self, monkeypatch, caplog):
+        # the sphere search, E3's fallback, on E2's sphere here
         cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
         (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
         p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
         tau = expo.pbar_threshold(dmc, "1").tau_nats  # T_U is outside the ball
-        polished = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
+        g = expo._coupling_objective(q_uv, p_v)
+        polished, _ = expo._sphere_min(g, p_u.probs, tau)
 
         def stub(f, x0, step, **kwargs):
             return x0, math.inf, False  # the search reports no convergence
 
         monkeypatch.setattr(expo, "_nelder_mead", stub)
         with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
-            term = expo._constrained_min(q_uv, p_u, p_v, tau, upper=False)
+            value, pi_u = expo._sphere_min(g, p_u.probs, tau)
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert "sphere polish failed (no convergence" in record.getMessage()
         # the result is the best ray crossing, on the sphere and above the
         # polished minimum
-        pi_u = term.minimizer.row_marginal()
-        assert kl_divergence(pi_u, p_u) == pytest.approx(tau, abs=1e-9)
-        assert polished.value_nats < term.value_nats < polished.value_nats + 1e-3
+        assert kl_rows(pi_u, p_u.probs) == pytest.approx(tau, abs=1e-9)
+        assert polished < value < polished + 1e-3
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("upper", [False, True])
@@ -700,10 +709,10 @@ class TestTernaryConstrainedMin:
             return polished[-1]
 
         monkeypatch.setattr(expo, "_nelder_mead", recorded)
-        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
-        [(_, value, converged)] = polished
-        assert converged and term.value_nats == value
-        assert kl_divergence(term.minimizer.row_marginal(), p_u) == pytest.approx(tau, abs=1e-9)
+        value, pi_u = expo._sphere_min(expo._coupling_objective(q_uv, p_v), p_u.probs, tau)
+        [(_, polished_value, converged)] = polished
+        assert converged and value == polished_value
+        assert kl_rows(pi_u, p_u.probs) == pytest.approx(tau, abs=1e-9)
 
     def test_e3_minimum_on_an_edge(self, caplog):
         # 4x2 pair whose E3 inner minimum lies on the edge pi(0) = pi(3) = 0,
@@ -744,7 +753,6 @@ class TestSphereSearchDefects:
 
     U3, V2 = Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     @pytest.mark.parametrize("tau", [0.031, 0.078])
     def test_e2_at_most_e1(self, tau):
         # the ball D(pi_U || P_U) <= tau holds P_U, so E2 <= E1; supp(Q)
@@ -757,7 +765,6 @@ class TestSphereSearchDefects:
         assert e1 == pytest.approx(0.4855, abs=1e-4)
         assert expo.compute_E2(p_uv, q_uv, p_u, pbar).value_nats <= e1
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     @pytest.mark.parametrize("p, q, tau", [
         ([[0.26, 0], [0.18, 0.3], [0, 0.26]], [[0.32, 0], [0.22, 0.2], [0, 0.26]], 0.5),
         ([[0.36, 0], [0.02, 0.33], [0, 0.29]], [[0.4, 0], [0.1, 0.07], [0, 0.43]], 0.446),
@@ -777,6 +784,156 @@ class TestSphereSearchDefects:
         pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
         inner, _, _ = expo.compute_E3(p_uv, q_uv, p_u, example_dmc, pbar)
         assert inner <= g + 1e-9
+
+
+def logged_constrained_min(caplog, q_uv, p_u, p_v, tau, upper):
+    """`_constrained_min` and the fields of its one DEBUG record: (term,
+    branch, kappa, Newton steps, value - L(lambda))."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="covertdht.exponents"):
+        term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
+    [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert record.name == "covertdht.exponents"
+    what, rec_tau, branch, kappa, steps, gap = record.args
+    assert what == ("E3 inner" if upper else "E2") and rec_tau == tau
+    return term, branch, kappa, steps, gap
+
+
+def lagrangian_case(seed, nu, nv, holes, zero_row):
+    """Seeded (P_UV, Q_UV) with P_UV << Q_UV: Dirichlet entries, a quarter of
+    Q's cells empty if `holes`, and row 0 of P ("p") or of both ("pq") empty;
+    None where that leaves P or Q with no mass."""
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.ones(nu * nv)).reshape(nu, nv)
+    p = rng.dirichlet(np.ones(nu * nv)).reshape(nu, nv)
+    if holes:
+        q[rng.random((nu, nv)) < 0.25] = 0.0
+    if zero_row == "pq":
+        q[0] = 0.0
+    p[q == 0.0] = 0.0
+    if zero_row == "p":
+        p[0] = 0.0
+    if p.sum() == 0.0:
+        return None
+    u, v = Alphabet(tuple(range(nu))), Alphabet(tuple("wxyz"[:nv]))
+    return JointPmf(u, v, p / p.sum()), JointPmf(u, v, q / q.sum())
+
+
+class TestLagrangianPath:
+    """The Lagrangian path against the sphere search, E3's fallback."""
+
+    @given(nu=st.integers(2, 6), nv=st.integers(2, 4), holes=st.booleans(),
+           zero_row=st.sampled_from(["", "p", "pq"]),
+           tau_scale=st.sampled_from([0.3, 0.7, 1.5, 3.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_the_sphere_search(self, nu, nv, holes, zero_row, tau_scale, seed,
+                                           caplog):
+        case = lagrangian_case(seed, nu, nv, holes, zero_row)
+        if case is None:
+            return
+        p_uv, q_uv = case
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        upper = tau_scale > 1.0
+        # the sphere search's reference: E2 keeps to the face of P_U
+        q, log_mass = q_uv.probs, 0.0
+        if not upper and zero_row:
+            q = np.where(p_u.probs[:, None] > 0.0, q, 0.0)
+            log_mass = math.log(q.sum())
+            q = q / q.sum()
+        q_ref = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, q)
+        try:
+            d_t = float(kl_rows(expo.compute_T_U(p_v, q_ref).probs, p_u.probs))
+        except ConditionalUndefined:
+            return
+        # tau is a multiple of D(T_U || P_U), which must be clear of rounding
+        # for the sphere to have a side that T_U is on
+        if not 1e-6 < d_t < math.inf:
+            return
+        tau = tau_scale * d_t
+        term, branch, kappa, steps, gap = logged_constrained_min(caplog, q_uv, p_u, p_v,
+                                                                 tau, upper)
+        if branch != "Lagrangian":
+            assert branch == "sphere fallback" and upper
+            return
+        assert kappa < 0.0 if upper else 0.0 < kappa < 1.0
+        pi, value = term.minimizer.probs, term.value_nats
+        pi_u = pi.sum(axis=1)
+        np.testing.assert_allclose(pi.sum(axis=0), p_v.probs, rtol=0.0, atol=1e-12)
+        assert kl_rows(pi_u, p_u.probs) == pytest.approx(tau, abs=1e-12)
+        assert value == pytest.approx(kl_divergence_vec(pi.ravel(), q_uv.probs.ravel()),
+                                      abs=1e-15)
+        # pi is stationary for D(. || Q) + lambda D(._U || P_U) on its
+        # support: log(pi / Q) + lambda log(pi_U / P_U) depends on v alone
+        lam = kappa / (1.0 - kappa)
+        live = pi > 0.0
+        h = np.zeros_like(pi)
+        h[live] = np.log(pi[live] / q_uv.probs[live])
+        ratio = np.ones_like(pi_u)
+        ratio[pi_u > 0.0] = pi_u[pi_u > 0.0] / p_u.probs[pi_u > 0.0]
+        h += lam * np.log(ratio)[:, None]
+        for col in range(nv):
+            assert not live[:, col].any() or np.ptp(h[live[:, col], col]) <= 1e-8
+        # so L(lambda) bounds the minimum from below, within 1e-9; from the
+        # returned pmf, which JointPmf renormalized, up to lambda times rounding
+        lower = value + lam * (kl_rows(pi_u, p_u.probs) - tau)
+        assert 0.0 <= gap <= 1e-9
+        assert value - lower == pytest.approx(gap, abs=1e-12)
+        # and the sphere search agrees, except that on inputs with zeros in Q
+        # it can stay above the minimum (TestSphereSearchDefects)
+        want, _ = expo._sphere_min(expo._coupling_objective(q_ref, p_v), p_u.probs, tau)
+        want -= log_mass
+        if (q_uv.probs == 0.0).any():
+            assert value <= want + 1e-9
+        else:
+            assert value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("case, upper, branch", [
+        ("3x2-1", False, "Lagrangian"),
+        ("3x2-1", True, "closed form"),
+        ("3x2-2", False, "closed form"),
+        ("3x2-2", True, "Lagrangian"),
+        ("edge", True, "sphere fallback"),
+        ("no-coupling", False, "no coupling on the face"),
+    ])
+    def test_each_branch_is_logged(self, case, upper, branch, caplog):
+        u3, u4, v = Alphabet((0, 1, 2)), Alphabet((0, 1, 2, 3)), Alphabet(("x", "y"))
+        if case == "edge":  # the input of test_e3_minimum_on_an_edge
+            rng = np.random.default_rng(9)
+            p_uv = JointPmf(u4, v, rng.dirichlet(np.ones(8)).reshape(4, 2))
+            q_uv = JointPmf(u4, v, rng.dirichlet(np.ones(8)).reshape(4, 2))
+            tau = 2.0 * kl_divergence(expo.compute_T_U(p_uv.col_marginal(), q_uv),
+                                      p_uv.row_marginal())
+        elif case == "no-coupling":  # test_e2_is_infinite_without_a_coupling_on_the_face
+            p_uv = JointPmf(u3, v, np.array([[0.5, 0.2], [0.1, 0.2], [0.0, 0.0]]))
+            q_uv = JointPmf(u3, v, np.array([[0.3, 0.0], [0.3, 0.0], [0.2, 0.2]]))
+            tau = 0.3
+        else:  # TERNARY_CONFIG at x1 = "1" or "2"
+            cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
+            (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
+            tau = expo.pbar_threshold(dmc, case[-1]).tau_nats
+        term, got, kappa, steps, gap = logged_constrained_min(
+            caplog, q_uv, p_uv.row_marginal(), p_uv.col_marginal(), tau, upper)
+        assert got == branch
+        if branch == "closed form":
+            assert (kappa, steps, gap) == (0.0, 0, 0.0)
+        elif branch == "Lagrangian":
+            assert (kappa < 0.0) == upper and steps > 0 and 0.0 <= gap <= 1e-9
+        elif branch == "sphere fallback":  # the certified branch, scanned to its end
+            assert kappa == 1.0 - 2.0**expo._KAPPA_SCAN and steps > 0 and math.isnan(gap)
+        else:
+            assert math.isnan(kappa) and steps == 0 and term.value_nats == math.inf
+            return
+        assert math.isfinite(term.value_nats)
+
+    def test_newton_failure_raises(self, monkeypatch):
+        # a solve that cannot meet P_V is an error (the CLI's exit 3), never
+        # a value: with one step allowed, E2 on TERNARY_CONFIG at x1 = "1"
+        cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
+        (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
+        monkeypatch.setattr(expo, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="Newton's method"):
+            expo.compute_E2(p_uv, q_uv, p_uv.row_marginal(), expo.pbar_threshold(dmc, "1"))
 
 
 class TestImprovement:
