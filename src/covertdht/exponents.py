@@ -15,31 +15,30 @@ is a concave free-energy problem with the closed form
 
     tau = 1/2 log sum_z G1(z)^3 / G0(z)^2,   pi*(z) proportional to G1^3/G0^2.
 
-The joint-pmf minimizations behind the exponents fix one or both marginals;
-with both marginals fixed (E1) they are I-projections computed by iterative
-proportional fitting (IPF). With only the column marginal P_V fixed, the
-partial minimum g(pi_U) over couplings is a convex function of the free row
-marginal whose unconstrained minimum D(P_V || Q_V) is attained at T_U by the
-coupling P_V(v) Q(u|v). E2 minimizes g over the ball D(pi_U || P_U) <= tau
-and E3 over its complement D >= tau, both in `_constrained_min`: the closed
-form when T_U is feasible, otherwise a minimum on the sphere D = tau.
+With only the column marginal P_V fixed, the partial minimum g(pi_U) of
+D(. || Q_UV) over couplings is a convex function of the free row marginal
+whose unconstrained minimum D(P_V || Q_V) is attained at T_U by the coupling
+P_V(v) Q(u|v). E2 minimizes g over the ball D(pi_U || P_U) <= tau and E3
+over its complement D >= tau, both in `_constrained_min`: the closed form
+when T_U is feasible, otherwise a minimum on the sphere D = tau.
 
 There the minimizers of D(pi || Q) + lambda D(pi_U || P_U) over couplings
 with column marginal P_V form a one-parameter family (Csiszar 1975, Ann.
 Probab. 3(1)), pi(u, v) = Q(u, v) e^beta_v w_u with log pi_U =
 (1 - kappa) log sum_v Q(u, v) e^beta_v + kappa log P_U, kappa =
-lambda / (1 + lambda): kappa = 0 is the closed form, kappa = 1 E1's
-I-projection. For each kappa, Newton's method on the |V| potentials beta
-meets P_V; Brent's root finder (a port) puts D(pi_U || P_U) on tau. E2 is
-its crossing for kappa in [0, 1]. E3's is on the branch kappa < 0
-(lambda = -nu, 0 < nu < 1), where D(pi || Q) - nu D(pi_U || P_U) is
-jointly convex, so a crossing there is the global minimum, certified by
-the Lagrangian bound. Where that branch does not cross, E3 falls back to a
-search of the sphere: the crossings of the rays from P_U to the boundary
-points of a small type lattice, the best polished by a Nelder-Mead search
-over the ray directions, every trial ray retracted onto the sphere; rays
-that miss it inside the face land on its rim, and a minimum on the rim is
-searched again inside that face.
+lambda / (1 + lambda): kappa = 0 is the closed form, kappa = 1 the
+I-projection with both marginals fixed (E1, and g at each point). For each
+kappa, Newton's method on the |V| potentials beta meets P_V; Brent's root
+finder (a port) puts D(pi_U || P_U) on tau. E2 is its crossing for kappa
+in [0, 1]. E3's is on the branch kappa < 0 (lambda = -nu, 0 < nu < 1),
+where D(pi || Q) - nu D(pi_U || P_U) is jointly convex, so a crossing
+there is the global minimum, certified by the Lagrangian bound. E3 is +inf
+where tau > -log min P_U on the face. Elsewhere, where that branch does
+not cross, E3 falls back to a search of the sphere: the crossings of the
+rays from P_U to the boundary points of a small type lattice, the best
+polished by a Nelder-Mead search over the ray directions, every trial ray
+retracted onto the sphere; rays that miss it inside the face land on its
+rim, and a minimum on the rim is searched again inside that face.
 
 All values are stored in nats; `ExponentReport.as_dict` reports bits.
 """
@@ -80,17 +79,14 @@ _RAY_LATTICE = 10
 # a polished minimizer with a coordinate at most this far above zero lies on
 # the rim of the sphere, and the sphere inside that face is searched as well
 _RIM_TOL = 1e-9
-# IPF stops once both marginals match their targets to this in L-infinity,
-# and gives up after this many row-and-column sweeps
-_IPF_TOL = 1e-10
-_IPF_MAX_ITER = 100_000
 # T_U within this of P_U in every coordinate: communication cannot help
 _T_U_ATOL = 1e-9
 # Newton's method on the column potentials of the Lagrangian family stops
-# once the column sums match P_V to this, times 1 + |kappa|, and gives up
-# after this many steps
+# once the column sums match P_V to this, times 1 + |kappa|, gives up after
+# this many steps, and moves no potential by more than the last in one step
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
+_NEWTON_MAX_STEP = 8.0
 # E3 looks for the crossing of its certified branch at kappa = 1 - 2^k for
 # k up to this (lambda = -nu, nu up to 1 - 2^-16), then falls back to the
 # sphere search
@@ -149,7 +145,7 @@ def pbar_threshold(dmc: Dmc, x1) -> PbarSet:
     return PbarSet(x1=x1, tau_nats=tau, maximizer=maximizer)
 
 
-def _ipf_feasible(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> bool:
+def _coupling_exists(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> bool:
     """Existence of a coupling with the given marginals on a restricted support.
 
     Hall-type condition on the bipartite support graph: for every subset S of
@@ -169,36 +165,33 @@ def _ipf_feasible(support: np.ndarray, row_t: np.ndarray, col_t: np.ndarray) -> 
     return True
 
 
-def i_projection_coupling(q: JointPmf, target_row: Pmf, target_col: Pmf) -> JointPmf:
-    """I-projection of q onto couplings with the given marginals, via IPF.
+def _live_block(q: np.ndarray, p_u: np.ndarray, p_v: np.ndarray):
+    """`_lagrangian_point`'s inputs on the lines of positive target that meet
+    supp Q (one that does not, as Hall's 1e-12 slack allows, stays zero): the
+    block's index, log Q, log P_U (a column), P_V, and beta at kappa = 0."""
+    live = (q > 0.0) & (p_u > 0.0)[:, None] & (p_v > 0.0)
+    block = np.ix_(live.any(axis=1), live.any(axis=0))  # index arrays, (k, 1) and (1, m)
+    with np.errstate(divide="ignore"):  # the holes of Q
+        log_q = np.log(q[block])
+    p_v = p_v[block[1][0]]
+    return block, log_q, np.log(p_u[block[0]]), p_v, np.log(p_v / q[block].sum(axis=0))
 
-    Alternately rescales rows then columns of q (on its support) until both
-    marginals match the targets to within ``_IPF_TOL`` in L-infinity. Rows and
-    columns of zero target stay zero, so only the positive-target block is swept.
-    """
+
+def i_projection_coupling(q: JointPmf, target_row: Pmf, target_col: Pmf) -> JointPmf:
+    """I-projection of q onto couplings with the given marginals: the point
+    of the Lagrangian family at kappa = 1 with the target row as P_U, so its
+    row marginal is exact and Newton's method on beta fits the columns.
+    Raises Infeasible where no coupling exists on supp q and NoConvergence
+    where Newton's method fails."""
     if target_row.alphabet != q.row_alphabet or target_col.alphabet != q.col_alphabet:
         raise Infeasible("target marginal alphabets do not match the reference joint pmf")
-    support = q.probs > 0.0
-    r = np.asarray(target_row.probs, dtype=float)
-    c = np.asarray(target_col.probs, dtype=float)
-    if not _ipf_feasible(support, r, c):
+    r, c = target_row.probs, target_col.probs
+    if not _coupling_exists(q.probs > 0.0, r, c):
         raise Infeasible("no coupling with these marginals exists on the support of q")
-    # a line of the block with no support (Hall's 1e-12 slack lets its target
-    # through) stays zero as well: a miss that small never decides the stop
-    live = support & (r > 0.0)[:, None] & (c > 0.0)
-    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-    k, r, c = q.probs[np.ix_(rows, cols)], r[rows], c[cols]
-    row_sums = k.sum(axis=1)
-    for _ in range(_IPF_MAX_ITER):
-        k *= (r / row_sums)[:, None]
-        k *= c / k.sum(axis=0)
-        row_sums = k.sum(axis=1)
-        if max(np.abs(row_sums - r).max(), np.abs(k.sum(axis=0) - c).max()) <= _IPF_TOL:
-            out = np.zeros_like(q.probs)
-            out[np.ix_(rows, cols)] = k
-            return JointPmf(q.row_alphabet, q.col_alphabet, out)
-    raise NoConvergence(
-        f"IPF did not reach marginal error {_IPF_TOL} in {_IPF_MAX_ITER} iterations")
+    block, log_q, log_r, c_block, beta = _live_block(q.probs, r, c)
+    out = np.zeros_like(q.probs)
+    out[block] = _lagrangian_point(log_q, log_r, c_block, 1.0, beta)[0]
+    return JointPmf(q.row_alphabet, q.col_alphabet, out)
 
 
 @dataclass(frozen=True)
@@ -222,8 +215,7 @@ def compute_E1(p_uv: JointPmf, q_uv: JointPmf) -> ExponentTerm:
     """Exponent with both marginals pinned to the null-hypothesis marginals."""
     if np.any((p_uv.probs > 0.0) & (q_uv.probs == 0.0)):
         raise SupportViolation("P_UV is not absolutely continuous w.r.t. Q_UV")
-    value, coupling = _coupling_divergence(q_uv, p_uv.row_marginal(), p_uv.col_marginal())
-    return ExponentTerm(value, coupling)
+    return ExponentTerm(*_coupling_divergence(q_uv, p_uv.row_marginal(), p_uv.col_marginal()))
 
 
 def _v_conditional_coupling(p_v: Pmf, q_uv: JointPmf) -> np.ndarray:
@@ -477,11 +469,13 @@ def _lagrangian_point(log_q: np.ndarray, log_p_u: np.ndarray, p_v: np.ndarray,
     (P_U(u) / A_u)^kappa with A_u = sum_v Q(u, v) e^beta_v, so that
     log pi_U = (1 - kappa) log A + kappa log P_U; Newton's method solves the
     column condition pi_V = P_V for beta. It is the gradient of the convex
-    sum_u P_U^kappa A_u^(1 - kappa) / (1 - kappa) - P_V . beta (kappa < 1),
-    so the Jacobian diag(pi_V) - kappa sum_u pi(u, .) pi(u, .)^T / pi_U(u) is
-    symmetric, and each step is halved until the residual shrinks; at
-    kappa = 1 it is singular along shifts of beta, which a least-squares step
-    leaves alone.
+    sum_u P_U^kappa A_u^(1 - kappa) / (1 - kappa) - P_V . beta (at kappa = 1,
+    sum_u P_U log A_u - P_V . beta), so the Jacobian diag(pi_V) - kappa
+    sum_u pi(u, .) pi(u, .)^T / pi_U(u) is symmetric; at kappa = 1 it is
+    singular along shifts of beta, which a step leaves out. Each step is cut
+    to _NEWTON_MAX_STEP, as a longer one can put a row on one column, where
+    the Jacobian has nothing left to steer by, then halved until the residual
+    shrinks and the potential does not rise (to the tolerance).
     """
 
     def point(beta):
@@ -489,28 +483,35 @@ def _lagrangian_point(log_q: np.ndarray, log_p_u: np.ndarray, p_v: np.ndarray,
         top = x.max(axis=1, keepdims=True)
         log_a = top + np.log(np.exp(x - top).sum(axis=1, keepdims=True))
         # pi and pi(v | u) = Q e^beta / A, so no row of pi_U is divided by
-        return np.exp(x + kappa * (log_p_u - log_a)), np.exp(x - log_a)
+        return np.exp(x + kappa * (log_p_u - log_a)), np.exp(x - log_a), log_a[:, 0]
 
     tol = _NEWTON_TOL * (1.0 + abs(kappa))  # rounding grows with the exponents
-    pi, cond = point(beta)
+    pi, cond, log_a = point(beta)
     resid = pi.sum(axis=0) - p_v
     for step in range(_NEWTON_MAX_ITER):
         if np.abs(resid).max() <= tol:
             return pi, beta, step
         jac = np.diag(pi.sum(axis=0)) - kappa * (pi.T @ cond)
         delta = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-        norm, t = np.linalg.norm(resid), 1.0
+        if kappa == 1.0:  # rounding's share of a shift
+            delta -= delta.mean()
+        norm, pi_u, s = np.linalg.norm(resid), pi.sum(axis=1), 1.0 - kappa
+        t = _NEWTON_MAX_STEP / max(np.abs(delta).max(), _NEWTON_MAX_STEP)
         for _ in range(60):
             with np.errstate(over="ignore", invalid="ignore"):  # a step too long
-                new_pi, new_cond = point(beta + t * delta)
+                new_pi, new_cond, new_log_a = point(beta + t * delta)
                 new_resid = new_pi.sum(axis=0) - p_v
-                shrinks = np.linalg.norm(new_resid) <= (1.0 - 1e-4 * t) * norm
-            if shrinks:
+                # the potential's rise: pi_U(u) / s grows by the factor
+                # (A_u' / A_u)^s, at s = 0 by P_U(u) log(A_u' / A_u)
+                d = new_log_a - log_a
+                rise = pi_u @ (np.expm1(s * d) / s if s else d) - t * (p_v @ delta)
+                accept = rise <= tol and np.linalg.norm(new_resid) <= (1.0 - 1e-4 * t) * norm
+            if accept:
                 break
             t /= 2.0
         else:
             break
-        beta, pi, cond, resid = beta + t * delta, new_pi, new_cond, new_resid
+        beta, pi, cond, log_a, resid = beta + t * delta, new_pi, new_cond, new_log_a, new_resid
     raise NoConvergence(f"Newton's method left the column sums {np.abs(resid).max():.3g} "
                         f"from P_V at kappa = {kappa}")
 
@@ -531,13 +532,7 @@ def _lagrangian_min(q: np.ndarray, p_u: np.ndarray, p_v: np.ndarray, tau: float,
     below, and the gap value - L(lambda) = -lambda (D - tau) >= 0 certifies
     it; at kappa = 1, lambda is infinite and certifies nothing.
     """
-    cols = p_v > 0.0
-    rows = (p_u > 0.0) & (q[:, cols] > 0.0).any(axis=1)
-    block = np.ix_(rows, cols)
-    with np.errstate(divide="ignore"):
-        log_q, log_p_u = np.log(q[block]), np.log(p_u[rows])[:, None]
-    p_v = p_v[cols]
-    beta = np.log(p_v / q[block].sum(axis=0))  # kappa = 0: P_V(v) Q(u | v)
+    block, log_q, log_p_u, p_v, beta = _live_block(q, p_u, p_v)
     # kappa -> (D(pi_U || P_U) - tau, pi, beta)
     points = {0.0: (d_t - tau, coupling, beta)}
     steps = 0
@@ -583,12 +578,13 @@ def _constrained_min(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float,
     family of `_lagrangian_min` crosses it: for E2 at some kappa in [0, 1]
     (whenever a coupling of P_U and P_V exists on supp Q; else the sphere
     search), for E3 on the branch kappa < 0 if it crosses, and there the
-    crossing is certified. Elsewhere E3 is the sphere search's minimum. The
+    crossing is certified. Elsewhere E3 is +inf if tau > -log min P_U on the
+    face (all of it is in the ball), else the sphere search's minimum. The
     ball lies in the face supp(P_U), so E2 first conditions Q on that face.
     E3 need not: T_U off the face is feasible, and T_U on it makes g +inf
     off the face. One DEBUG record names the branch taken (closed form,
-    Lagrangian, sphere fallback, or no coupling on the face), kappa, the
-    Newton steps and the gap value - L(lambda), lambda = kappa / (1 - kappa).
+    sphere out of reach, Lagrangian, sphere fallback, or no coupling on the
+    face), kappa, the Newton steps and the gap value - L(lambda).
     """
     face = p_u.probs > 0.0
     log_mass = 0.0
@@ -608,8 +604,11 @@ def _constrained_min(q_uv: JointPmf, p_u: Pmf, p_v: Pmf, tau: float,
         logger.debug(_MIN_RECORD, what, tau, "closed form", 0.0, 0, 0.0)
         coupling = JointPmf(q_uv.row_alphabet, q_uv.col_alphabet, k)
         return ExponentTerm(local_exponent(p_v, q_uv.col_marginal()) - log_mass, coupling)
+    if upper and tau > -math.log(p_u.probs[face].min()):
+        logger.debug(_MIN_RECORD, what, tau, "sphere out of reach", math.nan, 0, math.nan)
+        return ExponentTerm(_INF)
     pi, kappa, steps, gap = None, math.nan, 0, math.nan
-    if upper or _ipf_feasible(q_uv.probs > 0.0, p_u.probs, p_v.probs):
+    if upper or _coupling_exists(q_uv.probs > 0.0, p_u.probs, p_v.probs):
         pi, kappa, steps, gap = _lagrangian_min(q_uv.probs, p_u.probs, p_v.probs, tau,
                                                 upper, k, d_t)
     if pi is None:

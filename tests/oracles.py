@@ -6,10 +6,13 @@ Python iteration per type. The rest check the exponent minimizers: the
 former binary-U golden-section/root search, the former simplex grid plus
 SLSQP polish for larger U, a closed-form 2x2 coupling divergence with a
 zooming 1-D scan, the objective whose maximum is the closed-form threshold
-tau, the former full-matrix IPF with its Hall enumeration, and the former
-sphere crossing that evaluates `kl_rows` along the whole segment. Tests
-compare the library against them on small inputs; nothing in the package
-imports this module.
+tau, and the former sphere crossing that evaluates `kl_rows` along the
+whole segment. The I-projection with both marginals fixed is iterative
+proportional fitting (IPF) on the full matrix with its Hall enumeration, an
+independent solver for the library's Newton solve at kappa = 1, and
+`coupling_objective` builds the partial minimum g on it for the grid
+oracle. Tests compare the library against them on small inputs; nothing in
+the package imports this module.
 """
 
 import itertools
@@ -20,10 +23,14 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 from covertdht.errors import Infeasible, NoConvergence
-from covertdht.exponents import _IPF_MAX_ITER, _IPF_TOL, _brentq
-from covertdht.probability import JointPmf, kl_rows
+from covertdht.exponents import _brentq
+from covertdht.probability import JointPmf, Pmf, kl_rows
 
 NEG_INF = -math.inf
+# IPF stops once both marginals match their targets to this in L-infinity,
+# and gives up after this many row-and-column sweeps
+IPF_TOL = 1e-10
+IPF_MAX_ITER = 100_000
 
 
 def iter_types(n, dim):
@@ -343,8 +350,9 @@ def ipf_feasible(support, row_t, col_t):
 def i_projection_coupling(q, target_row, target_col):
     """IPF on the full |U| x |V| matrix: rows and columns of zero target
     zeroed up front, every division guarded (scale 0 on a zero sum), the
-    row sums taken again for the stopping test. Same tolerance and cap as
-    the library; raises Infeasible or NoConvergence as it does."""
+    row sums taken again for the stopping test. Raises Infeasible where
+    Hall's condition fails and NoConvergence after IPF_MAX_ITER sweeps, as
+    where the projection needs a zero on the support."""
     support = q.probs > 0.0
     r = np.asarray(target_row.probs, dtype=float)
     c = np.asarray(target_col.probs, dtype=float)
@@ -353,7 +361,7 @@ def i_projection_coupling(q, target_row, target_col):
     k = q.probs.copy()
     k[r == 0.0, :] = 0.0
     k[:, c == 0.0] = 0.0
-    for _ in range(_IPF_MAX_ITER):
+    for _ in range(IPF_MAX_ITER):
         row_sums = k.sum(axis=1)
         scale = np.divide(r, row_sums, out=np.zeros_like(r), where=row_sums > 0)
         k = k * scale[:, None]
@@ -364,9 +372,25 @@ def i_projection_coupling(q, target_row, target_col):
             float(np.max(np.abs(k.sum(axis=1) - r))),
             float(np.max(np.abs(k.sum(axis=0) - c))),
         )
-        if err <= _IPF_TOL:
+        if err <= IPF_TOL:
             return JointPmf(q.row_alphabet, q.col_alphabet, k)
-    raise NoConvergence(f"IPF did not converge in {_IPF_MAX_ITER} iterations")
+    raise NoConvergence(f"IPF did not converge in {IPF_MAX_ITER} iterations")
+
+
+def coupling_objective(q_uv, p_v):
+    """g(pi_U) = min over couplings with marginals (pi_U, P_V) of D(. || Q_UV)
+    by `i_projection_coupling`: +inf where no coupling exists, and where IPF
+    does not converge."""
+    def g(pi_u):
+        pi_u = np.clip(np.asarray(pi_u, dtype=float), 0.0, None)
+        try:
+            coupling = i_projection_coupling(
+                q_uv, Pmf(q_uv.row_alphabet, pi_u / pi_u.sum()), p_v)
+        except (Infeasible, NoConvergence):
+            return math.inf
+        return kl(coupling.probs.ravel(), q_uv.probs.ravel())
+
+    return g
 
 
 def sphere_point(p_u, b, tau):

@@ -147,7 +147,6 @@ def _brute_force_coupling_min_3x3(q, r, c):
 
 def test_04_ipf_matches_brute_force():
     rng = np.random.default_rng(20260823)
-    t0 = time.perf_counter()
     ipf_s = 0.0
     for dim, oracle in ((2, _brute_force_coupling_min_2x2), (3, _brute_force_coupling_min_3x3)):
         rows = Alphabet(tuple(range(dim)))
@@ -166,7 +165,6 @@ def test_04_ipf_matches_brute_force():
             ipf_s += time.perf_counter() - t_ipf
             value = kl_divergence_vec(coupling.probs.ravel(), q.ravel())
             assert abs(value - oracle(q, r, c)) <= 1e-5
-    assert time.perf_counter() - t0 < 10.0
     assert ipf_s < 2.0  # the code under test alone, without the oracles
 
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -178,6 +179,17 @@ class TestExponents:
         assert main(["exponents", example_cfg_path]) == 0
         out = capsys.readouterr().out
         assert "E1:" in out and "theta:" in out
+
+    def test_e1_with_the_projection_on_the_support_boundary(self, tmp_path, capsys):
+        # Q(a, y) = 0 forces pi(a, x) = 0.6 and so pi(b, x) = 0: P_UV is the
+        # only coupling of its marginals on supp Q, and E1 = D(P_UV || Q_UV)
+        p, q = [[0.6, 0.0], [0.0, 0.4]], [[0.3, 0.0], [0.2, 0.5]]
+        data = example_variant(sources__v_symbols=["x", "y"], sources__p_uv=p,
+                               sources__q_uv=q)
+        assert main(["exponents", "--json", write_config(tmp_path, data)]) == 0
+        want = 0.6 * math.log(0.6 / 0.3) + 0.4 * math.log(0.4 / 0.5)
+        e1 = json.loads(capsys.readouterr().out)["e1"] * math.log(2.0)
+        assert e1 == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 class TestSimulate:

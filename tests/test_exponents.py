@@ -161,21 +161,29 @@ class TestIProjection:
            st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_block_ipf_equals_full_matrix_oracle(self, nu, nv, hole_p, zero_p, seed):
-        # the sweeps on the positive-target block give the former full-matrix
-        # coupling bit for bit, and Hall's fast path agrees with enumeration
+        # the Newton solve at kappa = 1 on the positive-target block gives the
+        # full-matrix IPF coupling to IPF's own tolerance, and Hall's fast path
+        # agrees with enumeration; where IPF does not converge (the projection
+        # needs a zero on the support) the solve still meets both marginals
         q, r, c = ipf_case(seed, nu, nv, hole_p, zero_p)
         support = q.probs > 0.0
-        assert expo._ipf_feasible(support, r.probs, c.probs) == \
+        assert expo._coupling_exists(support, r.probs, c.probs) == \
             oracles.ipf_feasible(support, r.probs, c.probs)
         try:
             want = oracles.i_projection_coupling(q, r, c)
-        except (Infeasible, NoConvergence) as exc:
-            with pytest.raises(type(exc)):
+        except Infeasible:
+            with pytest.raises(Infeasible):
                 expo.i_projection_coupling(q, r, c)
             return
+        except NoConvergence:
+            want = None
         with np.errstate(divide="raise", invalid="raise"):
             got = expo.i_projection_coupling(q, r, c)
-        np.testing.assert_array_equal(got.probs, want.probs)
+        if want is None:
+            np.testing.assert_allclose(got.probs.sum(axis=1), r.probs, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.probs.sum(axis=0), c.probs, rtol=0.0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("q, r, c", [
         # no hole: fast path, and enumeration agrees
@@ -189,7 +197,7 @@ class TestIProjection:
     ], ids=["full", "holes-off-block", "hole-feasible", "hole-infeasible"])
     def test_feasibility_fast_path_agrees_with_enumeration(self, q, r, c):
         support, r, c = np.array(q) > 0.0, np.array(r), np.array(c)
-        assert expo._ipf_feasible(support, r, c) == oracles.ipf_feasible(support, r, c)
+        assert expo._coupling_exists(support, r, c) == oracles.ipf_feasible(support, r, c)
 
     @pytest.mark.parametrize("q, r, c, empty", [
         # column 2 has target 1e-13 and no supported row: Hall passes by its
@@ -205,8 +213,27 @@ class TestIProjection:
         q, r, c = JointPmf(rows, cols, np.array(q)), Pmf(rows, np.array(r)), Pmf(cols, np.array(c))
         with np.errstate(divide="raise", invalid="raise"):
             got = expo.i_projection_coupling(q, r, c)
-        np.testing.assert_array_equal(got.probs, oracles.i_projection_coupling(q, r, c).probs)
+        np.testing.assert_allclose(got.probs, oracles.i_projection_coupling(q, r, c).probs,
+                                   rtol=0.0, atol=1e-12)
         assert not got.probs[empty].any()
+
+    def test_every_row_nearly_on_one_column(self):
+        # a point where the E3 sphere search of a seeded 4x2 pair evaluates
+        # g: column x keeps 2.4e-7 for row 0, so every row of the projection
+        # is nearly on one column, the Jacobian is nearly zero, and rounding
+        # in a least-squares step shifted beta by thousands a step until the
+        # column sums could no longer meet P_V (IPF stops short here too)
+        rows, cols = Alphabet((0, 1, 2, 3)), Alphabet(("x", "y"))
+        q = JointPmf(rows, cols, np.array([
+            [0.04471283886678493, 0.5684408652708416], [0.12623398401980288, 0.0],
+            [0.23115348220666335, 0.0], [0.0, 0.029458829635907288]]))
+        r = Pmf(rows, np.array([0.0023967934448497472, 0.0, 0.31923108083238083,
+                                0.6783721257227695]))
+        c = Pmf(cols, np.array([0.3192313156435979, 0.6807686843564021]))
+        k = expo.i_projection_coupling(q, r, c)
+        np.testing.assert_allclose(k.probs.sum(axis=1), r.probs, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(k.probs.sum(axis=0), c.probs, rtol=0.0, atol=2e-13)
+        assert k.probs[0, 0] == pytest.approx(c.probs[0] - r.probs[2], rel=1e-6)
 
     def test_marginals_and_product_form(self):
         rng = np.random.default_rng(0)
@@ -383,10 +410,10 @@ class TestE2E3:
         t_u = expo.compute_T_U(p_v, q_uv)
         assert kl_divergence(t_u, p_u) < pbar.tau_nats
 
-        def no_ipf(*args, **kwargs):
-            raise AssertionError("the closed form needs no IPF")
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the closed form needs no coupling solve")
 
-        monkeypatch.setattr(expo, "i_projection_coupling", no_ipf)
+        monkeypatch.setattr(expo, "i_projection_coupling", no_solve)
         e2 = expo.compute_E2(p_uv, q_uv, p_u, pbar)
         assert e2.value_nats == expo.local_exponent(p_v, q_uv.col_marginal())
         np.testing.assert_allclose(e2.minimizer.row_marginal().probs, t_u.probs, rtol=1e-12)
@@ -408,6 +435,18 @@ class TestE2E3:
         assert record.levelno == logging.WARNING
         assert record.name == "covertdht.exponents"
         assert "pi_U = [0.25, 0.75]" in record.getMessage()
+
+    def test_g_with_the_projection_on_the_support_boundary(self, caplog):
+        # Q(a, y) = 0 forces pi(a, x) = 0.6 and so pi(b, x) = 0 at pi_U =
+        # (0.6, 0.4, 0): one coupling, whose divergence is g there
+        q = np.array(TIE_CONFIG["sources"]["q_uv"])
+        q_uv = JointPmf(Alphabet(("a", "b", "c")), Alphabet(("x", "y")), q)
+        g = expo._coupling_objective(q_uv, Pmf(q_uv.col_alphabet, np.array([0.6, 0.4])))
+        with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
+            value = g(np.array([0.6, 0.4, 0.0]))
+        assert not caplog.records
+        want = 0.6 * math.log(0.6 / q[0, 0]) + 0.4 * math.log(0.4 / q[1, 1])
+        assert value == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 class TestBinaryConstrainedMin:
@@ -445,7 +484,7 @@ class TestBinaryConstrainedMin:
         if not pieces:  # D(. || P_U) < tau on the whole simplex: E3 is +inf
             assert term.value_nats == math.inf and term.minimizer is None
             return
-        # the coupling's row marginal is the minimizer to IPF's tolerance
+        # the coupling's row marginal is the minimizer to the solver's tolerance
         d = kl_divergence(term.minimizer.row_marginal(), p_u)
         assert d >= tau - 1e-8 if upper else d <= tau + 1e-8
         np.testing.assert_allclose(term.minimizer.col_marginal().probs, p_v.probs,
@@ -562,7 +601,7 @@ class TestTernaryConstrainedMin:
         with caplog.at_level(logging.WARNING, logger="covertdht.exponents"):
             term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
         assert not caplog.records  # the polish succeeded
-        g = expo._coupling_objective(q_uv, p_v)
+        g = oracles.coupling_objective(q_uv, p_v)
         if (tau_scale > 1.0) != upper:  # T_U is feasible
             want = g(t_u.probs)
         else:
@@ -636,7 +675,7 @@ class TestTernaryConstrainedMin:
         t_u = expo.compute_T_U(p_v, q_uv)
         assert (kl_divergence(t_u, p_u) < tau) == upper  # T_U is infeasible
         term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
-        want, _ = oracles.constrained_min_grid(expo._coupling_objective(q_uv, p_v),
+        want, _ = oracles.constrained_min_grid(oracles.coupling_objective(q_uv, p_v),
                                                p_u.probs, tau, upper)
         assert term.value_nats == pytest.approx(want, abs=1e-9)
         assert kl_divergence(term.minimizer.row_marginal(), p_u) == pytest.approx(tau, abs=1e-8)
@@ -854,7 +893,7 @@ class TestLagrangianPath:
         term, branch, kappa, steps, gap = logged_constrained_min(caplog, q_uv, p_u, p_v,
                                                                  tau, upper)
         if branch != "Lagrangian":
-            assert branch == "sphere fallback" and upper
+            assert upper and branch in ("sphere fallback", "sphere out of reach")
             return
         assert kappa < 0.0 if upper else 0.0 < kappa < 1.0
         pi, value = term.minimizer.probs, term.value_nats
@@ -895,10 +934,25 @@ class TestLagrangianPath:
         ("3x2-2", True, "Lagrangian"),
         ("edge", True, "sphere fallback"),
         ("no-coupling", False, "no coupling on the face"),
+        ("out-of-reach", True, "sphere out of reach"),
     ])
-    def test_each_branch_is_logged(self, case, upper, branch, caplog):
+    def test_each_branch_is_logged(self, case, upper, branch, caplog, monkeypatch):
         u3, u4, v = Alphabet((0, 1, 2)), Alphabet((0, 1, 2, 3)), Alphabet(("x", "y"))
-        if case == "edge":  # the input of test_e3_minimum_on_an_edge
+        calls = {"_lagrangian_point": 0, "_sphere_min": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(expo, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(expo, name, counted)
+        if case == "out-of-reach":
+            # tau beyond -log min P_U, the divergence of the face's farthest
+            # vertex: the whole face lies inside the ball, and E3 is +inf
+            rng = np.random.default_rng(3)
+            v3 = Alphabet(("x", "y", "z"))
+            p_uv = JointPmf(u4, v3, rng.dirichlet(np.ones(12)).reshape(4, 3))
+            q_uv = JointPmf(u4, v3, rng.dirichlet(np.ones(12)).reshape(4, 3))
+            tau = -1.01 * math.log(p_uv.row_marginal().probs.min())
+        elif case == "edge":  # the input of test_e3_minimum_on_an_edge
             rng = np.random.default_rng(9)
             p_uv = JointPmf(u4, v, rng.dirichlet(np.ones(8)).reshape(4, 2))
             q_uv = JointPmf(u4, v, rng.dirichlet(np.ones(8)).reshape(4, 2))
@@ -923,8 +977,37 @@ class TestLagrangianPath:
             assert kappa == 1.0 - 2.0**expo._KAPPA_SCAN and steps > 0 and math.isnan(gap)
         else:
             assert math.isnan(kappa) and steps == 0 and term.value_nats == math.inf
+            assert calls == {"_lagrangian_point": 0, "_sphere_min": 0}
             return
         assert math.isfinite(term.value_nats)
+
+    @pytest.mark.parametrize("case, max_step", [
+        ("edge", 1e300), ("edge", None), ("saturated", None),
+    ], ids=["edge-uncut", "edge", "saturated"])
+    def test_kappa_one_from_a_cold_start(self, case, max_step, monkeypatch):
+        # from the kappa = 0 start, Newton's first full step shrinks the
+        # residual but puts all of a row's mass on one column, where Newton's
+        # method stalls. "edge": the sources of test_e3_minimum_on_an_edge at
+        # the row marginal (0, 0.1331, 0.8642, 0.0027), where that step
+        # (beta_x up by 48.7) raises the potential, so the potential alone
+        # refuses it; "saturated": Q puts about 1e-9 where row 1 must send
+        # most of its mass, and the step that empties column 0 lowers the
+        # potential, so only the cut to _NEWTON_MAX_STEP keeps it off
+        if case == "edge":
+            rng = np.random.default_rng(9)
+            p_v = rng.dirichlet(np.ones(8)).reshape(4, 2).sum(axis=0)
+            q = rng.dirichlet(np.ones(8)).reshape(4, 2)[1:]  # the rows of positive mass
+            r = np.array([0.1331, 0.8642, 0.0027])
+        else:
+            q = np.array([[0.002, 0.84, 0.158], [0.0025, 2e-9, 1.4e-9]])
+            q, r, p_v = q / q.sum(), np.array([0.2, 0.8]), np.array([0.1, 0.55, 0.35])
+        if max_step is not None:
+            monkeypatch.setattr(expo, "_NEWTON_MAX_STEP", max_step)
+        beta = np.log(p_v / q.sum(axis=0))
+        pi, _, steps = expo._lagrangian_point(np.log(q), np.log(r)[:, None], p_v, 1.0, beta)
+        np.testing.assert_allclose(pi.sum(axis=1), r, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(pi.sum(axis=0), p_v, rtol=0.0, atol=2e-13)
+        assert 0 < steps < expo._NEWTON_MAX_ITER
 
     def test_newton_failure_raises(self, monkeypatch):
         # a solve that cannot meet P_V is an error (the CLI's exit 3), never
