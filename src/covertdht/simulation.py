@@ -31,18 +31,27 @@ underflows), built by one helper that also derives the weight statistics
 from the firing probability (delta_n, or its sampled frequency).
 
 The Monte Carlo engine, ``run_trials``, draws the pair (T_U, T_V), not the
-joint type: T_V given T_U is the sum over u of Mult(c_u[u], P_{V|U=u}). A
-block of trials is drawn in three stages, each from its own generator: the U
-counts (which fix the encoder decision), then the branch that decides with
-them (scheme A's marker scan, scheme B's output counts), then the V counts of
-the trials still undecided, so no trial's source counts take more binomials
-than a joint draw (|U||V| - 1), and a decided trial takes only |U| - 1.
-Each hypothesis's trials split into chunks, seeded by (seed, hypothesis,
-chunk, stage), that run on threads, one per core the process may run on
-(numpy's samplers release the interpreter lock). A chunk draws at most
-``BLOCK_TRIALS`` trials at a time, every stage in trial order, and returns
-integer counts, so seeded results do not depend on the core count or the
-block size.
+joint type, in one of two orders that give the same joint law by the chain
+rule. A law whose own V marginal is typical for P_V (the null's always is)
+draws U first. A block of trials is drawn in three stages, each from its own
+generator: the U counts (which fix the encoder decision), then the branch
+that decides with them (scheme A's marker scan, scheme B's output counts),
+then the V counts of the trials still undecided, T_V given T_U as the sum
+over u of Mult(c_u[u], P_{V|U=u}). So no trial's source counts take more
+binomials than a joint draw (|U||V| - 1), and a decided trial takes only
+|U| - 1. A law whose V marginal is atypical, as an alternative's often is,
+has most of its trials rejected by the V test, so it draws V first: the V
+counts letter by letter, as the multinomial's chain of binomials, each
+letter from its own generator, and a trial leaves at its first letter
+outside the mu-box; then, for the trials left, T_U given T_V as the sum over
+v of Mult(c_v[v], P_{U|V=v}); then the branch. The order changes the speed
+and the stream, never a trial's law. Each hypothesis's trials split into
+chunks, seeded by (seed, hypothesis, chunk, stage), and by the letter in
+the V-first order's letter stage, that run on threads, one per core the
+process may run on (numpy's samplers release the interpreter lock). A chunk
+draws at most ``BLOCK_TRIALS`` trials at a time, every generator in trial
+order, and returns integer counts, so seeded results do not depend on the
+core count or the block size.
 """
 
 from __future__ import annotations
@@ -298,6 +307,46 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _v_first(cfg: SchemeConfig, law: JointPmf, p_v: Pmf) -> bool:
+    """The draw order of ``law``'s trials: V first where its own V marginal
+    is atypical for P_V, so that the V test rejects most of them, else U
+    first. The null's V marginal is P_V itself, so the null draws U first.
+    A marginal on the edge of the mu-box may fall on either side by a float
+    rounding: the order changes the speed and the stream, not the law."""
+    return not typical(law.probs.sum(axis=0), p_v.probs, cfg.mu)
+
+
+def _rows_given(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A joint pmf's row marginal and its rows conditioned on it; a row of
+    zero mass is only ever drawn with 0 trials, so any pmf does there."""
+    first = joint.sum(axis=1)
+    cond = np.divide(joint, first[:, None], out=np.ones_like(joint) / joint.shape[1],
+                     where=first[:, None] > 0)
+    return first, cond
+
+
+def _typical_letters(
+    rngs: list, law_v: np.ndarray, ref: np.ndarray, mu: float, n: int, size: int
+) -> np.ndarray:
+    """The V counts of ``size`` trials under ``law_v``, drawn letter by letter
+    as the multinomial's chain of binomials, Bin(remaining, law_v[j] / sum of
+    law_v[j:]), letter j from ``rngs[j]`` and the last letter taking the
+    remainder. A trial leaves at its first letter that fails the V test's
+    per-letter condition (``typical`` against ``ref`` on that letter alone);
+    the rows of the trials that pass every letter are returned, in trial
+    order."""
+    tail = np.cumsum(law_v[::-1])[::-1]
+    step = np.divide(law_v, tail, out=np.zeros_like(law_v), where=tail > 0)
+    remaining = np.full(size, n, dtype=np.int64)
+    cols = []
+    for j in range(len(law_v)):
+        c_j = rngs[j].binomial(remaining, step[j]) if j < len(rngs) else remaining
+        ok = typical((c_j / n)[:, None], ref[j : j + 1], mu)
+        cols = [c[ok] for c in cols] + [c_j[ok]]
+        remaining = (remaining - c_j)[ok]
+    return np.stack(cols, axis=1)
+
+
 def _trial_chunk(
     cfg: SchemeConfig,
     law: JointPmf,
@@ -308,12 +357,14 @@ def _trial_chunk(
     pbar: PbarSet | None,
     m: int,
     key: tuple[int, int, int],
-) -> tuple[int, int]:
-    """Draw and decide ``m`` trials under ``law``: (accepted, active) counts.
+) -> tuple[int, int, int]:
+    """Draw and decide ``m`` trials under ``law``: the counts of accepted,
+    active and pruned trials.
 
     A block of at most ``BLOCK_TRIALS`` trials is drawn in three stages, each
     from its own generator, seeded by ``key`` (seed, hypothesis, chunk) and
-    the stage number:
+    the stage number. A law whose own V marginal is typical for P_V (the
+    null's always is) draws U first:
 
     0. the U counts, which fix the encoder decision;
     1. the branch that decides with them: scheme A's marker scan of the k(n)
@@ -321,34 +372,51 @@ def _trial_chunk(
     2. the V counts, only for the trials still undecided, as the sum over u
        of Mult(c_u[u], P_{V|U=u}), which is exactly T_V given T_U.
 
-    Each stage draws in trial order, so blocked draws equal one draw of all
-    ``m`` trials. Only the decisions' counts are kept.
+    Any other law draws V first, the same joint law by the chain rule; its
+    trials are almost all rejected by the V test, and skip the rest:
+
+    0. the V counts, letter by letter, letter j from a generator seeded by
+       (``key``, 0, j); a trial is pruned at its first atypical letter;
+    2. for the trials left, the U counts as the sum over v of
+       Mult(c_v[v], P_{U|V=v});
+    1. the branch, as above, on those trials.
+
+    Each generator draws in trial order, so blocked draws equal one draw of
+    all ``m`` trials. Only the decisions' counts are kept; the active count
+    is that of the trials left, so it is the firing count only under U first.
     """
-    rng_u, rng_branch, rng_v = (np.random.default_rng([*key, stage]) for stage in range(3))
-    law_u = law.probs.sum(axis=1)
-    # a U symbol of zero mass is only ever drawn with 0 trials: any pmf does
-    cond = np.divide(law.probs, law_u[:, None], out=np.ones_like(law.probs) / p_v.alphabet.size,
-                     where=law_u[:, None] > 0)
+    v_first = _v_first(cfg, law, p_v)
+    law_first, cond = _rows_given(law.probs.T if v_first else law.probs)
+    if v_first:
+        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
+    else:
+        rng_first = np.random.default_rng([*key, 0])
+    rng_branch, rng_second = (np.random.default_rng([*key, stage]) for stage in (1, 2))
     zero_row = dmc.y_row(dmc.zero_symbol)
     if cfg.scheme == "B":
         y_rows = np.stack([zero_row.probs, dmc.y_row(cfg.x1).probs])  # silent, active
     else:
         # only the zero input emits the marker (validate_against)
         p_star0, k = zero_row[cfg.y_star], cfg.k(n)
-    accepted = active_total = 0
+    accepted = active_total = pruned = 0
     for lo in range(0, m, BLOCK_TRIALS):
         size = min(BLOCK_TRIALS, m - lo)
-        c_u = rng_u.multinomial(n, law_u, size=size)
+        if v_first:
+            c_v = _typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
+            pruned += size - len(c_v)
+            c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
+        else:
+            c_u = rng_first.multinomial(n, law_first, size=size)
         active = _transmits(cfg, c_u / n, p_u, pbar)
         if cfg.scheme == "B":
             c_y = rng_branch.multinomial(n, y_rows[active.astype(np.intp)])
             live = typical(c_y / n, zero_row.probs, cfg.mu)
         else:
-            live = ~active & (rng_branch.binomial(k, p_star0, size=size) > 0)
-        c_v = rng_v.multinomial(c_u[live], cond).sum(axis=1)
+            live = ~active & (rng_branch.binomial(k, p_star0, size=len(c_u)) > 0)
+        c_v = c_v[live] if v_first else rng_second.multinomial(c_u[live], cond).sum(axis=1)
         accepted += int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n)))
         active_total += int(np.count_nonzero(active))
-    return accepted, active_total
+    return accepted, active_total, pruned
 
 
 def _map_on_threads(fn: Callable, items: list, threads: int) -> list:
@@ -387,14 +455,22 @@ def run_trials(
 
     Both encoders and decisions are functions of the source/output types
     only, so per-trial type counts are sampled directly (multinomially) and
-    decided by the same predicates as in the exact engine.
+    decided by the same predicates as in the exact engine. Each law's trials
+    draw U first, unless its V marginal is atypical for P_V: then V first,
+    letter by letter, and the trials whose V letters already fail the V test
+    are pruned before their U counts are drawn (``_trial_chunk``). The null
+    always draws U first, so alpha and the firing statistics read every
+    trial's U counts; seeded beta values of a law drawn V first differ from
+    those of the U-first order (the same law, another stream).
 
     Each hypothesis's trials split into chunks of ``CHUNK_TRIALS``; chunk i
     under hypothesis h draws its stage j from its own generator, seeded by
-    (seed, h, i, j). The chunks run concurrently on every core the process
-    may run on, each drawing at most ``BLOCK_TRIALS`` trials at a time, and
-    return integer counts, so a seeded result is the same bit for bit on any
-    core count.
+    (seed, h, i, j), and V letter l of the V-first order by (seed, h, i, 0,
+    l). The chunks run concurrently on every core the process may run on,
+    each drawing at most ``BLOCK_TRIALS`` trials at a time, and return
+    integer counts, so a seeded result is the same bit for bit on any core
+    count. The cell's DEBUG record names each hypothesis's order and the
+    number of trials its V letters pruned.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -414,15 +490,20 @@ def run_trials(
 
     threads = min(len(tasks), _usable_cores())
     errors = {0: 0, 1: 0}  # H0: count Hhat=1; H1: count Hhat=0
+    pruned = {0: 0, 1: 0}
     active_total = 0
-    for hyp, m, (accepted, active) in _map_on_threads(work, tasks, threads):
+    for hyp, m, (accepted, active, cut) in _map_on_threads(work, tasks, threads):
+        pruned[hyp] += cut
         if hyp == 0:
             errors[0] += m - accepted
             active_total += active
         else:
             errors[1] += accepted
-    logger.debug("Monte Carlo cell n=%d: %d trials, %d tasks, %d threads, %.3f s",
-                 n, trials, len(tasks), threads, time.perf_counter() - t0)
+    first = ["V" if _v_first(cfg, law, p_v) else "U" for law in (p_uv, q_uv)]
+    logger.debug("Monte Carlo cell n=%d: %d trials, %d tasks, %d threads, %.3f s; "
+                 "H0 drew %s first, %d pruned; H1 drew %s first, %d pruned",
+                 n, trials, len(tasks), threads, time.perf_counter() - t0,
+                 first[0], pruned[0], first[1], pruned[1])
 
     alpha = errors[0] / trials
     beta = errors[1] / trials

@@ -451,7 +451,8 @@ class TestE2E3:
 
 class TestBinaryConstrainedMin:
     """Binary-U E2 (upper=False) and E3 inner term (upper=True) against the
-    former golden-section/root minimizer and against a zoomed scan of the
+    former golden-section/root minimizer on the tests' own IPF objective
+    (``oracles.coupling_objective``) and against a zoomed scan of the
     closed-form 2x2 coupling divergence over the feasible m. tau is a multiple
     of D(T_U || P_U), so T_U lies inside the sphere D = tau or outside it."""
 
@@ -465,7 +466,7 @@ class TestBinaryConstrainedMin:
         tau = tau_scale * kl_divergence(t_u, p_u)
         term = expo._constrained_min(q_uv, p_u, p_v, tau, upper)
 
-        g = expo._coupling_objective(q_uv, p_v)
+        g = oracles.coupling_objective(q_uv, p_v)
         old, _ = oracles.constrained_min_binary(g, t_u.probs, p_u.probs, tau, upper)
 
         def g_closed_form(m):

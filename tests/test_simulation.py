@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ import covertdht.typesum as typesum
 import oracles
 from covertdht import Dmc
 from covertdht.errors import AlphabetTooLarge, ConfigMismatch, DegenerateInput
-from covertdht.probability import Alphabet, JointPmf, Pmf
+from covertdht.probability import Alphabet, JointPmf, Pmf, typical
 
 X2 = Alphabet(("0", "1"))
 
@@ -21,6 +22,11 @@ U2 = Alphabet((0, 1))
 V2 = Alphabet(("x", "y"))
 P_UV = JointPmf(U2, V2, np.array([[0.5, 0.1], [0.2, 0.2]]))
 Q_UV = JointPmf(U2, V2, np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+# a law whose V marginal (0.3, 0.4, 0.3) is atypical for P3_V at mu = 0.17,
+# so Monte Carlo draws it V first, and each of its three letters prunes
+LAW3 = JointPmf(U2, Alphabet(("x", "y", "z")), np.array([[0.2, 0.1, 0.15], [0.1, 0.3, 0.15]]))
+P3_V = Pmf(LAW3.col_alphabet, np.array([0.1, 0.5, 0.4]))
 
 
 class TestKRule:
@@ -403,14 +409,14 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("scheme, want", [
         ("B", sim.SimulationResult(
-            scheme="B", n=30, mu=0.2, k=None, alpha=0.04275, beta=0.13955,
-            log_beta=-1.9693323189998058, method="mc", alpha_ci=0.0028924998839409827,
-            beta_ci=0.004871684795606818, trials=20000, seed=11, weight_mean=0.0005,
+            scheme="B", n=30, mu=0.2, k=None, alpha=0.04275, beta=0.1371,
+            log_beta=-1.9870446924138683, method="mc", alpha_ci=0.0028924998839409827,
+            beta_ci=0.00483659784764956, trials=20000, seed=11, weight_mean=0.0005,
             a_bar=0.022360679774997897)),
         ("A", sim.SimulationResult(
-            scheme="A", n=30, mu=0.2, k=6, alpha=0.0554, beta=0.0223,
-            log_beta=-3.803168600516064, method="mc", alpha_ci=0.0032566089193636558,
-            beta_ci=0.0021399841112467455, trials=20000, seed=11,
+            scheme="A", n=30, mu=0.2, k=6, alpha=0.0554, beta=0.02325,
+            log_beta=-3.7614501469487718, method="mc", alpha_ci=0.0032566089193636558,
+            beta_ci=0.0021818672332369164, trials=20000, seed=11,
             weight_mean=0.0049299999999999995, a_bar=0.07021395872616783)),
     ], ids=["B", "A"])
     def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, monkeypatch, scheme, want):
@@ -455,6 +461,19 @@ class TestMonteCarlo:
             got.append(sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar))
         assert got[0] == got[1] == got[2]
 
+    def test_v_first_letters_do_not_depend_on_the_block_size(self, partial_dmc, monkeypatch):
+        # a letter draws only for the trials the letters before it left, so
+        # blocked draws equal one draw only with a generator per letter
+        cfg = sim.SchemeConfig(scheme="A", mu=0.17, x_hat="1", y_star="1")
+        assert sim._v_first(cfg, LAW3, P3_V)
+        got = []
+        for block in (sim.BLOCK_TRIALS, 999):
+            monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
+            got.append(sim._trial_chunk(cfg, LAW3, LAW3.row_marginal(), P3_V, partial_dmc, 30,
+                                        None, 20_001, (11, 1, 0)))
+        assert got[0] == got[1]
+        assert 0 < got[0][2] < 20_001 and got[0][0] > 0
+
     def test_worker_error_reaches_the_caller(self, example_dmc, partial_dmc, monkeypatch):
         # two tasks on two threads: the alternative's chunk runs on the worker
         cfg, dmc, pbar = self._case("A", example_dmc, partial_dmc)
@@ -478,23 +497,51 @@ class TestMonteCarlo:
             sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar)
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
-        assert "n=30: 20001 trials, 6 tasks, 3 threads" in record.getMessage()
+        message = record.getMessage()
+        assert "n=30: 20001 trials, 6 tasks, 3 threads" in message
+        # Q_V = (0.4, 0.6) is atypical for P_V = (0.7, 0.3) at mu = 0.2: the
+        # alternative draws V first, and its letter tests prune the trials
+        # whose T_V is atypical, a Bin(20001, Pr_Q[T_V atypical]) count
+        found = re.search(r"H0 drew U first, 0 pruned; H1 drew V first, (\d+) pruned", message)
+        assert found
+        p_v = P_UV.col_marginal()
+        p_typical = typesum.prob_type_event(
+            Q_UV.col_marginal(), 30, lambda t: typical(t, p_v.probs, cfg.mu))
+        frac = int(found.group(1)) / 20_001
+        assert abs(frac - (1.0 - p_typical)) <= math.sqrt(math.log(1e9) / (2 * 20_001))
 
 
 class TestMarginalPairLaw:
-    """The Monte Carlo engine draws the pair (T_U, T_V) as T_U, then T_V
-    given T_U as a sum of one multinomial per U symbol. The pair's sampled
-    frequencies are compared with its exact law, summed from the joint-type
-    lattice into marginal pairs.
+    """The Monte Carlo engine draws the pair (T_U, T_V) in one of two orders:
+    T_U, then T_V given T_U as a sum of one multinomial per U symbol; or T_V
+    letter by letter, pruning the trials at their first atypical letter,
+    then T_U given T_V as a sum of one multinomial per V symbol. The pair's
+    sampled frequencies are compared with its exact law, summed from the
+    joint-type lattice into marginal pairs (and conditioned on T_V being
+    typical where the letters prune).
 
     Total variation is the statistic. For M trials over cells of mass p_i,
     E|f_i - p_i| <= sqrt(p_i (1 - p_i) / M), so E[TV] <= sum_i sqrt(p_i
     (1 - p_i) / M) / 2; and one trial moves TV by at most 1/M, so by
     McDiarmid's inequality TV exceeds that mean bound by t with probability
     at most exp(-2 M t^2). The tolerance takes t for a false failure
-    probability of 1e-9, so no seed is picked to pass."""
+    probability of 1e-9, so no seed is picked to pass. Where the letters
+    prune, M is the number of trials left, and those trials are i.i.d. from
+    the conditioned law given that number."""
 
     M = 400_000
+    LAWS = pytest.mark.parametrize("probs", [
+        [[0.30, 0.10], [0.05, 0.25], [0.20, 0.10]],
+        [[0.35], [0.65]],
+        # a U symbol of zero mass: its V|U row is 0/0
+        [[0.30, 0.10], [0.0, 0.0], [0.15, 0.45]],
+    ], ids=["3x2", "2x1", "zero-row"])
+
+    @staticmethod
+    def _law(probs):
+        probs = np.array(probs)
+        return JointPmf(Alphabet(tuple(range(probs.shape[0]))),
+                        Alphabet(tuple("vwxyz"[:probs.shape[1]])), probs)
 
     @staticmethod
     def _exact_pairs(law, n):
@@ -507,9 +554,12 @@ class TestMarginalPairLaw:
                 pmf[key] = pmf.get(key, 0.0) + prob
         return pmf
 
-    def _sampled_pairs(self, law, n, example_dmc, monkeypatch):
-        # a silent encoder and mu = 1 (every output type typical) send every
-        # trial on to the V draw; the two predicates record the engine's counts
+    def _sampled_pairs(self, law, n, dmc, monkeypatch, mu=1.0, p_v=None):
+        """The pair frequencies of the trials that reach the V test, and
+        their number. A silent encoder, and an output test every output type
+        passes (mu = 1, or a noiseless zero row), send every trial the
+        letters leave on to it; the two predicates record the engine's
+        counts."""
         c_u, c_v = [], []
         real_v_typical = sim._v_typical
 
@@ -523,40 +573,79 @@ class TestMarginalPairLaw:
 
         monkeypatch.setattr(sim, "_transmits", silent)
         monkeypatch.setattr(sim, "_v_typical", v_typical)
-        cfg = sim.SchemeConfig(scheme="B", mu=1.0, x1="1")
-        p_u, p_v = law.row_marginal(), law.col_marginal()
-        sim._trial_chunk(cfg, law, p_u, p_v, example_dmc, n, None, self.M, (0, 0, 0))
+        cfg = sim.SchemeConfig(scheme="B", mu=mu, x1="1")
+        p_u, p_v = law.row_marginal(), law.col_marginal() if p_v is None else p_v
+        sim._trial_chunk(cfg, law, p_u, p_v, dmc, n, None, self.M, (0, 0, 0))
         pairs = np.concatenate([np.concatenate(c_u), np.concatenate(c_v)], axis=1)
         keys, freq = np.unique(pairs, axis=0, return_counts=True)
-        return {tuple(int(c) for c in key): f / self.M for key, f in zip(keys, freq)}
+        total = len(pairs)
+        return {tuple(int(c) for c in key): f / total for key, f in zip(keys, freq)}, total
 
-    @pytest.mark.parametrize("probs", [
-        [[0.30, 0.10], [0.05, 0.25], [0.20, 0.10]],
-        [[0.35], [0.65]],
-        # a U symbol of zero mass: its V|U row is 0/0
-        [[0.30, 0.10], [0.0, 0.0], [0.15, 0.45]],
-    ], ids=["3x2", "2x1", "zero-row"])
-    def test_pair_frequencies_match_the_exact_law(self, probs, example_dmc, monkeypatch):
-        n = 5
-        probs = np.array(probs)
-        law = JointPmf(Alphabet(tuple(range(probs.shape[0]))),
-                       Alphabet(tuple("vwxyz"[:probs.shape[1]])), probs)
-        exact = self._exact_pairs(law, n)
-        sampled = self._sampled_pairs(law, n, example_dmc, monkeypatch)
+    @staticmethod
+    def _assert_close(sampled, exact, trials):
         assert set(sampled) <= {key for key, prob in exact.items() if prob > 0}
         p = np.array(list(exact.values()))
         assert math.isclose(p.sum(), 1.0, rel_tol=1e-12)
         tv = 0.5 * sum(abs(sampled.get(key, 0.0) - prob) for key, prob in exact.items())
-        tol = 0.5 * np.sqrt(p * (1 - p) / self.M).sum() + math.sqrt(math.log(1e9) / (2 * self.M))
+        tol = 0.5 * np.sqrt(p * (1 - p) / trials).sum() + math.sqrt(math.log(1e9) / (2 * trials))
         assert tv <= tol
+
+    @LAWS
+    def test_pair_frequencies_match_the_exact_law(self, probs, example_dmc, monkeypatch):
+        n = 5
+        law = self._law(probs)
+        sampled, trials = self._sampled_pairs(law, n, example_dmc, monkeypatch)
+        assert trials == self.M
+        self._assert_close(sampled, self._exact_pairs(law, n), trials)
+
+    @LAWS
+    def test_v_first_pair_frequencies_match_the_exact_law(self, probs, example_dmc, monkeypatch):
+        # every law is typical for its own V marginal, so the order is forced;
+        # at mu = 1 no letter prunes
+        n = 5
+        law = self._law(probs)
+        monkeypatch.setattr(sim, "_v_first", lambda cfg, law, p_v: True)
+        sampled, trials = self._sampled_pairs(law, n, example_dmc, monkeypatch)
+        assert trials == self.M
+        self._assert_close(sampled, self._exact_pairs(law, n), trials)
+
+    def test_pruned_pairs_match_the_law_given_typical_v(self, binary_alphabet, monkeypatch):
+        # LAW3 draws V first by the engine's own rule; at n = 5 the typical V
+        # counts are (1, 2, 2) and (0, 3, 2). The noiseless zero row makes
+        # every silent trial's outputs typical.
+        n, mu, law, p_v = 5, 0.17, LAW3, P3_V
+        noiseless = Dmc(input_alphabet=binary_alphabet, y_alphabet=binary_alphabet,
+                        z_alphabet=binary_alphabet, y_given_x=[[1.0, 0.0], [0.0, 1.0]],
+                        z_given_x=[[1.0, 0.0], [0.0, 1.0]], zero_symbol="0")
+        sampled, trials = self._sampled_pairs(law, n, noiseless, monkeypatch, mu=mu, p_v=p_v)
+        exact = {key: prob for key, prob in self._exact_pairs(law, n).items()
+                 if typical(np.array(key[2:]) / n, p_v.probs, mu)}
+        p_typical = sum(exact.values())
+        assert {key[2:] for key in exact} == {(1, 2, 2), (0, 3, 2)}
+        # the letters leave Bin(M, Pr[T_V typical]) trials (Hoeffding, 1e-9)
+        assert abs(trials / self.M - p_typical) <= math.sqrt(math.log(2e9) / (2 * self.M))
+        self._assert_close(sampled, {key: prob / p_typical for key, prob in exact.items()},
+                           trials)
+
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_v_first_beta_matches_the_exact_engine(self, example_dmc, partial_dmc, scheme):
+        # Q_V = (0.4, 0.6) is atypical for P_V = (0.7, 0.3) at mu = 0.2, so
+        # the alternative draws V first; 2.5 Wilson half-widths are about
+        # five standard deviations
+        cfg, dmc, pbar = TestMonteCarlo._case(scheme, example_dmc, partial_dmc)
+        assert sim._v_first(cfg, Q_UV, P_UV.col_marginal())
+        mc = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 40_000, seed=0, pbar=pbar)
+        exact = sim.exact_error_probs(cfg, P_UV, Q_UV, dmc, 30, pbar)
+        assert abs(mc.beta - exact.beta) <= 2.5 * mc.beta_ci
 
 
 class TestBlockedDraws:
     """The numpy properties the Monte Carlo engine relies on: rows drawn a
     block at a time from one Generator equal one draw of all the rows, for
     each kind of draw the engine makes (a fixed pmf, in multinomial and
-    binomial draws; an array of counts with one pmf per count, the V draw;
-    one pmf row per trial, scheme B's outputs). If a numpy release breaks
+    binomial draws; an array of counts with one pmf per count, the second
+    marginal's draw; an array of counts with one probability, a V letter's
+    draw; one pmf row per trial, scheme B's outputs). If a numpy release breaks
     one, seeded results start to depend on BLOCK_TRIALS."""
 
     P16 = np.arange(1, 17) / np.arange(1, 17).sum()
@@ -583,6 +672,17 @@ class TestBlockedDraws:
         whole = np.random.default_rng([7, 1, 0]).binomial(k, p, size=10_000)
         rng = np.random.default_rng([7, 1, 0])
         blocked = self._blocked(lambda size: rng.binomial(k, p, size=size), 10_000)
+        assert np.array_equal(whole, blocked)
+
+    @pytest.mark.parametrize("k, p", [(20, 0.2), (400, 0.3)])
+    def test_binomial_with_an_array_of_counts(self, k, p):
+        # a V letter drawn V first: Bin(remaining, p) for each trial left,
+        # where some trials have no count left
+        counts = np.random.default_rng(5).integers(0, k + 1, size=10_000)
+        counts[::7] = 0
+        whole = np.random.default_rng([7, 0, 1, 0, 2]).binomial(counts, p)
+        rng = np.random.default_rng([7, 0, 1, 0, 2])
+        blocked = self._sliced(lambda blk: rng.binomial(counts[blk], p), 10_000)
         assert np.array_equal(whole, blocked)
 
     def test_multinomial_with_an_array_of_counts(self):
