@@ -31,7 +31,7 @@ cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
 print("== exact vs Monte Carlo (10^5 trials, seed 7) ==")
 print(f"{'n':>5} {'alpha exact':>12} {'alpha mc':>12} {'beta exact':>12} {'beta mc':>12}")
 for n in (40, 60):
-    exact = sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar)
+    exact = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, dmc, n, pbar)[0]
     mc = sim.run_trials(cfg, p_uv, q_uv, dmc, n, trials=100_000, seed=7, pbar=pbar)
     print(f"{n:>5} {exact.alpha:>12.5f} {mc.alpha:>12.5f} {exact.beta:>12.6f} {mc.beta:>12.6f}")
 
@@ -39,7 +39,8 @@ print("\n== per-n Type-II exponent (bits) ==")
 rep = expo.achievable_exponent(p_uv, q_uv, dmc)
 target = rep.theta_nats / LN2
 ns = list(range(40, 201, 20))
-log_betas = [sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar).log_beta for n in ns]
+log_betas = [sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, dmc, n, pbar)[0].log_beta
+             for n in ns]
 fit = sim.empirical_exponent(ns, log_betas=log_betas)
 for n, e in zip(fit.ns, fit.exponents_bits):
     bar = "#" * int(round(e * 200))

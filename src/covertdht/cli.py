@@ -117,31 +117,40 @@ def _require_admissible(dmc) -> None:
 
 
 def _sim_results(cfg: ExperimentConfig) -> list[sim.SimulationResult]:
-    """One record per (mu, n) cell: exact, else Monte Carlo with a warning."""
+    """One record per (mu, n) cell, mu-major: exact, else Monte Carlo with a
+    warning. The exact engine runs once per n, for the whole mu grid, when
+    the sweep first meets that n; a cell whose n it refuses runs Monte Carlo
+    at its own mu, in the sweep's order."""
     p_uv, q_uv = cfg.source_pmfs()
     dmc = cfg.dmc()
     _require_admissible(dmc)
     base_scheme = cfg.scheme()
     sweep = cfg.sweep()
     pbar = expo.pbar_threshold(dmc, base_scheme.x1) if base_scheme.scheme == "B" else None
+    mus = sweep["mu_grid"] or [base_scheme.mu]
+    exact = {}  # n -> one record per mu, or None where the engine refused n
     results = []
-    for mu in sweep["mu_grid"] or [base_scheme.mu]:
+    for i, mu in enumerate(mus):
         scheme = dataclasses.replace(base_scheme, mu=mu)
         for n in sweep["n_grid"]:
-            try:
-                res = sim.exact_error_probs(scheme, p_uv, q_uv, dmc, n, pbar)
-            except AlphabetTooLarge:
-                if sweep["trials"] < 1:
-                    raise
-                # with no handler configured, logging's last-resort handler
-                # writes the bare message to stderr
-                logger.warning(
-                    "warning: exact engine infeasible at n=%d; falling back to Monte Carlo", n
-                )
-                res = sim.run_trials(
-                    scheme, p_uv, q_uv, dmc, n, sweep["trials"], sweep["seed"], pbar
-                )
-            results.append(res)
+            if n not in exact:
+                try:
+                    exact[n] = sim.exact_error_probs(base_scheme, mus, p_uv, q_uv, dmc, n, pbar)
+                except AlphabetTooLarge:
+                    if sweep["trials"] < 1:
+                        raise
+                    exact[n] = None
+            if exact[n] is not None:
+                results.append(exact[n][i])
+                continue
+            # with no handler configured, logging's last-resort handler
+            # writes the bare message to stderr
+            logger.warning(
+                "warning: exact engine infeasible at n=%d; falling back to Monte Carlo", n
+            )
+            results.append(sim.run_trials(
+                scheme, p_uv, q_uv, dmc, n, sweep["trials"], sweep["seed"], pbar
+            ))
     return results
 
 

@@ -14,10 +14,11 @@ The schema (all probabilities row-major):
     }
 
 ``simulate`` sweeps every (mu, n) of ``mu_grid`` (``[scheme.mu]`` when
-empty) by ``n_grid``; both engines return a ``SimulationResult`` per cell,
-exact where the types can be enumerated and else Monte Carlo with ``trials``
-and ``seed``. ``verify-covertness`` sweeps ``n_grid`` at ``scheme.mu``.
-``output`` serves both commands.
+empty) by ``n_grid``, mu-major; both engines return a ``SimulationResult``
+per cell, exact where the types can be enumerated (one pass per n serves
+every mu) and else Monte Carlo with ``trials`` and ``seed``. Every mu must
+be a positive, finite number. ``verify-covertness`` sweeps ``n_grid`` at
+``scheme.mu``. ``output`` serves both commands.
 
 Parsing and serialization round-trip exactly; validation failures raise
 ConfigError naming the offending field.
@@ -26,6 +27,7 @@ ConfigError naming the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,9 +160,10 @@ class ExperimentConfig:
         if not (isinstance(sw["n_grid"], list)
                 and all(_is_number(n, int) and n >= 1 for n in sw["n_grid"])):
             raise ConfigError("sweep.n_grid: blocklengths must be positive integers")
+        # JSON Infinity loads as a float, and NaN compares false with both ends
         if not (isinstance(sw["mu_grid"], list)
-                and all(_is_number(mu) and mu > 0 for mu in sw["mu_grid"])):
-            raise ConfigError("sweep.mu_grid: entries must be positive numbers")
+                and all(_is_number(mu) and 0 < mu < math.inf for mu in sw["mu_grid"])):
+            raise ConfigError("sweep.mu_grid: entries must be positive finite numbers")
         for key in ("trials", "seed"):
             if not (_is_number(sw[key], int) and sw[key] >= 0):
                 raise ConfigError(f"sweep.{key}: must be a non-negative integer")

@@ -30,6 +30,14 @@ Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
 underflows), built by one helper that also derives the weight statistics
 from the firing probability (delta_n, or its sampled frequency).
 
+The exact engine works on a whole mu grid at one n: none of its lattice
+walks depends on mu. It enumerates the joint types once, computes each
+block's class log-probabilities under each law once, and decides the block
+at each mu with the same predicates; each codeword's Y lattice is walked
+once for every mu, and scheme B's delta_n, whose threshold test does not
+read mu, is summed once. Each mu's sums are the same floating-point
+operations, in the same order, as a pass at that mu alone.
+
 The Monte Carlo engine, ``run_trials``, draws the pair (T_U, T_V), not the
 joint type, in one of two orders that give the same joint law by the chain
 rule. A law whose own V marginal is typical for P_V (the null's always is)
@@ -60,8 +68,8 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,7 +80,7 @@ from .probability import LN2, JointPmf, Pmf, typical
 from .typesum import (
     NEG_INF,
     check_enumerable,
-    log_prob_type_event,
+    log_prob_type_events,
     log_type_class_prob,
     logsumexp,
     prob_type_event,
@@ -120,8 +128,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("A", "B"):
             raise ValueError("scheme must be 'A' or 'B'")
-        if not self.mu > 0:  # NaN as well
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:  # NaN as well
+            raise ValueError("mu must be positive and finite")
         if self.scheme == "A" and (self.x_hat is None or self.y_star is None):
             raise ValueError("scheme A requires x_hat and y_star")
         if self.scheme == "B" and self.x1 is None:
@@ -145,10 +153,12 @@ class SchemeConfig:
                 raise ConfigMismatch("x1 must differ from the zero symbol")
 
 
-def _log_prob_y_typical(dmc: Dmc, x_symbol, n: int, mu: float) -> float:
-    """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant]."""
+def _log_prob_y_typical(dmc: Dmc, x_symbol, n: int, mus: Sequence[float]) -> list[float]:
+    """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant], for
+    each mu of ``mus``, from one walk of the Y lattice."""
     ref = dmc.y_row(dmc.zero_symbol).probs
-    return log_prob_type_event(dmc.y_row(x_symbol), n, lambda t: typical(t, ref, mu))
+    return log_prob_type_events(dmc.y_row(x_symbol), n,
+                                [lambda t, mu=mu: typical(t, ref, mu) for mu in mus])
 
 
 def _transmits(cfg: SchemeConfig, t_u: np.ndarray, p_u: Pmf, pbar: PbarSet | None) -> np.ndarray:
@@ -178,66 +188,95 @@ def transmit_probability(
 
 
 def _log_accept_probs(
-    cfg: SchemeConfig,
+    cfgs: Sequence[SchemeConfig],
     p_uv: JointPmf,
     q_uv: JointPmf,
     dmc: Dmc,
     n: int,
     pbar: PbarSet | None,
-) -> tuple[float, float]:
-    """log Pr[decide 0] under the null and under the alternative, in one
-    pass over the joint source types.
+) -> list[tuple[float, float]]:
+    """log Pr[decide 0] under the null and under the alternative, for each
+    config of ``cfgs`` (one scheme at several mu), in one pass over the joint
+    source types.
 
-    The per-type acceptance factor depends only on which constant codeword
-    the encoder emits, not on the source law, so the two factors and each
-    type's decisions serve both laws. Scheme A's burst symbol never emits
+    The class log-probabilities of a block of types, under each law, and its
+    marginal counts serve every mu; the predicates ``_transmits`` and
+    ``_v_typical`` then decide the block at each mu. Scheme B's threshold
+    test does not read mu, so its decisions are made once per block. The
+    per-type acceptance factor depends only on which constant codeword the
+    encoder emits, not on the source law, so the two factors and each type's
+    decisions serve both laws; scheme B's factors come from one walk of each
+    codeword's Y lattice for every mu. Scheme A's burst symbol never emits
     the marker (``validate_against``), so an active type is never accepted.
     The marginal types are integer count sums divided by n, so enumerated
     and sampled counts meet the closed typicality boundary at the same place.
     """
+    cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     cells = p_u.alphabet.size * p_v.alphabet.size
     check_enumerable(n, cells, "joint source type enumeration")
     if cfg.scheme == "B":
-        log_silent = _log_prob_y_typical(dmc, dmc.zero_symbol, n, cfg.mu)
-        log_active = _log_prob_y_typical(dmc, cfg.x1, n, cfg.mu)
+        mus = [c.mu for c in cfgs]
+        factors = list(zip(_log_prob_y_typical(dmc, dmc.zero_symbol, n, mus),
+                           _log_prob_y_typical(dmc, cfg.x1, n, mus)))
     else:
         p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
         log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
-        log_active = NEG_INF
-    logs = ([], [])
+        factors = [(log_silent, NEG_INF)] * len(cfgs)
+    logs = [([], []) for _ in cfgs]
     for counts in type_blocks(n, cells):
         mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
-        active = _transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
-        accept = _v_typical(cfg, mat.sum(axis=1), p_v, n)
-        factor = np.where(active[accept], log_active, log_silent)
-        for out, joint in zip(logs, (p_uv, q_uv)):
-            lp = log_type_class_prob(counts, joint.probs.ravel())
-            out.append(logsumexp(lp[accept] + factor))
-    return min(logsumexp(logs[0]), 0.0), min(logsumexp(logs[1]), 0.0)
+        t_u, c_v = mat.sum(axis=2) / n, mat.sum(axis=1)
+        lps = [log_type_class_prob(counts, joint.probs.ravel()) for joint in (p_uv, q_uv)]
+        if cfg.scheme == "B":
+            active = _transmits(cfg, t_u, p_u, pbar)
+        for c, (log_silent, log_active), out in zip(cfgs, factors, logs):
+            if cfg.scheme == "A":
+                active = _transmits(c, t_u, p_u, pbar)
+            accept = _v_typical(c, c_v, p_v, n)
+            factor = np.where(active[accept], log_active, log_silent)
+            for part, lp in zip(out, lps):
+                part.append(logsumexp(lp[accept] + factor))
+    return [(min(logsumexp(h0), 0.0), min(logsumexp(h1), 0.0)) for h0, h1 in logs]
 
 
 def exact_error_probs(
     cfg: SchemeConfig,
+    mus: Sequence[float],
     p_uv: JointPmf,
     q_uv: JointPmf,
     dmc: Dmc,
     n: int,
     pbar: PbarSet | None = None,
-) -> SimulationResult:
+) -> list[SimulationResult]:
     """Exact alpha_n, beta_n and log beta_n by joint-type enumeration, with
-    the weight statistics of delta_n, as the record of the cell.
+    the weight statistics of delta_n: the record of the cell of ``cfg`` at
+    each mu of ``mus``, in that order (``cfg.mu`` itself is not read).
 
-    Feasible for small alphabets only; raises AlphabetTooLarge otherwise,
-    directing the caller to Monte Carlo.
+    One walk of the joint-type lattice, and of each codeword's Y lattice,
+    serves the whole mu grid (``_log_accept_probs``). Scheme B's delta_n does
+    not depend on mu and is summed once; scheme A's encoder reads mu, so its
+    delta_n is summed at each mu. Feasible for small alphabets only; raises
+    AlphabetTooLarge otherwise, directing the caller to Monte Carlo.
     """
+    if not mus:
+        raise ValueError("the mu grid is empty")
     cfg.validate_against(dmc)
-    log_acc_h0, log_acc_h1 = _log_accept_probs(cfg, p_uv, q_uv, dmc, n, pbar)
-    alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
-    beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
-    # -expm1(0.0) is -0.0, and max keeps its first argument on a tie
-    return _result(cfg, n, transmit_probability(cfg, p_uv.row_marginal(), n, pbar),
-                   alpha=max(0.0, alpha), beta=beta, log_beta=log_acc_h1, method="exact")
+    cfgs = [replace(cfg, mu=mu) for mu in mus]
+    log_accepts = _log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar)
+    p_u = p_uv.row_marginal()
+    if cfg.scheme == "B":
+        deltas = [transmit_probability(cfg, p_u, n, pbar)] * len(cfgs)
+    else:
+        deltas = [transmit_probability(c, p_u, n, pbar) for c in cfgs]
+    results = []
+    for c, delta, (log_acc_h0, log_acc_h1) in zip(cfgs, deltas, log_accepts):
+        alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
+        beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
+        # -expm1(0.0) is -0.0, and max keeps its first argument on a tie
+        results.append(_result(c, n, delta, alpha=max(0.0, alpha), beta=beta,
+                               log_beta=log_acc_h1, method="exact"))
+    return results
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ keep d small and are rejected beyond a hard cap rather than silently thrashing.
 The lattice of n-types is one array layer: :func:`type_blocks` yields it as
 ``(rows, d)`` count arrays in blocks of at most ``BLOCK_ROWS`` rows, so the
 memory of an exact sum stays bounded however many types it visits. Class
-log-probabilities and event predicates are evaluated a block at a time.
+log-probabilities and event predicates are evaluated a block at a time, and
+several events can share one walk (:func:`log_prob_type_events`).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,12 +136,25 @@ def log_prob_type_event(
     The predicate maps a ``(rows, d)`` array of types, as probability vectors
     counts/n, to a boolean mask over its rows.
     """
+    return log_prob_type_events(p, n, [predicate])[0]
+
+
+def log_prob_type_events(
+    p: Pmf, n: int, predicates: Sequence[Callable[[np.ndarray], np.ndarray]]
+) -> list[float]:
+    """``log_prob_type_event`` for each of ``predicates``, from one walk of
+    the lattice: a block's class log-probabilities are computed once, on the
+    types that some predicate holds for, and serve every predicate."""
     check_enumerable(n, p.alphabet.size)
-    parts = [
-        logsumexp(log_type_class_prob(counts[predicate(counts / n)], p.probs))
-        for counts in type_blocks(n, p.alphabet.size)
-    ]
-    return min(logsumexp(parts), 0.0)
+    parts = [[] for _ in predicates]
+    for counts in type_blocks(n, p.alphabet.size):
+        t = counts / n
+        masks = [predicate(t) for predicate in predicates]
+        held = np.logical_or.reduce(masks)
+        lp = log_type_class_prob(counts[held], p.probs)
+        for part, mask in zip(parts, masks):
+            part.append(logsumexp(lp[mask[held]]))
+    return [min(logsumexp(part), 0.0) for part in parts]
 
 
 def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray]) -> float:

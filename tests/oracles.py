@@ -11,8 +11,10 @@ whole segment. The I-projection with both marginals fixed is iterative
 proportional fitting (IPF) on the full matrix with its Hall enumeration, an
 independent solver for the library's Newton solve at kappa = 1, and
 `coupling_objective` builds the partial minimum g on it for the grid
-oracle. Tests compare the library against them on small inputs; nothing in
-the package imports this module.
+oracle. `log_accept_probs_at_mu` is the exact engine's pass at one mu,
+which the engine's one pass for a whole mu grid replaced. Tests compare the
+library against them on small inputs; nothing in the package imports this
+module.
 """
 
 import itertools
@@ -22,9 +24,11 @@ import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
+from covertdht import simulation as sim
+from covertdht import typesum
 from covertdht.errors import Infeasible, NoConvergence
 from covertdht.exponents import _brentq
-from covertdht.probability import JointPmf, Pmf, kl_rows
+from covertdht.probability import JointPmf, Pmf, kl_rows, typical
 
 NEG_INF = -math.inf
 # IPF stops once both marginals match their targets to this in L-infinity,
@@ -184,6 +188,40 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
     log_accept = float(min(logsumexp(logs), 0.0)) if logs else NEG_INF
     p_active = float(min(math.exp(logsumexp(logs_active)), 1.0)) if logs_active else 0.0
     return log_accept, p_active
+
+
+def log_accept_probs_at_mu(cfg, p_uv, q_uv, dmc, n, pbar):
+    """The exact engine's former pass at the one mu of `cfg`: (log Pr[decide
+    0] under the null, under the alternative), one walk of the joint lattice
+    and of each codeword's Y lattice per mu, on the library's blocks and
+    predicates."""
+    def log_y_typical(x_symbol):
+        ref, row = dmc.y_row(dmc.zero_symbol).probs, dmc.y_row(x_symbol)
+        typesum.check_enumerable(n, row.alphabet.size)
+        parts = [typesum.logsumexp(typesum.log_type_class_prob(
+                     counts[typical(counts / n, ref, cfg.mu)], row.probs))
+                 for counts in typesum.type_blocks(n, row.alphabet.size)]
+        return min(typesum.logsumexp(parts), 0.0)
+
+    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+    cells = p_u.alphabet.size * p_v.alphabet.size
+    typesum.check_enumerable(n, cells, "joint source type enumeration")
+    if cfg.scheme == "B":
+        log_silent, log_active = log_y_typical(dmc.zero_symbol), log_y_typical(cfg.x1)
+    else:
+        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
+        log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
+        log_active = NEG_INF
+    logs = ([], [])
+    for counts in typesum.type_blocks(n, cells):
+        mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
+        active = sim._transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
+        accept = sim._v_typical(cfg, mat.sum(axis=1), p_v, n)
+        factor = np.where(active[accept], log_active, log_silent)
+        for out, joint in zip(logs, (p_uv, q_uv)):
+            lp = typesum.log_type_class_prob(counts, joint.probs.ravel())
+            out.append(typesum.logsumexp(lp[accept] + factor))
+    return min(typesum.logsumexp(logs[0]), 0.0), min(typesum.logsumexp(logs[1]), 0.0)
 
 
 def simplex_grid(dim, step):

@@ -241,7 +241,7 @@ def test_07_exact_vs_monte_carlo(example_sources, example_dmc):
     trials = 10**6
     t0 = time.perf_counter()
     for n in (40, 60):
-        exact = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, n, pbar)
+        exact = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, example_dmc, n, pbar)[0]
         alpha, beta = exact.alpha, exact.beta
         res = sim.run_trials(cfg, p_uv, q_uv, example_dmc, n, trials, seed=11, pbar=pbar)
         sd_a = math.sqrt(alpha * (1 - alpha) / trials)
@@ -260,7 +260,7 @@ def test_08_exponent_convergence(example_sources, example_dmc, example_p_u, part
     cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
     exps = []
     for n in range(160, 201, 10):
-        lb = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, n, pbar).log_beta
+        lb = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, example_dmc, n, pbar)[0].log_beta
         exps.append(-lb / LN2 / n)
     # the exact per-n exponent climbs toward the asymptotic target on this
     # tail grid and lands within 25% of it at n = 200
@@ -270,7 +270,7 @@ def test_08_exponent_convergence(example_sources, example_dmc, example_p_u, part
     # burst scheme on the partially connected variant approaches e1
     e1 = expo.compute_E1(p_uv, q_uv).value_nats / LN2
     cfg_a = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
-    beta = sim.exact_error_probs(cfg_a, p_uv, q_uv, partial_dmc, 300).beta
+    beta = sim.exact_error_probs(cfg_a, [cfg_a.mu], p_uv, q_uv, partial_dmc, 300)[0].beta
     exp_a = -math.log2(beta) / 300
     assert abs(exp_a - e1) <= 0.30 * e1
 

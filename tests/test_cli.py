@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,9 @@ from covertdht.config import ExperimentConfig
 from covertdht.errors import ConfigError
 
 from conftest import TERNARY_CONFIG
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
 
 # `exponents --json` on TERNARY_CONFIG (bits)
 TERNARY_REPORT = {
@@ -292,8 +296,10 @@ class TestSimulate:
         p_uv, q_uv = cfg.source_pmfs()
         dmc = cfg.dmc()
         pbar = expo.pbar_threshold(dmc, "1")
+        scheme = cfg.scheme()
         fit = sim.empirical_exponent(ns, log_betas=[
-            sim.exact_error_probs(cfg.scheme(), p_uv, q_uv, dmc, n, pbar).log_beta for n in ns
+            sim.exact_error_probs(scheme, [scheme.mu], p_uv, q_uv, dmc, n, pbar)[0].log_beta
+            for n in ns
         ])
         line = (f"mu=0.02: exponent trend slope {fit.slope_bits:.4f} bits/use, "
                 f"per-n exponents {[round(e, 4) for e in fit.exponents_bits]}")
@@ -353,12 +359,73 @@ class TestSimulate:
         assert main(["simulate", write_config(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("section, value, field", [
+        ("sweep", {"mu_grid": [math.inf, 0.1], "n_grid": [10]}, "sweep.mu_grid"),
+        ("scheme", {"mu": math.inf}, "scheme: mu"),
+    ])
+    def test_infinite_mu_exit_code(self, tmp_path, capsys, section, value, field):
+        # JSON Infinity loads as a float; an infinite mu once ran, as a box
+        # that holds every type, and wrote its row at exit 0
+        data = json.loads((GOLDEN / "simulate-mixed-fallback.json").read_text())
+        data[section].update(value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert "Infinity" in path.read_text()
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("mu", [True, "0.1"])
     def test_bad_scheme_mu_exit_code(self, tmp_path, capsys, mu):
         # scheme.mu follows the number rule of sweep.mu_grid
         data = example_variant(scheme__mu=mu)
         assert main(["simulate", write_config(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith("error: scheme.mu:")
+
+
+def run_cli(*argv):
+    """The command line in a fresh interpreter, with no logging configured,
+    as a user runs it: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "covertdht.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSimulateGolden:
+    """`simulate` prints the bytes stored under tests/golden/ on its stdout
+    and stderr: the benchmark's exact two-mu sweep, an exact scheme-A sweep
+    over an unsorted mu grid with a repeat, and a two-mu sweep whose n-grid
+    mixes exact cells with cells the joint-type cap sends to Monte Carlo."""
+
+    CONFIGS = {
+        "exact-sweep-b": REPO / "perfbench" / "workloads" / "exact-sweep-b.json",
+        "scheme-a": GOLDEN / "simulate-scheme-a.json",
+        "mixed-fallback": GOLDEN / "simulate-mixed-fallback.json",
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_output_is_the_golden_bytes(self, name):
+        code, out, err = run_cli("simulate", str(self.CONFIGS[name]))
+        assert code == 0, err
+        assert out == (GOLDEN / f"simulate-{name}.out").read_text()
+        assert err == (GOLDEN / f"simulate-{name}.err").read_text()
+
+    def test_mixed_fallback_keeps_the_sweep_order(self):
+        # mu-major rows, a repeated n keeps its rows, and each Monte Carlo
+        # cell warns when the sweep reaches it, before the fit lines
+        code, out, err = run_cli("simulate", str(self.CONFIGS["mixed-fallback"]))
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        ns = [24, 400, 36, 400, 24]
+        assert [(r["mu"], int(r["n"])) for r in rows] == (
+            [("0.12", n) for n in ns] + [("0.08", n) for n in ns])
+        assert [r["method"] for r in rows] == ["mc" if n == 400 else "exact" for n in ns] * 2
+        assert rows[0] == rows[4] and rows[1] == rows[3]
+        lines = err.splitlines()
+        assert lines[:4] == [TestSimulate.FALLBACK_LINE] * 4
+        assert all(line.startswith("mu=") for line in lines[4:])
 
 
 class TestVerifyCovertness:

@@ -75,7 +75,8 @@ def test_bad_n_grid():
         ExperimentConfig.from_dict(variant(sweep__n_grid=[40, True]))
 
 
-@pytest.mark.parametrize("grid", [[0.08, -0.1], [0.0], ["0.1"], [True], 0.1])
+@pytest.mark.parametrize("grid", [[0.08, -0.1], [0.0], ["0.1"], [True], 0.1,
+                                  [float("inf"), 0.1], [float("nan")]])
 def test_bad_mu_grid(grid):
     with pytest.raises(ConfigError, match="sweep.mu_grid"):
         ExperimentConfig.from_dict(variant(sweep__mu_grid=grid))
@@ -97,6 +98,14 @@ def test_nan_mu_is_rejected():
     # NaN is a float (JSON NaN loads as one), and NaN compares false with 0
     with pytest.raises(ConfigError, match="scheme: mu must be positive"):
         ExperimentConfig.from_dict(variant(scheme__mu=float("nan")))
+
+
+def test_infinite_mu_is_rejected():
+    # JSON Infinity loads as a float and compares greater than 0
+    with pytest.raises(ConfigError, match="scheme: mu must be positive and finite"):
+        ExperimentConfig.from_dict(variant(scheme__mu=float("inf")))
+    with pytest.raises(ValueError, match="finite"):
+        SchemeConfig(scheme="B", mu=float("inf"), x1="1")
 
 
 @pytest.mark.parametrize("mu", [True, "0.1"])

@@ -928,6 +928,31 @@ class TestLagrangianPath:
         else:
             assert value == pytest.approx(want, abs=1e-9)
 
+    @staticmethod
+    def _rim_case(caplog):
+        """E3's inner term on seeded 4x2 sources at tau = 3 D(T_U || P_U),
+        whose certified minimizer has a coordinate just above _RIM_TOL: the
+        term, its branch and the sphere search's value."""
+        p_uv, q_uv = lagrangian_case(0, 4, 2, False, "")
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        tau = 3.0 * float(kl_rows(expo.compute_T_U(p_v, q_uv).probs, p_u.probs))
+        term, branch, _, _, _ = logged_constrained_min(caplog, q_uv, p_u, p_v, tau, True)
+        sphere, _ = expo._sphere_min(expo._coupling_objective(q_uv, p_v), p_u.probs, tau)
+        return term, branch, sphere
+
+    def test_certified_minimum_on_the_rim(self, caplog):
+        term, branch, _ = self._rim_case(caplog)
+        assert branch == "Lagrangian"
+        assert term.value_nats == pytest.approx(0.479632842917, abs=1e-11)
+        pi_u1 = term.minimizer.probs.sum(axis=1)[1]
+        assert expo._RIM_TOL < pi_u1 < 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="the sphere search misses the rim minimum "
+                       "when a coordinate (pi_U(1) = 5.5e-9) lies just above _RIM_TOL")
+    def test_sphere_search_finds_the_rim_minimum(self, caplog):
+        term, _, sphere = self._rim_case(caplog)
+        assert sphere == pytest.approx(term.value_nats, abs=1e-9)
+
     @pytest.mark.parametrize("case, upper, branch", [
         ("3x2-1", False, "Lagrangian"),
         ("3x2-1", True, "closed form"),

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import logging
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import covertdht.simulation as sim
 import covertdht.typesum as typesum
 import oracles
 from covertdht import Dmc
+from covertdht.config import ExperimentConfig
 from covertdht.errors import AlphabetTooLarge, ConfigMismatch, DegenerateInput
 from covertdht.probability import Alphabet, JointPmf, Pmf, typical
 
@@ -100,7 +103,7 @@ class TestEncoders:
         p_uv, q_uv = example_sources
         cfg = sim.SchemeConfig(scheme="A", mu=1.0, x_hat="1", y_star="1")
         n, k = 100, cfg.k(100)
-        alpha = sim.exact_error_probs(cfg, p_uv, q_uv, partial_dmc, n).alpha
+        alpha = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, partial_dmc, n)[0].alpha
         assert alpha == pytest.approx(0.5**k, rel=1e-12)
         res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, n, 20_000, seed=2)
         assert abs(res.alpha - 0.5**k) <= res.alpha_ci
@@ -243,7 +246,7 @@ class TestExactEngine:
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
         n = 6
-        exact = sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, n, pbar)
+        exact = sim.exact_error_probs(cfg, [cfg.mu], P_UV, Q_UV, example_dmc, n, pbar)[0]
         alpha, beta = exact.alpha, exact.beta
         want_a, want_b = brute_force_error_probs(cfg, P_UV, Q_UV, example_dmc, n, pbar)
         assert alpha == pytest.approx(want_a, rel=1e-10)
@@ -256,7 +259,7 @@ class TestExactEngine:
         q_uv = JointPmf(U2, V2, np.array([[0.1, 0.4], [0.3, 0.2]]))
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.1, x1="1")
-        exact = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
+        exact = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, example_dmc, 5, pbar)[0]
         alpha, beta = exact.alpha, exact.beta
         want_a, want_b = brute_force_error_probs(cfg, p_uv, q_uv, example_dmc, 5, pbar)
         assert alpha == pytest.approx(want_a, rel=1e-10)
@@ -264,29 +267,41 @@ class TestExactEngine:
 
     def test_output_typicality_once_per_cell(self, example_dmc, monkeypatch):
         # Pr[Y^n typical] per codeword depends on neither hypothesis: one
-        # enumeration per codeword serves alpha and beta, and a cell the
-        # joint lattice cap refuses enumerates none
-        calls = []
-        y_typical = sim._log_prob_y_typical
+        # enumeration per codeword and n serves alpha and beta at every mu
+        # of the grid, and an n the joint lattice cap refuses enumerates none
+        calls, walks = [], []
+        y_typical, blocks = sim._log_prob_y_typical, typesum.type_blocks
 
-        def counted(dmc, x_symbol, n, mu):
-            calls.append(x_symbol)
-            return y_typical(dmc, x_symbol, n, mu)
+        def counted(dmc, x_symbol, n, mus):
+            calls.append((x_symbol, n, tuple(mus)))
+            return y_typical(dmc, x_symbol, n, mus)
+
+        def walked(n, dim):
+            walks.append((n, dim))
+            return blocks(n, dim)
 
         monkeypatch.setattr(sim, "_log_prob_y_typical", counted)
+        monkeypatch.setattr(sim, "type_blocks", walked)
+        monkeypatch.setattr(typesum, "type_blocks", walked)
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
-        sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, 6, pbar)
-        assert sorted(calls) == ["0", "1"]
+        mus = (0.2, 0.1, 0.3)
+        for n in (6, 8):
+            sim.exact_error_probs(cfg, mus, P_UV, Q_UV, example_dmc, n, pbar)
+        assert sorted(calls) == [(x, n, mus) for x in "01" for n in (6, 8)]
+        # per n, the joint lattice (4 cells) and three binary lattices: the
+        # two codewords' Y lattices and the U lattice of delta_n
+        assert sorted(walks) == [(n, dim) for n in (6, 8) for dim in (2, 2, 2, 4)]
         calls.clear()
+        walks.clear()
         with pytest.raises(AlphabetTooLarge):
-            sim.exact_error_probs(cfg, P_UV, Q_UV, example_dmc, 2000, pbar)
-        assert calls == []
+            sim.exact_error_probs(cfg, mus, P_UV, Q_UV, example_dmc, 2000, pbar)
+        assert calls == walks == []
 
     def test_scheme_a_matches_brute_force(self, partial_dmc):
         cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
         n = 6
-        exact = sim.exact_error_probs(cfg, P_UV, Q_UV, partial_dmc, n)
+        exact = sim.exact_error_probs(cfg, [cfg.mu], P_UV, Q_UV, partial_dmc, n)[0]
         alpha, beta = exact.alpha, exact.beta
         want_a, want_b = brute_force_error_probs(cfg, P_UV, Q_UV, partial_dmc, n)
         assert alpha == pytest.approx(want_a, rel=1e-10)
@@ -296,7 +311,7 @@ class TestExactEngine:
         p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        res = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 50, pbar)
+        res = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, example_dmc, 50, pbar)[0]
         beta, lb = res.beta, res.log_beta
         assert lb == pytest.approx(math.log(beta), rel=1e-12)
 
@@ -304,12 +319,12 @@ class TestExactEngine:
         p_uv, q_uv = example_sources
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.02, x1="1")
-        res = sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 60, pbar)
+        res = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, example_dmc, 60, pbar)[0]
         w, a_bar = res.weight_mean, res.a_bar
         assert 0.0 < w < 1.0
         assert a_bar == pytest.approx(math.sqrt(w))
         with pytest.raises(ConfigMismatch):
-            sim.exact_error_probs(cfg, p_uv, q_uv, example_dmc, 60)
+            sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, example_dmc, 60)
 
 
 def _dmc_with_outputs(size):
@@ -360,16 +375,86 @@ class TestExactEngineAgainstLoop:
                 oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
                 for law in (p_uv, q_uv)
             )
-            got = sim._log_accept_probs(cfg, p_uv, q_uv, dmc, n, pbar)
+            [got] = sim._log_accept_probs([cfg], p_uv, q_uv, dmc, n, pbar)
             for got, want in zip(got, (want_h0, want_h1)):
                 assert got == want or math.isclose(got, want, rel_tol=1e-12)
             # the weight stats take delta_n from the U-type lattice alone; the
             # oracle sums the transmission probability over joint types
             frac = p_active * (cfg.k(n) if cfg.scheme == "A" else n) / n
-            res = sim.exact_error_probs(cfg, p_uv, q_uv, dmc, n, pbar)
+            res = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, dmc, n, pbar)[0]
             w, a_bar = res.weight_mean, res.a_bar
             assert math.isclose(w, frac, rel_tol=1e-12)
             assert math.isclose(a_bar, math.sqrt(frac), rel_tol=1e-12)
+
+
+def _box_edge(probs, n):
+    """A mu on whose box edge around ``probs`` the types over n with k of
+    the first letter lie exactly: |k/n - probs[0]| as ``typical`` computes
+    it, for a k two above n probs[0] (two below where that exceeds n)."""
+    k = int(probs[0] * n) + 2
+    if k > n:
+        k -= 4
+    return float(np.abs(np.array([k]) / n - probs[:1])[0])
+
+
+class TestMuGrid:
+    """The exact engine's one pass for a whole mu grid against the former
+    pass at each mu, bit for bit, on grids that are unsorted, repeat a mu
+    and hold a mu with types on the edge of the V box (and of the U box)."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(typesum, "BLOCK_ROWS", 16)  # several blocks per sum
+
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("y_size", [2, 3])
+    def test_scheme_b(self, du, dv, y_size):
+        dmc = _dmc_with_outputs(y_size)
+        pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=dmc.z_row("1"))
+        cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+        self._compare(cfg, dmc, *_source_pair(du, dv, seed=du * 10 + dv), (1, 5, 11), pbar)
+
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    def test_scheme_a(self, partial_dmc, du, dv):
+        cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+        self._compare(cfg, partial_dmc, *_source_pair(du, dv, seed=du * 10 + dv), (1, 5, 11),
+                      None)
+
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_exact_sweep_b_sources(self, partial_dmc, scheme):
+        # the benchmark's exact-sweep-b sources, under its channel (scheme B)
+        # or the partially connected one (scheme A)
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
+                            "exact-sweep-b.json")
+        config = ExperimentConfig.load(path)
+        p_uv, q_uv = config.source_pmfs()
+        if scheme == "B":
+            cfg, dmc = config.scheme(), config.dmc()
+            pbar = expo.pbar_threshold(dmc, cfg.x1)
+        else:
+            cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+            dmc, pbar = partial_dmc, None
+        self._compare(cfg, dmc, p_uv, q_uv, (12, 24), pbar)
+
+    def _compare(self, cfg, dmc, p_uv, q_uv, ns, pbar):
+        p_u, p_v = p_uv.row_marginal().probs, p_uv.col_marginal().probs
+        v_edge, u_edge = _box_edge(p_v, ns[1]), _box_edge(p_u, ns[1])
+        grid = [0.3, v_edge, 0.1, 0.3, u_edge]
+        for n in ns:
+            cfgs = [dataclasses.replace(cfg, mu=mu) for mu in grid]
+            want = [oracles.log_accept_probs_at_mu(c, p_uv, q_uv, dmc, n, pbar) for c in cfgs]
+            assert sim._log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar) == want
+            got = sim.exact_error_probs(cfg, grid, p_uv, q_uv, dmc, n, pbar)
+            assert got == [sim.exact_error_probs(cfg, [mu], p_uv, q_uv, dmc, n, pbar)[0]
+                           for mu in grid]
+            assert [res.mu for res in got] == grid
+        # a count of V's first letter at the middle n meets the edge exactly
+        assert (np.abs(np.arange(ns[1] + 1) / ns[1] - p_v[0]) == v_edge).any()
+
+    def test_empty_grid_is_refused(self, example_dmc):
+        cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+        with pytest.raises(ValueError, match="empty"):
+            sim.exact_error_probs(cfg, [], P_UV, Q_UV, example_dmc, 6)
 
 
 class TestMonteCarlo:
@@ -635,7 +720,7 @@ class TestMarginalPairLaw:
         cfg, dmc, pbar = TestMonteCarlo._case(scheme, example_dmc, partial_dmc)
         assert sim._v_first(cfg, Q_UV, P_UV.col_marginal())
         mc = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 40_000, seed=0, pbar=pbar)
-        exact = sim.exact_error_probs(cfg, P_UV, Q_UV, dmc, 30, pbar)
+        exact = sim.exact_error_probs(cfg, [cfg.mu], P_UV, Q_UV, dmc, 30, pbar)[0]
         assert abs(mc.beta - exact.beta) <= 2.5 * mc.beta_ci
 
 
