@@ -157,10 +157,13 @@ def _sim_results(cfg: ExperimentConfig) -> list[sim.SimulationResult]:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     results = _sim_results(cfg)
     write_rows(cfg.output(), SIM_HEADER, SIM_SCHEMA, [res.as_row() for res in results])
+    # each distinct (mu, n) cell once, in order of n: a mu or an n the grid
+    # repeats gives the same record again
     by_mu = {}
     for res in results:
-        by_mu.setdefault(res.mu, []).append(res)
-    for mu, group in by_mu.items():
+        by_mu.setdefault(res.mu, {}).setdefault(res.n, res)
+    for mu, cells in by_mu.items():
+        group = [cells[n] for n in sorted(cells)]
         # rule-of-three betas are bounds, not estimates, and a beta of exactly
         # 0 has no exponent: left out of the fit only; exact cells give log
         # beta, which does not underflow with beta
@@ -175,7 +178,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 file=sys.stderr,
             )
             if not fit.monotone_increasing:
-                print(f"mu={mu}: per-n exponent sequence is not monotone",
+                print(f"mu={mu}: per-n exponent sequence is {fit.direction}",
                       file=sys.stderr)
         mean_w = float(np.mean([g.weight_mean for g in group]))
         print(f"mu={mu}: mean input weight fraction under the null {mean_w:.3e}",

@@ -14,9 +14,13 @@ which is non-negative, so the sum is cancellation-free; the linear term
 sums to zero exactly and is dropped analytically, not numerically.
 
 ``warden_divergence`` walks the (n, |Z|) type lattice of ``typesum`` once, a
-block at a time, and takes the exact divergence and the type-based bound
-from the same blocks, so the divergence is available whenever the bounds
-are. delta itself, the probability that the encoder fires under the null,
+band at a time, and takes the exact divergence and the type-based bound
+from the same bands, so the divergence is available whenever the bounds
+are. On a band, each type's log-likelihood ratio sum_z c_z log(G1_z/G0_z),
+its G0 class log-probability and its divergence from G0 are letter sums of
+per-letter count tables, with no logarithm per type; the ell > 500 branch
+and the kernel's log1p are evaluated only on the types that select them.
+delta itself, the probability that the encoder fires under the null,
 is ``simulation.transmit_probability``: the encoder rule lives with the
 decision kernel, not here.
 
@@ -36,7 +40,7 @@ import numpy as np
 from .errors import SupportViolation
 from .exponents import PbarSet
 from .probability import Pmf, chi_squared, kl_rows
-from .typesum import NEG_INF, check_enumerable, log_type_class_prob, type_blocks
+from .typesum import NEG_INF, check_enumerable, count_logs, log_type_class_prob, type_bands
 
 _INF = math.inf
 
@@ -50,14 +54,41 @@ def _check_rows(g0: Pmf, g1: Pmf) -> None:
 
 def _mix_term(t: np.ndarray) -> np.ndarray:
     """(1+t) log1p(t) - t elementwise, the per-type divergence kernel; >= 0
-    for t >= -1."""
+    for t >= -1. Near 0 a series avoids cancellation, and log1p is taken only
+    where the series is not used."""
     t = np.asarray(t, dtype=float)
-    # series to avoid cancellation: t^2/2 - t^3/6 + t^4/12
-    series = t * t * (0.5 + t * (-1.0 / 6.0 + t / 12.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # series to avoid cancellation: t^2/2 - t^3/6 + t^4/12
+        series = t * t * (0.5 + t * (-1.0 / 6.0 + t / 12.0))
+        near = np.abs(t) < 1e-4
+        if near.all():
+            return series
         # (1+t) log1p(t), taken as 0 at t = -1 (delta = 1, a type G1 cannot emit)
-        xlog1py = np.where(t == -1.0, 0.0, (1.0 + t) * np.log1p(t))
-    return np.where(np.abs(t) < 1e-4, series, xlog1py - t)
+        log1p = np.log1p(t, out=np.zeros_like(t), where=~near & (t != -1.0))
+        return np.where(near, series, (1.0 + t) * log1p - t)
+
+
+def _mixture_terms(lp0: np.ndarray, ell: np.ndarray, delta: float, log_delta: float) -> np.ndarray:
+    """The per-type terms p0 [(1+t) log1p(t) - t], t = delta (p1/p0 - 1) =
+    delta expm1(ell), of the exact divergence, from the types' log
+    G0-probabilities and log-likelihood ratios; impossible types add p0 = 0.
+
+    t is astronomically large past ell = 500: there (1+t)log1p(t) - t =
+    log1p(t) + t*(log1p(t)-1), with p0*t = delta*(p1-p0), in logs. Each
+    branch is evaluated only on the types that select it.
+    """
+    p0 = np.exp(lp0)
+    small = ell <= 500.0
+    with np.errstate(over="ignore"):
+        t = delta * np.expm1(ell, out=np.zeros_like(ell), where=small)
+    terms = p0 * _mix_term(t)
+    if not small.all():
+        big = ~small
+        lt = log_delta + ell[big]  # log t up to the negligible -delta term
+        p0_big = p0[big]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms[big] = p0_big * lt + delta * (np.exp(lp0[big] + ell[big]) - p0_big) * (lt - 1.0)
+    return terms
 
 
 def chi_squared_product(g0: Pmf, g1: Pmf, n: int) -> float:
@@ -97,23 +128,17 @@ def warden_divergence(g0: Pmf, g1: Pmf, delta: float, n: int) -> tuple[float, fl
     log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
     log_delta = math.log(delta) if mixed else NEG_INF
     total, best = 0.0, NEG_INF
-    for counts in type_blocks(n, g0.alphabet.size):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the per-type log-likelihood ratio log(p1/p0); -inf off supp G1
-            ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
-            if mixed:
-                lp0 = log_type_class_prob(counts, g0.probs)  # impossible types add p0 = 0
-                p0 = np.exp(lp0)
-                # t is astronomically large past ell = 500: (1+t)log1p(t) - t =
-                # log1p(t) + t*(log1p(t)-1) with p0*t = delta*(p1-p0) in logs
-                lt = log_delta + ell  # log t up to the negligible -delta term
-                huge = p0 * lt + delta * (np.exp(lp0 + ell) - p0) * (lt - 1.0)
-                terms = np.where(ell <= 500.0, p0 * _mix_term(delta * np.expm1(ell)), huge)
-                total += float(terms.sum())
+    for band in type_bands(n, g0.alphabet.size):
+        # the per-type log-likelihood ratio log(p1/p0); -inf off supp G1
+        ell = band.count_sum(count_logs, log_ratio)
+        if mixed:
+            lp0 = log_type_class_prob(band, g0.probs)
+            total += float(_mixture_terms(lp0, ell, delta, log_delta).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
             # log of e^{-n D(pi||G0)} expm1(ell)^2, with
             # log|expm1 ell| = max(ell, 0) + log(-expm1(-|ell|)); -inf where
             # ell = 0 or pi leaves supp G0
-            log_terms = -n * kl_rows(counts / n, g0.probs) + 2.0 * (
+            log_terms = -n * kl_rows(band, g0.probs) + 2.0 * (
                 np.maximum(ell, 0.0) + np.log(-np.expm1(-np.abs(ell))))
         best = max(best, float(log_terms.max()))
     return max(total, 0.0), quad, (n + 1) ** g0.alphabet.size * math.exp(best)

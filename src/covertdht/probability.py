@@ -6,9 +6,14 @@ types. All divergences are in nats.
 The two type predicates, :func:`typical` and :func:`kl_rows`, are defined
 here once and work on batches of types (the last axis indexes the
 alphabet). Every typicality and divergence-threshold decision of the exact
-sums and the Monte Carlo engine goes through them. There is no
-sequence-level layer: every quantity the library computes depends on a
-block only through its type.
+sums and the Monte Carlo engine goes through them. Each is an elementwise
+per-letter kernel (:func:`typical_letters`, :func:`kl_terms`) reduced over
+the letters: an AND, or :func:`letter_sum`, which adds the letters left to
+right. A band of the type lattice (``typesum.Band``) takes the place of a
+batch: it applies the same kernel to one table per letter and count and
+reduces the table over its types, so both meet every tie the same way.
+There is no sequence-level layer: every quantity the library computes
+depends on a block only through its type.
 
 Conventions: 0*log(0/q) = 0 by continuity. A positive p-mass on a q-zero is
 +inf in the batched ``kl_rows``; the scalar ``kl_divergence`` raises
@@ -18,7 +23,9 @@ explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,16 +157,43 @@ def kl_divergence_vec(p: np.ndarray, q: np.ndarray) -> float:
     return val
 
 
-def kl_rows(t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(t || q) in nats over the last axis of `t`; +inf off the support of q.
+def letter_sum(terms: np.ndarray) -> np.ndarray:
+    """((0.0 + a_0) + a_1) + ...: per-letter terms added letter by letter,
+    left to right, over the last axis of `terms`.
 
-    The one definition of the divergence behind every threshold decision:
-    sum of t log(t/q) over the letters with t > 0, clamped at 0.
+    The one summation order of the per-type letter sums. numpy's
+    ``sum(axis=-1)`` adds a last axis of up to seven letters in this order
+    too; on eight or more it switches to pairwise partial sums.
     """
+    if terms.ndim == 1:  # one type: Python floats add as doubles, faster
+        return np.float64(functools.reduce(operator.add, terms.tolist(), 0.0))
+    total = 0.0
+    for z in range(terms.shape[-1]):
+        total = total + terms[..., z]
+    return total
+
+
+def kl_terms(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """t log(t/q) elementwise, 0 where t = 0 (0 log 0 = 0): the per-letter
+    terms of :func:`kl_rows`; +inf where t > 0 = q."""
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = t * np.log(t / q)
-    return np.maximum(np.where(t > 0.0, terms, 0.0).sum(axis=-1), 0.0)
+    return np.where(t > 0.0, terms, 0.0)
+
+
+def kl_rows(t, q: np.ndarray) -> np.ndarray:
+    """D(t || q) in nats over the last axis of `t`; +inf off the support of q.
+
+    The one definition of the divergence behind every threshold decision:
+    the :func:`kl_terms` of each type summed by :func:`letter_sum`, clamped
+    at 0. `t` may also be a band of the type lattice (``typesum.Band``),
+    which sums the same terms from a table per letter.
+    """
+    band_sum = getattr(t, "letter_sum", None)
+    if band_sum is not None:
+        return np.maximum(band_sum(kl_terms, q), 0.0)
+    return np.maximum(letter_sum(kl_terms(t, q)), 0.0)
 
 
 def chi_squared(p: Pmf, q: Pmf) -> float:
@@ -173,12 +207,24 @@ def chi_squared(p: Pmf, q: Pmf) -> float:
     return float(np.sum(diff[mask] ** 2 / q.probs[mask]))
 
 
-def typical(t: np.ndarray, ref: np.ndarray, mu: float) -> np.ndarray:
-    """Strong mu-typicality of types for `ref` over the last axis of `t`.
-
-    Per-letter |t - ref| <= mu and no mass where ref is zero. The closed
-    (<=) per-letter condition is used so boundary cases are deterministic.
-    """
+def typical_letters(t: np.ndarray, ref: np.ndarray, mu: float) -> np.ndarray:
+    """The per-letter conditions of :func:`typical`, elementwise: |t - ref|
+    <= mu, and no mass where ref is zero."""
     ok = np.abs(t - ref) <= mu
     ok &= (ref > 0.0) | (t == 0.0)
-    return ok.all(axis=-1)
+    return ok
+
+
+def typical(t, ref: np.ndarray, mu: float) -> np.ndarray:
+    """Strong mu-typicality of types for `ref` over the last axis of `t`.
+
+    Per-letter |t - ref| <= mu and no mass where ref is zero
+    (:func:`typical_letters`), on every letter. The closed (<=) per-letter
+    condition is used so boundary cases are deterministic. `t` may also be
+    a band of the type lattice (``typesum.Band``), which ANDs the same
+    conditions from a table per letter.
+    """
+    band_all = getattr(t, "letter_all", None)
+    if band_all is not None:
+        return band_all(typical_letters, ref, mu)
+    return typical_letters(t, ref, mu).all(axis=-1)

@@ -25,6 +25,9 @@ counts of each block of enumerated joint types; the Monte Carlo engine calls
 them on sampled U and V counts. The Y test goes through
 ``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
+Its predicates, and the Y test behind each codeword's Y factor, run on the
+bands of ``typesum``'s lattice walk: ``typical`` and ``kl_rows`` reduce
+per-letter tables there, with the kernels they apply to sampled counts.
 Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
 ``SimulationResult`` (``log_beta`` included, exact also where beta
 underflows), built by one helper that also derives the weight statistics
@@ -80,8 +83,9 @@ from .probability import LN2, JointPmf, Pmf, typical
 from .typesum import (
     NEG_INF,
     check_enumerable,
+    log_multinomial,
     log_prob_type_events,
-    log_type_class_prob,
+    log_sequence_prob,
     logsumexp,
     prob_type_event,
     type_blocks,
@@ -183,7 +187,8 @@ def transmit_probability(
 ) -> float:
     """delta_n, the exact probability that the encoder fires under the null,
     summed over the transmitting types of U^n (not as 1 - Pr[silent], which
-    rounds to zero once delta_n drops below machine epsilon)."""
+    rounds to zero once delta_n drops below machine epsilon), one band of
+    the U lattice at a time."""
     return prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar))
 
 
@@ -227,7 +232,8 @@ def _log_accept_probs(
     for counts in type_blocks(n, cells):
         mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
         t_u, c_v = mat.sum(axis=2) / n, mat.sum(axis=1)
-        lps = [log_type_class_prob(counts, joint.probs.ravel()) for joint in (p_uv, q_uv)]
+        log_coef = log_multinomial(counts)
+        lps = [log_coef + log_sequence_prob(counts, joint.probs.ravel()) for joint in (p_uv, q_uv)]
         if cfg.scheme == "B":
             active = _transmits(cfg, t_u, p_u, pbar)
         for c, (log_silent, log_active), out in zip(cfgs, factors, logs):
@@ -569,6 +575,16 @@ class ExponentFit:
     intercept_bits: float
     monotone_increasing: bool
     excluded_ns: tuple = ()
+
+    @property
+    def direction(self) -> str:
+        """The trend of the per-n exponents: "increasing" as the flag above
+        has it, "decreasing" when no step up exceeds the same 1e-12, else
+        "not monotone"."""
+        steps = np.diff(self.exponents_bits)
+        if self.monotone_increasing:
+            return "increasing"
+        return "decreasing" if bool(np.all(steps < 1e-12)) else "not monotone"
 
 
 def empirical_exponent(ns, betas=None, log_betas=None) -> ExponentFit:

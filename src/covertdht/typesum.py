@@ -5,11 +5,24 @@ summing over all n-types (compositions of n) in the log domain. The number of
 n-types over an alphabet of size d is C(n+d-1, d-1); callers are expected to
 keep d small and are rejected beyond a hard cap rather than silently thrashing.
 
-The lattice of n-types is one array layer: :func:`type_blocks` yields it as
-``(rows, d)`` count arrays in blocks of at most ``BLOCK_ROWS`` rows, so the
-memory of an exact sum stays bounded however many types it visits. Class
-log-probabilities and event predicates are evaluated a block at a time, and
-several events can share one walk (:func:`log_prob_type_events`).
+The lattice of n-types is one array layer, walked a band at a time by
+:func:`type_bands`, in lexicographic order, so the memory of an exact sum
+stays bounded however many types it visits: a band holds at most
+``BLOCK_ROWS`` types. Its rows are the enumerated counts of the first d - 2
+letters, and each row's last two letters run densely over c_{d-2} = j,
+c_{d-1} = rest - j. A :class:`Band` stands for its ``(types, d)`` array of
+types counts/n without building it. Every per-type quantity of the exact
+sums is a left-to-right sum over the letters of a per-letter table T[c, z],
+or an AND of per-letter boolean tables: log c!, c log p_z, the divergence
+terms (c/n) log((c/n)/q_z), c log(G1_z/G0_z) and the mu-box |c/n - ref_z|
+<= mu. A band looks each letter's count up in its table, built once per walk
+by the same elementwise kernel the row path applies to a ``(rows, d)``
+array, so the exact sums take no logarithm per type and decide every tie as
+the row path and Monte Carlo do. :func:`type_blocks` yields the same bands
+materialized as ``(rows, d)`` count arrays, for the joint-type engine.
+
+Class log-probabilities and event predicates are evaluated a band at a
+time, and several events can share one walk (:func:`log_prob_type_events`).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -18,6 +31,7 @@ off the maximum as ``scipy.special.logsumexp`` does.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections.abc import Callable, Iterator, Sequence
@@ -25,7 +39,7 @@ from collections.abc import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import AlphabetTooLarge
-from .probability import Pmf
+from .probability import Pmf, letter_sum
 
 #: Upper bound on enumerated types per call.
 MAX_TYPES = 5_000_000
@@ -61,30 +75,163 @@ def _extend(heads: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return heads, np.repeat(rest, reps) - offsets
 
 
-def type_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
-    """All count vectors of length `dim` summing to n, first symbol slowest.
+class Band:
+    """One band of the n-type lattice: it stands for the ``(len, d)`` array
+    of its types counts/n, in lexicographic order, without building it.
 
-    Yields ``(rows, dim)`` int64 arrays of at most ``BLOCK_ROWS`` rows. The
-    leading ``split`` counts are enumerated up front so that the completions
-    of any one prefix fit in a block; consecutive prefixes are then grouped
-    and completed together.
+    Row i holds the counts ``heads[i]`` of the first d - 2 letters and has
+    ``rest[i]`` left for the last two; its types take c_{d-2} = j for j from
+    ``lo[i]`` to ``hi[i]`` and c_{d-1} = rest[i] - j (a one-letter band has
+    j = 0 and c_0 = rest). :meth:`letter_sum`, :meth:`count_sum` and
+    :meth:`letter_all` reduce a per-letter table, built once per walk from an
+    elementwise kernel and shared by the walk's bands (``tables``), over the
+    band's types: ``probability.kl_rows`` and ``probability.typical`` take a
+    band in place of a ``(rows, d)`` array this way. Anything else sees the
+    materialized array (``np.asarray(band)``, ``band[key]``).
+    """
+
+    def __init__(self, n: int, dim: int, tables: dict, heads: np.ndarray,
+                 rest: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.n, self.dim = n, dim
+        self._tables = tables
+        sizes = hi - lo + 1
+        self._heads = heads
+        self._row = np.repeat(np.arange(len(rest)), sizes)
+        self._j = np.arange(len(self._row)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
+        self._last = rest[self._row] - self._j
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def counts(self) -> np.ndarray:
+        """The band's types as a ``(len, d)`` int64 count array."""
+        if self.dim == 1:
+            return self._last[:, None]
+        return np.column_stack((self._heads[self._row], self._j, self._last))
+
+    def __array__(self, dtype=None, copy=None):
+        t = self.counts() / self.n
+        return t if dtype is None else t.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+    def subset(self, mask: np.ndarray) -> "Band":
+        """The band's types where `mask` holds, in order, as a band that
+        shares this one's tables."""
+        sub = copy.copy(self)
+        sub._row, sub._j, sub._last = self._row[mask], self._j[mask], self._last[mask]
+        return sub
+
+    def _table(self, kernel, args: tuple, on_counts: bool) -> np.ndarray:
+        """``kernel(column, *args)`` as a ``(d, n+1)`` table indexed [letter,
+        count], the column being the counts 0..n or the frequencies c/n;
+        -0.0 is stored as +0.0, which is where ``letter_sum`` starts."""
+        # keyed by the arguments' identities; an entry keeps its arguments,
+        # so an id is not reused while the walk lasts
+        key = (kernel, on_counts, tuple(map(id, args)))
+        entry = self._tables.get(key)
+        if entry is None:
+            column = np.arange(self.n + 1)[:, None]
+            table = kernel(column if on_counts else column / self.n, *args)
+            if table.dtype != bool:
+                table = table + 0.0
+            table = np.broadcast_to(table, (self.n + 1, self.dim))
+            entry = self._tables[key] = (args, np.ascontiguousarray(table.T))
+        return entry[1]
+
+    def _letters(self, table: np.ndarray) -> list[np.ndarray]:
+        """The band's per-type entries of a ``(d, n+1)`` table, letter by
+        letter; the head letters come reduced to one column (left to right,
+        per row)."""
+        lead = self._heads.shape[1]
+        cols = []
+        if lead:
+            heads = table[np.arange(lead), self._heads]
+            if table.dtype == bool:
+                cols.append(heads.all(axis=-1)[self._row])
+            else:
+                cols.append(letter_sum(heads)[self._row])
+        if self.dim > 1:
+            cols.append(table[self.dim - 2][self._j])
+        cols.append(table[self.dim - 1][self._last])
+        return cols
+
+    def _reduce_sum(self, table: np.ndarray) -> np.ndarray:
+        # letter_sum's order; the first column is a fresh array without -0.0,
+        # equal to 0.0 plus itself
+        first, *others = self._letters(table)
+        for col in others:
+            first += col
+        return first
+
+    def letter_sum(self, kernel, *args) -> np.ndarray:
+        """Per type, the sum over letters of ``kernel(c/n, *args)``, left to
+        right (``probability.letter_sum``'s order)."""
+        return self._reduce_sum(self._table(kernel, args, on_counts=False))
+
+    def count_sum(self, kernel, *args) -> np.ndarray:
+        """Per type, the sum over letters of ``kernel(c, *args)`` on the
+        counts, left to right."""
+        return self._reduce_sum(self._table(kernel, args, on_counts=True))
+
+    def letter_all(self, kernel, *args) -> np.ndarray:
+        """Per type, True where the boolean ``kernel(c/n, *args)`` holds on
+        every letter."""
+        first, *others = self._letters(self._table(kernel, args, on_counts=False))
+        for col in others:
+            first &= col
+        return first
+
+
+def type_bands(n: int, dim: int) -> Iterator[Band]:
+    """All count vectors of length `dim` summing to n, first symbol slowest,
+    as bands of at most ``BLOCK_ROWS`` types.
+
+    The leading ``split`` counts are enumerated up front so that the
+    completions of any one prefix fit in a band; consecutive prefixes are
+    then grouped and completed together, to d - 2 letters. Where n + 1 >
+    ``BLOCK_ROWS``, every prefix is a single type (``split`` = d - 1), and
+    bands cut the rows' j ranges every ``BLOCK_ROWS`` types. The walk's
+    bands share one cache of per-letter tables.
     """
     split = 0
     while num_types(n, dim - split) > BLOCK_ROWS:
         split += 1
+    lead, tables = max(dim - 2, 0), {}
     heads, rest = np.zeros((1, 0), dtype=np.int64), np.array([n], dtype=np.int64)
-    for _ in range(split):
+    for _ in range(min(split, lead)):
         heads, rest = _extend(heads, rest)
-    ends = np.cumsum([num_types(int(r), dim - split) for r in rest])
+    if split > lead:
+        ends = np.cumsum(rest + 1)
+        starts = ends - rest - 1
+        for a in range(0, int(ends[-1]), BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, int(ends[-1]))
+            rows = slice(np.searchsorted(ends, a, side="right"),
+                         np.searchsorted(ends, b - 1, side="right") + 1)
+            yield Band(n, dim, tables, heads[rows], rest[rows],
+                       np.maximum(a - starts[rows], 0), np.minimum(b - 1 - starts[rows], rest[rows]))
+        return
+    completions = np.ones_like(rest)  # num_types(r, dim - split) for each r of rest
+    for i in range(1, dim - split):
+        completions = completions * (rest + i) // i
+    ends = np.cumsum(completions)
     start = 0
     while start < len(rest):
         done = ends[start - 1] if start else 0
         stop = int(np.searchsorted(ends, done + BLOCK_ROWS, side="right"))
         h, r = heads[start:stop], rest[start:stop]
-        for _ in range(dim - split - 1):
+        for _ in range(lead - split):
             h, r = _extend(h, r)
-        yield np.column_stack((h, r))
+        yield Band(n, dim, tables, h, r, np.zeros_like(r), r if dim > 1 else np.zeros_like(r))
         start = stop
+
+
+def type_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
+    """The bands of :func:`type_bands`, materialized: ``(rows, dim)`` int64
+    count arrays of at most ``BLOCK_ROWS`` rows, first symbol slowest."""
+    for band in type_bands(n, dim):
+        yield band.counts()
 
 
 def logsumexp(a) -> float:
@@ -117,47 +264,85 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def log_type_class_prob(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _lookup(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table[counts]``: a table over the counts 0..n, read at each count."""
+    return table[counts]
+
+
+def count_logs(counts: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+    """counts * log_v elementwise, 0 where the count is 0 (0 log 0 = 0)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(counts == 0, 0.0, counts * log_v)
+
+
+def _count_sum(counts, kernel, *args) -> np.ndarray:
+    """Per type, the letter sum of ``kernel(counts, *args)``, over the last
+    axis of `counts` or over a band."""
+    if isinstance(counts, Band):
+        return counts.count_sum(kernel, *args)
+    return letter_sum(kernel(np.asarray(counts), *args))
+
+
+def log_multinomial(counts) -> np.ndarray:
+    """log n! - sum_z log c_z!, the log of the number of sequences of each
+    type, over the last axis of `counts` (non-negative integers) or over a
+    band."""
+    if isinstance(counts, Band):
+        n = counts.n
+    else:
+        counts = np.asarray(counts)
+        n = counts.sum(axis=-1)
+    log_fact = _log_factorials(int(np.max(n, initial=0)))
+    return log_fact[n] - _count_sum(counts, _lookup, log_fact)
+
+
+def _count_log_probs(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c log p elementwise, 0 where the count is 0."""
+    with np.errstate(divide="ignore"):
+        return count_logs(counts, np.log(p))
+
+
+def log_sequence_prob(counts, p: np.ndarray) -> np.ndarray:
+    """sum_z c_z log p_z, the log-probability under i.i.d. p of any one
+    sequence of each type, over the last axis of `counts` or over a band;
+    -inf where a count falls on a zero of p."""
+    return _count_sum(counts, _count_log_probs, p)
+
+
+def log_type_class_prob(counts, p: np.ndarray) -> np.ndarray:
     """log Pr[type(X^n) = counts/n] for X i.i.d. p, over the last axis of
-    `counts` (non-negative integers); -inf on impossible types."""
-    counts = np.asarray(counts)
-    n = counts.sum(axis=-1)
-    log_fact = _log_factorials(int(n.max(initial=0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.where(counts == 0, 0.0, counts * np.log(p))  # 0 log 0 = 0
-    return log_fact[n] - log_fact[counts].sum(axis=-1) + log_p.sum(axis=-1)
+    `counts` (non-negative integers) or over a band; -inf on impossible
+    types."""
+    return log_multinomial(counts) + log_sequence_prob(counts, p)
 
 
-def log_prob_type_event(
-    p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray]
-) -> float:
+def log_prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:
     """log Pr[type(X^n) satisfies predicate], X i.i.d. p; -inf when impossible.
 
-    The predicate maps a ``(rows, d)`` array of types, as probability vectors
-    counts/n, to a boolean mask over its rows.
+    The predicate maps a band of types (:class:`Band`, standing for the
+    ``(rows, d)`` array of types counts/n) to a boolean mask over its types.
     """
     return log_prob_type_events(p, n, [predicate])[0]
 
 
 def log_prob_type_events(
-    p: Pmf, n: int, predicates: Sequence[Callable[[np.ndarray], np.ndarray]]
+    p: Pmf, n: int, predicates: Sequence[Callable[[Band], np.ndarray]]
 ) -> list[float]:
     """``log_prob_type_event`` for each of ``predicates``, from one walk of
-    the lattice: a block's class log-probabilities are computed once, on the
+    the lattice: a band's class log-probabilities are computed once, on the
     types that some predicate holds for, and serve every predicate."""
     check_enumerable(n, p.alphabet.size)
     parts = [[] for _ in predicates]
-    for counts in type_blocks(n, p.alphabet.size):
-        t = counts / n
-        masks = [predicate(t) for predicate in predicates]
+    for band in type_bands(n, p.alphabet.size):
+        masks = [predicate(band) for predicate in predicates]
         held = np.logical_or.reduce(masks)
-        lp = log_type_class_prob(counts[held], p.probs)
+        lp = log_type_class_prob(band if held.all() else band.subset(held), p.probs)
         for part, mask in zip(parts, masks):
             part.append(logsumexp(lp[mask[held]]))
     return [min(logsumexp(part), 0.0) for part in parts]
 
 
-def prob_type_event(p: Pmf, n: int, predicate: Callable[[np.ndarray], np.ndarray]) -> float:
+def prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:
     """Exact Pr[type(X^n) satisfies predicate], X i.i.d. p."""
     lp = log_prob_type_event(p, n, predicate)
     return 0.0 if lp == NEG_INF else math.exp(lp)

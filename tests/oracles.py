@@ -12,9 +12,12 @@ proportional fitting (IPF) on the full matrix with its Hall enumeration, an
 independent solver for the library's Newton solve at kappa = 1, and
 `coupling_objective` builds the partial minimum g on it for the grid
 oracle. `log_accept_probs_at_mu` is the exact engine's pass at one mu,
-which the engine's one pass for a whole mu grid replaced. Tests compare the
-library against them on small inputs; nothing in the package imports this
-module.
+which the engine's one pass for a whole mu grid replaced. The `*_rows`
+functions are the row path that the band walk of `typesum` replaced: each
+block of the lattice materialized as a `(rows, d)` count array, every
+logarithm taken per type, and the letters summed by numpy's
+`sum(axis=-1)`. Tests compare the library against them on small inputs;
+nothing in the package imports this module.
 """
 
 import itertools
@@ -24,6 +27,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
+from covertdht import covertness as cov
 from covertdht import simulation as sim
 from covertdht import typesum
 from covertdht.errors import Infeasible, NoConvergence
@@ -222,6 +226,99 @@ def log_accept_probs_at_mu(cfg, p_uv, q_uv, dmc, n, pbar):
             lp = typesum.log_type_class_prob(counts, joint.probs.ravel())
             out.append(typesum.logsumexp(lp[accept] + factor))
     return min(typesum.logsumexp(logs[0]), 0.0), min(typesum.logsumexp(logs[1]), 0.0)
+
+
+def kl_rows_rows(t, q):
+    """D(t || q) over the last axis of `t` with numpy's letter sum; +inf off
+    the support of q."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = t * np.log(t / q)
+    return np.maximum(np.where(t > 0.0, terms, 0.0).sum(axis=-1), 0.0)
+
+
+def log_type_class_prob_rows(counts, p):
+    """log Pr[type = counts/n] over the last axis of `counts`, with numpy's
+    letter sums; -inf on impossible types."""
+    counts = np.asarray(counts)
+    n = counts.sum(axis=-1)
+    log_fact = typesum._log_factorials(int(n.max(initial=0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(counts == 0, 0.0, counts * np.log(p))
+    return log_fact[n] - log_fact[counts].sum(axis=-1) + log_p.sum(axis=-1)
+
+
+def log_prob_type_events_rows(p, n, predicates):
+    """log Pr[type(X^n) satisfies predicate] for each predicate on `(rows,
+    d)` arrays of types counts/n, one walk of the materialized blocks."""
+    typesum.check_enumerable(n, p.alphabet.size)
+    parts = [[] for _ in predicates]
+    for counts in typesum.type_blocks(n, p.alphabet.size):
+        t = counts / n
+        masks = [predicate(t) for predicate in predicates]
+        held = np.logical_or.reduce(masks)
+        lp = log_type_class_prob_rows(counts[held], p.probs)
+        for part, mask in zip(parts, masks):
+            part.append(typesum.logsumexp(lp[mask[held]]))
+    return [min(typesum.logsumexp(part), 0.0) for part in parts]
+
+
+def transmit_probability_rows(cfg, p_u, n, pbar=None):
+    """delta_n on the row path: the encoder rule of `cfg` on each block of U
+    types (scheme A: atypical; scheme B: D(t || P_U) >= tau)."""
+    if cfg.scheme == "A":
+        def fires(t):
+            return ~typical(t, p_u.probs, cfg.mu)
+    else:
+        def fires(t):
+            return kl_rows_rows(t, p_u.probs) >= pbar.tau_nats
+    lp = log_prob_type_events_rows(p_u, n, [fires])[0]
+    return 0.0 if lp == NEG_INF else math.exp(lp)
+
+
+def log_prob_y_typical_rows(dmc, x_symbol, n, mus):
+    """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant] at
+    each mu, on the row path."""
+    ref = dmc.y_row(dmc.zero_symbol).probs
+    return log_prob_type_events_rows(dmc.y_row(x_symbol), n,
+                                     [lambda t, mu=mu: typical(t, ref, mu) for mu in mus])
+
+
+def mix_term_rows(t):
+    """(1+t) log1p(t) - t, with the series near 0, both branches computed on
+    every entry."""
+    t = np.asarray(t, dtype=float)
+    series = t * t * (0.5 + t * (-1.0 / 6.0 + t / 12.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xlog1py = np.where(t == -1.0, 0.0, (1.0 + t) * np.log1p(t))
+    return np.where(np.abs(t) < 1e-4, series, xlog1py - t)
+
+
+def warden_divergence_rows(g0, g1, delta, n):
+    """`covertness.warden_divergence` on the row path: the exact divergence
+    and both bounds, every term computed for every type of each block."""
+    quad = delta * delta * cov.chi_squared_product(g0, g1, n)
+    typesum.check_enumerable(n, g0.alphabet.size, "warden divergence")
+    mixed = delta > 0.0 and not np.array_equal(g0.probs, g1.probs)
+    log_ratio = np.full(g0.alphabet.size, NEG_INF)
+    mask = g1.probs > 0.0
+    log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
+    log_delta = math.log(delta) if mixed else NEG_INF
+    total, best = 0.0, NEG_INF
+    for counts in typesum.type_blocks(n, g0.alphabet.size):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
+            if mixed:
+                lp0 = log_type_class_prob_rows(counts, g0.probs)
+                p0 = np.exp(lp0)
+                lt = log_delta + ell
+                huge = p0 * lt + delta * (np.exp(lp0 + ell) - p0) * (lt - 1.0)
+                terms = np.where(ell <= 500.0, p0 * mix_term_rows(delta * np.expm1(ell)), huge)
+                total += float(terms.sum())
+            log_terms = -n * kl_rows_rows(counts / n, g0.probs) + 2.0 * (
+                np.maximum(ell, 0.0) + np.log(-np.expm1(-np.abs(ell))))
+        best = max(best, float(log_terms.max()))
+    return max(total, 0.0), quad, (n + 1) ** g0.alphabet.size * math.exp(best)
 
 
 def simplex_grid(dim, step):

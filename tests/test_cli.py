@@ -282,6 +282,22 @@ class TestSimulate:
         line = f"mu=0.02: mean input weight fraction under the null {mean_w:.3e}"
         assert line in capsys.readouterr().err.splitlines()
 
+    def test_fit_takes_each_distinct_cell_once_in_order_of_n(self, tmp_path, capsys):
+        # a repeated mu and a repeated, unsorted n give the fit and the mean
+        # weight of the grid with each (mu, n) cell once, n ascending
+        data = json.loads((GOLDEN / "simulate-scheme-a.json").read_text())
+        lines = {}
+        for mus, ns in (([0.12, 0.12], [36, 12, 24, 12]), ([0.12], [12, 24, 36])):
+            data["sweep"].update(mu_grid=mus, n_grid=ns)
+            assert main(["simulate", write_config(tmp_path, data)]) == 0
+            lines[len(ns)] = capsys.readouterr().err.splitlines()
+        assert lines[4] == lines[3] == [
+            "mu=0.12: exponent trend slope 0.2874 bits/use, "
+            "per-n exponents [0.5738, 0.4719, 0.3829]",
+            "mu=0.12: per-n exponent sequence is decreasing",
+            "mu=0.12: mean input weight fraction under the null 5.599e-02",
+        ]
+
     def test_underflowed_beta_is_fitted_from_its_log(self, tmp_path, capsys):
         # exact beta_n underflows to 0.0 at these n; the exponent fit takes
         # the cell's exact log beta, so the sweep ends with its trend line
@@ -428,6 +444,28 @@ class TestSimulateGolden:
         assert all(line.startswith("mu=") for line in lines[4:])
 
 
+class TestVerifyCovertnessGolden:
+    """`verify-covertness` prints the bytes stored under tests/golden/ on its
+    stdout and stderr: the benchmark's |U| = |Z| = 3 sweep and the worked
+    example's default sweep."""
+
+    CONFIGS = {
+        "covert-sweep-b": REPO / "perfbench" / "workloads" / "covert-sweep-b.json",
+        "example": GOLDEN / "verify-covertness-example.json",
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_output_is_the_golden_bytes(self, name):
+        code, out, err = run_cli("verify-covertness", str(self.CONFIGS[name]))
+        assert code == 0, err
+        assert out == (GOLDEN / f"verify-covertness-{name}.out").read_text()
+        assert err == (GOLDEN / f"verify-covertness-{name}.err").read_text()
+
+    def test_example_config_is_the_built_in_one(self):
+        data = json.loads(self.CONFIGS["example"].read_text())
+        assert data == json.loads(json.dumps(EXAMPLE_CONFIG))
+
+
 class TestVerifyCovertness:
     def test_scheme_b_sweep(self, tmp_path, capsys):
         out_path = tmp_path / "cov.csv"
@@ -503,18 +541,18 @@ class TestVerifyCovertness:
 
     def test_one_warden_lattice_walk_per_cell(self, tmp_path, monkeypatch):
         # the benchmark's covert-sweep-b config: |U| = |Z| = 3, three cells;
-        # each cell walks the U lattice once for delta_n and the Z lattice
-        # once for d_n and both bounds
+        # each cell walks the bands of the U lattice once for delta_n and
+        # those of the Z lattice once for d_n and both bounds
         walks = {"covertness": 0, "typesum": 0}
 
-        def counting(module, blocks):
+        def counting(module, bands):
             def wrapped(n, dim):
                 walks[module] += 1
-                return blocks(n, dim)
+                return bands(n, dim)
             return wrapped
 
-        monkeypatch.setattr(cov, "type_blocks", counting("covertness", cov.type_blocks))
-        monkeypatch.setattr(typesum, "type_blocks", counting("typesum", typesum.type_blocks))
+        monkeypatch.setattr(cov, "type_bands", counting("covertness", cov.type_bands))
+        monkeypatch.setattr(typesum, "type_bands", counting("typesum", typesum.type_bands))
         data = copy.deepcopy(TERNARY_CONFIG)
         data["sweep"] = {"n_grid": [80, 160, 240]}
         data["output"] = {"path": str(tmp_path / "cov.csv"), "format": "csv"}

@@ -269,8 +269,10 @@ class TestExactEngine:
         # Pr[Y^n typical] per codeword depends on neither hypothesis: one
         # enumeration per codeword and n serves alpha and beta at every mu
         # of the grid, and an n the joint lattice cap refuses enumerates none
+        # (every walk goes through typesum.type_bands: the joint engine's
+        # materialized blocks are its bands)
         calls, walks = [], []
-        y_typical, blocks = sim._log_prob_y_typical, typesum.type_blocks
+        y_typical, bands = sim._log_prob_y_typical, typesum.type_bands
 
         def counted(dmc, x_symbol, n, mus):
             calls.append((x_symbol, n, tuple(mus)))
@@ -278,11 +280,10 @@ class TestExactEngine:
 
         def walked(n, dim):
             walks.append((n, dim))
-            return blocks(n, dim)
+            return bands(n, dim)
 
         monkeypatch.setattr(sim, "_log_prob_y_typical", counted)
-        monkeypatch.setattr(sim, "type_blocks", walked)
-        monkeypatch.setattr(typesum, "type_blocks", walked)
+        monkeypatch.setattr(typesum, "type_bands", walked)
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
         mus = (0.2, 0.1, 0.3)
@@ -839,3 +840,15 @@ class TestEmpiricalExponent:
     def test_non_monotone_flagged(self):
         fit = sim.empirical_exponent([10, 20, 30], betas=[1e-3, 1e-4, 1e-4])
         assert not fit.monotone_increasing
+
+    @pytest.mark.parametrize("exponents, direction", [
+        ([0.3, 0.4, 0.4], "increasing"),
+        ([0.9, 0.6, 0.5], "decreasing"),
+        ([0.5, 0.5, 0.4], "decreasing"),
+        ([0.3, 0.5, 0.4], "not monotone"),
+    ])
+    def test_direction_names_the_trend(self, exponents, direction):
+        ns = [10, 20, 30]
+        fit = sim.empirical_exponent(ns, log_betas=[-e * n * math.log(2) for e, n in zip(exponents, ns)])
+        assert fit.direction == direction
+        assert fit.monotone_increasing == (direction == "increasing")
