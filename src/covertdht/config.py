@@ -160,6 +160,8 @@ class ExperimentConfig:
         if not (isinstance(sw["n_grid"], list)
                 and all(_is_number(n, int) and n >= 1 for n in sw["n_grid"])):
             raise ConfigError("sweep.n_grid: blocklengths must be positive integers")
+        if not sw["n_grid"]:  # a sweep of no cell would write a bare header
+            raise ConfigError("sweep.n_grid: must list at least one blocklength")
         # JSON Infinity loads as a float, and NaN compares false with both ends
         if not (isinstance(sw["mu_grid"], list)
                 and all(_is_number(mu) and 0 < mu < math.inf for mu in sw["mu_grid"])):

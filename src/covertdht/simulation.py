@@ -20,12 +20,14 @@ Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
 types alone and never on symbol sequences. The encoder rule is written once,
 in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``), and so
-is the V test, in ``_v_typical``. The exact engine calls both on the marginal
-counts of each block of enumerated joint types; the Monte Carlo engine calls
-them on sampled U and V counts. The Y test goes through
-``probability.typical`` in both.
+is the V test's per-letter condition, ``probability.typical_letters``. The
+Monte Carlo engine calls ``_transmits`` and ``_v_typical`` on sampled U and V
+counts. The exact engine walks the bands of joint types of ``typesum``: a
+band row fixes T_U, so ``_transmits`` decides each row once, and the V test
+reads a table of ``typical_letters`` on the counts 0..n at each type's V
+counts. The Y test goes through ``probability.typical`` in both.
 ``transmit_probability`` sums the same rule over the U types alone: delta_n.
-Its predicates, and the Y test behind each codeword's Y factor, run on the
+Its predicates, and the Y test behind the codewords' Y factors, run on the
 bands of ``typesum``'s lattice walk: ``typical`` and ``kl_rows`` reduce
 per-letter tables there, with the kernels they apply to sampled counts.
 Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
@@ -34,12 +36,13 @@ underflows), built by one helper that also derives the weight statistics
 from the firing probability (delta_n, or its sampled frequency).
 
 The exact engine works on a whole mu grid at one n: none of its lattice
-walks depends on mu. It enumerates the joint types once, computes each
-block's class log-probabilities under each law once, and decides the block
-at each mu with the same predicates; each codeword's Y lattice is walked
-once for every mu, and scheme B's delta_n, whose threshold test does not
-read mu, is summed once. Each mu's sums are the same floating-point
-operations, in the same order, as a pass at that mu alone.
+walks depends on mu. It walks the joint types once, computes each band's
+class log-probabilities under each law once, and decides the band at each
+mu with the same predicates; one walk of the Y lattice serves both
+codewords and every mu, and scheme B's delta_n, whose threshold test does
+not read mu, is summed once. Each mu's sums are the same floating-point
+operations, in the same order and over the same band partition, as a pass
+at that mu alone on materialized blocks.
 
 The Monte Carlo engine, ``run_trials``, draws the pair (T_U, T_V), not the
 joint type, in one of two orders that give the same joint law by the chain
@@ -79,7 +82,7 @@ import numpy as np
 from .channel import Dmc
 from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
-from .probability import LN2, JointPmf, Pmf, typical
+from .probability import LN2, JointPmf, Pmf, typical, typical_letters
 from .typesum import (
     NEG_INF,
     check_enumerable,
@@ -88,7 +91,7 @@ from .typesum import (
     log_sequence_prob,
     logsumexp,
     prob_type_event,
-    type_blocks,
+    type_bands,
 )
 
 logger = logging.getLogger(__name__)
@@ -157,11 +160,15 @@ class SchemeConfig:
                 raise ConfigMismatch("x1 must differ from the zero symbol")
 
 
-def _log_prob_y_typical(dmc: Dmc, x_symbol, n: int, mus: Sequence[float]) -> list[float]:
+def _log_prob_y_typical(
+    dmc: Dmc, x_symbols: Sequence, n: int, mus: Sequence[float]
+) -> list[list[float]]:
     """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant], for
-    each mu of ``mus``, from one walk of the Y lattice."""
+    each codeword symbol of ``x_symbols`` and each mu of ``mus``, indexed
+    [symbol][mu], from one walk of the Y lattice: the mu-box masks do not
+    depend on the codeword."""
     ref = dmc.y_row(dmc.zero_symbol).probs
-    return log_prob_type_events(dmc.y_row(x_symbol), n,
+    return log_prob_type_events([dmc.y_row(x) for x in x_symbols], n,
                                 [lambda t, mu=mu: typical(t, ref, mu) for mu in mus])
 
 
@@ -201,45 +208,66 @@ def _log_accept_probs(
     pbar: PbarSet | None,
 ) -> list[tuple[float, float]]:
     """log Pr[decide 0] under the null and under the alternative, for each
-    config of ``cfgs`` (one scheme at several mu), in one pass over the joint
-    source types.
+    config of ``cfgs`` (one scheme at several mu), in one walk of the bands
+    of joint source types.
 
-    The class log-probabilities of a block of types, under each law, and its
-    marginal counts serve every mu; the predicates ``_transmits`` and
-    ``_v_typical`` then decide the block at each mu. Scheme B's threshold
-    test does not read mu, so its decisions are made once per block. The
+    A band's class log-probabilities come from its count tables, the log
+    multinomial coefficients once and the sequence log-probabilities once
+    per law, and serve every mu. Both encoders read only T_U, and a band
+    row, which fixes the first |U||V| - 2 cells, fixes T_U where |V| >= 2:
+    its last two cells share the last U letter. So ``_transmits`` decides
+    each row once (scheme B's threshold test does not read mu) or once per
+    row and mu (scheme A), and its decision is read at each type's row.
+    The V test reads a per-mu table of ``typical_letters`` on the counts
+    0..n: a row's partial V counts fix the head letters, and the last two
+    letters add j and c_{d-1}. With |V| = 1 the joint type is T_U, and the
+    encoder rule takes the band, as ``transmit_probability`` does. The
     per-type acceptance factor depends only on which constant codeword the
-    encoder emits, not on the source law, so the two factors and each type's
-    decisions serve both laws; scheme B's factors come from one walk of each
-    codeword's Y lattice for every mu. Scheme A's burst symbol never emits
-    the marker (``validate_against``), so an active type is never accepted.
-    The marginal types are integer count sums divided by n, so enumerated
-    and sampled counts meet the closed typicality boundary at the same place.
+    encoder emits, not on the source law, so the two factors and each
+    type's decisions serve both laws; scheme B's factors come from one walk
+    of the Y lattice for both codewords and every mu. Scheme A's burst
+    symbol never emits the marker (``validate_against``), so an active type
+    is never accepted. Every test reads integer counts divided by n, so
+    enumerated and sampled counts meet the closed typicality boundary at
+    the same place.
     """
     cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
-    cells = p_u.alphabet.size * p_v.alphabet.size
-    check_enumerable(n, cells, "joint source type enumeration")
+    du, dv = p_u.alphabet.size, p_v.alphabet.size
+    check_enumerable(n, du * dv, "joint source type enumeration")
     if cfg.scheme == "B":
-        mus = [c.mu for c in cfgs]
-        factors = list(zip(_log_prob_y_typical(dmc, dmc.zero_symbol, n, mus),
-                           _log_prob_y_typical(dmc, cfg.x1, n, mus)))
+        factors = list(zip(*_log_prob_y_typical(dmc, (dmc.zero_symbol, cfg.x1), n,
+                                                [c.mu for c in cfgs])))
     else:
         p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
         log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
         factors = [(log_silent, NEG_INF)] * len(cfgs)
+    v_tables = [typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, c.mu) for c in cfgs]
+    laws = [joint.probs.ravel() for joint in (p_uv, q_uv)]
     logs = [([], []) for _ in cfgs]
-    for counts in type_blocks(n, cells):
-        mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
-        t_u, c_v = mat.sum(axis=2) / n, mat.sum(axis=1)
-        log_coef = log_multinomial(counts)
-        lps = [log_coef + log_sequence_prob(counts, joint.probs.ravel()) for joint in (p_uv, q_uv)]
+    for band in type_bands(n, du * dv):
+        log_coef = log_multinomial(band)
+        lps = [log_coef + log_sequence_prob(band, law) for law in laws]
+        if dv == 1:  # the joint type is T_U, and T_V = (1)
+            t_u, row = band, slice(None)
+        else:
+            heads, rest, row, j, last = band.rows()
+            cells = np.zeros((len(rest), du, dv), dtype=np.int64)
+            cells.reshape(len(rest), -1)[:, :-2] = heads
+            c_u, c_v = cells.sum(axis=2), cells.sum(axis=1)  # c_v: the partial V counts
+            c_u[:, -1] += rest
+            t_u, v_j, v_last = c_u / n, c_v[row, -2] + j, c_v[row, -1] + last
         if cfg.scheme == "B":
-            active = _transmits(cfg, t_u, p_u, pbar)
-        for c, (log_silent, log_active), out in zip(cfgs, factors, logs):
+            active = _transmits(cfg, t_u, p_u, pbar)[row]
+        for c, table, (log_silent, log_active), out in zip(cfgs, v_tables, factors, logs):
             if cfg.scheme == "A":
-                active = _transmits(c, t_u, p_u, pbar)
-            accept = _v_typical(c, c_v, p_v, n)
+                active = _transmits(c, t_u, p_u, pbar)[row]
+            if dv == 1:
+                accept = np.full(len(band), table[n, 0])
+            else:
+                accept = table[v_j, -2] & table[v_last, -1]
+                if dv > 2:
+                    accept &= table[c_v[:, :-2], np.arange(dv - 2)].all(axis=1)[row]
             factor = np.where(active[accept], log_active, log_silent)
             for part, lp in zip(out, lps):
                 part.append(logsumexp(lp[accept] + factor))
@@ -259,10 +287,10 @@ def exact_error_probs(
     the weight statistics of delta_n: the record of the cell of ``cfg`` at
     each mu of ``mus``, in that order (``cfg.mu`` itself is not read).
 
-    One walk of the joint-type lattice, and of each codeword's Y lattice,
-    serves the whole mu grid (``_log_accept_probs``). Scheme B's delta_n does
-    not depend on mu and is summed once; scheme A's encoder reads mu, so its
-    delta_n is summed at each mu. Feasible for small alphabets only; raises
+    One walk of the joint-type lattice, and one of the Y lattice for both
+    codewords, serves the whole mu grid (``_log_accept_probs``). Scheme B's
+    delta_n does not depend on mu and is summed once; scheme A's encoder
+    reads mu, so its delta_n is summed at each mu. Feasible for small alphabets only; raises
     AlphabetTooLarge otherwise, directing the caller to Monte Carlo.
     """
     if not mus:

@@ -18,11 +18,14 @@ terms (c/n) log((c/n)/q_z), c log(G1_z/G0_z) and the mu-box |c/n - ref_z|
 <= mu. A band looks each letter's count up in its table, built once per walk
 by the same elementwise kernel the row path applies to a ``(rows, d)``
 array, so the exact sums take no logarithm per type and decide every tie as
-the row path and Monte Carlo do. :func:`type_blocks` yields the same bands
-materialized as ``(rows, d)`` count arrays, for the joint-type engine.
+the row path and Monte Carlo do. A quantity constant along a band row is
+computed once per row and read at each type's row (:meth:`Band.rows`): the
+joint-type engine decides T_U that way. :func:`type_blocks` yields the same
+bands materialized as ``(rows, d)`` count arrays.
 
 Class log-probabilities and event predicates are evaluated a band at a
-time, and several events can share one walk (:func:`log_prob_type_events`).
+time, and several events under several laws over one alphabet can share
+one walk (:func:`log_prob_type_events`).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -95,7 +98,7 @@ class Band:
         self.n, self.dim = n, dim
         self._tables = tables
         sizes = hi - lo + 1
-        self._heads = heads
+        self._heads, self._rest = heads, rest
         self._row = np.repeat(np.arange(len(rest)), sizes)
         self._j = np.arange(len(self._row)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
         self._last = rest[self._row] - self._j
@@ -108,6 +111,14 @@ class Band:
         if self.dim == 1:
             return self._last[:, None]
         return np.column_stack((self._heads[self._row], self._j, self._last))
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The band by rows: ``(heads, rest, row, j, last)``. Row r fixes the
+        counts ``heads[r]`` of the first d - 2 letters and leaves ``rest[r]``
+        for the last two; type i lies in row ``row[i]``, with c_{d-2} =
+        ``j[i]`` and c_{d-1} = ``last[i]``. A quantity that depends on a type
+        only through its row is computed once per row and read at ``row``."""
+        return self._heads, self._rest, self._row, self._j, self._last
 
     def __array__(self, dtype=None, copy=None):
         t = self.counts() / self.n
@@ -322,24 +333,31 @@ def log_prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray])
     The predicate maps a band of types (:class:`Band`, standing for the
     ``(rows, d)`` array of types counts/n) to a boolean mask over its types.
     """
-    return log_prob_type_events(p, n, [predicate])[0]
+    return log_prob_type_events([p], n, [predicate])[0][0]
 
 
 def log_prob_type_events(
-    p: Pmf, n: int, predicates: Sequence[Callable[[Band], np.ndarray]]
-) -> list[float]:
-    """``log_prob_type_event`` for each of ``predicates``, from one walk of
-    the lattice: a band's class log-probabilities are computed once, on the
-    types that some predicate holds for, and serve every predicate."""
-    check_enumerable(n, p.alphabet.size)
-    parts = [[] for _ in predicates]
-    for band in type_bands(n, p.alphabet.size):
+    laws: Sequence[Pmf], n: int, predicates: Sequence[Callable[[Band], np.ndarray]]
+) -> list[list[float]]:
+    """``log_prob_type_event`` for each of ``laws`` (pmfs over one alphabet)
+    and each of ``predicates``, indexed [law][predicate], from one walk of
+    the lattice: a band's masks and the log multinomial coefficients of the
+    types that some predicate holds for are computed once and serve every
+    law, which adds only its sequence log-probabilities."""
+    dim = laws[0].alphabet.size
+    check_enumerable(n, dim)
+    parts = [[[] for _ in predicates] for _ in laws]
+    for band in type_bands(n, dim):
         masks = [predicate(band) for predicate in predicates]
         held = np.logical_or.reduce(masks)
-        lp = log_type_class_prob(band if held.all() else band.subset(held), p.probs)
-        for part, mask in zip(parts, masks):
-            part.append(logsumexp(lp[mask[held]]))
-    return [min(logsumexp(part), 0.0) for part in parts]
+        types = band if held.all() else band.subset(held)
+        picks = [mask[held] for mask in masks]
+        log_coef = log_multinomial(types)
+        for law_parts, p in zip(parts, laws):
+            lp = log_coef + log_sequence_prob(types, p.probs)
+            for part, pick in zip(law_parts, picks):
+                part.append(logsumexp(lp[pick]))
+    return [[min(logsumexp(part), 0.0) for part in law_parts] for law_parts in parts]
 
 
 def prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:

@@ -74,6 +74,13 @@ def test_letter_sums_equal_row_sums(monkeypatch, block_rows, n, d):
         counts = band.counts()
         assert counts.dtype == np.int64 and counts.shape == (len(band), d)
         seen.append(counts)
+        # by rows: the heads of each type's row, then j and the last count
+        heads, rest, row, j, last = band.rows()
+        lead = max(d - 2, 0)
+        np.testing.assert_array_equal(heads[row], counts[:, :lead])
+        np.testing.assert_array_equal(np.column_stack((j, last))[:, -min(d, 2):],
+                                      counts[:, lead:])
+        np.testing.assert_array_equal(rest[row], j + last)
         t = counts / n
         _same_bits(np.asarray(band), t)
         log_fact = typesum._log_factorials(n)
@@ -172,10 +179,13 @@ Y_DMC = Dmc(
 def test_y_factors_equal_row_path(block_rows):
     # the zero row has a zero letter; 0.125 is a box edge at n = 8 and 40
     mus = [0.125, 0.05, 0.3, 0.125, 1.0]
-    for x in ("0", "1", "2"):
-        for n in (1, 7, 8, 40):
-            assert sim._log_prob_y_typical(Y_DMC, x, n, mus) == \
-                oracles.log_prob_y_typical_rows(Y_DMC, x, n, mus)
+    for n in (1, 7, 8, 40):
+        # one walk serves the three codewords, as each would alone
+        assert sim._log_prob_y_typical(Y_DMC, ("0", "1", "2"), n, mus) == \
+            [oracles.log_prob_y_typical_rows(Y_DMC, x, n, mus) for x in ("0", "1", "2")]
+        for x in ("0", "1", "2"):
+            assert sim._log_prob_y_typical(Y_DMC, (x,), n, mus) == \
+                [oracles.log_prob_y_typical_rows(Y_DMC, x, n, mus)]
 
 
 AB = Alphabet(("a", "b"))

@@ -368,12 +368,15 @@ class TestSimulate:
         ({"mu_grid": [0.08, -0.1]}, "sweep.mu_grid"),
         ({"trials": "many", "n_grid": [400]}, "sweep.trials"),
         ({"seed": -3, "trials": 100}, "sweep.seed"),
+        ({"n_grid": []}, "sweep.n_grid"),
     ])
     def test_bad_sweep_field_exit_code(self, tmp_path, capsys, sweep, field):
         data = copy.deepcopy(EXAMPLE_CONFIG)
         data["sweep"].update(sweep)
-        assert main(["simulate", write_config(tmp_path, data)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field}:")
+        path = write_config(tmp_path, data)
+        for command in ("simulate", "verify-covertness"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {field}:")
 
     @pytest.mark.parametrize("section, value, field", [
         ("sweep", {"mu_grid": [math.inf, 0.1], "n_grid": [10]}, "sweep.mu_grid"),
@@ -412,13 +415,16 @@ def run_cli(*argv):
 class TestSimulateGolden:
     """`simulate` prints the bytes stored under tests/golden/ on its stdout
     and stderr: the benchmark's exact two-mu sweep, an exact scheme-A sweep
-    over an unsorted mu grid with a repeat, and a two-mu sweep whose n-grid
-    mixes exact cells with cells the joint-type cap sends to Monte Carlo."""
+    over an unsorted mu grid with a repeat, a two-mu sweep whose n-grid
+    mixes exact cells with cells the joint-type cap sends to Monte Carlo,
+    and an exact scheme-B sweep of 3x2 sources (six joint cells; at n = 8,
+    mu = 0.05 no output type is typical, so alpha = 1 and beta = 0)."""
 
     CONFIGS = {
         "exact-sweep-b": REPO / "perfbench" / "workloads" / "exact-sweep-b.json",
         "scheme-a": GOLDEN / "simulate-scheme-a.json",
         "mixed-fallback": GOLDEN / "simulate-mixed-fallback.json",
+        "3x2": GOLDEN / "simulate-3x2.json",
     }
 
     @pytest.mark.parametrize("name", CONFIGS)

@@ -73,6 +73,8 @@ def test_bad_n_grid():
         ExperimentConfig.from_dict(variant(sweep__n_grid=[40.5]))
     with pytest.raises(ConfigError, match="n_grid"):
         ExperimentConfig.from_dict(variant(sweep__n_grid=[40, True]))
+    with pytest.raises(ConfigError, match="sweep.n_grid"):
+        ExperimentConfig.from_dict(variant(sweep__n_grid=[]))
 
 
 @pytest.mark.parametrize("grid", [[0.08, -0.1], [0.0], ["0.1"], [True], 0.1,

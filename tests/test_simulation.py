@@ -266,17 +266,17 @@ class TestExactEngine:
         assert beta == pytest.approx(want_b, rel=1e-10)
 
     def test_output_typicality_once_per_cell(self, example_dmc, monkeypatch):
-        # Pr[Y^n typical] per codeword depends on neither hypothesis: one
-        # enumeration per codeword and n serves alpha and beta at every mu
-        # of the grid, and an n the joint lattice cap refuses enumerates none
-        # (every walk goes through typesum.type_bands: the joint engine's
-        # materialized blocks are its bands)
+        # Pr[Y^n typical] per codeword depends on neither hypothesis, and the
+        # mu-box masks not on the codeword: one walk of the Y lattice per n
+        # serves both codewords, alpha and beta at every mu of the grid, and
+        # an n the joint lattice cap refuses walks nothing (every walk goes
+        # through typesum.type_bands, the joint engine's too)
         calls, walks = [], []
         y_typical, bands = sim._log_prob_y_typical, typesum.type_bands
 
-        def counted(dmc, x_symbol, n, mus):
-            calls.append((x_symbol, n, tuple(mus)))
-            return y_typical(dmc, x_symbol, n, mus)
+        def counted(dmc, x_symbols, n, mus):
+            calls.append((tuple(x_symbols), n, tuple(mus)))
+            return y_typical(dmc, x_symbols, n, mus)
 
         def walked(n, dim):
             walks.append((n, dim))
@@ -284,15 +284,16 @@ class TestExactEngine:
 
         monkeypatch.setattr(sim, "_log_prob_y_typical", counted)
         monkeypatch.setattr(typesum, "type_bands", walked)
+        monkeypatch.setattr(sim, "type_bands", walked)
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
         mus = (0.2, 0.1, 0.3)
         for n in (6, 8):
             sim.exact_error_probs(cfg, mus, P_UV, Q_UV, example_dmc, n, pbar)
-        assert sorted(calls) == [(x, n, mus) for x in "01" for n in (6, 8)]
-        # per n, the joint lattice (4 cells) and three binary lattices: the
-        # two codewords' Y lattices and the U lattice of delta_n
-        assert sorted(walks) == [(n, dim) for n in (6, 8) for dim in (2, 2, 2, 4)]
+        assert sorted(calls) == [(("0", "1"), n, mus) for n in (6, 8)]
+        # per n, the U lattice of delta_n, the Y lattice (both binary) and
+        # the joint lattice (4 cells)
+        assert sorted(walks) == [(n, dim) for n in (6, 8) for dim in (2, 2, 4)]
         calls.clear()
         walks.clear()
         with pytest.raises(AlphabetTooLarge):
@@ -346,15 +347,21 @@ def _source_pair(du, dv, seed):
     return JointPmf(u, v, p), JointPmf(u, v, (q / q.sum()).reshape(du, dv))
 
 
+def _small_ns(du, dv):
+    """The blocklengths of the engine-against-oracle comparisons: up to 11,
+    or 8 over 3x3 sources (12,870 joint types; 75,582 at n = 11)."""
+    return (1, 5, 8) if du * dv > 6 else (1, 5, 11)
+
+
 class TestExactEngineAgainstLoop:
     """The batched exact engine against the per-type loop it replaced, at
-    2, 3 and 4 joint source cells and 2, 3 and 4 decision-center outputs."""
+    2 to 9 joint source cells and 2, 3 and 4 decision-center outputs."""
 
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):
         monkeypatch.setattr(typesum, "BLOCK_ROWS", 16)  # several blocks per sum
 
-    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("y_size", [2, 3, 4])
     def test_scheme_b(self, du, dv, y_size):
         dmc = _dmc_with_outputs(y_size)
@@ -362,7 +369,7 @@ class TestExactEngineAgainstLoop:
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
         self._compare(cfg, dmc, du, dv, pbar)
 
-    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_scheme_a(self, partial_dmc, du, dv):
         cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
         self._compare(cfg, partial_dmc, du, dv, None)
@@ -371,7 +378,7 @@ class TestExactEngineAgainstLoop:
         p_uv, q_uv = _source_pair(du, dv, seed=du * 10 + dv)
         p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
         tau = pbar.tau_nats if pbar is not None else None
-        for n in (1, 5, 11):
+        for n in _small_ns(du, dv):
             (want_h0, p_active), (want_h1, _) = (
                 oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
                 for law in (p_uv, q_uv)
@@ -407,19 +414,37 @@ class TestMuGrid:
     def _small_blocks(self, monkeypatch):
         monkeypatch.setattr(typesum, "BLOCK_ROWS", 16)  # several blocks per sum
 
-    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("y_size", [2, 3])
     def test_scheme_b(self, du, dv, y_size):
         dmc = _dmc_with_outputs(y_size)
         pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=dmc.z_row("1"))
         cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
-        self._compare(cfg, dmc, *_source_pair(du, dv, seed=du * 10 + dv), (1, 5, 11), pbar)
+        self._compare(cfg, dmc, *_source_pair(du, dv, seed=du * 10 + dv), _small_ns(du, dv),
+                      pbar)
 
-    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("du, dv", [(2, 1), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_scheme_a(self, partial_dmc, du, dv):
         cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
-        self._compare(cfg, partial_dmc, *_source_pair(du, dv, seed=du * 10 + dv), (1, 5, 11),
-                      None)
+        self._compare(cfg, partial_dmc, *_source_pair(du, dv, seed=du * 10 + dv),
+                      _small_ns(du, dv), None)
+
+    @pytest.mark.parametrize("du, dv", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_rows_cut_across_bands(self, partial_dmc, monkeypatch, du, dv, scheme):
+        # at n = 9 > BLOCK_ROWS - 1 each band row's j range is cut, so the
+        # decisions of one row serve types of two bands (2x2 sources meet
+        # this in test_exact_sweep_b_sources)
+        monkeypatch.setattr(typesum, "BLOCK_ROWS", 8)
+        if scheme == "B":
+            dmc = _dmc_with_outputs(3)
+            pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=dmc.z_row("1"))
+            cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+        else:
+            dmc, pbar = partial_dmc, None
+            cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+        assert any(band.rows()[3][0] > 0 for band in typesum.type_bands(9, du * dv))
+        self._compare(cfg, dmc, *_source_pair(du, dv, seed=du * 10 + dv), (5, 9), pbar)
 
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_exact_sweep_b_sources(self, partial_dmc, scheme):
