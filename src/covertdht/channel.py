@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .probability import Alphabet, Pmf
+from .probability import Alphabet, Pmf, cached_method
 
 #: Absolute tolerance for "row equals mixture" feasibility. Exact zeros in
 #: channel matrices are compared exactly: matrices are model inputs, not
@@ -51,20 +51,10 @@ class Dmc:
     zero_symbol: object = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "y_given_x",
-            _check_row_stochastic(
-                self.y_given_x, self.input_alphabet.size, self.y_alphabet.size, "y_given_x"
-            ),
-        )
-        object.__setattr__(
-            self,
-            "z_given_x",
-            _check_row_stochastic(
-                self.z_given_x, self.input_alphabet.size, self.z_alphabet.size, "z_given_x"
-            ),
-        )
+        for name, out in (("y_given_x", self.y_alphabet), ("z_given_x", self.z_alphabet)):
+            mat = _check_row_stochastic(getattr(self, name), self.input_alphabet.size,
+                                        out.size, name)
+            object.__setattr__(self, name, mat)
         # raises KeyError if the zero symbol is missing
         self.input_alphabet.index(self.zero_symbol)
 
@@ -72,10 +62,12 @@ class Dmc:
     def zero_index(self) -> int:
         return self.input_alphabet.index(self.zero_symbol)
 
+    @cached_method
     def y_row(self, x) -> Pmf:
         """Output pmf of the decision-center channel for input symbol x."""
         return Pmf(self.y_alphabet, self.y_given_x[self.input_alphabet.index(x)])
 
+    @cached_method
     def z_row(self, x) -> Pmf:
         """Output pmf of the warden channel for input symbol x."""
         return Pmf(self.z_alphabet, self.z_given_x[self.input_alphabet.index(x)])
@@ -160,15 +152,16 @@ def _mixture_witness(dmc: Dmc) -> np.ndarray | None:
     return None
 
 
-def _support_inclusion(mat: np.ndarray, zero_index: int) -> tuple[int, int] | None:
-    """First (row, col) with mat[row, col] > 0 but mat[zero, col] == 0, or None."""
-    zero_supp = mat[zero_index] > 0.0
+def _support_inclusion(dmc: Dmc, mat: np.ndarray, out: Alphabet) -> tuple | None:
+    """The first (input symbol, output symbol) with mat[x, y] > 0 but
+    mat[zero, y] == 0, or None; ``out`` is the alphabet of mat's columns."""
+    zero_supp = mat[dmc.zero_index] > 0.0
     for i in range(mat.shape[0]):
-        if i == zero_index:
+        if i == dmc.zero_index:
             continue
         viol = np.nonzero((mat[i] > 0.0) & ~zero_supp)[0]
         if viol.size:
-            return i, int(viol[0])
+            return dmc.input_alphabet.symbols[i], out.symbols[int(viol[0])]
     return None
 
 
@@ -191,20 +184,13 @@ def find_partial_connectivity(dmc: Dmc) -> tuple | None:
 
 def validate_covert_conditions(dmc: Dmc) -> ConditionReport:
     """Run the three admissibility checks and the connectivity probe."""
-    zi = dmc.zero_index
     psi = _mixture_witness(dmc)
-    viol_b = _support_inclusion(dmc.z_given_x, zi)
-    viol_c = _support_inclusion(dmc.y_given_x, zi)
-    wit_b = None
-    if viol_b is not None:
-        wit_b = (dmc.input_alphabet.symbols[viol_b[0]], dmc.z_alphabet.symbols[viol_b[1]])
-    wit_c = None
-    if viol_c is not None:
-        wit_c = (dmc.input_alphabet.symbols[viol_c[0]], dmc.y_alphabet.symbols[viol_c[1]])
+    wit_b = _support_inclusion(dmc, dmc.z_given_x, dmc.z_alphabet)
+    wit_c = _support_inclusion(dmc, dmc.y_given_x, dmc.y_alphabet)
     return ConditionReport(
         mixture_ok=psi is None,
-        warden_support_ok=viol_b is None,
-        center_support_ok=viol_c is None,
+        warden_support_ok=wit_b is None,
+        center_support_ok=wit_c is None,
         mixture_weights=psi,
         warden_support_witness=wit_b,
         center_support_witness=wit_c,

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -311,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """`cfg` with the command's override flags applied; `cfg` itself when none is given."""
+    if all(getattr(args, key, None) is None for key in ("trials", "seed", "mu", "n")):
+        return cfg
     data = cfg.to_dict()
     if getattr(args, "trials", None) is not None:
         data.setdefault("sweep", {})["trials"] = args.trials
@@ -324,6 +328,18 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+def _check_output_path(path: str) -> None:
+    """Raise ConfigError where a sweep could not write its rows to `path`,
+    before its first cell is computed; the file itself is not touched."""
+    if path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output.path: directory {parent!r} does not exist")
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError(f"output.path: {path!r} is not a writable file")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "example":
@@ -331,6 +347,8 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config)
         cfg = _apply_overrides(cfg, args)
+        if args.command in ("simulate", "verify-covertness"):
+            _check_output_path(cfg.output()["path"])
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import Dmc
 from .errors import ConfigError
-from .probability import Alphabet, JointPmf
+from .probability import Alphabet, JointPmf, cached_method
 from .simulation import SchemeConfig, make_k_rule
 
 
@@ -72,41 +72,37 @@ class ExperimentConfig:
         return json.loads(json.dumps(self.raw))
 
     # -- parsed accessors ---------------------------------------------------
+    # the pmfs, channel and scheme are built on first use (by validate, for a
+    # loaded config) and kept: the config is not modified after construction
 
+    @cached_method
     def source_pmfs(self) -> tuple[JointPmf, JointPmf]:
         src = _require(self.raw, "sources", "config")
         u = Alphabet(tuple(_require(src, "u_symbols", "sources")))
         v = Alphabet(tuple(_require(src, "v_symbols", "sources")))
-        try:
-            p = JointPmf(u, v, np.array(_require(src, "p_uv", "sources"), dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"sources.p_uv: {exc}") from exc
-        try:
-            q = JointPmf(u, v, np.array(_require(src, "q_uv", "sources"), dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"sources.q_uv: {exc}") from exc
-        return p, q
+        pmfs = []
+        for key in ("p_uv", "q_uv"):
+            try:
+                pmfs.append(JointPmf(u, v, np.array(_require(src, key, "sources"), dtype=float)))
+            except ValueError as exc:
+                raise ConfigError(f"sources.{key}: {exc}") from exc
+        return tuple(pmfs)
 
+    @cached_method
     def dmc(self) -> Dmc:
         ch = _require(self.raw, "channel", "config")
-        x = Alphabet(tuple(_require(ch, "x_symbols", "channel")))
-        y = Alphabet(tuple(_require(ch, "y_symbols", "channel")))
-        z = Alphabet(tuple(_require(ch, "z_symbols", "channel")))
+        x, y, z = (Alphabet(tuple(_require(ch, f"{s}_symbols", "channel"))) for s in "xyz")
         zero = _require(ch, "zero_symbol", "channel")
         if zero not in x.symbols:
             raise ConfigError("channel.zero_symbol: not among channel.x_symbols")
         try:
-            return Dmc(
-                input_alphabet=x,
-                y_alphabet=y,
-                z_alphabet=z,
-                y_given_x=np.array(_require(ch, "y_given_x", "channel"), dtype=float),
-                z_given_x=np.array(_require(ch, "z_given_x", "channel"), dtype=float),
-                zero_symbol=zero,
-            )
+            return Dmc(input_alphabet=x, y_alphabet=y, z_alphabet=z, zero_symbol=zero,
+                       y_given_x=np.array(_require(ch, "y_given_x", "channel"), dtype=float),
+                       z_given_x=np.array(_require(ch, "z_given_x", "channel"), dtype=float))
         except ValueError as exc:
             raise ConfigError(f"channel: {exc}") from exc
 
+    @cached_method
     def scheme(self) -> SchemeConfig:
         sc = _require(self.raw, "scheme", "config")
         kind = _require(sc, "scheme", "scheme")
@@ -123,17 +119,11 @@ class ExperimentConfig:
             raise ConfigError(f"scheme: {exc}") from exc
 
     def sweep(self) -> dict:
-        sw = dict(self.raw.get("sweep", {}))
-        sw.setdefault("n_grid", [40, 80, 120, 160, 200])
-        sw.setdefault("mu_grid", [])
-        sw.setdefault("trials", 0)
-        sw.setdefault("seed", 1)
-        return sw
+        defaults = {"n_grid": [40, 80, 120, 160, 200], "mu_grid": [], "trials": 0, "seed": 1}
+        return {**defaults, **self.raw.get("sweep", {})}
 
     def output(self) -> dict:
-        out = dict(self.raw.get("output", {}))
-        out.setdefault("path", "-")
-        out.setdefault("format", "csv")
+        out = {"path": "-", "format": "csv", **self.raw.get("output", {})}
         if out["format"] not in ("csv", "json"):
             raise ConfigError("output.format: must be 'csv' or 'json'")
         return out

@@ -77,6 +77,19 @@ def _as_prob_vector(probs, what: str) -> np.ndarray:
     return arr
 
 
+def cached_method(method):
+    """A method of a frozen object whose result, for each tuple of
+    arguments, is built on the first call and kept on the object."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        cache = self.__dict__.setdefault("_cached", {})
+        key = (method.__name__, *args)
+        if key not in cache:
+            cache[key] = method(self, *args)
+        return cache[key]
+    return cached
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function over a finite alphabet.
@@ -124,9 +137,11 @@ class JointPmf:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
+    @cached_method
     def row_marginal(self) -> Pmf:
         return Pmf(self.row_alphabet, self.probs.sum(axis=1))
 
+    @cached_method
     def col_marginal(self) -> Pmf:
         return Pmf(self.col_alphabet, self.probs.sum(axis=0))
 

@@ -492,28 +492,6 @@ def _trial_chunk(
     return accepted, active_total, pruned
 
 
-def _map_on_threads(fn: Callable, items: list, threads: int) -> list:
-    """``[fn(x) for x in items]`` (in some order) on ``threads`` threads.
-
-    The calling thread runs the first share itself; one thread runs no pool.
-    """
-
-    def run(share):
-        return [fn(x) for x in share]
-
-    if threads == 1:
-        return run(items)
-    from concurrent.futures import ThreadPoolExecutor
-
-    shares = [items[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(run, share) for share in shares[1:]]
-        out = run(shares[0])
-        for fut in futures:
-            out += fut.result()
-    return out
-
-
 def run_trials(
     cfg: SchemeConfig,
     p_uv: JointPmf,
@@ -565,7 +543,11 @@ def run_trials(
     errors = {0: 0, 1: 0}  # H0: count Hhat=1; H1: count Hhat=0
     pruned = {0: 0, 1: 0}
     active_total = 0
-    for hyp, m, (accepted, active, cut) in _map_on_threads(work, tasks, threads):
+    from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays its 2 ms import
+
+    with ThreadPoolExecutor(threads) as pool:
+        outcomes = list(pool.map(work, tasks))
+    for hyp, m, (accepted, active, cut) in outcomes:
         pruned[hyp] += cut
         if hyp == 0:
             errors[0] += m - accepted

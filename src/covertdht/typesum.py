@@ -21,7 +21,8 @@ array, so the exact sums take no logarithm per type and decide every tie as
 the row path and Monte Carlo do. A quantity constant along a band row is
 computed once per row and read at each type's row (:meth:`Band.rows`): the
 joint-type engine decides T_U that way. :func:`type_blocks` yields the same
-bands materialized as ``(rows, d)`` count arrays.
+bands materialized as ``(rows, d)`` count arrays; no exact sum walks it, only
+the sphere search's ray lattice in ``exponents`` and the tests' oracles.
 
 Class log-probabilities and event predicates are evaluated a band at a
 time, and several events under several laws over one alphabet can share
@@ -34,6 +35,7 @@ off the maximum as ``scipy.special.logsumexp`` does.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
@@ -250,21 +252,26 @@ def logsumexp(a) -> float:
 
     The maxima are split off the sum, log1p(s / m) + log m + max with m the
     number of maxima, so the result matches scipy.special.logsumexp bit for
-    bit; where that is not finite (a +inf entry), log sum exp(a) directly.
+    bit; where the maximum is not finite (all -inf, or a +inf entry), log
+    sum exp(a) directly. Only the sum of exp(a - max) is an array operation;
+    the logarithms are numpy's ufuncs on scalars, as scipy takes them (math's
+    may differ in the last bit).
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     if not a.size:
         return NEG_INF
-    top = a.max(keepdims=True)
+    top = a.max()
+    if not NEG_INF < top < math.inf:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(np.exp(a).sum()))
     tied = a == top
-    m = np.count_nonzero(tied, keepdims=True).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(tied, NEG_INF, a) - top).sum(keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-        if not np.isfinite(out[0]):
-            out = np.log(np.exp(a).sum(keepdims=True))
-    return float(out[0])
+    m = np.float64(np.count_nonzero(tied))
+    # a - top overflows to -inf (where exp is 0) only below a positive maximum
+    with np.errstate(over="ignore") if top > 0.0 else contextlib.nullcontext():
+        terms = np.exp(a - top)
+    terms[tied] = 0.0
+    s = terms.sum()
+    return float(np.log1p(s / m if s else s) + np.log(m) + top)
 
 
 @functools.lru_cache(maxsize=16)

@@ -33,6 +33,15 @@ def test_rows_and_nonzero_inputs(example_dmc):
     assert example_dmc.zero_index == 0
 
 
+def test_rows_are_built_once_per_input_and_side(example_dmc):
+    assert example_dmc.y_row("1") is example_dmc.y_row("1")
+    assert example_dmc.z_row("1") is example_dmc.z_row("1")
+    assert example_dmc.y_row("0") is not example_dmc.y_row("1")
+    assert example_dmc.z_row("0") is not example_dmc.y_row("0")
+    with pytest.raises(KeyError):
+        example_dmc.y_row("2")
+
+
 def test_example_channel_is_admissible(example_dmc):
     report = validate_covert_conditions(example_dmc)
     assert report.all_pass

@@ -1,3 +1,4 @@
+import collections
 import copy
 import csv
 import json
@@ -401,6 +402,49 @@ class TestSimulate:
         data = example_variant(scheme__mu=mu)
         assert main(["simulate", write_config(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith("error: scheme.mu:")
+
+    def test_one_config_parse_per_run(self, tmp_path, monkeypatch):
+        # with no override flag the loaded config is the one the command
+        # runs on: one validation, and one build of the pmfs and the channel
+        # that validation and the sweep share
+        import covertdht.config as config
+
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(config.ExperimentConfig, "validate",
+                            counted("validate", config.ExperimentConfig.validate))
+        monkeypatch.setattr(config, "JointPmf", counted("JointPmf", config.JointPmf))
+        monkeypatch.setattr(config, "Dmc", counted("Dmc", config.Dmc))
+        data = example_variant(sweep__n_grid=[20, 30, 40],
+                               output__path=str(tmp_path / "sim.csv"))
+        assert main(["simulate", write_config(tmp_path, data)]) == 0
+        assert calls == {"validate": 1, "JointPmf": 2, "Dmc": 1}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-covertness"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_path_exits_2_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                        command, where):
+    # the path is checked before the sweep: no engine runs, nothing is written
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell was computed")
+
+    for name in ("exact_error_probs", "run_trials", "transmit_probability"):
+        monkeypatch.setattr(sim, name, no_cell)
+    out = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+    data = example_variant(output__path=str(out))
+    assert main([command, write_config(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output.path: ")
+    assert str(out.parent if where == "missing directory" else out) in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def run_cli(*argv):

@@ -205,6 +205,26 @@ class TestWardenDivergenceBounds:
                 assert exact <= quad * (1 + 1e-12)
                 assert type_b > 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("z_size", [2, 3])
+    def test_type_bound_times_delta_squared_dominates_quadratic(self, seed, z_size):
+        # the type bound leaves out delta^2: chi2(G1^n || G0^n) is the G0 sum
+        # over type classes of expm1(ell)^2, each class has G0-probability at
+        # most e^{-n D(pi||G0)}, and there are at most (n+1)^|Z| classes, so
+        # delta^2 type_bound >= delta^2 chi2(G1^n || G0^n) = quad_bound >= d_n
+        rng = np.random.default_rng([seed, z_size])
+        alphabet = Alphabet(tuple(range(z_size)))
+        g0 = Pmf(alphabet, rng.dirichlet(np.ones(z_size)))
+        p1 = rng.dirichlet(np.ones(z_size))
+        if seed % 2:  # a codeword row with a zero
+            p1[rng.integers(z_size)] = 0.0
+        g1 = Pmf(alphabet, p1 / p1.sum())
+        for n in (1, 3, 12, 40):
+            for delta in (1.0, 0.3, 1e-3, 1e-9):
+                exact, quad, type_b = cov.warden_divergence(g0, g1, delta, n)
+                assert 0.0 < exact <= quad * (1 + 1e-12)
+                assert quad <= delta**2 * type_b * (1 + 1e-12)
+
 
 def scheme_B_report(p_u, pbar, g0, g1, n):
     delta = sim.transmit_probability(SCHEME_B, p_u, n, pbar)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestJointPmf:
         j = JointPmf(AB, ABC, np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.1]]))
         assert j.row_marginal().probs == pytest.approx([0.6, 0.4])
         assert j.col_marginal().probs == pytest.approx([0.3, 0.3, 0.4])
+
+    def test_marginals_are_built_once(self):
+        j = JointPmf(AB, ABC, np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.1]]))
+        assert j.row_marginal() is j.row_marginal()
+        assert j.col_marginal() is j.col_marginal()
+        # the cache is not a field: a copy by replace builds its own
+        assert dataclasses.replace(j).row_marginal() is not j.row_marginal()
 
     def test_product(self):
         j = JointPmf.product(Pmf(AB, np.array([0.3, 0.7])), Pmf(ABC, np.array([0.2, 0.3, 0.5])))

@@ -64,14 +64,18 @@ def test_type_class_probs_match_loop():
 
 def _logsumexp_cases():
     """Seeded arrays for the logsumexp comparison, edge cases first: empty,
-    all -inf, +inf, tied maxima, overflowing and underflowing values."""
+    all -inf, +inf, tied maxima, overflowing and underflowing values, a
+    subtraction past the largest double; then short arrays, and lengths up
+    to 5000, past numpy's blocked summation."""
     inf = math.inf
     yield from ([], [-inf], [-inf, -inf], [inf], [inf, 1.0], [inf, inf], [-inf, 2.0],
                 [0.0], [1.0, 1.0, 1.0], [3.0, 3.0, -inf, 1.0], [710.0, 709.0],
-                [-1000.0, -1000.0], [-745.5, -746.0], [1e308, 1e308])
+                [-1000.0, -1000.0], [-745.5, -746.0], [1e308, 1e308], [-1e308, 1e308],
+                [-inf, inf])
     rng = np.random.default_rng(20)
-    for _ in range(5000):
-        a = rng.normal(0.0, 10.0 ** rng.integers(-2, 4), size=rng.integers(1, 40))
+    sizes = [*rng.integers(1, 40, size=5000), *range(1, 10), *rng.integers(1, 5001, size=300)]
+    for size in sizes:
+        a = rng.normal(0.0, 10.0 ** rng.integers(-2, 4), size=size)
         if rng.random() < 0.3:
             a[rng.random(a.size) < 0.3] = -inf
         if rng.random() < 0.2:
@@ -81,8 +85,18 @@ def _logsumexp_cases():
 
 def test_logsumexp_matches_scipy_bit_for_bit():
     for a in _logsumexp_cases():
-        got, want = typesum.logsumexp(a), float(logsumexp(np.array(a, dtype=float)))
+        with np.errstate(all="ignore"):
+            want = float(logsumexp(np.array(a, dtype=float)))
+        got = typesum.logsumexp(a)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+
+
+def test_logsumexp_raises_no_floating_point_warning():
+    # the subtraction past the largest double and the non-finite maxima take
+    # the guarded paths (underflow of exp is no error, as numpy has it)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for a in _logsumexp_cases():
+            typesum.logsumexp(a)
 
 
 def test_log_factorials_match_gammaln():
