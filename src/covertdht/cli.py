@@ -91,7 +91,10 @@ def cmd_exponents(cfg: ExperimentConfig, as_json: bool = False) -> int:
     report = expo.achievable_exponent(p_uv, q_uv, dmc)
     data = report.as_dict()
     if as_json:
-        json.dump(data, sys.stdout, indent=2)
+        # RFC 8259 JSON has no Infinity: a copy of the report with each
+        # infinite exponent as null (floats round-trip through repr exactly)
+        strict = json.loads(json.dumps(data), parse_constant=lambda _: None)
+        json.dump(strict, sys.stdout, indent=2, allow_nan=False)
         print()
         return 0
     print(f"case:        {data['connectivity']}")

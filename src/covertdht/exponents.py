@@ -28,11 +28,13 @@ Probab. 3(1)), pi(u, v) = Q(u, v) e^beta_v w_u with log pi_U =
 (1 - kappa) log sum_v Q(u, v) e^beta_v + kappa log P_U, kappa =
 lambda / (1 + lambda): kappa = 0 is the closed form, kappa = 1 the
 I-projection with both marginals fixed (E1, and g at each point). For each
-kappa, Newton's method on the |V| potentials beta meets P_V; Brent's root
-finder (a port) puts D(pi_U || P_U) on tau. E2 is its crossing for kappa
-in [0, 1]. E3's is on the branch kappa < 0 (lambda = -nu, 0 < nu < 1),
-where D(pi || Q) - nu D(pi_U || P_U) is jointly convex, so a crossing
-there is the global minimum, certified by the Lagrangian bound. E3 is +inf
+kappa, Newton's method on the |V| potentials beta meets P_V, and the
+tangent dbeta/dkappa from its last Jacobian predicts the next kappa's start
+and gives dD(pi_U || P_U)/dkappa, so Newton steps in kappa, kept inside a
+bracket, put D on tau. E2 is its crossing for kappa in [0, 1]. E3's is on
+the branch kappa < 0 (lambda = -nu, 0 < nu < 1), where D(pi || Q) -
+nu D(pi_U || P_U) is jointly convex, so a crossing there is the global
+minimum, certified by the Lagrangian bound. E3 is +inf
 where tau > -log min P_U on the face. Elsewhere, where that branch does
 not cross, E3 falls back to a search of the sphere: the crossings of the
 rays from P_U to the boundary points of a small type lattice, the best
@@ -87,10 +89,15 @@ _T_U_ATOL = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
 _NEWTON_MAX_STEP = 8.0
-# E3 looks for the crossing of its certified branch at kappa = 1 - 2^k for
-# k up to this (lambda = -nu, nu up to 1 - 2^-16), then falls back to the
-# sphere search
+# E3 looks for the crossing of its certified branch at kappa >= 1 - 2^this
+# (lambda = -nu, nu up to 1 - 2^-16), then falls back to the sphere search
 _KAPPA_SCAN = 16
+# the search for the crossing in kappa ends once a Newton step is within
+# this absolute plus relative tolerance (Brent's at xtol = 1e-14), and gives
+# up after this many solves
+_KAPPA_XTOL = 1e-14
+_KAPPA_RTOL = 4 * np.finfo(float).eps
+_ROOT_MAX_ITER = 100
 # the DEBUG record of each constrained minimum
 _MIN_RECORD = ("%s minimum at tau = %.6g nats: %s, kappa = %.17g, %d Newton steps, "
                "value - L(lambda) = %.3g nats")
@@ -461,21 +468,32 @@ def _sphere_min(g, p_u: np.ndarray, tau: float):
 
 
 def _lagrangian_point(log_q: np.ndarray, log_p_u: np.ndarray, p_v: np.ndarray,
-                      kappa: float, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+                      kappa: float, beta: np.ndarray):
     """The coupling of the Lagrangian family at `kappa`, its column
-    potentials beta and the Newton steps taken from the start `beta`.
+    potentials beta, the Newton steps taken from the start `beta`, and (for
+    kappa < 1) the tangent of the family: dbeta/dkappa and dD/dkappa, D =
+    D(pi_U || P_U) (None, None at kappa = 1).
 
     On the block of rows and columns it is pi(u, v) = Q(u, v) e^beta_v
     (P_U(u) / A_u)^kappa with A_u = sum_v Q(u, v) e^beta_v, so that
     log pi_U = (1 - kappa) log A + kappa log P_U; Newton's method solves the
     column condition pi_V = P_V for beta. It is the gradient of the convex
     sum_u P_U^kappa A_u^(1 - kappa) / (1 - kappa) - P_V . beta (at kappa = 1,
-    sum_u P_U log A_u - P_V . beta), so the Jacobian diag(pi_V) - kappa
-    sum_u pi(u, .) pi(u, .)^T / pi_U(u) is symmetric; at kappa = 1 it is
-    singular along shifts of beta, which a step leaves out. Each step is cut
-    to _NEWTON_MAX_STEP, as a longer one can put a row on one column, where
-    the Jacobian has nothing left to steer by, then halved until the residual
-    shrinks and the potential does not rise (to the tolerance).
+    sum_u P_U log A_u - P_V . beta), so the Jacobian J = diag(pi_V) - kappa
+    sum_u pi(u, .) pi(u, .)^T / pi_U(u) is symmetric. The sum lies between 0
+    and diag(pi_V) (Jensen's inequality), so for kappa < 1 J is positive
+    definite, at least min(1, 1 - kappa) diag(pi_V), and a step is a plain
+    solve; at kappa = 1 it is singular along shifts of beta, which a
+    least-squares step leaves out. Each step is cut to _NEWTON_MAX_STEP, as
+    a longer one can put a row on one column, where the Jacobian has nothing
+    left to steer by, then halved until the residual shrinks and the
+    potential does not rise (to the tolerance).
+
+    The tangent reuses the converged J: with g_u = log P_U(u) - log A_u,
+    dbeta/dkappa = -J^-1 sum_u pi(u, .) g_u, d log pi_U(u)/dkappa = g_u +
+    (1 - kappa) pi(. | u) . dbeta/dkappa, and as log(pi_U / P_U) =
+    -(1 - kappa) g, dD/dkappa = -(1 - kappa) sum_u pi_U(u) g_u
+    d log pi_U(u)/dkappa.
     """
 
     def point(beta):
@@ -486,32 +504,46 @@ def _lagrangian_point(log_q: np.ndarray, log_p_u: np.ndarray, p_v: np.ndarray,
         return np.exp(x + kappa * (log_p_u - log_a)), np.exp(x - log_a), log_a[:, 0]
 
     tol = _NEWTON_TOL * (1.0 + abs(kappa))  # rounding grows with the exponents
+    s, diag = 1.0 - kappa, slice(None, None, len(p_v) + 1)
     pi, cond, log_a = point(beta)
-    resid = pi.sum(axis=0) - p_v
-    for step in range(_NEWTON_MAX_ITER):
+    pi_v = pi.sum(axis=0)
+    resid = pi_v - p_v
+    for step in range(_NEWTON_MAX_ITER + 1):
+        jac = pi.T @ cond
+        jac *= -kappa
+        jac.flat[diag] += pi_v
         if np.abs(resid).max() <= tol:
-            return pi, beta, step
-        jac = np.diag(pi.sum(axis=0)) - kappa * (pi.T @ cond)
-        delta = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-        if kappa == 1.0:  # rounding's share of a shift
-            delta -= delta.mean()
-        norm, pi_u, s = np.linalg.norm(resid), pi.sum(axis=1), 1.0 - kappa
+            if not s:
+                return pi, beta, step, None, None
+            g = log_p_u[:, 0] - log_a
+            dbeta = np.linalg.solve(jac, -(g @ pi))
+            pi_u = pi.sum(axis=1)
+            return pi, beta, step, dbeta, float(-s * ((pi_u * g) @ (g + s * (cond @ dbeta))))
+        if step == _NEWTON_MAX_ITER:
+            break
+        if s:
+            delta = np.linalg.solve(jac, -resid)
+        else:
+            delta = np.linalg.lstsq(jac, -resid, rcond=None)[0]
+            delta -= delta.mean()  # rounding's share of a shift
+        norm2, pi_u = resid @ resid, pi.sum(axis=1)
         t = _NEWTON_MAX_STEP / max(np.abs(delta).max(), _NEWTON_MAX_STEP)
-        for _ in range(60):
-            with np.errstate(over="ignore", invalid="ignore"):  # a step too long
+        with np.errstate(over="ignore", invalid="ignore"):  # a step too long
+            for _ in range(60):
                 new_pi, new_cond, new_log_a = point(beta + t * delta)
-                new_resid = new_pi.sum(axis=0) - p_v
+                new_pi_v = new_pi.sum(axis=0)
+                new_resid = new_pi_v - p_v
                 # the potential's rise: pi_U(u) / s grows by the factor
                 # (A_u' / A_u)^s, at s = 0 by P_U(u) log(A_u' / A_u)
                 d = new_log_a - log_a
                 rise = pi_u @ (np.expm1(s * d) / s if s else d) - t * (p_v @ delta)
-                accept = rise <= tol and np.linalg.norm(new_resid) <= (1.0 - 1e-4 * t) * norm
-            if accept:
+                if rise <= tol and new_resid @ new_resid <= (1.0 - 1e-4 * t) ** 2 * norm2:
+                    break
+                t /= 2.0
+            else:
                 break
-            t /= 2.0
-        else:
-            break
-        beta, pi, cond, log_a, resid = beta + t * delta, new_pi, new_cond, new_log_a, new_resid
+        beta, pi, cond, log_a = beta + t * delta, new_pi, new_cond, new_log_a
+        pi_v, resid = new_pi_v, new_resid
     raise NoConvergence(f"Newton's method left the column sums {np.abs(resid).max():.3g} "
                         f"from P_V at kappa = {kappa}")
 
@@ -522,8 +554,20 @@ def _lagrangian_min(q: np.ndarray, p_u: np.ndarray, p_v: np.ndarray, tau: float,
     on its feasible side: (pi, kappa, Newton steps, value - L(lambda)), with
     pi None (and the last kappa tried) where the E3 branch kappa < 0 has no
     crossing. kappa = 0 is `coupling`, the closed form with D(T_U || P_U) =
-    d_t; for E2 kappa = 1 is E1's I-projection, at D = 0. E3 scans
-    kappa = 1 - 2^k, k = 1 .. _KAPPA_SCAN, for a bracket.
+    d_t; for E2 kappa = 1 is E1's I-projection, at D = 0.
+
+    D - tau falls as kappa rises, and each solved point carries its slope
+    dD/dkappa, so the crossing is found by Newton steps in kappa from
+    kappa = 0, each kept inside the bracket [a, b] of the points solved so
+    far and bisecting it where a step would leave it: [0, 1] for E2; for E3
+    [1 - 2^_KAPPA_SCAN, 0], whose far end joins the bracket once solved, and
+    where D stays below tau even there the branch does not cross. Until
+    then no E3 step more than doubles 1 - kappa, the reach of the former
+    scan kappa = 1 - 2^k. A step from the infeasible side aims half the
+    tolerance past the crossing, so the search ends on the feasible side,
+    once a step is within the tolerance. Each solve starts from the beta of
+    the solved point nearest its kappa, moved along that point's tangent
+    (predictor-corrector continuation).
 
     pi minimizes D(. || Q) + lambda (D(._U || P_U) - tau), lambda =
     kappa / (1 - kappa) > -1, over the couplings with column marginal P_V,
@@ -533,32 +577,56 @@ def _lagrangian_min(q: np.ndarray, p_u: np.ndarray, p_v: np.ndarray, tau: float,
     it; at kappa = 1, lambda is infinite and certifies nothing.
     """
     block, log_q, log_p_u, p_v, beta = _live_block(q, p_u, p_v)
-    # kappa -> (D(pi_U || P_U) - tau, pi, beta)
-    points = {0.0: (d_t - tau, coupling, beta)}
-    steps = 0
+    # kappa -> (D(pi_U || P_U) - tau, pi, beta, dbeta/dkappa, dD/dkappa)
+    points = {}
 
     def solve(kappa):
         nonlocal steps
         if kappa not in points:
-            start = points[min(points, key=lambda k: abs(k - kappa))][2]
-            pi, beta, n = _lagrangian_point(log_q, log_p_u, p_v, kappa, start)
+            # the nearest point's beta moved along its tangent: linear in
+            # kappa for E2, for E3 in 1 / (1 - kappa) = 1 + lambda, in which
+            # beta tends to a limit as kappa falls
+            near = min(points, key=lambda k: abs(k - kappa))
+            _, _, start, dbeta, _ = points[near]
+            scale = (1.0 - near) / (1.0 - kappa) if upper else 1.0
+            pi, beta, n, dbeta, slope = _lagrangian_point(
+                log_q, log_p_u, p_v, kappa, start + (kappa - near) * scale * dbeta)
             steps += n
             full = np.zeros_like(q)
             full[block] = pi
-            points[kappa] = (float(kl_rows(full.sum(axis=1), p_u)) - tau, full, beta)
+            points[kappa] = (float(kl_rows(full.sum(axis=1), p_u)) - tau, full, beta, dbeta,
+                             slope)
         return points[kappa][0]
 
-    if upper:
-        inside = 0.0
-        for k in range(1, _KAPPA_SCAN + 1):
-            if solve(1.0 - 2.0**k) >= 0.0:
-                break
-            inside = 1.0 - 2.0**k
-        else:
-            return None, inside, steps, math.nan
-        _brentq(solve, 1.0 - 2.0**k, inside, xtol=1e-14)
+    _, beta, steps, dbeta, slope = _lagrangian_point(log_q, log_p_u, p_v, 0.0, beta)
+    points[0.0] = (d_t - tau, coupling, beta, dbeta, slope)
+    # the bracket: D - tau >= 0 at a, <= 0 at b; E3's end a is in it once solved
+    a, b = (1.0 - 2.0**_KAPPA_SCAN, 0.0) if upper else (0.0, 1.0)
+    known = not upper
+    kappa = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        excess, slope = points[kappa][0], points[kappa][4]
+        if excess > 0.0:
+            a, known = kappa, True
+        elif excess < 0.0:
+            if kappa == a:  # E3's far end: the branch does not cross the sphere
+                return None, kappa, steps, math.nan
+            b = kappa
+        xtol = _KAPPA_XTOL + _KAPPA_RTOL * abs(kappa)
+        step = -excess / slope if slope < 0.0 else math.nan
+        feasible = excess >= 0.0 if upper else excess <= 0.0
+        if excess == 0.0 or (known and b - a <= xtol) or (feasible and abs(step) <= xtol):
+            break
+        if not feasible:  # aim past the crossing, onto the feasible side
+            step += math.copysign(xtol / 2.0, step)
+        # short of E3's end, no step more than doubles 1 - kappa
+        lo = a if known else max(a, 1.0 - 2.0 * (1.0 - b))
+        kappa += step
+        if not lo < kappa < b:
+            kappa = (a + b) / 2.0 if known else lo
+        solve(kappa)
     else:
-        _brentq(lambda kappa: -tau if kappa == 1.0 else solve(kappa), 0.0, 1.0, xtol=1e-14)
+        raise NoConvergence(f"no crossing of D = {tau} found in {_ROOT_MAX_ITER} kappa steps")
     # of the points solved, the one nearest the sphere on its feasible side;
     # none when the sphere is within xtol of E2's end kappa = 1, then that end
     feasible = [k for k, p in points.items() if (p[0] >= 0.0 if upper else p[0] <= 0.0)]

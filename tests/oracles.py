@@ -16,8 +16,11 @@ which the engine's one pass for a whole mu grid replaced. The `*_rows`
 functions are the row path that the band walk of `typesum` replaced: each
 block of the lattice materialized as a `(rows, d)` count array, every
 logarithm taken per type, and the letters summed by numpy's
-`sum(axis=-1)`. Tests compare the library against them on small inputs;
-nothing in the package imports this module.
+`sum(axis=-1)`. `lagrangian_min_brent` is the former crossing search of
+the E2/E3 Lagrangian family: a least-squares Newton step, each solve
+started from the nearest solved point's potentials, and Brent's method on
+kappa. Tests compare the library against them on small inputs; nothing in
+the package imports this module.
 """
 
 import itertools
@@ -31,6 +34,7 @@ from covertdht import covertness as cov
 from covertdht import simulation as sim
 from covertdht import typesum
 from covertdht.errors import Infeasible, NoConvergence
+from covertdht import exponents as expo
 from covertdht.exponents import _brentq
 from covertdht.probability import JointPmf, Pmf, kl_rows, typical
 
@@ -541,3 +545,83 @@ def sphere_point(p_u, b, tau):
         return None
     r = _brentq(excess, 0.0, 1.0, xtol=1e-14)
     return (1.0 - r) * p_u + r * b
+
+
+def lagrangian_point_lstsq(log_q, log_p_u, p_v, kappa, beta):
+    """The coupling of the Lagrangian family at `kappa`, its column
+    potentials and the Newton steps taken from `beta`, by the former solve:
+    each step a least-squares solve with the Jacobian, the same cut to
+    _NEWTON_MAX_STEP and the same line search as the library's."""
+
+    def point(beta):
+        x = log_q + beta
+        top = x.max(axis=1, keepdims=True)
+        log_a = top + np.log(np.exp(x - top).sum(axis=1, keepdims=True))
+        return np.exp(x + kappa * (log_p_u - log_a)), np.exp(x - log_a), log_a[:, 0]
+
+    tol = expo._NEWTON_TOL * (1.0 + abs(kappa))
+    pi, cond, log_a = point(beta)
+    resid = pi.sum(axis=0) - p_v
+    for step in range(expo._NEWTON_MAX_ITER):
+        if np.abs(resid).max() <= tol:
+            return pi, beta, step
+        jac = np.diag(pi.sum(axis=0)) - kappa * (pi.T @ cond)
+        delta = np.linalg.lstsq(jac, -resid, rcond=None)[0]
+        if kappa == 1.0:
+            delta -= delta.mean()
+        norm, pi_u, s = np.linalg.norm(resid), pi.sum(axis=1), 1.0 - kappa
+        t = expo._NEWTON_MAX_STEP / max(np.abs(delta).max(), expo._NEWTON_MAX_STEP)
+        for _ in range(60):
+            with np.errstate(over="ignore", invalid="ignore"):
+                new_pi, new_cond, new_log_a = point(beta + t * delta)
+                new_resid = new_pi.sum(axis=0) - p_v
+                d = new_log_a - log_a
+                rise = pi_u @ (np.expm1(s * d) / s if s else d) - t * (p_v @ delta)
+                accept = rise <= tol and np.linalg.norm(new_resid) <= (1.0 - 1e-4 * t) * norm
+            if accept:
+                break
+            t /= 2.0
+        else:
+            break
+        beta, pi, cond, log_a, resid = beta + t * delta, new_pi, new_cond, new_log_a, new_resid
+    raise NoConvergence(f"Newton's method left the column sums {np.abs(resid).max():.3g} "
+                        f"from P_V at kappa = {kappa}")
+
+
+def lagrangian_min_brent(q, p_u, p_v, tau, upper, coupling, d_t):
+    """`_lagrangian_min` by the former search, with its arguments and
+    result: E3 scans kappa = 1 - 2^k, k = 1 .. _KAPPA_SCAN, for a bracket,
+    then Brent's method (xtol 1e-14) puts D(pi_U || P_U) on tau; E2 runs
+    Brent's method on [0, 1]. Each solve starts cold, from the potentials of
+    the solved point nearest its kappa."""
+    block, log_q, log_p_u, p_v, beta = expo._live_block(q, p_u, p_v)
+    points = {0.0: (d_t - tau, coupling, beta)}
+    steps = 0
+
+    def solve(kappa):
+        nonlocal steps
+        if kappa not in points:
+            start = points[min(points, key=lambda k: abs(k - kappa))][2]
+            pi, beta, n = lagrangian_point_lstsq(log_q, log_p_u, p_v, kappa, start)
+            steps += n
+            full = np.zeros_like(q)
+            full[block] = pi
+            points[kappa] = (float(kl_rows(full.sum(axis=1), p_u)) - tau, full, beta)
+        return points[kappa][0]
+
+    if upper:
+        inside = 0.0
+        for k in range(1, expo._KAPPA_SCAN + 1):
+            if solve(1.0 - 2.0**k) >= 0.0:
+                break
+            inside = 1.0 - 2.0**k
+        else:
+            return None, inside, steps, math.nan
+        _brentq(solve, 1.0 - 2.0**k, inside, xtol=1e-14)
+    else:
+        _brentq(lambda kappa: -tau if kappa == 1.0 else solve(kappa), 0.0, 1.0, xtol=1e-14)
+    feasible = [k for k, p in points.items() if (p[0] >= 0.0 if upper else p[0] <= 0.0)]
+    kappa = min(feasible, key=lambda k: abs(points[k][0])) if feasible else 1.0
+    excess = solve(kappa)
+    gap = math.inf if kappa == 1.0 else kappa / (kappa - 1.0) * excess
+    return points[kappa][1], kappa, steps, gap

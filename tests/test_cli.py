@@ -171,6 +171,20 @@ class TestExponents:
         assert data["connectivity"] == "fully_connected"
         assert data["improvement"] == "strict_improvement_full"
 
+    def test_json_report_writes_an_infinite_exponent_as_null(self, capsys):
+        # mc-sweep-a's channel term D(W_Y(.|0) || W_Y(.|1)) is +inf, which
+        # RFC 8259 JSON cannot write (no Infinity): it reads back as null
+        path = REPO / "perfbench" / "workloads" / "mc-sweep-a.json"
+        assert main(["exponents", "--json", str(path)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert data["e3_by_x1"]["1"]["channel"] is None
+        assert data["e3_by_x1"]["1"]["total"] is None
+        assert math.isfinite(data["e3_by_x1"]["1"]["inner"])
+
     def test_ternary_json_report_is_pinned(self, tmp_path, capsys):
         path = write_config(tmp_path, TERNARY_CONFIG)
         assert main(["exponents", "--json", path]) == 0

@@ -1030,7 +1030,8 @@ class TestLagrangianPath:
         if max_step is not None:
             monkeypatch.setattr(expo, "_NEWTON_MAX_STEP", max_step)
         beta = np.log(p_v / q.sum(axis=0))
-        pi, _, steps = expo._lagrangian_point(np.log(q), np.log(r)[:, None], p_v, 1.0, beta)
+        pi, _, steps, _, _ = expo._lagrangian_point(np.log(q), np.log(r)[:, None], p_v, 1.0,
+                                                    beta)
         np.testing.assert_allclose(pi.sum(axis=1), r, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(pi.sum(axis=0), p_v, rtol=0.0, atol=2e-13)
         assert 0 < steps < expo._NEWTON_MAX_ITER
@@ -1043,6 +1044,95 @@ class TestLagrangianPath:
         monkeypatch.setattr(expo, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(NoConvergence, match="Newton's method"):
             expo.compute_E2(p_uv, q_uv, p_uv.row_marginal(), expo.pbar_threshold(dmc, "1"))
+
+
+def spy_on_the_brent_search(monkeypatch):
+    """Run `oracles.lagrangian_min_brent` beside every `_lagrangian_min` call,
+    on the same arguments; the list of (arguments, result, oracle result)
+    fills as they run. `_sphere_min` is stubbed to find nothing, so a branch
+    with no crossing costs no sphere search."""
+    runs = []
+    solver = expo._lagrangian_min
+
+    def both(*args):
+        got = solver(*args)
+        runs.append((args, got, oracles.lagrangian_min_brent(*args)))
+        return got
+
+    monkeypatch.setattr(expo, "_lagrangian_min", both)
+    monkeypatch.setattr(expo, "_sphere_min", lambda g, p_u, tau: (math.inf, None))
+    return runs
+
+
+class TestCrossingSearch:
+    """The Newton search for the crossing in kappa against the former one,
+    Brent's method on kappa with least-squares steps and cold starts."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_brent_search(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        case = lagrangian_case(int(rng.integers(2**32)), int(rng.integers(2, 7)),
+                               int(rng.integers(2, 5)), bool(rng.integers(2)),
+                               ["", "p", "pq"][rng.integers(3)])
+        if case is None:
+            return
+        p_uv, q_uv = case
+        p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+        try:
+            d_t = float(kl_rows(expo.compute_T_U(p_v, q_uv).probs, p_u.probs))
+        except ConditionalUndefined:
+            return
+        runs = spy_on_the_brent_search(monkeypatch)
+        for tau_scale in (0.3, 0.7, 1.5, 3.0):
+            expo._constrained_min(q_uv, p_u, p_v, tau_scale * d_t, tau_scale > 1.0)
+        for (q, *_), (pi, kappa, _, gap), (pi_ref, kappa_ref, _, _) in runs:
+            assert (pi is None) == (pi_ref is None)
+            if pi is None:  # E3's branch has no crossing: both end the scan range
+                assert kappa == kappa_ref == 1.0 - 2.0**expo._KAPPA_SCAN
+                continue
+            assert kl_divergence_vec(pi.ravel(), q.ravel()) == pytest.approx(
+                kl_divergence_vec(pi_ref.ravel(), q.ravel()), rel=0.0, abs=1e-10)
+            # kappa within 1e-9, and on E3's branch the multiplier lambda =
+            # kappa / (1 - kappa) within 1e-9: far out on it D is flat in
+            # kappa, which D's rounding then pins no closer than about 1e-7
+            assert abs(kappa - kappa_ref) <= 1e-9 * max(1.0, (1.0 - kappa) * (1.0 - kappa_ref))
+            assert gap >= 0.0
+
+    def test_newton_steps_on_the_ternary_config(self, caplog):
+        # the crossings of E2 at x1 = "1" and of E3 at x1 = "2" on the
+        # benchmark's exponents-3x2 input; the Brent search took 15 + 13
+        cfg = ExperimentConfig.from_dict(TERNARY_CONFIG)
+        (p_uv, q_uv), dmc = cfg.source_pmfs(), cfg.dmc()
+        steps = 0
+        for x1, upper in (("1", False), ("2", True)):
+            tau = expo.pbar_threshold(dmc, x1).tau_nats
+            _, branch, _, n, _ = logged_constrained_min(caplog, q_uv, p_uv.row_marginal(),
+                                                        p_uv.col_marginal(), tau, upper)
+            assert branch == "Lagrangian"
+            steps += n
+        assert steps <= 14
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_of_random_sources(self, monkeypatch):
+        # 400 seeded source pairs on TERNARY_CONFIG's channel, |U| 2-5,
+        # |V| 2-3, 30 % with a hole in Q: no solve fails or warns, and the
+        # crossings take at most 0.7 times the Brent search's Newton steps
+        # (about 0.44 times: 7,025 against 16,078)
+        dmc = ExperimentConfig.from_dict(TERNARY_CONFIG).dmc()
+        runs = spy_on_the_brent_search(monkeypatch)
+        rng = np.random.default_rng(2026)
+        for _ in range(400):
+            nu, nv = rng.integers(2, 6), rng.integers(2, 4)
+            q = rng.dirichlet(np.ones(nu * nv)).reshape(nu, nv)
+            p = rng.dirichlet(np.ones(nu * nv)).reshape(nu, nv)
+            if rng.random() < 0.3:
+                q[rng.integers(nu), rng.integers(nv)] = 0.0
+                p[q == 0.0] = 0.0
+            u, v = Alphabet(tuple(range(nu))), Alphabet(tuple("wxyz"[:nv]))
+            expo.achievable_exponent(JointPmf(u, v, p / p.sum()), JointPmf(u, v, q / q.sum()),
+                                     dmc)
+        steps = sum(got[2] for _, got, _ in runs)
+        assert steps <= 0.7 * sum(want[2] for _, _, want in runs)
 
 
 class TestImprovement:
