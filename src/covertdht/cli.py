@@ -1,19 +1,30 @@
 """Command-line surface: channel checks, exponent reports, scheme simulation
 sweeps, covertness verification, and the built-in worked example.
 
-Exit codes: 0 success, 1 validation/condition failure, 2 parse error,
-3 numerical failure.
+The grammar is the table `COMMANDS`: each command's flags, with their type,
+whether they repeat, and their help. `parse_args` reads argv against it as
+argparse would, and renders usage, ``-h`` and argparse's error lines from
+it: flags go before or after the config path, as ``--flag VALUE`` or
+``--flag=VALUE``, by any unique prefix (``--tri 5``, ``--j``); a repeated
+``--n`` appends, any other flag keeps its last value.
+
+Exit codes: 0 success (and ``-h``), 1 validation/condition failure, or a
+reader that closed stdout before the output was written (no traceback), 2
+parse error (argparse's ``prog: error: message`` line on stderr) or a
+config field out of range, 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import json
 import logging
 import os
+import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -290,28 +301,225 @@ def cmd_example() -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covertdht",
-        description="Covert distributed hypothesis testing: exponents, "
-        "covertness bounds, and scheme simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check-channel", "exponents", "simulate", "verify-covertness"):
-        sp = sub.add_parser(name)
-        sp.add_argument("config", help="path to the JSON experiment config")
-        if name == "exponents":
-            sp.add_argument("--json", action="store_true", help="emit JSON")
-        if name == "simulate":
-            sp.add_argument("--trials", type=int, default=None)
-            sp.add_argument("--seed", type=int, default=None)
-        if name in ("simulate", "verify-covertness"):
-            sp.add_argument("--mu", type=float, default=None,
-                            help="override scheme.mu; replaces sweep.mu_grid")
-            sp.add_argument("--n", type=int, action="append", default=None,
-                            help="override the blocklength grid (repeatable)")
-    sub.add_parser("example", help="reproduce the built-in worked example")
-    return parser
+PROG = "covertdht"
+DESCRIPTION = ("Covert distributed hypothesis testing: exponents, covertness bounds,\n"
+               "and scheme simulation.")
+CONFIG_HELP = "path to the JSON experiment config"
+
+
+class Option(NamedTuple):
+    """One ``--flag`` of a command."""
+
+    flag: str
+    type: type | None  # int or float converts the value; None: a switch, stored as True
+    repeats: bool  # each use appends its value to a list; else the last use wins
+    help: str
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:]
+
+    @property
+    def invocation(self) -> str:
+        return self.flag if self.type is None else f"{self.flag} {self.dest.upper()}"
+
+
+class Command(NamedTuple):
+    help: str
+    config: bool  # takes the config path, its one positional argument
+    options: tuple[Option, ...]
+
+
+_HELP = Option("--help", None, False, "show this help message and exit")
+_MU = Option("--mu", float, False, "override scheme.mu; replaces sweep.mu_grid")
+_N = Option("--n", int, True, "override the blocklength grid (repeatable)")
+
+#: The command-line grammar: parsing, usage, ``-h`` and every parse error are
+#: read from this table.
+COMMANDS = {
+    "check-channel": Command("check the covert admissibility conditions", True, ()),
+    "exponents": Command("report the achievable exponents", True,
+                         (Option("--json", None, False, "emit JSON"),)),
+    "simulate": Command("sweep the error probabilities of the scheme", True, (
+        Option("--trials", int, False, "override sweep.trials"),
+        Option("--seed", int, False, "override sweep.seed"),
+        _MU, _N,
+    )),
+    "verify-covertness": Command("sweep the warden's divergence against its bounds", True,
+                                 (_MU, _N)),
+    "example": Command("reproduce the built-in worked example", False, ()),
+}
+
+# argparse reads an argument that matches no flag and looks like a negative
+# number as a value (`--mu -0.1`), since no flag looks like one
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+    cmd = COMMANDS[command]
+    parts = [f"usage: {PROG} {command} [-h]", *(f"[{o.invocation}]" for o in cmd.options)]
+    return " ".join(parts + ["config"] * cmd.config)
+
+
+def _help(command: str | None) -> str:
+    """The ``-h`` text of the top level (`command` None) or of one command."""
+    options = [("-h, --help", _HELP.help)]
+    if command is None:
+        intro, title = DESCRIPTION, "commands"
+        positionals = [(name, cmd.help) for name, cmd in COMMANDS.items()]
+    else:
+        cmd = COMMANDS[command]
+        intro, title = cmd.help, "positional arguments"
+        positionals = [("config", CONFIG_HELP)] * cmd.config
+        options += [(o.invocation, o.help) for o in cmd.options]
+    width = max(len(left) for left, _ in positionals + options) + 2
+    lines = [_usage(command), "", intro]
+    for heading, rows in ((title, positionals), ("options", options)):
+        if rows:
+            lines += ["", f"{heading}:", *(f"  {left:<{width}}{text}" for left, text in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """argparse's parse error: usage and ``prog: error: message`` on stderr, exit 2."""
+    prog = PROG if command is None else f"{PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+class _Level:
+    """argparse's reading of `argv` at one level of the grammar: the top
+    level (`command` None), whose options come before the command, or one
+    command's, whose one positional argument is the config path."""
+
+    def __init__(self, command: str | None, argv: list[str]):
+        self.command, self.argv, self.extras = command, argv, []
+        cmd = COMMANDS[command] if command else Command("", False, ())
+        self.flags = {"-h": _HELP, "--help": _HELP, **{o.flag: o for o in cmd.options}}
+        # argparse's namespace: the config path, then each flag's default
+        self.values = {"config": None} if cmd.config else {}
+        self.values.update((o.dest, False if o.type is None else None) for o in cmd.options)
+        # every argument is read before any is acted on, as argparse does:
+        # "--" marks the first "--", after which all are positional (None)
+        self.kinds = []
+        for arg in argv:
+            if "--" in self.kinds:
+                self.kinds.append(None)
+            else:
+                self.kinds.append("--" if arg == "--" else self._classify(arg))
+
+    def _classify(self, arg: str):
+        """None for a positional or a value, else (Option, or None for an
+        unknown flag, the flag as matched, the value after "=" or None)."""
+        if not arg.startswith("-") or arg == "-":
+            return None
+        if arg in self.flags:
+            return self.flags[arg], arg, None
+        head, eq, value = arg.partition("=")
+        if eq and head in self.flags:
+            return self.flags[head], head, value
+        if arg[1] == "-":  # a prefix of long flags
+            found = [(self.flags[f], f, value if eq else None)
+                     for f in self.flags if f.startswith(head)]
+        else:  # a short flag with its value attached
+            found = [(self.flags[f], f, arg[2:]) for f in self.flags if f == arg[:2]]
+        if len(found) > 1:
+            matches = ", ".join(f for _, f, _ in found)
+            _fail(self.command, f"ambiguous option: {arg} could match {matches}")
+        if found:
+            return found[0]
+        if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+            return None
+        return None, arg, None
+
+    def take_option(self, i: int) -> int:
+        """Act on the flag at `i` and return the index after it and its value."""
+        option, flag, value = self.kinds[i]
+        if option is None:
+            self.extras.append(self.argv[i])
+            return i + 1
+        taken = []
+        while value is not None and option.type is None:
+            # a switch given a value: "-hh" is -h twice, anything else is refused
+            if flag[1] == "-" or value == "" or "-" + value[0] not in self.flags:
+                _fail(self.command,
+                      f"argument {self._name(option)}: ignored explicit argument {value!r}")
+            taken.append((option, None))
+            flag = "-" + value[0]
+            option, value = self.flags[flag], value[1:] or None
+        stop = i + 1
+        if value is None and option.type is not None:
+            if stop == len(self.argv) or self.kinds[stop] is not None:
+                _fail(self.command, f"argument {self._name(option)}: expected one argument")
+            value, stop = self.argv[stop], stop + 1
+        for option, value in taken + [(option, value)]:
+            self._store(option, value)
+        return stop
+
+    def _store(self, option: Option, value: str | None) -> None:
+        if option is _HELP:
+            sys.stdout.write(_help(self.command))
+            raise SystemExit(0)
+        if option.type is None:
+            self.values[option.dest] = True
+            return
+        try:
+            value = option.type(value)
+        except ValueError:
+            _fail(self.command, f"argument {option.flag}: "
+                  f"invalid {option.type.__name__} value: {value!r}")
+        if option.repeats:
+            self.values[option.dest] = (self.values[option.dest] or []) + [value]
+        else:
+            self.values[option.dest] = value
+
+    @staticmethod
+    def _name(option: Option) -> str:
+        return "-h/--help" if option is _HELP else option.flag
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Parse `argv` against `COMMANDS` as argparse did: flags before or after
+    the config path, ``--flag VALUE`` or ``--flag=VALUE``, unique prefixes of
+    long flags, the last value of a flag or each value of a repeatable one;
+    a bad command line prints usage and argparse's error line to stderr and
+    raises SystemExit(2), ``-h`` prints help and raises SystemExit(0). The
+    namespace holds `command` and the command's own names, as argparse's."""
+    top = _Level(None, argv)
+    i = 0
+    while i < len(argv) and isinstance(top.kinds[i], tuple):
+        i = top.take_option(i)
+    # the command is the first positional, or a "--" with anything after it
+    if i == len(argv) or (top.kinds[i] == "--" and i + 1 == len(argv)):
+        _fail(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    level = _Level(command, argv[i + 1:])
+    want_config = COMMANDS[command].config
+    j = 0
+    while j < len(level.argv):
+        kind = level.kinds[j]
+        if isinstance(kind, tuple):
+            j = level.take_option(j)
+            continue
+        # argparse takes the config path with a "--" just before or after it
+        k = j + (kind == "--")
+        if want_config and k < len(level.argv) and level.kinds[k] is None:
+            level.values["config"], want_config = level.argv[k], False
+            j = k + 1 + (level.kinds[k + 1:k + 2] == ["--"])
+        else:
+            level.extras.append(level.argv[j])
+            j += 1
+    if want_config:
+        _fail(command, "the following arguments are required: config")
+    extras = top.extras + level.extras
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **level.values)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -344,7 +552,20 @@ def _check_output_path(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        try:
+            return _run(parse_args(sys.argv[1:] if argv is None else argv))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`covertdht simulate cfg | head -1`):
+        # Python's recipe points stdout at devnull, so that the flush at exit
+        # fails no more, and exits 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args: SimpleNamespace) -> int:
     if args.command == "example":
         return cmd_example()
     try:

@@ -19,10 +19,12 @@ logarithm taken per type, and the letters summed by numpy's
 `sum(axis=-1)`. `lagrangian_min_brent` is the former crossing search of
 the E2/E3 Lagrangian family: a least-squares Newton step, each solve
 started from the nearest solved point's potentials, and Brent's method on
-kappa. Tests compare the library against them on small inputs; nothing in
-the package imports this module.
+kappa. `build_parser` is the argparse grammar of the command line that the
+table-driven parser in `covertdht.cli` replaced. Tests compare the library
+against them on small inputs; nothing in the package imports this module.
 """
 
+import argparse
 import itertools
 import math
 
@@ -625,3 +627,27 @@ def lagrangian_min_brent(q, p_u, p_v, tau, upper, coupling, d_t):
     excess = solve(kappa)
     gap = math.inf if kappa == 1.0 else kappa / (kappa - 1.0) * excess
     return points[kappa][1], kappa, steps, gap
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="covertdht",
+        description="Covert distributed hypothesis testing: exponents, "
+        "covertness bounds, and scheme simulation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("check-channel", "exponents", "simulate", "verify-covertness"):
+        sp = sub.add_parser(name)
+        sp.add_argument("config", help="path to the JSON experiment config")
+        if name == "exponents":
+            sp.add_argument("--json", action="store_true", help="emit JSON")
+        if name == "simulate":
+            sp.add_argument("--trials", type=int, default=None)
+            sp.add_argument("--seed", type=int, default=None)
+        if name in ("simulate", "verify-covertness"):
+            sp.add_argument("--mu", type=float, default=None,
+                            help="override scheme.mu; replaces sweep.mu_grid")
+            sp.add_argument("--n", type=int, action="append", default=None,
+                            help="override the blocklength grid (repeatable)")
+    sub.add_parser("example", help="reproduce the built-in worked example")
+    return parser

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import covertdht
+import oracles
 import covertdht.covertness as cov
 import covertdht.exponents as expo
 import covertdht.simulation as sim
@@ -25,6 +27,7 @@ from covertdht.cli import (
     SIM_HEADER,
     SIM_SCHEMA,
     main,
+    parse_args,
     read_csv,
 )
 from covertdht.config import ExperimentConfig
@@ -670,6 +673,161 @@ def test_no_command_imports_scipy(tmp_path):
                 assert main(argv) == 0, argv
             loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
             assert not loaded, (argv, loaded)
+    """)
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestParseArgs:
+    """`parse_args` reads every command line as the argparse grammar it
+    replaced (`oracles.build_parser`): the same names and values, or the same
+    exit code and error line. COLUMNS is fixed so that argparse wraps its
+    usage the same way on every terminal."""
+
+    VALID = [
+        ["check-channel", "cfg.json"],
+        ["exponents", "cfg.json"],
+        ["exponents", "cfg.json", "--json"],
+        ["exponents", "--json", "cfg.json"],
+        ["exponents", "cfg.json", "--j"],
+        ["exponents", "--js", "cfg.json", "--json"],
+        ["simulate", "cfg.json"],
+        ["simulate", "cfg.json", "--trials", "5", "--seed", "3"],
+        ["simulate", "--trials=5", "cfg.json", "--seed=3"],
+        ["simulate", "--tri", "5", "cfg.json", "--s", "2", "--m=0.5"],
+        ["simulate", "cfg.json", "--trials", "5", "--trials", "7"],
+        ["simulate", "cfg.json", "--mu", "0.1", "--mu", "0.2"],
+        ["simulate", "cfg.json", "--n", "24", "--n", "36", "--n=48"],
+        ["simulate", "--n", "24", "cfg.json", "--n", "36"],
+        ["simulate", "cfg.json", "--mu", "-0.1"],
+        ["simulate", "cfg.json", "--mu", "-.5", "--seed", "-3"],
+        ["simulate", "cfg.json", "--mu=-1e-3", "--mu", "inf"],
+        ["simulate", "--", "cfg.json"],
+        ["simulate", "cfg.json", "--"],
+        ["verify-covertness", "cfg.json", "--mu", "0.05", "--n", "80"],
+        ["verify-covertness", "--n=80", "--n", "160", "cfg.json"],
+        ["verify-covertness", "cfg.json", "--m=0.1"],
+        ["example"],
+    ]
+
+    INVALID = [
+        [],
+        ["bogus"],
+        ["bogus", "-h"],
+        ["--", "simulate", "cfg.json"],
+        ["--"],
+        ["--json", "exponents", "cfg.json"],
+        ["-x", "simulate", "cfg.json", "extra"],
+        ["--help=1"],
+        ["check-channel"],
+        ["exponents"],
+        ["exponents", "--json"],
+        ["simulate", "--n", "5"],
+        ["verify-covertness", "--mu", "0.1"],
+        ["simulate", "cfg.json", "--trials", "many"],
+        ["simulate", "cfg.json", "--seed", "1.5"],
+        ["simulate", "cfg.json", "--mu", "x"],
+        ["simulate", "cfg.json", "--n", "2.5"],
+        ["simulate", "cfg.json", "--mu="],
+        ["simulate", "cfg.json", "--trials"],
+        ["simulate", "cfg.json", "--mu", "--n", "5"],
+        ["simulate", "cfg.json", "--mu", "-1e-3"],
+        ["simulate", "cfg.json", "--n", "--", "5"],
+        ["simulate", "cfg.json", "extra"],
+        ["simulate", "cfg.json", "--", "--n", "5"],
+        ["simulate", "cfg.json", "--json"],
+        ["simulate", "cfg.json", "--=5"],
+        ["verify-covertness", "cfg.json", "--seed", "1"],
+        ["verify-covertness", "--seed", "1", "cfg.json"],
+        ["exponents", "cfg.json", "--json=yes"],
+        ["exponents", "cfg.json", "-hx"],
+        ["check-channel", "cfg.json", "-x"],
+        ["example", "cfg.json"],
+        ["example", "--json"],
+        ["example", "--"],
+    ]
+
+    HELP = [
+        ["-h"], ["--help"], ["--he"], ["-h", "bogus"],
+        ["check-channel", "-h"], ["exponents", "--h"], ["simulate", "-h"],
+        ["simulate", "cfg.json", "--help"], ["verify-covertness", "-hh"], ["example", "-h"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def exit_of(parse, argv, capsys):
+        """(exit code, stdout, stderr) of a `parse` that must exit."""
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_valid_argv_gives_the_oracle_values(self, argv):
+        want = vars(oracles.build_parser().parse_args(list(argv)))
+        assert vars(parse_args(list(argv))) == want
+
+    @pytest.mark.parametrize("argv", INVALID, ids=" ".join)
+    def test_invalid_argv_gives_the_oracle_error_line(self, argv, capsys):
+        code, _, err = self.exit_of(parse_args, argv, capsys)
+        want_code, _, want_err = self.exit_of(oracles.build_parser().parse_args, argv, capsys)
+        assert code == want_code == 2
+        assert err.splitlines()[-1] == want_err.splitlines()[-1]
+        assert err.startswith("usage: covertdht")
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_exits_0_and_names_the_oracle_flags(self, argv, capsys):
+        code, out, err = self.exit_of(parse_args, argv, capsys)
+        want_code, want_out, _ = self.exit_of(oracles.build_parser().parse_args, argv, capsys)
+        assert code == want_code == 0
+        assert err == ""
+        assert out.startswith("usage: covertdht")
+        assert set(re.findall(r"--[a-z]+", out)) == set(re.findall(r"--[a-z]+", want_out))
+
+    def test_negative_mu_is_a_value_that_config_validation_rejects(self, example_cfg_path,
+                                                                    capsys):
+        assert main(["simulate", example_cfg_path, "--mu", "-0.1"]) == 2
+        assert capsys.readouterr().err == "error: scheme: mu must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", str(REPO / "perfbench" / "workloads" / "exact-sweep-b.json")],
+    ["verify-covertness", str(REPO / "perfbench" / "workloads" / "covert-sweep-b.json")],
+    ["-h"],
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the read end is closed before the command writes its first byte
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
+    proc = subprocess.Popen([sys.executable, "-m", "covertdht.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+
+
+def test_exponents_loads_no_argparse(tmp_path):
+    # argparse's messages import gettext, whose first lookup imports locale:
+    # a fixed cost of every command, which the table-driven parser avoids
+    path = write_config(tmp_path, EXAMPLE_CONFIG)
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from covertdht.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["exponents", {path!r}, "--json"]) == 0
+        loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+        assert not loaded, loaded
     """)
     env = {**os.environ,
            "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
