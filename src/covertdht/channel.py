@@ -9,16 +9,17 @@ Admissibility, in the covert-communication convention, requires that
 (a) the zero-input warden row is not a mixture of the non-zero-input rows,
 (b) every warden row's support is contained in the zero row's support, and
 (c) the same support inclusion holds on the decision-center side.
+`ConditionReport` records their outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoConvergence
-from .probability import Alphabet, Pmf, cached_method
+from .probability import Alphabet, Frozen, Pmf, cached_method
 
 #: Absolute tolerance for "row equals mixture" feasibility. Exact zeros in
 #: channel matrices are compared exactly: matrices are model inputs, not
@@ -39,24 +40,21 @@ def _check_row_stochastic(mat: np.ndarray, rows: int, cols: int, name: str) -> n
     return arr
 
 
-@dataclass(frozen=True)
-class Dmc:
-    """Discrete memoryless channel with designated zero input symbol."""
+class Dmc(Frozen):
+    """Discrete memoryless channel with designated zero input symbol.
+    Equality and hash are by identity."""
 
-    input_alphabet: Alphabet
-    y_alphabet: Alphabet
-    z_alphabet: Alphabet
-    y_given_x: np.ndarray = field(repr=False)
-    z_given_x: np.ndarray = field(repr=False)
-    zero_symbol: object = 0
+    _repr = ("input_alphabet", "y_alphabet", "z_alphabet", "zero_symbol")
 
-    def __post_init__(self):
-        for name, out in (("y_given_x", self.y_alphabet), ("z_given_x", self.z_alphabet)):
-            mat = _check_row_stochastic(getattr(self, name), self.input_alphabet.size,
-                                        out.size, name)
-            object.__setattr__(self, name, mat)
+    def __init__(self, input_alphabet: Alphabet, y_alphabet: Alphabet, z_alphabet: Alphabet,
+                 y_given_x: np.ndarray, z_given_x: np.ndarray, zero_symbol: object = 0):
+        rows = input_alphabet.size
+        self._set(input_alphabet=input_alphabet, y_alphabet=y_alphabet, z_alphabet=z_alphabet,
+                  y_given_x=_check_row_stochastic(y_given_x, rows, y_alphabet.size, "y_given_x"),
+                  z_given_x=_check_row_stochastic(z_given_x, rows, z_alphabet.size, "z_given_x"),
+                  zero_symbol=zero_symbol)
         # raises KeyError if the zero symbol is missing
-        self.input_alphabet.index(self.zero_symbol)
+        input_alphabet.index(zero_symbol)
 
     @property
     def zero_index(self) -> int:
@@ -77,9 +75,9 @@ class Dmc:
         return [s for i, s in enumerate(self.input_alphabet.symbols) if i != zi]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the three admissibility checks plus connectivity."""
+class ConditionReport(NamedTuple):
+    """Outcome of the three admissibility checks plus connectivity, compared
+    field by field."""
 
     mixture_ok: bool
     warden_support_ok: bool

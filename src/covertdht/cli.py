@@ -17,7 +17,6 @@ config field out of range, 3 numerical failure.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import os
@@ -48,9 +47,13 @@ COV_SCHEMA = "covertdht-cov-1"
 COV_HEADER = ["schema", "n", "delta_n", "d_n_exact", "quad_bound", "type_bound"]
 
 
-def write_rows(out: dict, header: list[str], schema: str, rows: list[dict]) -> None:
-    """Write sweep rows to ``out["path"]`` ("-" is stdout) in ``out["format"]``:
-    CSV with the schema tag in every row, or JSON {"schema": ..., "rows": [...]}."""
+def write_rows(out: dict, header: list[str], schema: str, records: list[NamedTuple]) -> None:
+    """Write sweep records to ``out["path"]`` ("-" is stdout) in ``out["format"]``,
+    one row of the fields ``header`` names after the schema tag (None as "")
+    per record: CSV with the schema tag in every row, or JSON {"schema": ...,
+    "rows": [...]}."""
+    rows = [{key: "" if (value := getattr(rec, key)) is None else value for key in header[1:]}
+            for rec in records]
     fh = sys.stdout if out["path"] == "-" else open(out["path"], "w", newline="")
     try:
         if out["format"] == "json":
@@ -62,19 +65,6 @@ def write_rows(out: dict, header: list[str], schema: str, rows: list[dict]) -> N
     finally:
         if fh is not sys.stdout:
             fh.close()
-
-
-def read_csv(path: str, header: list[str], schema: str) -> list[dict]:
-    """Read back a sweep CSV; a header or schema mismatch is a hard error."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
-            raise ConfigError(f"CSV header mismatch: expected {header}, got {reader.fieldnames}")
-        rows = list(reader)
-    for row in rows:
-        if row["schema"] != schema:
-            raise ConfigError(f"CSV schema mismatch: expected {schema}, got {row['schema']}")
-    return rows
 
 
 def cmd_check_channel(cfg: ExperimentConfig) -> int:
@@ -146,7 +136,7 @@ def _sim_results(cfg: ExperimentConfig) -> list[sim.SimulationResult]:
     exact = {}  # n -> one record per mu, or None where the engine refused n
     results = []
     for i, mu in enumerate(mus):
-        scheme = dataclasses.replace(base_scheme, mu=mu)
+        scheme = base_scheme.replace(mu=mu)
         for n in sweep["n_grid"]:
             if n not in exact:
                 try:
@@ -171,7 +161,7 @@ def _sim_results(cfg: ExperimentConfig) -> list[sim.SimulationResult]:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     results = _sim_results(cfg)
-    write_rows(cfg.output(), SIM_HEADER, SIM_SCHEMA, [res.as_row() for res in results])
+    write_rows(cfg.output(), SIM_HEADER, SIM_SCHEMA, results)
     # each distinct (mu, n) cell once, in order of n: a mu or an n the grid
     # repeats gives the same record again
     by_mu = {}
@@ -214,7 +204,7 @@ def cmd_verify_covertness(cfg: ExperimentConfig) -> int:
         g1, pbar = dmc.z_row(scheme.x1), expo.pbar_threshold(dmc, scheme.x1)
     else:
         g1, pbar = dmc.z_row(scheme.x_hat), None
-    rows = []
+    reps = []
     violations = 0
     for n in sweep["n_grid"]:
         # the burst scheme's padded zero tail adds nothing to the divergence
@@ -223,10 +213,10 @@ def cmd_verify_covertness(cfg: ExperimentConfig) -> int:
         rep = cov.CovertnessReport(n, delta, *cov.warden_divergence(g0, g1, delta, block))
         if rep.d_n_exact > rep.quad_bound * (1 + 1e-9):
             violations += 1
-        rows.append(rep.as_row())
-    write_rows(cfg.output(), COV_HEADER, COV_SCHEMA, rows)
-    ns = [row["n"] for row in rows]
-    d_n = [row["d_n_exact"] for row in rows]
+        reps.append(rep)
+    write_rows(cfg.output(), COV_HEADER, COV_SCHEMA, reps)
+    ns = [rep.n for rep in reps]
+    d_n = [rep.d_n_exact for rep in reps]
     zeros = [n for n, d in zip(ns, d_n) if d == 0.0]
     if len(ns) - len(zeros) >= 3:
         fit = sim.empirical_exponent(ns, betas=d_n)

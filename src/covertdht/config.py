@@ -21,20 +21,19 @@ be a positive, finite number. ``verify-covertness`` sweeps ``n_grid`` at
 ``scheme.mu``. ``output`` serves both commands.
 
 Parsing and serialization round-trip exactly; validation failures raise
-ConfigError naming the offending field.
+ConfigError naming the offending field. Configs compare by their documents.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import Dmc
 from .errors import ConfigError
-from .probability import Alphabet, JointPmf, cached_method
+from .probability import Alphabet, Frozen, JointPmf, cached_method
 from .simulation import SchemeConfig, make_k_rule
 
 
@@ -49,9 +48,17 @@ def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    raw: dict = field(repr=False)
+class ExperimentConfig(Frozen):
+    """One parsed config document, kept as ``raw``. Two configs are equal
+    when their documents are; a config is not hashable, as its dict is not."""
+
+    def __init__(self, raw: dict):
+        self._set(raw=raw)
+
+    def __eq__(self, other):
+        return self.raw == other.raw if type(other) is ExperimentConfig else NotImplemented
+
+    __hash__ = None
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":

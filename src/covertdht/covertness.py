@@ -25,7 +25,8 @@ is ``simulation.transmit_probability``: the encoder rule lives with the
 decision kernel, not here.
 
 The positivity margins are closed forms in Renyi divergences of the warden
-rows, with no sum and no grid; the first is identically 0.
+rows, with no sum and no grid; the first is identically 0. A sweep's row is
+a `CovertnessReport` record.
 
 All divergences are in nats.
 """
@@ -33,7 +34,7 @@ All divergences are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,21 +176,11 @@ def scheme_B_positivity(p_u: Pmf, pbar: PbarSet, g0: Pmf, g1: Pmf) -> tuple[floa
     return two_b - math.log(sum_cubes), two_b - math.log1p(chi_squared(g1, g0)), two_b
 
 
-@dataclass(frozen=True)
-class CovertnessReport:
-    """One row of a covertness sweep (divergences in nats)."""
+class CovertnessReport(NamedTuple):
+    """One row of a covertness sweep (divergences in nats), compared field by field."""
 
     n: int
     delta_n: float
     d_n_exact: float
     quad_bound: float
     type_bound: float
-
-    def as_row(self) -> dict:
-        return {
-            "n": self.n,
-            "delta_n": self.delta_n,
-            "d_n_exact": self.d_n_exact,
-            "quad_bound": self.quad_bound,
-            "type_bound": self.type_bound,
-        }

@@ -42,7 +42,8 @@ polished by a Nelder-Mead search over the ray directions, every trial ray
 retracted onto the sphere; rays that miss it inside the face land on its
 rim, and a minimum on the rim is searched again inside that face.
 
-All values are stored in nats; `ExponentReport.as_dict` reports bits.
+All values are stored in nats, in records (`PbarSet`, `ExponentTerm`,
+`ExponentReport`); `ExponentReport.as_dict` reports bits.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import enum
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,7 @@ _MIN_RECORD = ("%s minimum at tau = %.6g nats: %s, kappa = %.17g, %d Newton step
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PbarSet:
+class PbarSet(NamedTuple):
     """Divergence-threshold description of the transmission-triggering set.
 
     A source type belongs to the set iff its divergence to the true source pmf
@@ -114,7 +114,7 @@ class PbarSet:
     ``maximizer`` is the warden-output pmf achieving the threshold value.
     ``tau_nats`` is the Renyi divergence D_3(G1||G0) of the two warden rows,
     so it is >= 0, with equality only when G1 = G0 (then every source type
-    qualifies).
+    qualifies). Records compare field by field, the maximizer by identity.
     """
 
     x1: object
@@ -201,9 +201,8 @@ def i_projection_coupling(q: JointPmf, target_row: Pmf, target_col: Pmf) -> Join
     return JointPmf(q.row_alphabet, q.col_alphabet, out)
 
 
-@dataclass(frozen=True)
-class ExponentTerm:
-    """One exponent value (nats) with its minimizing joint type, when finite."""
+class ExponentTerm(NamedTuple):
+    """An exponent (nats) and its minimizing joint type when finite, compared field by field."""
 
     value_nats: float
     minimizer: JointPmf | None = None
@@ -730,8 +729,7 @@ class ConnectivityCase(enum.Enum):
     FULLY_CONNECTED = "fully_connected"
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     """All main-result quantities for one source pair and channel, in nats.
 
     In the fully-connected case two readings of the achievable exponent are
@@ -741,6 +739,7 @@ class ExponentReport:
     globally-computed pair. They coincide for a single non-zero input. In the
     partially-connected case both equal the exact characterization e1.
     ``t_u`` is T_U, against which the ``improvement`` verdict is decided.
+    Reports compare field by field, ``t_u`` by identity.
     """
 
     e1_nats: float

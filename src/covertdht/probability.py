@@ -15,6 +15,11 @@ reduces the table over its types, so both meet every tie the same way.
 There is no sequence-level layer: every quantity the library computes
 depends on a block only through its type.
 
+The value types (`Alphabet`, `Pmf`, `JointPmf`, ``channel.Dmc``,
+``simulation.SchemeConfig``, ``config.ExperimentConfig``) are plain classes
+on :class:`Frozen` with read-only fields, so importing them generates no
+code; results are ``typing.NamedTuple`` records, compared field by field.
+
 Conventions: 0*log(0/q) = 0 by continuity. A positive p-mass on a q-zero is
 +inf in the batched ``kl_rows``; the scalar ``kl_divergence`` raises
 :class:`SupportViolation` instead, so its callers handle the infinite case
@@ -26,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,18 +42,49 @@ LN2 = math.log(2.0)
 _MASS_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered finite alphabet with a bijective index <-> label mapping."""
+class Frozen:
+    """Base of the value types: ``__init__`` sets the fields once, by `_set`;
+    assigning or deleting an attribute then raises AttributeError. repr
+    shows the fields named in ``_repr``, in order. Equality and hash are by
+    identity unless a type defines its own."""
 
-    symbols: tuple
+    _repr: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(self.symbols) == 0:
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Alphabet(Frozen):
+    """Ordered finite alphabet with a bijective index <-> label mapping.
+
+    Equal alphabets have equal symbols, in the same order; an alphabet is
+    hashable."""
+
+    _repr = ("symbols",)
+
+    def __init__(self, symbols: tuple):
+        symbols = tuple(symbols)
+        if len(symbols) == 0:
             raise ValueError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
+        self._set(symbols=symbols)
+
+    def __eq__(self, other):
+        return self.symbols == other.symbols if type(other) is Alphabet else NotImplemented
+
+    def __hash__(self):
+        return hash(self.symbols)
 
     @property
     def size(self) -> int:
@@ -90,52 +125,41 @@ def cached_method(method):
     return cached
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(Frozen):
     """Probability mass function over a finite alphabet.
 
     Construction normalizes inputs whose total mass is within 1e-9 of 1 and
-    rejects anything further off.
+    rejects anything further off. Equality and hash are by identity.
     """
 
-    alphabet: Alphabet
-    probs: np.ndarray = field(repr=False)
+    _repr = ("alphabet",)
 
-    def __post_init__(self):
-        arr = _as_prob_vector(self.probs, "pmf")
-        if arr.shape != (self.alphabet.size,):
+    def __init__(self, alphabet: Alphabet, probs: np.ndarray):
+        arr = _as_prob_vector(probs, "pmf")
+        if arr.shape != (alphabet.size,):
             raise ValueError(
-                f"pmf length {arr.shape} does not match alphabet size {self.alphabet.size}"
+                f"pmf length {arr.shape} does not match alphabet size {alphabet.size}"
             )
-        object.__setattr__(self, "probs", arr)
+        self._set(alphabet=alphabet, probs=arr)
 
     def __getitem__(self, symbol) -> float:
         return float(self.probs[self.alphabet.index(symbol)])
 
-    @staticmethod
-    def bernoulli(p: float, alphabet: Alphabet | None = None) -> "Pmf":
-        """Bern(p) on {0, 1}: probability p on symbol 1."""
-        if alphabet is None:
-            alphabet = Alphabet((0, 1))
-        return Pmf(alphabet, np.array([1.0 - p, p]))
 
+class JointPmf(Frozen):
+    """Joint pmf over a product of two finite alphabets (rows x columns).
+    Equality and hash are by identity."""
 
-@dataclass(frozen=True)
-class JointPmf:
-    """Joint pmf over a product of two finite alphabets (rows x columns)."""
+    _repr = ("row_alphabet", "col_alphabet")
 
-    row_alphabet: Alphabet
-    col_alphabet: Alphabet
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        if arr.shape != (self.row_alphabet.size, self.col_alphabet.size):
+    def __init__(self, row_alphabet: Alphabet, col_alphabet: Alphabet, probs: np.ndarray):
+        arr = np.asarray(probs, dtype=float)
+        if arr.shape != (row_alphabet.size, col_alphabet.size):
             raise ValueError("joint pmf shape does not match alphabets")
         flat = _as_prob_vector(arr.ravel(), "joint pmf")
         arr = flat.reshape(arr.shape)
         arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        self._set(row_alphabet=row_alphabet, col_alphabet=col_alphabet, probs=arr)
 
     @cached_method
     def row_marginal(self) -> Pmf:

@@ -31,12 +31,13 @@ Its predicates, and the Y test behind the codewords' Y factors, run on the
 bands of ``typesum``'s lattice walk: ``typical`` and ``kl_rows`` reduce
 per-letter tables there, with the kernels they apply to sampled counts.
 Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
-``SimulationResult`` (``log_beta`` included, exact also where beta
+``SimulationResult`` record (``log_beta`` included, exact also where beta
 underflows), built by one helper that also derives the weight statistics
 from the firing probability (delta_n, or its sampled frequency).
 
-The exact engine works on a whole mu grid at one n: none of its lattice
-walks depends on mu. It walks the joint types once, computes each band's
+The exact engine works on a whole mu grid at one n, a validated copy
+``cfg.replace(mu=mu)`` of the scheme per mu: none of its lattice walks
+depends on mu. It walks the joint types once, computes each band's
 class log-probabilities under each law once, and decides the band at each
 mu with the same predicates; one walk of the Y lattice serves both
 codewords and every mu, and scheme B's delta_n, whose threshold test does
@@ -74,15 +75,14 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import Dmc
 from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
-from .probability import LN2, JointPmf, Pmf, typical, typical_letters
+from .probability import LN2, Frozen, JointPmf, Pmf, typical, typical_letters
 from .typesum import (
     NEG_INF,
     check_enumerable,
@@ -116,31 +116,42 @@ def make_k_rule(spec: str) -> Callable[[int], int]:
     raise ValueError(f"unknown k-rule {spec!r}")
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(Frozen):
     """Configuration of one coding-and-testing scheme.
 
     ``x1`` is the full-block codeword symbol (scheme B), ``x_hat``/``y_star``
     the burst symbol and marker output (scheme A). ``k_rule`` maps n to the
     burst length and must satisfy k(n) <= n on the blocklengths in use.
+    Configs with equal fields are equal, and a config is hashable; `replace`
+    copies one with some fields changed.
     """
 
-    scheme: str  # "A" or "B"
-    mu: float = 0.05
-    x1: object = None
-    x_hat: object = None
-    y_star: object = None
-    k_spec: str = "sqrt"
+    _repr = ("scheme", "mu", "x1", "x_hat", "y_star", "k_spec")
 
-    def __post_init__(self):
-        if self.scheme not in ("A", "B"):
+    def __init__(self, scheme: str, mu: float = 0.05, x1: object = None, x_hat: object = None,
+                 y_star: object = None, k_spec: str = "sqrt"):
+        self._set(scheme=scheme, mu=mu, x1=x1, x_hat=x_hat, y_star=y_star, k_spec=k_spec)
+        if scheme not in ("A", "B"):
             raise ValueError("scheme must be 'A' or 'B'")
-        if not 0 < self.mu < math.inf:  # NaN as well
+        if not 0 < mu < math.inf:  # NaN as well
             raise ValueError("mu must be positive and finite")
-        if self.scheme == "A" and (self.x_hat is None or self.y_star is None):
+        if scheme == "A" and (x_hat is None or y_star is None):
             raise ValueError("scheme A requires x_hat and y_star")
-        if self.scheme == "B" and self.x1 is None:
+        if scheme == "B" and x1 is None:
             raise ValueError("scheme B requires x1")
+
+    def _values(self) -> tuple:
+        return self.scheme, self.mu, self.x1, self.x_hat, self.y_star, self.k_spec
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is SchemeConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def replace(self, **changes) -> "SchemeConfig":
+        """A copy with the named fields changed, validated as a new config."""
+        return SchemeConfig(**{**dict(zip(self._repr, self._values())), **changes})
 
     def k(self, n: int) -> int:
         kv = make_k_rule(self.k_spec)(n)
@@ -296,7 +307,7 @@ def exact_error_probs(
     if not mus:
         raise ValueError("the mu grid is empty")
     cfg.validate_against(dmc)
-    cfgs = [replace(cfg, mu=mu) for mu in mus]
+    cfgs = [cfg.replace(mu=mu) for mu in mus]
     log_accepts = _log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar)
     p_u = p_uv.row_marginal()
     if cfg.scheme == "B":
@@ -313,9 +324,8 @@ def exact_error_probs(
     return results
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Error estimates for one (scheme, n) cell."""
+class SimulationResult(NamedTuple):
+    """Error estimates for one (scheme, n) cell, compared field by field."""
 
     scheme: str
     n: int
@@ -332,24 +342,6 @@ class SimulationResult:
     beta_is_upper_bound: bool = False  # rule-of-three stand-in for zero counts
     weight_mean: float = 0.0  # mean Hamming-weight fraction of X^n under H0
     a_bar: float = 0.0  # sqrt of the mean per-position activity under H0
-
-    def as_row(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "n": self.n,
-            "mu": self.mu,
-            "k": self.k if self.k is not None else "",
-            "alpha": self.alpha,
-            "alpha_ci": self.alpha_ci,
-            "beta": self.beta,
-            "beta_ci": self.beta_ci,
-            "method": self.method,
-            "seed": self.seed if self.seed is not None else "",
-            "trials": self.trials,
-            "beta_is_upper_bound": self.beta_is_upper_bound,
-            "weight_mean": self.weight_mean,
-            "a_bar": self.a_bar,
-        }
 
 
 def _result(cfg: SchemeConfig, n: int, p_fire: float, **estimates) -> SimulationResult:
@@ -575,9 +567,8 @@ def run_trials(
     )
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    """Per-blocklength Type-II exponents and their linear trend (bits)."""
+class ExponentFit(NamedTuple):
+    """Per-blocklength Type-II exponents and linear trend (bits), compared field by field."""
 
     ns: tuple
     exponents_bits: tuple  # -(1/n) log2 beta_n

@@ -6,10 +6,13 @@ nothing), and both the decision-center and warden channels are BSC(0.4)
 with zero input 0.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
 from covertdht import Dmc
+from covertdht.errors import ConfigError
 from covertdht.probability import Alphabet, JointPmf, Pmf
 
 BSC04 = [[0.6, 0.4], [0.4, 0.6]]
@@ -94,3 +97,16 @@ def example_p_u(u_alphabet):
 @pytest.fixture(scope="session")
 def example_q_u(u_alphabet):
     return Pmf(u_alphabet, np.array([0.3, 0.7]))
+
+
+def read_csv(path: str, header: list[str], schema: str) -> list[dict]:
+    """Read back a sweep CSV; a header or schema mismatch is a hard error."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != header:
+            raise ConfigError(f"CSV header mismatch: expected {header}, got {reader.fieldnames}")
+        rows = list(reader)
+    for row in rows:
+        if row["schema"] != schema:
+            raise ConfigError(f"CSV schema mismatch: expected {schema}, got {row['schema']}")
+    return rows

@@ -28,12 +28,11 @@ from covertdht.cli import (
     SIM_SCHEMA,
     main,
     parse_args,
-    read_csv,
 )
 from covertdht.config import ExperimentConfig
 from covertdht.errors import ConfigError
 
-from conftest import TERNARY_CONFIG
+from conftest import TERNARY_CONFIG, read_csv
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"

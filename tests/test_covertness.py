@@ -11,10 +11,12 @@ import covertdht.exponents as expo
 import covertdht.simulation as sim
 import covertdht.typesum as typesum
 import oracles
-from covertdht.cli import COV_HEADER, COV_SCHEMA, EXAMPLE_CONFIG, main, read_csv
+from covertdht.cli import COV_HEADER, COV_SCHEMA, EXAMPLE_CONFIG, main
 from covertdht.errors import SupportViolation
 from covertdht import Dmc
 from covertdht.probability import Alphabet, Pmf, chi_squared, kl_divergence, kl_rows
+
+from conftest import read_csv
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))

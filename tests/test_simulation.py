@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import logging
 import math
@@ -467,7 +466,7 @@ class TestMuGrid:
         v_edge, u_edge = _box_edge(p_v, ns[1]), _box_edge(p_u, ns[1])
         grid = [0.3, v_edge, 0.1, 0.3, u_edge]
         for n in ns:
-            cfgs = [dataclasses.replace(cfg, mu=mu) for mu in grid]
+            cfgs = [cfg.replace(mu=mu) for mu in grid]
             want = [oracles.log_accept_probs_at_mu(c, p_uv, q_uv, dmc, n, pbar) for c in cfgs]
             assert sim._log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar) == want
             got = sim.exact_error_probs(cfg, grid, p_uv, q_uv, dmc, n, pbar)
