@@ -141,9 +141,10 @@ def _sim_results(cfg: ExperimentConfig) -> list[sim.SimulationResult]:
             if n not in exact:
                 try:
                     exact[n] = sim.exact_error_probs(base_scheme, mus, p_uv, q_uv, dmc, n, pbar)
-                except AlphabetTooLarge:
+                except AlphabetTooLarge as exc:
                     if sweep["trials"] < 1:
-                        raise
+                        raise AlphabetTooLarge(f"{exc}; set sweep.trials or --trials above 0 "
+                                               "to run the refused cells on Monte Carlo") from None
                     exact[n] = None
             if exact[n] is not None:
                 results.append(exact[n][i])

@@ -40,7 +40,7 @@ class InvalidChannel(CovertDhtError):
 
 
 class AlphabetTooLarge(CovertDhtError):
-    """Exact type enumeration is not feasible at this alphabet size; use Monte Carlo."""
+    """Exact type enumeration is not feasible at this alphabet size and n."""
 
 
 class ConfigMismatch(CovertDhtError):

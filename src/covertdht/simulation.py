@@ -21,52 +21,36 @@ decisions only through the types of V^n and Y^n, so the library works on
 types alone and never on symbol sequences. The encoder rule is written once,
 in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``), and so
 is the V test's per-letter condition, ``probability.typical_letters``. The
-Monte Carlo engine calls ``_transmits`` and ``_v_typical`` on sampled U and V
-counts. The exact engine walks the bands of joint types of ``typesum``: a
-band row fixes T_U, so ``_transmits`` decides each row once, and the V test
-reads a table of ``typical_letters`` on the counts 0..n at each type's V
-counts. The Y test goes through ``probability.typical`` in both.
-``transmit_probability`` sums the same rule over the U types alone: delta_n.
-Its predicates, and the Y test behind the codewords' Y factors, run on the
-bands of ``typesum``'s lattice walk: ``typical`` and ``kl_rows`` reduce
-per-letter tables there, with the kernels they apply to sampled counts.
-Both engines, ``exact_error_probs`` and ``run_trials``, return the cell's
-``SimulationResult`` record (``log_beta`` included, exact also where beta
-underflows), built by one helper that also derives the weight statistics
-from the firing probability (delta_n, or its sampled frequency).
+center accepts the null when its V test passes and the branch passes, the
+part of the test that reads the channel output. Given the encoder's
+decision the branch passes with a probability f, the branch factor, and one
+function gives f to both engines (``_log_branch_factors``): scheme A's in
+closed form, scheme B's from the box chain ``typesum.log_prob_boxes``, with
+no Y lattice. ``transmit_probability`` sums the encoder rule over the bands
+of the U lattice: delta_n. Both engines, ``exact_error_probs`` and
+``run_trials``, return the cell's ``SimulationResult`` record (``log_beta``
+included, exact also where beta underflows), built by one helper that also
+derives the weight statistics from the firing probability (delta_n, or its
+sampled frequency).
 
 The exact engine works on a whole mu grid at one n, a validated copy
-``cfg.replace(mu=mu)`` of the scheme per mu: none of its lattice walks
-depends on mu. It walks the joint types once, computes each band's
-class log-probabilities under each law once, and decides the band at each
-mu with the same predicates; one walk of the Y lattice serves both
-codewords and every mu, and scheme B's delta_n, whose threshold test does
-not read mu, is summed once. Each mu's sums are the same floating-point
-operations, in the same order and over the same band partition, as a pass
-at that mu alone on materialized blocks.
+``cfg.replace(mu=mu)`` of the scheme per mu. It walks the bands of joint
+types once: a band row fixes T_U, so ``_transmits`` decides each row once,
+the V test reads a table of ``typical_letters`` on the counts 0..n at each
+type's V counts, and each band's class log-probabilities under each law are
+computed once and decided at each mu with the same predicates. Each mu's
+sums are the same floating-point operations, in the same order and over the
+same band partition, as a pass at that mu alone on materialized blocks.
 
-The Monte Carlo engine, ``run_trials``, draws the pair (T_U, T_V), not the
-joint type, in one of two orders that give the same joint law by the chain
-rule. A law whose own V marginal is typical for P_V (the null's always is)
-draws U first. A block of trials is drawn in three stages, each from its own
-generator: the U counts (which fix the encoder decision), then the branch
-that decides with them (scheme A's marker scan, scheme B's output counts),
-then the V counts of the trials still undecided, T_V given T_U as the sum
-over u of Mult(c_u[u], P_{V|U=u}). So no trial's source counts take more
-binomials than a joint draw (|U||V| - 1), and a decided trial takes only
-|U| - 1. A law whose V marginal is atypical, as an alternative's often is,
-has most of its trials rejected by the V test, so it draws V first: the V
-counts letter by letter, as the multinomial's chain of binomials, each
-letter from its own generator, and a trial leaves at its first letter
-outside the mu-box; then, for the trials left, T_U given T_V as the sum over
-v of Mult(c_v[v], P_{U|V=v}); then the branch. The order changes the speed
-and the stream, never a trial's law. Each hypothesis's trials split into
-chunks, seeded by (seed, hypothesis, chunk, stage), and by the letter in
-the V-first order's letter stage, that run on threads, one per core the
-process may run on (numpy's samplers release the interpreter lock). A chunk
-draws at most ``BLOCK_TRIALS`` trials at a time, every generator in trial
-order, and returns integer counts, so seeded results do not depend on the
-core count or the block size.
+The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it draws
+the pair (T_U, T_V) of each trial, never the branch, and weights the
+V-typical trials of each decision by f. A law whose V marginal is typical
+for P_V (the null's always is) draws U first, then T_V given T_U; any other
+law draws V first, letter by letter, and prunes a trial at its first
+atypical letter (``_trial_chunk``). Chunks of trials run on threads, one per
+core the process may run on (numpy's samplers release the interpreter lock),
+and return integer counts, so seeded results do not depend on the core count
+or the block size.
 """
 
 from __future__ import annotations
@@ -87,7 +71,7 @@ from .typesum import (
     NEG_INF,
     check_enumerable,
     log_multinomial,
-    log_prob_type_events,
+    log_prob_boxes,
     log_sequence_prob,
     logsumexp,
     prob_type_event,
@@ -133,7 +117,7 @@ class SchemeConfig(Frozen):
         self._set(scheme=scheme, mu=mu, x1=x1, x_hat=x_hat, y_star=y_star, k_spec=k_spec)
         if scheme not in ("A", "B"):
             raise ValueError("scheme must be 'A' or 'B'")
-        if not 0 < mu < math.inf:  # NaN as well
+        if isinstance(mu, bool) or not 0 < mu < math.inf:  # NaN as well
             raise ValueError("mu must be positive and finite")
         if scheme == "A" and (x_hat is None or y_star is None):
             raise ValueError("scheme A requires x_hat and y_star")
@@ -171,18 +155,6 @@ class SchemeConfig(Frozen):
                 raise ConfigMismatch("x1 must differ from the zero symbol")
 
 
-def _log_prob_y_typical(
-    dmc: Dmc, x_symbols: Sequence, n: int, mus: Sequence[float]
-) -> list[list[float]]:
-    """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant], for
-    each codeword symbol of ``x_symbols`` and each mu of ``mus``, indexed
-    [symbol][mu], from one walk of the Y lattice: the mu-box masks do not
-    depend on the codeword."""
-    ref = dmc.y_row(dmc.zero_symbol).probs
-    return log_prob_type_events([dmc.y_row(x) for x in x_symbols], n,
-                                [lambda t, mu=mu: typical(t, ref, mu) for mu in mus])
-
-
 def _transmits(cfg: SchemeConfig, t_u: np.ndarray, p_u: Pmf, pbar: PbarSet | None) -> np.ndarray:
     """The encoder rule on a ``(rows, |U|)`` array of source types: True
     where the sensor transmits. Scheme B transmits when the type crosses
@@ -210,6 +182,25 @@ def transmit_probability(
     return prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar))
 
 
+def _log_branch_factors(
+    cfg: SchemeConfig, dmc: Dmc, n: int, mus: Sequence[float]
+) -> list[tuple[float, float]]:
+    """(log f_silent, log f_active) at each mu of ``mus``: given the
+    encoder's decision, the probability that the branch passes. Scheme A's
+    marker appears among a silent sensor's k(n) burst outputs, never among
+    an active one's (``validate_against``). Scheme B's Y^n is mu-typical for
+    the zero-input row given the constant codeword 0 or x1, by the box chain
+    on the boxes of ``typical_letters`` on the counts 0..n."""
+    if cfg.scheme == "A":
+        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
+        log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
+        return [(log_silent, NEG_INF)] * len(mus)
+    ref = dmc.y_row(dmc.zero_symbol).probs
+    rows = np.stack([dmc.y_row(x).probs for x in (dmc.zero_symbol, cfg.x1)])
+    column = np.arange(n + 1)[:, None] / n
+    return [tuple(log_prob_boxes(rows, n, typical_letters(column, ref, mu).T)) for mu in mus]
+
+
 def _log_accept_probs(
     cfgs: Sequence[SchemeConfig],
     p_uv: JointPmf,
@@ -222,37 +213,21 @@ def _log_accept_probs(
     config of ``cfgs`` (one scheme at several mu), in one walk of the bands
     of joint source types.
 
-    A band's class log-probabilities come from its count tables, the log
-    multinomial coefficients once and the sequence log-probabilities once
-    per law, and serve every mu. Both encoders read only T_U, and a band
-    row, which fixes the first |U||V| - 2 cells, fixes T_U where |V| >= 2:
-    its last two cells share the last U letter. So ``_transmits`` decides
-    each row once (scheme B's threshold test does not read mu) or once per
-    row and mu (scheme A), and its decision is read at each type's row.
-    The V test reads a per-mu table of ``typical_letters`` on the counts
-    0..n: a row's partial V counts fix the head letters, and the last two
-    letters add j and c_{d-1}. With |V| = 1 the joint type is T_U, and the
-    encoder rule takes the band, as ``transmit_probability`` does. The
-    per-type acceptance factor depends only on which constant codeword the
-    encoder emits, not on the source law, so the two factors and each
-    type's decisions serve both laws; scheme B's factors come from one walk
-    of the Y lattice for both codewords and every mu. Scheme A's burst
-    symbol never emits the marker (``validate_against``), so an active type
-    is never accepted. Every test reads integer counts divided by n, so
-    enumerated and sampled counts meet the closed typicality boundary at
-    the same place.
+    A band's class log-probabilities come from its count tables and serve
+    every mu. A band row, which fixes the first |U||V| - 2 cells, fixes T_U
+    where |V| >= 2 (its last two cells share the last U letter), so
+    ``_transmits`` decides each row once (scheme B) or once per row and mu
+    (scheme A). The V test reads a per-mu table of ``typical_letters`` on the
+    counts 0..n. With |V| = 1 the joint type is T_U. The branch factors and
+    each type's decisions serve both laws. Every test reads integer counts
+    divided by n, so enumerated and sampled counts meet the closed
+    typicality boundary at the same place.
     """
     cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     du, dv = p_u.alphabet.size, p_v.alphabet.size
     check_enumerable(n, du * dv, "joint source type enumeration")
-    if cfg.scheme == "B":
-        factors = list(zip(*_log_prob_y_typical(dmc, (dmc.zero_symbol, cfg.x1), n,
-                                                [c.mu for c in cfgs])))
-    else:
-        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-        log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
-        factors = [(log_silent, NEG_INF)] * len(cfgs)
+    factors = _log_branch_factors(cfg, dmc, n, [c.mu for c in cfgs])
     v_tables = [typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, c.mu) for c in cfgs]
     laws = [joint.probs.ravel() for joint in (p_uv, q_uv)]
     logs = [([], []) for _ in cfgs]
@@ -298,11 +273,10 @@ def exact_error_probs(
     the weight statistics of delta_n: the record of the cell of ``cfg`` at
     each mu of ``mus``, in that order (``cfg.mu`` itself is not read).
 
-    One walk of the joint-type lattice, and one of the Y lattice for both
-    codewords, serves the whole mu grid (``_log_accept_probs``). Scheme B's
-    delta_n does not depend on mu and is summed once; scheme A's encoder
-    reads mu, so its delta_n is summed at each mu. Feasible for small alphabets only; raises
-    AlphabetTooLarge otherwise, directing the caller to Monte Carlo.
+    One walk of the joint-type lattice serves the whole mu grid
+    (``_log_accept_probs``). Scheme B's delta_n does not depend on mu and is
+    summed once; scheme A's encoder reads mu, so its delta_n is summed at
+    each mu. Raises AlphabetTooLarge where the joint lattice exceeds the cap.
     """
     if not mus:
         raise ValueError("the mu grid is empty")
@@ -354,14 +328,14 @@ def _result(cfg: SchemeConfig, n: int, p_fire: float, **estimates) -> Simulation
                             a_bar=math.sqrt(weight_mean), **estimates)
 
 
-def _wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054) -> float:
+def _wilson_halfwidth(phat: float, trials: int, z: float = 1.959963984540054) -> float:
+    """The 95% Wilson score half-width at the mean ``phat`` of ``trials``
+    draws in [0, 1]: the distance from ``phat`` to the further bound."""
     if trials == 0:
         return 0.0
-    phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    # distance from the raw estimate to the further Wilson bound
     return max(abs(center + half - phat), abs(center - half - phat))
 
 
@@ -394,12 +368,10 @@ def _typical_letters(
     rngs: list, law_v: np.ndarray, ref: np.ndarray, mu: float, n: int, size: int
 ) -> np.ndarray:
     """The V counts of ``size`` trials under ``law_v``, drawn letter by letter
-    as the multinomial's chain of binomials, Bin(remaining, law_v[j] / sum of
-    law_v[j:]), letter j from ``rngs[j]`` and the last letter taking the
-    remainder. A trial leaves at its first letter that fails the V test's
-    per-letter condition (``typical`` against ``ref`` on that letter alone);
-    the rows of the trials that pass every letter are returned, in trial
-    order."""
+    as the multinomial's chain of binomials, letter j from ``rngs[j]`` and
+    the last letter taking the remainder. A trial leaves at its first letter
+    that fails the V test's per-letter condition; the rows of the trials
+    that pass every letter are returned, in trial order."""
     tail = np.cumsum(law_v[::-1])[::-1]
     step = np.divide(law_v, tail, out=np.zeros_like(law_v), where=tail > 0)
     remaining = np.full(size, n, dtype=np.int64)
@@ -417,38 +389,31 @@ def _trial_chunk(
     law: JointPmf,
     p_u: Pmf,
     p_v: Pmf,
-    dmc: Dmc,
     n: int,
     pbar: PbarSet | None,
+    branch: np.ndarray,
     m: int,
     key: tuple[int, int, int],
-) -> tuple[int, int, int]:
-    """Draw and decide ``m`` trials under ``law``: the counts of accepted,
-    active and pruned trials.
+) -> tuple[int, int, int, int]:
+    """Draw ``m`` trials under ``law`` up to the V test: the counts of
+    V-typical trials whose sensor stays silent and of those whose sensor
+    transmits, then of active and of pruned trials. The branch is not drawn;
+    ``branch[a]`` is False where decision a's branch factor is 0 (scheme A's
+    active sensor), and a U-first trial with that decision draws no V.
 
-    A block of at most ``BLOCK_TRIALS`` trials is drawn in three stages, each
+    A block of at most ``BLOCK_TRIALS`` trials is drawn in two stages, each
     from its own generator, seeded by ``key`` (seed, hypothesis, chunk) and
-    the stage number. A law whose own V marginal is typical for P_V (the
-    null's always is) draws U first:
-
-    0. the U counts, which fix the encoder decision;
-    1. the branch that decides with them: scheme A's marker scan of the k(n)
-       burst outputs, or scheme B's output counts for each trial's codeword;
-    2. the V counts, only for the trials still undecided, as the sum over u
-       of Mult(c_u[u], P_{V|U=u}), which is exactly T_V given T_U.
-
-    Any other law draws V first, the same joint law by the chain rule; its
-    trials are almost all rejected by the V test, and skip the rest:
-
-    0. the V counts, letter by letter, letter j from a generator seeded by
-       (``key``, 0, j); a trial is pruned at its first atypical letter;
-    2. for the trials left, the U counts as the sum over v of
-       Mult(c_v[v], P_{U|V=v});
-    1. the branch, as above, on those trials.
-
+    the stage number. A law whose own V marginal is typical for P_V draws,
+    in stage 0, the U counts, which fix the encoder decision, and in stage
+    2 the V counts as the sum over u of Mult(c_u[u], P_{V|U=u}), exactly
+    T_V given T_U. Any other law, whose trials the V test almost all
+    rejects, draws the same joint law in the other order: in stage 0 the V
+    counts letter by letter, letter j from a generator seeded by (``key``,
+    0, j), pruning a trial at its first atypical letter; in stage 2, for the
+    trials left, the U counts as the sum over v of Mult(c_v[v], P_{U|V=v}).
     Each generator draws in trial order, so blocked draws equal one draw of
-    all ``m`` trials. Only the decisions' counts are kept; the active count
-    is that of the trials left, so it is the firing count only under U first.
+    all ``m`` trials. The active count is that of the trials left, so it is
+    the firing count only under U first.
     """
     v_first = _v_first(cfg, law, p_v)
     law_first, cond = _rows_given(law.probs.T if v_first else law.probs)
@@ -456,32 +421,27 @@ def _trial_chunk(
         rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
     else:
         rng_first = np.random.default_rng([*key, 0])
-    rng_branch, rng_second = (np.random.default_rng([*key, stage]) for stage in (1, 2))
-    zero_row = dmc.y_row(dmc.zero_symbol)
-    if cfg.scheme == "B":
-        y_rows = np.stack([zero_row.probs, dmc.y_row(cfg.x1).probs])  # silent, active
-    else:
-        # only the zero input emits the marker (validate_against)
-        p_star0, k = zero_row[cfg.y_star], cfg.k(n)
-    accepted = active_total = pruned = 0
+    rng_second = np.random.default_rng([*key, 2])
+    typical_active = typical_silent = active_total = pruned = 0
     for lo in range(0, m, BLOCK_TRIALS):
         size = min(BLOCK_TRIALS, m - lo)
         if v_first:
             c_v = _typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
             pruned += size - len(c_v)
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
+            active = live_active = _transmits(cfg, c_u / n, p_u, pbar)
         else:
             c_u = rng_first.multinomial(n, law_first, size=size)
-        active = _transmits(cfg, c_u / n, p_u, pbar)
-        if cfg.scheme == "B":
-            c_y = rng_branch.multinomial(n, y_rows[active.astype(np.intp)])
-            live = typical(c_y / n, zero_row.probs, cfg.mu)
-        else:
-            live = ~active & (rng_branch.binomial(k, p_star0, size=len(c_u)) > 0)
-        c_v = c_v[live] if v_first else rng_second.multinomial(c_u[live], cond).sum(axis=1)
-        accepted += int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n)))
+            active = _transmits(cfg, c_u / n, p_u, pbar)
+            live = branch[active.astype(np.intp)]
+            live_active = active[live]
+            c_v = rng_second.multinomial(c_u[live], cond).sum(axis=1)
+        accepted = _v_typical(cfg, c_v, p_v, n)
+        hits = int(np.count_nonzero(accepted & live_active))
+        typical_active += hits
+        typical_silent += int(np.count_nonzero(accepted)) - hits
         active_total += int(np.count_nonzero(active))
-    return accepted, active_total, pruned
+    return typical_silent, typical_active, active_total, pruned
 
 
 def run_trials(
@@ -496,15 +456,21 @@ def run_trials(
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
-    Both encoders and decisions are functions of the source/output types
-    only, so per-trial type counts are sampled directly (multinomially) and
-    decided by the same predicates as in the exact engine. Each law's trials
-    draw U first, unless its V marginal is atypical for P_V: then V first,
-    letter by letter, and the trials whose V letters already fail the V test
-    are pruned before their U counts are drawn (``_trial_chunk``). The null
-    always draws U first, so alpha and the firing statistics read every
-    trial's U counts; seeded beta values of a law drawn V first differ from
-    those of the U-first order (the same law, another stream).
+    Per-trial type counts are sampled directly and decided by the same
+    predicates as in the exact engine (``_trial_chunk``). The branch is not
+    drawn: a V-typical trial is accepted with its decision's branch factor f
+    (``_log_branch_factors``, as in the exact engine). So beta is the
+    alternative's mean weight (f_silent c_silent + f_active c_active) /
+    trials over its counts c of V-typical trials per decision, and alpha the
+    null's mean of 1 - w, with 1 - f taken as -expm1(log f) so that a small
+    alpha keeps its digits. This conditional Monte Carlo is never noisier
+    than drawing the branch. Intervals are Wilson's at the weighted mean;
+    they stay conservative, as a weight in [0, 1] with mean p has variance
+    at most p (1 - p). A beta of 0 (no trial accepted with a positive
+    weight) is reported as the rule-of-three bound 3/trials. The null draws
+    U first, so alpha and the firing statistics read every trial's U
+    counts; seeded beta values of a law drawn V first differ from those of
+    the U-first order (the same law, another stream).
 
     Each hypothesis's trials split into chunks of ``CHUNK_TRIALS``; chunk i
     under hypothesis h draws its stage j from its own generator, seeded by
@@ -520,6 +486,8 @@ def run_trials(
     t0 = time.perf_counter()
     cfg.validate_against(dmc)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+    [log_f] = _log_branch_factors(cfg, dmc, n, [cfg.mu])
+    branch = np.array([lf > NEG_INF for lf in log_f])
 
     tasks = [
         (hyp, law, idx, min(CHUNK_TRIALS, trials - start))
@@ -529,40 +497,33 @@ def run_trials(
 
     def work(task):
         hyp, law, idx, m = task
-        return hyp, m, _trial_chunk(cfg, law, p_u, p_v, dmc, n, pbar, m, (seed, hyp, idx))
+        return hyp, _trial_chunk(cfg, law, p_u, p_v, n, pbar, branch, m, (seed, hyp, idx))
 
     threads = min(len(tasks), _usable_cores())
-    errors = {0: 0, 1: 0}  # H0: count Hhat=1; H1: count Hhat=0
-    pruned = {0: 0, 1: 0}
-    active_total = 0
     from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays its 2 ms import
 
     with ThreadPoolExecutor(threads) as pool:
         outcomes = list(pool.map(work, tasks))
-    for hyp, m, (accepted, active, cut) in outcomes:
-        pruned[hyp] += cut
-        if hyp == 0:
-            errors[0] += m - accepted
-            active_total += active
-        else:
-            errors[1] += accepted
+    counts = np.zeros((2, 4), dtype=np.int64)  # per hypothesis, as _trial_chunk counts
+    for hyp, chunk in outcomes:
+        counts[hyp] += chunk
+    (*typical_h0, active_total, pruned_h0), (*typical_h1, _, pruned_h1) = counts.tolist()
     first = ["V" if _v_first(cfg, law, p_v) else "U" for law in (p_uv, q_uv)]
     logger.debug("Monte Carlo cell n=%d: %d trials, %d tasks, %d threads, %.3f s; "
                  "H0 drew %s first, %d pruned; H1 drew %s first, %d pruned",
                  n, trials, len(tasks), threads, time.perf_counter() - t0,
-                 first[0], pruned[0], first[1], pruned[1])
+                 first[0], pruned_h0, first[1], pruned_h1)
 
-    alpha = errors[0] / trials
-    beta = errors[1] / trials
-    beta_is_ub = False
-    if errors[1] == 0:
-        beta = 3.0 / trials  # rule of three: no misses observed
-        beta_is_ub = True
+    alpha = (trials - sum(typical_h0)
+             - sum(math.expm1(lf) * c for lf, c in zip(log_f, typical_h0))) / trials
+    beta = sum(math.exp(lf) * c for lf, c in zip(log_f, typical_h1)) / trials
+    beta_ci = _wilson_halfwidth(beta, trials)
+    beta_is_ub = beta == 0.0
+    if beta_is_ub:
+        beta = 3.0 / trials  # rule of three: no trial accepted with a positive weight
     return _result(
         cfg, n, active_total / trials, alpha=alpha, beta=beta, log_beta=math.log(beta),
-        method="mc",
-        alpha_ci=_wilson_halfwidth(errors[0], trials),
-        beta_ci=_wilson_halfwidth(errors[1], trials),
+        method="mc", alpha_ci=_wilson_halfwidth(alpha, trials), beta_ci=beta_ci,
         trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub,
     )
 

@@ -24,9 +24,9 @@ joint-type engine decides T_U that way. :func:`type_blocks` yields the same
 bands materialized as ``(rows, d)`` count arrays; no exact sum walks it, only
 the sphere search's ray lattice in ``exponents`` and the tests' oracles.
 
-Class log-probabilities and event predicates are evaluated a band at a
-time, and several events under several laws over one alphabet can share
-one walk (:func:`log_prob_type_events`).
+An event that is a box, each letter's count in a set of its own, needs no
+lattice and no cap: :func:`log_prob_boxes` follows the multinomial's chain
+of binomials.
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -39,7 +39,7 @@ import contextlib
 import copy
 import functools
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def num_types(n: int, dim: int) -> int:
 def check_enumerable(n: int, dim: int, what: str = "type enumeration") -> None:
     if num_types(n, dim) > MAX_TYPES:
         raise AlphabetTooLarge(
-            f"{what}: {num_types(n, dim)} n-types over {dim} symbols exceeds the "
-            f"cap {MAX_TYPES}; use Monte Carlo instead"
+            f"{what}: {num_types(n, dim)} n-types over {dim} symbols exceeds the cap {MAX_TYPES}"
         )
 
 
@@ -340,31 +339,65 @@ def log_prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray])
     The predicate maps a band of types (:class:`Band`, standing for the
     ``(rows, d)`` array of types counts/n) to a boolean mask over its types.
     """
-    return log_prob_type_events([p], n, [predicate])[0][0]
+    check_enumerable(n, p.alphabet.size)
+    parts = []
+    for band in type_bands(n, p.alphabet.size):
+        mask = predicate(band)
+        parts.append(logsumexp(log_type_class_prob(band if mask.all() else band.subset(mask),
+                                                   p.probs)))
+    return min(logsumexp(parts), 0.0)
 
 
-def log_prob_type_events(
-    laws: Sequence[Pmf], n: int, predicates: Sequence[Callable[[Band], np.ndarray]]
-) -> list[list[float]]:
-    """``log_prob_type_event`` for each of ``laws`` (pmfs over one alphabet)
-    and each of ``predicates``, indexed [law][predicate], from one walk of
-    the lattice: a band's masks and the log multinomial coefficients of the
-    types that some predicate holds for are computed once and serve every
-    law, which adds only its sequence log-probabilities."""
-    dim = laws[0].alphabet.size
-    check_enumerable(n, dim)
-    parts = [[[] for _ in predicates] for _ in laws]
-    for band in type_bands(n, dim):
-        masks = [predicate(band) for predicate in predicates]
-        held = np.logical_or.reduce(masks)
-        types = band if held.all() else band.subset(held)
-        picks = [mask[held] for mask in masks]
-        log_coef = log_multinomial(types)
-        for law_parts, p in zip(parts, laws):
-            lp = log_coef + log_sequence_prob(types, p.probs)
-            for part, pick in zip(law_parts, picks):
-                part.append(logsumexp(lp[pick]))
-    return [[min(logsumexp(part), 0.0) for part in law_parts] for law_parts in parts]
+def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
+    """log Pr[every letter's count lies in its box] under Mult(n, p), for
+    each law p of the ``(k, d)`` array ``laws``, where ``boxes[z, c]`` says
+    whether count c of letter z lies in letter z's box (a ``(d, n + 1)``
+    boolean array); -inf where no type does.
+
+    Given the m trials the letters before it leave, letter j's count is
+    Bin(m, q_j), q_j = p_j / sum_{i>=j} p_i, and the last letter takes the
+    rest. A dynamic program carries log L(m), the probability that the
+    letters so far lie in their boxes and leave m trials; letter j's step
+    is L'(r) = sum over c in its box of L(r + c) Bin(c; r + c, q_j), one
+    logsumexp per r. m stays on the window that the earlier letters' boxes
+    can leave and the later letters' boxes can fill.
+    """
+    laws = np.asarray(laws, dtype=float)
+    if not boxes.any(axis=1).all():
+        return [NEG_INF] * len(laws)
+    lo, hi = boxes.argmax(axis=1).tolist(), (n - boxes[:, ::-1].argmax(axis=1)).tolist()
+    log_fact = _log_factorials(n)
+    tail = np.cumsum(laws[:, ::-1], axis=1)[:, ::-1]  # tail[:, j] = sum_{i>=j} p_i
+    a = b = n  # L lives on m = a..b
+    log_left = np.zeros((len(laws), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log q_j and log(1 - q_j) = log(tail_{j+1} / tail_j); q_j = 0 where tail_j = 0
+        log_tail = np.log(tail)
+        log_tail_j = np.where(tail[:, :-1] > 0.0, log_tail[:, :-1], 0.0)
+        log_q, log_not_q = np.log(laws[:, :-1]) - log_tail_j, log_tail[:, 1:] - log_tail_j
+        for j in range(laws.shape[1] - 1):
+            r_lo, r_hi = max(a - hi[j], sum(lo[j + 1:])), min(b - lo[j], sum(hi[j + 1:]))
+            if r_lo > r_hi:
+                return [NEG_INF] * len(laws)
+            c, r = np.arange(lo[j], hi[j] + 1), np.arange(r_lo, r_hi + 1)
+            # log(L(m) m!) on m = r_lo + lo_j .. r_hi + hi_j, -inf off a..b
+            g = np.full((len(laws), len(r) + len(c) - 1), NEG_INF)
+            g[:, a - r_lo - lo[j] : b - r_lo - lo[j] + 1] = log_left + log_fact[a : b + 1]
+            # c log q_j - log c! on the box, -inf off it (0 log 0 = 0)
+            h = np.where(boxes[j, lo[j] : hi[j] + 1], np.where(c > 0, c * log_q[:, j, None], 0.0),
+                         NEG_INF)
+            h = (h - log_fact[c])[:, None, :]
+            sums = np.empty((len(laws), len(r)))
+            rows = max(1, (BLOCK_ROWS << 6) // (len(laws) * len(c)))
+            for k in range(0, len(r), rows):
+                # terms[law, i, l]: m = r[k + i] + c[l]
+                terms = g[:, np.arange(k, min(k + rows, len(r)))[:, None] + np.arange(len(c))] + h
+                top = terms.max(axis=2, keepdims=True)
+                top[top == NEG_INF] = 0.0
+                sums[:, k : k + rows] = np.log(np.exp(terms - top).sum(axis=2)) + top[..., 0]
+            log_left = sums + np.where(r > 0, r * log_not_q[:, j, None], 0.0) - log_fact[r]
+            a, b = r_lo, r_hi
+    return [min(logsumexp(row[boxes[-1, a : b + 1]]), 0.0) for row in log_left]
 
 
 def prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:

@@ -12,7 +12,13 @@ proportional fitting (IPF) on the full matrix with its Hall enumeration, an
 independent solver for the library's Newton solve at kappa = 1, and
 `coupling_objective` builds the partial minimum g on it for the grid
 oracle. `log_accept_probs_at_mu` is the exact engine's pass at one mu,
-which the engine's one pass for a whole mu grid replaced. The `*_rows`
+which the engine's one pass for a whole mu grid replaced.
+`log_prob_y_typical` is the walk of the Y type lattice, under several laws
+from one walk (`log_prob_type_events`), that gave scheme B's branch factors
+before the box chain `typesum.log_prob_boxes`. `trial_chunk_branch` and
+`run_trials_branch` are the Monte Carlo engine that drew the branch (scheme
+A's marker scan, scheme B's output counts) in a stage of its own, before
+the engine weighted its V-typical counts by the branch factors. The `*_rows`
 functions are the row path that the band walk of `typesum` replaced: each
 block of the lattice materialized as a `(rows, d)` count array, every
 logarithm taken per type, and the letters summed by numpy's
@@ -203,25 +209,12 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
 def log_accept_probs_at_mu(cfg, p_uv, q_uv, dmc, n, pbar):
     """The exact engine's former pass at the one mu of `cfg`: (log Pr[decide
     0] under the null, under the alternative), one walk of the joint lattice
-    and of each codeword's Y lattice per mu, on the library's blocks and
-    predicates."""
-    def log_y_typical(x_symbol):
-        ref, row = dmc.y_row(dmc.zero_symbol).probs, dmc.y_row(x_symbol)
-        typesum.check_enumerable(n, row.alphabet.size)
-        parts = [typesum.logsumexp(typesum.log_type_class_prob(
-                     counts[typical(counts / n, ref, cfg.mu)], row.probs))
-                 for counts in typesum.type_blocks(n, row.alphabet.size)]
-        return min(typesum.logsumexp(parts), 0.0)
-
+    per mu, on the library's blocks, predicates and branch factors at that
+    mu alone."""
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     cells = p_u.alphabet.size * p_v.alphabet.size
     typesum.check_enumerable(n, cells, "joint source type enumeration")
-    if cfg.scheme == "B":
-        log_silent, log_active = log_y_typical(dmc.zero_symbol), log_y_typical(cfg.x1)
-    else:
-        p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
-        log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
-        log_active = NEG_INF
+    [(log_silent, log_active)] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
     logs = ([], [])
     for counts in typesum.type_blocks(n, cells):
         mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
@@ -232,6 +225,95 @@ def log_accept_probs_at_mu(cfg, p_uv, q_uv, dmc, n, pbar):
             lp = typesum.log_type_class_prob(counts, joint.probs.ravel())
             out.append(typesum.logsumexp(lp[accept] + factor))
     return min(typesum.logsumexp(logs[0]), 0.0), min(typesum.logsumexp(logs[1]), 0.0)
+
+
+def log_prob_type_events(laws, n, predicates):
+    """log Pr[type(X^n) satisfies predicate] for each of `laws` (pmfs over
+    one alphabet) and each of `predicates` (on bands), indexed
+    [law][predicate], from one walk of the band lattice: a band's masks and
+    the log multinomial coefficients of the types some predicate holds for
+    are computed once and serve every law."""
+    dim = laws[0].alphabet.size
+    typesum.check_enumerable(n, dim)
+    parts = [[[] for _ in predicates] for _ in laws]
+    for band in typesum.type_bands(n, dim):
+        masks = [predicate(band) for predicate in predicates]
+        held = np.logical_or.reduce(masks)
+        types = band if held.all() else band.subset(held)
+        picks = [mask[held] for mask in masks]
+        log_coef = typesum.log_multinomial(types)
+        for law_parts, p in zip(parts, laws):
+            lp = log_coef + typesum.log_sequence_prob(types, p.probs)
+            for part, pick in zip(law_parts, picks):
+                part.append(typesum.logsumexp(lp[pick]))
+    return [[min(typesum.logsumexp(part), 0.0) for part in law_parts] for law_parts in parts]
+
+
+def log_prob_y_typical(dmc, x_symbols, n, mus):
+    """log Pr[Y^n mu-typical for the zero-input row | X^n = x^n constant],
+    indexed [symbol][mu], from one walk of the Y lattice."""
+    ref = dmc.y_row(dmc.zero_symbol).probs
+    return log_prob_type_events([dmc.y_row(x) for x in x_symbols], n,
+                                [lambda t, mu=mu: typical(t, ref, mu) for mu in mus])
+
+
+def trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m, key):
+    """The Monte Carlo chunk that drew the branch: the counts of accepted,
+    active and pruned trials among `m` under `law`. Stage 0 draws the U
+    counts (or the V letters, V first), stage 1 the branch (scheme A's
+    marker scan of the k(n) burst outputs, scheme B's output counts for each
+    trial's codeword), stage 2 the V counts of the trials the branch leaves
+    undecided (or the U counts, V first), each generator seeded by `key` and
+    the stage."""
+    v_first = sim._v_first(cfg, law, p_v)
+    law_first, cond = sim._rows_given(law.probs.T if v_first else law.probs)
+    if v_first:
+        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
+    else:
+        rng_first = np.random.default_rng([*key, 0])
+    rng_branch, rng_second = (np.random.default_rng([*key, stage]) for stage in (1, 2))
+    zero_row = dmc.y_row(dmc.zero_symbol)
+    if cfg.scheme == "B":
+        y_rows = np.stack([zero_row.probs, dmc.y_row(cfg.x1).probs])  # silent, active
+    else:
+        p_star0, k = zero_row[cfg.y_star], cfg.k(n)
+    accepted = active_total = pruned = 0
+    for lo in range(0, m, sim.BLOCK_TRIALS):
+        size = min(sim.BLOCK_TRIALS, m - lo)
+        if v_first:
+            c_v = sim._typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
+            pruned += size - len(c_v)
+            c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
+        else:
+            c_u = rng_first.multinomial(n, law_first, size=size)
+        active = sim._transmits(cfg, c_u / n, p_u, pbar)
+        if cfg.scheme == "B":
+            c_y = rng_branch.multinomial(n, y_rows[active.astype(np.intp)])
+            live = typical(c_y / n, zero_row.probs, cfg.mu)
+        else:
+            live = ~active & (rng_branch.binomial(k, p_star0, size=len(c_u)) > 0)
+        c_v = c_v[live] if v_first else rng_second.multinomial(c_u[live], cond).sum(axis=1)
+        accepted += int(np.count_nonzero(sim._v_typical(cfg, c_v, p_v, n)))
+        active_total += int(np.count_nonzero(active))
+    return accepted, active_total, pruned
+
+
+def run_trials_branch(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
+    """(alpha, beta, alpha_ci, beta_ci) of the Monte Carlo engine that drew
+    the branch, on the same chunks and seeds as `run_trials`, in one thread:
+    error frequencies with Wilson half-widths, beta's rule-of-three bound
+    where no miss was observed."""
+    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+    errors = [0, 0]
+    for hyp, law in ((0, p_uv), (1, q_uv)):
+        for idx, start in enumerate(range(0, trials, sim.CHUNK_TRIALS)):
+            m = min(sim.CHUNK_TRIALS, trials - start)
+            accepted, _, _ = trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m,
+                                                (seed, hyp, idx))
+            errors[hyp] += m - accepted if hyp == 0 else accepted
+    alpha, beta = errors[0] / trials, errors[1] / trials
+    return (alpha, beta if errors[1] else 3.0 / trials,
+            sim._wilson_halfwidth(alpha, trials), sim._wilson_halfwidth(beta, trials))
 
 
 def kl_rows_rows(t, q):

@@ -177,15 +177,18 @@ Y_DMC = Dmc(
 
 
 def test_y_factors_equal_row_path(block_rows):
-    # the zero row has a zero letter; 0.125 is a box edge at n = 8 and 40
+    # scheme B's branch factors from the box chain against the Y lattice on
+    # the row path: the zero row has a zero letter, codeword "2" two, and
+    # 0.125 is a box edge at n = 8 and 40
     mus = [0.125, 0.05, 0.3, 0.125, 1.0]
     for n in (1, 7, 8, 40):
-        # one walk serves the three codewords, as each would alone
-        assert sim._log_prob_y_typical(Y_DMC, ("0", "1", "2"), n, mus) == \
-            [oracles.log_prob_y_typical_rows(Y_DMC, x, n, mus) for x in ("0", "1", "2")]
-        for x in ("0", "1", "2"):
-            assert sim._log_prob_y_typical(Y_DMC, (x,), n, mus) == \
-                [oracles.log_prob_y_typical_rows(Y_DMC, x, n, mus)]
+        silent = oracles.log_prob_y_typical_rows(Y_DMC, "0", n, mus)
+        for x in ("1", "2"):
+            cfg = sim.SchemeConfig(scheme="B", x1=x)
+            want = zip(silent, oracles.log_prob_y_typical_rows(Y_DMC, x, n, mus))
+            for got, expected in zip(sim._log_branch_factors(cfg, Y_DMC, n, mus), want):
+                for g, w in zip(got, expected):
+                    assert g == w or abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
 
 AB = Alphabet(("a", "b"))

@@ -245,7 +245,8 @@ class TestSimulate:
     @staticmethod
     def _fallback_config(tmp_path):
         # 2x2 sources at n = 400 exceed the joint-type cap and fall back to
-        # Monte Carlo, where no miss is observed under the alternative
+        # Monte Carlo, where no trial under the alternative is accepted with
+        # a positive weight
         out_path = tmp_path / "sim.csv"
         data = copy.deepcopy(EXAMPLE_CONFIG)
         data["sources"] = {
@@ -377,6 +378,18 @@ class TestSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{")
         assert main(["simulate", str(path)]) == 2
+
+    def test_refused_n_without_trials_names_the_monte_carlo_setting(self, capsys):
+        # exact-sweep-b has trials 0, and the cap refuses its 2x2 sources at
+        # n = 400: the error says how to run that cell on Monte Carlo
+        path = str(REPO / "perfbench" / "workloads" / "exact-sweep-b.json")
+        assert main(["simulate", path, "--n", "400"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: joint source type enumeration: 10827401 n-types over 4 symbols exceeds "
+            "the cap 5000000; set sweep.trials or --trials above 0 to run the refused cells "
+            "on Monte Carlo"]
+        assert captured.out == ""
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2
@@ -566,6 +579,14 @@ class TestVerifyCovertness:
             main(["verify-covertness", example_cfg_path, option, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+    def test_refused_n_states_only_the_refusal(self, capsys):
+        # the covertness sweep has no Monte Carlo path, so the cap's error
+        # gives no advice about one
+        path = str(REPO / "perfbench" / "workloads" / "mc-sweep-a.json")
+        assert main(["verify-covertness", path, "--n", "400"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: type enumeration: 10827401 n-types over 4 symbols exceeds the cap 5000000"]
 
     def test_underflowed_rows_are_named(self, tmp_path, capsys):
         # d_n underflows a double from n = 2400 on the example, and delta_n

@@ -68,6 +68,15 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             sim.SchemeConfig(scheme="B", mu=math.nan, x1="1")
 
+    @pytest.mark.parametrize("mu", [True, False])
+    def test_mu_is_not_a_bool(self, mu):
+        # True would pass 0 < mu < inf as 1; the config loader refuses a
+        # JSON true, and so does the library type, built or copied
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            sim.SchemeConfig("B", mu=mu, x1="1")
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            sim.SchemeConfig("B", mu=0.1, x1="1").replace(mu=mu)
+
     def test_validate_against_checks_dead_edge(self, example_dmc, partial_dmc):
         cfg = sim.SchemeConfig(scheme="A", x_hat="1", y_star="1")
         cfg.validate_against(partial_dmc)  # the edge (1 -> output 1) is dead
@@ -265,23 +274,23 @@ class TestExactEngine:
         assert beta == pytest.approx(want_b, rel=1e-10)
 
     def test_output_typicality_once_per_cell(self, example_dmc, monkeypatch):
-        # Pr[Y^n typical] per codeword depends on neither hypothesis, and the
-        # mu-box masks not on the codeword: one walk of the Y lattice per n
-        # serves both codewords, alpha and beta at every mu of the grid, and
-        # an n the joint lattice cap refuses walks nothing (every walk goes
-        # through typesum.type_bands, the joint engine's too)
+        # Pr[Y^n typical] per codeword depends on neither hypothesis: one call
+        # of the branch factors per n serves both codewords, alpha and beta
+        # at every mu of the grid, and walks no Y lattice; an n the joint
+        # lattice cap refuses computes nothing (every walk goes through
+        # typesum.type_bands, the joint engine's too)
         calls, walks = [], []
-        y_typical, bands = sim._log_prob_y_typical, typesum.type_bands
+        factors, bands = sim._log_branch_factors, typesum.type_bands
 
-        def counted(dmc, x_symbols, n, mus):
-            calls.append((tuple(x_symbols), n, tuple(mus)))
-            return y_typical(dmc, x_symbols, n, mus)
+        def counted(cfg, dmc, n, mus):
+            calls.append((cfg.x1, n, tuple(mus)))
+            return factors(cfg, dmc, n, mus)
 
         def walked(n, dim):
             walks.append((n, dim))
             return bands(n, dim)
 
-        monkeypatch.setattr(sim, "_log_prob_y_typical", counted)
+        monkeypatch.setattr(sim, "_log_branch_factors", counted)
         monkeypatch.setattr(typesum, "type_bands", walked)
         monkeypatch.setattr(sim, "type_bands", walked)
         pbar = expo.pbar_threshold(example_dmc, "1")
@@ -289,10 +298,10 @@ class TestExactEngine:
         mus = (0.2, 0.1, 0.3)
         for n in (6, 8):
             sim.exact_error_probs(cfg, mus, P_UV, Q_UV, example_dmc, n, pbar)
-        assert sorted(calls) == [(("0", "1"), n, mus) for n in (6, 8)]
-        # per n, the U lattice of delta_n, the Y lattice (both binary) and
-        # the joint lattice (4 cells)
-        assert sorted(walks) == [(n, dim) for n in (6, 8) for dim in (2, 2, 4)]
+        assert sorted(calls) == [("1", n, mus) for n in (6, 8)]
+        # per n, the U lattice of delta_n (binary) and the joint lattice (4
+        # cells)
+        assert sorted(walks) == [(n, dim) for n in (6, 8) for dim in (2, 4)]
         calls.clear()
         walks.clear()
         with pytest.raises(AlphabetTooLarge):
@@ -511,27 +520,32 @@ class TestMonteCarlo:
 
     def test_rule_of_three_flag(self, example_sources, partial_dmc):
         p_uv, q_uv = example_sources
-        # beta is ~1e-21 exactly here, so no misses are ever observed
+        # beta is ~1e-21 exactly here, so no trial is accepted with a positive weight
         cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
         res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, 100, 10_000, seed=0)
         assert res.beta_is_upper_bound
         assert res.beta == pytest.approx(3.0 / 10_000)
 
-    @pytest.mark.parametrize("scheme, want", [
+    @pytest.mark.parametrize("scheme, want, drawn", [
         ("B", sim.SimulationResult(
-            scheme="B", n=30, mu=0.2, k=None, alpha=0.04275, beta=0.1371,
-            log_beta=-1.9870446924138683, method="mc", alpha_ci=0.0028924998839409827,
-            beta_ci=0.00483659784764956, trials=20000, seed=11, weight_mean=0.0005,
-            a_bar=0.022360679774997897)),
+            scheme="B", n=30, mu=0.2, k=None, alpha=0.040694953954329594,
+            beta=0.13723627951869752, log_beta=-1.9860511706664234, method="mc",
+            alpha_ci=0.002827664996418802, beta_ci=0.004838562845119437, trials=20000,
+            seed=11, weight_mean=0.0005, a_bar=0.022360679774997897),
+         (0.04275, 0.1371, 0.0028924998839409827, 0.00483659784764956)),
         ("A", sim.SimulationResult(
-            scheme="A", n=30, mu=0.2, k=6, alpha=0.0554, beta=0.02325,
-            log_beta=-3.7614501469487718, method="mc", alpha_ci=0.0032566089193636558,
-            beta_ci=0.0021818672332369164, trials=20000, seed=11,
-            weight_mean=0.0049299999999999995, a_bar=0.07021395872616783)),
+            scheme="A", n=30, mu=0.2, k=6, alpha=0.05337578125, beta=0.02308359375,
+            log_beta=-3.768633141057988, method="mc", alpha_ci=0.0032019073806225165,
+            beta_ci=0.002174598177184524, trials=20000, seed=11,
+            weight_mean=0.0049299999999999995, a_bar=0.07021395872616783),
+         (0.0554, 0.02325, 0.0032566089193636558, 0.0021818672332369164)),
     ], ids=["B", "A"])
-    def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, monkeypatch, scheme, want):
+    def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, monkeypatch, scheme, want,
+                                     drawn):
         # values recorded from an earlier version of the engine: a change to
-        # the sampling order or to any decision shows up here bit for bit
+        # the sampling order or to any decision shows up here bit for bit.
+        # The engine that drew the branch gave the alpha, beta and intervals
+        # of ``drawn`` on the same seeds, and the same weight statistics.
         if scheme == "B":
             cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
             dmc, pbar = example_dmc, expo.pbar_threshold(example_dmc, "1")
@@ -541,6 +555,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
         got = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_000, seed=11, pbar=pbar)
         assert got == want
+        assert oracles.run_trials_branch(cfg, P_UV, Q_UV, dmc, 30, 20_000, 11, pbar) == drawn
 
     def test_trials_validation(self, example_sources, example_dmc):
         p_uv, q_uv = example_sources
@@ -577,12 +592,13 @@ class TestMonteCarlo:
         cfg = sim.SchemeConfig(scheme="A", mu=0.17, x_hat="1", y_star="1")
         assert sim._v_first(cfg, LAW3, P3_V)
         got = []
+        branch = np.array([True, False])
         for block in (sim.BLOCK_TRIALS, 999):
             monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
-            got.append(sim._trial_chunk(cfg, LAW3, LAW3.row_marginal(), P3_V, partial_dmc, 30,
-                                        None, 20_001, (11, 1, 0)))
+            got.append(sim._trial_chunk(cfg, LAW3, LAW3.row_marginal(), P3_V, 30, None,
+                                        branch, 20_001, (11, 1, 0)))
         assert got[0] == got[1]
-        assert 0 < got[0][2] < 20_001 and got[0][0] > 0
+        assert 0 < got[0][3] < 20_001 and got[0][0] > 0
 
     def test_worker_error_reaches_the_caller(self, example_dmc, partial_dmc, monkeypatch):
         # two tasks on two threads: the alternative's chunk runs on the worker
@@ -598,6 +614,26 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "_trial_chunk", fail_under_h1)
         with pytest.raises(DegenerateInput, match="worker failure"):
             sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 1_000, seed=11, pbar=pbar)
+
+    def test_a_zero_branch_factor_draws_no_v(self, partial_dmc, monkeypatch):
+        # scheme A's active sensor is never accepted: under U first, its
+        # trials draw no V counts, and the V-typical count per decision is
+        # zero for it
+        cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+        rows = []
+        real_v_typical = sim._v_typical
+
+        def v_typical(cfg, counts, p_v, n):
+            rows.append(len(counts))
+            return real_v_typical(cfg, counts, p_v, n)
+
+        monkeypatch.setattr(sim, "_v_typical", v_typical)
+        assert not sim._v_first(cfg, P_UV, P_UV.col_marginal())
+        silent, active_typical, active, pruned = sim._trial_chunk(
+            cfg, P_UV, P_UV.row_marginal(), P_UV.col_marginal(), 30, None,
+            np.array([True, False]), 20_000, (11, 0, 0))
+        assert 0 < active < 20_000 and pruned == active_typical == 0
+        assert sum(rows) == 20_000 - active and silent > 0
 
     def test_cell_is_logged_at_debug(self, example_dmc, partial_dmc, monkeypatch, caplog):
         cfg, dmc, pbar = self._case("B", example_dmc, partial_dmc)
@@ -664,12 +700,11 @@ class TestMarginalPairLaw:
                 pmf[key] = pmf.get(key, 0.0) + prob
         return pmf
 
-    def _sampled_pairs(self, law, n, dmc, monkeypatch, mu=1.0, p_v=None):
+    def _sampled_pairs(self, law, n, monkeypatch, mu=1.0, p_v=None):
         """The pair frequencies of the trials that reach the V test, and
-        their number. A silent encoder, and an output test every output type
-        passes (mu = 1, or a noiseless zero row), send every trial the
-        letters leave on to it; the two predicates record the engine's
-        counts."""
+        their number. A silent encoder with a positive branch factor sends
+        every trial the letters leave on to it; the two predicates record
+        the engine's counts."""
         c_u, c_v = [], []
         real_v_typical = sim._v_typical
 
@@ -685,7 +720,7 @@ class TestMarginalPairLaw:
         monkeypatch.setattr(sim, "_v_typical", v_typical)
         cfg = sim.SchemeConfig(scheme="B", mu=mu, x1="1")
         p_u, p_v = law.row_marginal(), law.col_marginal() if p_v is None else p_v
-        sim._trial_chunk(cfg, law, p_u, p_v, dmc, n, None, self.M, (0, 0, 0))
+        sim._trial_chunk(cfg, law, p_u, p_v, n, None, np.array([True, True]), self.M, (0, 0, 0))
         pairs = np.concatenate([np.concatenate(c_u), np.concatenate(c_v)], axis=1)
         keys, freq = np.unique(pairs, axis=0, return_counts=True)
         total = len(pairs)
@@ -701,33 +736,29 @@ class TestMarginalPairLaw:
         assert tv <= tol
 
     @LAWS
-    def test_pair_frequencies_match_the_exact_law(self, probs, example_dmc, monkeypatch):
+    def test_pair_frequencies_match_the_exact_law(self, probs, monkeypatch):
         n = 5
         law = self._law(probs)
-        sampled, trials = self._sampled_pairs(law, n, example_dmc, monkeypatch)
+        sampled, trials = self._sampled_pairs(law, n, monkeypatch)
         assert trials == self.M
         self._assert_close(sampled, self._exact_pairs(law, n), trials)
 
     @LAWS
-    def test_v_first_pair_frequencies_match_the_exact_law(self, probs, example_dmc, monkeypatch):
+    def test_v_first_pair_frequencies_match_the_exact_law(self, probs, monkeypatch):
         # every law is typical for its own V marginal, so the order is forced;
         # at mu = 1 no letter prunes
         n = 5
         law = self._law(probs)
         monkeypatch.setattr(sim, "_v_first", lambda cfg, law, p_v: True)
-        sampled, trials = self._sampled_pairs(law, n, example_dmc, monkeypatch)
+        sampled, trials = self._sampled_pairs(law, n, monkeypatch)
         assert trials == self.M
         self._assert_close(sampled, self._exact_pairs(law, n), trials)
 
-    def test_pruned_pairs_match_the_law_given_typical_v(self, binary_alphabet, monkeypatch):
+    def test_pruned_pairs_match_the_law_given_typical_v(self, monkeypatch):
         # LAW3 draws V first by the engine's own rule; at n = 5 the typical V
-        # counts are (1, 2, 2) and (0, 3, 2). The noiseless zero row makes
-        # every silent trial's outputs typical.
+        # counts are (1, 2, 2) and (0, 3, 2)
         n, mu, law, p_v = 5, 0.17, LAW3, P3_V
-        noiseless = Dmc(input_alphabet=binary_alphabet, y_alphabet=binary_alphabet,
-                        z_alphabet=binary_alphabet, y_given_x=[[1.0, 0.0], [0.0, 1.0]],
-                        z_given_x=[[1.0, 0.0], [0.0, 1.0]], zero_symbol="0")
-        sampled, trials = self._sampled_pairs(law, n, noiseless, monkeypatch, mu=mu, p_v=p_v)
+        sampled, trials = self._sampled_pairs(law, n, monkeypatch, mu=mu, p_v=p_v)
         exact = {key: prob for key, prob in self._exact_pairs(law, n).items()
                  if typical(np.array(key[2:]) / n, p_v.probs, mu)}
         p_typical = sum(exact.values())
@@ -749,14 +780,45 @@ class TestMarginalPairLaw:
         assert abs(mc.beta - exact.beta) <= 2.5 * mc.beta_ci
 
 
+class TestConditionalMonteCarlo:
+    """Monte Carlo weights each decision's V-typical count by its branch
+    factor instead of drawing the branch: on the benchmark's exact-sweep-b
+    sources, over seeds 0-19 at 20k trials, its alpha and beta scatter less
+    than those of the engine that drew the branch (kept as an oracle, on the
+    same seeds), and its Wilson intervals at the weighted mean cover the
+    exact values."""
+
+    SEEDS, TRIALS = range(20), 20_000
+
+    @pytest.mark.parametrize("n, mu", [(24, 0.08), (36, 0.12)])
+    def test_less_scatter_and_covering_intervals(self, n, mu):
+        config = ExperimentConfig.load(os.path.join(
+            os.path.dirname(__file__), "..", "perfbench", "workloads", "exact-sweep-b.json"))
+        p_uv, q_uv = config.source_pmfs()
+        dmc, cfg = config.dmc(), config.scheme().replace(mu=mu)
+        pbar = expo.pbar_threshold(dmc, cfg.x1)
+        exact = sim.exact_error_probs(cfg, [mu], p_uv, q_uv, dmc, n, pbar)[0]
+        weighted = [sim.run_trials(cfg, p_uv, q_uv, dmc, n, self.TRIALS, seed, pbar)
+                    for seed in self.SEEDS]
+        drawn = [oracles.run_trials_branch(cfg, p_uv, q_uv, dmc, n, self.TRIALS, seed, pbar)
+                 for seed in self.SEEDS]
+        assert np.std([r.alpha for r in weighted]) < np.std([d[0] for d in drawn])
+        assert np.std([r.beta for r in weighted]) < np.std([d[1] for d in drawn])
+        covered = sum(abs(r.alpha - exact.alpha) <= r.alpha_ci
+                      and abs(r.beta - exact.beta) <= r.beta_ci for r in weighted)
+        assert covered >= 19
+
+
 class TestBlockedDraws:
     """The numpy properties the Monte Carlo engine relies on: rows drawn a
     block at a time from one Generator equal one draw of all the rows, for
     each kind of draw the engine makes (a fixed pmf, in multinomial and
     binomial draws; an array of counts with one pmf per count, the second
     marginal's draw; an array of counts with one probability, a V letter's
-    draw; one pmf row per trial, scheme B's outputs). If a numpy release breaks
-    one, seeded results start to depend on BLOCK_TRIALS."""
+    draw). The engine that drew the branch, kept as a test oracle, also drew
+    one pmf row per trial (scheme B's outputs) on a generator of its own. If
+    a numpy release breaks one, seeded results start to depend on
+    BLOCK_TRIALS."""
 
     P16 = np.arange(1, 17) / np.arange(1, 17).sum()
     COND = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.7, 0.0, 0.2, 0.1]])
@@ -805,7 +867,8 @@ class TestBlockedDraws:
         assert np.array_equal(whole, blocked)
 
     def test_multinomial_with_a_pmf_row_per_trial(self):
-        # scheme B's outputs: the silent or the active row for each trial
+        # the branch-drawing oracle's scheme B outputs: the silent or the
+        # active row for each trial
         rows = self.Y_ROWS[(np.arange(10_000) % 3 == 0).astype(np.intp)]
         whole = np.random.default_rng([7, 0, 1, 1]).multinomial(60, rows)
         rng = np.random.default_rng([7, 0, 1, 1])
@@ -813,9 +876,9 @@ class TestBlockedDraws:
         assert np.array_equal(whole, blocked)
 
     def test_scheme_b_order(self):
-        # the three stages on their own generators: sources; an output row
-        # per trial, by its encoder decision; V counts for the trials whose
-        # outputs are typical
+        # the branch-drawing oracle's three stages on their own generators:
+        # sources; an output row per trial, by its encoder decision; V counts
+        # for the trials whose outputs are typical
         def draw(block):
             rng_u, rng_y, rng_v = (np.random.default_rng([7, 0, 0, stage]) for stage in range(3))
             sources, outputs, v_counts = [], [], []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import gammaln, logsumexp
 import covertdht.typesum as typesum
 import oracles
 from covertdht.errors import AlphabetTooLarge
-from covertdht.probability import Alphabet, Pmf, kl_rows, typical
+from covertdht.probability import Alphabet, Pmf, kl_rows, typical, typical_letters
 from covertdht.typesum import (
     check_enumerable,
     log_prob_type_event,
@@ -178,3 +179,97 @@ def test_enumeration_cap():
     with pytest.raises(AlphabetTooLarge):
         check_enumerable(10_000, 5)
     check_enumerable(200, 3)
+
+
+def _box_chain(laws, n, ref, mu):
+    """``log_prob_boxes`` on the mu-box of ``typical`` around ``ref``, each
+    letter's box ``typical_letters`` on the counts 0..n, as the library
+    builds it."""
+    boxes = typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
+    return typesum.log_prob_boxes([p.probs for p in laws], n, boxes)
+
+
+def _lattice_walk(laws, n, ref, mu):
+    """The same probabilities from one walk of the n-type lattice."""
+    return [got for [got] in oracles.log_prob_type_events(
+        laws, n, [lambda t: typical(t, ref, mu)])]
+
+
+def _assert_logs_close(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g == w or abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
+
+
+class TestBoxChain:
+    """The box chain of ``typesum.log_prob_boxes`` against a walk of the
+    type lattice: |delta log f| <= 1e-12 max(1, |log f|)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_laws_match_the_lattice(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 3
+        alphabet = Alphabet(tuple(range(dim)))
+        for n in (1, 7, 24, 100) + ((400,) if dim < 4 else ()):
+            laws = [Pmf(alphabet, rng.dirichlet(np.ones(dim))) for _ in range(2)]
+            ref, mu = rng.dirichlet(np.ones(dim)), float(rng.uniform(0.02, 0.3))
+            _assert_logs_close(_box_chain(laws, n, ref, mu), _lattice_walk(laws, n, ref, mu))
+
+    def test_zero_letters(self):
+        # the reference never emits letter "c", so its box is {0}; the second
+        # law (a codeword row) never emits "a", the third emits "c"
+        laws = [Pmf(ABC, np.array(probs)) for probs in
+                ([0.6, 0.4, 0.0], [0.0, 0.7, 0.3], [0.5, 0.3, 0.2])]
+        ref = np.array([0.55, 0.45, 0.0])
+        for n in (1, 5, 40, 300):
+            for mu in (0.05, 0.2, 1.0):
+                _assert_logs_close(_box_chain(laws, n, ref, mu), _lattice_walk(laws, n, ref, mu))
+            # at mu = 1 only the box {0} of "c" binds
+            _assert_logs_close(_box_chain(laws, n, ref, 1.0),
+                               [0.0, n * math.log(0.7), n * math.log(0.8)])
+
+    def test_empty_box_is_impossible_without_a_warning(self):
+        # at n = 3 no count of the first letter lies within 0.1 of 0.5
+        laws = np.array([[0.5, 0.5], [0.2, 0.8]])
+        boxes = typical_letters(np.arange(4)[:, None] / 3, np.array([0.5, 0.5]), 0.1).T
+        assert not boxes[0].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert typesum.log_prob_boxes(laws, 3, boxes) == [-math.inf] * 2
+            # a box that the other boxes leave no room for
+            boxes = np.zeros((2, 4), dtype=bool)
+            boxes[0, 3] = boxes[1, 2] = True
+            assert typesum.log_prob_boxes(laws, 3, boxes) == [-math.inf] * 2
+            # a law that puts no mass in a box: only (3, 0) lies in these
+            boxes[1] = np.arange(4) == 0
+            got = typesum.log_prob_boxes([[0.0, 1.0], [0.5, 0.5]], 3, boxes)
+            assert got[0] == -math.inf and math.isclose(got[1], math.log(1 / 8))
+
+    def test_mu_on_a_box_edge(self):
+        # |c/n - ref| equals mu in floats for c = 9 at n = 24, so that count
+        # is inside the first letter's box, as typical decides it
+        laws = [Pmf(ABC, np.array([0.3, 0.3, 0.4])), Pmf(ABC, np.array([0.2, 0.5, 0.3]))]
+        ref, n = np.array([0.29, 0.36, 0.35]), 24
+        mu = float(np.abs(np.array([9]) / n - ref[:1])[0])
+        assert typical(np.array([[9, 8, 7]]) / n, ref, mu)[0]
+        assert not typical(np.array([[10, 7, 7]]) / n, ref, mu)[0]
+        _assert_logs_close(_box_chain(laws, n, ref, mu), _lattice_walk(laws, n, ref, mu))
+        # the edge type's mass moves the value: it is counted, not missed
+        below = _box_chain(laws, n, ref, np.nextafter(mu, 0.0))
+        assert all(g > b for g, b in zip(_box_chain(laws, n, ref, mu), below))
+
+    def test_one_trial(self):
+        laws = [Pmf(ABC, np.array([0.2, 0.3, 0.5]))]
+        ref = np.array([0.1, 0.2, 0.7])
+        # mu = 0.35 admits only the type of "c", 0.85 those of "b" and "c"
+        for mu, want in ((0.35, math.log(0.5)), (0.85, math.log(0.8)), (0.05, -math.inf)):
+            _assert_logs_close(_box_chain(laws, 1, ref, mu), [want])
+            _assert_logs_close(_lattice_walk(laws, 1, ref, mu), [want])
+
+    def test_two_thousand_trials_over_three_letters(self):
+        # 2.0 M lattice types, under the cap; the chain's terms stay in
+        # logs, so the atypical law's factor far below 1e-308 is exact
+        assert num_types(2000, 3) == 2_003_001 <= typesum.MAX_TYPES
+        laws = [Pmf(ABC, np.array([0.6, 0.2, 0.2])), Pmf(ABC, np.array([0.1, 0.6, 0.3]))]
+        got = _box_chain(laws, 2000, laws[0].probs, 0.05)
+        _assert_logs_close(got, _lattice_walk(laws, 2000, laws[0].probs, 0.05))
+        assert got[1] < math.log(1e-308)
