@@ -170,10 +170,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         by_mu.setdefault(res.mu, {}).setdefault(res.n, res)
     for mu, cells in by_mu.items():
         group = [cells[n] for n in sorted(cells)]
-        # rule-of-three betas are bounds, not estimates, and a beta of exactly
-        # 0 has no exponent: left out of the fit only; exact cells give log
-        # beta, which does not underflow with beta
-        fitted = [g for g in group if not g.beta_is_upper_bound and g.log_beta > -np.inf]
+        # rule-of-three betas are bounds, not estimates, a Monte Carlo beta
+        # whose interval reaches 0 fixes no exponent, and a beta of exactly
+        # 0 has none: left out of the fit only; exact cells give log beta,
+        # which does not underflow with beta
+        fitted = [g for g in group if not g.beta_is_upper_bound and g.log_beta > -np.inf
+                  and not (g.method == "mc" and g.beta_ci >= g.beta)]
         if len(fitted) >= 3:
             fit = sim.empirical_exponent(
                 [g.n for g in fitted], log_betas=[g.log_beta for g in fitted]

@@ -42,10 +42,14 @@ computed once and decided at each mu with the same predicates. Each mu's
 sums are the same floating-point operations, in the same order and over the
 same band partition, as a pass at that mu alone on materialized blocks.
 
-The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it draws
-the pair (T_U, T_V) of each trial, never the branch, and weights the
-V-typical trials of each decision by f. A law whose V marginal is typical
-for P_V (the null's always is) draws U first, then T_V given T_U; any other
+The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it never
+draws the branch, and weights the V-typical trials of each decision by f.
+Per law it draws T_V only for the trials of one encoder decision d
+(``_drawn_decisions``: the rare one where that cannot make the estimate
+noisier) and takes the other decision's share from the exact Pr[T_V
+typical] of the box chain, a control variate whose coefficient is known
+exactly. A law whose V marginal is typical for P_V (the null's always is)
+draws U first, then T_V given T_U for the trials of decision d; any other
 law draws V first, letter by letter, and prunes a trial at its first
 atypical letter (``_trial_chunk``). Chunks of trials run on threads, one per
 core the process may run on (numpy's samplers release the interpreter lock),
@@ -68,12 +72,14 @@ from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
 from .probability import LN2, Frozen, JointPmf, Pmf, typical, typical_letters
 from .typesum import (
+    MAX_TYPES,
     NEG_INF,
     check_enumerable,
     log_multinomial,
     log_prob_boxes,
     log_sequence_prob,
     logsumexp,
+    num_types,
     prob_type_event,
     type_bands,
 )
@@ -384,6 +390,52 @@ def _typical_letters(
     return np.stack(cols, axis=1)
 
 
+def _drawn_decisions(
+    cfg: SchemeConfig,
+    laws: Sequence[JointPmf],
+    p_u: Pmf,
+    n: int,
+    pbar: PbarSet | None,
+    log_f: tuple[float, float],
+    log_v_typical: Sequence[float],
+    trials: int,
+) -> list[bool]:
+    """The encoder decision d whose trials draw V under each law of ``laws``,
+    True for active, chosen from the cell's inputs before any draw. Either
+    choice keeps the estimate unbiased; it sets how many trials draw V and
+    the variance.
+
+    With q_x = Pr_law[decision x, T_V typical] and t = q_silent + q_active,
+    a trial's weight is f_d' 1{T_V typical} + (f_d - f_d') 1{d, T_V
+    typical}: the weight w of the engine that drew V for every trial, less
+    the control variate c (1{T_V typical} - t) at c = f_d'. Its variance is
+    smallest at c* = (f_silent q_silent + f_active q_active) / t, a mean of
+    the two factors, and grows with (c - c*)^2, so it is never above w's (c
+    = 0) where f_d' is the smaller factor or q_d <= q_d' (f_d' the nearer to
+    c*). A decision x with 2 Pr_law[x] <= Pr_law[T_V typical] has q_x <=
+    Pr[x] <= t - Pr[x] <= q_x': a law draws it where it has one (the rarer
+    decision, so fewer trials draw V), and otherwise draws the decision of
+    the larger factor. Pr_law[active] is scheme A's box chain on the U box;
+    scheme B sums it over the U lattice where that has no more types than
+    the cell has trials (nor than ``MAX_TYPES``), and otherwise draws the
+    larger factor."""
+    if cfg.scheme == "A":
+        box = typical_letters(np.arange(n + 1)[:, None] / n, p_u.probs, cfg.mu).T
+        marginals = np.stack([law.probs.sum(axis=1) for law in laws])
+        p_active = [-math.expm1(lp) for lp in log_prob_boxes(marginals, n, box)]
+    elif num_types(n, p_u.alphabet.size) <= min(trials, MAX_TYPES):
+        p_active = [prob_type_event(law.row_marginal(), n,
+                                    lambda t: _transmits(cfg, t, p_u, pbar)) for law in laws]
+    else:
+        p_active = [math.nan] * len(laws)  # compares False: the larger factor
+    larger = log_f[1] > log_f[0]
+    drawn = []
+    for p, lt in zip(p_active, log_v_typical):
+        half = 0.5 * math.exp(lt)
+        drawn.append(True if p <= half else False if 1.0 - p <= half else larger)
+    return drawn
+
+
 def _trial_chunk(
     cfg: SchemeConfig,
     law: JointPmf,
@@ -391,29 +443,30 @@ def _trial_chunk(
     p_v: Pmf,
     n: int,
     pbar: PbarSet | None,
-    branch: np.ndarray,
+    drawn: bool,
     m: int,
     key: tuple[int, int, int],
 ) -> tuple[int, int, int, int]:
     """Draw ``m`` trials under ``law`` up to the V test: the counts of
-    V-typical trials whose sensor stays silent and of those whose sensor
-    transmits, then of active and of pruned trials. The branch is not drawn;
-    ``branch[a]`` is False where decision a's branch factor is 0 (scheme A's
-    active sensor), and a U-first trial with that decision draws no V.
+    trials that take decision ``drawn`` (True for active) and are V-typical,
+    of active trials, of trials that drew V and of pruned trials. The
+    branch is not drawn, and under U first only the trials of decision
+    ``drawn`` draw V.
 
     A block of at most ``BLOCK_TRIALS`` trials is drawn in two stages, each
     from its own generator, seeded by ``key`` (seed, hypothesis, chunk) and
     the stage number. A law whose own V marginal is typical for P_V draws,
     in stage 0, the U counts, which fix the encoder decision, and in stage
-    2 the V counts as the sum over u of Mult(c_u[u], P_{V|U=u}), exactly
-    T_V given T_U. Any other law, whose trials the V test almost all
-    rejects, draws the same joint law in the other order: in stage 0 the V
-    counts letter by letter, letter j from a generator seeded by (``key``,
-    0, j), pruning a trial at its first atypical letter; in stage 2, for the
-    trials left, the U counts as the sum over v of Mult(c_v[v], P_{U|V=v}).
-    Each generator draws in trial order, so blocked draws equal one draw of
-    all ``m`` trials. The active count is that of the trials left, so it is
-    the firing count only under U first.
+    2, for the trials of decision ``drawn``, the V counts as the sum over u
+    of Mult(c_u[u], P_{V|U=u}), exactly T_V given T_U. Any other law, whose
+    trials the V test almost all rejects, draws the same joint law in the
+    other order: in stage 0 the V counts letter by letter, letter j from a
+    generator seeded by (``key``, 0, j), pruning a trial at its first
+    atypical letter; in stage 2, for the trials left, the U counts as the
+    sum over v of Mult(c_v[v], P_{U|V=v}). Each generator draws in trial
+    order, so blocked draws equal one draw of all ``m`` trials. The active
+    count is that of the trials left, so it is the firing count only under
+    U first.
     """
     v_first = _v_first(cfg, law, p_v)
     law_first, cond = _rows_given(law.probs.T if v_first else law.probs)
@@ -422,26 +475,24 @@ def _trial_chunk(
     else:
         rng_first = np.random.default_rng([*key, 0])
     rng_second = np.random.default_rng([*key, 2])
-    typical_active = typical_silent = active_total = pruned = 0
+    hits = active_total = v_drawn = pruned = 0
     for lo in range(0, m, BLOCK_TRIALS):
         size = min(BLOCK_TRIALS, m - lo)
         if v_first:
             c_v = _typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
             pruned += size - len(c_v)
+            v_drawn += size
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
-            active = live_active = _transmits(cfg, c_u / n, p_u, pbar)
+            active = _transmits(cfg, c_u / n, p_u, pbar)
+            c_v = c_v[active == drawn]
         else:
             c_u = rng_first.multinomial(n, law_first, size=size)
             active = _transmits(cfg, c_u / n, p_u, pbar)
-            live = branch[active.astype(np.intp)]
-            live_active = active[live]
-            c_v = rng_second.multinomial(c_u[live], cond).sum(axis=1)
-        accepted = _v_typical(cfg, c_v, p_v, n)
-        hits = int(np.count_nonzero(accepted & live_active))
-        typical_active += hits
-        typical_silent += int(np.count_nonzero(accepted)) - hits
+            c_v = rng_second.multinomial(c_u[active == drawn], cond).sum(axis=1)
+            v_drawn += len(c_v)
+        hits += int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n)))
         active_total += int(np.count_nonzero(active))
-    return typical_silent, typical_active, active_total, pruned
+    return hits, active_total, v_drawn, pruned
 
 
 def run_trials(
@@ -459,18 +510,30 @@ def run_trials(
     Per-trial type counts are sampled directly and decided by the same
     predicates as in the exact engine (``_trial_chunk``). The branch is not
     drawn: a V-typical trial is accepted with its decision's branch factor f
-    (``_log_branch_factors``, as in the exact engine). So beta is the
-    alternative's mean weight (f_silent c_silent + f_active c_active) /
-    trials over its counts c of V-typical trials per decision, and alpha the
-    null's mean of 1 - w, with 1 - f taken as -expm1(log f) so that a small
-    alpha keeps its digits. This conditional Monte Carlo is never noisier
-    than drawing the branch. Intervals are Wilson's at the weighted mean;
-    they stay conservative, as a weight in [0, 1] with mean p has variance
-    at most p (1 - p). A beta of 0 (no trial accepted with a positive
-    weight) is reported as the rule-of-three bound 3/trials. The null draws
-    U first, so alpha and the firing statistics read every trial's U
-    counts; seeded beta values of a law drawn V first differ from those of
-    the U-first order (the same law, another stream).
+    (``_log_branch_factors``, as in the exact engine). With d the decision
+    whose trials draw V (``_drawn_decisions``) and d' the other, a trial's
+    weight is f_d' 1{T_V typical} + (f_d - f_d') 1{decision d, T_V typical},
+    and Pr_law[T_V typical] is the box probability of Mult(n, law_V) on the
+    V test's boxes (``typesum.log_prob_boxes``, one call for both laws). So
+    the acceptance probability is f_d' Pr_law[T_V typical] + (f_d - f_d')
+    p, with p the fraction of trials that take decision d and are V-typical;
+    only those trials need V. beta is this estimate under the alternative
+    and alpha one minus it under the null, with 1 - f_d' Pr taken as
+    -expm1(log f_d' + log Pr) so that a small alpha keeps its digits. The
+    exact term carries the box chain's absolute error of about n log n
+    times 1e-16, far below any half-width. d is chosen so that the estimate
+    is never noisier than that of the engine that drew V for every trial,
+    whose weights lie in [0, 1]; so each half-width is the larger of
+    Wilson's at the estimate, conservative as for that engine (a weight in
+    [0, 1] with mean m has variance at most m (1 - m)), and |f_d - f_d'|
+    times p's, the image of p's Wilson interval. An estimate outside [0,
+    1] is clamped to it; a beta clamped to 0 is reported as 0 (log beta
+    -inf) with its interval. A beta estimate of exactly 0 (no trial of
+    decision d is V-typical and f_d' Pr_Q[T_V typical] = 0) is reported as
+    the rule-of-three bound 3/trials. The null draws U first, so alpha and
+    the firing statistics read every trial's U counts; seeded beta values of
+    a law drawn V first differ from those of the U-first order (the same
+    law, another stream).
 
     Each hypothesis's trials split into chunks of ``CHUNK_TRIALS``; chunk i
     under hypothesis h draws its stage j from its own generator, seeded by
@@ -478,26 +541,31 @@ def run_trials(
     l). The chunks run concurrently on every core the process may run on,
     each drawing at most ``BLOCK_TRIALS`` trials at a time, and return
     integer counts, so a seeded result is the same bit for bit on any core
-    count. The cell's DEBUG record names each hypothesis's order and the
-    number of trials its V letters pruned.
+    count. The cell's DEBUG record names, per hypothesis, the draw order,
+    the drawn decision d, the number of trials that drew V and the number
+    its V letters pruned.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     cfg.validate_against(dmc)
+    laws = (p_uv, q_uv)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     [log_f] = _log_branch_factors(cfg, dmc, n, [cfg.mu])
-    branch = np.array([lf > NEG_INF for lf in log_f])
+    v_box = typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, cfg.mu).T
+    log_v_typical = log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n, v_box)
+    drawn = _drawn_decisions(cfg, laws, p_u, n, pbar, log_f, log_v_typical, trials)
 
     tasks = [
-        (hyp, law, idx, min(CHUNK_TRIALS, trials - start))
-        for hyp, law in ((0, p_uv), (1, q_uv))
+        (hyp, idx, min(CHUNK_TRIALS, trials - start))
+        for hyp in (0, 1)
         for idx, start in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
 
     def work(task):
-        hyp, law, idx, m = task
-        return hyp, _trial_chunk(cfg, law, p_u, p_v, n, pbar, branch, m, (seed, hyp, idx))
+        hyp, idx, m = task
+        return hyp, _trial_chunk(cfg, laws[hyp], p_u, p_v, n, pbar, drawn[hyp], m,
+                                 (seed, hyp, idx))
 
     threads = min(len(tasks), _usable_cores())
     from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays its 2 ms import
@@ -507,24 +575,33 @@ def run_trials(
     counts = np.zeros((2, 4), dtype=np.int64)  # per hypothesis, as _trial_chunk counts
     for hyp, chunk in outcomes:
         counts[hyp] += chunk
-    (*typical_h0, active_total, pruned_h0), (*typical_h1, _, pruned_h1) = counts.tolist()
-    first = ["V" if _v_first(cfg, law, p_v) else "U" for law in (p_uv, q_uv)]
+    counts = counts.tolist()
+    parts = []
+    for law, d, (_, _, v_drawn, pruned) in zip(laws, drawn, counts):
+        parts += ["V" if _v_first(cfg, law, p_v) else "U", "active" if d else "silent",
+                  v_drawn, pruned]
     logger.debug("Monte Carlo cell n=%d: %d trials, %d tasks, %d threads, %.3f s; "
-                 "H0 drew %s first, %d pruned; H1 drew %s first, %d pruned",
-                 n, trials, len(tasks), threads, time.perf_counter() - t0,
-                 first[0], pruned_h0, first[1], pruned_h1)
+                 "H0 drew %s first, d=%s, %d drew V, %d pruned; "
+                 "H1 drew %s first, d=%s, %d drew V, %d pruned",
+                 n, trials, len(tasks), threads, time.perf_counter() - t0, *parts)
 
-    alpha = (trials - sum(typical_h0)
-             - sum(math.expm1(lf) * c for lf, c in zip(log_f, typical_h0))) / trials
-    beta = sum(math.exp(lf) * c for lf, c in zip(log_f, typical_h1)) / trials
-    beta_ci = _wilson_halfwidth(beta, trials)
-    beta_is_ub = beta == 0.0
+    p_hats = [hits / trials for hits, *_ in counts]
+    # per hypothesis, log f_d' Pr_law[T_V typical] and f_d - f_d'
+    log_exact = [log_f[not d] + lp for d, lp in zip(drawn, log_v_typical)]
+    slopes = [math.expm1(log_f[d]) - math.expm1(log_f[not d]) for d in drawn]
+    alpha_hat = -math.expm1(log_exact[0]) - slopes[0] * p_hats[0]
+    beta_hat = math.exp(log_exact[1]) + slopes[1] * p_hats[1]
+    alpha, beta = (min(max(x, 0.0), 1.0) for x in (alpha_hat, beta_hat))
+    alpha_ci, beta_ci = (max(abs(sl) * _wilson_halfwidth(p, trials), _wilson_halfwidth(x, trials))
+                         for sl, p, x in zip(slopes, p_hats, (alpha, beta)))
+    # rule of three: no trial weighs in and the exact term is 0, not a clamp
+    beta_is_ub = beta_hat == 0.0
     if beta_is_ub:
-        beta = 3.0 / trials  # rule of three: no trial accepted with a positive weight
+        beta = 3.0 / trials
     return _result(
-        cfg, n, active_total / trials, alpha=alpha, beta=beta, log_beta=math.log(beta),
-        method="mc", alpha_ci=_wilson_halfwidth(alpha, trials), beta_ci=beta_ci,
-        trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub,
+        cfg, n, counts[0][1] / trials, alpha=alpha, beta=beta,
+        log_beta=math.log(beta) if beta > 0.0 else NEG_INF, method="mc", alpha_ci=alpha_ci,
+        beta_ci=beta_ci, trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub,
     )
 
 

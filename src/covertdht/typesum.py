@@ -389,12 +389,14 @@ def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
             h = (h - log_fact[c])[:, None, :]
             sums = np.empty((len(laws), len(r)))
             rows = max(1, (BLOCK_ROWS << 6) // (len(laws) * len(c)))
+            windows = np.lib.stride_tricks.sliding_window_view(g, len(c), axis=1)
             for k in range(0, len(r), rows):
                 # terms[law, i, l]: m = r[k + i] + c[l]
-                terms = g[:, np.arange(k, min(k + rows, len(r)))[:, None] + np.arange(len(c))] + h
+                terms = windows[:, k : k + rows] + h
                 top = terms.max(axis=2, keepdims=True)
                 top[top == NEG_INF] = 0.0
-                sums[:, k : k + rows] = np.log(np.exp(terms - top).sum(axis=2)) + top[..., 0]
+                terms -= top
+                sums[:, k : k + rows] = np.log(np.exp(terms, out=terms).sum(axis=2)) + top[..., 0]
             log_left = sums + np.where(r > 0, r * log_not_q[:, j, None], 0.0) - log_fact[r]
             a, b = r_lo, r_hi
     return [min(logsumexp(row[boxes[-1, a : b + 1]]), 0.0) for row in log_left]

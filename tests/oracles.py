@@ -18,7 +18,11 @@ from one walk (`log_prob_type_events`), that gave scheme B's branch factors
 before the box chain `typesum.log_prob_boxes`. `trial_chunk_branch` and
 `run_trials_branch` are the Monte Carlo engine that drew the branch (scheme
 A's marker scan, scheme B's output counts) in a stage of its own, before
-the engine weighted its V-typical counts by the branch factors. The `*_rows`
+the engine weighted its V-typical counts by the branch factors;
+`trial_chunk_weighted` and `run_trials_weighted` are that weighting engine,
+which drew V for every trial a positive branch factor left, before the
+engine took Pr[T_V typical] from the box chain and drew V only for one
+decision. The `*_rows`
 functions are the row path that the band walk of `typesum` replaced: each
 block of the lattice materialized as a `(rows, d)` count array, every
 logarithm taken per type, and the letters summed by numpy's
@@ -314,6 +318,73 @@ def run_trials_branch(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
     alpha, beta = errors[0] / trials, errors[1] / trials
     return (alpha, beta if errors[1] else 3.0 / trials,
             sim._wilson_halfwidth(alpha, trials), sim._wilson_halfwidth(beta, trials))
+
+
+def trial_chunk_weighted(cfg, law, p_u, p_v, n, pbar, branch, m, key):
+    """The Monte Carlo chunk that weighted each decision's V-typical count
+    by its branch factor: the counts of V-typical trials whose sensor stays
+    silent and of those whose sensor transmits, then of active and of pruned
+    trials, among `m` under `law`. Under U first every trial whose decision
+    has a positive factor (`branch[a]`) draws V; the stages and their seeds
+    are those of `simulation._trial_chunk`."""
+    v_first = sim._v_first(cfg, law, p_v)
+    law_first, cond = sim._rows_given(law.probs.T if v_first else law.probs)
+    if v_first:
+        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
+    else:
+        rng_first = np.random.default_rng([*key, 0])
+    rng_second = np.random.default_rng([*key, 2])
+    typical_active = typical_silent = active_total = pruned = 0
+    for lo in range(0, m, sim.BLOCK_TRIALS):
+        size = min(sim.BLOCK_TRIALS, m - lo)
+        if v_first:
+            c_v = sim._typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
+            pruned += size - len(c_v)
+            c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
+            active = live_active = sim._transmits(cfg, c_u / n, p_u, pbar)
+        else:
+            c_u = rng_first.multinomial(n, law_first, size=size)
+            active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            live = branch[active.astype(np.intp)]
+            live_active = active[live]
+            c_v = rng_second.multinomial(c_u[live], cond).sum(axis=1)
+        accepted = sim._v_typical(cfg, c_v, p_v, n)
+        hits = int(np.count_nonzero(accepted & live_active))
+        typical_active += hits
+        typical_silent += int(np.count_nonzero(accepted)) - hits
+        active_total += int(np.count_nonzero(active))
+    return typical_silent, typical_active, active_total, pruned
+
+
+def run_trials_weighted(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
+    """The record of the Monte Carlo engine that drew V for every trial
+    whose decision has a positive branch factor, on the same chunks and
+    seeds as `run_trials`, in one thread: beta the alternative's mean weight
+    f_silent c_silent / trials + f_active c_active / trials, alpha the
+    null's mean of 1 - w, each with Wilson's half-width at the weighted
+    mean; beta's rule-of-three bound where no trial had a positive
+    weight."""
+    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+    [log_f] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
+    branch = np.array([lf > NEG_INF for lf in log_f])
+    counts = np.zeros((2, 4), dtype=np.int64)
+    for hyp, law in ((0, p_uv), (1, q_uv)):
+        for idx, start in enumerate(range(0, trials, sim.CHUNK_TRIALS)):
+            m = min(sim.CHUNK_TRIALS, trials - start)
+            counts[hyp] += trial_chunk_weighted(cfg, law, p_u, p_v, n, pbar, branch, m,
+                                                (seed, hyp, idx))
+    (*typical_h0, active_total, _), (*typical_h1, _, _) = counts.tolist()
+    alpha = (trials - sum(typical_h0)
+             - sum(math.expm1(lf) * c for lf, c in zip(log_f, typical_h0))) / trials
+    beta = sum(math.exp(lf) * c for lf, c in zip(log_f, typical_h1)) / trials
+    beta_ci = sim._wilson_halfwidth(beta, trials)
+    beta_is_ub = beta == 0.0
+    if beta_is_ub:
+        beta = 3.0 / trials
+    return sim._result(
+        cfg, n, active_total / trials, alpha=alpha, beta=beta, log_beta=math.log(beta),
+        method="mc", alpha_ci=sim._wilson_halfwidth(alpha, trials), beta_ci=beta_ci,
+        trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub)
 
 
 def kl_rows_rows(t, q):

@@ -245,14 +245,18 @@ class TestSimulate:
     @staticmethod
     def _fallback_config(tmp_path):
         # 2x2 sources at n = 400 exceed the joint-type cap and fall back to
-        # Monte Carlo, where no trial under the alternative is accepted with
-        # a positive weight
+        # Monte Carlo. Under scheme A the alternative draws its silent
+        # trials, none of them is V-typical, and an active sensor is never
+        # accepted, so the beta estimate is exactly 0 (scheme B would add
+        # its exact term f_d' Pr_Q[T_V typical] > 0)
         out_path = tmp_path / "sim.csv"
         data = copy.deepcopy(EXAMPLE_CONFIG)
         data["sources"] = {
             "u_symbols": ["0", "1"], "v_symbols": ["a", "b"],
             "p_uv": [[0.55, 0.20], [0.05, 0.20]], "q_uv": [[0.15, 0.20], [0.25, 0.40]],
         }
+        data["channel"]["y_given_x"] = [[0.5, 0.5], [1.0, 0.0]]
+        data["scheme"] = {"scheme": "A", "x_hat": "1", "y_star": "1", "mu": 0.02}
         data["sweep"].update(n_grid=[20, 400], trials=2000, seed=1)
         data["output"] = {"path": str(out_path), "format": "csv"}
         return write_config(tmp_path, data), out_path
@@ -315,6 +319,30 @@ class TestSimulate:
             "mu=0.12: per-n exponent sequence is decreasing",
             "mu=0.12: mean input weight fraction under the null 5.599e-02",
         ]
+
+    def test_fit_leaves_out_monte_carlo_cells_whose_interval_reaches_zero(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a Monte Carlo beta whose half-width is at least the estimate does
+        # not fix its exponent; an exact cell (half-width 0) and a Monte Carlo
+        # cell with a narrower interval are fitted, and the rule-of-three
+        # cell stays out as before
+        def cell(n, beta, method="mc", beta_ci=0.0, bound=False):
+            return sim.SimulationResult(
+                scheme="B", n=n, mu=0.1, k=None, alpha=0.1, beta=beta, log_beta=math.log(beta),
+                method=method, beta_ci=beta_ci, trials=0 if method == "exact" else 1000,
+                beta_is_upper_bound=bound)
+
+        cells = [cell(10, 0.2, "exact"), cell(20, 0.05, "exact"), cell(30, 1e-2, beta_ci=4e-3),
+                 cell(40, 1e-9, beta_ci=1e-3), cell(50, 2e-3, beta_ci=2e-3),
+                 cell(60, 3e-3, beta_ci=2e-3, bound=True)]
+        monkeypatch.setattr("covertdht.cli._sim_results", lambda cfg: cells)
+        data = example_variant(output__path=str(tmp_path / "sim.csv"))
+        assert main(["simulate", write_config(tmp_path, data)]) == 0
+        fit = sim.empirical_exponent([10, 20, 30], log_betas=[math.log(b) for b in (0.2, 0.05, 1e-2)])
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"mu=0.1: exponent trend slope {fit.slope_bits:.4f} bits/use, "
+            f"per-n exponents {[round(e, 4) for e in fit.exponents_bits]}")
 
     def test_underflowed_beta_is_fitted_from_its_log(self, tmp_path, capsys):
         # exact beta_n underflows to 0.0 at these n; the exponent fit takes
@@ -490,14 +518,19 @@ class TestSimulateGolden:
     and stderr: the benchmark's exact two-mu sweep, an exact scheme-A sweep
     over an unsorted mu grid with a repeat, a two-mu sweep whose n-grid
     mixes exact cells with cells the joint-type cap sends to Monte Carlo,
-    and an exact scheme-B sweep of 3x2 sources (six joint cells; at n = 8,
-    mu = 0.05 no output type is typical, so alpha = 1 and beta = 0)."""
+    an exact scheme-B sweep of 3x2 sources (six joint cells; at n = 8,
+    mu = 0.05 no output type is typical, so alpha = 1 and beta = 0), and a
+    Monte Carlo scheme-A sweep on the benchmark's mc-sweep-a sources and
+    channel at n = 100, where the null fires with probability 0.43 at
+    mu = 0.06 and 0.87 at mu = 0.03, so it draws V for its active trials at
+    the one and for its silent trials at the other."""
 
     CONFIGS = {
         "exact-sweep-b": REPO / "perfbench" / "workloads" / "exact-sweep-b.json",
         "scheme-a": GOLDEN / "simulate-scheme-a.json",
         "mixed-fallback": GOLDEN / "simulate-mixed-fallback.json",
         "3x2": GOLDEN / "simulate-3x2.json",
+        "mc-a": GOLDEN / "simulate-mc-a.json",
     }
 
     @pytest.mark.parametrize("name", CONFIGS)
