@@ -2,11 +2,13 @@
 sweeps, covertness verification, and the built-in worked example.
 
 The grammar is the table `COMMANDS`: each command's flags, with their type,
-whether they repeat, and their help. `parse_args` reads argv against it as
-argparse would, and renders usage, ``-h`` and argparse's error lines from
-it: flags go before or after the config path, as ``--flag VALUE`` or
-``--flag=VALUE``, by any unique prefix (``--tri 5``, ``--j``); a repeated
-``--n`` appends, any other flag keeps its last value.
+whether they repeat, and their help. `parse_args` reads a plain command line
+(the command, its config path, whole flags and values that do not start
+with "-") itself, so that such a run imports no argparse, gettext or locale
+(about 4 ms). argparse, built from the same table, reads every other form:
+``-h``, any unique prefix of a flag (``--tri 5``, ``--j``), ``--``,
+negative values and every parse error. A repeated ``--n`` appends, any
+other flag keeps its last value.
 
 Exit codes: 0 success (and ``-h``), 1 validation/condition failure, or a
 reader that closed stdout before the output was written (no traceback), 2
@@ -20,10 +22,9 @@ import csv
 import json
 import logging
 import os
-import re
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -294,12 +295,6 @@ def cmd_example() -> int:
     return 0 if ok else 1
 
 
-PROG = "covertdht"
-DESCRIPTION = ("Covert distributed hypothesis testing: exponents, covertness bounds,\n"
-               "and scheme simulation.")
-CONFIG_HELP = "path to the JSON experiment config"
-
-
 class Option(NamedTuple):
     """One ``--flag`` of a command."""
 
@@ -312,10 +307,6 @@ class Option(NamedTuple):
     def dest(self) -> str:
         return self.flag[2:]
 
-    @property
-    def invocation(self) -> str:
-        return self.flag if self.type is None else f"{self.flag} {self.dest.upper()}"
-
 
 class Command(NamedTuple):
     help: str
@@ -323,12 +314,10 @@ class Command(NamedTuple):
     options: tuple[Option, ...]
 
 
-_HELP = Option("--help", None, False, "show this help message and exit")
 _MU = Option("--mu", float, False, "override scheme.mu; replaces sweep.mu_grid")
 _N = Option("--n", int, True, "override the blocklength grid (repeatable)")
 
-#: The command-line grammar: parsing, usage, ``-h`` and every parse error are
-#: read from this table.
+#: The command-line grammar, read by both `_plain` and `_parser`.
 COMMANDS = {
     "check-channel": Command("check the covert admissibility conditions", True, ()),
     "exponents": Command("report the achievable exponents", True,
@@ -343,176 +332,85 @@ COMMANDS = {
     "example": Command("reproduce the built-in worked example", False, ()),
 }
 
-# argparse reads an argument that matches no flag and looks like a negative
-# number as a value (`--mu -0.1`), since no flag looks like one
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
-    cmd = COMMANDS[command]
-    parts = [f"usage: {PROG} {command} [-h]", *(f"[{o.invocation}]" for o in cmd.options)]
-    return " ".join(parts + ["config"] * cmd.config)
-
-
-def _help(command: str | None) -> str:
-    """The ``-h`` text of the top level (`command` None) or of one command."""
-    options = [("-h, --help", _HELP.help)]
-    if command is None:
-        intro, title = DESCRIPTION, "commands"
-        positionals = [(name, cmd.help) for name, cmd in COMMANDS.items()]
-    else:
-        cmd = COMMANDS[command]
-        intro, title = cmd.help, "positional arguments"
-        positionals = [("config", CONFIG_HELP)] * cmd.config
-        options += [(o.invocation, o.help) for o in cmd.options]
-    width = max(len(left) for left, _ in positionals + options) + 2
-    lines = [_usage(command), "", intro]
-    for heading, rows in ((title, positionals), ("options", options)):
-        if rows:
-            lines += ["", f"{heading}:", *(f"  {left:<{width}}{text}" for left, text in rows)]
-    return "\n".join(lines) + "\n"
-
-
-def _fail(command: str | None, message: str) -> NoReturn:
-    """argparse's parse error: usage and ``prog: error: message`` on stderr, exit 2."""
-    prog = PROG if command is None else f"{PROG} {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-class _Level:
-    """argparse's reading of `argv` at one level of the grammar: the top
-    level (`command` None), whose options come before the command, or one
-    command's, whose one positional argument is the config path."""
-
-    def __init__(self, command: str | None, argv: list[str]):
-        self.command, self.argv, self.extras = command, argv, []
-        cmd = COMMANDS[command] if command else Command("", False, ())
-        self.flags = {"-h": _HELP, "--help": _HELP, **{o.flag: o for o in cmd.options}}
-        # argparse's namespace: the config path, then each flag's default
-        self.values = {"config": None} if cmd.config else {}
-        self.values.update((o.dest, False if o.type is None else None) for o in cmd.options)
-        # every argument is read before any is acted on, as argparse does:
-        # "--" marks the first "--", after which all are positional (None)
-        self.kinds = []
-        for arg in argv:
-            if "--" in self.kinds:
-                self.kinds.append(None)
-            else:
-                self.kinds.append("--" if arg == "--" else self._classify(arg))
-
-    def _classify(self, arg: str):
-        """None for a positional or a value, else (Option, or None for an
-        unknown flag, the flag as matched, the value after "=" or None)."""
-        if not arg.startswith("-") or arg == "-":
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a plain command line: the command, then its
+    config path and whole flags in any order, as ``--flag VALUE``,
+    ``--flag=VALUE`` or ``--switch``, no value starting with "-". None for
+    any other command line, valid or not, which `_parser` reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    cmd = COMMANDS[argv[0]]
+    options = {o.flag: o for o in cmd.options}
+    values = {"config": None} if cmd.config else {}
+    values.update((o.dest, False if o.type is None else None) for o in cmd.options)
+    args = iter(argv[1:])
+    for arg in args:
+        if not arg.startswith("-"):
+            if not cmd.config or values["config"] is not None:
+                return None
+            values["config"] = arg
+            continue
+        flag, eq, value = arg.partition("=")
+        option = options.get(flag)
+        if option is None or (eq and option.type is None):
             return None
-        if arg in self.flags:
-            return self.flags[arg], arg, None
-        head, eq, value = arg.partition("=")
-        if eq and head in self.flags:
-            return self.flags[head], head, value
-        if arg[1] == "-":  # a prefix of long flags
-            found = [(self.flags[f], f, value if eq else None)
-                     for f in self.flags if f.startswith(head)]
-        else:  # a short flag with its value attached
-            found = [(self.flags[f], f, arg[2:]) for f in self.flags if f == arg[:2]]
-        if len(found) > 1:
-            matches = ", ".join(f for _, f, _ in found)
-            _fail(self.command, f"ambiguous option: {arg} could match {matches}")
-        if found:
-            return found[0]
-        if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-            return None
-        return None, arg, None
-
-    def take_option(self, i: int) -> int:
-        """Act on the flag at `i` and return the index after it and its value."""
-        option, flag, value = self.kinds[i]
-        if option is None:
-            self.extras.append(self.argv[i])
-            return i + 1
-        taken = []
-        while value is not None and option.type is None:
-            # a switch given a value: "-hh" is -h twice, anything else is refused
-            if flag[1] == "-" or value == "" or "-" + value[0] not in self.flags:
-                _fail(self.command,
-                      f"argument {self._name(option)}: ignored explicit argument {value!r}")
-            taken.append((option, None))
-            flag = "-" + value[0]
-            option, value = self.flags[flag], value[1:] or None
-        stop = i + 1
-        if value is None and option.type is not None:
-            if stop == len(self.argv) or self.kinds[stop] is not None:
-                _fail(self.command, f"argument {self._name(option)}: expected one argument")
-            value, stop = self.argv[stop], stop + 1
-        for option, value in taken + [(option, value)]:
-            self._store(option, value)
-        return stop
-
-    def _store(self, option: Option, value: str | None) -> None:
-        if option is _HELP:
-            sys.stdout.write(_help(self.command))
-            raise SystemExit(0)
         if option.type is None:
-            self.values[option.dest] = True
-            return
+            values[option.dest] = True
+            continue
+        if not eq:
+            value = next(args, "")
+        if not value or value.startswith("-"):
+            return None
         try:
             value = option.type(value)
         except ValueError:
-            _fail(self.command, f"argument {option.flag}: "
-                  f"invalid {option.type.__name__} value: {value!r}")
-        if option.repeats:
-            self.values[option.dest] = (self.values[option.dest] or []) + [value]
-        else:
-            self.values[option.dest] = value
-
-    @staticmethod
-    def _name(option: Option) -> str:
-        return "-h/--help" if option is _HELP else option.flag
+            return None
+        values[option.dest] = (values[option.dest] or []) + [value] if option.repeats else value
+    if cmd.config and values["config"] is None:
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Parse `argv` against `COMMANDS` as argparse did: flags before or after
-    the config path, ``--flag VALUE`` or ``--flag=VALUE``, unique prefixes of
-    long flags, the last value of a flag or each value of a repeatable one;
-    a bad command line prints usage and argparse's error line to stderr and
-    raises SystemExit(2), ``-h`` prints help and raises SystemExit(0). The
-    namespace holds `command` and the command's own names, as argparse's."""
-    top = _Level(None, argv)
-    i = 0
-    while i < len(argv) and isinstance(top.kinds[i], tuple):
-        i = top.take_option(i)
-    # the command is the first positional, or a "--" with anything after it
-    if i == len(argv) or (top.kinds[i] == "--" and i + 1 == len(argv)):
-        _fail(None, "the following arguments are required: command")
-    command = argv[i]
-    if command not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    level = _Level(command, argv[i + 1:])
-    want_config = COMMANDS[command].config
-    j = 0
-    while j < len(level.argv):
-        kind = level.kinds[j]
-        if isinstance(kind, tuple):
-            j = level.take_option(j)
-            continue
-        # argparse takes the config path with a "--" just before or after it
-        k = j + (kind == "--")
-        if want_config and k < len(level.argv) and level.kinds[k] is None:
-            level.values["config"], want_config = level.argv[k], False
-            j = k + 1 + (level.kinds[k + 1:k + 2] == ["--"])
-        else:
-            level.extras.append(level.argv[j])
-            j += 1
-    if want_config:
-        _fail(command, "the following arguments are required: config")
-    extras = top.extras + level.extras
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=command, **level.values)
+def _parser():
+    """argparse's parser for `COMMANDS`, for every command line `_plain`
+    declines: ``-h``, prefixes of flags, ``--``, values starting with "-" and
+    every parse error. argparse and the gettext and locale modules its
+    messages load are imported here, at about 4 ms, only when needed."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse drops an OSError here, so that -h into a closed pipe
+            # would exit 0; `main` exits 1 on it
+            if message:
+                (file or sys.stderr).write(message)
+
+    parser = Parser(prog="covertdht", description="Covert distributed hypothesis testing: "
+                    "exponents, covertness bounds, and scheme simulation.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help, description=cmd.help)
+        if cmd.config:
+            sp.add_argument("config", help="path to the JSON experiment config")
+        for o in cmd.options:
+            if o.type is None:
+                sp.add_argument(o.flag, action="store_true", help=o.help)
+            else:
+                sp.add_argument(o.flag, type=o.type, help=o.help,
+                                action="append" if o.repeats else "store")
+    return parser
+
+
+def parse_args(argv: list[str]):
+    """The namespace of `argv` under `COMMANDS`: `command` and the command's
+    own names, with argparse's defaults. Flags go before or after the config
+    path, as ``--flag VALUE`` or ``--flag=VALUE``, or by any unique prefix; a
+    repeatable flag collects each value, any other keeps its last. A bad
+    command line prints usage and argparse's error line to stderr and raises
+    SystemExit(2); ``-h`` prints help and raises SystemExit(0)."""
+    args = _plain(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -558,7 +456,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args: SimpleNamespace) -> int:
+def _run(args) -> int:
     if args.command == "example":
         return cmd_example()
     try:

@@ -36,9 +36,9 @@ sampled frequency).
 The exact engine works on a whole mu grid at one n, a validated copy
 ``cfg.replace(mu=mu)`` of the scheme per mu. It walks the bands of joint
 types once: a band row fixes T_U, so ``_transmits`` decides each row once,
-the V test reads a table of ``typical_letters`` on the counts 0..n at each
-type's V counts, and each band's class log-probabilities under each law are
-computed once and decided at each mu with the same predicates. Each mu's
+the V test reads the mu-box of P_V (``_mu_box``) at each type's V counts,
+and each band's class log-probabilities under each law are computed once
+and decided at each mu with the same predicates. Each mu's
 sums are the same floating-point operations, in the same order and over the
 same band partition, as a pass at that mu alone on materialized blocks.
 
@@ -178,6 +178,13 @@ def _v_typical(cfg: SchemeConfig, c_v: np.ndarray, p_v: Pmf, n: int) -> np.ndarr
     return typical(c_v / n, p_v.probs, cfg.mu)
 
 
+def _mu_box(ref: np.ndarray, n: int, mu: float) -> np.ndarray:
+    """The mu-box of ``ref`` on the counts 0..n, as a ``(letters, n + 1)``
+    table: True where count c of a letter passes the per-letter condition
+    ``typical_letters`` on c / n."""
+    return typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
+
+
 def transmit_probability(
     cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
 ) -> float:
@@ -196,15 +203,14 @@ def _log_branch_factors(
     marker appears among a silent sensor's k(n) burst outputs, never among
     an active one's (``validate_against``). Scheme B's Y^n is mu-typical for
     the zero-input row given the constant codeword 0 or x1, by the box chain
-    on the boxes of ``typical_letters`` on the counts 0..n."""
+    on its mu-box (``_mu_box``)."""
     if cfg.scheme == "A":
         p_star0 = dmc.y_row(dmc.zero_symbol)[cfg.y_star]
         log_silent = math.log1p(-((1.0 - p_star0) ** cfg.k(n))) if p_star0 > 0 else NEG_INF
         return [(log_silent, NEG_INF)] * len(mus)
     ref = dmc.y_row(dmc.zero_symbol).probs
     rows = np.stack([dmc.y_row(x).probs for x in (dmc.zero_symbol, cfg.x1)])
-    column = np.arange(n + 1)[:, None] / n
-    return [tuple(log_prob_boxes(rows, n, typical_letters(column, ref, mu).T)) for mu in mus]
+    return [tuple(log_prob_boxes(rows, n, _mu_box(ref, n, mu))) for mu in mus]
 
 
 def _log_accept_probs(
@@ -223,18 +229,18 @@ def _log_accept_probs(
     every mu. A band row, which fixes the first |U||V| - 2 cells, fixes T_U
     where |V| >= 2 (its last two cells share the last U letter), so
     ``_transmits`` decides each row once (scheme B) or once per row and mu
-    (scheme A). The V test reads a per-mu table of ``typical_letters`` on the
-    counts 0..n. With |V| = 1 the joint type is T_U. The branch factors and
-    each type's decisions serve both laws. Every test reads integer counts
-    divided by n, so enumerated and sampled counts meet the closed
-    typicality boundary at the same place.
+    (scheme A). The V test reads P_V's mu-box (``_mu_box``) at each mu.
+    With |V| = 1 the joint type is T_U. The branch factors and each type's
+    decisions serve both laws. Every test reads integer counts divided by
+    n, so enumerated and sampled counts meet the closed typicality boundary
+    at the same place.
     """
     cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     du, dv = p_u.alphabet.size, p_v.alphabet.size
     check_enumerable(n, du * dv, "joint source type enumeration")
     factors = _log_branch_factors(cfg, dmc, n, [c.mu for c in cfgs])
-    v_tables = [typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, c.mu) for c in cfgs]
+    v_boxes = [_mu_box(p_v.probs, n, c.mu) for c in cfgs]
     laws = [joint.probs.ravel() for joint in (p_uv, q_uv)]
     logs = [([], []) for _ in cfgs]
     for band in type_bands(n, du * dv):
@@ -251,15 +257,15 @@ def _log_accept_probs(
             t_u, v_j, v_last = c_u / n, c_v[row, -2] + j, c_v[row, -1] + last
         if cfg.scheme == "B":
             active = _transmits(cfg, t_u, p_u, pbar)[row]
-        for c, table, (log_silent, log_active), out in zip(cfgs, v_tables, factors, logs):
+        for c, box, (log_silent, log_active), out in zip(cfgs, v_boxes, factors, logs):
             if cfg.scheme == "A":
                 active = _transmits(c, t_u, p_u, pbar)[row]
             if dv == 1:
-                accept = np.full(len(band), table[n, 0])
+                accept = np.full(len(band), box[0, n])
             else:
-                accept = table[v_j, -2] & table[v_last, -1]
+                accept = box[-2, v_j] & box[-1, v_last]
                 if dv > 2:
-                    accept &= table[c_v[:, :-2], np.arange(dv - 2)].all(axis=1)[row]
+                    accept &= box[np.arange(dv - 2), c_v[:, :-2]].all(axis=1)[row]
             factor = np.where(active[accept], log_active, log_silent)
             for part, lp in zip(out, lps):
                 part.append(logsumexp(lp[accept] + factor))
@@ -420,7 +426,7 @@ def _drawn_decisions(
     the cell has trials (nor than ``MAX_TYPES``), and otherwise draws the
     larger factor."""
     if cfg.scheme == "A":
-        box = typical_letters(np.arange(n + 1)[:, None] / n, p_u.probs, cfg.mu).T
+        box = _mu_box(p_u.probs, n, cfg.mu)
         marginals = np.stack([law.probs.sum(axis=1) for law in laws])
         p_active = [-math.expm1(lp) for lp in log_prob_boxes(marginals, n, box)]
     elif num_types(n, p_u.alphabet.size) <= min(trials, MAX_TYPES):
@@ -552,7 +558,7 @@ def run_trials(
     laws = (p_uv, q_uv)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     [log_f] = _log_branch_factors(cfg, dmc, n, [cfg.mu])
-    v_box = typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, cfg.mu).T
+    v_box = _mu_box(p_v.probs, n, cfg.mu)
     log_v_typical = log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n, v_box)
     drawn = _drawn_decisions(cfg, laws, p_u, n, pbar, log_f, log_v_typical, trials)
 

@@ -1,6 +1,8 @@
 import collections
+import contextlib
 import copy
 import csv
+import io
 import json
 import logging
 import math
@@ -12,6 +14,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import covertdht
 import oracles
@@ -21,6 +25,7 @@ import covertdht.simulation as sim
 import covertdht.typesum as typesum
 
 from covertdht.cli import (
+    COMMANDS,
     COV_HEADER,
     COV_SCHEMA,
     EXAMPLE_CONFIG,
@@ -734,11 +739,58 @@ def test_no_command_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+#: Values that every flag converts, and values that some flag refuses or
+#: that only argparse reads
+PLAIN_VALUES = ["5", "24", "7"]
+ODD_VALUES = ["0.1", "nan", "inf", "1.5", "x", "", "-3", "-.5", "-1e-3", "-1e3", "-inf", "-nan",
+              "--"]
+FLAGS = ["--json", "--trials", "--seed", "--mu", "--n"]
+#: Prefixes of flags, ``--``, ``-h``, flags with no value, positionals
+RARE = ["bogus", "cfg.json", "--", "--j", "--tri", "--s", "--m", "--he", "--help", "-h", "-hh",
+        "-x", "--x", "--m=0.1", "--tri=5", *FLAGS, *PLAIN_VALUES, *ODD_VALUES]
+
+
+def flag_piece(draw, flags, values):
+    """A flag of ``flags`` with a value of ``values``, as ``--flag VALUE`` or
+    ``--flag=VALUE``; ``--json`` as itself, or with its value attached."""
+    flag, value = draw(st.sampled_from(flags)), draw(st.sampled_from(values))
+    if flag == "--json":
+        return [flag] if values is PLAIN_VALUES else [f"{flag}={value}"]
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line near the plain form: a command (one time in five a
+    token that is none), the config path three times in four, and up to
+    three flags of the command with plain values. Three times in four,
+    one odd piece goes in at any place after the first token: half the time
+    a flag of the command (of any, where it has none) with an odd value,
+    else a rare token or such a flag with no value."""
+    heads = ["-h", "--", "bogus"] if draw(st.integers(0, 4)) == 0 else list(COMMANDS)
+    argv = [draw(st.sampled_from(heads))] + ["cfg.json"] * (draw(st.integers(0, 3)) > 0)
+    own = [o.flag for o in COMMANDS[argv[0]].options] if argv[0] in COMMANDS else []
+    for _ in range(draw(st.integers(0, 3)) if own else 0):
+        argv += flag_piece(draw, own, PLAIN_VALUES)
+    if draw(st.integers(0, 3)) > 0:
+        kind = draw(st.sampled_from(["rare", "odd value", "odd value", "no value"]))
+        if kind == "rare":
+            odd = [draw(st.sampled_from(RARE))]
+        elif kind == "odd value":
+            odd = flag_piece(draw, own or FLAGS, ODD_VALUES)
+        else:
+            odd = [draw(st.sampled_from(own or FLAGS))]
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = odd
+    return argv
+
+
 class TestParseArgs:
-    """`parse_args` reads every command line as the argparse grammar it
-    replaced (`oracles.build_parser`): the same names and values, or the same
-    exit code and error line. COLUMNS is fixed so that argparse wraps its
-    usage the same way on every terminal."""
+    """`parse_args` reads every command line as the hand-written argparse
+    reference `oracles.build_parser` does, whether its plain-form reader
+    or argparse reads it: the same names and values, or the same exit code
+    and error line. COLUMNS is fixed so that argparse wraps its usage the
+    same way on every terminal."""
 
     VALID = [
         ["check-channel", "cfg.json"],
@@ -843,6 +895,27 @@ class TestParseArgs:
         assert out.startswith("usage: covertdht")
         assert set(re.findall(r"--[a-z]+", out)) == set(re.findall(r"--[a-z]+", want_out))
 
+    @staticmethod
+    def outcome(parse, argv):
+        """The namespace `parse` gives `argv`, as the repr of its sorted items
+        (so that NaN values compare equal), or its exit code and last stderr
+        line."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return repr(sorted(vars(parse(list(argv))).items()))
+            except SystemExit as exc:
+                return exc.code, err.getvalue().rstrip("\n").rpartition("\n")[2]
+
+    #: built once: a parse leaves an argparse parser as it was
+    ORACLE = oracles.build_parser()
+
+    @given(argv=command_lines())
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_argv_gives_the_oracle_outcome(self, argv):
+        assert self.outcome(parse_args, argv) == self.outcome(self.ORACLE.parse_args, argv)
+
     def test_negative_mu_is_a_value_that_config_validation_rejects(self, example_cfg_path,
                                                                     capsys):
         assert main(["simulate", example_cfg_path, "--mu", "-0.1"]) == 2
@@ -872,15 +945,20 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
 
 def test_exponents_loads_no_argparse(tmp_path):
     # argparse's messages import gettext, whose first lookup imports locale:
-    # a fixed cost of every command, which the table-driven parser avoids
+    # a fixed cost of about 4 ms, which the plain command lines that the
+    # benchmark and CI run do not pay
     path = write_config(tmp_path, EXAMPLE_CONFIG)
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         from covertdht.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["exponents", {path!r}, "--json"]) == 0
-        loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
-        assert not loaded, loaded
+        for argv in (["exponents", {path!r}, "--json"], ["simulate", {path!r}, "--seed", "7"],
+                     ["simulate", {path!r}, "--n", "24", "--trials", "2000"],
+                     ["verify-covertness", {path!r}, "--n=80", "--n", "160"], ["example"]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
+            loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+            assert not loaded, (argv, loaded)
     """)
     env = {**os.environ,
            "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
