@@ -131,6 +131,8 @@ class ExperimentConfig(Frozen):
 
     def output(self) -> dict:
         out = {"path": "-", "format": "csv", **self.raw.get("output", {})}
+        if not (isinstance(out["path"], str) and out["path"]):
+            raise ConfigError('output.path: must be a file path, or "-" for stdout')
         if out["format"] not in ("csv", "json"):
             raise ConfigError("output.format: must be 'csv' or 'json'")
         return out
@@ -138,6 +140,11 @@ class ExperimentConfig(Frozen):
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
+        if not isinstance(self.raw, dict):
+            raise ConfigError("config: must be an object")
+        for key in ("sources", "channel", "scheme", "sweep", "output"):
+            if not isinstance(self.raw.get(key, {}), dict):
+                raise ConfigError(f"{key}: must be an object")
         p, q = self.source_pmfs()
         dmc = self.dmc()
         scheme = self.scheme()

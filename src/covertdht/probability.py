@@ -10,8 +10,9 @@ sums and the Monte Carlo engine goes through them. Each is an elementwise
 per-letter kernel (:func:`typical_letters`, :func:`kl_terms`) reduced over
 the letters: an AND, or :func:`letter_sum`, which adds the letters left to
 right. A band of the type lattice (``typesum.Band``) takes the place of a
-batch: it applies the same kernel to one table per letter and count and
-reduces the table over its types, so both meet every tie the same way.
+batch in :func:`kl_rows`: it applies the same kernel to one table per
+letter and count and sums the table over its types, so both meet every tie
+the same way; :func:`typical` reads a band as its materialized array.
 There is no sequence-level layer: every quantity the library computes
 depends on a block only through its type.
 
@@ -259,11 +260,7 @@ def typical(t, ref: np.ndarray, mu: float) -> np.ndarray:
 
     Per-letter |t - ref| <= mu and no mass where ref is zero
     (:func:`typical_letters`), on every letter. The closed (<=) per-letter
-    condition is used so boundary cases are deterministic. `t` may also be
-    a band of the type lattice (``typesum.Band``), which ANDs the same
-    conditions from a table per letter.
+    condition is used so boundary cases are deterministic. `t` may be
+    anything ``np.asarray`` reads, a band of the type lattice as well.
     """
-    band_all = getattr(t, "letter_all", None)
-    if band_all is not None:
-        return band_all(typical_letters, ref, mu)
-    return typical_letters(t, ref, mu).all(axis=-1)
+    return typical_letters(np.asarray(t), ref, mu).all(axis=-1)

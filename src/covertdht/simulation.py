@@ -26,8 +26,9 @@ part of the test that reads the channel output. Given the encoder's
 decision the branch passes with a probability f, the branch factor, and one
 function gives f to both engines (``_log_branch_factors``): scheme A's in
 closed form, scheme B's from the box chain ``typesum.log_prob_boxes``, with
-no Y lattice. ``transmit_probability`` sums the encoder rule over the bands
-of the U lattice: delta_n. Both engines, ``exact_error_probs`` and
+no Y lattice. ``transmit_probability`` gives delta_n: scheme A's from the
+box chain, summed over the first letter out of its mu-box, scheme B's over
+the bands of the U lattice. Both engines, ``exact_error_probs`` and
 ``run_trials``, return the cell's ``SimulationResult`` record (``log_beta``
 included, exact also where beta underflows), built by one helper that also
 derives the weight statistics from the firing probability (delta_n, or its
@@ -77,10 +78,10 @@ from .typesum import (
     check_enumerable,
     log_multinomial,
     log_prob_boxes,
+    log_prob_type_event,
     log_sequence_prob,
     logsumexp,
     num_types,
-    prob_type_event,
     type_bands,
 )
 
@@ -189,10 +190,22 @@ def transmit_probability(
     cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
 ) -> float:
     """delta_n, the exact probability that the encoder fires under the null,
-    summed over the transmitting types of U^n (not as 1 - Pr[silent], which
-    rounds to zero once delta_n drops below machine epsilon), one band of
-    the U lattice at a time."""
-    return prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar))
+    summed where it fires (not as 1 - Pr[silent], which rounds to zero once
+    delta_n drops below machine epsilon). Scheme A's T_U leaves its mu-box:
+    one box chain (``typesum.log_prob_boxes``) per first letter j out of its
+    box, the letters before j in their boxes and those after j merged into
+    one free letter; no lattice, no cap. Scheme B's threshold is no box: its
+    sum runs over the transmitting types, a band of the U lattice at a time."""
+    if cfg.scheme == "B":
+        return math.exp(log_prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar)))
+    p, d = p_u.probs, len(p_u.probs)
+    box = _mu_box(p, n, cfg.mu)
+    rows = np.vstack((box, ~box, np.ones(n + 1, dtype=bool)))  # in, out, free
+    terms = []
+    for j in range(d):  # [:d] drops the free letter when j is the last letter
+        law = np.append(p[: j + 1], p[j + 1 :].sum())[:d]
+        terms += log_prob_boxes(law[None], n, rows[[*range(j), d + j, 2 * d][:d]])
+    return math.exp(min(logsumexp(terms), 0.0))
 
 
 def _log_branch_factors(
@@ -430,8 +443,8 @@ def _drawn_decisions(
         marginals = np.stack([law.probs.sum(axis=1) for law in laws])
         p_active = [-math.expm1(lp) for lp in log_prob_boxes(marginals, n, box)]
     elif num_types(n, p_u.alphabet.size) <= min(trials, MAX_TYPES):
-        p_active = [prob_type_event(law.row_marginal(), n,
-                                    lambda t: _transmits(cfg, t, p_u, pbar)) for law in laws]
+        p_active = [math.exp(log_prob_type_event(
+            law.row_marginal(), n, lambda t: _transmits(cfg, t, p_u, pbar))) for law in laws]
     else:
         p_active = [math.nan] * len(laws)  # compares False: the larger factor
     larger = log_f[1] > log_f[0]

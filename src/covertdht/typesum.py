@@ -11,22 +11,24 @@ stays bounded however many types it visits: a band holds at most
 ``BLOCK_ROWS`` types. Its rows are the enumerated counts of the first d - 2
 letters, and each row's last two letters run densely over c_{d-2} = j,
 c_{d-1} = rest - j. A :class:`Band` stands for its ``(types, d)`` array of
-types counts/n without building it. Every per-type quantity of the exact
-sums is a left-to-right sum over the letters of a per-letter table T[c, z],
-or an AND of per-letter boolean tables: log c!, c log p_z, the divergence
-terms (c/n) log((c/n)/q_z), c log(G1_z/G0_z) and the mu-box |c/n - ref_z|
-<= mu. A band looks each letter's count up in its table, built once per walk
-by the same elementwise kernel the row path applies to a ``(rows, d)``
-array, so the exact sums take no logarithm per type and decide every tie as
-the row path and Monte Carlo do. A quantity constant along a band row is
-computed once per row and read at each type's row (:meth:`Band.rows`): the
-joint-type engine decides T_U that way. :func:`type_blocks` yields the same
-bands materialized as ``(rows, d)`` count arrays; no exact sum walks it, only
-the sphere search's ray lattice in ``exponents`` and the tests' oracles.
+types counts/n without building it. Every per-type sum of the exact sums is
+a left-to-right sum over the letters of a per-letter table T[c, z]: log c!,
+c log p_z, the divergence terms (c/n) log((c/n)/q_z) and c log(G1_z/G0_z).
+A band looks each letter's count up in its table, built once per walk by
+the same elementwise kernel the row path applies to a ``(rows, d)`` array,
+so the exact sums take no logarithm per type and decide every tie as the
+row path and Monte Carlo do. Anything else, ``probability.typical`` among
+them, reads the materialized array ``np.asarray(band)``. A quantity
+constant along a band row is computed once per row and read at each type's
+row (:meth:`Band.rows`): the joint-type engine decides T_U that way.
+:func:`type_blocks` yields the same bands materialized as ``(rows, d)``
+count arrays; no exact sum walks it, only the sphere search's ray lattice
+in ``exponents`` and the tests' oracles.
 
 An event that is a box, each letter's count in a set of its own, needs no
 lattice and no cap: :func:`log_prob_boxes` follows the multinomial's chain
-of binomials.
+of binomials. So does the box's complement, as a sum over the first letter
+out of its box (``simulation.transmit_probability``).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -42,6 +44,7 @@ import math
 from collections.abc import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import AlphabetTooLarge
 from .probability import Pmf, letter_sum
@@ -86,12 +89,12 @@ class Band:
     Row i holds the counts ``heads[i]`` of the first d - 2 letters and has
     ``rest[i]`` left for the last two; its types take c_{d-2} = j for j from
     ``lo[i]`` to ``hi[i]`` and c_{d-1} = rest[i] - j (a one-letter band has
-    j = 0 and c_0 = rest). :meth:`letter_sum`, :meth:`count_sum` and
-    :meth:`letter_all` reduce a per-letter table, built once per walk from an
-    elementwise kernel and shared by the walk's bands (``tables``), over the
-    band's types: ``probability.kl_rows`` and ``probability.typical`` take a
-    band in place of a ``(rows, d)`` array this way. Anything else sees the
-    materialized array (``np.asarray(band)``, ``band[key]``).
+    j = 0 and c_0 = rest). :meth:`letter_sum` and :meth:`count_sum` sum a
+    per-letter table, built once per walk from an elementwise kernel and
+    shared by the walk's bands (``tables``), over the band's types:
+    ``probability.kl_rows`` takes a band in place of a ``(rows, d)`` array
+    this way. Anything else sees the materialized array
+    (``np.asarray(band)``).
     """
 
     def __init__(self, n: int, dim: int, tables: dict, heads: np.ndarray,
@@ -125,9 +128,6 @@ class Band:
         t = self.counts() / self.n
         return t if dtype is None else t.astype(dtype, copy=False)
 
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
-
     def subset(self, mask: np.ndarray) -> "Band":
         """The band's types where `mask` holds, in order, as a band that
         shares this one's tables."""
@@ -145,34 +145,21 @@ class Band:
         entry = self._tables.get(key)
         if entry is None:
             column = np.arange(self.n + 1)[:, None]
-            table = kernel(column if on_counts else column / self.n, *args)
-            if table.dtype != bool:
-                table = table + 0.0
+            table = kernel(column if on_counts else column / self.n, *args) + 0.0
             table = np.broadcast_to(table, (self.n + 1, self.dim))
             entry = self._tables[key] = (args, np.ascontiguousarray(table.T))
         return entry[1]
 
-    def _letters(self, table: np.ndarray) -> list[np.ndarray]:
-        """The band's per-type entries of a ``(d, n+1)`` table, letter by
-        letter; the head letters come reduced to one column (left to right,
-        per row)."""
+    def _reduce_sum(self, table: np.ndarray) -> np.ndarray:
+        """Per type, the entries of a ``(d, n+1)`` table summed over the
+        letters in ``letter_sum``'s order: the head letters left to right,
+        once per row, then c_{d-2} and c_{d-1}. The first column is a fresh
+        array without -0.0, equal to 0.0 plus itself."""
         lead = self._heads.shape[1]
-        cols = []
-        if lead:
-            heads = table[np.arange(lead), self._heads]
-            if table.dtype == bool:
-                cols.append(heads.all(axis=-1)[self._row])
-            else:
-                cols.append(letter_sum(heads)[self._row])
+        cols = [letter_sum(table[np.arange(lead), self._heads])[self._row]] if lead else []
         if self.dim > 1:
             cols.append(table[self.dim - 2][self._j])
-        cols.append(table[self.dim - 1][self._last])
-        return cols
-
-    def _reduce_sum(self, table: np.ndarray) -> np.ndarray:
-        # letter_sum's order; the first column is a fresh array without -0.0,
-        # equal to 0.0 plus itself
-        first, *others = self._letters(table)
+        first, *others = cols + [table[self.dim - 1][self._last]]
         for col in others:
             first += col
         return first
@@ -186,14 +173,6 @@ class Band:
         """Per type, the sum over letters of ``kernel(c, *args)`` on the
         counts, left to right."""
         return self._reduce_sum(self._table(kernel, args, on_counts=True))
-
-    def letter_all(self, kernel, *args) -> np.ndarray:
-        """Per type, True where the boolean ``kernel(c/n, *args)`` holds on
-        every letter."""
-        first, *others = self._letters(self._table(kernel, args, on_counts=False))
-        for col in others:
-            first &= col
-        return first
 
 
 def type_bands(n: int, dim: int) -> Iterator[Band]:
@@ -336,8 +315,9 @@ def log_type_class_prob(counts, p: np.ndarray) -> np.ndarray:
 def log_prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:
     """log Pr[type(X^n) satisfies predicate], X i.i.d. p; -inf when impossible.
 
-    The predicate maps a band of types (:class:`Band`, standing for the
-    ``(rows, d)`` array of types counts/n) to a boolean mask over its types.
+    The predicate maps a band of types (:class:`Band`; ``np.asarray(band)``
+    is its ``(rows, d)`` array of types counts/n) to a boolean mask over its
+    types.
     """
     check_enumerable(n, p.alphabet.size)
     parts = []
@@ -359,8 +339,13 @@ def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
     rest. A dynamic program carries log L(m), the probability that the
     letters so far lie in their boxes and leave m trials; letter j's step
     is L'(r) = sum over c in its box of L(r + c) Bin(c; r + c, q_j), one
-    logsumexp per r. m stays on the window that the earlier letters' boxes
-    can leave and the later letters' boxes can fill.
+    logsumexp per r; the first step starts from the point mass L(n) = 1, so
+    each r takes its one term c = n - r. m stays on the window that the
+    earlier letters' boxes can leave and the later letters' boxes can fill.
+
+    log L adds log-factorials of size n log n, so a log probability near 0
+    carries an absolute error of about n log n * 1e-16: at n = 10^4 a
+    complement 1 - Pr below about 1e-11 is rounding.
     """
     laws = np.asarray(laws, dtype=float)
     if not boxes.any(axis=1).all():
@@ -380,30 +365,26 @@ def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
             if r_lo > r_hi:
                 return [NEG_INF] * len(laws)
             c, r = np.arange(lo[j], hi[j] + 1), np.arange(r_lo, r_hi + 1)
-            # log(L(m) m!) on m = r_lo + lo_j .. r_hi + hi_j, -inf off a..b
-            g = np.full((len(laws), len(r) + len(c) - 1), NEG_INF)
-            g[:, a - r_lo - lo[j] : b - r_lo - lo[j] + 1] = log_left + log_fact[a : b + 1]
             # c log q_j - log c! on the box, -inf off it (0 log 0 = 0)
             h = np.where(boxes[j, lo[j] : hi[j] + 1], np.where(c > 0, c * log_q[:, j, None], 0.0),
-                         NEG_INF)
-            h = (h - log_fact[c])[:, None, :]
-            sums = np.empty((len(laws), len(r)))
-            rows = max(1, (BLOCK_ROWS << 6) // (len(laws) * len(c)))
-            windows = np.lib.stride_tricks.sliding_window_view(g, len(c), axis=1)
-            for k in range(0, len(r), rows):
-                # terms[law, i, l]: m = r[k + i] + c[l]
-                terms = windows[:, k : k + rows] + h
-                top = terms.max(axis=2, keepdims=True)
-                top[top == NEG_INF] = 0.0
-                terms -= top
-                sums[:, k : k + rows] = np.log(np.exp(terms, out=terms).sum(axis=2)) + top[..., 0]
+                         NEG_INF) - log_fact[c]
+            if j == 0:  # L is the point mass at m = n: each r takes its one c = n - r
+                sums = log_fact[n] + h[:, n - lo[0] - r]
+            else:
+                # log(L(m) m!) on m = r_lo + lo_j .. r_hi + hi_j, -inf off a..b
+                g = np.full((len(laws), len(r) + len(c) - 1), NEG_INF)
+                g[:, a - r_lo - lo[j] : b - r_lo - lo[j] + 1] = log_left + log_fact[a : b + 1]
+                sums = np.empty((len(laws), len(r)))
+                rows = max(1, (BLOCK_ROWS << 6) // (len(laws) * len(c)))
+                windows = as_strided(g, (len(laws), len(r), len(c)), (*g.strides, g.strides[1]))
+                for k in range(0, len(r), rows):
+                    # terms[law, i, l]: m = r[k + i] + c[l]
+                    terms = windows[:, k : k + rows] + h[:, None, :]
+                    top = terms.max(axis=2, keepdims=True)
+                    top[top == NEG_INF] = 0.0
+                    terms -= top
+                    sums[:, k : k + rows] = np.log(np.exp(terms, out=terms).sum(2)) + top[..., 0]
             log_left = sums + np.where(r > 0, r * log_not_q[:, j, None], 0.0) - log_fact[r]
             a, b = r_lo, r_hi
     return [min(logsumexp(row[boxes[-1, a : b + 1]]), 0.0) for row in log_left]
-
-
-def prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:
-    """Exact Pr[type(X^n) satisfies predicate], X i.i.d. p."""
-    lp = log_prob_type_event(p, n, predicate)
-    return 0.0 if lp == NEG_INF else math.exp(lp)
 

@@ -22,7 +22,9 @@ the engine weighted its V-typical counts by the branch factors;
 `trial_chunk_weighted` and `run_trials_weighted` are that weighting engine,
 which drew V for every trial a positive branch factor left, before the
 engine took Pr[T_V typical] from the box chain and drew V only for one
-decision. The `*_rows`
+decision. `log_prob_boxes_windowed` is the box chain before its first step
+started from the point mass at m = n: every step, the first too, sums
+windows of L. The `*_rows`
 functions are the row path that the band walk of `typesum` replaced: each
 block of the lattice materialized as a `(rows, d)` count array, every
 logarithm taken per type, and the letters summed by numpy's
@@ -433,6 +435,45 @@ def transmit_probability_rows(cfg, p_u, n, pbar=None):
             return kl_rows_rows(t, p_u.probs) >= pbar.tau_nats
     lp = log_prob_type_events_rows(p_u, n, [fires])[0]
     return 0.0 if lp == NEG_INF else math.exp(lp)
+
+
+def log_prob_boxes_windowed(laws, n, boxes):
+    """`typesum.log_prob_boxes` with every step of the chain, the first as
+    well, a logsumexp over each window of L(m) m!."""
+    laws = np.asarray(laws, dtype=float)
+    if not boxes.any(axis=1).all():
+        return [NEG_INF] * len(laws)
+    lo, hi = boxes.argmax(axis=1).tolist(), (n - boxes[:, ::-1].argmax(axis=1)).tolist()
+    log_fact = typesum._log_factorials(n)
+    tail = np.cumsum(laws[:, ::-1], axis=1)[:, ::-1]
+    a = b = n
+    log_left = np.zeros((len(laws), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tail = np.log(tail)
+        log_tail_j = np.where(tail[:, :-1] > 0.0, log_tail[:, :-1], 0.0)
+        log_q, log_not_q = np.log(laws[:, :-1]) - log_tail_j, log_tail[:, 1:] - log_tail_j
+        for j in range(laws.shape[1] - 1):
+            r_lo, r_hi = max(a - hi[j], sum(lo[j + 1:])), min(b - lo[j], sum(hi[j + 1:]))
+            if r_lo > r_hi:
+                return [NEG_INF] * len(laws)
+            c, r = np.arange(lo[j], hi[j] + 1), np.arange(r_lo, r_hi + 1)
+            g = np.full((len(laws), len(r) + len(c) - 1), NEG_INF)
+            g[:, a - r_lo - lo[j] : b - r_lo - lo[j] + 1] = log_left + log_fact[a : b + 1]
+            h = np.where(boxes[j, lo[j] : hi[j] + 1], np.where(c > 0, c * log_q[:, j, None], 0.0),
+                         NEG_INF)
+            h = (h - log_fact[c])[:, None, :]
+            sums = np.empty((len(laws), len(r)))
+            rows = max(1, (typesum.BLOCK_ROWS << 6) // (len(laws) * len(c)))
+            windows = np.lib.stride_tricks.sliding_window_view(g, len(c), axis=1)
+            for k in range(0, len(r), rows):
+                terms = windows[:, k : k + rows] + h
+                top = terms.max(axis=2, keepdims=True)
+                top[top == NEG_INF] = 0.0
+                terms -= top
+                sums[:, k : k + rows] = np.log(np.exp(terms, out=terms).sum(axis=2)) + top[..., 0]
+            log_left = sums + np.where(r > 0, r * log_not_q[:, j, None], 0.0) - log_fact[r]
+            a, b = r_lo, r_hi
+    return [min(typesum.logsumexp(row[boxes[-1, a : b + 1]]), 0.0) for row in log_left]
 
 
 def log_prob_y_typical_rows(dmc, x_symbol, n, mus):

@@ -563,12 +563,16 @@ class TestSimulateGolden:
 
 class TestVerifyCovertnessGolden:
     """`verify-covertness` prints the bytes stored under tests/golden/ on its
-    stdout and stderr: the benchmark's |U| = |Z| = 3 sweep and the worked
-    example's default sweep."""
+    stdout and stderr: the benchmark's |U| = |Z| = 3 sweep, the worked
+    example's default sweep, and scheme A on the benchmark's mc-sweep-a
+    sources, channel and scheme at n = 100, 200 and 400, where the U lattice
+    of |U| = 4 has more types than the enumeration cap and delta_n comes
+    from the box chain alone."""
 
     CONFIGS = {
         "covert-sweep-b": REPO / "perfbench" / "workloads" / "covert-sweep-b.json",
         "example": GOLDEN / "verify-covertness-example.json",
+        "mc-a": GOLDEN / "verify-covertness-mc-a.json",
     }
 
     @pytest.mark.parametrize("name", CONFIGS)
@@ -618,11 +622,14 @@ class TestVerifyCovertness:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
-    def test_refused_n_states_only_the_refusal(self, capsys):
+    def test_refused_n_states_only_the_refusal(self, tmp_path, capsys):
         # the covertness sweep has no Monte Carlo path, so the cap's error
-        # gives no advice about one
-        path = str(REPO / "perfbench" / "workloads" / "mc-sweep-a.json")
-        assert main(["verify-covertness", path, "--n", "400"]) == 1
+        # gives no advice about one; scheme B's delta_n sums the U lattice,
+        # which mc-sweep-a's |U| = 4 takes past the cap at n = 400 (scheme
+        # A's box chain has no cap: the golden sweep mc-a runs there)
+        data = json.loads((REPO / "perfbench" / "workloads" / "mc-sweep-a.json").read_text())
+        data["scheme"] = {"scheme": "B", "x1": "1", "mu": 0.06}
+        assert main(["verify-covertness", write_config(tmp_path, data), "--n", "400"]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: type enumeration: 10827401 n-types over 4 symbols exceeds the cap 5000000"]
 

@@ -136,6 +136,26 @@ def test_bad_output_format():
         ExperimentConfig.from_dict(variant(output__format="xml"))
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"output__path": ""}, "output.path"),
+    ({"output__path": 5}, "output.path"),
+    ({"output__path": None}, "output.path"),
+    ({"sweep": [1]}, "sweep"),
+    ({"output": "out.csv"}, "output"),
+])
+def test_bad_section_or_output_path_is_named(change, field):
+    # unchecked, each would reach the sweep, or the write after it, and
+    # raise a TypeError or FileNotFoundError there
+    with pytest.raises(ConfigError, match=rf"^{field}: must be"):
+        ExperimentConfig.from_dict(variant(**change))
+
+
+@pytest.mark.parametrize("doc", [[1], 5, "config", None])
+def test_document_that_is_not_an_object_is_named(doc):
+    with pytest.raises(ConfigError, match="^config: must be an object"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_sweep_defaults():
     data = variant()
     del data["sweep"]

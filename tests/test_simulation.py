@@ -141,6 +141,41 @@ class TestEncoders:
         assert 0.0 < min(deltas) and max(deltas[1:]) < 1.0  # both decisions occur
 
 
+class TestSchemeADelta:
+    """Scheme A's delta_n from the box chain, summed over the first letter
+    out of its mu-box, against the U lattice on the row path."""
+
+    # |U| = 2-4, one P_U with a zero letter (its box is {0}, never left)
+    P_US = [np.array([0.75, 0.25]), np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.0, 0.4]),
+            np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.25, 0.25, 0.0, 0.5])]
+
+    @pytest.mark.parametrize("probs", P_US, ids=lambda p: "-".join(map(str, p)))
+    def test_equals_the_lattice(self, probs):
+        rng = np.random.default_rng(len(probs))
+        p_u = Pmf(Alphabet(tuple(range(len(probs)))), probs)
+        ns = (1, 2, 9, 40, 150) + ((400,) if len(probs) < 4 else ())
+        for n in ns:
+            for mu in (_box_edge(probs, n), float(rng.uniform(0.01, 0.3)), 1.0):
+                cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
+                got = sim.transmit_probability(cfg, p_u, n)
+                want = oracles.transmit_probability_rows(cfg, p_u, n)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (n, mu, got, want)
+
+    def test_needs_no_type_lattice(self, monkeypatch):
+        # mc-sweep-a's P_U (|U| = 4) at mu = 0.06: 10.8 M U types at n = 400,
+        # past the real cap, and none allowed here; scheme B's delta_n still
+        # walks the lattice, so the patched cap refuses it
+        monkeypatch.setattr(typesum, "MAX_TYPES", 1)
+        probs = np.array([0.2, 0.25, 0.28, 0.27])
+        p_u = Pmf(Alphabet(tuple(range(4))), probs)
+        cfg = sim.SchemeConfig(scheme="A", mu=0.06, x_hat="1", y_star="2")
+        for n, want in ((100, 0.4259674323048), (200, 0.1550390148306), (400, 0.0200541278299)):
+            assert math.isclose(sim.transmit_probability(cfg, p_u, n), want, rel_tol=1e-12)
+        pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
+        with pytest.raises(AlphabetTooLarge):
+            sim.transmit_probability(sim.SchemeConfig(scheme="B", x1="1"), p_u, 100, pbar)
+
+
 def _typical_exact(counts, probs, mu):
     """Strong typicality of a count vector in exact rational arithmetic."""
     n = sum(counts)
@@ -657,10 +692,10 @@ class TestMonteCarlo:
         f_silent, f_active = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])[0]
         want = []
         for law in (P_UV, Q_UV):
-            active = typesum.prob_type_event(law.row_marginal(), n,
-                                             lambda t: sim._transmits(cfg, t, p_u, pbar))
-            v_typical = typesum.prob_type_event(law.col_marginal(), n,
-                                                lambda t: typical(t, p_v.probs, cfg.mu))
+            active = math.exp(typesum.log_prob_type_event(
+                law.row_marginal(), n, lambda t: sim._transmits(cfg, t, p_u, pbar)))
+            v_typical = math.exp(typesum.log_prob_type_event(
+                law.col_marginal(), n, lambda t: typical(t, p_v.probs, cfg.mu)))
             if fallback or v_typical < 2 * min(active, 1 - active):
                 want.append(f_active > f_silent)
             else:
@@ -719,15 +754,15 @@ class TestMonteCarlo:
                           r"H1 drew V first, d=silent, 20001 drew V, (\d+) pruned", messages["B"])
         assert found
         p_v = P_UV.col_marginal()
-        p_typical = typesum.prob_type_event(
-            Q_UV.col_marginal(), 30, lambda t: typical(t, p_v.probs, 0.2))
+        p_typical = math.exp(typesum.log_prob_type_event(
+            Q_UV.col_marginal(), 30, lambda t: typical(t, p_v.probs, 0.2)))
         assert abs(int(found.group(1)) / 20_001 - (1.0 - p_typical)) <= bound
         # scheme A's null fires with probability delta_n, below half its
         # Pr[T_V typical], so it draws V for its active trials alone
         cfg = self._case("A", example_dmc, partial_dmc)[0]
         delta = sim.transmit_probability(cfg, P_UV.row_marginal(), 30)
-        assert 0 < 2 * delta <= typesum.prob_type_event(
-            P_UV.col_marginal(), 30, lambda t: typical(t, P_UV.col_marginal().probs, 0.2))
+        assert 0 < 2 * delta <= math.exp(typesum.log_prob_type_event(
+            P_UV.col_marginal(), 30, lambda t: typical(t, P_UV.col_marginal().probs, 0.2)))
         found = re.search(r"H0 drew U first, d=active, (\d+) drew V, 0 pruned; "
                           r"H1 drew V first, d=silent, 20001 drew V, \d+ pruned", messages["A"])
         assert found

@@ -15,7 +15,6 @@ from covertdht.typesum import (
     log_prob_type_event,
     log_type_class_prob,
     num_types,
-    prob_type_event,
     type_blocks,
 )
 
@@ -138,6 +137,11 @@ def test_events_match_loop(monkeypatch, alphabet, probs):
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
+def prob_type_event(p, n, predicate):
+    """Pr[type(X^n) satisfies predicate], X i.i.d. p."""
+    return math.exp(log_prob_type_event(p, n, predicate))
+
+
 def test_prob_typical_against_sequence_enumeration():
     p = Pmf(AB, np.array([0.7, 0.3]))
     n, mu = 8, 0.12
@@ -162,7 +166,7 @@ def test_prob_type_event_complement():
     p = Pmf(ABC, np.array([0.2, 0.3, 0.5]))
 
     def high_first(t):
-        return t[:, 0] >= 0.5
+        return np.asarray(t)[:, 0] >= 0.5
 
     a = prob_type_event(p, 12, high_first)
     b = prob_type_event(p, 12, lambda t: ~high_first(t))
@@ -172,7 +176,7 @@ def test_prob_type_event_complement():
 def test_empty_event_is_impossible():
     p = Pmf(ABC, np.array([0.2, 0.3, 0.5]))
     assert log_prob_type_event(p, 7, lambda t: np.zeros(len(t), dtype=bool)) == -math.inf
-    assert prob_type_event(p, 7, lambda t: t[:, 0] > 1.0) == 0.0
+    assert prob_type_event(p, 7, lambda t: np.asarray(t)[:, 0] > 1.0) == 0.0
 
 
 def test_enumeration_cap():
@@ -256,6 +260,30 @@ class TestBoxChain:
         # the edge type's mass moves the value: it is counted, not missed
         below = _box_chain(laws, n, ref, np.nextafter(mu, 0.0))
         assert all(g > b for g, b in zip(_box_chain(laws, n, ref, mu), below))
+
+    @pytest.mark.parametrize("laws", [1, 2])
+    def test_equals_the_windowed_loop_bit_for_bit(self, laws):
+        # the first step's point-mass start takes each window's one term, so
+        # every mu-box call gives the bits of the chain that sums windows
+        # there too; seeded laws and references with zero letters, radii on
+        # a box edge and boxes that no count or every count meets
+        rng = np.random.default_rng(100 + laws)
+        for _ in range(150):
+            dim, n = int(rng.integers(1, 6)), int(rng.choice([1, 2, 5, 17, 40, 150, 600]))
+            p = rng.dirichlet(np.ones(dim), size=laws)
+            ref = rng.dirichlet(np.ones(dim))
+            if dim > 1 and rng.random() < 0.3:
+                p[:, rng.integers(dim)] = 0.0
+                p /= p.sum(axis=1, keepdims=True)
+            if dim > 1 and rng.random() < 0.3:
+                ref[rng.integers(dim)] = 0.0
+                ref /= ref.sum()
+            mu = float(rng.choice([rng.uniform(0.005, 0.5), 1.0,
+                                   abs(rng.integers(n + 1) / n - ref[0])]))
+            boxes = typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
+            got = typesum.log_prob_boxes(p, n, boxes)
+            want = oracles.log_prob_boxes_windowed(p, n, boxes)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (dim, n, mu)
 
     def test_one_trial(self):
         laws = [Pmf(ABC, np.array([0.2, 0.3, 0.5]))]
