@@ -45,17 +45,22 @@ same band partition, as a pass at that mu alone on materialized blocks.
 
 The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it never
 draws the branch, and weights the V-typical trials of each decision by f.
-Per law it draws T_V only for the trials of one encoder decision d
+Per law it counts the trials of one encoder decision d
 (``_drawn_decisions``: the rare one where that cannot make the estimate
 noisier) and takes the other decision's share from the exact Pr[T_V
 typical] of the box chain, a control variate whose coefficient is known
-exactly. A law whose V marginal is typical for P_V (the null's always is)
-draws U first, then T_V given T_U for the trials of decision d; any other
-law draws V first, letter by letter, and prunes a trial at its first
-atypical letter (``_trial_chunk``). Chunks of trials run on threads, one per
+exactly. It is also stratified: each law draws its first marginal only
+inside an event E whose probability the box chain gives exactly and that
+holds wherever a trial can count, and scales the fraction it counts by
+Pr[E]. A law whose V marginal is atypical for P_V draws T_V inside the V
+test's box (``typesum.BoxChain.sample``), then T_U given T_V; scheme A's
+other laws, the null among them, draw T_U inside decision d, the U box or
+the union of the first-letter-out strata of its complement
+(``_Event.draw``), then T_V given T_U; scheme B's other laws draw every
+trial, as its threshold is no box. Chunks of trials run on threads, one per
 core the process may run on (numpy's samplers release the interpreter lock),
-and return integer counts, so seeded results do not depend on the core count
-or the block size.
+and return integer counts, so seeded results do not depend on the core
+count.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from .exponents import PbarSet
 from .probability import LN2, Frozen, JointPmf, Pmf, typical, typical_letters
 from .typesum import (
     MAX_TYPES,
+    BoxChain,
     NEG_INF,
     check_enumerable,
     log_multinomial,
@@ -87,10 +93,9 @@ from .typesum import (
 
 logger = logging.getLogger(__name__)
 
-# Monte Carlo trials drawn and decided at a time (bounds a task's memory)
-BLOCK_TRIALS = 1 << 13
-# Monte Carlo trials per task; a task's generators are seeded by its index
-CHUNK_TRIALS = 50_000
+# Monte Carlo trials per task, drawn and decided at once (bounds a task's
+# memory); a task's generators are seeded by its index
+CHUNK_TRIALS = 1 << 12
 
 
 def make_k_rule(spec: str) -> Callable[[int], int]:
@@ -186,26 +191,32 @@ def _mu_box(ref: np.ndarray, n: int, mu: float) -> np.ndarray:
     return typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
 
 
+def _active_strata(laws_u: np.ndarray, box: np.ndarray, n: int) -> list[BoxChain]:
+    """Scheme A's active event, T_U out of its mu-box ``box``, under each
+    law of the ``(k, |U|)`` array ``laws_u``, as the disjoint union of its
+    first-letter-out strata: stratum j, a box chain, has the letters before
+    j in their boxes, letter j out of its box, and the letters after j
+    merged into one free letter (none after the last letter)."""
+    d = laws_u.shape[1]
+    rows = np.vstack((box, ~box, np.ones(n + 1, dtype=bool)))  # in, out, free
+    return [BoxChain(np.column_stack((laws_u[:, : j + 1], laws_u[:, j + 1 :].sum(axis=1)))[:, :d],
+                     n, rows[[*range(j), d + j, 2 * d][:d]]) for j in range(d)]
+
+
 def transmit_probability(
     cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
 ) -> float:
     """delta_n, the exact probability that the encoder fires under the null,
     summed where it fires (not as 1 - Pr[silent], which rounds to zero once
     delta_n drops below machine epsilon). Scheme A's T_U leaves its mu-box:
-    one box chain (``typesum.log_prob_boxes``) per first letter j out of its
-    box, the letters before j in their boxes and those after j merged into
-    one free letter; no lattice, no cap. Scheme B's threshold is no box: its
-    sum runs over the transmitting types, a band of the U lattice at a time."""
+    a sum over the first-letter-out strata (``_active_strata``), no lattice,
+    no cap. Scheme B's threshold is no box: its sum runs over the
+    transmitting types, a band of the U lattice at a time."""
     if cfg.scheme == "B":
         return math.exp(log_prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar)))
-    p, d = p_u.probs, len(p_u.probs)
-    box = _mu_box(p, n, cfg.mu)
-    rows = np.vstack((box, ~box, np.ones(n + 1, dtype=bool)))  # in, out, free
-    terms = []
-    for j in range(d):  # [:d] drops the free letter when j is the last letter
-        law = np.append(p[: j + 1], p[j + 1 :].sum())[:d]
-        terms += log_prob_boxes(law[None], n, rows[[*range(j), d + j, 2 * d][:d]])
-    return math.exp(min(logsumexp(terms), 0.0))
+    p = p_u.probs[None]
+    strata = _active_strata(p, _mu_box(p_u.probs, n, cfg.mu), n)
+    return math.exp(min(logsumexp([chain.log_probs[0] for chain in strata]), 0.0))
 
 
 def _log_branch_factors(
@@ -389,40 +400,14 @@ def _rows_given(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, cond
 
 
-def _typical_letters(
-    rngs: list, law_v: np.ndarray, ref: np.ndarray, mu: float, n: int, size: int
-) -> np.ndarray:
-    """The V counts of ``size`` trials under ``law_v``, drawn letter by letter
-    as the multinomial's chain of binomials, letter j from ``rngs[j]`` and
-    the last letter taking the remainder. A trial leaves at its first letter
-    that fails the V test's per-letter condition; the rows of the trials
-    that pass every letter are returned, in trial order."""
-    tail = np.cumsum(law_v[::-1])[::-1]
-    step = np.divide(law_v, tail, out=np.zeros_like(law_v), where=tail > 0)
-    remaining = np.full(size, n, dtype=np.int64)
-    cols = []
-    for j in range(len(law_v)):
-        c_j = rngs[j].binomial(remaining, step[j]) if j < len(rngs) else remaining
-        ok = typical((c_j / n)[:, None], ref[j : j + 1], mu)
-        cols = [c[ok] for c in cols] + [c_j[ok]]
-        remaining = (remaining - c_j)[ok]
-    return np.stack(cols, axis=1)
-
-
 def _drawn_decisions(
-    cfg: SchemeConfig,
-    laws: Sequence[JointPmf],
-    p_u: Pmf,
-    n: int,
-    pbar: PbarSet | None,
-    log_f: tuple[float, float],
-    log_v_typical: Sequence[float],
-    trials: int,
+    p_active: Sequence[float], log_v_typical: Sequence[float], log_f: tuple[float, float]
 ) -> list[bool]:
-    """The encoder decision d whose trials draw V under each law of ``laws``,
-    True for active, chosen from the cell's inputs before any draw. Either
-    choice keeps the estimate unbiased; it sets how many trials draw V and
-    the variance.
+    """The encoder decision d whose trials count under each law, True for
+    active, from each law's Pr[active] (``p_active``, NaN where it is not
+    known) and log Pr[T_V typical], chosen before any draw. Either choice
+    keeps the estimate unbiased; it sets the variance and, under U first,
+    which event the trials are drawn inside.
 
     With q_x = Pr_law[decision x, T_V typical] and t = q_silent + q_active,
     a trial's weight is f_d' 1{T_V typical} + (f_d - f_d') 1{d, T_V
@@ -432,27 +417,91 @@ def _drawn_decisions(
     the two factors, and grows with (c - c*)^2, so it is never above w's (c
     = 0) where f_d' is the smaller factor or q_d <= q_d' (f_d' the nearer to
     c*). A decision x with 2 Pr_law[x] <= Pr_law[T_V typical] has q_x <=
-    Pr[x] <= t - Pr[x] <= q_x': a law draws it where it has one (the rarer
-    decision, so fewer trials draw V), and otherwise draws the decision of
-    the larger factor. Pr_law[active] is scheme A's box chain on the U box;
-    scheme B sums it over the U lattice where that has no more types than
-    the cell has trials (nor than ``MAX_TYPES``), and otherwise draws the
-    larger factor."""
-    if cfg.scheme == "A":
-        box = _mu_box(p_u.probs, n, cfg.mu)
-        marginals = np.stack([law.probs.sum(axis=1) for law in laws])
-        p_active = [-math.expm1(lp) for lp in log_prob_boxes(marginals, n, box)]
-    elif num_types(n, p_u.alphabet.size) <= min(trials, MAX_TYPES):
-        p_active = [math.exp(log_prob_type_event(
-            law.row_marginal(), n, lambda t: _transmits(cfg, t, p_u, pbar))) for law in laws]
-    else:
-        p_active = [math.nan] * len(laws)  # compares False: the larger factor
+    Pr[x] <= t - Pr[x] <= q_x': a law counts it where it has one (the rarer
+    decision, so fewer trials are drawn under U first), and otherwise the
+    decision of the larger factor. Drawing a law's trials inside an event E
+    that holds wherever 1{d, T_V typical} does (``run_trials``) only lowers
+    this variance, so the rule holds there too. Scheme A's Pr_law[active]
+    comes from its strata's box chains (``_scheme_a_events``), scheme B's
+    from the U lattice or NaN (``_scheme_b_active``); a NaN compares False
+    and draws the larger factor."""
     larger = log_f[1] > log_f[0]
     drawn = []
     for p, lt in zip(p_active, log_v_typical):
         half = 0.5 * math.exp(lt)
         drawn.append(True if p <= half else False if 1.0 - p <= half else larger)
     return drawn
+
+
+class _Event(NamedTuple):
+    """An event E that a law's trials are drawn inside: its name in the
+    DEBUG record, log Pr_law[E], and the box chains of its strata, whose
+    row ``law`` is the law's (none: E holds for every trial). Scheme A's
+    active event splits each stratum's free letter by ``marginal``, the
+    law's U marginal."""
+
+    name: str
+    log_prob: float
+    chains: tuple = ()
+    law: int = 0
+    marginal: np.ndarray | None = None
+
+    @property
+    def v_first(self) -> bool:
+        """Whether E is the V box, so the trials draw V first."""
+        return self.name == "V box"
+
+    def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """``m`` draws of the law's first marginal counts given E, a box
+        (one chain) or the union of scheme A's active strata: each trial
+        takes a stratum with its exact share of Pr[E], by one multinomial
+        draw of the strata's sizes, and a stratum j before the last two
+        letters splits its free letter, letters j + 1 on, by a plain
+        multinomial draw. Trials come out grouped by stratum; only counts
+        of them are read."""
+        chain, *others = self.chains
+        if not others:
+            return chain.sample(self.law, m, rng)
+        shares = np.exp(np.array([c.log_probs[self.law] for c in self.chains]) - self.log_prob)
+        p = self.marginal
+        parts = []
+        for j, (stratum, size) in enumerate(zip(self.chains,
+                                                rng.multinomial(m, shares / shares.sum()))):
+            counts = stratum.sample(self.law, size, rng)
+            if j < len(p) - 2:
+                free = p[j + 1 :]
+                split = np.divide(free, free.sum(), out=np.full_like(free, 1.0 / len(free)),
+                                  where=free.sum() > 0)
+                counts = np.column_stack((counts[:, :-1], rng.multinomial(counts[:, -1], split)))
+            parts.append(counts)
+        return np.concatenate(parts)
+
+
+def _scheme_a_events(cfg: SchemeConfig, laws: Sequence[JointPmf], p_u: Pmf,
+                     n: int) -> list[tuple[_Event, _Event]]:
+    """Per law, scheme A's (silent, active) events on its U counts: T_U in
+    P_U's mu-box, one box chain, and T_U out of it, the union of the
+    first-letter-out strata (``_active_strata``); each chain serves both
+    laws."""
+    box = _mu_box(p_u.probs, n, cfg.mu)
+    marginals = np.stack([law.probs.sum(axis=1) for law in laws])
+    silent, strata = BoxChain(marginals, n, box), tuple(_active_strata(marginals, box, n))
+    return [(_Event("silent", silent.log_probs[i], (silent,), i),
+             _Event("active", min(logsumexp([c.log_probs[i] for c in strata]), 0.0), strata, i,
+                    marginals[i]))
+            for i in range(len(laws))]
+
+
+def _scheme_b_active(cfg: SchemeConfig, laws: Sequence[JointPmf], p_u: Pmf, n: int,
+                     pbar: PbarSet | None, trials: int) -> list[float]:
+    """Per law, scheme B's Pr[active], summed over the U lattice where that
+    has no more types than the cell has trials (nor than ``MAX_TYPES``),
+    else NaN."""
+    if num_types(n, p_u.alphabet.size) > min(trials, MAX_TYPES):
+        return [math.nan] * len(laws)
+    return [math.exp(log_prob_type_event(law.row_marginal(), n,
+                                         lambda t: _transmits(cfg, t, p_u, pbar)))
+            for law in laws]
 
 
 def _trial_chunk(
@@ -463,55 +512,38 @@ def _trial_chunk(
     n: int,
     pbar: PbarSet | None,
     drawn: bool,
+    event: _Event,
     m: int,
     key: tuple[int, int, int],
-) -> tuple[int, int, int, int]:
-    """Draw ``m`` trials under ``law`` up to the V test: the counts of
-    trials that take decision ``drawn`` (True for active) and are V-typical,
-    of active trials, of trials that drew V and of pruned trials. The
-    branch is not drawn, and under U first only the trials of decision
-    ``drawn`` draw V.
+) -> tuple[int, int]:
+    """Draw ``m`` trials under ``law`` inside ``event`` up to the V test:
+    the counts of trials that take decision ``drawn`` (True for active)
+    and are V-typical, and of active trials. The branch is not drawn.
 
-    A block of at most ``BLOCK_TRIALS`` trials is drawn in two stages, each
-    from its own generator, seeded by ``key`` (seed, hypothesis, chunk) and
-    the stage number. A law whose own V marginal is typical for P_V draws,
-    in stage 0, the U counts, which fix the encoder decision, and in stage
-    2, for the trials of decision ``drawn``, the V counts as the sum over u
-    of Mult(c_u[u], P_{V|U=u}), exactly T_V given T_U. Any other law, whose
-    trials the V test almost all rejects, draws the same joint law in the
-    other order: in stage 0 the V counts letter by letter, letter j from a
-    generator seeded by (``key``, 0, j), pruning a trial at its first
-    atypical letter; in stage 2, for the trials left, the U counts as the
-    sum over v of Mult(c_v[v], P_{U|V=v}). Each generator draws in trial
-    order, so blocked draws equal one draw of all ``m`` trials. The active
-    count is that of the trials left, so it is the firing count only under
-    U first.
+    Two stages draw, each from its own generator, seeded by ``key`` (seed,
+    hypothesis, chunk) and the stage number. Inside the V box, stage 0
+    draws the V counts (``typesum.BoxChain.sample``) and stage 2 the U
+    counts as the sum over v of Mult(c_v[v], P_{U|V=v}), exactly T_U given
+    T_V; inside one of scheme A's decisions, stage 0 draws the U counts
+    (``_Event.draw``) and stage 2 the V counts as the sum over u of
+    Mult(c_u[u], P_{V|U=u}). Where the event holds for every trial, stage 0
+    draws the U counts of all ``m`` and stage 2 the V counts of the trials
+    of decision ``drawn`` alone, so the active count is the firing count.
     """
-    v_first = _v_first(cfg, law, p_v)
-    law_first, cond = _rows_given(law.probs.T if v_first else law.probs)
-    if v_first:
-        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
-    else:
-        rng_first = np.random.default_rng([*key, 0])
-    rng_second = np.random.default_rng([*key, 2])
-    hits = active_total = v_drawn = pruned = 0
-    for lo in range(0, m, BLOCK_TRIALS):
-        size = min(BLOCK_TRIALS, m - lo)
-        if v_first:
-            c_v = _typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
-            pruned += size - len(c_v)
-            v_drawn += size
-            c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
-            active = _transmits(cfg, c_u / n, p_u, pbar)
-            c_v = c_v[active == drawn]
-        else:
-            c_u = rng_first.multinomial(n, law_first, size=size)
-            active = _transmits(cfg, c_u / n, p_u, pbar)
-            c_v = rng_second.multinomial(c_u[active == drawn], cond).sum(axis=1)
-            v_drawn += len(c_v)
-        hits += int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n)))
-        active_total += int(np.count_nonzero(active))
-    return hits, active_total, v_drawn, pruned
+    first, cond = _rows_given(law.probs.T if event.v_first else law.probs)
+    rng_first, rng_second = (np.random.default_rng([*key, stage]) for stage in (0, 2))
+    if not event.chains:
+        c_u = rng_first.multinomial(n, first, size=m)
+        active = _transmits(cfg, c_u / n, p_u, pbar)
+        c_v = rng_second.multinomial(c_u[active == drawn], cond).sum(axis=1)
+        return (int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n))),
+                int(np.count_nonzero(active)))
+    c_first = event.draw(m, rng_first)
+    c_second = rng_second.multinomial(c_first, cond).sum(axis=1)
+    c_u, c_v = (c_second, c_first) if event.v_first else (c_first, c_second)
+    active = _transmits(cfg, c_u / n, p_u, pbar)
+    hits = (active == drawn) & _v_typical(cfg, c_v, p_v, n)
+    return int(np.count_nonzero(hits)), int(np.count_nonzero(active))
 
 
 def run_trials(
@@ -530,39 +562,52 @@ def run_trials(
     predicates as in the exact engine (``_trial_chunk``). The branch is not
     drawn: a V-typical trial is accepted with its decision's branch factor f
     (``_log_branch_factors``, as in the exact engine). With d the decision
-    whose trials draw V (``_drawn_decisions``) and d' the other, a trial's
+    whose trials count (``_drawn_decisions``) and d' the other, a trial's
     weight is f_d' 1{T_V typical} + (f_d - f_d') 1{decision d, T_V typical},
     and Pr_law[T_V typical] is the box probability of Mult(n, law_V) on the
-    V test's boxes (``typesum.log_prob_boxes``, one call for both laws). So
-    the acceptance probability is f_d' Pr_law[T_V typical] + (f_d - f_d')
-    p, with p the fraction of trials that take decision d and are V-typical;
-    only those trials need V. beta is this estimate under the alternative
-    and alpha one minus it under the null, with 1 - f_d' Pr taken as
-    -expm1(log f_d' + log Pr) so that a small alpha keeps its digits. The
-    exact term carries the box chain's absolute error of about n log n
-    times 1e-16, far below any half-width. d is chosen so that the estimate
-    is never noisier than that of the engine that drew V for every trial,
-    whose weights lie in [0, 1]; so each half-width is the larger of
-    Wilson's at the estimate, conservative as for that engine (a weight in
-    [0, 1] with mean m has variance at most m (1 - m)), and |f_d - f_d'|
-    times p's, the image of p's Wilson interval. An estimate outside [0,
-    1] is clamped to it; a beta clamped to 0 is reported as 0 (log beta
-    -inf) with its interval. A beta estimate of exactly 0 (no trial of
-    decision d is V-typical and f_d' Pr_Q[T_V typical] = 0) is reported as
-    the rule-of-three bound 3/trials. The null draws U first, so alpha and
-    the firing statistics read every trial's U counts; seeded beta values of
-    a law drawn V first differ from those of the U-first order (the same
-    law, another stream).
+    V test's boxes (a ``typesum.BoxChain`` for both laws). So the acceptance
+    probability is f_d' Pr_law[T_V typical] + (f_d - f_d') p, with p the
+    probability that a trial takes decision d and is V-typical.
 
-    Each hypothesis's trials split into chunks of ``CHUNK_TRIALS``; chunk i
+    p is estimated by exact stratification: each law draws its first
+    marginal conditioned on an event E that holds wherever {d, T_V
+    typical} does and whose probability is exact. A law whose V marginal
+    is atypical for P_V (``_v_first``) draws inside the V box; scheme A's
+    U-first laws (the null among them) inside decision d, T_U in P_U's
+    mu-box or out of it (``_scheme_a_events``); scheme B's U-first laws,
+    whose threshold is no box, draw every trial (E holds always). A law
+    draws M = ceil(Pr[E] trials) trials, and p = Pr[E] hits / M, hits
+    counting the drawn trials that take d and are V-typical (p = 0 where
+    M = 0). Its variance, Pr[E]^2 q (1 - q) / M with q = Pr[d, T_V typical
+    | E], is at most Pr[E] q (1 - q) / trials, and so at most that of the
+    fraction of all ``trials`` that take d and are V-typical.
+
+    beta is the estimate under the alternative and alpha one minus it under
+    the null, with 1 - f_d' Pr taken as -expm1(log f_d' + log Pr) so that a
+    small alpha keeps its digits. The exact term carries the box chain's
+    absolute error of about n log n times 1e-16, far below any half-width.
+    d is chosen so that the estimate is never noisier than that of the
+    engine that drew V for every trial, whose weights lie in [0, 1]; so
+    each half-width is the larger of Wilson's at the estimate over
+    ``trials``, conservative as for that engine (a weight in [0, 1] with
+    mean m has variance at most m (1 - m)), and |f_d - f_d'| times p's,
+    the image of p's Wilson interval over ``trials``. An estimate outside
+    [0, 1] is clamped to it; a beta clamped to 0 is reported as 0 (log
+    beta -inf) with its interval. A beta estimate of exactly 0 (no drawn
+    trial takes d and is V-typical, and f_d' Pr_Q[T_V typical] = 0) is
+    reported as the rule-of-three bound 3/trials, which stays a 95% bound
+    on p: with no hit among M draws, q <= 1 - 0.05^(1/M) <= 3/M, and
+    Pr[E] <= M / trials. Scheme A's weight statistics come from the null's
+    exact Pr[active], delta_n, scheme B's from the null's firing frequency
+    over all its trials.
+
+    Each law's M trials split into chunks of ``CHUNK_TRIALS``; chunk i
     under hypothesis h draws its stage j from its own generator, seeded by
-    (seed, h, i, j), and V letter l of the V-first order by (seed, h, i, 0,
-    l). The chunks run concurrently on every core the process may run on,
-    each drawing at most ``BLOCK_TRIALS`` trials at a time, and return
-    integer counts, so a seeded result is the same bit for bit on any core
-    count. The cell's DEBUG record names, per hypothesis, the draw order,
-    the drawn decision d, the number of trials that drew V and the number
-    its V letters pruned.
+    (seed, h, i, j). The chunks run concurrently on every core the process
+    may run on and return integer counts, so a seeded result is the same
+    bit for bit on any core count. The cell's DEBUG record names, per
+    hypothesis, the draw order, the decision d, the event E, log Pr[E] and
+    M.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -571,40 +616,51 @@ def run_trials(
     laws = (p_uv, q_uv)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     [log_f] = _log_branch_factors(cfg, dmc, n, [cfg.mu])
-    v_box = _mu_box(p_v.probs, n, cfg.mu)
-    log_v_typical = log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n, v_box)
-    drawn = _drawn_decisions(cfg, laws, p_u, n, pbar, log_f, log_v_typical, trials)
+    v_box = BoxChain(np.stack([law.probs.sum(axis=0) for law in laws]), n,
+                     _mu_box(p_v.probs, n, cfg.mu))
+    log_v_typical = v_box.log_probs
+    if cfg.scheme == "A":
+        u_events = _scheme_a_events(cfg, laws, p_u, n)
+        p_active = [math.exp(active.log_prob) for _, active in u_events]
+    else:
+        p_active = _scheme_b_active(cfg, laws, p_u, n, pbar, trials)
+    drawn = _drawn_decisions(p_active, log_v_typical, log_f)
+    events = [_Event("V box", log_v_typical[hyp], (v_box,), hyp) if _v_first(cfg, law, p_v)
+              else u_events[hyp][d] if cfg.scheme == "A" else _Event("all", 0.0)
+              for hyp, (law, d) in enumerate(zip(laws, drawn))]
+    sizes = [math.ceil(math.exp(e.log_prob) * trials) for e in events]
 
     tasks = [
-        (hyp, idx, min(CHUNK_TRIALS, trials - start))
-        for hyp in (0, 1)
-        for idx, start in enumerate(range(0, trials, CHUNK_TRIALS))
+        (hyp, idx, min(CHUNK_TRIALS, size - start))
+        for hyp, size in enumerate(sizes)
+        for idx, start in enumerate(range(0, size, CHUNK_TRIALS))
     ]
 
     def work(task):
         hyp, idx, m = task
-        return hyp, _trial_chunk(cfg, laws[hyp], p_u, p_v, n, pbar, drawn[hyp], m,
+        return hyp, _trial_chunk(cfg, laws[hyp], p_u, p_v, n, pbar, drawn[hyp], events[hyp], m,
                                  (seed, hyp, idx))
 
     threads = min(len(tasks), _usable_cores())
     from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays its 2 ms import
 
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(max(threads, 1)) as pool:
         outcomes = list(pool.map(work, tasks))
-    counts = np.zeros((2, 4), dtype=np.int64)  # per hypothesis, as _trial_chunk counts
+    counts = np.zeros((2, 2), dtype=np.int64)  # per hypothesis, as _trial_chunk counts
     for hyp, chunk in outcomes:
         counts[hyp] += chunk
     counts = counts.tolist()
     parts = []
-    for law, d, (_, _, v_drawn, pruned) in zip(laws, drawn, counts):
-        parts += ["V" if _v_first(cfg, law, p_v) else "U", "active" if d else "silent",
-                  v_drawn, pruned]
+    for d, e, size in zip(drawn, events, sizes):
+        parts += ["V" if e.v_first else "U", "active" if d else "silent", e.name, e.log_prob,
+                  size]
     logger.debug("Monte Carlo cell n=%d: %d trials, %d tasks, %d threads, %.3f s; "
-                 "H0 drew %s first, d=%s, %d drew V, %d pruned; "
-                 "H1 drew %s first, d=%s, %d drew V, %d pruned",
+                 "H0 drew %s first, d=%s, E=%s, log Pr[E]=%.6g, M=%d; "
+                 "H1 drew %s first, d=%s, E=%s, log Pr[E]=%.6g, M=%d",
                  n, trials, len(tasks), threads, time.perf_counter() - t0, *parts)
 
-    p_hats = [hits / trials for hits, *_ in counts]
+    p_hats = [math.exp(e.log_prob) * hits / size if size else 0.0
+              for e, size, (hits, _) in zip(events, sizes, counts)]
     # per hypothesis, log f_d' Pr_law[T_V typical] and f_d - f_d'
     log_exact = [log_f[not d] + lp for d, lp in zip(drawn, log_v_typical)]
     slopes = [math.expm1(log_f[d]) - math.expm1(log_f[not d]) for d in drawn]
@@ -617,8 +673,9 @@ def run_trials(
     beta_is_ub = beta_hat == 0.0
     if beta_is_ub:
         beta = 3.0 / trials
+    p_fire = p_active[0] if cfg.scheme == "A" else counts[0][1] / trials
     return _result(
-        cfg, n, counts[0][1] / trials, alpha=alpha, beta=beta,
+        cfg, n, p_fire, alpha=alpha, beta=beta,
         log_beta=math.log(beta) if beta > 0.0 else NEG_INF, method="mc", alpha_ci=alpha_ci,
         beta_ci=beta_ci, trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub,
     )

@@ -26,9 +26,11 @@ count arrays; no exact sum walks it, only the sphere search's ray lattice
 in ``exponents`` and the tests' oracles.
 
 An event that is a box, each letter's count in a set of its own, needs no
-lattice and no cap: :func:`log_prob_boxes` follows the multinomial's chain
-of binomials. So does the box's complement, as a sum over the first letter
-out of its box (``simulation.transmit_probability``).
+lattice and no cap: :class:`BoxChain` follows the multinomial's chain of
+binomials, for its probability (:func:`log_prob_boxes`) and for draws
+conditioned on it (:meth:`BoxChain.sample`). So does the box's complement,
+as a sum over the first letter out of its box
+(``simulation.transmit_probability``).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -332,7 +334,37 @@ def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
     """log Pr[every letter's count lies in its box] under Mult(n, p), for
     each law p of the ``(k, d)`` array ``laws``, where ``boxes[z, c]`` says
     whether count c of letter z lies in letter z's box (a ``(d, n + 1)``
-    boolean array); -inf where no type does.
+    boolean array); -inf where no type does. The :class:`BoxChain`'s
+    ``log_probs``."""
+    return BoxChain(laws, n, boxes).log_probs
+
+
+def _inverse_cdf(log_w: np.ndarray, row: np.ndarray, u: np.ndarray, first: int = 0) -> np.ndarray:
+    """Per draw i, a column of row ``row[i]`` of the ``(rows, cols)`` log
+    weights ``log_w``, whose rows are numbered from ``first`` on, drawn
+    with probability proportional to its weight by inverting the row's CDF
+    at ``u[i]`` in [0, 1): one searchsorted over the rows' CDFs laid end to
+    end, row k offset by k. The offsets do not depend on ``first``, so a
+    table split into row blocks draws what the whole table draws. A sum k +
+    u that rounds up to k + 1 returns the row's last column of positive
+    weight."""
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    cdf = np.cumsum(w, axis=1)
+    cdf /= cdf[:, -1:]
+    stop = (cdf < 1.0).sum(axis=1)
+    cdf += np.arange(first, first + len(cdf))[:, None]
+    local = row - first
+    col = np.searchsorted(cdf.ravel(), row + u, side="right") - local * cdf.shape[1]
+    return np.minimum(col, stop[local])
+
+
+class BoxChain:
+    """The multinomial's chain of binomials on a box event, each letter's
+    count in a set of its own, for each law p of the ``(k, d)`` array
+    ``laws``, where ``boxes[z, c]`` says whether count c of letter z lies in
+    letter z's box (a ``(d, n + 1)`` boolean array). It gives log Pr[box]
+    under Mult(n, p) (:attr:`log_probs`, -inf where no type lies in the
+    box) and draws of Mult(n, p) conditioned on the box (:meth:`sample`).
 
     Given the m trials the letters before it leave, letter j's count is
     Bin(m, q_j), q_j = p_j / sum_{i>=j} p_i, and the last letter takes the
@@ -342,49 +374,105 @@ def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
     logsumexp per r; the first step starts from the point mass L(n) = 1, so
     each r takes its one term c = n - r. m stays on the window that the
     earlier letters' boxes can leave and the later letters' boxes can fill.
+    The terms of each step are the weights of the backward draw.
 
     log L adds log-factorials of size n log n, so a log probability near 0
     carries an absolute error of about n log n * 1e-16: at n = 10^4 a
     complement 1 - Pr below about 1e-11 is rounding.
     """
-    laws = np.asarray(laws, dtype=float)
-    if not boxes.any(axis=1).all():
-        return [NEG_INF] * len(laws)
-    lo, hi = boxes.argmax(axis=1).tolist(), (n - boxes[:, ::-1].argmax(axis=1)).tolist()
-    log_fact = _log_factorials(n)
-    tail = np.cumsum(laws[:, ::-1], axis=1)[:, ::-1]  # tail[:, j] = sum_{i>=j} p_i
-    a = b = n  # L lives on m = a..b
-    log_left = np.zeros((len(laws), 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log q_j and log(1 - q_j) = log(tail_{j+1} / tail_j); q_j = 0 where tail_j = 0
-        log_tail = np.log(tail)
-        log_tail_j = np.where(tail[:, :-1] > 0.0, log_tail[:, :-1], 0.0)
-        log_q, log_not_q = np.log(laws[:, :-1]) - log_tail_j, log_tail[:, 1:] - log_tail_j
-        for j in range(laws.shape[1] - 1):
-            r_lo, r_hi = max(a - hi[j], sum(lo[j + 1:])), min(b - lo[j], sum(hi[j + 1:]))
-            if r_lo > r_hi:
-                return [NEG_INF] * len(laws)
-            c, r = np.arange(lo[j], hi[j] + 1), np.arange(r_lo, r_hi + 1)
-            # c log q_j - log c! on the box, -inf off it (0 log 0 = 0)
-            h = np.where(boxes[j, lo[j] : hi[j] + 1], np.where(c > 0, c * log_q[:, j, None], 0.0),
-                         NEG_INF) - log_fact[c]
-            if j == 0:  # L is the point mass at m = n: each r takes its one c = n - r
-                sums = log_fact[n] + h[:, n - lo[0] - r]
-            else:
-                # log(L(m) m!) on m = r_lo + lo_j .. r_hi + hi_j, -inf off a..b
-                g = np.full((len(laws), len(r) + len(c) - 1), NEG_INF)
-                g[:, a - r_lo - lo[j] : b - r_lo - lo[j] + 1] = log_left + log_fact[a : b + 1]
-                sums = np.empty((len(laws), len(r)))
-                rows = max(1, (BLOCK_ROWS << 6) // (len(laws) * len(c)))
-                windows = as_strided(g, (len(laws), len(r), len(c)), (*g.strides, g.strides[1]))
-                for k in range(0, len(r), rows):
-                    # terms[law, i, l]: m = r[k + i] + c[l]
-                    terms = windows[:, k : k + rows] + h[:, None, :]
-                    top = terms.max(axis=2, keepdims=True)
-                    top[top == NEG_INF] = 0.0
-                    terms -= top
-                    sums[:, k : k + rows] = np.log(np.exp(terms, out=terms).sum(2)) + top[..., 0]
-            log_left = sums + np.where(r > 0, r * log_not_q[:, j, None], 0.0) - log_fact[r]
-            a, b = r_lo, r_hi
-    return [min(logsumexp(row[boxes[-1, a : b + 1]]), 0.0) for row in log_left]
 
+    def __init__(self, laws: np.ndarray, n: int, boxes: np.ndarray):
+        laws = np.asarray(laws, dtype=float)
+        self.n, self.dim = n, laws.shape[1]
+        # letter j >= 1's step: (r_lo, lo_j, g, h), its terms g[:, r - r_lo + c - lo_j]
+        # + h[:, c - lo_j]; and the last letter's log weights on its window a..b
+        self._steps: dict[int, tuple] = {}
+        self._last: tuple[int, np.ndarray] | None = None
+        self.log_probs = self._forward(laws, boxes)
+
+    def _forward(self, laws: np.ndarray, boxes: np.ndarray) -> list[float]:
+        n = self.n
+        if not boxes.any(axis=1).all():
+            return [NEG_INF] * len(laws)
+        lo, hi = boxes.argmax(axis=1).tolist(), (n - boxes[:, ::-1].argmax(axis=1)).tolist()
+        log_fact = _log_factorials(n)
+        tail = np.cumsum(laws[:, ::-1], axis=1)[:, ::-1]  # tail[:, j] = sum_{i>=j} p_i
+        a = b = n  # L lives on m = a..b
+        log_left = np.zeros((len(laws), 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log q_j and log(1 - q_j) = log(tail_{j+1} / tail_j); q_j = 0 where tail_j = 0
+            log_tail = np.log(tail)
+            log_tail_j = np.where(tail[:, :-1] > 0.0, log_tail[:, :-1], 0.0)
+            log_q, log_not_q = np.log(laws[:, :-1]) - log_tail_j, log_tail[:, 1:] - log_tail_j
+            for j in range(self.dim - 1):
+                r_lo, r_hi = max(a - hi[j], sum(lo[j + 1:])), min(b - lo[j], sum(hi[j + 1:]))
+                if r_lo > r_hi:
+                    return [NEG_INF] * len(laws)
+                c, r = np.arange(lo[j], hi[j] + 1), np.arange(r_lo, r_hi + 1)
+                # c log q_j - log c! on the box, -inf off it (0 log 0 = 0)
+                h = np.where(boxes[j, lo[j] : hi[j] + 1],
+                             np.where(c > 0, c * log_q[:, j, None], 0.0), NEG_INF) - log_fact[c]
+                if j == 0:  # L is the point mass at m = n: each r takes its one c = n - r
+                    sums = log_fact[n] + h[:, n - lo[0] - r]
+                else:
+                    # log(L(m) m!) on m = r_lo + lo_j .. r_hi + hi_j, -inf off a..b
+                    g = np.full((len(laws), len(r) + len(c) - 1), NEG_INF)
+                    g[:, a - r_lo - lo[j] : b - r_lo - lo[j] + 1] = log_left + log_fact[a : b + 1]
+                    self._steps[j] = (r_lo, lo[j], g, h)
+                    sums = np.empty((len(laws), len(r)))
+                    rows = max(1, (BLOCK_ROWS << 4) // (len(laws) * len(c)))
+                    windows = as_strided(g, (len(laws), len(r), len(c)), (*g.strides, g.strides[1]))
+                    for k in range(0, len(r), rows):
+                        # terms[law, i, l]: m = r[k + i] + c[l]
+                        terms = windows[:, k : k + rows] + h[:, None, :]
+                        top = terms.max(axis=2, keepdims=True)
+                        top[top == NEG_INF] = 0.0
+                        terms -= top
+                        sums[:, k : k + rows] = np.log(np.exp(terms, out=terms).sum(2)) + top[..., 0]
+                log_left = sums + np.where(r > 0, r * log_not_q[:, j, None], 0.0) - log_fact[r]
+                a, b = r_lo, r_hi
+        last = boxes[-1, a : b + 1]
+        self._last = (a, np.where(last, log_left, NEG_INF))
+        return [min(logsumexp(row[last]), 0.0) for row in log_left]
+
+    def sample(self, law: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` draws of Mult(n, ``laws[law]``) conditioned on the box,
+        as a ``(size, d)`` int64 count array, drawn backward along the
+        chain: the last letter's count m with probability proportional to
+        L(m) on its box; then, for each letter j from d - 2 down to 1, given
+        the r trials the letters after it took, c_j with probability
+        proportional to its step's term L(r + c_j) Bin(c_j; r + c_j, q_j);
+        and letter 0 takes what is left. Each letter after the first reads
+        one array of ``size`` uniforms from ``rng``, the last letter first.
+        The term table of a step is built for the values of r drawn, at
+        most ``BLOCK_ROWS << 3`` entries at a time; the draws do not depend
+        on that block."""
+        counts = np.empty((size, self.dim), dtype=np.int64)
+        if not size:
+            return counts
+        if self.log_probs[law] == NEG_INF:
+            raise ValueError("the box has probability 0 under this law")
+        if self.dim == 1:
+            counts[:, 0] = self.n
+            return counts
+        u = rng.random((self.dim - 1, size))
+        a, last = self._last
+        rest = a + _inverse_cdf(last[law][None], np.zeros(size, dtype=np.intp), u[0])
+        counts[:, -1] = rest
+        for j in range(self.dim - 2, 0, -1):
+            r_lo, lo_j, g, h = self._steps[j]
+            cols = h.shape[1]
+            at = rest - r_lo
+            present = np.bincount(at) > 0
+            rows = np.flatnonzero(present)
+            inv = (np.cumsum(present) - 1)[at]
+            per = max(1, (BLOCK_ROWS << 3) // cols)
+            c_j = np.empty(size, dtype=np.int64)
+            for k in range(0, len(rows), per):
+                terms = g[law][rows[k : k + per, None] + np.arange(cols)] + h[law]
+                pick = slice(None) if len(rows) <= per else (inv >= k) & (inv < k + per)
+                c_j[pick] = _inverse_cdf(terms, inv[pick], u[self.dim - 1 - j][pick], k)
+            counts[:, j] = c_j + lo_j
+            rest += counts[:, j]
+        counts[:, 0] = self.n - rest
+        return counts

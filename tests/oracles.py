@@ -2,8 +2,10 @@
 
 Most are the scalar loops the library used before its sums moved onto the
 batched type lattice: one recursive generator of count vectors and one
-Python iteration per type. The rest check the exponent minimizers: the
-former binary-U golden-section/root search, the former simplex grid plus
+Python iteration per type; `conditional_type_law` is the law of a type
+given an event that way, and `chi_square` compares draws with it. The
+rest check the exponent minimizers: the former binary-U
+golden-section/root search, the former simplex grid plus
 SLSQP polish for larger U, a closed-form 2x2 coupling divergence with a
 zooming 1-D scan, the objective whose maximum is the closed-form threshold
 tau, and the former sphere crossing that evaluates `kl_rows` along the
@@ -22,9 +24,13 @@ the engine weighted its V-typical counts by the branch factors;
 `trial_chunk_weighted` and `run_trials_weighted` are that weighting engine,
 which drew V for every trial a positive branch factor left, before the
 engine took Pr[T_V typical] from the box chain and drew V only for one
-decision. `log_prob_boxes_windowed` is the box chain before its first step
-started from the point mass at m = n: every step, the first too, sums
-windows of L. The `*_rows`
+decision; `trial_chunk_every_trial` and `run_trials_every_trial` are that
+engine, which still drew every trial, before it drew each law's trials
+inside an event of exact probability. All three draw V first, where they
+do, letter by letter (`typical_letters_pruned`), pruning a trial at its
+first atypical letter. `log_prob_boxes_windowed` is the box chain before
+its first step started from the point mass at m = n: every step, the
+first too, sums windows of L. The `*_rows`
 functions are the row path that the band walk of `typesum` replaced: each
 block of the lattice materialized as a `(rows, d)` count array, every
 logarithm taken per type, and the letters summed by numpy's
@@ -78,6 +84,43 @@ def log_type_class_prob(counts, p):
     mask = counts > 0
     log_multinom = gammaln(n + 1) - gammaln(counts + 1).sum()
     return float(log_multinom + np.sum(counts[mask] * np.log(p[mask])))
+
+
+def conditional_type_law(probs, n, event):
+    """The law of the type counts of X^n, X i.i.d. `probs`, given that they
+    satisfy `event` (a predicate on one count vector), by one Python
+    iteration per type: {count tuple: probability}, types of probability 0
+    left out, and log Pr[event]; an empty dict and -inf where no type of
+    positive probability satisfies it."""
+    logs = {tuple(int(c) for c in counts): log_type_class_prob(counts, probs)
+            for counts in iter_types(n, len(probs)) if event(counts)}
+    logs = {key: lp for key, lp in logs.items() if lp > NEG_INF}
+    if not logs:
+        return {}, NEG_INF
+    total = float(logsumexp(list(logs.values())))
+    return {key: math.exp(lp - total) for key, lp in logs.items()}, total
+
+
+def chi_square(samples, law, pool=5.0):
+    """Pearson's statistic of the rows of `samples` (count vectors) against
+    `law` ({count tuple: probability}) and its degrees of freedom: the
+    cells whose expected count is below `pool` merged into one, and a row
+    outside the law's support an infinite statistic."""
+    keys, freq = np.unique(np.asarray(samples), axis=0, return_counts=True)
+    seen = {tuple(int(c) for c in key): int(f) for key, f in zip(keys, freq)}
+    if set(seen) - set(law):
+        return math.inf, 0
+    m = len(samples)
+    stat, cells, pooled_want, pooled_got = 0.0, 0, 0.0, 0
+    for key, prob in law.items():
+        want, got = m * prob, seen.get(key, 0)
+        if want < pool:
+            pooled_want, pooled_got = pooled_want + want, pooled_got + got
+        else:
+            stat, cells = stat + (got - want) ** 2 / want, cells + 1
+    if pooled_want > 0:
+        stat, cells = stat + (pooled_got - pooled_want) ** 2 / pooled_want, cells + 1
+    return stat, max(cells - 1, 1)
 
 
 def kl(t, q):
@@ -263,6 +306,45 @@ def log_prob_y_typical(dmc, x_symbols, n, mus):
                                 [lambda t, mu=mu: typical(t, ref, mu) for mu in mus])
 
 
+# the chunk and block sizes of the Monte Carlo engine whose streams the
+# stream oracles below keep: a chunk's generators are seeded by its index,
+# and a chunk draws a block of trials at a time
+CHUNK_TRIALS = 50_000
+BLOCK_TRIALS = 1 << 13
+
+
+def typical_letters_pruned(rngs, law_v, ref, mu, n, size):
+    """The V counts of `size` trials under `law_v`, drawn letter by letter
+    as the multinomial's chain of binomials, letter j from `rngs[j]` and
+    the last letter taking the remainder. A trial leaves at its first letter
+    that fails the V test's per-letter condition; the rows of the trials
+    that pass every letter are returned, in trial order."""
+    tail = np.cumsum(law_v[::-1])[::-1]
+    step = np.divide(law_v, tail, out=np.zeros_like(law_v), where=tail > 0)
+    remaining = np.full(size, n, dtype=np.int64)
+    cols = []
+    for j in range(len(law_v)):
+        c_j = rngs[j].binomial(remaining, step[j]) if j < len(rngs) else remaining
+        ok = typical((c_j / n)[:, None], ref[j : j + 1], mu)
+        cols = [c[ok] for c in cols] + [c_j[ok]]
+        remaining = (remaining - c_j)[ok]
+    return np.stack(cols, axis=1)
+
+
+def _first_draws(cfg, law, p_v, key):
+    """The draw order of `law` (V first where its V marginal is atypical
+    for P_V), its first marginal and the other's rows given it, and the
+    generators of the first marginal: one per V letter but the last, V
+    first, or one."""
+    v_first = sim._v_first(cfg, law, p_v)
+    law_first, cond = sim._rows_given(law.probs.T if v_first else law.probs)
+    if v_first:
+        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
+    else:
+        rng_first = np.random.default_rng([*key, 0])
+    return v_first, law_first, cond, rng_first
+
+
 def trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m, key):
     """The Monte Carlo chunk that drew the branch: the counts of accepted,
     active and pruned trials among `m` under `law`. Stage 0 draws the U
@@ -271,12 +353,7 @@ def trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m, key):
     trial's codeword), stage 2 the V counts of the trials the branch leaves
     undecided (or the U counts, V first), each generator seeded by `key` and
     the stage."""
-    v_first = sim._v_first(cfg, law, p_v)
-    law_first, cond = sim._rows_given(law.probs.T if v_first else law.probs)
-    if v_first:
-        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
-    else:
-        rng_first = np.random.default_rng([*key, 0])
+    v_first, law_first, cond, rng_first = _first_draws(cfg, law, p_v, key)
     rng_branch, rng_second = (np.random.default_rng([*key, stage]) for stage in (1, 2))
     zero_row = dmc.y_row(dmc.zero_symbol)
     if cfg.scheme == "B":
@@ -284,10 +361,10 @@ def trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m, key):
     else:
         p_star0, k = zero_row[cfg.y_star], cfg.k(n)
     accepted = active_total = pruned = 0
-    for lo in range(0, m, sim.BLOCK_TRIALS):
-        size = min(sim.BLOCK_TRIALS, m - lo)
+    for lo in range(0, m, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, m - lo)
         if v_first:
-            c_v = sim._typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
+            c_v = typical_letters_pruned(rng_first, law_first, p_v.probs, cfg.mu, n, size)
             pruned += size - len(c_v)
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
         else:
@@ -304,16 +381,17 @@ def trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m, key):
     return accepted, active_total, pruned
 
 
-def run_trials_branch(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
+def run_trials_branch(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None, chunk=CHUNK_TRIALS):
     """(alpha, beta, alpha_ci, beta_ci) of the Monte Carlo engine that drew
-    the branch, on the same chunks and seeds as `run_trials`, in one thread:
+    the branch, in one thread, chunk i of `chunk` trials under hypothesis h
+    seeded by (seed, h, i):
     error frequencies with Wilson half-widths, beta's rule-of-three bound
     where no miss was observed."""
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     errors = [0, 0]
     for hyp, law in ((0, p_uv), (1, q_uv)):
-        for idx, start in enumerate(range(0, trials, sim.CHUNK_TRIALS)):
-            m = min(sim.CHUNK_TRIALS, trials - start)
+        for idx, start in enumerate(range(0, trials, chunk)):
+            m = min(chunk, trials - start)
             accepted, _, _ = trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m,
                                                 (seed, hyp, idx))
             errors[hyp] += m - accepted if hyp == 0 else accepted
@@ -328,19 +406,14 @@ def trial_chunk_weighted(cfg, law, p_u, p_v, n, pbar, branch, m, key):
     silent and of those whose sensor transmits, then of active and of pruned
     trials, among `m` under `law`. Under U first every trial whose decision
     has a positive factor (`branch[a]`) draws V; the stages and their seeds
-    are those of `simulation._trial_chunk`."""
-    v_first = sim._v_first(cfg, law, p_v)
-    law_first, cond = sim._rows_given(law.probs.T if v_first else law.probs)
-    if v_first:
-        rng_first = [np.random.default_rng([*key, 0, j]) for j in range(len(law_first) - 1)]
-    else:
-        rng_first = np.random.default_rng([*key, 0])
+    are those of `trial_chunk_branch` without the branch."""
+    v_first, law_first, cond, rng_first = _first_draws(cfg, law, p_v, key)
     rng_second = np.random.default_rng([*key, 2])
     typical_active = typical_silent = active_total = pruned = 0
-    for lo in range(0, m, sim.BLOCK_TRIALS):
-        size = min(sim.BLOCK_TRIALS, m - lo)
+    for lo in range(0, m, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, m - lo)
         if v_first:
-            c_v = sim._typical_letters(rng_first, law_first, p_v.probs, cfg.mu, n, size)
+            c_v = typical_letters_pruned(rng_first, law_first, p_v.probs, cfg.mu, n, size)
             pruned += size - len(c_v)
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
             active = live_active = sim._transmits(cfg, c_u / n, p_u, pbar)
@@ -358,10 +431,11 @@ def trial_chunk_weighted(cfg, law, p_u, p_v, n, pbar, branch, m, key):
     return typical_silent, typical_active, active_total, pruned
 
 
-def run_trials_weighted(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
+def run_trials_weighted(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None,
+                        chunk=CHUNK_TRIALS):
     """The record of the Monte Carlo engine that drew V for every trial
-    whose decision has a positive branch factor, on the same chunks and
-    seeds as `run_trials`, in one thread: beta the alternative's mean weight
+    whose decision has a positive branch factor, on the chunks and seeds of
+    `run_trials_branch`, in one thread: beta the alternative's mean weight
     f_silent c_silent / trials + f_active c_active / trials, alpha the
     null's mean of 1 - w, each with Wilson's half-width at the weighted
     mean; beta's rule-of-three bound where no trial had a positive
@@ -371,8 +445,8 @@ def run_trials_weighted(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
     branch = np.array([lf > NEG_INF for lf in log_f])
     counts = np.zeros((2, 4), dtype=np.int64)
     for hyp, law in ((0, p_uv), (1, q_uv)):
-        for idx, start in enumerate(range(0, trials, sim.CHUNK_TRIALS)):
-            m = min(sim.CHUNK_TRIALS, trials - start)
+        for idx, start in enumerate(range(0, trials, chunk)):
+            m = min(chunk, trials - start)
             counts[hyp] += trial_chunk_weighted(cfg, law, p_u, p_v, n, pbar, branch, m,
                                                 (seed, hyp, idx))
     (*typical_h0, active_total, _), (*typical_h1, _, _) = counts.tolist()
@@ -387,6 +461,82 @@ def run_trials_weighted(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None):
         cfg, n, active_total / trials, alpha=alpha, beta=beta, log_beta=math.log(beta),
         method="mc", alpha_ci=sim._wilson_halfwidth(alpha, trials), beta_ci=beta_ci,
         trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub)
+
+
+def trial_chunk_every_trial(cfg, law, p_u, p_v, n, pbar, drawn, m, key):
+    """The Monte Carlo chunk that drew every trial up to the V test: the
+    counts of trials that take decision `drawn` (True for active) and are
+    V-typical, and of active trials, among `m` under `law`. Under U first
+    only the trials of decision `drawn` draw V; V first, the letters prune
+    a trial at its first atypical letter. The stages and their seeds are
+    those of `trial_chunk_weighted`."""
+    v_first, law_first, cond, rng_first = _first_draws(cfg, law, p_v, key)
+    rng_second = np.random.default_rng([*key, 2])
+    hits = active_total = 0
+    for lo in range(0, m, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, m - lo)
+        if v_first:
+            c_v = typical_letters_pruned(rng_first, law_first, p_v.probs, cfg.mu, n, size)
+            c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
+            active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            c_v = c_v[active == drawn]
+        else:
+            c_u = rng_first.multinomial(n, law_first, size=size)
+            active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            c_v = rng_second.multinomial(c_u[active == drawn], cond).sum(axis=1)
+        hits += int(np.count_nonzero(sim._v_typical(cfg, c_v, p_v, n)))
+        active_total += int(np.count_nonzero(active))
+    return hits, active_total
+
+
+def run_trials_every_trial(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None,
+                           chunk=CHUNK_TRIALS):
+    """The record of the Monte Carlo engine that drew every trial up to the
+    V test, before the engine drew each law's trials inside an event of
+    exact probability, on the chunks and seeds of `run_trials_branch`, in
+    one thread: the estimates of `simulation.run_trials` with p the
+    fraction of all `trials` that take the drawn decision d and are
+    V-typical, and the weight statistics from the null's firing frequency.
+    d is `simulation._drawn_decisions`' with scheme A's Pr[active] taken as
+    1 - Pr[T_U in its box]."""
+    laws = (p_uv, q_uv)
+    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+    [log_f] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
+    log_t = typesum.log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n,
+                                   sim._mu_box(p_v.probs, n, cfg.mu))
+    if cfg.scheme == "A":
+        marginals = np.stack([law.probs.sum(axis=1) for law in laws])
+        p_active = [-math.expm1(lp) for lp in typesum.log_prob_boxes(
+            marginals, n, sim._mu_box(p_u.probs, n, cfg.mu))]
+    elif typesum.num_types(n, p_u.alphabet.size) <= min(trials, typesum.MAX_TYPES):
+        p_active = [math.exp(typesum.log_prob_type_event(
+            law.row_marginal(), n, lambda t: sim._transmits(cfg, t, p_u, pbar))) for law in laws]
+    else:
+        p_active = [math.nan] * 2
+    drawn = sim._drawn_decisions(p_active, log_t, log_f)
+    counts = np.zeros((2, 2), dtype=np.int64)
+    for hyp, law in enumerate(laws):
+        for idx, start in enumerate(range(0, trials, chunk)):
+            m = min(chunk, trials - start)
+            counts[hyp] += trial_chunk_every_trial(cfg, law, p_u, p_v, n, pbar, drawn[hyp], m,
+                                                   (seed, hyp, idx))
+    (hits_h0, active_total), (hits_h1, _) = counts.tolist()
+    p_hats = [hits_h0 / trials, hits_h1 / trials]
+    log_exact = [log_f[not d] + lt for d, lt in zip(drawn, log_t)]
+    slopes = [math.expm1(log_f[d]) - math.expm1(log_f[not d]) for d in drawn]
+    alpha_hat = -math.expm1(log_exact[0]) - slopes[0] * p_hats[0]
+    beta_hat = math.exp(log_exact[1]) + slopes[1] * p_hats[1]
+    alpha, beta = (min(max(x, 0.0), 1.0) for x in (alpha_hat, beta_hat))
+    alpha_ci, beta_ci = (max(abs(sl) * sim._wilson_halfwidth(p, trials),
+                             sim._wilson_halfwidth(x, trials))
+                         for sl, p, x in zip(slopes, p_hats, (alpha, beta)))
+    beta_is_ub = beta_hat == 0.0
+    if beta_is_ub:
+        beta = 3.0 / trials
+    return sim._result(
+        cfg, n, active_total / trials, alpha=alpha, beta=beta,
+        log_beta=math.log(beta) if beta > 0.0 else NEG_INF, method="mc", alpha_ci=alpha_ci,
+        beta_ci=beta_ci, trials=trials, seed=seed, beta_is_upper_bound=beta_is_ub)
 
 
 def kl_rows_rows(t, q):

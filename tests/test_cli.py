@@ -526,9 +526,10 @@ class TestSimulateGolden:
     an exact scheme-B sweep of 3x2 sources (six joint cells; at n = 8,
     mu = 0.05 no output type is typical, so alpha = 1 and beta = 0), and a
     Monte Carlo scheme-A sweep on the benchmark's mc-sweep-a sources and
-    channel at n = 100, where the null fires with probability 0.43 at
-    mu = 0.06 and 0.87 at mu = 0.03, so it draws V for its active trials at
-    the one and for its silent trials at the other."""
+    channel, where the null fires with probability 0.43 at n = 100 and 0.16
+    at n = 200 (mu = 0.06), so it draws inside its silent box at the one and
+    inside its active strata at the other, and with probability 0.87 and
+    0.71 at mu = 0.03, inside its silent box at both."""
 
     CONFIGS = {
         "exact-sweep-b": REPO / "perfbench" / "workloads" / "exact-sweep-b.json",

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import covertdht.exponents as expo
 import covertdht.simulation as sim
@@ -174,6 +175,61 @@ class TestSchemeADelta:
         pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
         with pytest.raises(AlphabetTooLarge):
             sim.transmit_probability(sim.SchemeConfig(scheme="B", x1="1"), p_u, 100, pbar)
+
+
+
+class TestSchemeAEvents:
+    """Scheme A's decisions as the events Monte Carlo draws inside: the
+    silent one, T_U in P_U's mu-box, and the active one, the union of the
+    first-letter-out strata, under a law's U marginal. Their probabilities
+    are the enumerated ones and delta_n's to 1e-12 relative, and M =
+    50,000 draws (``_Event.draw``) follow the law of T_U given the event,
+    enumerated one type at a time (``oracles.conditional_type_law``), to
+    the chi-square quantile at 1 - 1e-6 (cells expected below 5 pooled)."""
+
+    M = 50_000
+
+    @pytest.mark.parametrize("probs", TestSchemeADelta.P_US, ids=lambda p: "-".join(map(str, p)))
+    def test_draws_follow_the_law_given_the_decision(self, probs):
+        rng = np.random.default_rng(len(probs))
+        d = len(probs)
+        p_u = Pmf(Alphabet(tuple(range(d))), probs)
+        # under the null and under a law of its own, zero letters included
+        other = rng.dirichlet(np.ones(d))
+        other[d // 2] = 0.0
+        laws = [JointPmf(p_u.alphabet, Alphabet(("v",)), np.array(law)[:, None] / sum(law))
+                for law in (probs, other)]
+        for n, mu in ((7, 0.2), (20, 0.1), (30 if d < 4 else 24, _box_edge(probs, 12))):
+            cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
+            events = sim._scheme_a_events(cfg, laws, p_u, n)
+            delta = sim.transmit_probability(cfg, p_u, n)
+            assert math.exp(events[0][1].log_prob) == pytest.approx(delta, rel=1e-12, abs=0.0)
+            for i, (law, pair) in enumerate(zip(laws, events)):
+                marginal = law.probs[:, 0]
+                for active, event in enumerate(pair):
+                    want, log_prob = oracles.conditional_type_law(
+                        marginal, n, lambda c: oracles.is_typical(c / n, probs, mu) != active)
+                    assert event.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
+                    if log_prob == -math.inf:
+                        continue
+                    draws = event.draw(self.M, np.random.default_rng([n, i, active]))
+                    assert draws.shape == (self.M, d) and (draws.sum(axis=1) == n).all()
+                    stat, df = oracles.chi_square(draws, want)
+                    assert stat <= chi2.isf(1e-6, df), (n, mu, i, active, stat, df)
+
+    def test_silent_event_is_the_box_chain(self):
+        probs = np.array([0.2, 0.25, 0.28, 0.27])
+        p_u = Pmf(Alphabet(tuple(range(4))), probs)
+        law = JointPmf(p_u.alphabet, Alphabet(("v",)), probs[:, None])
+        cfg = sim.SchemeConfig(scheme="A", mu=0.06, x_hat="1", y_star="2")
+        for n in (100, 400):
+            [(silent, active)] = sim._scheme_a_events(cfg, [law], p_u, n)
+            assert silent.log_prob == typesum.log_prob_boxes(
+                probs[None], n, sim._mu_box(probs, n, 0.06))[0]
+            assert math.exp(active.log_prob) == pytest.approx(
+                sim.transmit_probability(cfg, p_u, n), rel=1e-12, abs=0.0)
+            assert -math.expm1(silent.log_prob) == pytest.approx(
+                math.exp(active.log_prob), rel=1e-9)
 
 
 def _typical_exact(counts, probs, mu):
@@ -554,15 +610,39 @@ class TestMonteCarlo:
         assert abs(whole.alpha - split.alpha) <= whole.alpha_ci + split.alpha_ci
 
     def test_rule_of_three_flag(self, example_sources, partial_dmc):
-        p_uv, q_uv = example_sources
-        # beta is ~1e-21 exactly here, so no trial is accepted with a positive weight
+        # Q_U = (0, 1) is never typical for P_U = (0.8, 0.2), so every
+        # alternative trial is active and scheme A never accepts one: beta
+        # is 0 exactly. The alternative counts its silent trials, whose
+        # event has probability 0, so it draws none (M = 0)
+        p_uv, _ = example_sources
+        q_uv = JointPmf(p_uv.row_alphabet, p_uv.col_alphabet, np.array([[0.0], [1.0]]))
         cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
         res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, 100, 10_000, seed=0)
+        assert sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, partial_dmc, 100)[0].beta == 0.0
         assert res.beta_is_upper_bound
         assert res.beta == pytest.approx(3.0 / 10_000)
 
-    @pytest.mark.parametrize("scheme, want, weighted, drawn", [
+    def test_rare_silent_event_gives_the_exact_beta(self, example_sources, partial_dmc):
+        # beta is ~3e-21 here, f_silent Pr_Q[T_U typical]: the alternative
+        # counts its silent trials and draws them inside the U box, whose
+        # probability is exact; one trial is drawn, V has one letter, so it
+        # is V-typical and the estimate is beta itself
+        p_uv, q_uv = example_sources
+        cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
+        res = sim.run_trials(cfg, p_uv, q_uv, partial_dmc, 100, 10_000, seed=0)
+        exact = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, partial_dmc, 100)[0]
+        assert 0.0 < exact.beta < 1e-20
+        assert not res.beta_is_upper_bound
+        assert res.beta == pytest.approx(exact.beta, rel=1e-9)
+        assert res.log_beta == pytest.approx(exact.log_beta, rel=1e-9)
+
+    @pytest.mark.parametrize("scheme, want, every_trial, weighted, drawn", [
         ("B", sim.SimulationResult(
+            scheme="B", n=30, mu=0.2, k=None, alpha=0.040954275003917365,
+            beta=0.13667195298872026, log_beta=-1.9901717282946907, method="mc",
+            alpha_ci=0.002835947988099871, beta_ci=0.004830415603806454, trials=20000,
+            seed=11, weight_mean=0.0005, a_bar=0.022360679774997897),
+         sim.SimulationResult(
             scheme="B", n=30, mu=0.2, k=None, alpha=0.040954275003917365,
             beta=0.13682043419574785, log_beta=-1.9890859121727547, method="mc",
             alpha_ci=0.002835947988099871, beta_ci=0.004832561874333813, trials=20000,
@@ -571,6 +651,11 @@ class TestMonteCarlo:
           0.002827664996418802, 0.004838562845119437),
          (0.04275, 0.1371, 0.0028924998839409827, 0.00483659784764956)),
         ("A", sim.SimulationResult(
+            scheme="A", n=30, mu=0.2, k=6, alpha=0.0548743028831911, beta=0.02189847731545556,
+            log_beta=-3.821338173551565, method="mc", alpha_ci=0.0032425190945284746,
+            beta_ci=0.0021219942966449884, trials=20000, seed=11,
+            weight_mean=0.005096921876534547, a_bar=0.07139272985770012),
+         sim.SimulationResult(
             scheme="A", n=30, mu=0.2, k=6, alpha=0.05375664941209867, beta=0.02308359375,
             log_beta=-3.768633141057988, method="mc", alpha_ci=0.003212293139889695,
             beta_ci=0.002174598177184524, trials=20000, seed=11,
@@ -580,14 +665,16 @@ class TestMonteCarlo:
          (0.0554, 0.02325, 0.0032566089193636558, 0.0021818672332369164)),
     ], ids=["B", "A"])
     def test_seeded_result_is_pinned(self, example_dmc, partial_dmc, monkeypatch, scheme, want,
-                                     weighted, drawn):
+                                     every_trial, weighted, drawn):
         # values recorded from an earlier version of the engine: a change to
         # the sampling order or to any decision shows up here bit for bit.
-        # On the same seeds, the engine that drew V for every trial with a
-        # positive branch factor gave the (alpha, beta, log beta, alpha_ci,
-        # beta_ci) of ``weighted``, and the engine that drew the branch the
-        # alpha, beta and intervals of ``drawn``; both gave the same weight
-        # statistics.
+        # On the same seeds, the engine that drew every trial up to the V
+        # test gave the record ``every_trial``; the engine that drew V for
+        # every trial with a positive branch factor the (alpha, beta, log
+        # beta, alpha_ci, beta_ci) of ``weighted``, and the engine that drew
+        # the branch the alpha, beta and intervals of ``drawn``. Scheme B's
+        # null draws every trial in both engines and keeps its bytes;
+        # scheme A's weight statistics are the exact delta_n
         if scheme == "B":
             cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
             dmc, pbar = example_dmc, expo.pbar_threshold(example_dmc, "1")
@@ -597,10 +684,20 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
         got = sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_000, seed=11, pbar=pbar)
         assert got == want
-        old = oracles.run_trials_weighted(cfg, P_UV, Q_UV, dmc, 30, 20_000, 11, pbar)
-        assert (old.alpha, old.beta, old.log_beta, old.alpha_ci, old.beta_ci) == weighted
-        assert (old.weight_mean, old.a_bar) == (want.weight_mean, want.a_bar)
-        assert oracles.run_trials_branch(cfg, P_UV, Q_UV, dmc, 30, 20_000, 11, pbar) == drawn
+        args = (cfg, P_UV, Q_UV, dmc, 30, 20_000, 11, pbar)
+        old = oracles.run_trials_every_trial(*args, chunk=7_000)
+        assert old == every_trial
+        if scheme == "B":
+            assert (got.alpha, got.alpha_ci, got.weight_mean) == (
+                old.alpha, old.alpha_ci, old.weight_mean)
+        else:
+            exact = sim.exact_error_probs(cfg, [cfg.mu], P_UV, Q_UV, dmc, 30, pbar)[0]
+            assert got.weight_mean == pytest.approx(exact.weight_mean, rel=1e-12, abs=0.0)
+            assert got.a_bar == pytest.approx(exact.a_bar, rel=1e-12, abs=0.0)
+        w = oracles.run_trials_weighted(*args, chunk=7_000)
+        assert (w.alpha, w.beta, w.log_beta, w.alpha_ci, w.beta_ci) == weighted
+        assert (w.weight_mean, w.a_bar) == (old.weight_mean, old.a_bar)
+        assert oracles.run_trials_branch(*args, chunk=7_000) == drawn
 
     def test_trials_validation(self, example_sources, example_dmc):
         p_uv, q_uv = example_sources
@@ -619,31 +716,20 @@ class TestMonteCarlo:
     def test_core_count_and_block_size_do_not_change_results(
         self, example_dmc, partial_dmc, monkeypatch, scheme
     ):
-        # 20,001 trials in chunks of 7,000: three chunks per hypothesis, so
-        # six tasks, more than one per thread at every core count tried; the
-        # smallest block splits every draw of a chunk
+        # 20,001 trials in chunks of 2,000: every law draws several chunks,
+        # more than one per thread at every core count tried (scheme A's
+        # null draws its active strata, its alternative the V box; scheme
+        # B's null every trial). The smallest block of the lattice also
+        # builds each step's term table of the box chain's draws one row at
+        # a time
         cfg, dmc, pbar = self._case(scheme, example_dmc, partial_dmc)
-        monkeypatch.setattr(sim, "CHUNK_TRIALS", 7_000)
+        monkeypatch.setattr(sim, "CHUNK_TRIALS", 2_000)
         got = []
-        for cores, block in ((1, sim.BLOCK_TRIALS), (3, sim.BLOCK_TRIALS), (3, 999)):
+        for cores, block in ((1, typesum.BLOCK_ROWS), (3, typesum.BLOCK_ROWS), (3, 1)):
             monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
-            monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
+            monkeypatch.setattr(typesum, "BLOCK_ROWS", block)
             got.append(sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 20_001, seed=11, pbar=pbar))
         assert got[0] == got[1] == got[2]
-
-    def test_v_first_letters_do_not_depend_on_the_block_size(self, partial_dmc, monkeypatch):
-        # a letter draws only for the trials the letters before it left, so
-        # blocked draws equal one draw only with a generator per letter
-        cfg = sim.SchemeConfig(scheme="A", mu=0.17, x_hat="1", y_star="1")
-        assert sim._v_first(cfg, LAW3, P3_V)
-        got = []
-        for block in (sim.BLOCK_TRIALS, 999):
-            monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
-            got.append(sim._trial_chunk(cfg, LAW3, LAW3.row_marginal(), P3_V, 30, None,
-                                        False, 20_001, (11, 1, 0)))
-        assert got[0] == got[1]
-        hits, _, v_drawn, pruned = got[0]
-        assert 0 < pruned < 20_001 and hits > 0 and v_drawn == 20_001
 
     def test_worker_error_reaches_the_caller(self, example_dmc, partial_dmc, monkeypatch):
         # two tasks on two threads: the alternative's chunk runs on the worker
@@ -660,11 +746,11 @@ class TestMonteCarlo:
         with pytest.raises(DegenerateInput, match="worker failure"):
             sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 1_000, seed=11, pbar=pbar)
 
-    def test_only_the_drawn_decision_draws_v(self, partial_dmc, monkeypatch):
-        # under U first, only the trials of the drawn decision d draw V
-        # counts, whichever decision d is, and the count of V-typical trials
-        # is taken among them
-        cfg = sim.SchemeConfig(scheme="A", mu=0.2, x_hat="1", y_star="1")
+    def test_only_the_drawn_decision_draws_v(self, example_dmc, partial_dmc, monkeypatch):
+        # scheme A's null draws its trials inside the decision d it counts,
+        # whichever d is, so every trial takes d and draws V; scheme B's
+        # draws every trial, and only those of decision d draw V. The count
+        # of V-typical trials is taken among those that draw V
         rows = []
         real_v_typical = sim._v_typical
 
@@ -673,15 +759,22 @@ class TestMonteCarlo:
             return real_v_typical(cfg, counts, p_v, n)
 
         monkeypatch.setattr(sim, "_v_typical", v_typical)
-        assert not sim._v_first(cfg, P_UV, P_UV.col_marginal())
-        for drawn in (True, False):
+        p_u, p_v = P_UV.row_marginal(), P_UV.col_marginal()
+        [events] = sim._scheme_a_events(self._case("A", example_dmc, partial_dmc)[0], (P_UV,),
+                                        p_u, 30)
+        for scheme, drawn in itertools.product("AB", (True, False)):
+            cfg, _, pbar = self._case(scheme, example_dmc, partial_dmc)
+            event = events[drawn] if scheme == "A" else sim._Event("all", 0.0)
+            assert not sim._v_first(cfg, P_UV, p_v) and not event.v_first
             rows.clear()
-            hits, active, v_drawn, pruned = sim._trial_chunk(
-                cfg, P_UV, P_UV.row_marginal(), P_UV.col_marginal(), 30, None, drawn, 20_000,
-                (11, 0, 0))
-            assert 0 < active < 20_000 and pruned == 0
-            assert sum(rows) == v_drawn == (active if drawn else 20_000 - active)
-            assert 0 < hits <= v_drawn
+            hits, active = sim._trial_chunk(cfg, P_UV, p_u, p_v, 30, pbar, drawn, event, 20_000,
+                                            (11, 0, 0))
+            if scheme == "A":
+                assert active == (20_000 if drawn else 0) and rows == [20_000]
+            else:
+                assert 0 < active < 20_000
+                assert sum(rows) == (active if drawn else 20_000 - active)
+            assert 0 < hits <= sum(rows)
 
     @staticmethod
     def _want_decisions(cfg, dmc, n, pbar, fallback=False):
@@ -708,8 +801,13 @@ class TestMonteCarlo:
         box = typical_letters(np.arange(n + 1)[:, None] / n, P_UV.col_marginal().probs, cfg.mu).T
         log_t = typesum.log_prob_boxes(np.stack([P_UV.probs.sum(axis=0), Q_UV.probs.sum(axis=0)]),
                                        n, box)
-        return sim._drawn_decisions(cfg, (P_UV, Q_UV), P_UV.row_marginal(), n, pbar, log_f, log_t,
-                                    trials)
+        laws, p_u = (P_UV, Q_UV), P_UV.row_marginal()
+        if cfg.scheme == "A":
+            p_active = [math.exp(active.log_prob)
+                        for _, active in sim._scheme_a_events(cfg, laws, p_u, n)]
+        else:
+            p_active = sim._scheme_b_active(cfg, laws, p_u, n, pbar, trials)
+        return sim._drawn_decisions(p_active, log_t, log_f)
 
     def test_drawn_decision_holds_at_most_half_the_v_typical_trials(
         self, example_dmc, partial_dmc
@@ -744,48 +842,66 @@ class TestMonteCarlo:
             [record] = caplog.records
             assert record.levelno == logging.DEBUG
             messages[scheme] = record.getMessage()
-            assert "n=30: 20001 trials, 6 tasks, 3 threads" in messages[scheme]
-        # each count below is Bin(20001, p) for an exact p (Hoeffding, 1e-9)
-        bound = math.sqrt(math.log(2e9) / (2 * 20_001))
-        # Q_V = (0.4, 0.6) is atypical for P_V = (0.7, 0.3) at mu = 0.2: the
-        # alternative draws V first, every trial draws V letters, and the
-        # letter tests prune the trials whose T_V is atypical
-        found = re.search(r"H0 drew U first, d=active, \d+ drew V, 0 pruned; "
-                          r"H1 drew V first, d=silent, 20001 drew V, (\d+) pruned", messages["B"])
-        assert found
         p_v = P_UV.col_marginal()
-        p_typical = math.exp(typesum.log_prob_type_event(
-            Q_UV.col_marginal(), 30, lambda t: typical(t, p_v.probs, 0.2)))
-        assert abs(int(found.group(1)) / 20_001 - (1.0 - p_typical)) <= bound
-        # scheme A's null fires with probability delta_n, below half its
-        # Pr[T_V typical], so it draws V for its active trials alone
+        p_typical = [math.exp(typesum.log_prob_type_event(
+            law.col_marginal(), 30, lambda t: typical(t, p_v.probs, 0.2))) for law in (P_UV, Q_UV)]
+        number = r"(-?[\d.e+-]+)"
+
+        def check(message, events):
+            """Each hypothesis drew M = ceil(Pr[E] 20001) trials inside an
+            event E of the given name and probability, in chunks of 7,000
+            on at most 3 threads."""
+            found = re.search(
+                rf"H0 drew U first, d=active, E={events[0][0]}, log Pr\[E\]={number}, M=(\d+); "
+                rf"H1 drew V first, d=silent, E={events[1][0]}, log Pr\[E\]={number}, M=(\d+)$",
+                message)
+            assert found
+            tasks = 0
+            for (_, prob), log_prob, m in zip(events, found.groups()[::2], found.groups()[1::2]):
+                assert float(log_prob) == pytest.approx(math.log(prob), rel=1e-5, abs=1e-12)
+                assert 0 <= int(m) - prob * 20_001 < 1 + 1e-6
+                tasks += math.ceil(int(m) / 7_000)
+            assert f"n=30: 20001 trials, {tasks} tasks, {min(tasks, 3)} threads" in message
+
+        # Q_V = (0.4, 0.6) is atypical for P_V = (0.7, 0.3) at mu = 0.2: the
+        # alternative draws inside the V box. Scheme B's null draws every
+        # trial; scheme A's null fires with probability delta_n, below half
+        # its Pr[T_V typical], so it draws inside its active strata alone
+        check(messages["B"], [("all", 1.0), ("V box", p_typical[1])])
         cfg = self._case("A", example_dmc, partial_dmc)[0]
         delta = sim.transmit_probability(cfg, P_UV.row_marginal(), 30)
-        assert 0 < 2 * delta <= math.exp(typesum.log_prob_type_event(
-            P_UV.col_marginal(), 30, lambda t: typical(t, P_UV.col_marginal().probs, 0.2)))
-        found = re.search(r"H0 drew U first, d=active, (\d+) drew V, 0 pruned; "
-                          r"H1 drew V first, d=silent, 20001 drew V, \d+ pruned", messages["A"])
-        assert found
-        assert abs(int(found.group(1)) / 20_001 - delta) <= bound
+        assert 0 < 2 * delta <= p_typical[0]
+        check(messages["A"], [("active", delta), ("V box", p_typical[1])])
+
+    def test_event_of_probability_zero_draws_no_trial(self, example_dmc, caplog):
+        # Q_V = (1, 0) leaves no V type in P_V's box at mu = 0.2, so the
+        # alternative's V box has probability 0: it draws no trial (M = 0),
+        # and beta is its exact term, 0, reported as the rule-of-three bound
+        q_uv = JointPmf(U2, V2, np.array([[0.3, 0.0], [0.7, 0.0]]))
+        cfg = sim.SchemeConfig(scheme="B", mu=0.2, x1="1")
+        pbar = expo.pbar_threshold(example_dmc, "1")
+        with caplog.at_level(logging.DEBUG, logger="covertdht.simulation"):
+            res = sim.run_trials(cfg, P_UV, q_uv, example_dmc, 30, 5_000, seed=3, pbar=pbar)
+        assert "E=V box, log Pr[E]=-inf, M=0" in caplog.records[-1].getMessage()
+        assert res.beta_is_upper_bound and res.beta == 3.0 / 5_000
+        assert sim.exact_error_probs(cfg, [cfg.mu], P_UV, q_uv, example_dmc, 30, pbar)[0].beta == 0.0
 
 
 class TestMarginalPairLaw:
     """The Monte Carlo engine draws the pair (T_U, T_V) in one of two orders:
     T_U, then T_V given T_U as a sum of one multinomial per U symbol; or T_V
-    letter by letter, pruning the trials at their first atypical letter,
-    then T_U given T_V as a sum of one multinomial per V symbol. The pair's
-    sampled frequencies are compared with its exact law, summed from the
-    joint-type lattice into marginal pairs (and conditioned on T_V being
-    typical where the letters prune).
+    inside the V box, backward along its box chain, then T_U given T_V as a
+    sum of one multinomial per V symbol. The pair's sampled frequencies are
+    compared with its exact law, summed from the joint-type lattice into
+    marginal pairs (and conditioned on T_V being typical inside a V box
+    that some types leave).
 
     Total variation is the statistic. For M trials over cells of mass p_i,
     E|f_i - p_i| <= sqrt(p_i (1 - p_i) / M), so E[TV] <= sum_i sqrt(p_i
     (1 - p_i) / M) / 2; and one trial moves TV by at most 1/M, so by
     McDiarmid's inequality TV exceeds that mean bound by t with probability
     at most exp(-2 M t^2). The tolerance takes t for a false failure
-    probability of 1e-9, so no seed is picked to pass. Where the letters
-    prune, M is the number of trials left, and those trials are i.i.d. from
-    the conditioned law given that number."""
+    probability of 1e-9, so no seed is picked to pass."""
 
     M = 400_000
     LAWS = pytest.mark.parametrize("probs", [
@@ -812,11 +928,12 @@ class TestMarginalPairLaw:
                 pmf[key] = pmf.get(key, 0.0) + prob
         return pmf
 
-    def _sampled_pairs(self, law, n, monkeypatch, mu=1.0, p_v=None):
-        """The pair frequencies of the trials that reach the V test, and
-        their number. Every encoder is silent and silent is the drawn
-        decision, so every trial the letters leave draws V and reaches the V
-        test; the two predicates record the engine's counts."""
+    def _sampled_pairs(self, law, n, monkeypatch, v_first=False, mu=1.0, p_v=None):
+        """The pair frequencies of the trials that reach the V test, drawn
+        U first (every trial) or inside the V box, and their number. Every
+        encoder is silent and silent is the drawn decision, so every trial
+        draws V and reaches the V test; the two predicates record the
+        engine's counts."""
         c_u, c_v = [], []
         real_v_typical = sim._v_typical
 
@@ -832,7 +949,12 @@ class TestMarginalPairLaw:
         monkeypatch.setattr(sim, "_v_typical", v_typical)
         cfg = sim.SchemeConfig(scheme="B", mu=mu, x1="1")
         p_u, p_v = law.row_marginal(), law.col_marginal() if p_v is None else p_v
-        sim._trial_chunk(cfg, law, p_u, p_v, n, None, False, self.M, (0, 0, 0))
+        if v_first:
+            box = typesum.BoxChain(law.probs.sum(axis=0)[None], n, sim._mu_box(p_v.probs, n, mu))
+            event = sim._Event("V box", box.log_probs[0], (box,))
+        else:
+            event = sim._Event("all", 0.0)
+        sim._trial_chunk(cfg, law, p_u, p_v, n, None, False, event, self.M, (0, 0, 0))
         pairs = np.concatenate([np.concatenate(c_u), np.concatenate(c_v)], axis=1)
         keys, freq = np.unique(pairs, axis=0, return_counts=True)
         total = len(pairs)
@@ -857,26 +979,24 @@ class TestMarginalPairLaw:
 
     @LAWS
     def test_v_first_pair_frequencies_match_the_exact_law(self, probs, monkeypatch):
-        # every law is typical for its own V marginal, so the order is forced;
-        # at mu = 1 no letter prunes
+        # at mu = 1 the V box holds every V type
         n = 5
         law = self._law(probs)
-        monkeypatch.setattr(sim, "_v_first", lambda cfg, law, p_v: True)
-        sampled, trials = self._sampled_pairs(law, n, monkeypatch)
+        sampled, trials = self._sampled_pairs(law, n, monkeypatch, v_first=True)
         assert trials == self.M
         self._assert_close(sampled, self._exact_pairs(law, n), trials)
 
-    def test_pruned_pairs_match_the_law_given_typical_v(self, monkeypatch):
+    def test_v_box_pairs_match_the_law_given_typical_v(self, monkeypatch):
         # LAW3 draws V first by the engine's own rule; at n = 5 the typical V
         # counts are (1, 2, 2) and (0, 3, 2)
         n, mu, law, p_v = 5, 0.17, LAW3, P3_V
-        sampled, trials = self._sampled_pairs(law, n, monkeypatch, mu=mu, p_v=p_v)
+        assert sim._v_first(sim.SchemeConfig(scheme="B", mu=mu, x1="1"), law, p_v)
+        sampled, trials = self._sampled_pairs(law, n, monkeypatch, v_first=True, mu=mu, p_v=p_v)
         exact = {key: prob for key, prob in self._exact_pairs(law, n).items()
                  if typical(np.array(key[2:]) / n, p_v.probs, mu)}
         p_typical = sum(exact.values())
         assert {key[2:] for key in exact} == {(1, 2, 2), (0, 3, 2)}
-        # the letters leave Bin(M, Pr[T_V typical]) trials (Hoeffding, 1e-9)
-        assert abs(trials / self.M - p_typical) <= math.sqrt(math.log(2e9) / (2 * self.M))
+        assert trials == self.M
         self._assert_close(sampled, {key: prob / p_typical for key, prob in exact.items()},
                            trials)
 
@@ -893,17 +1013,18 @@ class TestMarginalPairLaw:
 
 
 class TestConditionalMonteCarlo:
-    """Monte Carlo draws neither the branch nor, under U first, the V counts
-    of the decision d' it does not draw: it weights by the branch factors
-    and takes f_d' Pr[T_V typical] from the box chain. On the benchmark's
-    exact-sweep-b sources and on cells built around them, its per-trial
-    variance, summed on the joint-type lattice, is at most that of the
-    engine that drew V for every trial (kept as an oracle); over seeds 0-19
-    at 20k trials its alpha and beta scatter less than the oracles' where
-    the variances differ by 4x or more (two 20-seed variances of the same
-    law differ by that factor with probability 0.2%), and its intervals
-    cover the exact values on at least 19 of 20 seeds, a rule-of-three
-    bound where it holds."""
+    """Monte Carlo draws neither the branch nor the V counts of the decision
+    d' it does not count: it weights by the branch factors, takes f_d'
+    Pr[T_V typical] from the box chain, and draws each law's trials inside
+    an event E of exact probability. On the benchmark's exact-sweep-b
+    sources and on cells built around them, its variance, summed on the
+    joint-type lattice, is at most that of the engine that drew every trial
+    up to the V test and of the engine that drew V for every trial (both
+    kept as oracles); over seeds 0-19 at 20k trials its alpha and beta
+    scatter less than an oracle's where the variances differ by 4x or more
+    (two 20-seed variances of the same law differ by that factor with
+    probability 0.2%), and its intervals cover the exact values on at least
+    19 of 20 seeds, a rule-of-three bound where it holds."""
 
     SEEDS, TRIALS = range(20), 20_000
     SOURCES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
@@ -938,30 +1059,46 @@ class TestConditionalMonteCarlo:
     def _runs(self, cfg, p_uv, q_uv, dmc, n, pbar, engine=sim.run_trials):
         return [engine(cfg, p_uv, q_uv, dmc, n, self.TRIALS, seed, pbar) for seed in self.SEEDS]
 
-    @staticmethod
-    def _variances(cfg, p_uv, q_uv, dmc, n, pbar):
-        """Per hypothesis, the per-trial variance of the engine's accept
-        weight and of the oracle's, from q_x = Pr[decision x, T_V typical]
-        summed on the joint-type lattice."""
+    @classmethod
+    def _variances(cls, cfg, p_uv, q_uv, dmc, n, pbar):
+        """Per hypothesis, the variance of the engine's estimate and of the
+        two oracles', times the trials, from q_x = Pr[decision x, T_V
+        typical], Pr[active] and Pr[T_V typical] summed on the joint-type
+        lattice: the engine's is (f_d - f_d')^2 Pr[E]^2 q_E (1 - q_E) / M,
+        q_E = q_d / Pr[E] and M = ceil(Pr[E] trials); the engine that drew
+        every trial's (f_d - f_d')^2 q_d (1 - q_d) / trials; the weighted
+        engine's that of its weight over trials."""
         p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
         [log_f] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
         f = np.exp(log_f)
         box = typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, cfg.mu).T
         laws = (p_uv, q_uv)
         log_t = typesum.log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n, box)
-        drawn = sim._drawn_decisions(cfg, laws, p_u, n, pbar, log_f, log_t, 20_000)
+        p_active = ([math.exp(a.log_prob) for _, a in sim._scheme_a_events(cfg, laws, p_u, n)]
+                    if cfg.scheme == "A" else
+                    sim._scheme_b_active(cfg, laws, p_u, n, pbar, cls.TRIALS))
+        drawn = sim._drawn_decisions(p_active, log_t, log_f)
         du, dv = p_uv.probs.shape
         out = []
         for law, d in zip(laws, drawn):
-            q = np.zeros(2)
+            q, fires = np.zeros(2), 0.0
             for counts in typesum.type_blocks(n, du * dv):
                 cells = counts.reshape(len(counts), du, dv)
                 active = sim._transmits(cfg, cells.sum(axis=2) / n, p_u, pbar)
                 accepted = sim._v_typical(cfg, cells.sum(axis=1), p_v, n)
                 prob = np.exp(typesum.log_type_class_prob(counts, law.probs.ravel()))
                 q += [prob[accepted & ~active].sum(), prob[accepted & active].sum()]
-            oracle = f @ (f * q) - (f @ q) ** 2
-            out.append(((f[1] - f[0]) ** 2 * q[int(d)] * (1 - q[int(d)]), oracle))
+                fires += prob[active].sum()
+            if sim._v_first(cfg, law, p_v):
+                p_event = q.sum()
+            else:
+                p_event = (fires if d else 1.0 - fires) if cfg.scheme == "A" else 1.0
+            m = math.ceil(p_event * cls.TRIALS)
+            q_event = q[int(d)] / p_event if p_event > 0 else 0.0
+            slope2 = (f[1] - f[0]) ** 2
+            engine = slope2 * p_event ** 2 * q_event * (1 - q_event) * cls.TRIALS / m if m else 0.0
+            every_trial = slope2 * q[int(d)] * (1 - q[int(d)])
+            out.append((engine, every_trial, f @ (f * q) - (f @ q) ** 2))
         return out
 
     @staticmethod
@@ -977,12 +1114,15 @@ class TestConditionalMonteCarlo:
         assert sim._v_first(cfg, q_uv, p_uv.col_marginal()) == (name != "u-first-alternative")
         exact = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, dmc, n, pbar)[0]
         runs = self._runs(*cell)
-        weighted = self._runs(*cell, engine=oracles.run_trials_weighted)
-        for field, (var, oracle_var) in zip(("alpha", "beta"), self._variances(*cell)):
-            assert var <= oracle_var * (1 + 1e-9)
-            if oracle_var > 0 and 4 * var <= oracle_var:
-                assert (np.std([getattr(r, field) for r in runs])
-                        < np.std([getattr(w, field) for w in weighted]))
+        oracle_runs = [self._runs(*cell, engine=oracles.run_trials_every_trial),
+                       self._runs(*cell, engine=oracles.run_trials_weighted)]
+        for field, variances in zip(("alpha", "beta"), self._variances(*cell)):
+            var, *oracle_vars = variances
+            for oracle_var, others in zip(oracle_vars, oracle_runs):
+                assert var <= oracle_var * (1 + 1e-9)
+                if oracle_var > 0 and 4 * var <= oracle_var:
+                    assert (np.std([getattr(r, field) for r in runs])
+                            < np.std([getattr(o, field) for o in others]))
         if cfg.scheme == "B":
             # less scatter than the engine that drew the branch
             drawn = [oracles.run_trials_branch(cfg, p_uv, q_uv, dmc, n, self.TRIALS, seed, pbar)
@@ -992,31 +1132,45 @@ class TestConditionalMonteCarlo:
         self._assert_cover(runs, exact)
 
     @pytest.mark.parametrize("name", ["a-silent", "clamp"])
-    def test_a_silent_decision_draws_as_the_weighted_engine(self, partial_dmc, name):
+    def test_a_silent_decision_draws_inside_the_silent_box(self, partial_dmc, caplog, name):
         # no decision holds at most half the V-typical trials under either
         # law (at a-silent delta_n > 1/2; at clamp the active trials hold
-        # them all under the alternative), so both draw the silent one, the
-        # larger factor's; scheme A's active factor is 0, so the engine
-        # draws exactly the V counts of the engine that drew V for every
-        # trial with a positive factor, and its estimates are that oracle's
+        # them all under the alternative), so both count the silent one,
+        # the larger factor's. The null draws M = ceil((1 - delta_n) trials)
+        # inside the silent box, and scheme A's active factor is 0, so
+        # alpha = 1 - f_silent (1 - delta_n) hits / M for a whole number of
+        # V-typical hits among the M
         cfg, p_uv, q_uv, dmc, n, pbar = cell = self._cell(partial_dmc, name)
+        p_u = p_uv.row_marginal()
+        delta = sim.transmit_probability(cfg, p_u, n)
         if name == "a-silent":
-            assert sim.transmit_probability(cfg, p_uv.row_marginal(), n) > 0.5
-        assert oracles.run_trials_weighted(*cell[:5], self.TRIALS, 0, pbar) == \
-            sim.run_trials(*cell[:5], self.TRIALS, 0, pbar)
-        for r, w in zip(self._runs(*cell), self._runs(*cell, engine=oracles.run_trials_weighted)):
-            assert r.alpha == pytest.approx(w.alpha, rel=1e-12, abs=1e-15)
-            assert (r.beta, r.beta_is_upper_bound) == (w.beta, w.beta_is_upper_bound)
+            assert delta > 0.5
+        m = math.ceil((1.0 - delta) * self.TRIALS)
+        [(log_f_silent, log_f_active)] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
+        assert log_f_active == -math.inf
+        for seed in self.SEEDS[:5]:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="covertdht.simulation"):
+                r = sim.run_trials(*cell[:5], self.TRIALS, seed, pbar)
+            message = caplog.records[-1].getMessage()
+            assert "H0 drew U first, d=silent, E=silent, log Pr[E]=" in message
+            assert f"M={m}; H1 drew V first, d=silent, E=V box" in message
+            hits = (1.0 - r.alpha) / math.exp(log_f_silent) / (1.0 - delta) * m
+            assert 0 < round(hits) <= m and hits == pytest.approx(round(hits), abs=1e-6)
 
     def test_an_estimate_below_zero_is_clamped(self, partial_dmc, monkeypatch):
-        # drawing the active decision at the clamp cell, beta = f_silent
-        # (Pr_Q[T_V typical] - p) with p the frequency of the V-typical
-        # active trials, an unbiased estimate of Pr_Q[T_V typical] here: the
-        # estimate falls below 0 on about half the seeds (all or none of 20
-        # with probability 2e-6). Those report beta = 0, not a rule-of-three
-        # bound, with the interval of p's Wilson image around it.
+        # drawing the active decision at the clamp cell, U first (inside its
+        # active strata), beta = f_silent (Pr_Q[T_V typical] - p) with p
+        # Pr_Q[active] times the V-typical fraction of the drawn trials, an
+        # unbiased estimate of Pr_Q[T_V typical] here: the estimate falls
+        # below 0 on about half the seeds (all or none of 20 with
+        # probability 2e-6). Those report beta = 0, not a rule-of-three
+        # bound, with the interval of p's Wilson image around it. (Inside
+        # the V box, its own draw order, every trial is active and
+        # V-typical, so p is Pr_Q[T_V typical] itself.)
         cfg, p_uv, q_uv, dmc, n, pbar = cell = self._cell(partial_dmc, "clamp")
         monkeypatch.setattr(sim, "_drawn_decisions", lambda *args: [False, True])
+        monkeypatch.setattr(sim, "_v_first", lambda *args: False)
         exact = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, dmc, n, pbar)[0]
         assert exact.beta == 0.0
         runs = self._runs(*cell)
@@ -1028,15 +1182,18 @@ class TestConditionalMonteCarlo:
 
 
 class TestBlockedDraws:
-    """The numpy properties the Monte Carlo engine relies on: rows drawn a
-    block at a time from one Generator equal one draw of all the rows, for
-    each kind of draw the engine makes (a fixed pmf, in multinomial and
-    binomial draws; an array of counts with one pmf per count, the second
-    marginal's draw; an array of counts with one probability, a V letter's
-    draw). The engine that drew the branch, kept as a test oracle, also drew
-    one pmf row per trial (scheme B's outputs) on a generator of its own. If
-    a numpy release breaks one, seeded results start to depend on
-    BLOCK_TRIALS."""
+    """The numpy properties behind the streams of the Monte Carlo engines
+    kept as oracles, which drew a chunk a block of ``oracles.BLOCK_TRIALS``
+    trials at a time: rows drawn a block at a time from one Generator equal
+    one draw of all the rows, for each kind of draw those engines made (a
+    fixed pmf, in multinomial and binomial draws; an array of counts with
+    one pmf per count, the second marginal's draw; an array of counts with
+    one probability, a V letter's draw). The engine that drew the branch
+    also drew one pmf row per trial (scheme B's outputs) on a generator of
+    its own. The engine draws each chunk at once, so its scheme-B null,
+    which draws every trial, keeps the bytes of the blocked engines through
+    the first two. If a numpy release breaks one, the oracles' pinned
+    values start to depend on their block size."""
 
     P16 = np.arange(1, 17) / np.arange(1, 17).sum()
     COND = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.7, 0.0, 0.2, 0.1]])

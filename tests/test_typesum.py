@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
+from scipy.stats import chi2
 
 import covertdht.typesum as typesum
 import oracles
@@ -301,3 +302,90 @@ class TestBoxChain:
         got = _box_chain(laws, 2000, laws[0].probs, 0.05)
         _assert_logs_close(got, _lattice_walk(laws, 2000, laws[0].probs, 0.05))
         assert got[1] < math.log(1e-308)
+
+
+class TestBoxChainDraws:
+    """``BoxChain.sample`` against the law of the type given its box,
+    enumerated one type at a time (``oracles.conditional_type_law``): for
+    |X| = 2-4 and n <= 30, M = 50,000 draws from a fixed seed and Pearson's
+    statistic below the chi-square quantile at 1 - 1e-6 (cells expected
+    below 5 pooled), which a correct sampler exceeds with probability 1e-6.
+    The chain's log Pr[box] is the enumerated one to 1e-12 relative."""
+
+    M = 50_000
+
+    def _assert_draws_follow(self, laws, n, boxes, seed):
+        chain = typesum.BoxChain(laws, n, boxes)
+        assert chain.log_probs == typesum.log_prob_boxes(laws, n, boxes)
+        assert max(chain.log_probs) > -math.inf
+        for i, probs in enumerate(laws):
+            law, log_prob = oracles.conditional_type_law(
+                probs, n, lambda c: boxes[np.arange(len(c)), c].all())
+            assert chain.log_probs[i] == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
+            if log_prob == -math.inf:
+                continue
+            draws = chain.sample(i, self.M, np.random.default_rng([seed, i]))
+            assert draws.shape == (self.M, len(probs)) and (draws.sum(axis=1) == n).all()
+            stat, df = oracles.chi_square(draws, law)
+            assert stat <= chi2.isf(1e-6, df), (stat, df)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mu_boxes_of_seeded_laws(self, seed):
+        # two laws in one chain, the box of a third pmf's mu-box
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 3
+        for n in (5, 12, 30):
+            laws = rng.dirichlet(np.ones(dim), size=2)
+            ref, mu = rng.dirichlet(np.ones(dim)), float(rng.uniform(0.08, 0.3))
+            boxes = typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
+            self._assert_draws_follow(laws, n, boxes, seed)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_boxes_with_gaps(self, dim):
+        # a box out of a mu-box (two runs of counts) before free letters,
+        # as scheme A's first-letter-out strata have them, and boxes with
+        # holes
+        rng = np.random.default_rng(dim)
+        n = 30 if dim < 4 else 20
+        laws = rng.dirichlet(np.ones(dim), size=2)
+        boxes = typical_letters(np.arange(n + 1)[:, None] / n, laws[0], 0.1).T
+        boxes[0] = ~boxes[0]
+        boxes[2:] = True
+        if dim > 2:  # two letters: the second is out of its box with the first
+            self._assert_draws_follow(laws, n, boxes, dim)
+        holes = rng.random((dim, n + 1)) < 0.6
+        self._assert_draws_follow(laws, n, holes, dim + 10)
+
+    def test_a_law_with_a_zero_entry(self):
+        # a letter that never occurs is drawn with its count 0 alone
+        laws = np.array([[0.5, 0.0, 0.3, 0.2], [0.25, 0.25, 0.0, 0.5]])
+        n = 16
+        ref = np.array([0.4, 0.1, 0.1, 0.4])
+        boxes = typical_letters(np.arange(n + 1)[:, None] / n, ref, 0.2).T
+        self._assert_draws_follow(laws, n, boxes, 7)
+
+    def test_one_letter(self):
+        chain = typesum.BoxChain([[1.0]], 9, np.ones((1, 10), dtype=bool))
+        assert chain.log_probs == [0.0]
+        assert (chain.sample(0, 4, np.random.default_rng(0)) == 9).all()
+
+    def test_impossible_box_draws_nothing(self):
+        # no count of the first letter lies within 0.1 of 0.5 at n = 3
+        boxes = typical_letters(np.arange(4)[:, None] / 3, np.array([0.5, 0.5]), 0.1).T
+        chain = typesum.BoxChain([[0.5, 0.5]], 3, boxes)
+        assert chain.log_probs == [-math.inf]
+        assert chain.sample(0, 0, np.random.default_rng(0)).shape == (0, 2)
+        with pytest.raises(ValueError, match="probability 0"):
+            chain.sample(0, 5, np.random.default_rng(0))
+
+    def test_draws_do_not_depend_on_the_table_block(self, monkeypatch):
+        # at BLOCK_ROWS = 1 each step's term table is built a row at a time
+        law = np.array([[0.2, 0.25, 0.27, 0.28]])
+        n = 400
+        boxes = typical_letters(np.arange(n + 1)[:, None] / n, law[0], 0.06).T
+        boxes[2] = ~boxes[2]
+        got = []
+        for block in (typesum.BLOCK_ROWS, 1):
+            monkeypatch.setattr(typesum, "BLOCK_ROWS", block)
+            got.append(typesum.BoxChain(law, n, boxes).sample(0, 20_000, np.random.default_rng(3)))
+        assert np.array_equal(got[0], got[1])
