@@ -21,7 +21,8 @@ be a positive, finite number. ``verify-covertness`` sweeps ``n_grid`` at
 ``scheme.mu``. ``output`` serves both commands.
 
 Parsing and serialization round-trip exactly; validation failures raise
-ConfigError naming the offending field. Configs compare by their documents.
+ConfigError naming the offending field, a key outside the schema among
+them. Configs compare by their documents.
 """
 
 from __future__ import annotations
@@ -142,9 +143,19 @@ class ExperimentConfig(Frozen):
     def validate(self) -> None:
         if not isinstance(self.raw, dict):
             raise ConfigError("config: must be an object")
-        for key in ("sources", "channel", "scheme", "sweep", "output"):
-            if not isinstance(self.raw.get(key, {}), dict):
+        # the schema of the module docstring: a misspelt key is an error, not a default
+        schema = {"sources": "u_symbols v_symbols p_uv q_uv",
+                  "channel": "x_symbols y_symbols z_symbols zero_symbol y_given_x z_given_x",
+                  "scheme": "scheme mu x1 x_hat y_star k_rule",
+                  "sweep": "n_grid mu_grid trials seed", "output": "path format"}
+        unknown = [f"config.{key}" for key in self.raw if key not in schema]
+        for key, fields in schema.items():
+            section = self.raw.get(key, {})
+            if not isinstance(section, dict):
                 raise ConfigError(f"{key}: must be an object")
+            unknown += [f"{key}.{field}" for field in section if field not in fields.split()]
+        if unknown:
+            raise ConfigError(f"{', '.join(unknown)}: not a field of the config schema")
         p, q = self.source_pmfs()
         dmc = self.dmc()
         scheme = self.scheme()

@@ -25,10 +25,10 @@ center accepts the null when its V test passes and the branch passes, the
 part of the test that reads the channel output. Given the encoder's
 decision the branch passes with a probability f, the branch factor, and one
 function gives f to both engines (``_log_branch_factors``): scheme A's in
-closed form, scheme B's from the box chain ``typesum.log_prob_boxes``, with
-no Y lattice. ``transmit_probability`` gives delta_n: scheme A's from the
-box chain, summed over the first letter out of its mu-box, scheme B's over
-the bands of the U lattice. Both engines, ``exact_error_probs`` and
+closed form, scheme B's from the box chain ``typesum.BoxChain``, with no Y
+lattice. ``transmit_probability`` gives delta_n: scheme A's from the
+complement of its mu-box, ``typesum.BoxComplement``, scheme B's over the
+bands of the U lattice. Both engines, ``exact_error_probs`` and
 ``run_trials``, return the cell's ``SimulationResult`` record (``log_beta``
 included, exact also where beta underflows), built by one helper that also
 derives the weight statistics from the firing probability (delta_n, or its
@@ -53,14 +53,15 @@ exactly. It is also stratified: each law draws its first marginal only
 inside an event E whose probability the box chain gives exactly and that
 holds wherever a trial can count, and scales the fraction it counts by
 Pr[E]. A law whose V marginal is atypical for P_V draws T_V inside the V
-test's box (``typesum.BoxChain.sample``), then T_U given T_V; scheme A's
-other laws, the null among them, draw T_U inside decision d, the U box or
-the union of the first-letter-out strata of its complement
-(``_Event.draw``), then T_V given T_U; scheme B's other laws draw every
-trial, as its threshold is no box. Chunks of trials run on threads, one per
-core the process may run on (numpy's samplers release the interpreter lock),
-and return integer counts, so seeded results do not depend on the core
-count.
+test's box (``typesum.BoxChain``), then T_U given T_V. Every other law
+takes one path (``_trial_chunk``): it draws T_U, decides, and draws T_V
+given T_U for the trials of decision d alone. Scheme A's, the null among
+them, draw T_U inside decision d, the U box (``BoxChain``) or its
+complement (``typesum.BoxComplement``), so every trial takes d; scheme B's
+draw every trial by a plain multinomial, as its threshold is no box.
+Chunks of trials run on threads, one per core the process may run on
+(numpy's samplers release the interpreter lock), and return integer counts,
+so seeded results do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ from .probability import LN2, Frozen, JointPmf, Pmf, typical, typical_letters
 from .typesum import (
     MAX_TYPES,
     BoxChain,
+    BoxComplement,
     NEG_INF,
     check_enumerable,
     log_multinomial,
-    log_prob_boxes,
     log_prob_type_event,
     log_sequence_prob,
     logsumexp,
@@ -191,32 +192,19 @@ def _mu_box(ref: np.ndarray, n: int, mu: float) -> np.ndarray:
     return typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
 
 
-def _active_strata(laws_u: np.ndarray, box: np.ndarray, n: int) -> list[BoxChain]:
-    """Scheme A's active event, T_U out of its mu-box ``box``, under each
-    law of the ``(k, |U|)`` array ``laws_u``, as the disjoint union of its
-    first-letter-out strata: stratum j, a box chain, has the letters before
-    j in their boxes, letter j out of its box, and the letters after j
-    merged into one free letter (none after the last letter)."""
-    d = laws_u.shape[1]
-    rows = np.vstack((box, ~box, np.ones(n + 1, dtype=bool)))  # in, out, free
-    return [BoxChain(np.column_stack((laws_u[:, : j + 1], laws_u[:, j + 1 :].sum(axis=1)))[:, :d],
-                     n, rows[[*range(j), d + j, 2 * d][:d]]) for j in range(d)]
-
-
 def transmit_probability(
     cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
 ) -> float:
     """delta_n, the exact probability that the encoder fires under the null,
     summed where it fires (not as 1 - Pr[silent], which rounds to zero once
     delta_n drops below machine epsilon). Scheme A's T_U leaves its mu-box:
-    a sum over the first-letter-out strata (``_active_strata``), no lattice,
-    no cap. Scheme B's threshold is no box: its sum runs over the
-    transmitting types, a band of the U lattice at a time."""
-    if cfg.scheme == "B":
-        return math.exp(log_prob_type_event(p_u, n, lambda t: _transmits(cfg, t, p_u, pbar)))
+    the box's complement (``typesum.BoxComplement``), no lattice, no cap.
+    Scheme B's threshold is no box: its sum runs over the transmitting
+    types, a band of the U lattice at a time."""
     p = p_u.probs[None]
-    strata = _active_strata(p, _mu_box(p_u.probs, n, cfg.mu), n)
-    return math.exp(min(logsumexp([chain.log_probs[0] for chain in strata]), 0.0))
+    if cfg.scheme == "B":
+        return math.exp(log_prob_type_event(p, n, lambda t: _transmits(cfg, t, p_u, pbar))[0])
+    return math.exp(BoxComplement(p, n, _mu_box(p_u.probs, n, cfg.mu)).log_probs[0])
 
 
 def _log_branch_factors(
@@ -234,7 +222,7 @@ def _log_branch_factors(
         return [(log_silent, NEG_INF)] * len(mus)
     ref = dmc.y_row(dmc.zero_symbol).probs
     rows = np.stack([dmc.y_row(x).probs for x in (dmc.zero_symbol, cfg.x1)])
-    return [tuple(log_prob_boxes(rows, n, _mu_box(ref, n, mu))) for mu in mus]
+    return [tuple(BoxChain(rows, n, _mu_box(ref, n, mu)).log_probs) for mu in mus]
 
 
 def _log_accept_probs(
@@ -422,7 +410,7 @@ def _drawn_decisions(
     decision of the larger factor. Drawing a law's trials inside an event E
     that holds wherever 1{d, T_V typical} does (``run_trials``) only lowers
     this variance, so the rule holds there too. Scheme A's Pr_law[active]
-    comes from its strata's box chains (``_scheme_a_events``), scheme B's
+    comes from its U box's complement (``typesum.BoxComplement``), scheme B's
     from the U lattice or NaN (``_scheme_b_active``); a NaN compares False
     and draws the larger factor."""
     larger = log_f[1] > log_f[0]
@@ -435,73 +423,31 @@ def _drawn_decisions(
 
 class _Event(NamedTuple):
     """An event E that a law's trials are drawn inside: its name in the
-    DEBUG record, log Pr_law[E], and the box chains of its strata, whose
-    row ``law`` is the law's (none: E holds for every trial). Scheme A's
-    active event splits each stratum's free letter by ``marginal``, the
-    law's U marginal."""
+    DEBUG record, the box object it is (a ``typesum.BoxChain`` or
+    ``BoxComplement``; None: E holds for every trial) with the law's row
+    ``law`` in it, and whether E is the V box, so the trials draw V first."""
 
     name: str
-    log_prob: float
-    chains: tuple = ()
-    law: int = 0
-    marginal: np.ndarray | None = None
+    source: BoxChain | BoxComplement | None
+    law: int
+    v_first: bool = False
 
     @property
-    def v_first(self) -> bool:
-        """Whether E is the V box, so the trials draw V first."""
-        return self.name == "V box"
-
-    def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """``m`` draws of the law's first marginal counts given E, a box
-        (one chain) or the union of scheme A's active strata: each trial
-        takes a stratum with its exact share of Pr[E], by one multinomial
-        draw of the strata's sizes, and a stratum j before the last two
-        letters splits its free letter, letters j + 1 on, by a plain
-        multinomial draw. Trials come out grouped by stratum; only counts
-        of them are read."""
-        chain, *others = self.chains
-        if not others:
-            return chain.sample(self.law, m, rng)
-        shares = np.exp(np.array([c.log_probs[self.law] for c in self.chains]) - self.log_prob)
-        p = self.marginal
-        parts = []
-        for j, (stratum, size) in enumerate(zip(self.chains,
-                                                rng.multinomial(m, shares / shares.sum()))):
-            counts = stratum.sample(self.law, size, rng)
-            if j < len(p) - 2:
-                free = p[j + 1 :]
-                split = np.divide(free, free.sum(), out=np.full_like(free, 1.0 / len(free)),
-                                  where=free.sum() > 0)
-                counts = np.column_stack((counts[:, :-1], rng.multinomial(counts[:, -1], split)))
-            parts.append(counts)
-        return np.concatenate(parts)
-
-
-def _scheme_a_events(cfg: SchemeConfig, laws: Sequence[JointPmf], p_u: Pmf,
-                     n: int) -> list[tuple[_Event, _Event]]:
-    """Per law, scheme A's (silent, active) events on its U counts: T_U in
-    P_U's mu-box, one box chain, and T_U out of it, the union of the
-    first-letter-out strata (``_active_strata``); each chain serves both
-    laws."""
-    box = _mu_box(p_u.probs, n, cfg.mu)
-    marginals = np.stack([law.probs.sum(axis=1) for law in laws])
-    silent, strata = BoxChain(marginals, n, box), tuple(_active_strata(marginals, box, n))
-    return [(_Event("silent", silent.log_probs[i], (silent,), i),
-             _Event("active", min(logsumexp([c.log_probs[i] for c in strata]), 0.0), strata, i,
-                    marginals[i]))
-            for i in range(len(laws))]
+    def log_prob(self) -> float:
+        """log Pr_law[E]."""
+        return 0.0 if self.source is None else self.source.log_probs[self.law]
 
 
 def _scheme_b_active(cfg: SchemeConfig, laws: Sequence[JointPmf], p_u: Pmf, n: int,
                      pbar: PbarSet | None, trials: int) -> list[float]:
-    """Per law, scheme B's Pr[active], summed over the U lattice where that
-    has no more types than the cell has trials (nor than ``MAX_TYPES``),
-    else NaN."""
+    """Per law, scheme B's Pr[active], summed in one walk of the U lattice
+    where that has no more types than the cell has trials (nor than
+    ``MAX_TYPES``), else NaN."""
     if num_types(n, p_u.alphabet.size) > min(trials, MAX_TYPES):
         return [math.nan] * len(laws)
-    return [math.exp(log_prob_type_event(law.row_marginal(), n,
-                                         lambda t: _transmits(cfg, t, p_u, pbar)))
-            for law in laws]
+    return [math.exp(lp) for lp in log_prob_type_event(
+        np.stack([law.row_marginal().probs for law in laws]), n,
+        lambda t: _transmits(cfg, t, p_u, pbar))]
 
 
 def _trial_chunk(
@@ -521,28 +467,24 @@ def _trial_chunk(
     and are V-typical, and of active trials. The branch is not drawn.
 
     Two stages draw, each from its own generator, seeded by ``key`` (seed,
-    hypothesis, chunk) and the stage number. Inside the V box, stage 0
-    draws the V counts (``typesum.BoxChain.sample``) and stage 2 the U
-    counts as the sum over v of Mult(c_v[v], P_{U|V=v}), exactly T_U given
-    T_V; inside one of scheme A's decisions, stage 0 draws the U counts
-    (``_Event.draw``) and stage 2 the V counts as the sum over u of
-    Mult(c_u[u], P_{V|U=u}). Where the event holds for every trial, stage 0
-    draws the U counts of all ``m`` and stage 2 the V counts of the trials
-    of decision ``drawn`` alone, so the active count is the firing count.
+    hypothesis, chunk) and the stage number. Stage 0 draws the first
+    marginal's counts from the event's box object (a plain multinomial
+    where E holds for every trial). Inside the V box, stage 2 draws T_U
+    given T_V, the sum over v of Mult(c_v[v], P_{U|V=v}). Otherwise stage 2
+    draws T_V given T_U for the trials of decision ``drawn`` alone (inside
+    scheme A's decision events, every trial).
     """
     first, cond = _rows_given(law.probs.T if event.v_first else law.probs)
     rng_first, rng_second = (np.random.default_rng([*key, stage]) for stage in (0, 2))
-    if not event.chains:
-        c_u = rng_first.multinomial(n, first, size=m)
-        active = _transmits(cfg, c_u / n, p_u, pbar)
-        c_v = rng_second.multinomial(c_u[active == drawn], cond).sum(axis=1)
-        return (int(np.count_nonzero(_v_typical(cfg, c_v, p_v, n))),
-                int(np.count_nonzero(active)))
-    c_first = event.draw(m, rng_first)
-    c_second = rng_second.multinomial(c_first, cond).sum(axis=1)
-    c_u, c_v = (c_second, c_first) if event.v_first else (c_first, c_second)
-    active = _transmits(cfg, c_u / n, p_u, pbar)
-    hits = (active == drawn) & _v_typical(cfg, c_v, p_v, n)
+    c_first = (rng_first.multinomial(n, first, size=m) if event.source is None
+               else event.source.sample(event.law, m, rng_first))
+    if event.v_first:
+        active = _transmits(cfg, rng_second.multinomial(c_first, cond).sum(axis=1) / n, p_u, pbar)
+        hits = (active == drawn) & _v_typical(cfg, c_first, p_v, n)
+    else:
+        active = _transmits(cfg, c_first / n, p_u, pbar)
+        c_v = rng_second.multinomial(c_first[active == drawn], cond).sum(axis=1)
+        hits = _v_typical(cfg, c_v, p_v, n)
     return int(np.count_nonzero(hits)), int(np.count_nonzero(active))
 
 
@@ -574,8 +516,9 @@ def run_trials(
     typical} does and whose probability is exact. A law whose V marginal
     is atypical for P_V (``_v_first``) draws inside the V box; scheme A's
     U-first laws (the null among them) inside decision d, T_U in P_U's
-    mu-box or out of it (``_scheme_a_events``); scheme B's U-first laws,
-    whose threshold is no box, draw every trial (E holds always). A law
+    mu-box or out of it (a ``BoxChain`` or its ``BoxComplement``); scheme
+    B's U-first laws, whose threshold is no box, draw every trial (E holds
+    always). A law
     draws M = ceil(Pr[E] trials) trials, and p = Pr[E] hits / M, hits
     counting the drawn trials that take d and are V-typical (p = 0 where
     M = 0). Its variance, Pr[E]^2 q (1 - q) / M with q = Pr[d, T_V typical
@@ -620,13 +563,16 @@ def run_trials(
                      _mu_box(p_v.probs, n, cfg.mu))
     log_v_typical = v_box.log_probs
     if cfg.scheme == "A":
-        u_events = _scheme_a_events(cfg, laws, p_u, n)
-        p_active = [math.exp(active.log_prob) for _, active in u_events]
+        marginals = np.stack([law.probs.sum(axis=1) for law in laws])
+        box = _mu_box(p_u.probs, n, cfg.mu)
+        u_events = BoxChain(marginals, n, box), BoxComplement(marginals, n, box)  # silent, active
+        p_active = [math.exp(lp) for lp in u_events[1].log_probs]
     else:
         p_active = _scheme_b_active(cfg, laws, p_u, n, pbar, trials)
     drawn = _drawn_decisions(p_active, log_v_typical, log_f)
-    events = [_Event("V box", log_v_typical[hyp], (v_box,), hyp) if _v_first(cfg, law, p_v)
-              else u_events[hyp][d] if cfg.scheme == "A" else _Event("all", 0.0)
+    events = [_Event("V box", v_box, hyp, True) if _v_first(cfg, law, p_v)
+              else _Event(("silent", "active")[d], u_events[d], hyp) if cfg.scheme == "A"
+              else _Event("all", None, hyp)
               for hyp, (law, d) in enumerate(zip(laws, drawn))]
     sizes = [math.ceil(math.exp(e.log_prob) * trials) for e in events]
 
@@ -666,7 +612,8 @@ def run_trials(
     slopes = [math.expm1(log_f[d]) - math.expm1(log_f[not d]) for d in drawn]
     alpha_hat = -math.expm1(log_exact[0]) - slopes[0] * p_hats[0]
     beta_hat = math.exp(log_exact[1]) + slopes[1] * p_hats[1]
-    alpha, beta = (min(max(x, 0.0), 1.0) for x in (alpha_hat, beta_hat))
+    # -expm1(0.0) is -0.0, and max keeps its first argument on a tie
+    alpha, beta = (min(max(0.0, x), 1.0) for x in (alpha_hat, beta_hat))
     alpha_ci, beta_ci = (max(abs(sl) * _wilson_halfwidth(p, trials), _wilson_halfwidth(x, trials))
                          for sl, p, x in zip(slopes, p_hats, (alpha, beta)))
     # rule of three: no trial weighs in and the exact term is 0, not a clamp

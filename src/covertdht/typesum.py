@@ -27,10 +27,10 @@ in ``exponents`` and the tests' oracles.
 
 An event that is a box, each letter's count in a set of its own, needs no
 lattice and no cap: :class:`BoxChain` follows the multinomial's chain of
-binomials, for its probability (:func:`log_prob_boxes`) and for draws
-conditioned on it (:meth:`BoxChain.sample`). So does the box's complement,
-as a sum over the first letter out of its box
-(``simulation.transmit_probability``).
+binomials, for its probability (``log_probs``) and for draws conditioned on
+it (``sample``); :class:`BoxComplement` does the same for the box's
+complement, as a union of first-letter-out strata, one chain each. Other
+events are summed over the lattice (:func:`log_prob_type_event`).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import AlphabetTooLarge
-from .probability import Pmf, letter_sum
+from .probability import letter_sum
 
 #: Upper bound on enumerated types per call.
 MAX_TYPES = 5_000_000
@@ -314,29 +314,25 @@ def log_type_class_prob(counts, p: np.ndarray) -> np.ndarray:
     return log_multinomial(counts) + log_sequence_prob(counts, p)
 
 
-def log_prob_type_event(p: Pmf, n: int, predicate: Callable[[Band], np.ndarray]) -> float:
-    """log Pr[type(X^n) satisfies predicate], X i.i.d. p; -inf when impossible.
+def log_prob_type_event(laws: np.ndarray, n: int,
+                        predicate: Callable[[Band], np.ndarray]) -> list[float]:
+    """log Pr[type(X^n) satisfies predicate], X i.i.d. p, for each law p of
+    the ``(k, d)`` array ``laws``, in one walk; -inf where impossible.
 
     The predicate maps a band of types (:class:`Band`; ``np.asarray(band)``
     is its ``(rows, d)`` array of types counts/n) to a boolean mask over its
     types.
     """
-    check_enumerable(n, p.alphabet.size)
-    parts = []
-    for band in type_bands(n, p.alphabet.size):
+    rows = list(np.asarray(laws, dtype=float))  # kept: band tables are keyed by identity
+    check_enumerable(n, len(rows[0]))
+    parts = [[] for _ in rows]
+    for band in type_bands(n, len(rows[0])):
         mask = predicate(band)
-        parts.append(logsumexp(log_type_class_prob(band if mask.all() else band.subset(mask),
-                                                   p.probs)))
-    return min(logsumexp(parts), 0.0)
-
-
-def log_prob_boxes(laws: np.ndarray, n: int, boxes: np.ndarray) -> list[float]:
-    """log Pr[every letter's count lies in its box] under Mult(n, p), for
-    each law p of the ``(k, d)`` array ``laws``, where ``boxes[z, c]`` says
-    whether count c of letter z lies in letter z's box (a ``(d, n + 1)``
-    boolean array); -inf where no type does. The :class:`BoxChain`'s
-    ``log_probs``."""
-    return BoxChain(laws, n, boxes).log_probs
+        types = band if mask.all() else band.subset(mask)
+        log_coef = log_multinomial(types)
+        for part, p in zip(parts, rows):
+            part.append(logsumexp(log_coef + log_sequence_prob(types, p)))
+    return [min(logsumexp(part), 0.0) for part in parts]
 
 
 def _inverse_cdf(log_w: np.ndarray, row: np.ndarray, u: np.ndarray, first: int = 0) -> np.ndarray:
@@ -476,3 +472,47 @@ class BoxChain:
             rest += counts[:, j]
         counts[:, 0] = self.n - rest
         return counts
+
+
+class BoxComplement:
+    """The complement of a box event, some letter's count out of its set,
+    with :class:`BoxChain`'s arguments and interface. It is the disjoint
+    union of its first-letter-out strata: stratum j, a box chain, has the
+    letters before j in their boxes, letter j out of its box, and the
+    letters after j merged into one free letter (none after the last
+    letter). :attr:`log_probs` sums the strata, never 1 - Pr[box], which
+    rounds to 0 once the complement drops below machine epsilon.
+    """
+
+    def __init__(self, laws: np.ndarray, n: int, boxes: np.ndarray):
+        self._laws = laws = np.asarray(laws, dtype=float)
+        self.dim = d = laws.shape[1]
+        rows = np.vstack((boxes, ~boxes, np.ones(n + 1, dtype=bool)))  # in, out, free
+        self._strata = [
+            BoxChain(np.column_stack((laws[:, : j + 1], laws[:, j + 1 :].sum(axis=1)))[:, :d], n,
+                     rows[[*range(j), d + j, 2 * d][:d]])
+            for j in range(d)]
+        self.log_probs = [min(logsumexp(parts), 0.0)
+                          for parts in zip(*(stratum.log_probs for stratum in self._strata))]
+
+    def sample(self, law: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` draws of Mult(n, ``laws[law]``) conditioned on the
+        complement, as a ``(size, d)`` int64 count array, grouped by
+        stratum: one multinomial draw from ``rng`` gives each stratum its
+        exact share, each stratum draws its chain, and a stratum j before
+        the last two letters splits its free letter by a plain multinomial
+        draw."""
+        if self.log_probs[law] == NEG_INF:
+            raise ValueError("the complement has probability 0 under this law")
+        shares = np.exp(np.array([s.log_probs[law] for s in self._strata]) - self.log_probs[law])
+        parts = []
+        sizes = rng.multinomial(size, shares / shares.sum())
+        for j, (stratum, m) in enumerate(zip(self._strata, sizes)):
+            counts = stratum.sample(law, m, rng)
+            if j < self.dim - 2:
+                free = self._laws[law, j + 1 :]
+                split = np.divide(free, free.sum(), out=np.full_like(free, 1.0 / len(free)),
+                                  where=free.sum() > 0)
+                counts = np.column_stack((counts[:, :-1], rng.multinomial(counts[:, -1], split)))
+            parts.append(counts)
+        return np.concatenate(parts)

@@ -17,7 +17,7 @@ oracle. `log_accept_probs_at_mu` is the exact engine's pass at one mu,
 which the engine's one pass for a whole mu grid replaced.
 `log_prob_y_typical` is the walk of the Y type lattice, under several laws
 from one walk (`log_prob_type_events`), that gave scheme B's branch factors
-before the box chain `typesum.log_prob_boxes`. `trial_chunk_branch` and
+before the box chain `typesum.BoxChain`. `trial_chunk_branch` and
 `run_trials_branch` are the Monte Carlo engine that drew the branch (scheme
 A's marker scan, scheme B's output counts) in a stage of its own, before
 the engine weighted its V-typical counts by the branch factors;
@@ -502,15 +502,16 @@ def run_trials_every_trial(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None,
     laws = (p_uv, q_uv)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     [log_f] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
-    log_t = typesum.log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n,
-                                   sim._mu_box(p_v.probs, n, cfg.mu))
+    log_t = typesum.BoxChain(np.stack([law.probs.sum(axis=0) for law in laws]), n,
+                             sim._mu_box(p_v.probs, n, cfg.mu)).log_probs
     if cfg.scheme == "A":
         marginals = np.stack([law.probs.sum(axis=1) for law in laws])
-        p_active = [-math.expm1(lp) for lp in typesum.log_prob_boxes(
-            marginals, n, sim._mu_box(p_u.probs, n, cfg.mu))]
+        p_active = [-math.expm1(lp) for lp in typesum.BoxChain(
+            marginals, n, sim._mu_box(p_u.probs, n, cfg.mu)).log_probs]
     elif typesum.num_types(n, p_u.alphabet.size) <= min(trials, typesum.MAX_TYPES):
         p_active = [math.exp(typesum.log_prob_type_event(
-            law.row_marginal(), n, lambda t: sim._transmits(cfg, t, p_u, pbar))) for law in laws]
+            law.row_marginal().probs[None], n, lambda t: sim._transmits(cfg, t, p_u, pbar))[0])
+            for law in laws]
     else:
         p_active = [math.nan] * 2
     drawn = sim._drawn_decisions(p_active, log_t, log_f)
@@ -588,8 +589,8 @@ def transmit_probability_rows(cfg, p_u, n, pbar=None):
 
 
 def log_prob_boxes_windowed(laws, n, boxes):
-    """`typesum.log_prob_boxes` with every step of the chain, the first as
-    well, a logsumexp over each window of L(m) m!."""
+    """`typesum.BoxChain`'s log_probs with every step of the chain, the
+    first as well, a logsumexp over each window of L(m) m!."""
     laws = np.asarray(laws, dtype=float)
     if not boxes.any(axis=1).all():
         return [NEG_INF] * len(laws)

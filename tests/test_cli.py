@@ -424,6 +424,20 @@ class TestSimulate:
             "on Monte Carlo"]
         assert captured.out == ""
 
+    def test_monte_carlo_alpha_of_zero_is_written_positive(self, capsys):
+        # at mu = 5 every type is typical, so no trial errs under the null:
+        # -expm1(0.0) is -0.0, and the clamp once kept it
+        path = str(REPO / "perfbench" / "workloads" / "exact-sweep-b.json")
+        assert main(["simulate", path, "--mu", "5", "--n", "400", "--trials", "2000"]) == 0
+        [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert (row["method"], row["alpha"]) == ("mc", "0.0")
+        config = ExperimentConfig.load(path)
+        p_uv, q_uv = config.source_pmfs()
+        dmc = config.dmc()
+        result = sim.run_trials(config.scheme().replace(mu=5.0), p_uv, q_uv, dmc, 400, 2000, 7,
+                                expo.pbar_threshold(dmc, "1"))
+        assert result.alpha == 0.0 and math.copysign(1.0, result.alpha) == 1.0
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2
 
@@ -432,6 +446,7 @@ class TestSimulate:
         ({"trials": "many", "n_grid": [400]}, "sweep.trials"),
         ({"seed": -3, "trials": 100}, "sweep.seed"),
         ({"n_grid": []}, "sweep.n_grid"),
+        ({"n_grid": [24], "trails": 0}, "sweep.trails"),
     ])
     def test_bad_sweep_field_exit_code(self, tmp_path, capsys, sweep, field):
         data = copy.deepcopy(EXAMPLE_CONFIG)
@@ -509,13 +524,38 @@ def test_unwritable_output_path_exits_2_before_any_cell(tmp_path, monkeypatch, c
     assert not (tmp_path / "missing").exists()
 
 
-def run_cli(*argv):
-    """The command line in a fresh interpreter, with no logging configured,
-    as a user runs it: (exit code, stdout, stderr)."""
+def run_cli(*argv, script=("-m", "covertdht.cli")):
+    """The command line (or another ``script``, such as a demo) in a fresh
+    interpreter, with no logging configured, as a user runs it: (exit code,
+    stdout, stderr)."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(covertdht.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "covertdht.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, *script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestGolden:
+    """`example`, `exponents` on each benchmark workload and each demo print
+    the bytes stored under tests/golden/, as CI diffs them."""
+
+    RUNS = {
+        "example": ("example",),
+        **{f"exponents-{cfg.stem}": ("exponents", str(cfg))
+           for cfg in sorted((REPO / "perfbench" / "workloads").glob("*.json"))},
+    }
+    DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_command_output_is_the_golden_bytes(self, name):
+        code, out, err = run_cli(*self.RUNS[name])
+        assert code == 0, err
+        assert out == (GOLDEN / f"{name}.txt").read_text()
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+    def test_demo_output_is_the_golden_bytes(self, demo):
+        code, out, err = run_cli(script=(str(demo),))
+        assert code == 0, err
+        assert out == (GOLDEN / f"demo-{demo.stem}.txt").read_text()
 
 
 class TestSimulateGolden:

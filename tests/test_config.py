@@ -150,6 +150,20 @@ def test_bad_section_or_output_path_is_named(change, field):
         ExperimentConfig.from_dict(variant(**change))
 
 
+@pytest.mark.parametrize("change, fields", [
+    ({"sweep__trails": 0}, "sweep.trails"),
+    ({"scheme__k_spec": "log"}, "scheme.k_spec"),
+    ({"sources__p_vu": [[1.0]]}, "sources.p_vu"),
+    ({"channel__zero": "0"}, "channel.zero"),
+    ({"output__fmt": "json"}, "output.fmt"),
+    ({"sweeps": {"n_grid": [24]}, "sweep__seeds": 2}, "config.sweeps, sweep.seeds"),
+])
+def test_key_outside_the_schema_is_named(change, fields):
+    # a misspelt key would leave its field at the default without a word
+    with pytest.raises(ConfigError, match=rf"^{fields}: not a field of the config schema$"):
+        ExperimentConfig.from_dict(variant(**change))
+
+
 @pytest.mark.parametrize("doc", [[1], 5, "config", None])
 def test_document_that_is_not_an_object_is_named(doc):
     with pytest.raises(ConfigError, match="^config: must be an object"):

@@ -179,15 +179,24 @@ class TestSchemeADelta:
 
 
 class TestSchemeAEvents:
-    """Scheme A's decisions as the events Monte Carlo draws inside: the
-    silent one, T_U in P_U's mu-box, and the active one, the union of the
-    first-letter-out strata, under a law's U marginal. Their probabilities
-    are the enumerated ones and delta_n's to 1e-12 relative, and M =
-    50,000 draws (``_Event.draw``) follow the law of T_U given the event,
-    enumerated one type at a time (``oracles.conditional_type_law``), to
-    the chi-square quantile at 1 - 1e-6 (cells expected below 5 pooled)."""
+    """Scheme A's decisions as the events Monte Carlo draws inside, under a
+    law's U marginal: the silent one, T_U in P_U's mu-box
+    (``typesum.BoxChain``), and the active one, its complement
+    (``typesum.BoxComplement``). Their probabilities are the enumerated ones
+    and delta_n's to 1e-12 relative, and M = 50,000 draws (``sample``)
+    follow the law of T_U given the event, enumerated one type at a time
+    (``oracles.conditional_type_law``), to the chi-square quantile at
+    1 - 1e-6 (cells expected below 5 pooled)."""
 
     M = 50_000
+
+    @staticmethod
+    def _events(laws, p_u, n, mu):
+        """(silent, active) on the U marginals of ``laws``, as Monte Carlo
+        builds them."""
+        marginals = np.stack([law.probs.sum(axis=1) for law in laws])
+        box = sim._mu_box(p_u.probs, n, mu)
+        return typesum.BoxChain(marginals, n, box), typesum.BoxComplement(marginals, n, box)
 
     @pytest.mark.parametrize("probs", TestSchemeADelta.P_US, ids=lambda p: "-".join(map(str, p)))
     def test_draws_follow_the_law_given_the_decision(self, probs):
@@ -201,18 +210,18 @@ class TestSchemeAEvents:
                 for law in (probs, other)]
         for n, mu in ((7, 0.2), (20, 0.1), (30 if d < 4 else 24, _box_edge(probs, 12))):
             cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
-            events = sim._scheme_a_events(cfg, laws, p_u, n)
+            events = self._events(laws, p_u, n, mu)
             delta = sim.transmit_probability(cfg, p_u, n)
-            assert math.exp(events[0][1].log_prob) == pytest.approx(delta, rel=1e-12, abs=0.0)
-            for i, (law, pair) in enumerate(zip(laws, events)):
+            assert math.exp(events[1].log_probs[0]) == pytest.approx(delta, rel=1e-12, abs=0.0)
+            for i, law in enumerate(laws):
                 marginal = law.probs[:, 0]
-                for active, event in enumerate(pair):
+                for active, event in enumerate(events):
                     want, log_prob = oracles.conditional_type_law(
                         marginal, n, lambda c: oracles.is_typical(c / n, probs, mu) != active)
-                    assert event.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
+                    assert event.log_probs[i] == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
                     if log_prob == -math.inf:
                         continue
-                    draws = event.draw(self.M, np.random.default_rng([n, i, active]))
+                    draws = event.sample(i, self.M, np.random.default_rng([n, i, active]))
                     assert draws.shape == (self.M, d) and (draws.sum(axis=1) == n).all()
                     stat, df = oracles.chi_square(draws, want)
                     assert stat <= chi2.isf(1e-6, df), (n, mu, i, active, stat, df)
@@ -223,13 +232,13 @@ class TestSchemeAEvents:
         law = JointPmf(p_u.alphabet, Alphabet(("v",)), probs[:, None])
         cfg = sim.SchemeConfig(scheme="A", mu=0.06, x_hat="1", y_star="2")
         for n in (100, 400):
-            [(silent, active)] = sim._scheme_a_events(cfg, [law], p_u, n)
-            assert silent.log_prob == typesum.log_prob_boxes(
-                probs[None], n, sim._mu_box(probs, n, 0.06))[0]
-            assert math.exp(active.log_prob) == pytest.approx(
+            silent, active = self._events([law], p_u, n, 0.06)
+            assert silent.log_probs == typesum.BoxChain(
+                probs[None], n, sim._mu_box(probs, n, 0.06)).log_probs
+            assert math.exp(active.log_probs[0]) == pytest.approx(
                 sim.transmit_probability(cfg, p_u, n), rel=1e-12, abs=0.0)
-            assert -math.expm1(silent.log_prob) == pytest.approx(
-                math.exp(active.log_prob), rel=1e-9)
+            assert -math.expm1(silent.log_probs[0]) == pytest.approx(
+                math.exp(active.log_probs[0]), rel=1e-9)
 
 
 def _typical_exact(counts, probs, mu):
@@ -760,11 +769,12 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(sim, "_v_typical", v_typical)
         p_u, p_v = P_UV.row_marginal(), P_UV.col_marginal()
-        [events] = sim._scheme_a_events(self._case("A", example_dmc, partial_dmc)[0], (P_UV,),
-                                        p_u, 30)
+        events = TestSchemeAEvents._events(
+            [P_UV], p_u, 30, self._case("A", example_dmc, partial_dmc)[0].mu)
         for scheme, drawn in itertools.product("AB", (True, False)):
             cfg, _, pbar = self._case(scheme, example_dmc, partial_dmc)
-            event = events[drawn] if scheme == "A" else sim._Event("all", 0.0)
+            event = sim._Event("all", None, 0) if scheme == "B" else sim._Event(
+                ("silent", "active")[drawn], events[drawn], 0)
             assert not sim._v_first(cfg, P_UV, p_v) and not event.v_first
             rows.clear()
             hits, active = sim._trial_chunk(cfg, P_UV, p_u, p_v, 30, pbar, drawn, event, 20_000,
@@ -786,9 +796,9 @@ class TestMonteCarlo:
         want = []
         for law in (P_UV, Q_UV):
             active = math.exp(typesum.log_prob_type_event(
-                law.row_marginal(), n, lambda t: sim._transmits(cfg, t, p_u, pbar)))
+                law.row_marginal().probs[None], n, lambda t: sim._transmits(cfg, t, p_u, pbar))[0])
             v_typical = math.exp(typesum.log_prob_type_event(
-                law.col_marginal(), n, lambda t: typical(t, p_v.probs, cfg.mu)))
+                law.col_marginal().probs[None], n, lambda t: typical(t, p_v.probs, cfg.mu))[0])
             if fallback or v_typical < 2 * min(active, 1 - active):
                 want.append(f_active > f_silent)
             else:
@@ -799,12 +809,12 @@ class TestMonteCarlo:
     def _decisions(cfg, dmc, n, pbar, trials=20_000):
         log_f = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])[0]
         box = typical_letters(np.arange(n + 1)[:, None] / n, P_UV.col_marginal().probs, cfg.mu).T
-        log_t = typesum.log_prob_boxes(np.stack([P_UV.probs.sum(axis=0), Q_UV.probs.sum(axis=0)]),
-                                       n, box)
+        log_t = typesum.BoxChain(np.stack([P_UV.probs.sum(axis=0), Q_UV.probs.sum(axis=0)]),
+                                 n, box).log_probs
         laws, p_u = (P_UV, Q_UV), P_UV.row_marginal()
         if cfg.scheme == "A":
-            p_active = [math.exp(active.log_prob)
-                        for _, active in sim._scheme_a_events(cfg, laws, p_u, n)]
+            p_active = [math.exp(lp) for lp in
+                        TestSchemeAEvents._events(laws, p_u, n, cfg.mu)[1].log_probs]
         else:
             p_active = sim._scheme_b_active(cfg, laws, p_u, n, pbar, trials)
         return sim._drawn_decisions(p_active, log_t, log_f)
@@ -843,8 +853,9 @@ class TestMonteCarlo:
             assert record.levelno == logging.DEBUG
             messages[scheme] = record.getMessage()
         p_v = P_UV.col_marginal()
-        p_typical = [math.exp(typesum.log_prob_type_event(
-            law.col_marginal(), 30, lambda t: typical(t, p_v.probs, 0.2))) for law in (P_UV, Q_UV)]
+        p_typical = [math.exp(lp) for lp in typesum.log_prob_type_event(
+            np.stack([law.col_marginal().probs for law in (P_UV, Q_UV)]), 30,
+            lambda t: typical(t, p_v.probs, 0.2))]
         number = r"(-?[\d.e+-]+)"
 
         def check(message, events):
@@ -951,9 +962,9 @@ class TestMarginalPairLaw:
         p_u, p_v = law.row_marginal(), law.col_marginal() if p_v is None else p_v
         if v_first:
             box = typesum.BoxChain(law.probs.sum(axis=0)[None], n, sim._mu_box(p_v.probs, n, mu))
-            event = sim._Event("V box", box.log_probs[0], (box,))
+            event = sim._Event("V box", box, 0, True)
         else:
-            event = sim._Event("all", 0.0)
+            event = sim._Event("all", None, 0)
         sim._trial_chunk(cfg, law, p_u, p_v, n, None, False, event, self.M, (0, 0, 0))
         pairs = np.concatenate([np.concatenate(c_u), np.concatenate(c_v)], axis=1)
         keys, freq = np.unique(pairs, axis=0, return_counts=True)
@@ -1073,8 +1084,10 @@ class TestConditionalMonteCarlo:
         f = np.exp(log_f)
         box = typical_letters(np.arange(n + 1)[:, None] / n, p_v.probs, cfg.mu).T
         laws = (p_uv, q_uv)
-        log_t = typesum.log_prob_boxes(np.stack([law.probs.sum(axis=0) for law in laws]), n, box)
-        p_active = ([math.exp(a.log_prob) for _, a in sim._scheme_a_events(cfg, laws, p_u, n)]
+        log_t = typesum.BoxChain(np.stack([law.probs.sum(axis=0) for law in laws]), n,
+                                 box).log_probs
+        p_active = ([math.exp(lp) for lp in
+                     TestSchemeAEvents._events(laws, p_u, n, cfg.mu)[1].log_probs]
                     if cfg.scheme == "A" else
                     sim._scheme_b_active(cfg, laws, p_u, n, pbar, cls.TRIALS))
         drawn = sim._drawn_decisions(p_active, log_t, log_f)

@@ -130,7 +130,7 @@ def test_events_match_loop(monkeypatch, alphabet, probs):
             (lambda t: typical(t, ref, 0.2), lambda t: oracles.is_typical(t, ref, 0.2)),
             (lambda t: kl_rows(t, p.probs) >= tau, lambda t: oracles.kl(t, p.probs) >= tau),
         ):
-            got = log_prob_type_event(p, n, batch)
+            [got] = log_prob_type_event(p.probs[None], n, batch)
             want = oracles.log_prob_type_event(p.probs, n, single)
             if want == -math.inf:
                 assert got == -math.inf
@@ -140,7 +140,7 @@ def test_events_match_loop(monkeypatch, alphabet, probs):
 
 def prob_type_event(p, n, predicate):
     """Pr[type(X^n) satisfies predicate], X i.i.d. p."""
-    return math.exp(log_prob_type_event(p, n, predicate))
+    return math.exp(log_prob_type_event(p.probs[None], n, predicate)[0])
 
 
 def test_prob_typical_against_sequence_enumeration():
@@ -176,8 +176,27 @@ def test_prob_type_event_complement():
 
 def test_empty_event_is_impossible():
     p = Pmf(ABC, np.array([0.2, 0.3, 0.5]))
-    assert log_prob_type_event(p, 7, lambda t: np.zeros(len(t), dtype=bool)) == -math.inf
+    assert log_prob_type_event(p.probs[None], 7, lambda t: np.zeros(len(t), dtype=bool)) == [
+        -math.inf]
     assert prob_type_event(p, 7, lambda t: np.asarray(t)[:, 0] > 1.0) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_several_laws_in_one_walk_match_one_law_at_a_time(monkeypatch, dim):
+    # the walk's tables serve every law: each law's value keeps its bits,
+    # over many bands, a law with a zero letter and an empty event included
+    monkeypatch.setattr(typesum, "BLOCK_ROWS", 7)
+    rng = np.random.default_rng(dim)
+    laws = rng.dirichlet(np.ones(dim), size=3)
+    laws[2, 0] = 0.0
+    laws[2] /= laws[2].sum()
+    ref = rng.dirichlet(np.ones(dim))
+    for n in (1, 9, 25):
+        for predicate in (lambda t: typical(t, ref, 0.15), lambda t: kl_rows(t, ref) >= 0.05,
+                          lambda t: np.zeros(len(t), dtype=bool)):
+            got = log_prob_type_event(laws, n, predicate)
+            want = [log_prob_type_event(law.copy()[None], n, predicate)[0] for law in laws]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_enumeration_cap():
@@ -187,11 +206,11 @@ def test_enumeration_cap():
 
 
 def _box_chain(laws, n, ref, mu):
-    """``log_prob_boxes`` on the mu-box of ``typical`` around ``ref``, each
+    """``BoxChain``'s log_probs on the mu-box of ``typical`` around ``ref``, each
     letter's box ``typical_letters`` on the counts 0..n, as the library
     builds it."""
     boxes = typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
-    return typesum.log_prob_boxes([p.probs for p in laws], n, boxes)
+    return typesum.BoxChain([p.probs for p in laws], n, boxes).log_probs
 
 
 def _lattice_walk(laws, n, ref, mu):
@@ -206,7 +225,7 @@ def _assert_logs_close(got, want):
 
 
 class TestBoxChain:
-    """The box chain of ``typesum.log_prob_boxes`` against a walk of the
+    """The box chain ``typesum.BoxChain`` against a walk of the
     type lattice: |delta log f| <= 1e-12 max(1, |log f|)."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -239,14 +258,14 @@ class TestBoxChain:
         assert not boxes[0].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert typesum.log_prob_boxes(laws, 3, boxes) == [-math.inf] * 2
+            assert typesum.BoxChain(laws, 3, boxes).log_probs == [-math.inf] * 2
             # a box that the other boxes leave no room for
             boxes = np.zeros((2, 4), dtype=bool)
             boxes[0, 3] = boxes[1, 2] = True
-            assert typesum.log_prob_boxes(laws, 3, boxes) == [-math.inf] * 2
+            assert typesum.BoxChain(laws, 3, boxes).log_probs == [-math.inf] * 2
             # a law that puts no mass in a box: only (3, 0) lies in these
             boxes[1] = np.arange(4) == 0
-            got = typesum.log_prob_boxes([[0.0, 1.0], [0.5, 0.5]], 3, boxes)
+            got = typesum.BoxChain([[0.0, 1.0], [0.5, 0.5]], 3, boxes).log_probs
             assert got[0] == -math.inf and math.isclose(got[1], math.log(1 / 8))
 
     def test_mu_on_a_box_edge(self):
@@ -282,7 +301,7 @@ class TestBoxChain:
             mu = float(rng.choice([rng.uniform(0.005, 0.5), 1.0,
                                    abs(rng.integers(n + 1) / n - ref[0])]))
             boxes = typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
-            got = typesum.log_prob_boxes(p, n, boxes)
+            got = typesum.BoxChain(p, n, boxes).log_probs
             want = oracles.log_prob_boxes_windowed(p, n, boxes)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (dim, n, mu)
 
@@ -316,7 +335,6 @@ class TestBoxChainDraws:
 
     def _assert_draws_follow(self, laws, n, boxes, seed):
         chain = typesum.BoxChain(laws, n, boxes)
-        assert chain.log_probs == typesum.log_prob_boxes(laws, n, boxes)
         assert max(chain.log_probs) > -math.inf
         for i, probs in enumerate(laws):
             law, log_prob = oracles.conditional_type_law(
@@ -389,3 +407,52 @@ class TestBoxChainDraws:
             monkeypatch.setattr(typesum, "BLOCK_ROWS", block)
             got.append(typesum.BoxChain(law, n, boxes).sample(0, 20_000, np.random.default_rng(3)))
         assert np.array_equal(got[0], got[1])
+
+
+class TestBoxComplement:
+    """``typesum.BoxComplement``, some letter's count out of its box, against
+    the complement enumerated one type at a time
+    (``oracles.conditional_type_law``), under two laws, on seeded boxes that
+    mu-boxes never produce: gaps inside every letter's set, a letter's box
+    empty or full, letters of probability 0, |X| = 1-4. Its log probability
+    is the enumerated one to 1e-12 max(1, |log|), and logaddexp with the box
+    chain's is 0 to 1e-12; M = 50,000 draws from a fixed seed stay below the
+    chi-square quantile at 1 - 1e-6 (cells expected below 5 pooled)."""
+
+    M = 50_000
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["gaps", "empty", "full", "zeros"])
+    def test_matches_the_enumerated_complement(self, dim, case):
+        rng = np.random.default_rng([dim, ["gaps", "empty", "full", "zeros"].index(case)])
+        n = 12 if dim == 4 else 20
+        laws = rng.dirichlet(np.ones(dim), size=2)
+        boxes = rng.random((dim, n + 1)) < 0.6
+        if case == "empty":
+            boxes[rng.integers(dim)] = False
+        elif case == "full":
+            boxes[rng.integers(dim)] = True
+        elif case == "zeros" and dim > 1:
+            laws[0, 0] = laws[1, dim - 1] = 0.0
+            laws /= laws.sum(axis=1, keepdims=True)
+        chain, complement = typesum.BoxChain(laws, n, boxes), typesum.BoxComplement(laws, n, boxes)
+        for i, probs in enumerate(laws):
+            law, log_prob = oracles.conditional_type_law(
+                probs, n, lambda c: not boxes[np.arange(dim), c].all())
+            _assert_logs_close([complement.log_probs[i]], [log_prob])
+            assert abs(np.logaddexp(chain.log_probs[i], complement.log_probs[i])) <= 1e-12
+            if log_prob == -math.inf:
+                with pytest.raises(ValueError, match="probability 0"):
+                    complement.sample(i, 5, np.random.default_rng(0))
+                continue
+            draws = complement.sample(i, self.M, np.random.default_rng([dim, i]))
+            assert draws.shape == (self.M, dim) and (draws.sum(axis=1) == n).all()
+            stat, df = oracles.chi_square(draws, law)
+            assert stat <= chi2.isf(1e-6, df), (stat, df)
+
+    def test_full_boxes_leave_no_complement(self):
+        laws = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+        complement = typesum.BoxComplement(laws, 9, np.ones((3, 10), dtype=bool))
+        assert complement.log_probs == [-math.inf] * 2
+        with pytest.raises(ValueError, match="probability 0"):
+            complement.sample(1, 3, np.random.default_rng(0))
