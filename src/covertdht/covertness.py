@@ -16,10 +16,10 @@ sums to zero exactly and is dropped analytically, not numerically.
 ``warden_divergence`` walks the (n, |Z|) type lattice of ``typesum`` once, a
 band at a time, and takes the exact divergence and the type-based bound
 from the same bands, so the divergence is available whenever the bounds
-are. On a band, each type's log-likelihood ratio sum_z c_z log(G1_z/G0_z),
-its G0 class log-probability and its divergence from G0 are letter sums of
-per-letter count tables, with no logarithm per type; the ell > 500 branch
-and the kernel's log1p are evaluated only on the types that select them.
+are. Each type's log-likelihood ratio sum_z c_z log(G1_z/G0_z), G0 class
+log-probability and divergence from G0 are sums of count tables built
+before the walk, with no logarithm per type; the ell > 500 branch and the
+kernel's log1p are evaluated only on the types that select them.
 delta itself, the probability that the encoder fires under the null,
 is ``simulation.transmit_probability``: the encoder rule lives with the
 decision kernel, not here.
@@ -40,8 +40,9 @@ import numpy as np
 
 from .errors import SupportViolation
 from .exponents import PbarSet
-from .probability import Pmf, chi_squared, kl_rows
-from .typesum import NEG_INF, check_enumerable, count_logs, log_type_class_prob, type_bands
+from .probability import Pmf, chi_squared
+from .typesum import (NEG_INF, check_enumerable, class_tables, kl_table, log_class_probs,
+                      log_count_table, table_sum, type_bands)
 
 _INF = math.inf
 
@@ -128,18 +129,21 @@ def warden_divergence(g0: Pmf, g1: Pmf, delta: float, n: int) -> tuple[float, fl
     mask = g1.probs > 0.0
     log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
     log_delta = math.log(delta) if mixed else NEG_INF
+    # the tables of each type's log-likelihood ratio log(p1/p0) (-inf off
+    # supp G1), G0 class log-probability and divergence from G0
+    ratio = log_count_table(log_ratio, n)
+    classes, divergence = class_tables(g0.probs[None], n), kl_table(g0.probs, n)
     total, best = 0.0, NEG_INF
     for band in type_bands(n, g0.alphabet.size):
-        # the per-type log-likelihood ratio log(p1/p0); -inf off supp G1
-        ell = band.count_sum(count_logs, log_ratio)
+        ell = table_sum(ratio, band)
         if mixed:
-            lp0 = log_type_class_prob(band, g0.probs)
+            [lp0] = log_class_probs(classes, band)
             total += float(_mixture_terms(lp0, ell, delta, log_delta).sum())
         with np.errstate(divide="ignore", invalid="ignore"):
             # log of e^{-n D(pi||G0)} expm1(ell)^2, with
             # log|expm1 ell| = max(ell, 0) + log(-expm1(-|ell|)); -inf where
             # ell = 0 or pi leaves supp G0
-            log_terms = -n * kl_rows(band, g0.probs) + 2.0 * (
+            log_terms = -n * np.maximum(table_sum(divergence, band), 0.0) + 2.0 * (
                 np.maximum(ell, 0.0) + np.log(-np.expm1(-np.abs(ell))))
         best = max(best, float(log_terms.max()))
     return max(total, 0.0), quad, (n + 1) ** g0.alphabet.size * math.exp(best)

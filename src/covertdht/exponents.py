@@ -111,6 +111,8 @@ class PbarSet(NamedTuple):
 
     A source type belongs to the set iff its divergence to the true source pmf
     is at least ``tau_nats``; `triggers` is the one definition of that test.
+    The engines decide it on integer counts by a count table of the same
+    ``kl_terms`` (``typesum.kl_table``), which is `triggers` on counts / n.
     ``maximizer`` is the warden-output pmf achieving the threshold value.
     ``tau_nats`` is the Renyi divergence D_3(G1||G0) of the two warden rows,
     so it is >= 0, with equality only when G1 = G0 (then every source type

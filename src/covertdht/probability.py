@@ -5,14 +5,16 @@ types. All divergences are in nats.
 
 The two type predicates, :func:`typical` and :func:`kl_rows`, are defined
 here once and work on batches of types (the last axis indexes the
-alphabet). Every typicality and divergence-threshold decision of the exact
-sums and the Monte Carlo engine goes through them. Each is an elementwise
+alphabet). They define every typicality and divergence-threshold decision
+of the exact sums and the Monte Carlo engine. Each is an elementwise
 per-letter kernel (:func:`typical_letters`, :func:`kl_terms`) reduced over
 the letters: an AND, or :func:`letter_sum`, which adds the letters left to
-right. A band of the type lattice (``typesum.Band``) takes the place of a
-batch in :func:`kl_rows`: it applies the same kernel to one table per
-letter and count and sums the table over its types, so both meet every tie
-the same way; :func:`typical` reads a band as its materialized array.
+right. The engines decide on integer counts: each kernel, applied once to
+the frequencies c/n of the counts 0..n, gives a count table
+(``typesum.kl_table``; ``simulation._mu_box`` for typicality) that
+``typesum.table_sum`` reads at each type's counts and adds in
+:func:`letter_sum`'s order, so a table decision meets every tie as the
+predicate on counts / n does.
 There is no sequence-level layer: every quantity the library computes
 depends on a block only through its type.
 
@@ -227,12 +229,8 @@ def kl_rows(t, q: np.ndarray) -> np.ndarray:
 
     The one definition of the divergence behind every threshold decision:
     the :func:`kl_terms` of each type summed by :func:`letter_sum`, clamped
-    at 0. `t` may also be a band of the type lattice (``typesum.Band``),
-    which sums the same terms from a table per letter.
+    at 0. ``typesum.kl_table`` holds the same terms per letter and count.
     """
-    band_sum = getattr(t, "letter_sum", None)
-    if band_sum is not None:
-        return np.maximum(band_sum(kl_terms, q), 0.0)
     return np.maximum(letter_sum(kl_terms(t, q)), 0.0)
 
 
@@ -260,7 +258,6 @@ def typical(t, ref: np.ndarray, mu: float) -> np.ndarray:
 
     Per-letter |t - ref| <= mu and no mass where ref is zero
     (:func:`typical_letters`), on every letter. The closed (<=) per-letter
-    condition is used so boundary cases are deterministic. `t` may be
-    anything ``np.asarray`` reads, a band of the type lattice as well.
+    condition is used so boundary cases are deterministic.
     """
     return typical_letters(np.asarray(t), ref, mu).all(axis=-1)

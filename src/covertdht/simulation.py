@@ -18,10 +18,12 @@ zero-input row).
 
 Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
-types alone and never on symbol sequences. The encoder rule is written once,
-in ``_transmits`` (scheme B's threshold test is ``PbarSet.triggers``), and so
-is the V test's per-letter condition, ``probability.typical_letters``. The
-center accepts the null when its V test passes and the branch passes, the
+types alone and never on symbol sequences. Both engines decide on integer
+counts, by count tables built once per walk or cell: the encoder rule is
+written once, in ``_encoder`` (scheme B's table, ``typesum.kl_table``, holds
+the terms of ``PbarSet.triggers``), and so is the V test, ``_in_box`` on
+the mu-box of P_V (``_mu_box``: ``probability.typical_letters`` on c/n).
+The center accepts the null when its V test passes and the branch passes, the
 part of the test that reads the channel output. Given the encoder's
 decision the branch passes with a probability f, the branch factor, and one
 function gives f to both engines (``_log_branch_factors``): scheme A's in
@@ -36,12 +38,12 @@ sampled frequency).
 
 The exact engine works on a whole mu grid at one n, a validated copy
 ``cfg.replace(mu=mu)`` of the scheme per mu. It walks the bands of joint
-types once: a band row fixes T_U, so ``_transmits`` decides each row once,
-the V test reads the mu-box of P_V (``_mu_box``) at each type's V counts,
-and each band's class log-probabilities under each law are computed once
-and decided at each mu with the same predicates. Each mu's
-sums are the same floating-point operations, in the same order and over the
-same band partition, as a pass at that mu alone on materialized blocks.
+types once: a band row fixes T_U, so the encoder rule decides each row
+once, the V test reads each type's V counts, and each band's class
+log-probabilities under each law are computed once and decided at each mu.
+Each mu's sums are the same floating-point operations, in the same order
+and over the same band partition, as a pass at that mu alone on
+materialized blocks.
 
 The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it never
 draws the branch, and weights the V-typical trials of each decision by f.
@@ -84,11 +86,13 @@ from .typesum import (
     BoxComplement,
     NEG_INF,
     check_enumerable,
-    log_multinomial,
+    class_tables,
+    kl_table,
+    log_class_probs,
     log_prob_type_event,
-    log_sequence_prob,
     logsumexp,
     num_types,
+    table_sum,
     type_bands,
 )
 
@@ -168,28 +172,36 @@ class SchemeConfig(Frozen):
                 raise ConfigMismatch("x1 must differ from the zero symbol")
 
 
-def _transmits(cfg: SchemeConfig, t_u: np.ndarray, p_u: Pmf, pbar: PbarSet | None) -> np.ndarray:
-    """The encoder rule on a ``(rows, |U|)`` array of source types: True
-    where the sensor transmits. Scheme B transmits when the type crosses
-    the divergence threshold, scheme A when it is atypical."""
-    if cfg.scheme == "A":
-        return ~typical(t_u, p_u.probs, cfg.mu)
-    if pbar is None:
-        raise ConfigMismatch("scheme B needs the threshold set")
-    return pbar.triggers(t_u, p_u)
-
-
-def _v_typical(cfg: SchemeConfig, c_v: np.ndarray, p_v: Pmf, n: int) -> np.ndarray:
-    """The V test on a ``(rows, |V|)`` array of V counts: True where V^n is
-    typical."""
-    return typical(c_v / n, p_v.probs, cfg.mu)
-
-
 def _mu_box(ref: np.ndarray, n: int, mu: float) -> np.ndarray:
     """The mu-box of ``ref`` on the counts 0..n, as a ``(letters, n + 1)``
     table: True where count c of a letter passes the per-letter condition
     ``typical_letters`` on c / n."""
     return typical_letters(np.arange(n + 1)[:, None] / n, ref, mu).T
+
+
+def _in_box(box: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The test that a type lies in ``box`` (a ``(letters, n + 1)`` boolean
+    table), on a ``(rows, letters)`` count array or a band: True where the
+    type has no letter out of its box, the ``table_sum`` of the count table
+    of letters out being 0. On a mu-box it is ``typical`` on counts / n."""
+    out = np.where(box, 0.0, 1.0)
+    return lambda counts: table_sum(out, counts) == 0.0
+
+
+def _encoder(cfg: SchemeConfig, p_u: Pmf, n: int,
+             pbar: PbarSet | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The encoder rule at blocklength n on U counts (a ``(rows, |U|)``
+    count array or a band): True where the sensor transmits. Scheme A
+    transmits when T_U leaves its mu-box; scheme B when D(T_U || P_U), the
+    ``table_sum`` of ``typesum.kl_table`` clamped at 0, reaches the
+    threshold, as ``PbarSet.triggers`` decides on counts / n."""
+    if cfg.scheme == "A":
+        typical_u = _in_box(_mu_box(p_u.probs, n, cfg.mu))
+        return lambda c_u: ~typical_u(c_u)
+    if pbar is None:
+        raise ConfigMismatch("scheme B needs the threshold set")
+    divergence = kl_table(p_u.probs, n)
+    return lambda c_u: np.maximum(table_sum(divergence, c_u), 0.0) >= pbar.tau_nats
 
 
 def transmit_probability(
@@ -203,7 +215,7 @@ def transmit_probability(
     types, a band of the U lattice at a time."""
     p = p_u.probs[None]
     if cfg.scheme == "B":
-        return math.exp(log_prob_type_event(p, n, lambda t: _transmits(cfg, t, p_u, pbar))[0])
+        return math.exp(log_prob_type_event(p, n, _encoder(cfg, p_u, n, pbar))[0])
     return math.exp(BoxComplement(p, n, _mu_box(p_u.probs, n, cfg.mu)).log_probs[0])
 
 
@@ -237,47 +249,40 @@ def _log_accept_probs(
     config of ``cfgs`` (one scheme at several mu), in one walk of the bands
     of joint source types.
 
-    A band's class log-probabilities come from its count tables and serve
-    every mu. A band row, which fixes the first |U||V| - 2 cells, fixes T_U
-    where |V| >= 2 (its last two cells share the last U letter), so
-    ``_transmits`` decides each row once (scheme B) or once per row and mu
-    (scheme A). The V test reads P_V's mu-box (``_mu_box``) at each mu.
-    With |V| = 1 the joint type is T_U. The branch factors and each type's
-    decisions serve both laws. Every test reads integer counts divided by
-    n, so enumerated and sampled counts meet the closed typicality boundary
-    at the same place.
+    Its count tables are built once per walk: both laws' class tables,
+    each mu's V test and the encoder rule (per mu for scheme A alone). A
+    band row, which fixes the first |U||V| - 2 cells, fixes T_U where |V|
+    >= 2 (its last two cells share the last U letter), so each rule decides
+    each row once; the V test reads each type's V counts. With |V| = 1 the
+    joint type is T_U. Class log-probabilities serve every mu, and decisions
+    and branch factors both laws. Every test reads integer counts, so
+    enumerated and sampled counts meet the closed typicality boundary at
+    the same place.
     """
     cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     du, dv = p_u.alphabet.size, p_v.alphabet.size
     check_enumerable(n, du * dv, "joint source type enumeration")
     factors = _log_branch_factors(cfg, dmc, n, [c.mu for c in cfgs])
-    v_boxes = [_mu_box(p_v.probs, n, c.mu) for c in cfgs]
-    laws = [joint.probs.ravel() for joint in (p_uv, q_uv)]
+    v_tests = [_in_box(_mu_box(p_v.probs, n, c.mu)) for c in cfgs]
+    # scheme B's rule reads no mu: its one decision per row serves every mu
+    encoders = [_encoder(c, p_u, n, pbar) for c in (cfgs if cfg.scheme == "A" else cfgs[:1])]
+    tables = class_tables([joint.probs.ravel() for joint in (p_uv, q_uv)], n)
     logs = [([], []) for _ in cfgs]
     for band in type_bands(n, du * dv):
-        log_coef = log_multinomial(band)
-        lps = [log_coef + log_sequence_prob(band, law) for law in laws]
-        if dv == 1:  # the joint type is T_U, and T_V = (1)
-            t_u, row = band, slice(None)
+        lps = log_class_probs(tables, band)
+        if dv == 1:  # the joint type is T_U, and T_V = (n)
+            c_u, row, c_v = band, slice(None), np.full((len(band), 1), n)
         else:
             heads, rest, row, j, last = band.rows()
             cells = np.zeros((len(rest), du, dv), dtype=np.int64)
             cells.reshape(len(rest), -1)[:, :-2] = heads
-            c_u, c_v = cells.sum(axis=2), cells.sum(axis=1)  # c_v: the partial V counts
+            c_u, c_v = cells.sum(axis=2), cells.sum(axis=1)  # c_v: the head cells' V counts
             c_u[:, -1] += rest
-            t_u, v_j, v_last = c_u / n, c_v[row, -2] + j, c_v[row, -1] + last
-        if cfg.scheme == "B":
-            active = _transmits(cfg, t_u, p_u, pbar)[row]
-        for c, box, (log_silent, log_active), out in zip(cfgs, v_boxes, factors, logs):
-            if cfg.scheme == "A":
-                active = _transmits(c, t_u, p_u, pbar)[row]
-            if dv == 1:
-                accept = np.full(len(band), box[0, n])
-            else:
-                accept = box[-2, v_j] & box[-1, v_last]
-                if dv > 2:
-                    accept &= box[np.arange(dv - 2), c_v[:, :-2]].all(axis=1)[row]
+            c_v = np.column_stack((c_v[row, :-2], c_v[row, -2] + j, c_v[row, -1] + last))
+        actives = [transmits(c_u)[row] for transmits in encoders] * (len(cfgs) // len(encoders))
+        for active, v_test, (log_silent, log_active), out in zip(actives, v_tests, factors, logs):
+            accept = v_test(c_v)
             factor = np.where(active[accept], log_active, log_silent)
             for part, lp in zip(out, lps):
                 part.append(logsumexp(lp[accept] + factor))
@@ -438,25 +443,22 @@ class _Event(NamedTuple):
         return 0.0 if self.source is None else self.source.log_probs[self.law]
 
 
-def _scheme_b_active(cfg: SchemeConfig, laws: Sequence[JointPmf], p_u: Pmf, n: int,
-                     pbar: PbarSet | None, trials: int) -> list[float]:
-    """Per law, scheme B's Pr[active], summed in one walk of the U lattice
-    where that has no more types than the cell has trials (nor than
-    ``MAX_TYPES``), else NaN."""
-    if num_types(n, p_u.alphabet.size) > min(trials, MAX_TYPES):
+def _scheme_b_active(transmits: Callable, laws: Sequence[JointPmf], n: int,
+                     trials: int) -> list[float]:
+    """Per law, scheme B's Pr[active] under the rule ``transmits``, summed
+    in one walk of the U lattice where that has no more types than the cell
+    has trials (nor than ``MAX_TYPES``), else NaN."""
+    marginals = np.stack([law.row_marginal().probs for law in laws])
+    if num_types(n, marginals.shape[1]) > min(trials, MAX_TYPES):
         return [math.nan] * len(laws)
-    return [math.exp(lp) for lp in log_prob_type_event(
-        np.stack([law.row_marginal().probs for law in laws]), n,
-        lambda t: _transmits(cfg, t, p_u, pbar))]
+    return [math.exp(lp) for lp in log_prob_type_event(marginals, n, transmits)]
 
 
 def _trial_chunk(
-    cfg: SchemeConfig,
     law: JointPmf,
-    p_u: Pmf,
-    p_v: Pmf,
     n: int,
-    pbar: PbarSet | None,
+    transmits: Callable[[np.ndarray], np.ndarray],
+    v_typical: Callable[[np.ndarray], np.ndarray],
     drawn: bool,
     event: _Event,
     m: int,
@@ -464,7 +466,8 @@ def _trial_chunk(
 ) -> tuple[int, int]:
     """Draw ``m`` trials under ``law`` inside ``event`` up to the V test:
     the counts of trials that take decision ``drawn`` (True for active)
-    and are V-typical, and of active trials. The branch is not drawn.
+    and are V-typical, and of active trials, decided by ``transmits`` and
+    ``v_typical`` on the drawn counts. The branch is not drawn.
 
     Two stages draw, each from its own generator, seeded by ``key`` (seed,
     hypothesis, chunk) and the stage number. Stage 0 draws the first
@@ -479,12 +482,12 @@ def _trial_chunk(
     c_first = (rng_first.multinomial(n, first, size=m) if event.source is None
                else event.source.sample(event.law, m, rng_first))
     if event.v_first:
-        active = _transmits(cfg, rng_second.multinomial(c_first, cond).sum(axis=1) / n, p_u, pbar)
-        hits = (active == drawn) & _v_typical(cfg, c_first, p_v, n)
+        active = transmits(rng_second.multinomial(c_first, cond).sum(axis=1))
+        hits = (active == drawn) & v_typical(c_first)
     else:
-        active = _transmits(cfg, c_first / n, p_u, pbar)
+        active = transmits(c_first)
         c_v = rng_second.multinomial(c_first[active == drawn], cond).sum(axis=1)
-        hits = _v_typical(cfg, c_v, p_v, n)
+        hits = v_typical(c_v)
     return int(np.count_nonzero(hits)), int(np.count_nonzero(active))
 
 
@@ -500,8 +503,9 @@ def run_trials(
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
-    Per-trial type counts are sampled directly and decided by the same
-    predicates as in the exact engine (``_trial_chunk``). The branch is not
+    Per-trial type counts are sampled directly and decided by the exact
+    engine's rules, on count tables built once per cell (``_trial_chunk``,
+    ``_encoder``, ``_in_box``). The branch is not
     drawn: a V-typical trial is accepted with its decision's branch factor f
     (``_log_branch_factors``, as in the exact engine). With d the decision
     whose trials count (``_drawn_decisions``) and d' the other, a trial's
@@ -559,16 +563,17 @@ def run_trials(
     laws = (p_uv, q_uv)
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     [log_f] = _log_branch_factors(cfg, dmc, n, [cfg.mu])
-    v_box = BoxChain(np.stack([law.probs.sum(axis=0) for law in laws]), n,
-                     _mu_box(p_v.probs, n, cfg.mu))
-    log_v_typical = v_box.log_probs
+    box = _mu_box(p_v.probs, n, cfg.mu)
+    v_box = BoxChain(np.stack([law.probs.sum(axis=0) for law in laws]), n, box)
+    log_v_typical, v_typical = v_box.log_probs, _in_box(box)
+    transmits = _encoder(cfg, p_u, n, pbar)
     if cfg.scheme == "A":
         marginals = np.stack([law.probs.sum(axis=1) for law in laws])
         box = _mu_box(p_u.probs, n, cfg.mu)
         u_events = BoxChain(marginals, n, box), BoxComplement(marginals, n, box)  # silent, active
         p_active = [math.exp(lp) for lp in u_events[1].log_probs]
     else:
-        p_active = _scheme_b_active(cfg, laws, p_u, n, pbar, trials)
+        p_active = _scheme_b_active(transmits, laws, n, trials)
     drawn = _drawn_decisions(p_active, log_v_typical, log_f)
     events = [_Event("V box", v_box, hyp, True) if _v_first(cfg, law, p_v)
               else _Event(("silent", "active")[d], u_events[d], hyp) if cfg.scheme == "A"
@@ -584,7 +589,7 @@ def run_trials(
 
     def work(task):
         hyp, idx, m = task
-        return hyp, _trial_chunk(cfg, laws[hyp], p_u, p_v, n, pbar, drawn[hyp], events[hyp], m,
+        return hyp, _trial_chunk(laws[hyp], n, transmits, v_typical, drawn[hyp], events[hyp], m,
                                  (seed, hyp, idx))
 
     threads = min(len(tasks), _usable_cores())

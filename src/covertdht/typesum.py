@@ -10,20 +10,26 @@ The lattice of n-types is one array layer, walked a band at a time by
 stays bounded however many types it visits: a band holds at most
 ``BLOCK_ROWS`` types. Its rows are the enumerated counts of the first d - 2
 letters, and each row's last two letters run densely over c_{d-2} = j,
-c_{d-1} = rest - j. A :class:`Band` stands for its ``(types, d)`` array of
-types counts/n without building it. Every per-type sum of the exact sums is
-a left-to-right sum over the letters of a per-letter table T[c, z]: log c!,
-c log p_z, the divergence terms (c/n) log((c/n)/q_z) and c log(G1_z/G0_z).
-A band looks each letter's count up in its table, built once per walk by
-the same elementwise kernel the row path applies to a ``(rows, d)`` array,
-so the exact sums take no logarithm per type and decide every tie as the
-row path and Monte Carlo do. Anything else, ``probability.typical`` among
-them, reads the materialized array ``np.asarray(band)``. A quantity
-constant along a band row is computed once per row and read at each type's
-row (:meth:`Band.rows`): the joint-type engine decides T_U that way.
-:func:`type_blocks` yields the same bands materialized as ``(rows, d)``
-count arrays; no exact sum walks it, only the sphere search's ray lattice
-in ``exponents`` and the tests' oracles.
+c_{d-1} = rest - j. A :class:`Band` holds its types by rows, without
+their ``(types, d)`` count array.
+
+Every per-type quantity is a count-table sum: for a ``(d, n + 1)`` table T,
+the sum over the letters of T[z, c_z], added left to right
+(``probability.letter_sum``'s order). The tables are log c! and c log p_z
+for class probabilities (:func:`class_tables`), the divergence terms
+``kl_terms(c/n, q)`` (:func:`kl_table`), c log v_z for any v
+(:func:`log_count_table`), and a box's letters out of their box. Whoever
+owns a walk or a cell builds each table once, by the same elementwise
+kernel that the row path (``probability.kl_rows`` and ``typical`` on
+counts / n among it) applies to a ``(rows, d)`` array, so no logarithm is
+taken per type and every tie falls as on the row path. One function,
+:func:`table_sum`, sums a table over a ``(rows, d)`` count array or over a
+band, and is the only place that tells the two apart. A quantity constant
+along a band row is computed once per row and read at each type's row
+(:meth:`Band.rows`): the joint-type engine decides T_U that way.
+:func:`type_blocks` yields the bands as ``(rows, d)`` count arrays; no
+exact sum walks it, only the sphere search's ray lattice in ``exponents``
+and the tests' oracles.
 
 An event that is a box, each letter's count in a set of its own, needs no
 lattice and no cap: :class:`BoxChain` follows the multinomial's chain of
@@ -33,8 +39,8 @@ complement, as a union of first-letter-out strata, one chain each. Other
 events are summed over the lattice (:func:`log_prob_type_event`).
 
 The log-domain primitives are numpy only: log-factorials come from a cached
-``math.lgamma`` table indexed by the counts, and :func:`logsumexp` splits
-off the maximum as ``scipy.special.logsumexp`` does.
+``math.lgamma`` table, and :func:`logsumexp` splits off the maximum as
+``scipy.special.logsumexp`` does.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import AlphabetTooLarge
-from .probability import letter_sum
+from .probability import kl_terms, letter_sum
 
 #: Upper bound on enumerated types per call.
 MAX_TYPES = 5_000_000
@@ -85,24 +91,19 @@ def _extend(heads: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class Band:
-    """One band of the n-type lattice: it stands for the ``(len, d)`` array
-    of its types counts/n, in lexicographic order, without building it.
+    """One band of the n-type lattice: ``len`` types over d letters, in
+    lexicographic order, without their ``(len, d)`` count array.
 
     Row i holds the counts ``heads[i]`` of the first d - 2 letters and has
     ``rest[i]`` left for the last two; its types take c_{d-2} = j for j from
     ``lo[i]`` to ``hi[i]`` and c_{d-1} = rest[i] - j (a one-letter band has
-    j = 0 and c_0 = rest). :meth:`letter_sum` and :meth:`count_sum` sum a
-    per-letter table, built once per walk from an elementwise kernel and
-    shared by the walk's bands (``tables``), over the band's types:
-    ``probability.kl_rows`` takes a band in place of a ``(rows, d)`` array
-    this way. Anything else sees the materialized array
-    (``np.asarray(band)``).
+    j = 0 and c_0 = rest). :func:`table_sum` sums a count table over the
+    band's types; :meth:`counts` builds their count array.
     """
 
-    def __init__(self, n: int, dim: int, tables: dict, heads: np.ndarray,
-                 rest: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.n, self.dim = n, dim
-        self._tables = tables
+    def __init__(self, dim: int, heads: np.ndarray, rest: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray):
+        self.dim = dim
         sizes = hi - lo + 1
         self._heads, self._rest = heads, rest
         self._row = np.repeat(np.arange(len(rest)), sizes)
@@ -126,55 +127,11 @@ class Band:
         only through its row is computed once per row and read at ``row``."""
         return self._heads, self._rest, self._row, self._j, self._last
 
-    def __array__(self, dtype=None, copy=None):
-        t = self.counts() / self.n
-        return t if dtype is None else t.astype(dtype, copy=False)
-
     def subset(self, mask: np.ndarray) -> "Band":
-        """The band's types where `mask` holds, in order, as a band that
-        shares this one's tables."""
+        """The band's types where `mask` holds, in order, as a band."""
         sub = copy.copy(self)
         sub._row, sub._j, sub._last = self._row[mask], self._j[mask], self._last[mask]
         return sub
-
-    def _table(self, kernel, args: tuple, on_counts: bool) -> np.ndarray:
-        """``kernel(column, *args)`` as a ``(d, n+1)`` table indexed [letter,
-        count], the column being the counts 0..n or the frequencies c/n;
-        -0.0 is stored as +0.0, which is where ``letter_sum`` starts."""
-        # keyed by the arguments' identities; an entry keeps its arguments,
-        # so an id is not reused while the walk lasts
-        key = (kernel, on_counts, tuple(map(id, args)))
-        entry = self._tables.get(key)
-        if entry is None:
-            column = np.arange(self.n + 1)[:, None]
-            table = kernel(column if on_counts else column / self.n, *args) + 0.0
-            table = np.broadcast_to(table, (self.n + 1, self.dim))
-            entry = self._tables[key] = (args, np.ascontiguousarray(table.T))
-        return entry[1]
-
-    def _reduce_sum(self, table: np.ndarray) -> np.ndarray:
-        """Per type, the entries of a ``(d, n+1)`` table summed over the
-        letters in ``letter_sum``'s order: the head letters left to right,
-        once per row, then c_{d-2} and c_{d-1}. The first column is a fresh
-        array without -0.0, equal to 0.0 plus itself."""
-        lead = self._heads.shape[1]
-        cols = [letter_sum(table[np.arange(lead), self._heads])[self._row]] if lead else []
-        if self.dim > 1:
-            cols.append(table[self.dim - 2][self._j])
-        first, *others = cols + [table[self.dim - 1][self._last]]
-        for col in others:
-            first += col
-        return first
-
-    def letter_sum(self, kernel, *args) -> np.ndarray:
-        """Per type, the sum over letters of ``kernel(c/n, *args)``, left to
-        right (``probability.letter_sum``'s order)."""
-        return self._reduce_sum(self._table(kernel, args, on_counts=False))
-
-    def count_sum(self, kernel, *args) -> np.ndarray:
-        """Per type, the sum over letters of ``kernel(c, *args)`` on the
-        counts, left to right."""
-        return self._reduce_sum(self._table(kernel, args, on_counts=True))
 
 
 def type_bands(n: int, dim: int) -> Iterator[Band]:
@@ -185,13 +142,12 @@ def type_bands(n: int, dim: int) -> Iterator[Band]:
     completions of any one prefix fit in a band; consecutive prefixes are
     then grouped and completed together, to d - 2 letters. Where n + 1 >
     ``BLOCK_ROWS``, every prefix is a single type (``split`` = d - 1), and
-    bands cut the rows' j ranges every ``BLOCK_ROWS`` types. The walk's
-    bands share one cache of per-letter tables.
+    bands cut the rows' j ranges every ``BLOCK_ROWS`` types.
     """
     split = 0
     while num_types(n, dim - split) > BLOCK_ROWS:
         split += 1
-    lead, tables = max(dim - 2, 0), {}
+    lead = max(dim - 2, 0)
     heads, rest = np.zeros((1, 0), dtype=np.int64), np.array([n], dtype=np.int64)
     for _ in range(min(split, lead)):
         heads, rest = _extend(heads, rest)
@@ -202,7 +158,7 @@ def type_bands(n: int, dim: int) -> Iterator[Band]:
             b = min(a + BLOCK_ROWS, int(ends[-1]))
             rows = slice(np.searchsorted(ends, a, side="right"),
                          np.searchsorted(ends, b - 1, side="right") + 1)
-            yield Band(n, dim, tables, heads[rows], rest[rows],
+            yield Band(dim, heads[rows], rest[rows],
                        np.maximum(a - starts[rows], 0), np.minimum(b - 1 - starts[rows], rest[rows]))
         return
     completions = np.ones_like(rest)  # num_types(r, dim - split) for each r of rest
@@ -216,7 +172,7 @@ def type_bands(n: int, dim: int) -> Iterator[Band]:
         h, r = heads[start:stop], rest[start:stop]
         for _ in range(lead - split):
             h, r = _extend(h, r)
-        yield Band(n, dim, tables, h, r, np.zeros_like(r), r if dim > 1 else np.zeros_like(r))
+        yield Band(dim, h, r, np.zeros_like(r), r if dim > 1 else np.zeros_like(r))
         start = stop
 
 
@@ -262,56 +218,72 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _lookup(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``table[counts]``: a table over the counts 0..n, read at each count."""
-    return table[counts]
+def count_table(values: np.ndarray) -> np.ndarray:
+    """A per-letter kernel's values on the counts 0..n, an ``(n + 1, d)``
+    array whose row c holds every letter's value at count c, as a count
+    table: the ``(d, n + 1)`` array T[z, c]. -0.0 is stored as +0.0, where
+    ``letter_sum`` starts."""
+    return np.ascontiguousarray(values.T + 0.0)
 
 
-def count_logs(counts: np.ndarray, log_v: np.ndarray) -> np.ndarray:
-    """counts * log_v elementwise, 0 where the count is 0 (0 log 0 = 0)."""
+def table_sum(table: np.ndarray, types) -> np.ndarray:
+    """Per type, sum_z T[z, c_z] over the letters, left to right
+    (``probability.letter_sum``'s order), for a ``(d, n + 1)`` count table
+    T; `types` is a ``(rows, d)`` count array, one ``(d,)`` type or a
+    :class:`Band`. Every per-type quantity of the exact sums and every
+    decision of the engines is one such sum.
+
+    The one place that tells a band from an array: a band adds its head
+    letters once per row and reads that sum at each type's row, then adds
+    c_{d-2} and c_{d-1}. Its first column is a fresh array without -0.0,
+    equal to 0.0 plus itself, so both forms give the same bits.
+    """
+    if not isinstance(types, Band):
+        return letter_sum(table[np.arange(len(table)), types])
+    heads, _, row, j, last = types.rows()
+    lead = heads.shape[1]
+    cols = [letter_sum(table[np.arange(lead), heads])[row]] if lead else []
+    if types.dim > 1:
+        cols.append(table[-2][j])
+    first, *others = cols + [table[-1][last]]
+    for col in others:
+        first += col
+    return first
+
+
+def log_count_table(log_v: np.ndarray, n: int) -> np.ndarray:
+    """The count table of sum_z c_z log_v[z]: c log v_z on the counts 0..n,
+    0 at c = 0 (0 log 0 = 0)."""
+    column = np.arange(n + 1)[:, None]
     with np.errstate(invalid="ignore"):
-        return np.where(counts == 0, 0.0, counts * log_v)
+        return count_table(np.where(column == 0, 0.0, column * log_v))
 
 
-def _count_sum(counts, kernel, *args) -> np.ndarray:
-    """Per type, the letter sum of ``kernel(counts, *args)``, over the last
-    axis of `counts` or over a band."""
-    if isinstance(counts, Band):
-        return counts.count_sum(kernel, *args)
-    return letter_sum(kernel(np.asarray(counts), *args))
+def kl_table(q: np.ndarray, n: int) -> np.ndarray:
+    """The count table of D(c/n || q): ``probability.kl_terms`` on the
+    frequencies c/n of the counts 0..n, so its table sum, clamped at 0, is
+    ``probability.kl_rows`` on counts / n, bit for bit."""
+    return count_table(kl_terms(np.arange(n + 1)[:, None] / n, q))
 
 
-def log_multinomial(counts) -> np.ndarray:
-    """log n! - sum_z log c_z!, the log of the number of sequences of each
-    type, over the last axis of `counts` (non-negative integers) or over a
-    band."""
-    if isinstance(counts, Band):
-        n = counts.n
-    else:
-        counts = np.asarray(counts)
-        n = counts.sum(axis=-1)
-    log_fact = _log_factorials(int(np.max(n, initial=0)))
-    return log_fact[n] - _count_sum(counts, _lookup, log_fact)
-
-
-def _count_log_probs(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """c log p elementwise, 0 where the count is 0."""
+def class_tables(laws: np.ndarray, n: int) -> list[np.ndarray]:
+    """The count tables of the n-type classes under each law p of the
+    ``(k, d)`` array `laws`, for :func:`log_class_probs`: log c!, then c
+    log p_z for each law (-inf where a count falls on a zero of p)."""
+    laws = np.asarray(laws, dtype=float)
+    log_fact = np.broadcast_to(_log_factorials(n)[:, None], (n + 1, laws.shape[1]))
     with np.errstate(divide="ignore"):
-        return count_logs(counts, np.log(p))
+        return [count_table(log_fact), *(log_count_table(np.log(p), n) for p in laws)]
 
 
-def log_sequence_prob(counts, p: np.ndarray) -> np.ndarray:
-    """sum_z c_z log p_z, the log-probability under i.i.d. p of any one
-    sequence of each type, over the last axis of `counts` or over a band;
-    -inf where a count falls on a zero of p."""
-    return _count_sum(counts, _count_log_probs, p)
-
-
-def log_type_class_prob(counts, p: np.ndarray) -> np.ndarray:
-    """log Pr[type(X^n) = counts/n] for X i.i.d. p, over the last axis of
-    `counts` (non-negative integers) or over a band; -inf on impossible
-    types."""
-    return log_multinomial(counts) + log_sequence_prob(counts, p)
+def log_class_probs(tables: list[np.ndarray], types) -> list[np.ndarray]:
+    """Per law of the :func:`class_tables` `tables`, log Pr[type(X^n) = c/n]
+    for X i.i.d. p at each type c of `types` (a count array or a band of
+    types summing to n): log n! - sum_z log c_z! + sum_z c_z log p_z, -inf
+    on impossible types."""
+    log_fact, *log_probs = tables
+    log_coef = log_fact[0, -1] - table_sum(log_fact, types)
+    return [log_coef + table_sum(table, types) for table in log_probs]
 
 
 def log_prob_type_event(laws: np.ndarray, n: int,
@@ -319,19 +291,20 @@ def log_prob_type_event(laws: np.ndarray, n: int,
     """log Pr[type(X^n) satisfies predicate], X i.i.d. p, for each law p of
     the ``(k, d)`` array ``laws``, in one walk; -inf where impossible.
 
-    The predicate maps a band of types (:class:`Band`; ``np.asarray(band)``
-    is its ``(rows, d)`` array of types counts/n) to a boolean mask over its
-    types.
+    The predicate maps a band of types (:class:`Band`) to a boolean mask
+    over its types, as a table sum (:func:`table_sum`) over a count table
+    that its caller built once, or on the band's counts. The class tables
+    are built once per walk.
     """
-    rows = list(np.asarray(laws, dtype=float))  # kept: band tables are keyed by identity
-    check_enumerable(n, len(rows[0]))
-    parts = [[] for _ in rows]
-    for band in type_bands(n, len(rows[0])):
+    laws = np.asarray(laws, dtype=float)
+    check_enumerable(n, laws.shape[1])
+    tables = class_tables(laws, n)
+    parts = [[] for _ in laws]
+    for band in type_bands(n, laws.shape[1]):
         mask = predicate(band)
         types = band if mask.all() else band.subset(mask)
-        log_coef = log_multinomial(types)
-        for part, p in zip(parts, rows):
-            part.append(logsumexp(log_coef + log_sequence_prob(types, p)))
+        for part, lp in zip(parts, log_class_probs(tables, types)):
+            part.append(logsumexp(lp))
     return [min(logsumexp(part), 0.0) for part in parts]
 
 
@@ -502,6 +475,8 @@ class BoxComplement:
         exact share, each stratum draws its chain, and a stratum j before
         the last two letters splits its free letter by a plain multinomial
         draw."""
+        if not size:
+            return np.empty((0, self.dim), dtype=np.int64)
         if self.log_probs[law] == NEG_INF:
             raise ValueError("the complement has probability 0 under this law")
         shares = np.exp(np.array([s.log_probs[law] for s in self._strata]) - self.log_probs[law])

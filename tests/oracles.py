@@ -13,8 +13,11 @@ whole segment. The I-projection with both marginals fixed is iterative
 proportional fitting (IPF) on the full matrix with its Hall enumeration, an
 independent solver for the library's Newton solve at kappa = 1, and
 `coupling_objective` builds the partial minimum g on it for the grid
-oracle. `log_accept_probs_at_mu` is the exact engine's pass at one mu,
-which the engine's one pass for a whole mu grid replaced.
+oracle. `transmits` and `v_typical` are the encoder rule and the V test on
+counts / n by the float predicates `typical` and `PbarSet.triggers`, which
+the engines' count tables replaced; the oracles below decide with them.
+`log_accept_probs_at_mu` is the exact engine's pass at one mu, which the
+engine's one pass for a whole mu grid replaced.
 `log_prob_y_typical` is the walk of the Y type lattice, under several laws
 from one walk (`log_prob_type_events`), that gave scheme B's branch factors
 before the box chain `typesum.BoxChain`. `trial_chunk_branch` and
@@ -140,6 +143,21 @@ def pbar_objective(pi_z, g0, g1):
         return np.where(np.isfinite(d0) & np.isfinite(d1), d0 - 1.5 * d1, -math.inf)[()]
 
 
+def transmits(cfg, t_u, p_u, pbar):
+    """The encoder rule on a `(rows, |U|)` array of source types, by the
+    float predicates: scheme A transmits where the type is atypical, scheme
+    B where it crosses the divergence threshold (`PbarSet.triggers`)."""
+    if cfg.scheme == "A":
+        return ~typical(t_u, p_u.probs, cfg.mu)
+    return pbar.triggers(t_u, p_u)
+
+
+def v_typical(cfg, c_v, p_v, n):
+    """The V test on a `(rows, |V|)` array of V counts, by the float
+    predicate on counts / n: True where V^n is typical."""
+    return typical(c_v / n, p_v.probs, cfg.mu)
+
+
 def is_typical(t, ref, mu):
     if np.any((ref == 0.0) & (t > 0.0)):
         return False
@@ -258,41 +276,42 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
 def log_accept_probs_at_mu(cfg, p_uv, q_uv, dmc, n, pbar):
     """The exact engine's former pass at the one mu of `cfg`: (log Pr[decide
     0] under the null, under the alternative), one walk of the joint lattice
-    per mu, on the library's blocks, predicates and branch factors at that
-    mu alone."""
+    per mu, on the library's blocks and branch factors at that mu alone,
+    deciding by the float predicates on counts / n (`transmits`,
+    `v_typical`), not by the engine's count tables."""
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     cells = p_u.alphabet.size * p_v.alphabet.size
     typesum.check_enumerable(n, cells, "joint source type enumeration")
     [(log_silent, log_active)] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
+    tables = typesum.class_tables([joint.probs.ravel() for joint in (p_uv, q_uv)], n)
     logs = ([], [])
     for counts in typesum.type_blocks(n, cells):
         mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
-        active = sim._transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
-        accept = sim._v_typical(cfg, mat.sum(axis=1), p_v, n)
+        active = transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
+        accept = v_typical(cfg, mat.sum(axis=1), p_v, n)
         factor = np.where(active[accept], log_active, log_silent)
-        for out, joint in zip(logs, (p_uv, q_uv)):
-            lp = typesum.log_type_class_prob(counts, joint.probs.ravel())
+        for out, lp in zip(logs, typesum.log_class_probs(tables, counts)):
             out.append(typesum.logsumexp(lp[accept] + factor))
     return min(typesum.logsumexp(logs[0]), 0.0), min(typesum.logsumexp(logs[1]), 0.0)
 
 
 def log_prob_type_events(laws, n, predicates):
     """log Pr[type(X^n) satisfies predicate] for each of `laws` (pmfs over
-    one alphabet) and each of `predicates` (on bands), indexed
-    [law][predicate], from one walk of the band lattice: a band's masks and
-    the log multinomial coefficients of the types some predicate holds for
-    are computed once and serve every law."""
+    one alphabet) and each of `predicates` (on a band's `(rows, d)` array
+    of types counts/n), indexed [law][predicate], from one walk of the band
+    lattice: a band's masks and the log class probabilities of the types
+    some predicate holds for are computed once and serve every law."""
     dim = laws[0].alphabet.size
     typesum.check_enumerable(n, dim)
+    tables = typesum.class_tables([p.probs for p in laws], n)
     parts = [[[] for _ in predicates] for _ in laws]
     for band in typesum.type_bands(n, dim):
-        masks = [predicate(band) for predicate in predicates]
+        t = band.counts() / n
+        masks = [predicate(t) for predicate in predicates]
         held = np.logical_or.reduce(masks)
         types = band if held.all() else band.subset(held)
         picks = [mask[held] for mask in masks]
-        log_coef = typesum.log_multinomial(types)
-        for law_parts, p in zip(parts, laws):
-            lp = log_coef + typesum.log_sequence_prob(types, p.probs)
+        for law_parts, lp in zip(parts, typesum.log_class_probs(tables, types)):
             for part, pick in zip(law_parts, picks):
                 part.append(typesum.logsumexp(lp[pick]))
     return [[min(typesum.logsumexp(part), 0.0) for part in law_parts] for law_parts in parts]
@@ -369,14 +388,14 @@ def trial_chunk_branch(cfg, law, p_u, p_v, dmc, n, pbar, m, key):
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
         else:
             c_u = rng_first.multinomial(n, law_first, size=size)
-        active = sim._transmits(cfg, c_u / n, p_u, pbar)
+        active = transmits(cfg, c_u / n, p_u, pbar)
         if cfg.scheme == "B":
             c_y = rng_branch.multinomial(n, y_rows[active.astype(np.intp)])
             live = typical(c_y / n, zero_row.probs, cfg.mu)
         else:
             live = ~active & (rng_branch.binomial(k, p_star0, size=len(c_u)) > 0)
         c_v = c_v[live] if v_first else rng_second.multinomial(c_u[live], cond).sum(axis=1)
-        accepted += int(np.count_nonzero(sim._v_typical(cfg, c_v, p_v, n)))
+        accepted += int(np.count_nonzero(v_typical(cfg, c_v, p_v, n)))
         active_total += int(np.count_nonzero(active))
     return accepted, active_total, pruned
 
@@ -416,14 +435,14 @@ def trial_chunk_weighted(cfg, law, p_u, p_v, n, pbar, branch, m, key):
             c_v = typical_letters_pruned(rng_first, law_first, p_v.probs, cfg.mu, n, size)
             pruned += size - len(c_v)
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
-            active = live_active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            active = live_active = transmits(cfg, c_u / n, p_u, pbar)
         else:
             c_u = rng_first.multinomial(n, law_first, size=size)
-            active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            active = transmits(cfg, c_u / n, p_u, pbar)
             live = branch[active.astype(np.intp)]
             live_active = active[live]
             c_v = rng_second.multinomial(c_u[live], cond).sum(axis=1)
-        accepted = sim._v_typical(cfg, c_v, p_v, n)
+        accepted = v_typical(cfg, c_v, p_v, n)
         hits = int(np.count_nonzero(accepted & live_active))
         typical_active += hits
         typical_silent += int(np.count_nonzero(accepted)) - hits
@@ -478,13 +497,13 @@ def trial_chunk_every_trial(cfg, law, p_u, p_v, n, pbar, drawn, m, key):
         if v_first:
             c_v = typical_letters_pruned(rng_first, law_first, p_v.probs, cfg.mu, n, size)
             c_u = rng_second.multinomial(c_v, cond).sum(axis=1)
-            active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            active = transmits(cfg, c_u / n, p_u, pbar)
             c_v = c_v[active == drawn]
         else:
             c_u = rng_first.multinomial(n, law_first, size=size)
-            active = sim._transmits(cfg, c_u / n, p_u, pbar)
+            active = transmits(cfg, c_u / n, p_u, pbar)
             c_v = rng_second.multinomial(c_u[active == drawn], cond).sum(axis=1)
-        hits += int(np.count_nonzero(sim._v_typical(cfg, c_v, p_v, n)))
+        hits += int(np.count_nonzero(v_typical(cfg, c_v, p_v, n)))
         active_total += int(np.count_nonzero(active))
     return hits, active_total
 
@@ -510,7 +529,8 @@ def run_trials_every_trial(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None,
             marginals, n, sim._mu_box(p_u.probs, n, cfg.mu)).log_probs]
     elif typesum.num_types(n, p_u.alphabet.size) <= min(trials, typesum.MAX_TYPES):
         p_active = [math.exp(typesum.log_prob_type_event(
-            law.row_marginal().probs[None], n, lambda t: sim._transmits(cfg, t, p_u, pbar))[0])
+            law.row_marginal().probs[None], n,
+            lambda band: transmits(cfg, band.counts() / n, p_u, pbar))[0])
             for law in laws]
     else:
         p_active = [math.nan] * 2

@@ -1,12 +1,15 @@
-"""The band walk of the type lattice against the row path it replaced, bit
-for bit.
+"""The band walk of the type lattice and its count tables against the row
+path they replaced, bit for bit.
 
-A band reduces one table per letter over its types; the row path evaluates
-the same kernels on the materialized ``(rows, d)`` count array and sums the
-letters with numpy's ``sum(axis=-1)``, which adds up to seven letters left
-to right, as the bands do. Every sum compared here is equal to the last bit.
+``typesum.table_sum`` reduces one count table over the types of a band or
+of a ``(rows, d)`` count array; the row path evaluates the same kernels on
+the materialized count array and sums the letters with numpy's
+``sum(axis=-1)``, which adds up to seven letters left to right, as
+``table_sum`` does. Every sum compared here is equal to the last bit, and
+every decision read from a table equals the float predicate on counts / n.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -18,13 +21,15 @@ import covertdht.simulation as sim
 import covertdht.typesum as typesum
 import oracles
 from covertdht import Dmc
-from covertdht.probability import Alphabet, Pmf, kl_rows, typical, typical_letters
+from covertdht.probability import Alphabet, JointPmf, Pmf, kl_rows, typical, typical_letters
 from covertdht.typesum import (
-    count_logs,
-    log_multinomial,
-    log_sequence_prob,
-    log_type_class_prob,
+    class_tables,
+    count_table,
+    kl_table,
+    log_class_probs,
+    log_count_table,
     num_types,
+    table_sum,
     type_bands,
 )
 
@@ -49,6 +54,20 @@ def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _frequencies(band, n, dtype=float):
+    """The band's ``(len, d)`` array of types counts/n, one table sum per
+    letter: the table that holds c/n on letter z and 0 elsewhere."""
+    d = band.dim
+    column = (np.arange(n + 1) / n).astype(dtype)[:, None]
+    return np.column_stack([table_sum(count_table(np.where(np.arange(d) == z, column, 0)), band)
+                            for z in range(d)])
+
+
+def _in_mu_box(types, ref, n, mu):
+    """The mu-box test of the library on counts, a count array or a band."""
+    return sim._in_box(sim._mu_box(ref, n, mu))(types)
 
 
 def _law(rng, d):
@@ -82,26 +101,31 @@ def test_letter_sums_equal_row_sums(monkeypatch, block_rows, n, d):
                                       counts[:, lead:])
         np.testing.assert_array_equal(rest[row], j + last)
         t = counts / n
-        _same_bits(np.asarray(band), t)
+        _same_bits(_frequencies(band, n), t)
         log_fact = typesum._log_factorials(n)
-        _same_bits(log_multinomial(band), log_fact[n] - log_fact[counts].sum(axis=-1))
+        log_fact_table, log_p = class_tables(p[None], n)
+        _same_bits(log_fact[n] - table_sum(log_fact_table, band),
+                   log_fact[n] - log_fact[counts].sum(axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            _same_bits(log_sequence_prob(band, p),
+            _same_bits(table_sum(log_p, band),
                        np.where(counts == 0, 0.0, counts * np.log(p)).sum(axis=-1))
-            _same_bits(band.count_sum(count_logs, log_ratio),
+            _same_bits(table_sum(log_count_table(log_ratio, n), band),
                        np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1))
         # numpy's sum starts from +0.0, so letters of -0.0 alone sum to +0.0
         negative_zeros = np.full(d, -0.0)
-        _same_bits(band.count_sum(count_logs, negative_zeros),
+        _same_bits(table_sum(log_count_table(negative_zeros, n), band),
                    np.where(counts > 0, counts * negative_zeros, 0.0).sum(axis=-1))
-        _same_bits(log_type_class_prob(band, q), oracles.log_type_class_prob_rows(counts, q))
-        _same_bits(kl_rows(band, q), oracles.kl_rows_rows(t, q))
-        _same_bits(kl_rows(band, p), oracles.kl_rows_rows(t, p))
+        [log_class_q] = log_class_probs(class_tables(q[None], n), band)
+        _same_bits(log_class_q, oracles.log_type_class_prob_rows(counts, q))
+        divergence_q = np.maximum(table_sum(kl_table(q, n), band), 0.0)
+        _same_bits(divergence_q, oracles.kl_rows_rows(t, q))
+        _same_bits(np.maximum(table_sum(kl_table(p, n), band), 0.0), oracles.kl_rows_rows(t, p))
         for radius in (mu, 0.3):
-            _same_bits(typical(band, ref, radius), typical_letters(t, ref, radius).all(axis=-1))
+            _same_bits(_in_mu_box(band, ref, n, radius),
+                       typical_letters(t, ref, radius).all(axis=-1))
         # the row path of the library on the materialized types
-        _same_bits(log_type_class_prob(band, q), log_type_class_prob(counts, q))
-        _same_bits(kl_rows(band, q), kl_rows(t, q))
+        _same_bits(log_class_q, log_class_probs(class_tables(q[None], n), counts)[0])
+        _same_bits(divergence_q, kl_rows(t, q))
     np.testing.assert_array_equal(np.concatenate(seen), np.array(list(oracles.iter_types(n, d))))
 
 
@@ -109,8 +133,11 @@ def test_band_stands_for_its_type_array():
     band = next(type_bands(6, 3))
     t = band.counts() / 6
     assert len(band) == len(t) == 28
-    np.testing.assert_array_equal(np.asarray(band)[:, 0], t[:, 0])
-    np.testing.assert_array_equal(np.asarray(band, dtype=np.float32), t.astype(np.float32))
+    np.testing.assert_array_equal(_frequencies(band, 6)[:, 0], t[:, 0])
+    # a table's dtype is its sum's
+    frequencies = _frequencies(band, 6, np.float32)
+    assert frequencies.dtype == np.float32
+    np.testing.assert_array_equal(frequencies, t.astype(np.float32))
 
 
 def test_letter_sums_add_left_to_right():
@@ -125,9 +152,65 @@ def test_letter_sums_add_left_to_right():
         with np.errstate(divide="ignore", invalid="ignore"):
             want = want + np.where(t_z > 0, t_z * np.log(t_z / q[z]), 0.0)
     want = np.maximum(want, 0.0)
-    _same_bits(kl_rows(band, q), want)
+    divergence = np.maximum(table_sum(kl_table(q, 3), band), 0.0)
+    _same_bits(divergence, want)
+    _same_bits(np.maximum(table_sum(kl_table(q, 3), band.counts()), 0.0), want)
     _same_bits(kl_rows(band.counts() / 3, q), want)
-    np.testing.assert_allclose(kl_rows(band, q), terms, rtol=1e-15, atol=1e-16)
+    np.testing.assert_allclose(divergence, terms, rtol=1e-15, atol=1e-16)
+
+
+# decisions read from count tables against the float predicates on counts / n
+
+
+def _edge_radius(rng, ref, counts, n):
+    """A positive radius that some type of ``counts`` meets exactly on a
+    letter of positive probability, |c/n - ref_z| as the float predicate
+    computes it: a type on the mu-box edge (1/n where every type sits at
+    ref)."""
+    dist = np.abs(counts / n - ref)[:, ref > 0]
+    dist = dist[dist > 0]
+    return rng.choice(dist) if dist.size else 1.0 / n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_table_decisions_equal_the_float_predicates(monkeypatch, d, n):
+    # seeded laws with a letter of probability 0 (d >= 2); mu on the box
+    # edge, at 1/n and elsewhere; tau at some type's divergence (a tie),
+    # at 0 and elsewhere; on the whole lattice as count arrays, as bands
+    # of at most 7 types, and on sampled counts
+    monkeypatch.setattr(typesum, "BLOCK_ROWS", 7)
+    rng = np.random.default_rng([33, d, n])
+    counts = np.concatenate([*typesum.type_blocks(n, d),
+                             rng.multinomial(n, rng.dirichlet(np.ones(d)), size=200)])
+    bands = list(type_bands(n, d))
+    alphabet = Alphabet(tuple(range(d)))
+    for _ in range(3):
+        p = _law(rng, d) if d > 1 else np.ones(1)
+        p_u = Pmf(alphabet, p)
+        edge = _edge_radius(rng, p, counts, n)
+        for mu in (edge, 1.0 / n, rng.uniform(0.01, 0.5)):
+            in_box = sim._in_box(sim._mu_box(p, n, mu))
+            cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
+            transmits = sim._encoder(cfg, p_u, n, None)
+            want = typical(counts / n, p, mu)
+            _same_bits(in_box(counts), want)
+            _same_bits(transmits(counts), ~want)
+            for band in bands:
+                want = typical(band.counts() / n, p, mu)
+                _same_bits(in_box(band), want)
+                _same_bits(transmits(band), ~want)
+        # some type meets the edge radius exactly, unless d = 1
+        assert (np.abs(counts / n - p) == edge).any() or d == 1
+        tie = kl_rows(counts[rng.integers(len(counts))] / n, p)
+        cfg = sim.SchemeConfig(scheme="B", mu=0.1, x1="1")
+        for tau in (tie, 0.0, rng.uniform(0.0, 1.0)):
+            pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
+            transmits = sim._encoder(cfg, p_u, n, pbar)
+            _same_bits(transmits(counts), pbar.triggers(counts / n, p_u))
+            for band in bands:
+                _same_bits(transmits(band), pbar.triggers(band.counts() / n, p_u))
+        assert (kl_rows(counts / n, p) == tie).any()
 
 
 # moved sums: delta_n, the Y factors and the warden triple, against the
@@ -236,3 +319,56 @@ def test_mix_term_branches_equal_row_path():
         _same_bits(cov._mix_term(t), oracles.mix_term_rows(t))
         _same_bits(cov._mix_term(t[3:6]), oracles.mix_term_rows(t[3:6]))  # all near 0
         _same_bits(cov._mix_term(t[4]), oracles.mix_term_rows(t[4]))  # a 0-d input
+
+
+def test_tables_are_built_once_per_walk(monkeypatch):
+    # every walk spans at least 4 bands, and each count table is built once
+    # per walk, each mu-box once per n and mu: scheme B's delta_n builds its
+    # divergence table and its class tables (log c!, c log p); the warden's
+    # walk its likelihood-ratio, class and divergence tables; the exact
+    # engine at two mu builds the joint walk's class tables (two laws) and
+    # encoder table, delta_n's as above, and the V and Y boxes at each mu
+    monkeypatch.setattr(typesum, "BLOCK_ROWS", 2)
+    builds, walks = collections.Counter(), []
+    real_table, real_box, real_bands = typesum.count_table, sim._mu_box, typesum.type_bands
+
+    def count_table(values):
+        builds["table"] += 1
+        return real_table(values)
+
+    def mu_box(ref, n, mu):
+        builds[(tuple(ref), n, mu)] += 1
+        return real_box(ref, n, mu)
+
+    def type_bands(n, dim):
+        walks.append(0)
+        for band in real_bands(n, dim):
+            walks[-1] += 1
+            yield band
+
+    monkeypatch.setattr(typesum, "count_table", count_table)
+    monkeypatch.setattr(sim, "_mu_box", mu_box)
+    for module in (typesum, sim, cov):
+        monkeypatch.setattr(module, "type_bands", type_bands)
+
+    def check(want_walks, want_builds):
+        assert len(walks) == want_walks and min(walks) >= 4, walks
+        assert builds == collections.Counter(want_builds)
+        walks.clear()
+        builds.clear()
+
+    p_u = P_US[1]
+    pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
+    cfg = sim.SchemeConfig(scheme="B", x1="1")
+    sim.transmit_probability(cfg, p_u, 12, pbar)
+    check(1, {"table": 3})
+    cov.warden_divergence(*WARDEN_PAIRS[2], 0.3, 12)
+    check(1, {"table": 4})
+    p_uv = JointPmf(AB, AB, np.array([[0.4, 0.1], [0.2, 0.3]]))
+    q_uv = JointPmf(AB, AB, np.array([[0.1, 0.3], [0.4, 0.2]]))
+    p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
+    pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
+    y_zero = tuple(Y_DMC.y_row("0").probs)
+    sim.exact_error_probs(cfg, [0.1, 0.2], p_uv, q_uv, Y_DMC, 8, pbar)
+    check(2, {"table": 7, (tuple(p_v.probs), 8, 0.1): 1, (tuple(p_v.probs), 8, 0.2): 1,
+              (y_zero, 8, 0.1): 1, (y_zero, 8, 0.2): 1})

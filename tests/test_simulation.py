@@ -91,18 +91,18 @@ class TestSchemeConfig:
 
 
 class TestEncoders:
-    """The encoder rule ``_transmits`` on the U counts of one block over n."""
+    """The encoder rule ``_encoder`` on the U counts of one block."""
 
     def test_scheme_a_silent_when_typical(self, example_p_u):
         cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
         # U counts (80, 20) match P_U = (0.8, 0.2); (60, 40) is 0.2 off
-        active = sim._transmits(cfg, np.array([[80, 20], [60, 40]]) / 100, example_p_u, None)
+        active = sim._encoder(cfg, example_p_u, 100, None)(np.array([[80, 20], [60, 40]]))
         assert active.tolist() == [False, True]
 
     def test_scheme_b_codeword_when_threshold_crossed(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.05, x1="1")
-        active = sim._transmits(cfg, np.array([[32, 8], [16, 24]]) / 40, example_p_u, pbar)
+        active = sim._encoder(cfg, example_p_u, 40, pbar)(np.array([[32, 8], [16, 24]]))
         assert active.tolist() == [False, True]
 
     def test_scheme_a_decision_scans_burst_only(self, example_sources, partial_dmc):
@@ -121,7 +121,7 @@ class TestEncoders:
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_transmit_probability_is_the_kernel_rule(self, scheme):
         # delta_n, summed over the U types alone, is the mass of the joint
-        # types whose U counts _transmits marks active on the whole lattice
+        # types whose U counts the encoder rule marks active on the whole lattice
         p_uv, _ = _source_pair(3, 2, seed=32)
         p_u = p_uv.row_marginal()
         pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
@@ -130,10 +130,11 @@ class TestEncoders:
         deltas = []
         for n in (1, 5, 11):
             parts = []
+            transmits = sim._encoder(cfg, p_u, n, pbar)
+            tables = typesum.class_tables(p_uv.probs.ravel()[None], n)
             for counts in typesum.type_blocks(n, 6):
-                c_u = counts.reshape(len(counts), 3, 2).sum(axis=2)
-                active = sim._transmits(cfg, c_u / n, p_u, pbar)
-                lp = typesum.log_type_class_prob(counts[active], p_uv.probs.ravel())
+                active = transmits(counts.reshape(len(counts), 3, 2).sum(axis=2))
+                [lp] = typesum.log_class_probs(tables, counts[active])
                 parts.append(typesum.logsumexp(lp))
             want = math.exp(typesum.logsumexp(parts))
             got = sim.transmit_probability(cfg, p_u, n, pbar)
@@ -252,7 +253,7 @@ def _typical_exact(counts, probs, mu):
 
 
 class TestDecideSchemeB:
-    """``_transmits`` and ``_v_typical`` on the marginal counts of every
+    """The encoder rule and the V test on the marginal counts of every
     joint count vector of a 3x3 source at n = 4, against exact rational
     typicality."""
 
@@ -279,8 +280,8 @@ class TestDecideSchemeB:
             (sim.SchemeConfig(scheme="B", mu=mu, x1="1"), want_b),
             (sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1"), want_a),
         ):
-            active = sim._transmits(cfg, cu / n, p_u, pbar)
-            accept_v = sim._v_typical(cfg, cv, p_v, n)
+            active = sim._encoder(cfg, p_u, n, pbar)(cu)
+            accept_v = sim._in_box(sim._mu_box(p_v.probs, n, mu))(cv)
             assert active.tolist() == want_active
             assert accept_v.tolist() == want_v
             assert set(want_active) == {True, False}
@@ -746,28 +747,21 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
         real = sim._trial_chunk
 
-        def fail_under_h1(cfg, law, *args):
+        def fail_under_h1(law, *args):
             if law is Q_UV:
                 raise DegenerateInput("worker failure")
-            return real(cfg, law, *args)
+            return real(law, *args)
 
         monkeypatch.setattr(sim, "_trial_chunk", fail_under_h1)
         with pytest.raises(DegenerateInput, match="worker failure"):
             sim.run_trials(cfg, P_UV, Q_UV, dmc, 30, 1_000, seed=11, pbar=pbar)
 
-    def test_only_the_drawn_decision_draws_v(self, example_dmc, partial_dmc, monkeypatch):
+    def test_only_the_drawn_decision_draws_v(self, example_dmc, partial_dmc):
         # scheme A's null draws its trials inside the decision d it counts,
         # whichever d is, so every trial takes d and draws V; scheme B's
         # draws every trial, and only those of decision d draw V. The count
         # of V-typical trials is taken among those that draw V
         rows = []
-        real_v_typical = sim._v_typical
-
-        def v_typical(cfg, counts, p_v, n):
-            rows.append(len(counts))
-            return real_v_typical(cfg, counts, p_v, n)
-
-        monkeypatch.setattr(sim, "_v_typical", v_typical)
         p_u, p_v = P_UV.row_marginal(), P_UV.col_marginal()
         events = TestSchemeAEvents._events(
             [P_UV], p_u, 30, self._case("A", example_dmc, partial_dmc)[0].mu)
@@ -777,8 +771,14 @@ class TestMonteCarlo:
                 ("silent", "active")[drawn], events[drawn], 0)
             assert not sim._v_first(cfg, P_UV, p_v) and not event.v_first
             rows.clear()
-            hits, active = sim._trial_chunk(cfg, P_UV, p_u, p_v, 30, pbar, drawn, event, 20_000,
-                                            (11, 0, 0))
+            real_v_typical = sim._in_box(sim._mu_box(p_v.probs, 30, cfg.mu))
+
+            def v_typical(counts):
+                rows.append(len(counts))
+                return real_v_typical(counts)
+
+            hits, active = sim._trial_chunk(P_UV, 30, sim._encoder(cfg, p_u, 30, pbar), v_typical,
+                                            drawn, event, 20_000, (11, 0, 0))
             if scheme == "A":
                 assert active == (20_000 if drawn else 0) and rows == [20_000]
             else:
@@ -796,9 +796,10 @@ class TestMonteCarlo:
         want = []
         for law in (P_UV, Q_UV):
             active = math.exp(typesum.log_prob_type_event(
-                law.row_marginal().probs[None], n, lambda t: sim._transmits(cfg, t, p_u, pbar))[0])
+                law.row_marginal().probs[None], n, sim._encoder(cfg, p_u, n, pbar))[0])
             v_typical = math.exp(typesum.log_prob_type_event(
-                law.col_marginal().probs[None], n, lambda t: typical(t, p_v.probs, cfg.mu))[0])
+                law.col_marginal().probs[None], n,
+                lambda band: typical(band.counts() / n, p_v.probs, cfg.mu))[0])
             if fallback or v_typical < 2 * min(active, 1 - active):
                 want.append(f_active > f_silent)
             else:
@@ -816,7 +817,7 @@ class TestMonteCarlo:
             p_active = [math.exp(lp) for lp in
                         TestSchemeAEvents._events(laws, p_u, n, cfg.mu)[1].log_probs]
         else:
-            p_active = sim._scheme_b_active(cfg, laws, p_u, n, pbar, trials)
+            p_active = sim._scheme_b_active(sim._encoder(cfg, p_u, n, pbar), laws, n, trials)
         return sim._drawn_decisions(p_active, log_t, log_f)
 
     def test_drawn_decision_holds_at_most_half_the_v_typical_trials(
@@ -855,7 +856,7 @@ class TestMonteCarlo:
         p_v = P_UV.col_marginal()
         p_typical = [math.exp(lp) for lp in typesum.log_prob_type_event(
             np.stack([law.col_marginal().probs for law in (P_UV, Q_UV)]), 30,
-            lambda t: typical(t, p_v.probs, 0.2))]
+            lambda band: typical(band.counts() / 30, p_v.probs, 0.2))]
         number = r"(-?[\d.e+-]+)"
 
         def check(message, events):
@@ -931,41 +932,39 @@ class TestMarginalPairLaw:
     @staticmethod
     def _exact_pairs(law, n):
         pmf = {}
+        tables = typesum.class_tables(law.probs.ravel()[None], n)
         for counts in typesum.type_blocks(n, law.probs.size):
             mat = counts.reshape(len(counts), *law.probs.shape)
-            probs = np.exp(typesum.log_type_class_prob(counts, law.probs.ravel()))
+            probs = np.exp(typesum.log_class_probs(tables, counts)[0])
             for c_u, c_v, prob in zip(mat.sum(axis=2), mat.sum(axis=1), probs):
                 key = (*c_u, *c_v)
                 pmf[key] = pmf.get(key, 0.0) + prob
         return pmf
 
-    def _sampled_pairs(self, law, n, monkeypatch, v_first=False, mu=1.0, p_v=None):
+    def _sampled_pairs(self, law, n, v_first=False, mu=1.0, p_v=None):
         """The pair frequencies of the trials that reach the V test, drawn
         U first (every trial) or inside the V box, and their number. Every
         encoder is silent and silent is the drawn decision, so every trial
-        draws V and reaches the V test; the two predicates record the
+        draws V and reaches the V test; the two decisions record the
         engine's counts."""
         c_u, c_v = [], []
-        real_v_typical = sim._v_typical
+        p_v = law.col_marginal() if p_v is None else p_v
+        real_v_typical = sim._in_box(sim._mu_box(p_v.probs, n, mu))
 
-        def silent(cfg, t_u, p_u, pbar):
-            c_u.append(np.rint(t_u * n).astype(int))
-            return np.zeros(len(t_u), dtype=bool)
+        def silent(counts):
+            c_u.append(counts)
+            return np.zeros(len(counts), dtype=bool)
 
-        def v_typical(cfg, counts, p_v, n):
+        def v_typical(counts):
             c_v.append(counts)
-            return real_v_typical(cfg, counts, p_v, n)
+            return real_v_typical(counts)
 
-        monkeypatch.setattr(sim, "_transmits", silent)
-        monkeypatch.setattr(sim, "_v_typical", v_typical)
-        cfg = sim.SchemeConfig(scheme="B", mu=mu, x1="1")
-        p_u, p_v = law.row_marginal(), law.col_marginal() if p_v is None else p_v
         if v_first:
             box = typesum.BoxChain(law.probs.sum(axis=0)[None], n, sim._mu_box(p_v.probs, n, mu))
             event = sim._Event("V box", box, 0, True)
         else:
             event = sim._Event("all", None, 0)
-        sim._trial_chunk(cfg, law, p_u, p_v, n, None, False, event, self.M, (0, 0, 0))
+        sim._trial_chunk(law, n, silent, v_typical, False, event, self.M, (0, 0, 0))
         pairs = np.concatenate([np.concatenate(c_u), np.concatenate(c_v)], axis=1)
         keys, freq = np.unique(pairs, axis=0, return_counts=True)
         total = len(pairs)
@@ -981,28 +980,28 @@ class TestMarginalPairLaw:
         assert tv <= tol
 
     @LAWS
-    def test_pair_frequencies_match_the_exact_law(self, probs, monkeypatch):
+    def test_pair_frequencies_match_the_exact_law(self, probs):
         n = 5
         law = self._law(probs)
-        sampled, trials = self._sampled_pairs(law, n, monkeypatch)
+        sampled, trials = self._sampled_pairs(law, n)
         assert trials == self.M
         self._assert_close(sampled, self._exact_pairs(law, n), trials)
 
     @LAWS
-    def test_v_first_pair_frequencies_match_the_exact_law(self, probs, monkeypatch):
+    def test_v_first_pair_frequencies_match_the_exact_law(self, probs):
         # at mu = 1 the V box holds every V type
         n = 5
         law = self._law(probs)
-        sampled, trials = self._sampled_pairs(law, n, monkeypatch, v_first=True)
+        sampled, trials = self._sampled_pairs(law, n, v_first=True)
         assert trials == self.M
         self._assert_close(sampled, self._exact_pairs(law, n), trials)
 
-    def test_v_box_pairs_match_the_law_given_typical_v(self, monkeypatch):
+    def test_v_box_pairs_match_the_law_given_typical_v(self):
         # LAW3 draws V first by the engine's own rule; at n = 5 the typical V
         # counts are (1, 2, 2) and (0, 3, 2)
         n, mu, law, p_v = 5, 0.17, LAW3, P3_V
         assert sim._v_first(sim.SchemeConfig(scheme="B", mu=mu, x1="1"), law, p_v)
-        sampled, trials = self._sampled_pairs(law, n, monkeypatch, v_first=True, mu=mu, p_v=p_v)
+        sampled, trials = self._sampled_pairs(law, n, v_first=True, mu=mu, p_v=p_v)
         exact = {key: prob for key, prob in self._exact_pairs(law, n).items()
                  if typical(np.array(key[2:]) / n, p_v.probs, mu)}
         p_typical = sum(exact.values())
@@ -1089,17 +1088,19 @@ class TestConditionalMonteCarlo:
         p_active = ([math.exp(lp) for lp in
                      TestSchemeAEvents._events(laws, p_u, n, cfg.mu)[1].log_probs]
                     if cfg.scheme == "A" else
-                    sim._scheme_b_active(cfg, laws, p_u, n, pbar, cls.TRIALS))
+                    sim._scheme_b_active(sim._encoder(cfg, p_u, n, pbar), laws, n, cls.TRIALS))
         drawn = sim._drawn_decisions(p_active, log_t, log_f)
         du, dv = p_uv.probs.shape
         out = []
         for law, d in zip(laws, drawn):
             q, fires = np.zeros(2), 0.0
+            transmits, v_typical = sim._encoder(cfg, p_u, n, pbar), sim._in_box(box)
+            tables = typesum.class_tables(law.probs.ravel()[None], n)
             for counts in typesum.type_blocks(n, du * dv):
                 cells = counts.reshape(len(counts), du, dv)
-                active = sim._transmits(cfg, cells.sum(axis=2) / n, p_u, pbar)
-                accepted = sim._v_typical(cfg, cells.sum(axis=1), p_v, n)
-                prob = np.exp(typesum.log_type_class_prob(counts, law.probs.ravel()))
+                active = transmits(cells.sum(axis=2))
+                accepted = v_typical(cells.sum(axis=1))
+                prob = np.exp(typesum.log_class_probs(tables, counts)[0])
                 q += [prob[accepted & ~active].sum(), prob[accepted & active].sum()]
                 fires += prob[active].sum()
             if sim._v_first(cfg, law, p_v):

@@ -14,7 +14,6 @@ from covertdht.probability import Alphabet, Pmf, kl_rows, typical, typical_lette
 from covertdht.typesum import (
     check_enumerable,
     log_prob_type_event,
-    log_type_class_prob,
     num_types,
     type_blocks,
 )
@@ -48,15 +47,20 @@ def test_lattice_reproduces_recursive_order(monkeypatch, block_rows):
         np.testing.assert_array_equal(np.concatenate(blocks), want)
 
 
+def log_type_class_prob(counts, p, n):
+    """log Pr[type(X^n) = counts/n] for X i.i.d. p, from the class tables."""
+    return typesum.log_class_probs(typesum.class_tables(p[None], n), counts)[0]
+
+
 def test_type_class_probs_sum_to_one():
     p = np.array([0.2, 0.3, 0.5])
-    assert logsumexp(log_type_class_prob(_lattice(9, 3), p)) == pytest.approx(0.0, abs=1e-12)
+    assert logsumexp(log_type_class_prob(_lattice(9, 3), p, 9)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_type_class_probs_match_loop():
     for p in (np.array([0.3, 0.7]), np.array([0.2, 0.0, 0.8]), np.array([0.1, 0.2, 0.3, 0.4])):
         counts = _lattice(8, len(p))
-        got = log_type_class_prob(counts, p)
+        got = log_type_class_prob(counts, p, 8)
         want = np.array([oracles.log_type_class_prob(c, p) for c in counts])
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
         finite = np.isfinite(want)
@@ -109,8 +113,8 @@ def test_log_factorials_match_gammaln():
 
 def test_impossible_type_has_zero_prob():
     p = np.array([1.0, 0.0])
-    assert log_type_class_prob(np.array([3, 1]), p) == -math.inf
-    assert log_type_class_prob(np.array([4, 0]), p) == 0.0
+    assert log_type_class_prob(np.array([3, 1]), p, 4) == -math.inf
+    assert log_type_class_prob(np.array([4, 0]), p, 4) == 0.0
 
 
 @pytest.mark.parametrize("alphabet, probs", [
@@ -130,7 +134,7 @@ def test_events_match_loop(monkeypatch, alphabet, probs):
             (lambda t: typical(t, ref, 0.2), lambda t: oracles.is_typical(t, ref, 0.2)),
             (lambda t: kl_rows(t, p.probs) >= tau, lambda t: oracles.kl(t, p.probs) >= tau),
         ):
-            [got] = log_prob_type_event(p.probs[None], n, batch)
+            [got] = log_prob_type_event(p.probs[None], n, _on_frequencies(batch, n))
             want = oracles.log_prob_type_event(p.probs, n, single)
             if want == -math.inf:
                 assert got == -math.inf
@@ -138,9 +142,16 @@ def test_events_match_loop(monkeypatch, alphabet, probs):
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
+def _on_frequencies(predicate, n):
+    """A predicate on a ``(rows, d)`` array of types counts/n as one on a
+    band of n-types."""
+    return lambda band: predicate(band.counts() / n)
+
+
 def prob_type_event(p, n, predicate):
-    """Pr[type(X^n) satisfies predicate], X i.i.d. p."""
-    return math.exp(log_prob_type_event(p.probs[None], n, predicate)[0])
+    """Pr[type(X^n) satisfies predicate], X i.i.d. p, for a predicate on
+    types counts/n."""
+    return math.exp(log_prob_type_event(p.probs[None], n, _on_frequencies(predicate, n))[0])
 
 
 def test_prob_typical_against_sequence_enumeration():
@@ -192,8 +203,9 @@ def test_several_laws_in_one_walk_match_one_law_at_a_time(monkeypatch, dim):
     laws[2] /= laws[2].sum()
     ref = rng.dirichlet(np.ones(dim))
     for n in (1, 9, 25):
-        for predicate in (lambda t: typical(t, ref, 0.15), lambda t: kl_rows(t, ref) >= 0.05,
-                          lambda t: np.zeros(len(t), dtype=bool)):
+        for on_types in (lambda t: typical(t, ref, 0.15), lambda t: kl_rows(t, ref) >= 0.05,
+                         lambda t: np.zeros(len(t), dtype=bool)):
+            predicate = _on_frequencies(on_types, n)
             got = log_prob_type_event(laws, n, predicate)
             want = [log_prob_type_event(law.copy()[None], n, predicate)[0] for law in laws]
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -456,3 +468,19 @@ class TestBoxComplement:
         assert complement.log_probs == [-math.inf] * 2
         with pytest.raises(ValueError, match="probability 0"):
             complement.sample(1, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_draws_on_an_impossible_event(self, dim):
+        # full boxes leave the complement probability 0, and empty boxes the
+        # box itself: both classes return an empty (0, d) array for size 0,
+        # read nothing from the generator, and still refuse a positive size
+        laws = np.full((1, dim), 1.0 / dim)
+        full, empty = np.ones((dim, 6), dtype=bool), np.zeros((dim, 6), dtype=bool)
+        for event in (typesum.BoxComplement(laws, 5, full), typesum.BoxChain(laws, 5, empty)):
+            assert event.log_probs == [-math.inf]
+            rng = np.random.default_rng(0)
+            draws = event.sample(0, 0, rng)
+            assert draws.shape == (0, dim) and draws.dtype == np.int64
+            assert rng.random() == np.random.default_rng(0).random()
+            with pytest.raises(ValueError, match="probability 0"):
+                event.sample(0, 1, rng)
