@@ -73,7 +73,7 @@ from .probability import (
     kl_divergence_vec,
     kl_rows,
 )
-from .typesum import type_blocks
+from .typesum import type_bands
 
 _INF = math.inf
 # denominator of the type lattice whose boundary points aim the rays of the
@@ -426,7 +426,7 @@ def _sphere_min(g, p_u: np.ndarray, tau: float):
     searched for again on the sphere inside that smaller face.
     """
     face = p_u > 0.0
-    lattice = np.concatenate(list(type_blocks(_RAY_LATTICE, int(face.sum()))))
+    lattice = np.concatenate([band.counts() for band in type_bands(_RAY_LATTICE, int(face.sum()))])
     ends = np.zeros((len(lattice), len(p_u)))
     ends[:, face] = lattice / _RAY_LATTICE
     crossings = (_retract(p_u, b, tau)[0] for b in ends[(lattice == 0).any(axis=1)])

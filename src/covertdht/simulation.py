@@ -1,69 +1,53 @@
 """Exact error probabilities and Monte-Carlo estimation for the two covert
 testing schemes.
 
-Scheme A (sublinear burst): the sensor checks whether its source block is
-strongly typical; if so it stays silent (all zeros), otherwise it sends the
-designated non-zero symbol over the first k(n) channel uses and zeros after.
-The decision center declares the null hypothesis iff the marker output
-appears among the first k(n) outputs and its own observations are typical.
-The marker scan is restricted to the burst window: the zero-input tail emits
-the marker with positive probability, so scanning the whole block would
-saturate the Type-II error.
+Scheme A (sublinear burst): the sensor stays silent (all zeros) while its
+source block is strongly typical, and otherwise sends the designated non-zero
+symbol over the first k(n) channel uses, zeros after. The decision center
+declares the null hypothesis iff the marker output appears among the first
+k(n) outputs and its own observations are typical. The scan stops at the
+burst window: the zero-input tail emits the marker with positive
+probability, so scanning the whole block would saturate the Type-II error.
 
-Scheme B (full block): the sensor transmits the constant codeword iff its
-observed source type crosses the divergence threshold, else all zeros. The
-decision center declares the null hypothesis iff its observations and the
-channel outputs are both strongly typical (outputs tested against the
-zero-input row).
+Scheme B (full block): the sensor sends the constant codeword iff its source
+type crosses the divergence threshold, else all zeros. The center declares
+the null iff its observations and the channel outputs (tested against the
+zero-input row) are both strongly typical.
 
-Both encoders depend on the block only through the type of U^n and both
+Both encoders read the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
-types alone and never on symbol sequences. Both engines decide on integer
-counts, by count tables built once per walk or cell: the encoder rule is
-written once, in ``_encoder`` (scheme B's table, ``typesum.kl_table``, holds
-the terms of ``PbarSet.triggers``), and so is the V test, ``_in_box`` on
-the mu-box of P_V (``_mu_box``: ``probability.typical_letters`` on c/n).
-The center accepts the null when its V test passes and the branch passes, the
-part of the test that reads the channel output. Given the encoder's
-decision the branch passes with a probability f, the branch factor, and one
-function gives f to both engines (``_log_branch_factors``): scheme A's in
-closed form, scheme B's from the box chain ``typesum.BoxChain``, with no Y
-lattice. ``transmit_probability`` gives delta_n: scheme A's from the
-complement of its mu-box, ``typesum.BoxComplement``, scheme B's over the
-bands of the U lattice. Both engines, ``exact_error_probs`` and
-``run_trials``, return the cell's ``SimulationResult`` record (``log_beta``
-included, exact also where beta underflows), built by one helper that also
-derives the weight statistics from the firing probability (delta_n, or its
-sampled frequency).
+types, never on sequences, and decides on integer counts by count tables
+built once per walk or cell: the encoder rule in ``_encoder`` (scheme B's
+table, ``typesum.kl_table``, holds the terms of ``PbarSet.triggers``), the V
+test in ``_in_box`` on the mu-box of P_V (``_mu_box``). The center accepts
+when its V test and the branch, the part that reads the channel output,
+pass; given the encoder's decision the branch passes with the probability
+f, which ``_log_branch_factors`` gives both engines: scheme A's in closed
+form, scheme B's from the box chain ``typesum.BoxChain``, with no Y lattice.
+``transmit_probability`` gives delta_n with no lattice cap: scheme A's from
+the complement of its mu-box (``typesum.BoxComplement``), scheme B's by rows
+of the U lattice, two binomial tails each
+(``typesum.log_prob_divergence_at_least``). Both engines return the cell's
+``SimulationResult`` (``log_beta`` exact also where beta underflows), built
+by one helper that derives the weight statistics from the firing
+probability (delta_n, or its sampled frequency).
 
-The exact engine works on a whole mu grid at one n, a validated copy
-``cfg.replace(mu=mu)`` of the scheme per mu. It walks the bands of joint
-types once: a band row fixes T_U, so the encoder rule decides each row
-once, the V test reads each type's V counts, and each band's class
-log-probabilities under each law are computed once and decided at each mu.
-Each mu's sums are the same floating-point operations, in the same order
-and over the same band partition, as a pass at that mu alone on
-materialized blocks.
+The exact engine, ``exact_error_probs``, serves a whole mu grid at one n
+from one walk of the bands of joint types: a band row fixes T_U, so the
+encoder rule decides each row once, the V test reads each type's V counts,
+and each band's class log-probabilities under each law are decided at each
+mu; the null's, where the encoder fires, sum to delta_n. Each mu's sums are
+the floating-point operations, order and band partition of a pass at that mu
+alone on materialized blocks.
 
 The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it never
-draws the branch, and weights the V-typical trials of each decision by f.
-Per law it counts the trials of one encoder decision d
-(``_drawn_decisions``: the rare one where that cannot make the estimate
-noisier) and takes the other decision's share from the exact Pr[T_V
-typical] of the box chain, a control variate whose coefficient is known
-exactly. It is also stratified: each law draws its first marginal only
-inside an event E whose probability the box chain gives exactly and that
-holds wherever a trial can count, and scales the fraction it counts by
-Pr[E]. A law whose V marginal is atypical for P_V draws T_V inside the V
-test's box (``typesum.BoxChain``), then T_U given T_V. Every other law
-takes one path (``_trial_chunk``): it draws T_U, decides, and draws T_V
-given T_U for the trials of decision d alone. Scheme A's, the null among
-them, draw T_U inside decision d, the U box (``BoxChain``) or its
-complement (``typesum.BoxComplement``), so every trial takes d; scheme B's
-draw every trial by a plain multinomial, as its threshold is no box.
-Chunks of trials run on threads, one per core the process may run on
-(numpy's samplers release the interpreter lock), and return integer counts,
-so seeded results do not depend on the core count.
+draws the branch, weights the V-typical trials of each decision by f, counts
+per law the trials of one decision d (``_drawn_decisions``) with the exact
+Pr[T_V typical] as a control variate, and draws each law's first marginal
+inside an event of exact probability, a stratum (``_trial_chunk``). Chunks
+of trials run on threads, one per usable core (numpy's samplers release the
+interpreter lock), and return integer counts, so seeded results do not
+depend on the core count.
 """
 
 from __future__ import annotations
@@ -81,7 +65,6 @@ from .errors import ConfigMismatch, DegenerateInput
 from .exponents import PbarSet
 from .probability import LN2, Frozen, JointPmf, Pmf, typical, typical_letters
 from .typesum import (
-    MAX_TYPES,
     BoxChain,
     BoxComplement,
     NEG_INF,
@@ -89,7 +72,7 @@ from .typesum import (
     class_tables,
     kl_table,
     log_class_probs,
-    log_prob_type_event,
+    log_prob_divergence_at_least,
     logsumexp,
     num_types,
     table_sum,
@@ -188,34 +171,40 @@ def _in_box(box: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda counts: table_sum(out, counts) == 0.0
 
 
-def _encoder(cfg: SchemeConfig, p_u: Pmf, n: int,
-             pbar: PbarSet | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The encoder rule at blocklength n on U counts (a ``(rows, |U|)``
-    count array or a band): True where the sensor transmits. Scheme A
-    transmits when T_U leaves its mu-box; scheme B when D(T_U || P_U), the
-    ``table_sum`` of ``typesum.kl_table`` clamped at 0, reaches the
-    threshold, as ``PbarSet.triggers`` decides on counts / n."""
-    if cfg.scheme == "A":
-        typical_u = _in_box(_mu_box(p_u.probs, n, cfg.mu))
-        return lambda c_u: ~typical_u(c_u)
+def _threshold(pbar: PbarSet | None) -> float:
+    """Scheme B's threshold tau in nats."""
     if pbar is None:
         raise ConfigMismatch("scheme B needs the threshold set")
-    divergence = kl_table(p_u.probs, n)
-    return lambda c_u: np.maximum(table_sum(divergence, c_u), 0.0) >= pbar.tau_nats
+    return pbar.tau_nats
+
+
+def _encoder(cfg: SchemeConfig, p_u: Pmf, n: int,
+             pbar: PbarSet | None) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray | None]:
+    """The encoder rule at blocklength n on U counts (a ``(rows, |U|)``
+    count array or a band), True where the sensor transmits, and scheme A's
+    mu-box of P_U (None for scheme B), built once for whoever needs both.
+    Scheme A transmits when T_U leaves its mu-box; scheme B when D(T_U ||
+    P_U), the ``table_sum`` of ``typesum.kl_table`` clamped at 0, reaches
+    the threshold, as ``PbarSet.triggers`` decides on counts / n."""
+    if cfg.scheme == "A":
+        box = _mu_box(p_u.probs, n, cfg.mu)
+        typical_u = _in_box(box)
+        return (lambda c_u: ~typical_u(c_u)), box
+    tau, divergence = _threshold(pbar), kl_table(p_u.probs, n)
+    return (lambda c_u: np.maximum(table_sum(divergence, c_u), 0.0) >= tau), None
 
 
 def transmit_probability(
     cfg: SchemeConfig, p_u: Pmf, n: int, pbar: PbarSet | None = None
 ) -> float:
     """delta_n, the exact probability that the encoder fires under the null,
-    summed where it fires (not as 1 - Pr[silent], which rounds to zero once
-    delta_n drops below machine epsilon). Scheme A's T_U leaves its mu-box:
-    the box's complement (``typesum.BoxComplement``), no lattice, no cap.
-    Scheme B's threshold is no box: its sum runs over the transmitting
-    types, a band of the U lattice at a time."""
+    summed where it fires (1 - Pr[silent] rounds to zero once delta_n drops
+    below machine epsilon), with no cap: scheme A's box complement
+    (``typesum.BoxComplement``), scheme B's rows of binomial tails
+    (``typesum.log_prob_divergence_at_least``)."""
     p = p_u.probs[None]
     if cfg.scheme == "B":
-        return math.exp(log_prob_type_event(p, n, _encoder(cfg, p_u, n, pbar))[0])
+        return math.exp(log_prob_divergence_at_least(p, p_u.probs, n, _threshold(pbar))[0])
     return math.exp(BoxComplement(p, n, _mu_box(p_u.probs, n, cfg.mu)).log_probs[0])
 
 
@@ -244,21 +233,15 @@ def _log_accept_probs(
     dmc: Dmc,
     n: int,
     pbar: PbarSet | None,
-) -> list[tuple[float, float]]:
-    """log Pr[decide 0] under the null and under the alternative, for each
-    config of ``cfgs`` (one scheme at several mu), in one walk of the bands
-    of joint source types.
-
-    Its count tables are built once per walk: both laws' class tables,
-    each mu's V test and the encoder rule (per mu for scheme A alone). A
-    band row, which fixes the first |U||V| - 2 cells, fixes T_U where |V|
-    >= 2 (its last two cells share the last U letter), so each rule decides
-    each row once; the V test reads each type's V counts. With |V| = 1 the
-    joint type is T_U. Class log-probabilities serve every mu, and decisions
-    and branch factors both laws. Every test reads integer counts, so
-    enumerated and sampled counts meet the closed typicality boundary at
-    the same place.
-    """
+) -> list[tuple[float, float, float]]:
+    """log Pr[decide 0] under the null and under the alternative, and log
+    delta_n, the null's mass where the encoder fires, for each config of
+    ``cfgs`` (one scheme at several mu), in one walk of the bands of joint
+    source types, with count tables built once per walk (the encoder's per
+    mu for scheme A alone). A band row fixes the first |U||V| - 2 cells, and
+    so T_U where |V| >= 2 (the last two cells share the last U letter), or
+    is T_U where |V| = 1: each rule decides each row once, and the V test
+    reads each type's V counts, integer counts as Monte Carlo's are."""
     cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     du, dv = p_u.alphabet.size, p_v.alphabet.size
@@ -266,9 +249,10 @@ def _log_accept_probs(
     factors = _log_branch_factors(cfg, dmc, n, [c.mu for c in cfgs])
     v_tests = [_in_box(_mu_box(p_v.probs, n, c.mu)) for c in cfgs]
     # scheme B's rule reads no mu: its one decision per row serves every mu
-    encoders = [_encoder(c, p_u, n, pbar) for c in (cfgs if cfg.scheme == "A" else cfgs[:1])]
+    encoders = [_encoder(c, p_u, n, pbar)[0] for c in (cfgs if cfg.scheme == "A" else cfgs[:1])]
     tables = class_tables([joint.probs.ravel() for joint in (p_uv, q_uv)], n)
-    logs = [([], []) for _ in cfgs]
+    logs = [([], [], []) for _ in cfgs]  # accepted under each law, fired under the null
+    reps = len(cfgs) // len(encoders)
     for band in type_bands(n, du * dv):
         lps = log_class_probs(tables, band)
         if dv == 1:  # the joint type is T_U, and T_V = (n)
@@ -280,13 +264,16 @@ def _log_accept_probs(
             c_u, c_v = cells.sum(axis=2), cells.sum(axis=1)  # c_v: the head cells' V counts
             c_u[:, -1] += rest
             c_v = np.column_stack((c_v[row, :-2], c_v[row, -2] + j, c_v[row, -1] + last))
-        actives = [transmits(c_u)[row] for transmits in encoders] * (len(cfgs) // len(encoders))
-        for active, v_test, (log_silent, log_active), out in zip(actives, v_tests, factors, logs):
+        actives = [transmits(c_u)[row] for transmits in encoders]
+        fires = [logsumexp(lps[0][active]) for active in actives] * reps
+        for active, fire, v_test, (log_silent, log_active), (*out, fired) in zip(
+                actives * reps, fires, v_tests, factors, logs):
             accept = v_test(c_v)
             factor = np.where(active[accept], log_active, log_silent)
             for part, lp in zip(out, lps):
                 part.append(logsumexp(lp[accept] + factor))
-    return [(min(logsumexp(h0), 0.0), min(logsumexp(h1), 0.0)) for h0, h1 in logs]
+            fired.append(fire)
+    return [tuple(min(logsumexp(part), 0.0) for part in out) for out in logs]
 
 
 def exact_error_probs(
@@ -302,29 +289,19 @@ def exact_error_probs(
     the weight statistics of delta_n: the record of the cell of ``cfg`` at
     each mu of ``mus``, in that order (``cfg.mu`` itself is not read).
 
-    One walk of the joint-type lattice serves the whole mu grid
-    (``_log_accept_probs``). Scheme B's delta_n does not depend on mu and is
-    summed once; scheme A's encoder reads mu, so its delta_n is summed at
-    each mu. Raises AlphabetTooLarge where the joint lattice exceeds the cap.
+    One walk of the joint-type lattice serves the whole mu grid and gives
+    delta_n too, where the encoder fires (``_log_accept_probs``). Raises
+    AlphabetTooLarge where the joint lattice exceeds the cap.
     """
     if not mus:
         raise ValueError("the mu grid is empty")
     cfg.validate_against(dmc)
     cfgs = [cfg.replace(mu=mu) for mu in mus]
-    log_accepts = _log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar)
-    p_u = p_uv.row_marginal()
-    if cfg.scheme == "B":
-        deltas = [transmit_probability(cfg, p_u, n, pbar)] * len(cfgs)
-    else:
-        deltas = [transmit_probability(c, p_u, n, pbar) for c in cfgs]
-    results = []
-    for c, delta, (log_acc_h0, log_acc_h1) in zip(cfgs, deltas, log_accepts):
-        alpha = -math.expm1(log_acc_h0) if log_acc_h0 > NEG_INF else 1.0
-        beta = math.exp(log_acc_h1) if log_acc_h1 > NEG_INF else 0.0
-        # -expm1(0.0) is -0.0, and max keeps its first argument on a tie
-        results.append(_result(c, n, delta, alpha=max(0.0, alpha), beta=beta,
-                               log_beta=log_acc_h1, method="exact"))
-    return results
+    # -expm1(0.0) is -0.0, and max keeps its first argument on a tie
+    return [_result(c, n, math.exp(log_delta), alpha=max(0.0, -math.expm1(log_h0)),
+                    beta=math.exp(log_h1), log_beta=log_h1, method="exact")
+            for c, (log_h0, log_h1, log_delta) in zip(
+                cfgs, _log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar))]
 
 
 class SimulationResult(NamedTuple):
@@ -416,8 +393,7 @@ def _drawn_decisions(
     that holds wherever 1{d, T_V typical} does (``run_trials``) only lowers
     this variance, so the rule holds there too. Scheme A's Pr_law[active]
     comes from its U box's complement (``typesum.BoxComplement``), scheme B's
-    from the U lattice or NaN (``_scheme_b_active``); a NaN compares False
-    and draws the larger factor."""
+    by rows or NaN (``_scheme_b_active``), which draws the larger factor."""
     larger = log_f[1] > log_f[0]
     drawn = []
     for p, lt in zip(p_active, log_v_typical):
@@ -443,15 +419,14 @@ class _Event(NamedTuple):
         return 0.0 if self.source is None else self.source.log_probs[self.law]
 
 
-def _scheme_b_active(transmits: Callable, laws: Sequence[JointPmf], n: int,
+def _scheme_b_active(marginals: np.ndarray, p_u: Pmf, n: int, tau: float,
                      trials: int) -> list[float]:
-    """Per law, scheme B's Pr[active] under the rule ``transmits``, summed
-    in one walk of the U lattice where that has no more types than the cell
-    has trials (nor than ``MAX_TYPES``), else NaN."""
-    marginals = np.stack([law.row_marginal().probs for law in laws])
-    if num_types(n, marginals.shape[1]) > min(trials, MAX_TYPES):
-        return [math.nan] * len(laws)
-    return [math.exp(lp) for lp in log_prob_type_event(marginals, n, transmits)]
+    """Scheme B's Pr[active], D(T_U || P_U) >= tau, under each U law of
+    ``marginals``, by rows (``typesum.log_prob_divergence_at_least``) where
+    the U lattice has no more rows than the cell has trials, else NaN."""
+    if num_types(n, max(marginals.shape[1] - 1, 1)) > trials:
+        return [math.nan] * len(marginals)
+    return [math.exp(lp) for lp in log_prob_divergence_at_least(marginals, p_u.probs, n, tau)]
 
 
 def _trial_chunk(
@@ -503,58 +478,44 @@ def run_trials(
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
-    Per-trial type counts are sampled directly and decided by the exact
-    engine's rules, on count tables built once per cell (``_trial_chunk``,
-    ``_encoder``, ``_in_box``). The branch is not
-    drawn: a V-typical trial is accepted with its decision's branch factor f
-    (``_log_branch_factors``, as in the exact engine). With d the decision
-    whose trials count (``_drawn_decisions``) and d' the other, a trial's
-    weight is f_d' 1{T_V typical} + (f_d - f_d') 1{decision d, T_V typical},
-    and Pr_law[T_V typical] is the box probability of Mult(n, law_V) on the
-    V test's boxes (a ``typesum.BoxChain`` for both laws). So the acceptance
-    probability is f_d' Pr_law[T_V typical] + (f_d - f_d') p, with p the
-    probability that a trial takes decision d and is V-typical.
+    Sampled type counts are decided by the exact engine's rules, on count
+    tables built once per cell (``_encoder``, ``_in_box``). The branch is
+    not drawn: with d the decision whose trials count (``_drawn_decisions``)
+    and d' the other, a trial weighs f_d' 1{T_V typical} + (f_d - f_d') 1{d,
+    T_V typical}, so the acceptance probability is f_d' Pr_law[T_V typical]
+    + (f_d - f_d') p, the first term exact (a ``typesum.BoxChain`` on the V
+    test's boxes) and p the probability that a trial takes d and is
+    V-typical.
 
     p is estimated by exact stratification: each law draws its first
-    marginal conditioned on an event E that holds wherever {d, T_V
-    typical} does and whose probability is exact. A law whose V marginal
-    is atypical for P_V (``_v_first``) draws inside the V box; scheme A's
-    U-first laws (the null among them) inside decision d, T_U in P_U's
-    mu-box or out of it (a ``BoxChain`` or its ``BoxComplement``); scheme
-    B's U-first laws, whose threshold is no box, draw every trial (E holds
-    always). A law
-    draws M = ceil(Pr[E] trials) trials, and p = Pr[E] hits / M, hits
-    counting the drawn trials that take d and are V-typical (p = 0 where
-    M = 0). Its variance, Pr[E]^2 q (1 - q) / M with q = Pr[d, T_V typical
-    | E], is at most Pr[E] q (1 - q) / trials, and so at most that of the
-    fraction of all ``trials`` that take d and are V-typical.
+    marginal inside an event E of exact probability that holds wherever {d,
+    T_V typical} does: the V box where its V marginal is atypical for P_V
+    (``_v_first``); else, for scheme A (the null among them), decision d
+    itself, T_U in P_U's mu-box or out of it (a ``BoxChain`` or its
+    ``BoxComplement``); for scheme B, whose threshold is no box, every
+    trial. It draws M = ceil(Pr[E] trials) trials and p = Pr[E] hits / M (0
+    where M = 0), whose variance Pr[E]^2 q (1 - q) / M, q = Pr[d, T_V
+    typical | E], is at most that of the fraction of all ``trials`` that
+    take d and are V-typical.
 
     beta is the estimate under the alternative and alpha one minus it under
-    the null, with 1 - f_d' Pr taken as -expm1(log f_d' + log Pr) so that a
-    small alpha keeps its digits. The exact term carries the box chain's
-    absolute error of about n log n times 1e-16, far below any half-width.
-    d is chosen so that the estimate is never noisier than that of the
-    engine that drew V for every trial, whose weights lie in [0, 1]; so
-    each half-width is the larger of Wilson's at the estimate over
-    ``trials``, conservative as for that engine (a weight in [0, 1] with
-    mean m has variance at most m (1 - m)), and |f_d - f_d'| times p's,
-    the image of p's Wilson interval over ``trials``. An estimate outside
-    [0, 1] is clamped to it; a beta clamped to 0 is reported as 0 (log
-    beta -inf) with its interval. A beta estimate of exactly 0 (no drawn
-    trial takes d and is V-typical, and f_d' Pr_Q[T_V typical] = 0) is
-    reported as the rule-of-three bound 3/trials, which stays a 95% bound
-    on p: with no hit among M draws, q <= 1 - 0.05^(1/M) <= 3/M, and
-    Pr[E] <= M / trials. Scheme A's weight statistics come from the null's
-    exact Pr[active], delta_n, scheme B's from the null's firing frequency
-    over all its trials.
+    the null, 1 - f_d' Pr taken as -expm1(log f_d' + log Pr) so that a small
+    alpha keeps its digits. As d never makes the estimate noisier than
+    drawing V for every trial, whose weights lie in [0, 1], each half-width
+    is the larger of Wilson's at the estimate over ``trials`` and |f_d -
+    f_d'| times p's. An estimate outside [0, 1] is clamped to it, a beta
+    clamped to 0 reported as 0 (log beta -inf) with its interval. A beta
+    estimate of exactly 0 (no hit, and f_d' Pr_Q[T_V typical] = 0) is
+    reported as the rule-of-three bound 3/trials, still a 95% bound on p:
+    with no hit among M draws, q <= 1 - 0.05^(1/M) <= 3/M, and Pr[E] <= M /
+    trials. Scheme A's weight statistics come from delta_n, scheme B's from
+    the null's firing frequency over all its trials.
 
-    Each law's M trials split into chunks of ``CHUNK_TRIALS``; chunk i
-    under hypothesis h draws its stage j from its own generator, seeded by
-    (seed, h, i, j). The chunks run concurrently on every core the process
-    may run on and return integer counts, so a seeded result is the same
-    bit for bit on any core count. The cell's DEBUG record names, per
-    hypothesis, the draw order, the decision d, the event E, log Pr[E] and
-    M.
+    Chunk i of ``CHUNK_TRIALS`` trials under hypothesis h draws its stage j
+    from a generator seeded by (seed, h, i, j); the chunks run on every core
+    the process may run on and return integer counts, so a seeded result is
+    the same bit for bit on any core count. The cell's DEBUG record names,
+    per hypothesis, the draw order, d, E, log Pr[E] and M.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -566,14 +527,13 @@ def run_trials(
     box = _mu_box(p_v.probs, n, cfg.mu)
     v_box = BoxChain(np.stack([law.probs.sum(axis=0) for law in laws]), n, box)
     log_v_typical, v_typical = v_box.log_probs, _in_box(box)
-    transmits = _encoder(cfg, p_u, n, pbar)
+    transmits, box = _encoder(cfg, p_u, n, pbar)
+    marginals = np.stack([law.probs.sum(axis=1) for law in laws])
     if cfg.scheme == "A":
-        marginals = np.stack([law.probs.sum(axis=1) for law in laws])
-        box = _mu_box(p_u.probs, n, cfg.mu)
         u_events = BoxChain(marginals, n, box), BoxComplement(marginals, n, box)  # silent, active
         p_active = [math.exp(lp) for lp in u_events[1].log_probs]
     else:
-        p_active = _scheme_b_active(transmits, laws, n, trials)
+        p_active = _scheme_b_active(marginals, p_u, n, pbar.tau_nats, trials)
     drawn = _drawn_decisions(p_active, log_v_typical, log_f)
     events = [_Event("V box", v_box, hyp, True) if _v_first(cfg, law, p_v)
               else _Event(("silent", "active")[d], u_events[d], hyp) if cfg.scheme == "A"

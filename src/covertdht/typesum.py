@@ -1,42 +1,30 @@
 """Method-of-types enumeration helpers.
 
-Exact probabilities of type-level events for i.i.d. sequences are computed by
-summing over all n-types (compositions of n) in the log domain. The number of
-n-types over an alphabet of size d is C(n+d-1, d-1); callers are expected to
-keep d small and are rejected beyond a hard cap rather than silently thrashing.
+Exact probabilities of type-level events for i.i.d. sequences are sums over
+n-types (compositions of n) in the log domain. There are C(n+d-1, d-1)
+n-types over d letters; a walk of the whole lattice is refused beyond a hard
+cap rather than left to thrash. :func:`type_bands` walks it in lexicographic
+order, a band of at most ``BLOCK_ROWS`` types at a time, so an exact sum's
+memory stays bounded; a :class:`Band` holds its types by rows, without their
+count array, and a quantity constant along a row is computed once per row.
 
-The lattice of n-types is one array layer, walked a band at a time by
-:func:`type_bands`, in lexicographic order, so the memory of an exact sum
-stays bounded however many types it visits: a band holds at most
-``BLOCK_ROWS`` types. Its rows are the enumerated counts of the first d - 2
-letters, and each row's last two letters run densely over c_{d-2} = j,
-c_{d-1} = rest - j. A :class:`Band` holds its types by rows, without
-their ``(types, d)`` count array.
+Every per-type quantity is a count-table sum (:func:`table_sum`): for a
+``(d, n + 1)`` table T, the sum of T[z, c_z] over the letters, left to right
+(``probability.letter_sum``'s order), over a ``(rows, d)`` count array or a
+band. The tables (log c! and c log p_z, :func:`class_tables`; the divergence
+terms, :func:`kl_table`; c log v_z, :func:`log_count_table`; a box's letters
+out of their box) are built once per walk or cell by the elementwise kernel
+of the row path (``probability.kl_rows``, ``typical`` on counts / n), so no
+logarithm is taken per type and every tie falls as on the row path.
 
-Every per-type quantity is a count-table sum: for a ``(d, n + 1)`` table T,
-the sum over the letters of T[z, c_z], added left to right
-(``probability.letter_sum``'s order). The tables are log c! and c log p_z
-for class probabilities (:func:`class_tables`), the divergence terms
-``kl_terms(c/n, q)`` (:func:`kl_table`), c log v_z for any v
-(:func:`log_count_table`), and a box's letters out of their box. Whoever
-owns a walk or a cell builds each table once, by the same elementwise
-kernel that the row path (``probability.kl_rows`` and ``typical`` on
-counts / n among it) applies to a ``(rows, d)`` array, so no logarithm is
-taken per type and every tie falls as on the row path. One function,
-:func:`table_sum`, sums a table over a ``(rows, d)`` count array or over a
-band, and is the only place that tells the two apart. A quantity constant
-along a band row is computed once per row and read at each type's row
-(:meth:`Band.rows`): the joint-type engine decides T_U that way.
-:func:`type_blocks` yields the bands as ``(rows, d)`` count arrays; no
-exact sum walks it, only the sphere search's ray lattice in ``exponents``
-and the tests' oracles.
-
-An event that is a box, each letter's count in a set of its own, needs no
-lattice and no cap: :class:`BoxChain` follows the multinomial's chain of
-binomials, for its probability (``log_probs``) and for draws conditioned on
-it (``sample``); :class:`BoxComplement` does the same for the box's
-complement, as a union of first-letter-out strata, one chain each. Other
-events are summed over the lattice (:func:`log_prob_type_event`).
+Two events need no lattice walk and no cap. A box, each letter's count in a
+set of its own, follows the multinomial's chain of binomials
+(:class:`BoxChain`), for its probability and for draws conditioned on it;
+:class:`BoxComplement` does the same for its complement, one chain per first
+letter out. The divergence event D(T || p) >= tau is summed by rows that
+leave two letters free (:func:`log_prob_divergence_at_least`): each row's
+silent counts are one interval, its tails binomial. Only the joint-type
+engine and the warden's divergence walk whole lattices.
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table, and :func:`logsumexp` splits off the maximum as
@@ -46,10 +34,9 @@ The log-domain primitives are numpy only: log-factorials come from a cached
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -65,6 +52,9 @@ MAX_TYPES = 5_000_000
 BLOCK_ROWS = 1 << 12
 
 NEG_INF = -math.inf
+
+#: A binomial tail's window stops where the rest is at most this share of it.
+TAIL_REST = math.exp(-40.0)
 
 
 def num_types(n: int, dim: int) -> int:
@@ -120,18 +110,11 @@ class Band:
         return np.column_stack((self._heads[self._row], self._j, self._last))
 
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The band by rows: ``(heads, rest, row, j, last)``. Row r fixes the
-        counts ``heads[r]`` of the first d - 2 letters and leaves ``rest[r]``
-        for the last two; type i lies in row ``row[i]``, with c_{d-2} =
-        ``j[i]`` and c_{d-1} = ``last[i]``. A quantity that depends on a type
-        only through its row is computed once per row and read at ``row``."""
+        """The band by rows: ``(heads, rest, row, j, last)``, type i in row
+        ``row[i]`` with c_{d-2} = ``j[i]`` and c_{d-1} = ``last[i]``; a
+        quantity that depends on a type only through its row is computed
+        once per row and read at ``row``."""
         return self._heads, self._rest, self._row, self._j, self._last
-
-    def subset(self, mask: np.ndarray) -> "Band":
-        """The band's types where `mask` holds, in order, as a band."""
-        sub = copy.copy(self)
-        sub._row, sub._j, sub._last = self._row[mask], self._j[mask], self._last[mask]
-        return sub
 
 
 def type_bands(n: int, dim: int) -> Iterator[Band]:
@@ -174,13 +157,6 @@ def type_bands(n: int, dim: int) -> Iterator[Band]:
             h, r = _extend(h, r)
         yield Band(dim, h, r, np.zeros_like(r), r if dim > 1 else np.zeros_like(r))
         start = stop
-
-
-def type_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
-    """The bands of :func:`type_bands`, materialized: ``(rows, dim)`` int64
-    count arrays of at most ``BLOCK_ROWS`` rows, first symbol slowest."""
-    for band in type_bands(n, dim):
-        yield band.counts()
 
 
 def logsumexp(a) -> float:
@@ -230,8 +206,7 @@ def table_sum(table: np.ndarray, types) -> np.ndarray:
     """Per type, sum_z T[z, c_z] over the letters, left to right
     (``probability.letter_sum``'s order), for a ``(d, n + 1)`` count table
     T; `types` is a ``(rows, d)`` count array, one ``(d,)`` type or a
-    :class:`Band`. Every per-type quantity of the exact sums and every
-    decision of the engines is one such sum.
+    :class:`Band`.
 
     The one place that tells a band from an array: a band adds its head
     letters once per row and reads that sum at each type's row, then adds
@@ -286,25 +261,89 @@ def log_class_probs(tables: list[np.ndarray], types) -> list[np.ndarray]:
     return [log_coef + table_sum(table, types) for table in log_probs]
 
 
-def log_prob_type_event(laws: np.ndarray, n: int,
-                        predicate: Callable[[Band], np.ndarray]) -> list[float]:
-    """log Pr[type(X^n) satisfies predicate], X i.i.d. p, for each law p of
-    the ``(k, d)`` array ``laws``, in one walk; -inf where impossible.
+def _log_binomial_walks(log_q: np.ndarray, law: np.ndarray, m: np.ndarray, start: np.ndarray,
+                        step: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Per walk, log sum_{t < length} Bin(start + step t; m, q), -inf where
+    length is 0, ``log_q[law]`` the count table of j log q and c log(1 - q).
+    A window of terms doubles until it holds the walk or the ratio r < 1 of
+    its last two terms bounds the rest, last r / (1 - r), by ``TAIL_REST``
+    of its sum: away from its mode a binomial's ratios only fall."""
+    log_fact, out = _log_factorials(log_q.shape[-1] - 1), np.full(len(m), NEG_INF)
+    todo, width = np.flatnonzero(length > 0), 32
+    while len(todo):
+        t, undone, per = np.arange(width), [], max(1, (BLOCK_ROWS << 4) // width)
+        for w in (todo[a : a + per] for a in range(0, len(todo), per)):
+            mw, lw = m[w, None], law[w, None]
+            j = start[w, None] + step[w, None] * np.minimum(t, length[w, None] - 1)
+            terms = (log_fact[mw] - log_fact[j] - log_fact[mw - j]
+                     + log_q[lw, 0, j] + log_q[lw, 1, mw - j])
+            inside = np.where(t < length[w, None], terms, NEG_INF)
+            top = inside.max(axis=1)  # finite: the first term is inside
+            out[w] = np.log(np.exp(inside - top[:, None]).sum(axis=1)) + top
+            r = np.exp(np.minimum(terms[:, -1] - terms[:, -2], 0.0))
+            done = r * (np.exp(terms[:, -1] - out[w]) + TAIL_REST) <= TAIL_REST
+            undone.append(w[(length[w] > width) & ~done])
+        todo, width = np.concatenate(undone), 2 * width
+    return out
 
-    The predicate maps a band of types (:class:`Band`) to a boolean mask
-    over its types, as a table sum (:func:`table_sum`) over a count table
-    that its caller built once, or on the band's counts. The class tables
-    are built once per walk.
+
+def log_prob_divergence_at_least(laws: np.ndarray, p: np.ndarray, n: int,
+                                 tau: float) -> list[float]:
+    """log Pr[D(type(X^n) || p) >= tau], X i.i.d. law, for each law of the
+    ``(k, d)`` array ``laws``, by rows of the lattice, with no cap and no 1 -
+    Pr; D is the table sum of ``kl_table(p, n)`` clamped at 0, the encoder's.
+
+    A row fixes all counts but those of the pair i, k, the last two letters
+    of positive p (a zero letter, then the positive one, where p has one),
+    and leaves them m: a type of the (n, d - 1) lattice, the pair merged last.
+    Along a row D is convex in c_i = j (Cover & Thomas, Thm 2.7.2) and least
+    at floor(m p_i / (p_i + p_k)) or the next j, so the silent set {D < tau}
+    is one interval; bisection finds its ends on head + T_i[j] + T_k[m - j],
+    ``letter_sum``'s order bit for bit, as the other letters after i have
+    zero p and add +0.0, or +inf at a positive count. Given the row c_i is
+    Bin(m, law_i / (law_i + law_k)), so a row transmits its class
+    probability times the binomial's tails walked outward from the interval
+    (:func:`_log_binomial_walks`), or all of it where no j is silent.
     """
-    laws = np.asarray(laws, dtype=float)
-    check_enumerable(n, laws.shape[1])
-    tables = class_tables(laws, n)
+    laws, p = np.asarray(laws, dtype=float), np.asarray(p, dtype=float)
+    if len(p) == 1:  # a zero letter first, so that a pair exists
+        laws, p = np.column_stack((np.zeros(len(laws)), laws)), np.concatenate(([0.0], p))
+    i, k = np.argsort(p > 0.0, kind="stable")[-2:]
+    others = [z for z in range(len(p)) if z not in (i, k)]
+    div = kl_table(p, n)
+    head_table = np.vstack((div[others], np.zeros((1, n + 1))))  # the merged pair adds +0.0
+    row_tables = class_tables(np.column_stack((laws[:, others], laws[:, i] + laws[:, k])), n)
+    q = laws[:, [i, k]] / np.maximum(laws[:, [i]] + laws[:, [k]], 5e-324)  # 0 where both are
+    with np.errstate(divide="ignore"):  # j log q and c log(1 - q) per law
+        log_q = np.stack([log_count_table(np.log(law_q), n) for law_q in q])
+    step, law = np.array([-1, 1])[:, None, None], np.arange(len(laws))[None, :, None]
     parts = [[] for _ in laws]
-    for band in type_bands(n, laws.shape[1]):
-        mask = predicate(band)
-        types = band if mask.all() else band.subset(mask)
-        for part, lp in zip(parts, log_class_probs(tables, types)):
-            part.append(logsumexp(lp))
+    for band in type_bands(n, len(p) - 1):
+        m, r = np.tile(band.rows()[4], 2), len(band)  # a copy of the rows per end
+        heads, upper = np.tile(table_sum(head_table, band), 2), np.arange(2 * r) >= r
+
+        def silent(j):
+            return np.maximum(heads + div[i][j] + div[k][m - j], 0.0) < tau
+
+        near = np.minimum((m * (p[i] / (p[i] + p[k]))).astype(np.int64) + upper, m)
+        hit = silent(near)
+        c, found = np.where(hit[:r], near[:r], near[r:]), hit[:r] | hit[r:]
+        # the first j of [a, b) where silent(j) != upper, else b
+        a, b = np.concatenate((0 * c, c + 1)), np.concatenate((c, m[:r] + 1))
+        for _ in range(int(m.max(initial=0) + 1).bit_length()):
+            mid = (a + b) >> 1
+            hit = silent(np.minimum(mid, m)) != upper
+            a, b = np.where(hit, a, np.minimum(mid + 1, b)), np.where(hit, mid, b)
+        # per end, law and row, the walk down from lo - 1 or up from hi + 1,
+        # in the binomial's support (one point where q is 0 or 1)
+        first, last = np.where(q[:, 1:] > 0.0, 0, m[:r]), np.where(q[:, :1] > 0.0, m[:r], 0)
+        start = np.stack((np.minimum(a[:r] - 1, last), np.maximum(a[r:], first)))
+        length = np.where(found, np.maximum(np.stack((start[0] - first, last - start[1])) + 1, 0), 0)
+        tails = _log_binomial_walks(log_q, *(np.broadcast_to(v, length.shape).ravel()
+                                             for v in (law, m[:r], start, step, length)))
+        for part, log_row, low, up in zip(parts, log_class_probs(row_tables, band),
+                                          *tails.reshape(length.shape)):
+            part.append(logsumexp(np.concatenate((log_row[~found], log_row + low, log_row + up))))
     return [min(logsumexp(part), 0.0) for part in parts]
 
 

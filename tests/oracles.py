@@ -20,7 +20,12 @@ the engines' count tables replaced; the oracles below decide with them.
 engine's one pass for a whole mu grid replaced.
 `log_prob_y_typical` is the walk of the Y type lattice, under several laws
 from one walk (`log_prob_type_events`), that gave scheme B's branch factors
-before the box chain `typesum.BoxChain`. `trial_chunk_branch` and
+before the box chain `typesum.BoxChain`. `log_prob_type_event` is the walk of
+the bands of the lattice for any event that gave scheme B's delta_n and
+Pr[active] before `typesum.log_prob_divergence_at_least` summed them by rows;
+`log_prob_type_event_loop` is the same sum one Python iteration per type.
+`type_blocks` materializes the bands of `typesum.type_bands` as count
+arrays. `trial_chunk_branch` and
 `run_trials_branch` are the Monte Carlo engine that drew the branch (scheme
 A's marker scan, scheme B's output counts) in a stage of its own, before
 the engine weighted its V-typical counts by the branch factors;
@@ -66,6 +71,13 @@ NEG_INF = -math.inf
 # and gives up after this many row-and-column sweeps
 IPF_TOL = 1e-10
 IPF_MAX_ITER = 100_000
+
+
+def type_blocks(n, dim):
+    """The bands of `typesum.type_bands`, materialized: `(rows, dim)` int64
+    count arrays of at most `typesum.BLOCK_ROWS` rows, first symbol slowest."""
+    for band in typesum.type_bands(n, dim):
+        yield band.counts()
 
 
 def iter_types(n, dim):
@@ -164,7 +176,7 @@ def is_typical(t, ref, mu):
     return bool(np.all(np.abs(t - ref) <= mu))
 
 
-def log_prob_type_event(probs, n, predicate):
+def log_prob_type_event_loop(probs, n, predicate):
     """log Pr[type(X^n) satisfies predicate]; predicate takes one type."""
     logs = []
     for counts in iter_types(n, len(probs)):
@@ -237,7 +249,7 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
     if cfg.scheme == "B":
         ref = dmc.y_row(dmc.zero_symbol).probs
         log_acc = {
-            which: log_prob_type_event(dmc.y_row(x).probs, n,
+            which: log_prob_type_event_loop(dmc.y_row(x).probs, n,
                                        lambda t: is_typical(t, ref, cfg.mu))
             for which, x in (("silent", dmc.zero_symbol), ("active", cfg.x1))
         }
@@ -275,24 +287,43 @@ def log_accept_prob(cfg, joint, p_u, p_v, dmc, n, tau=None):
 
 def log_accept_probs_at_mu(cfg, p_uv, q_uv, dmc, n, pbar):
     """The exact engine's former pass at the one mu of `cfg`: (log Pr[decide
-    0] under the null, under the alternative), one walk of the joint lattice
-    per mu, on the library's blocks and branch factors at that mu alone,
-    deciding by the float predicates on counts / n (`transmits`,
+    0] under the null, under the alternative, log delta_n), one walk of the
+    joint lattice per mu, on the library's blocks and branch factors at that
+    mu alone, deciding by the float predicates on counts / n (`transmits`,
     `v_typical`), not by the engine's count tables."""
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     cells = p_u.alphabet.size * p_v.alphabet.size
     typesum.check_enumerable(n, cells, "joint source type enumeration")
     [(log_silent, log_active)] = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])
     tables = typesum.class_tables([joint.probs.ravel() for joint in (p_uv, q_uv)], n)
-    logs = ([], [])
-    for counts in typesum.type_blocks(n, cells):
+    logs = ([], [], [])
+    for counts in type_blocks(n, cells):
         mat = counts.reshape(len(counts), p_u.alphabet.size, p_v.alphabet.size)
         active = transmits(cfg, mat.sum(axis=2) / n, p_u, pbar)
         accept = v_typical(cfg, mat.sum(axis=1), p_v, n)
         factor = np.where(active[accept], log_active, log_silent)
-        for out, lp in zip(logs, typesum.log_class_probs(tables, counts)):
+        lps = typesum.log_class_probs(tables, counts)
+        for out, lp in zip(logs, lps):
             out.append(typesum.logsumexp(lp[accept] + factor))
-    return min(typesum.logsumexp(logs[0]), 0.0), min(typesum.logsumexp(logs[1]), 0.0)
+        logs[2].append(typesum.logsumexp(lps[0][active]))
+    return tuple(min(typesum.logsumexp(out), 0.0) for out in logs)
+
+
+def log_prob_type_event(laws, n, predicate):
+    """log Pr[type(X^n) satisfies predicate], X i.i.d. p, for each law p of
+    the `(k, d)` array `laws`, in one walk of the bands of the n-type
+    lattice; -inf where impossible. The predicate maps a band
+    (`typesum.Band`) to a boolean mask over its types, on its counts or as
+    a table sum; the class tables are built once per walk."""
+    laws = np.asarray(laws, dtype=float)
+    typesum.check_enumerable(n, laws.shape[1])
+    tables = typesum.class_tables(laws, n)
+    parts = [[] for _ in laws]
+    for band in typesum.type_bands(n, laws.shape[1]):
+        counts = band.counts()[predicate(band)]
+        for part, lp in zip(parts, typesum.log_class_probs(tables, counts)):
+            part.append(typesum.logsumexp(lp))
+    return [min(typesum.logsumexp(part), 0.0) for part in parts]
 
 
 def log_prob_type_events(laws, n, predicates):
@@ -306,12 +337,11 @@ def log_prob_type_events(laws, n, predicates):
     tables = typesum.class_tables([p.probs for p in laws], n)
     parts = [[[] for _ in predicates] for _ in laws]
     for band in typesum.type_bands(n, dim):
-        t = band.counts() / n
-        masks = [predicate(t) for predicate in predicates]
+        counts = band.counts()
+        masks = [predicate(counts / n) for predicate in predicates]
         held = np.logical_or.reduce(masks)
-        types = band if held.all() else band.subset(held)
         picks = [mask[held] for mask in masks]
-        for law_parts, lp in zip(parts, typesum.log_class_probs(tables, types)):
+        for law_parts, lp in zip(parts, typesum.log_class_probs(tables, counts[held])):
             for part, pick in zip(law_parts, picks):
                 part.append(typesum.logsumexp(lp[pick]))
     return [[min(typesum.logsumexp(part), 0.0) for part in law_parts] for law_parts in parts]
@@ -528,7 +558,7 @@ def run_trials_every_trial(cfg, p_uv, q_uv, dmc, n, trials, seed, pbar=None,
         p_active = [-math.expm1(lp) for lp in typesum.BoxChain(
             marginals, n, sim._mu_box(p_u.probs, n, cfg.mu)).log_probs]
     elif typesum.num_types(n, p_u.alphabet.size) <= min(trials, typesum.MAX_TYPES):
-        p_active = [math.exp(typesum.log_prob_type_event(
+        p_active = [math.exp(log_prob_type_event(
             law.row_marginal().probs[None], n,
             lambda band: transmits(cfg, band.counts() / n, p_u, pbar))[0])
             for law in laws]
@@ -585,7 +615,7 @@ def log_prob_type_events_rows(p, n, predicates):
     d)` arrays of types counts/n, one walk of the materialized blocks."""
     typesum.check_enumerable(n, p.alphabet.size)
     parts = [[] for _ in predicates]
-    for counts in typesum.type_blocks(n, p.alphabet.size):
+    for counts in type_blocks(n, p.alphabet.size):
         t = counts / n
         masks = [predicate(t) for predicate in predicates]
         held = np.logical_or.reduce(masks)
@@ -676,7 +706,7 @@ def warden_divergence_rows(g0, g1, delta, n):
     log_ratio[mask] = np.log(g1.probs[mask]) - np.log(g0.probs[mask])
     log_delta = math.log(delta) if mixed else NEG_INF
     total, best = 0.0, NEG_INF
-    for counts in typesum.type_blocks(n, g0.alphabet.size):
+    for counts in type_blocks(n, g0.alphabet.size):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ell = np.where(counts > 0, counts * log_ratio, 0.0).sum(axis=-1)
             if mixed:

@@ -181,7 +181,7 @@ def test_table_decisions_equal_the_float_predicates(monkeypatch, d, n):
     # of at most 7 types, and on sampled counts
     monkeypatch.setattr(typesum, "BLOCK_ROWS", 7)
     rng = np.random.default_rng([33, d, n])
-    counts = np.concatenate([*typesum.type_blocks(n, d),
+    counts = np.concatenate([*oracles.type_blocks(n, d),
                              rng.multinomial(n, rng.dirichlet(np.ones(d)), size=200)])
     bands = list(type_bands(n, d))
     alphabet = Alphabet(tuple(range(d)))
@@ -192,7 +192,7 @@ def test_table_decisions_equal_the_float_predicates(monkeypatch, d, n):
         for mu in (edge, 1.0 / n, rng.uniform(0.01, 0.5)):
             in_box = sim._in_box(sim._mu_box(p, n, mu))
             cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
-            transmits = sim._encoder(cfg, p_u, n, None)
+            transmits = sim._encoder(cfg, p_u, n, None)[0]
             want = typical(counts / n, p, mu)
             _same_bits(in_box(counts), want)
             _same_bits(transmits(counts), ~want)
@@ -206,7 +206,7 @@ def test_table_decisions_equal_the_float_predicates(monkeypatch, d, n):
         cfg = sim.SchemeConfig(scheme="B", mu=0.1, x1="1")
         for tau in (tie, 0.0, rng.uniform(0.0, 1.0)):
             pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
-            transmits = sim._encoder(cfg, p_u, n, pbar)
+            transmits = sim._encoder(cfg, p_u, n, pbar)[0]
             _same_bits(transmits(counts), pbar.triggers(counts / n, p_u))
             for band in bands:
                 _same_bits(transmits(band), pbar.triggers(band.counts() / n, p_u))
@@ -237,8 +237,8 @@ def block_rows(request, monkeypatch):
 def test_transmit_probability_equals_row_path(block_rows, p_u):
     # mu = 0.125 puts a box edge on a type at n = 8 and 40 (|3/8 - 1/4|,
     # |15/40 - 1/4|), read in binary exactly; scheme A's delta_n is the box
-    # chain's sum over the first letter out, another algorithm, so it agrees
-    # to rounding, and scheme B's band walk to the last bit
+    # chain's sum over the first letter out, scheme B's a sum by rows of
+    # binomial tails: other algorithms, so they agree to rounding
     for n in (1, 7, 8, 40):
         for mu in (0.125, 0.05, 0.3):
             cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
@@ -247,8 +247,8 @@ def test_transmit_probability_equals_row_path(block_rows, p_u):
         for tau in (0.02, 0.3):
             pbar = expo.PbarSet(x1="1", tau_nats=tau, maximizer=p_u)
             cfg = sim.SchemeConfig(scheme="B", x1="1")
-            assert sim.transmit_probability(cfg, p_u, n, pbar) == \
-                oracles.transmit_probability_rows(cfg, p_u, n, pbar)
+            assert math.isclose(sim.transmit_probability(cfg, p_u, n, pbar),
+                                oracles.transmit_probability_rows(cfg, p_u, n, pbar), rel_tol=1e-12)
 
 
 Y_DMC = Dmc(
@@ -323,11 +323,15 @@ def test_mix_term_branches_equal_row_path():
 
 def test_tables_are_built_once_per_walk(monkeypatch):
     # every walk spans at least 4 bands, and each count table is built once
-    # per walk, each mu-box once per n and mu: scheme B's delta_n builds its
-    # divergence table and its class tables (log c!, c log p); the warden's
-    # walk its likelihood-ratio, class and divergence tables; the exact
-    # engine at two mu builds the joint walk's class tables (two laws) and
-    # encoder table, delta_n's as above, and the V and Y boxes at each mu
+    # per walk, each mu-box once per marginal, n and mu: scheme B's delta_n
+    # walks the rows of its lattice with its divergence table, the rows'
+    # class tables (log c!, c log p) and the binomial's (j log q); the
+    # warden's walk its likelihood-ratio, class and divergence tables; the
+    # exact engine at two mu builds the joint walk's class tables (two laws)
+    # and scheme B's encoder table, takes delta_n from that walk, and builds
+    # the V box at each mu, and the U box (scheme A) or the Y box (scheme B);
+    # Monte Carlo builds each box of its cell once, scheme A's U box for its
+    # encoder and its events alike
     monkeypatch.setattr(typesum, "BLOCK_ROWS", 2)
     builds, walks = collections.Counter(), []
     real_table, real_box, real_bands = typesum.count_table, sim._mu_box, typesum.type_bands
@@ -361,7 +365,7 @@ def test_tables_are_built_once_per_walk(monkeypatch):
     pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
     cfg = sim.SchemeConfig(scheme="B", x1="1")
     sim.transmit_probability(cfg, p_u, 12, pbar)
-    check(1, {"table": 3})
+    check(1, {"table": 4})
     cov.warden_divergence(*WARDEN_PAIRS[2], 0.3, 12)
     check(1, {"table": 4})
     p_uv = JointPmf(AB, AB, np.array([[0.4, 0.1], [0.2, 0.3]]))
@@ -370,5 +374,15 @@ def test_tables_are_built_once_per_walk(monkeypatch):
     pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
     y_zero = tuple(Y_DMC.y_row("0").probs)
     sim.exact_error_probs(cfg, [0.1, 0.2], p_uv, q_uv, Y_DMC, 8, pbar)
-    check(2, {"table": 7, (tuple(p_v.probs), 8, 0.1): 1, (tuple(p_v.probs), 8, 0.2): 1,
+    check(1, {"table": 4, (tuple(p_v.probs), 8, 0.1): 1, (tuple(p_v.probs), 8, 0.2): 1,
               (y_zero, 8, 0.1): 1, (y_zero, 8, 0.2): 1})
+    cfg_a = sim.SchemeConfig(scheme="A", x_hat="2", y_star="a")
+    sim.exact_error_probs(cfg_a, [0.1, 0.2], p_uv, q_uv, Y_DMC, 8, None)
+    check(1, {"table": 3, (tuple(p_u.probs), 8, 0.1): 1, (tuple(p_u.probs), 8, 0.2): 1,
+              (tuple(p_v.probs), 8, 0.1): 1, (tuple(p_v.probs), 8, 0.2): 1})
+    for c, boxes in ((cfg.replace(mu=0.1), (p_v.probs, y_zero)),
+                     (cfg_a.replace(mu=0.1), (p_v.probs, p_u.probs))):
+        sim.run_trials(c, p_uv, q_uv, Y_DMC, 8, 500, 0, pbar)
+        del builds["table"]
+        assert builds == collections.Counter({(tuple(ref), 8, 0.1): 1 for ref in boxes})
+        builds.clear()

@@ -605,15 +605,17 @@ class TestSimulateGolden:
 class TestVerifyCovertnessGolden:
     """`verify-covertness` prints the bytes stored under tests/golden/ on its
     stdout and stderr: the benchmark's |U| = |Z| = 3 sweep, the worked
-    example's default sweep, and scheme A on the benchmark's mc-sweep-a
-    sources, channel and scheme at n = 100, 200 and 400, where the U lattice
-    of |U| = 4 has more types than the enumeration cap and delta_n comes
-    from the box chain alone."""
+    example's default sweep, and the benchmark's mc-sweep-a sources at n =
+    100, 200 and 400, where the U lattice of |U| = 4 has more types than the
+    enumeration cap: under scheme A with mc-sweep-a's channel and scheme,
+    delta_n from the box chain, and under scheme B with covert-sweep-b's
+    (wide-b), delta_n by rows of binomial tails."""
 
     CONFIGS = {
         "covert-sweep-b": REPO / "perfbench" / "workloads" / "covert-sweep-b.json",
         "example": GOLDEN / "verify-covertness-example.json",
         "mc-a": GOLDEN / "verify-covertness-mc-a.json",
+        "wide-b": GOLDEN / "verify-covertness-wide-b.json",
     }
 
     @pytest.mark.parametrize("name", CONFIGS)
@@ -665,14 +667,13 @@ class TestVerifyCovertness:
 
     def test_refused_n_states_only_the_refusal(self, tmp_path, capsys):
         # the covertness sweep has no Monte Carlo path, so the cap's error
-        # gives no advice about one; scheme B's delta_n sums the U lattice,
-        # which mc-sweep-a's |U| = 4 takes past the cap at n = 400 (scheme
-        # A's box chain has no cap: the golden sweep mc-a runs there)
-        data = json.loads((REPO / "perfbench" / "workloads" / "mc-sweep-a.json").read_text())
-        data["scheme"] = {"scheme": "B", "x1": "1", "mu": 0.06}
-        assert main(["verify-covertness", write_config(tmp_path, data), "--n", "400"]) == 1
+        # gives no advice about one; delta_n has no cap (the golden sweeps
+        # mc-a and wide-b run past the U lattice's), but the warden's walk
+        # of the Z lattice does: |Z| = 3 takes it past the cap at n = 3200
+        data = json.loads((REPO / "perfbench" / "workloads" / "covert-sweep-b.json").read_text())
+        assert main(["verify-covertness", write_config(tmp_path, data), "--n", "3200"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: type enumeration: 10827401 n-types over 4 symbols exceeds the cap 5000000"]
+            "error: warden divergence: 5124801 n-types over 3 symbols exceeds the cap 5000000"]
 
     def test_underflowed_rows_are_named(self, tmp_path, capsys):
         # d_n underflows a double from n = 2400 on the example, and delta_n
@@ -714,8 +715,8 @@ class TestVerifyCovertness:
 
     def test_one_warden_lattice_walk_per_cell(self, tmp_path, monkeypatch):
         # the benchmark's covert-sweep-b config: |U| = |Z| = 3, three cells;
-        # each cell walks the bands of the U lattice once for delta_n and
-        # those of the Z lattice once for d_n and both bounds
+        # each cell walks the bands of the rows of the U lattice once for
+        # delta_n and those of the Z lattice once for d_n and both bounds
         walks = {"covertness": 0, "typesum": 0}
 
         def counting(module, bands):

@@ -1,3 +1,4 @@
+import glob
 import itertools
 import logging
 import math
@@ -96,13 +97,13 @@ class TestEncoders:
     def test_scheme_a_silent_when_typical(self, example_p_u):
         cfg = sim.SchemeConfig(scheme="A", mu=0.05, x_hat="1", y_star="1")
         # U counts (80, 20) match P_U = (0.8, 0.2); (60, 40) is 0.2 off
-        active = sim._encoder(cfg, example_p_u, 100, None)(np.array([[80, 20], [60, 40]]))
+        active = sim._encoder(cfg, example_p_u, 100, None)[0](np.array([[80, 20], [60, 40]]))
         assert active.tolist() == [False, True]
 
     def test_scheme_b_codeword_when_threshold_crossed(self, example_dmc, example_p_u):
         pbar = expo.pbar_threshold(example_dmc, "1")
         cfg = sim.SchemeConfig(scheme="B", mu=0.05, x1="1")
-        active = sim._encoder(cfg, example_p_u, 40, pbar)(np.array([[32, 8], [16, 24]]))
+        active = sim._encoder(cfg, example_p_u, 40, pbar)[0](np.array([[32, 8], [16, 24]]))
         assert active.tolist() == [False, True]
 
     def test_scheme_a_decision_scans_burst_only(self, example_sources, partial_dmc):
@@ -130,9 +131,9 @@ class TestEncoders:
         deltas = []
         for n in (1, 5, 11):
             parts = []
-            transmits = sim._encoder(cfg, p_u, n, pbar)
+            transmits = sim._encoder(cfg, p_u, n, pbar)[0]
             tables = typesum.class_tables(p_uv.probs.ravel()[None], n)
-            for counts in typesum.type_blocks(n, 6):
+            for counts in oracles.type_blocks(n, 6):
                 active = transmits(counts.reshape(len(counts), 3, 2).sum(axis=2))
                 [lp] = typesum.log_class_probs(tables, counts[active])
                 parts.append(typesum.logsumexp(lp))
@@ -165,8 +166,8 @@ class TestSchemeADelta:
 
     def test_needs_no_type_lattice(self, monkeypatch):
         # mc-sweep-a's P_U (|U| = 4) at mu = 0.06: 10.8 M U types at n = 400,
-        # past the real cap, and none allowed here; scheme B's delta_n still
-        # walks the lattice, so the patched cap refuses it
+        # past the real cap, and none allowed here; scheme B's delta_n, by
+        # rows, needs no cap either
         monkeypatch.setattr(typesum, "MAX_TYPES", 1)
         probs = np.array([0.2, 0.25, 0.28, 0.27])
         p_u = Pmf(Alphabet(tuple(range(4))), probs)
@@ -174,8 +175,11 @@ class TestSchemeADelta:
         for n, want in ((100, 0.4259674323048), (200, 0.1550390148306), (400, 0.0200541278299)):
             assert math.isclose(sim.transmit_probability(cfg, p_u, n), want, rel_tol=1e-12)
         pbar = expo.PbarSet(x1="1", tau_nats=0.05, maximizer=p_u)
-        with pytest.raises(AlphabetTooLarge):
-            sim.transmit_probability(sim.SchemeConfig(scheme="B", x1="1"), p_u, 100, pbar)
+        cfg = sim.SchemeConfig(scheme="B", x1="1")
+        delta = sim.transmit_probability(cfg, p_u, 100, pbar)
+        monkeypatch.undo()
+        [want] = oracles.log_prob_type_event(probs[None], 100, sim._encoder(cfg, p_u, 100, pbar)[0])
+        assert math.isclose(delta, math.exp(want), rel_tol=1e-12)
 
 
 
@@ -280,7 +284,7 @@ class TestDecideSchemeB:
             (sim.SchemeConfig(scheme="B", mu=mu, x1="1"), want_b),
             (sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1"), want_a),
         ):
-            active = sim._encoder(cfg, p_u, n, pbar)(cu)
+            active = sim._encoder(cfg, p_u, n, pbar)[0](cu)
             accept_v = sim._in_box(sim._mu_box(p_v.probs, n, mu))(cv)
             assert active.tolist() == want_active
             assert accept_v.tolist() == want_v
@@ -400,9 +404,8 @@ class TestExactEngine:
         for n in (6, 8):
             sim.exact_error_probs(cfg, mus, P_UV, Q_UV, example_dmc, n, pbar)
         assert sorted(calls) == [("1", n, mus) for n in (6, 8)]
-        # per n, the U lattice of delta_n (binary) and the joint lattice (4
-        # cells)
-        assert sorted(walks) == [(n, dim) for n in (6, 8) for dim in (2, 4)]
+        # per n, the joint lattice (4 cells) alone: its walk gives delta_n too
+        assert sorted(walks) == [(n, 4) for n in (6, 8)]
         calls.clear()
         walks.clear()
         with pytest.raises(AlphabetTooLarge):
@@ -492,16 +495,43 @@ class TestExactEngineAgainstLoop:
                 oracles.log_accept_prob(cfg, law.probs, p_u.probs, p_v.probs, dmc, n, tau)
                 for law in (p_uv, q_uv)
             )
-            [got] = sim._log_accept_probs([cfg], p_uv, q_uv, dmc, n, pbar)
-            for got, want in zip(got, (want_h0, want_h1)):
+            [(got_h0, got_h1, log_delta)] = sim._log_accept_probs([cfg], p_uv, q_uv, dmc, n, pbar)
+            for got, want in ((got_h0, want_h0), (got_h1, want_h1)):
                 assert got == want or math.isclose(got, want, rel_tol=1e-12)
-            # the weight stats take delta_n from the U-type lattice alone; the
-            # oracle sums the transmission probability over joint types
+            assert math.isclose(math.exp(log_delta), p_active, rel_tol=1e-12)
+            # the weight stats take delta_n from the engine's joint walk, the
+            # oracle's from one Python iteration per joint type
             frac = p_active * (cfg.k(n) if cfg.scheme == "A" else n) / n
             res = sim.exact_error_probs(cfg, [cfg.mu], p_uv, q_uv, dmc, n, pbar)[0]
             w, a_bar = res.weight_mean, res.a_bar
             assert math.isclose(w, frac, rel_tol=1e-12)
             assert math.isclose(a_bar, math.sqrt(frac), rel_tol=1e-12)
+
+
+def test_walk_delta_is_transmit_probability_on_golden_cells():
+    # delta_n from the exact engine's joint walk against transmit_probability
+    # (scheme A's box complement, scheme B's rows of binomial tails), on
+    # every cell of the golden sweeps and the benchmark workloads whose joint
+    # lattice the walk reaches
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = [*sorted(glob.glob(os.path.join(root, "tests", "golden", "*.json"))),
+             *sorted(glob.glob(os.path.join(root, "perfbench", "workloads", "*.json")))]
+    schemes = set()
+    for path in paths:
+        config = ExperimentConfig.load(path)
+        p_uv, q_uv = config.source_pmfs()
+        dmc, cfg, sweep = config.dmc(), config.scheme(), config.sweep()
+        pbar = expo.pbar_threshold(dmc, cfg.x1) if cfg.scheme == "B" else None
+        cfgs = [cfg.replace(mu=mu) for mu in sweep["mu_grid"] or [cfg.mu]]
+        for n in sweep["n_grid"]:
+            if typesum.num_types(n, p_uv.probs.size) > typesum.MAX_TYPES:
+                continue
+            walk = sim._log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar)
+            for c, (_, _, log_delta) in zip(cfgs, walk, strict=True):
+                delta = sim.transmit_probability(c, p_uv.row_marginal(), n, pbar)
+                assert math.isclose(math.exp(log_delta), delta, rel_tol=1e-12), (path, n, c.mu)
+                schemes.add(c.scheme)
+    assert schemes == {"A", "B"}
 
 
 def _box_edge(probs, n):
@@ -777,8 +807,9 @@ class TestMonteCarlo:
                 rows.append(len(counts))
                 return real_v_typical(counts)
 
-            hits, active = sim._trial_chunk(P_UV, 30, sim._encoder(cfg, p_u, 30, pbar), v_typical,
-                                            drawn, event, 20_000, (11, 0, 0))
+            transmits = sim._encoder(cfg, p_u, 30, pbar)[0]
+            hits, active = sim._trial_chunk(P_UV, 30, transmits, v_typical, drawn, event, 20_000,
+                                            (11, 0, 0))
             if scheme == "A":
                 assert active == (20_000 if drawn else 0) and rows == [20_000]
             else:
@@ -795,9 +826,9 @@ class TestMonteCarlo:
         f_silent, f_active = sim._log_branch_factors(cfg, dmc, n, [cfg.mu])[0]
         want = []
         for law in (P_UV, Q_UV):
-            active = math.exp(typesum.log_prob_type_event(
-                law.row_marginal().probs[None], n, sim._encoder(cfg, p_u, n, pbar))[0])
-            v_typical = math.exp(typesum.log_prob_type_event(
+            active = math.exp(oracles.log_prob_type_event(
+                law.row_marginal().probs[None], n, sim._encoder(cfg, p_u, n, pbar)[0])[0])
+            v_typical = math.exp(oracles.log_prob_type_event(
                 law.col_marginal().probs[None], n,
                 lambda band: typical(band.counts() / n, p_v.probs, cfg.mu))[0])
             if fallback or v_typical < 2 * min(active, 1 - active):
@@ -817,7 +848,8 @@ class TestMonteCarlo:
             p_active = [math.exp(lp) for lp in
                         TestSchemeAEvents._events(laws, p_u, n, cfg.mu)[1].log_probs]
         else:
-            p_active = sim._scheme_b_active(sim._encoder(cfg, p_u, n, pbar), laws, n, trials)
+            marginals = np.stack([law.row_marginal().probs for law in laws])
+            p_active = sim._scheme_b_active(marginals, p_u, n, pbar.tau_nats, trials)
         return sim._drawn_decisions(p_active, log_t, log_f)
 
     def test_drawn_decision_holds_at_most_half_the_v_typical_trials(
@@ -825,8 +857,9 @@ class TestMonteCarlo:
     ):
         # each law draws the decision x with 2 Pr[x] <= Pr[T_V typical]
         # where it has one, else the larger branch factor's (scheme A's
-        # silent one); scheme B, whose U lattice here has more types than
-        # the cell has trials, always draws the larger factor's
+        # silent one); scheme B, where its U lattice has more rows than the
+        # cell has trials (none here, as |U| = 2 leaves one row), always
+        # draws the larger factor's
         seen = set()
         for n, mu in itertools.product((12, 30, 100, 400), (0.03, 0.1, 0.2)):
             cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
@@ -838,7 +871,8 @@ class TestMonteCarlo:
         pbar = expo.pbar_threshold(example_dmc, "1")
         assert self._decisions(cfg, example_dmc, 30, pbar) == \
             self._want_decisions(cfg, example_dmc, 30, pbar) == [True, False]
-        assert self._decisions(cfg, example_dmc, 30, pbar, trials=30) == \
+        assert self._decisions(cfg, example_dmc, 30, pbar, trials=1) == [True, False]
+        assert self._decisions(cfg, example_dmc, 30, pbar, trials=0) == \
             self._want_decisions(cfg, example_dmc, 30, pbar, fallback=True) == [False, False]
 
     def test_cell_is_logged_at_debug(self, example_dmc, partial_dmc, monkeypatch, caplog):
@@ -854,7 +888,7 @@ class TestMonteCarlo:
             assert record.levelno == logging.DEBUG
             messages[scheme] = record.getMessage()
         p_v = P_UV.col_marginal()
-        p_typical = [math.exp(lp) for lp in typesum.log_prob_type_event(
+        p_typical = [math.exp(lp) for lp in oracles.log_prob_type_event(
             np.stack([law.col_marginal().probs for law in (P_UV, Q_UV)]), 30,
             lambda band: typical(band.counts() / 30, p_v.probs, 0.2))]
         number = r"(-?[\d.e+-]+)"
@@ -933,7 +967,7 @@ class TestMarginalPairLaw:
     def _exact_pairs(law, n):
         pmf = {}
         tables = typesum.class_tables(law.probs.ravel()[None], n)
-        for counts in typesum.type_blocks(n, law.probs.size):
+        for counts in oracles.type_blocks(n, law.probs.size):
             mat = counts.reshape(len(counts), *law.probs.shape)
             probs = np.exp(typesum.log_class_probs(tables, counts)[0])
             for c_u, c_v, prob in zip(mat.sum(axis=2), mat.sum(axis=1), probs):
@@ -1088,15 +1122,16 @@ class TestConditionalMonteCarlo:
         p_active = ([math.exp(lp) for lp in
                      TestSchemeAEvents._events(laws, p_u, n, cfg.mu)[1].log_probs]
                     if cfg.scheme == "A" else
-                    sim._scheme_b_active(sim._encoder(cfg, p_u, n, pbar), laws, n, cls.TRIALS))
+                    sim._scheme_b_active(np.stack([law.row_marginal().probs for law in laws]),
+                                         p_u, n, pbar.tau_nats, cls.TRIALS))
         drawn = sim._drawn_decisions(p_active, log_t, log_f)
         du, dv = p_uv.probs.shape
         out = []
         for law, d in zip(laws, drawn):
             q, fires = np.zeros(2), 0.0
-            transmits, v_typical = sim._encoder(cfg, p_u, n, pbar), sim._in_box(box)
+            transmits, v_typical = sim._encoder(cfg, p_u, n, pbar)[0], sim._in_box(box)
             tables = typesum.class_tables(law.probs.ravel()[None], n)
-            for counts in typesum.type_blocks(n, du * dv):
+            for counts in oracles.type_blocks(n, du * dv):
                 cells = counts.reshape(len(counts), du, dv)
                 active = transmits(cells.sum(axis=2))
                 accepted = v_typical(cells.sum(axis=1))

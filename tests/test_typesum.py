@@ -13,10 +13,10 @@ from covertdht.errors import AlphabetTooLarge
 from covertdht.probability import Alphabet, Pmf, kl_rows, typical, typical_letters
 from covertdht.typesum import (
     check_enumerable,
-    log_prob_type_event,
+    log_prob_divergence_at_least,
     num_types,
-    type_blocks,
 )
+from oracles import log_prob_type_event, type_blocks
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -124,6 +124,8 @@ def test_impossible_type_has_zero_prob():
     (ABCD, [0.1, 0.2, 0.3, 0.4]),
 ])
 def test_events_match_loop(monkeypatch, alphabet, probs):
+    # the band walk kept as the reference, and the divergence event by rows,
+    # against one Python iteration per type
     monkeypatch.setattr(typesum, "BLOCK_ROWS", 5)  # many blocks even at small n
     p = Pmf(alphabet, np.array(probs))
     ref = np.full(alphabet.size, 1.0 / alphabet.size)
@@ -135,11 +137,14 @@ def test_events_match_loop(monkeypatch, alphabet, probs):
             (lambda t: kl_rows(t, p.probs) >= tau, lambda t: oracles.kl(t, p.probs) >= tau),
         ):
             [got] = log_prob_type_event(p.probs[None], n, _on_frequencies(batch, n))
-            want = oracles.log_prob_type_event(p.probs, n, single)
+            want = oracles.log_prob_type_event_loop(p.probs, n, single)
             if want == -math.inf:
                 assert got == -math.inf
             else:
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+        [got] = log_prob_divergence_at_least(p.probs[None], p.probs, n, tau)
+        want = oracles.log_prob_type_event_loop(p.probs, n, lambda t: oracles.kl(t, p.probs) >= tau)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def _on_frequencies(predicate, n):
@@ -484,3 +489,141 @@ class TestBoxComplement:
             assert rng.random() == np.random.default_rng(0).random()
             with pytest.raises(ValueError, match="probability 0"):
                 event.sample(0, 1, rng)
+
+
+# covert-sweep-b's P_U and its threshold tau (pbar_threshold of its channel, x1 = "1")
+SWEEP_B_P_U = np.array([0.5, 0.3, 0.2])
+SWEEP_B_TAU = 0.08781628432157898
+
+
+def _divergence_case(rng, d, n):
+    """Seeded (laws, p, tau): p and a second law from Dirichlet(1), each
+    with a zero letter a third of the time; tau a random type's own
+    divergence (a tie) a third of the time, 0 a tenth of the time, else
+    uniform on [0, 0.5)."""
+    p, other = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+    for law in (p, other):
+        if d > 1 and rng.random() < 1 / 3:
+            law[rng.integers(d)] = 0.0
+            law /= law.sum()
+    draw = rng.random()
+    if draw < 1 / 3:
+        tie = typesum.table_sum(typesum.kl_table(p, n), rng.multinomial(n, p))
+        tau = float(np.maximum(tie, 0.0))
+    else:
+        tau = 0.0 if draw < 0.43 else float(rng.uniform(0.0, 0.5))
+    return np.stack((p, other)), p, tau
+
+
+def _fires(p, n, tau):
+    """The encoder rule D(T || p) >= tau on a band or a count array, as
+    the engines decide it."""
+    table = typesum.kl_table(p, n)
+    return lambda types: np.maximum(typesum.table_sum(table, types), 0.0) >= tau
+
+
+class TestDivergenceRows:
+    """``log_prob_divergence_at_least``: Pr[D(T || p) >= tau] by rows of the
+    lattice that leave the last two letters of positive p free, each row's
+    silent counts one interval and its tails binomial."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_lattice_walk(self, monkeypatch, seed):
+        # two laws, |U| 1-4, n from 1, ties, tau = 0 and zero letters in
+        # both laws, over many bands and walk blocks
+        monkeypatch.setattr(typesum, "BLOCK_ROWS", 7 if seed % 2 else typesum.BLOCK_ROWS)
+        rng = np.random.default_rng([35, seed])
+        for d in (1, 2, 3, 4):
+            for n in (1, 2, *rng.integers(3, 150 if d < 4 else 60, size=3).tolist()):
+                laws, p, tau = _divergence_case(rng, d, n)
+                got = log_prob_divergence_at_least(laws, p, n, tau)
+                want = log_prob_type_event(laws, n, _fires(p, n, tau))
+                for g, w in zip(got, want, strict=True):
+                    assert g == w or abs(math.expm1(g - w)) <= 1e-12, (d, n, p, laws, tau, g, w)
+
+    def test_ties_fall_where_the_encoder_puts_them(self):
+        # tau is a random type's own divergence, so that type sits on the
+        # threshold: its decision turns on the last bit of the letter sum,
+        # which the rows keep by leaving the last two letters of positive p
+        # free (the two likeliest letters as the pair miss it on 9 of these 120)
+        rng = np.random.default_rng(37)
+        for _ in range(120):
+            d, n = int(rng.integers(3, 5)), int(rng.integers(5, 60))
+            p, other = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+            tie = typesum.table_sum(typesum.kl_table(p, n), rng.multinomial(n, p))
+            tau, laws = float(np.maximum(tie, 0.0)), np.stack((p, other))
+            got = log_prob_divergence_at_least(laws, p, n, tau)
+            want = log_prob_type_event(laws, n, _fires(p, n, tau))
+            for g, w in zip(got, want, strict=True):
+                assert g == w or abs(math.expm1(g - w)) <= 1e-12, (d, n, p, tau, g, w)
+
+    def test_edges_of_the_threshold(self):
+        # tau = 0 fires on every type; one letter never diverges; a letter
+        # off the support of p always fires
+        p = np.array([0.6, 0.4])
+        assert log_prob_divergence_at_least(p[None], p, 9, 0.0) == [0.0]
+        assert log_prob_divergence_at_least(np.ones((1, 1)), np.ones(1), 5, 0.1) == [-math.inf]
+        assert log_prob_divergence_at_least(np.ones((1, 1)), np.ones(1), 5, 0.0) == [0.0]
+        laws = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        got = log_prob_divergence_at_least(laws, laws[0], 6, 10.0)
+        assert got[0] == -math.inf
+        assert math.isclose(got[1], math.log1p(-0.5**6), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d, ns", [(2, (1, 7, 200)), (3, (1, 9, 60, 200)), (4, (5, 30, 200))])
+    def test_silent_set_is_one_interval_per_row(self, d, ns):
+        # on the whole lattice, the types where the rule is silent, ordered
+        # by c_i in each row (the counts of the letters other than the pair
+        # i, k), form at most one run per row
+        rng = np.random.default_rng([36, d])
+        mixed = 0
+        for n in ns:
+            counts = _lattice(n, d)
+            for _ in range(4 if n < 200 else 2):
+                _, p, tau = _divergence_case(rng, d, n)
+                i, k = np.argsort(p > 0.0, kind="stable")[-2:]
+                others = [z for z in range(d) if z not in (i, k)]
+                row = counts[:, others] @ (n + 1) ** np.arange(len(others))
+                order = np.lexsort((counts[:, i], row))
+                silent, row = ~_fires(p, n, tau)(counts)[order], row[order]
+                starts = silent & ~(np.r_[False, silent[:-1]] & (row == np.r_[-1, row[:-1]]))
+                assert np.bincount(row[starts]).max(initial=0) <= 1, (n, p, tau)
+                mixed += len(np.intersect1d(row[silent], row[~silent]))
+        assert mixed > 0
+
+    def test_rows_match_the_incomplete_beta_at_n_1000(self):
+        # each row fixes c_0 = n - m, and given it c_1 is Bin(m, q), q =
+        # p_1 / (p_1 + p_2): the row's silent counts [lo, hi] are found on
+        # the row itself, and its tails are regularized incomplete beta
+        # functions in 40 digits, Pr[Bin(m, q) >= k] = I_q(k, m - k + 1) and
+        # Pr[Bin(m, q) < k] = I_{1-q}(m - k + 1, k)
+        mpmath = pytest.importorskip("mpmath")
+        n, p, tau = 1000, SWEEP_B_P_U, SWEEP_B_TAU
+        fires = _fires(p, n, tau)
+        with mpmath.workdps(40):
+            q, total = mpmath.mpf(p[1]) / (mpmath.mpf(p[1]) + mpmath.mpf(p[2])), mpmath.mpf(0)
+            for c0 in range(n + 1):
+                m = n - c0
+                j = np.arange(m + 1)
+                silent = np.flatnonzero(~fires(np.column_stack((np.full(m + 1, c0), j, m - j))))
+                weight = mpmath.binomial(n, c0) * mpmath.mpf(p[0]) ** c0 * (1 - mpmath.mpf(p[0])) ** m
+                if not len(silent):
+                    total += weight
+                    continue
+                lo, hi = int(silent[0]), int(silent[-1])
+                assert hi - lo + 1 == len(silent)
+                tails = mpmath.mpf(0)
+                if lo > 0:
+                    tails += mpmath.betainc(m - lo + 1, lo, 0, 1 - q, regularized=True)
+                if hi < m:
+                    tails += mpmath.betainc(hi + 1, m - hi, 0, q, regularized=True)
+                total += weight * tails
+            want = float(mpmath.log(total))
+        [got] = log_prob_divergence_at_least(p[None], p, n, tau)
+        assert abs(got - want) <= 1e-12  # delta_n to rel 1e-12
+
+    def test_sanov_bound_at_n_ten_thousand(self):
+        # 50 M types, past the lattice cap: at most (n + 1)^|U| type classes,
+        # each of probability at most e^{-n D} <= e^{-n tau}
+        n = 10_000
+        [got] = log_prob_divergence_at_least(SWEEP_B_P_U[None], SWEEP_B_P_U, n, SWEEP_B_TAU)
+        assert -math.inf < got <= 3 * math.log(n + 1) - n * SWEEP_B_TAU
