@@ -1,53 +1,71 @@
 """Exact error probabilities and Monte-Carlo estimation for the two covert
 testing schemes.
 
-Scheme A (sublinear burst): the sensor stays silent (all zeros) while its
-source block is strongly typical, and otherwise sends the designated non-zero
-symbol over the first k(n) channel uses, zeros after. The decision center
-declares the null hypothesis iff the marker output appears among the first
-k(n) outputs and its own observations are typical. The scan stops at the
-burst window: the zero-input tail emits the marker with positive
-probability, so scanning the whole block would saturate the Type-II error.
+Scheme A (sublinear burst): the sensor checks whether its source block is
+strongly typical; if so it stays silent (all zeros), otherwise it sends the
+designated non-zero symbol over the first k(n) channel uses and zeros after.
+The decision center declares the null hypothesis iff the marker output
+appears among the first k(n) outputs and its own observations are typical.
+The marker scan is restricted to the burst window: the zero-input tail emits
+the marker with positive probability, so scanning the whole block would
+saturate the Type-II error.
 
-Scheme B (full block): the sensor sends the constant codeword iff its source
-type crosses the divergence threshold, else all zeros. The center declares
-the null iff its observations and the channel outputs (tested against the
-zero-input row) are both strongly typical.
+Scheme B (full block): the sensor transmits the constant codeword iff its
+observed source type crosses the divergence threshold, else all zeros. The
+decision center declares the null hypothesis iff its observations and the
+channel outputs are both strongly typical (outputs tested against the
+zero-input row).
 
-Both encoders read the block only through the type of U^n and both
+Both encoders depend on the block only through the type of U^n and both
 decisions only through the types of V^n and Y^n, so the library works on
-types, never on sequences, and decides on integer counts by count tables
-built once per walk or cell: the encoder rule in ``_encoder`` (scheme B's
-table, ``typesum.kl_table``, holds the terms of ``PbarSet.triggers``), the V
-test in ``_in_box`` on the mu-box of P_V (``_mu_box``). The center accepts
-when its V test and the branch, the part that reads the channel output,
-pass; given the encoder's decision the branch passes with the probability
-f, which ``_log_branch_factors`` gives both engines: scheme A's in closed
-form, scheme B's from the box chain ``typesum.BoxChain``, with no Y lattice.
-``transmit_probability`` gives delta_n with no lattice cap: scheme A's from
-the complement of its mu-box (``typesum.BoxComplement``), scheme B's by rows
-of the U lattice, two binomial tails each
-(``typesum.log_prob_divergence_at_least``). Both engines return the cell's
-``SimulationResult`` (``log_beta`` exact also where beta underflows), built
-by one helper that derives the weight statistics from the firing
-probability (delta_n, or its sampled frequency).
+types alone and never on symbol sequences. Both engines decide on integer
+counts, by count tables built once per walk or cell: the encoder rule is
+written once, in ``_encoder`` (scheme B's table, ``typesum.kl_table``, holds
+the terms of ``PbarSet.triggers``), and so is the V test, ``_in_box`` on
+the mu-box of P_V (``_mu_box``: ``probability.typical_letters`` on c/n).
+The center accepts the null when its V test passes and the branch passes, the
+part of the test that reads the channel output. Given the encoder's
+decision the branch passes with a probability f, the branch factor, and one
+function gives f to both engines (``_log_branch_factors``): scheme A's in
+closed form, scheme B's from the box chain ``typesum.BoxChain``, with no Y
+lattice. ``transmit_probability`` gives delta_n with no cap: scheme A's
+from the complement of its mu-box, ``typesum.BoxComplement``, scheme B's by
+rows of the U lattice, two binomial tails each
+(``typesum.log_prob_divergence_at_least``). Both engines,
+``exact_error_probs`` and ``run_trials``, return the cell's
+``SimulationResult`` record (``log_beta`` included, exact also where beta
+underflows), built by one helper that also derives the weight statistics
+from the firing probability (delta_n, or its sampled frequency).
 
-The exact engine, ``exact_error_probs``, serves a whole mu grid at one n
-from one walk of the bands of joint types: a band row fixes T_U, so the
-encoder rule decides each row once, the V test reads each type's V counts,
-and each band's class log-probabilities under each law are decided at each
-mu; the null's, where the encoder fires, sum to delta_n. Each mu's sums are
-the floating-point operations, order and band partition of a pass at that mu
-alone on materialized blocks.
+The exact engine works on a whole mu grid at one n, a validated copy
+``cfg.replace(mu=mu)`` of the scheme per mu. It walks the bands of joint
+types once: a band row fixes T_U, so the encoder rule decides each row
+once, the V test reads each type's V counts, and each band's class
+log-probabilities under each law are computed once and decided at each mu.
+Each mu's sums are the same floating-point operations, in the same order
+and over the same band partition, as a pass at that mu alone on
+materialized blocks. The null's mass is also summed once per band row, and
+its sum over the rows where the encoder fires is delta_n.
 
 The Monte Carlo engine, ``run_trials``, is conditional Monte Carlo: it never
-draws the branch, weights the V-typical trials of each decision by f, counts
-per law the trials of one decision d (``_drawn_decisions``) with the exact
-Pr[T_V typical] as a control variate, and draws each law's first marginal
-inside an event of exact probability, a stratum (``_trial_chunk``). Chunks
-of trials run on threads, one per usable core (numpy's samplers release the
-interpreter lock), and return integer counts, so seeded results do not
-depend on the core count.
+draws the branch, and weights the V-typical trials of each decision by f.
+Per law it counts the trials of one encoder decision d
+(``_drawn_decisions``: the rare one where that cannot make the estimate
+noisier) and takes the other decision's share from the exact Pr[T_V
+typical] of the box chain, a control variate whose coefficient is known
+exactly. It is also stratified: each law draws its first marginal only
+inside an event E whose probability the box chain gives exactly and that
+holds wherever a trial can count, and scales the fraction it counts by
+Pr[E]. A law whose V marginal is atypical for P_V draws T_V inside the V
+test's box (``typesum.BoxChain``), then T_U given T_V. Every other law
+takes one path (``_trial_chunk``): it draws T_U, decides, and draws T_V
+given T_U for the trials of decision d alone. Scheme A's, the null among
+them, draw T_U inside decision d, the U box (``BoxChain``) or its
+complement (``typesum.BoxComplement``), so every trial takes d; scheme B's
+draw every trial by a plain multinomial, as its threshold is no box.
+Chunks of trials run on threads, one per core the process may run on
+(numpy's samplers release the interpreter lock), and return integer counts,
+so seeded results do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -84,6 +102,12 @@ logger = logging.getLogger(__name__)
 # Monte Carlo trials per task, drawn and decided at once (bounds a task's
 # memory); a task's generators are seeded by its index
 CHUNK_TRIALS = 1 << 12
+
+# scheme B's Monte Carlo sums its exact Pr[active] by rows of the U lattice
+# (so that it can draw V for the rarer decision alone) where the cell has at
+# least this many trials per row: at |U| = 4, where the rows grow as n^2 / 2,
+# a row costs about what the V draws of 2 to 2.5 trials cost
+TRIALS_PER_ROW = 3
 
 
 def make_k_rule(spec: str) -> Callable[[int], int]:
@@ -237,11 +261,18 @@ def _log_accept_probs(
     """log Pr[decide 0] under the null and under the alternative, and log
     delta_n, the null's mass where the encoder fires, for each config of
     ``cfgs`` (one scheme at several mu), in one walk of the bands of joint
-    source types, with count tables built once per walk (the encoder's per
-    mu for scheme A alone). A band row fixes the first |U||V| - 2 cells, and
-    so T_U where |V| >= 2 (the last two cells share the last U letter), or
-    is T_U where |V| = 1: each rule decides each row once, and the V test
-    reads each type's V counts, integer counts as Monte Carlo's are."""
+    source types.
+
+    Its count tables are built once per walk: both laws' class tables,
+    each mu's V test and the encoder rule (per mu for scheme A alone). A
+    band row, which fixes the first |U||V| - 2 cells, fixes T_U where |V|
+    >= 2 (its last two cells share the last U letter), so each rule decides
+    each row once; the V test reads each type's V counts. With |V| = 1 the
+    joint type is T_U. Class log-probabilities serve every mu, and decisions
+    and branch factors both laws. Every test reads integer counts, so
+    enumerated and sampled counts meet the closed typicality boundary at
+    the same place.
+    """
     cfg = cfgs[0]
     p_u, p_v = p_uv.row_marginal(), p_uv.col_marginal()
     du, dv = p_u.alphabet.size, p_v.alphabet.size
@@ -256,7 +287,7 @@ def _log_accept_probs(
     for band in type_bands(n, du * dv):
         lps = log_class_probs(tables, band)
         if dv == 1:  # the joint type is T_U, and T_V = (n)
-            c_u, row, c_v = band, slice(None), np.full((len(band), 1), n)
+            c_u, row, c_v, null_mass = band, slice(None), np.full((len(band), 1), n), lps[0]
         else:
             heads, rest, row, j, last = band.rows()
             cells = np.zeros((len(rest), du, dv), dtype=np.int64)
@@ -264,10 +295,20 @@ def _log_accept_probs(
             c_u, c_v = cells.sum(axis=2), cells.sum(axis=1)  # c_v: the head cells' V counts
             c_u[:, -1] += rest
             c_v = np.column_stack((c_v[row, :-2], c_v[row, -2] + j, c_v[row, -1] + last))
-        actives = [transmits(c_u)[row] for transmits in encoders]
-        fires = [logsumexp(lps[0][active]) for active in actives] * reps
+            # the null's mass per row, once for every mu: each row's types are consecutive
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            top = np.maximum.reduceat(lps[0], first)
+            top[top == NEG_INF] = 0.0
+            with np.errstate(divide="ignore"):
+                null_mass = np.log(np.add.reduceat(np.exp(lps[0] - top[row]), first)) + top
+        rules = np.array([transmits(c_u) for transmits in encoders])
+        masked = np.where(rules, null_mass, NEG_INF)  # the null's mass where each rule fires
+        top = masked.max(axis=1, keepdims=True)
+        top[top == NEG_INF] = 0.0
+        with np.errstate(divide="ignore"):
+            fires = list(np.log(np.exp(masked - top).sum(axis=1)) + top[:, 0]) * reps
         for active, fire, v_test, (log_silent, log_active), (*out, fired) in zip(
-                actives * reps, fires, v_tests, factors, logs):
+                [rule[row] for rule in rules] * reps, fires, v_tests, factors, logs):
             accept = v_test(c_v)
             factor = np.where(active[accept], log_active, log_silent)
             for part, lp in zip(out, lps):
@@ -393,7 +434,8 @@ def _drawn_decisions(
     that holds wherever 1{d, T_V typical} does (``run_trials``) only lowers
     this variance, so the rule holds there too. Scheme A's Pr_law[active]
     comes from its U box's complement (``typesum.BoxComplement``), scheme B's
-    by rows or NaN (``_scheme_b_active``), which draws the larger factor."""
+    by rows or NaN (``_scheme_b_active``); a NaN compares False and draws
+    the larger factor."""
     larger = log_f[1] > log_f[0]
     drawn = []
     for p, lt in zip(p_active, log_v_typical):
@@ -423,8 +465,9 @@ def _scheme_b_active(marginals: np.ndarray, p_u: Pmf, n: int, tau: float,
                      trials: int) -> list[float]:
     """Scheme B's Pr[active], D(T_U || P_U) >= tau, under each U law of
     ``marginals``, by rows (``typesum.log_prob_divergence_at_least``) where
-    the U lattice has no more rows than the cell has trials, else NaN."""
-    if num_types(n, max(marginals.shape[1] - 1, 1)) > trials:
+    the cell has ``TRIALS_PER_ROW`` trials per row of the U lattice, else
+    NaN."""
+    if TRIALS_PER_ROW * num_types(n, max(marginals.shape[1] - 1, 1)) > trials:
         return [math.nan] * len(marginals)
     return [math.exp(lp) for lp in log_prob_divergence_at_least(marginals, p_u.probs, n, tau)]
 
@@ -478,44 +521,58 @@ def run_trials(
 ) -> SimulationResult:
     """Monte-Carlo estimate of (alpha_n, beta_n) with Wilson 95% intervals.
 
-    Sampled type counts are decided by the exact engine's rules, on count
-    tables built once per cell (``_encoder``, ``_in_box``). The branch is
-    not drawn: with d the decision whose trials count (``_drawn_decisions``)
-    and d' the other, a trial weighs f_d' 1{T_V typical} + (f_d - f_d') 1{d,
-    T_V typical}, so the acceptance probability is f_d' Pr_law[T_V typical]
-    + (f_d - f_d') p, the first term exact (a ``typesum.BoxChain`` on the V
-    test's boxes) and p the probability that a trial takes d and is
-    V-typical.
+    Per-trial type counts are sampled directly and decided by the exact
+    engine's rules, on count tables built once per cell (``_trial_chunk``,
+    ``_encoder``, ``_in_box``). The branch is not
+    drawn: a V-typical trial is accepted with its decision's branch factor f
+    (``_log_branch_factors``, as in the exact engine). With d the decision
+    whose trials count (``_drawn_decisions``) and d' the other, a trial's
+    weight is f_d' 1{T_V typical} + (f_d - f_d') 1{decision d, T_V typical},
+    and Pr_law[T_V typical] is the box probability of Mult(n, law_V) on the
+    V test's boxes (a ``typesum.BoxChain`` for both laws). So the acceptance
+    probability is f_d' Pr_law[T_V typical] + (f_d - f_d') p, with p the
+    probability that a trial takes decision d and is V-typical.
 
     p is estimated by exact stratification: each law draws its first
-    marginal inside an event E of exact probability that holds wherever {d,
-    T_V typical} does: the V box where its V marginal is atypical for P_V
-    (``_v_first``); else, for scheme A (the null among them), decision d
-    itself, T_U in P_U's mu-box or out of it (a ``BoxChain`` or its
-    ``BoxComplement``); for scheme B, whose threshold is no box, every
-    trial. It draws M = ceil(Pr[E] trials) trials and p = Pr[E] hits / M (0
-    where M = 0), whose variance Pr[E]^2 q (1 - q) / M, q = Pr[d, T_V
-    typical | E], is at most that of the fraction of all ``trials`` that
-    take d and are V-typical.
+    marginal conditioned on an event E that holds wherever {d, T_V
+    typical} does and whose probability is exact. A law whose V marginal
+    is atypical for P_V (``_v_first``) draws inside the V box; scheme A's
+    U-first laws (the null among them) inside decision d, T_U in P_U's
+    mu-box or out of it (a ``BoxChain`` or its ``BoxComplement``); scheme
+    B's U-first laws, whose threshold is no box, draw every trial (E holds
+    always). A law
+    draws M = ceil(Pr[E] trials) trials, and p = Pr[E] hits / M, hits
+    counting the drawn trials that take d and are V-typical (p = 0 where
+    M = 0). Its variance, Pr[E]^2 q (1 - q) / M with q = Pr[d, T_V typical
+    | E], is at most Pr[E] q (1 - q) / trials, and so at most that of the
+    fraction of all ``trials`` that take d and are V-typical.
 
     beta is the estimate under the alternative and alpha one minus it under
-    the null, 1 - f_d' Pr taken as -expm1(log f_d' + log Pr) so that a small
-    alpha keeps its digits. As d never makes the estimate noisier than
-    drawing V for every trial, whose weights lie in [0, 1], each half-width
-    is the larger of Wilson's at the estimate over ``trials`` and |f_d -
-    f_d'| times p's. An estimate outside [0, 1] is clamped to it, a beta
-    clamped to 0 reported as 0 (log beta -inf) with its interval. A beta
-    estimate of exactly 0 (no hit, and f_d' Pr_Q[T_V typical] = 0) is
-    reported as the rule-of-three bound 3/trials, still a 95% bound on p:
-    with no hit among M draws, q <= 1 - 0.05^(1/M) <= 3/M, and Pr[E] <= M /
-    trials. Scheme A's weight statistics come from delta_n, scheme B's from
-    the null's firing frequency over all its trials.
+    the null, with 1 - f_d' Pr taken as -expm1(log f_d' + log Pr) so that a
+    small alpha keeps its digits. The exact term carries the box chain's
+    absolute error of about n log n times 1e-16, far below any half-width.
+    d is chosen so that the estimate is never noisier than that of the
+    engine that drew V for every trial, whose weights lie in [0, 1]; so
+    each half-width is the larger of Wilson's at the estimate over
+    ``trials``, conservative as for that engine (a weight in [0, 1] with
+    mean m has variance at most m (1 - m)), and |f_d - f_d'| times p's,
+    the image of p's Wilson interval over ``trials``. An estimate outside
+    [0, 1] is clamped to it; a beta clamped to 0 is reported as 0 (log
+    beta -inf) with its interval. A beta estimate of exactly 0 (no drawn
+    trial takes d and is V-typical, and f_d' Pr_Q[T_V typical] = 0) is
+    reported as the rule-of-three bound 3/trials, which stays a 95% bound
+    on p: with no hit among M draws, q <= 1 - 0.05^(1/M) <= 3/M, and
+    Pr[E] <= M / trials. Scheme A's weight statistics come from the null's
+    exact Pr[active], delta_n, scheme B's from the null's firing frequency
+    over all its trials.
 
-    Chunk i of ``CHUNK_TRIALS`` trials under hypothesis h draws its stage j
-    from a generator seeded by (seed, h, i, j); the chunks run on every core
-    the process may run on and return integer counts, so a seeded result is
-    the same bit for bit on any core count. The cell's DEBUG record names,
-    per hypothesis, the draw order, d, E, log Pr[E] and M.
+    Each law's M trials split into chunks of ``CHUNK_TRIALS``; chunk i
+    under hypothesis h draws its stage j from its own generator, seeded by
+    (seed, h, i, j). The chunks run concurrently on every core the process
+    may run on and return integer counts, so a seeded result is the same
+    bit for bit on any core count. The cell's DEBUG record names, per
+    hypothesis, the draw order, the decision d, the event E, log Pr[E] and
+    M.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

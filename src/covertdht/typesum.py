@@ -1,30 +1,41 @@
 """Method-of-types enumeration helpers.
 
-Exact probabilities of type-level events for i.i.d. sequences are sums over
-n-types (compositions of n) in the log domain. There are C(n+d-1, d-1)
-n-types over d letters; a walk of the whole lattice is refused beyond a hard
-cap rather than left to thrash. :func:`type_bands` walks it in lexicographic
-order, a band of at most ``BLOCK_ROWS`` types at a time, so an exact sum's
-memory stays bounded; a :class:`Band` holds its types by rows, without their
-count array, and a quantity constant along a row is computed once per row.
+Exact probabilities of type-level events for i.i.d. sequences are computed by
+summing over all n-types (compositions of n) in the log domain. The number of
+n-types over an alphabet of size d is C(n+d-1, d-1); callers are expected to
+keep d small and are rejected beyond a hard cap rather than silently thrashing.
 
-Every per-type quantity is a count-table sum (:func:`table_sum`): for a
-``(d, n + 1)`` table T, the sum of T[z, c_z] over the letters, left to right
-(``probability.letter_sum``'s order), over a ``(rows, d)`` count array or a
-band. The tables (log c! and c log p_z, :func:`class_tables`; the divergence
-terms, :func:`kl_table`; c log v_z, :func:`log_count_table`; a box's letters
-out of their box) are built once per walk or cell by the elementwise kernel
-of the row path (``probability.kl_rows``, ``typical`` on counts / n), so no
-logarithm is taken per type and every tie falls as on the row path.
+The lattice of n-types is one array layer, walked a band at a time by
+:func:`type_bands`, in lexicographic order, so the memory of an exact sum
+stays bounded however many types it visits: a band holds at most
+``BLOCK_ROWS`` types. Its rows are the enumerated counts of the first d - 2
+letters, and each row's last two letters run densely over c_{d-2} = j,
+c_{d-1} = rest - j. A :class:`Band` holds its types by rows, without
+their ``(types, d)`` count array.
 
-Two events need no lattice walk and no cap. A box, each letter's count in a
-set of its own, follows the multinomial's chain of binomials
-(:class:`BoxChain`), for its probability and for draws conditioned on it;
-:class:`BoxComplement` does the same for its complement, one chain per first
-letter out. The divergence event D(T || p) >= tau is summed by rows that
-leave two letters free (:func:`log_prob_divergence_at_least`): each row's
-silent counts are one interval, its tails binomial. Only the joint-type
-engine and the warden's divergence walk whole lattices.
+Every per-type quantity is a count-table sum: for a ``(d, n + 1)`` table T,
+the sum over the letters of T[z, c_z], added left to right
+(``probability.letter_sum``'s order). The tables are log c! and c log p_z
+for class probabilities (:func:`class_tables`), the divergence terms
+``kl_terms(c/n, q)`` (:func:`kl_table`), c log v_z for any v
+(:func:`log_count_table`), and a box's letters out of their box. Whoever
+owns a walk or a cell builds each table once, by the same elementwise
+kernel that the row path (``probability.kl_rows`` and ``typical`` on
+counts / n among it) applies to a ``(rows, d)`` array, so no logarithm is
+taken per type and every tie falls as on the row path. One function,
+:func:`table_sum`, sums a table over a ``(rows, d)`` count array or over a
+band, and is the only place that tells the two apart. A quantity constant
+along a band row is computed once per row and read at each type's row
+(:meth:`Band.rows`): the joint-type engine decides T_U that way.
+
+An event that is a box, each letter's count in a set of its own, needs no
+lattice and no cap: :class:`BoxChain` follows the multinomial's chain of
+binomials, for its probability (``log_probs``) and for draws conditioned on
+it (``sample``); :class:`BoxComplement` does the same for the box's
+complement, as a union of first-letter-out strata, one chain each. Nor
+does the divergence event D(T || p) >= tau, which
+:func:`log_prob_divergence_at_least` sums by rows that leave two letters
+free: each row's silent counts are one interval, its tails binomial.
 
 The log-domain primitives are numpy only: log-factorials come from a cached
 ``math.lgamma`` table, and :func:`logsumexp` splits off the maximum as
@@ -110,10 +121,11 @@ class Band:
         return np.column_stack((self._heads[self._row], self._j, self._last))
 
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The band by rows: ``(heads, rest, row, j, last)``, type i in row
-        ``row[i]`` with c_{d-2} = ``j[i]`` and c_{d-1} = ``last[i]``; a
-        quantity that depends on a type only through its row is computed
-        once per row and read at ``row``."""
+        """The band by rows: ``(heads, rest, row, j, last)``. Row r fixes the
+        counts ``heads[r]`` of the first d - 2 letters and leaves ``rest[r]``
+        for the last two; type i lies in row ``row[i]``, with c_{d-2} =
+        ``j[i]`` and c_{d-1} = ``last[i]``. A quantity that depends on a type
+        only through its row is computed once per row and read at ``row``."""
         return self._heads, self._rest, self._row, self._j, self._last
 
 
@@ -206,7 +218,8 @@ def table_sum(table: np.ndarray, types) -> np.ndarray:
     """Per type, sum_z T[z, c_z] over the letters, left to right
     (``probability.letter_sum``'s order), for a ``(d, n + 1)`` count table
     T; `types` is a ``(rows, d)`` count array, one ``(d,)`` type or a
-    :class:`Band`.
+    :class:`Band`. Every per-type quantity of the exact sums and every
+    decision of the engines is one such sum.
 
     The one place that tells a band from an array: a band adds its head
     letters once per row and reads that sum at each type's row, then adds

@@ -608,7 +608,12 @@ class TestMuGrid:
         for n in ns:
             cfgs = [cfg.replace(mu=mu) for mu in grid]
             want = [oracles.log_accept_probs_at_mu(c, p_uv, q_uv, dmc, n, pbar) for c in cfgs]
-            assert sim._log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar) == want
+            walk = sim._log_accept_probs(cfgs, p_uv, q_uv, dmc, n, pbar)
+            # the accept probabilities bit for bit; delta_n, which the walk
+            # sums by band rows and the oracle by types, to rel 1e-12
+            assert [got[:2] for got in walk] == [w[:2] for w in want]
+            for got, w in zip(walk, want):
+                assert math.isclose(math.exp(got[2]), math.exp(w[2]), rel_tol=1e-12)
             got = sim.exact_error_probs(cfg, grid, p_uv, q_uv, dmc, n, pbar)
             assert got == [sim.exact_error_probs(cfg, [mu], p_uv, q_uv, dmc, n, pbar)[0]
                            for mu in grid]
@@ -857,9 +862,9 @@ class TestMonteCarlo:
     ):
         # each law draws the decision x with 2 Pr[x] <= Pr[T_V typical]
         # where it has one, else the larger branch factor's (scheme A's
-        # silent one); scheme B, where its U lattice has more rows than the
-        # cell has trials (none here, as |U| = 2 leaves one row), always
-        # draws the larger factor's
+        # silent one); scheme B, where the cell has fewer than
+        # TRIALS_PER_ROW trials per row of its U lattice (|U| = 2 leaves one
+        # row), always draws the larger factor's
         seen = set()
         for n, mu in itertools.product((12, 30, 100, 400), (0.03, 0.1, 0.2)):
             cfg = sim.SchemeConfig(scheme="A", mu=mu, x_hat="1", y_star="1")
@@ -871,8 +876,9 @@ class TestMonteCarlo:
         pbar = expo.pbar_threshold(example_dmc, "1")
         assert self._decisions(cfg, example_dmc, 30, pbar) == \
             self._want_decisions(cfg, example_dmc, 30, pbar) == [True, False]
-        assert self._decisions(cfg, example_dmc, 30, pbar, trials=1) == [True, False]
-        assert self._decisions(cfg, example_dmc, 30, pbar, trials=0) == \
+        rows = sim.TRIALS_PER_ROW
+        assert self._decisions(cfg, example_dmc, 30, pbar, trials=rows) == [True, False]
+        assert self._decisions(cfg, example_dmc, 30, pbar, trials=rows - 1) == \
             self._want_decisions(cfg, example_dmc, 30, pbar, fallback=True) == [False, False]
 
     def test_cell_is_logged_at_debug(self, example_dmc, partial_dmc, monkeypatch, caplog):
@@ -918,6 +924,24 @@ class TestMonteCarlo:
         delta = sim.transmit_probability(cfg, P_UV.row_marginal(), 30)
         assert 0 < 2 * delta <= p_typical[0]
         check(messages["A"], [("active", delta), ("V box", p_typical[1])])
+
+    def test_scheme_b_active_is_exact_from_trials_per_row(self, caplog):
+        # covert-sweep-b at n = 80 has 81 rows of the U lattice. With
+        # TRIALS_PER_ROW trials per row, the null's exact Pr[active], 9.6e-4,
+        # makes it count its active trials; one trial fewer, and it counts
+        # the decision of the larger branch factor, silent
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
+                            "covert-sweep-b.json")
+        config = ExperimentConfig.load(path)
+        p_uv, q_uv = config.source_pmfs()
+        dmc, cfg = config.dmc(), config.scheme()
+        pbar = expo.pbar_threshold(dmc, cfg.x1)
+        trials = sim.TRIALS_PER_ROW * typesum.num_types(80, 2)
+        for m, d in ((trials, "active"), (trials - 1, "silent")):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="covertdht.simulation"):
+                sim.run_trials(cfg, p_uv, q_uv, dmc, 80, m, seed=1, pbar=pbar)
+            assert f"H0 drew U first, d={d}, E=all," in caplog.records[-1].getMessage()
 
     def test_event_of_probability_zero_draws_no_trial(self, example_dmc, caplog):
         # Q_V = (1, 0) leaves no V type in P_V's box at mu = 0.2, so the
